@@ -2,6 +2,7 @@ package barrierd
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -114,6 +115,37 @@ func TestBarrierdSimByteIdenticalTranscript(t *testing.T) {
 	for _, want := range []string{"drop", "retransmit", "join", "arrive", "release"} {
 		if !strings.Contains(a, want) {
 			t.Fatalf("transcript never mentions %q — scenario not exercising it", want)
+		}
+	}
+}
+
+// TestSimTranscriptPins pins two whole-stack transcripts as constants:
+// a change to SimNet's event core (or to barrierd) that reorders a
+// single dispatch, RNG draw or log line changes these hashes, where the
+// run-twice test above would still pass. The hash is FNV-1a-64 of
+// strings.Join(EventLog(), "\n").
+func TestSimTranscriptPins(t *testing.T) {
+	lossy := transport.SimConfig{Latency: 2, Jitter: 5, DropRate: 0.2, DupRate: 0.08, LogEvents: true}
+	for _, pin := range []struct {
+		seed                      uint64
+		conns, groups, clientsPer int
+		epochs                    int64
+		hash                      string
+		lines                     int
+		tick                      int64
+	}{
+		{42, 3, 2, 5, 12, "b80afc7815031ad3", 973, 972}, // TestBarrierdSimByteIdenticalTranscript's scenario
+		{7, 16, 8, 8, 40, "8d13c40dddbf3fe9", 60155, 6737},
+	} {
+		cfg := lossy
+		cfg.Seed = pin.seed
+		nw := simScenario(t, cfg, 4, pin.conns, pin.groups, pin.clientsPer, pin.epochs)
+		h := fnv.New64a()
+		h.Write([]byte(strings.Join(nw.EventLog(), "\n")))
+		got := fmt.Sprintf("%016x", h.Sum64())
+		if got != pin.hash || len(nw.EventLog()) != pin.lines || nw.Now() != pin.tick {
+			t.Errorf("seed %d %dx%dx%d: transcript %s, %d lines, final tick %d; pinned %s, %d, %d",
+				pin.seed, pin.conns, pin.groups, pin.epochs, got, len(nw.EventLog()), nw.Now(), pin.hash, pin.lines, pin.tick)
 		}
 	}
 }

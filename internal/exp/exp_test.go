@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -366,5 +367,26 @@ func TestE18ReduceDeHotspots(t *testing.T) {
 	if spread(last)*10 > central(last) {
 		t.Errorf("at n=%d: spread hotspot %v should be >=10x below central %v",
 			e18N[last], spread(last), central(last))
+	}
+}
+
+// TestE19TablePinned pins E19's rows: every cell is a deterministic
+// barrierd-on-SimNet run, so a change that moves any of them changed
+// the simulator's dispatch order or the service's protocol, not noise.
+func TestE19TablePinned(t *testing.T) {
+	tbl, err := E19ServiceLatency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"0", "71.2", "48.0", "148.1", "42", "216"},
+		{"25", "71.2", "756.0", "1409.6", "42", "216"},
+		{"50", "70.0", "452.0", "652.2", "62", "216"},
+		{"100", "97.8", "49.5", "109.3", "63", "217"},
+		{"200", "194.8", "46.5", "217.5", "65", "216"},
+		{"400", "388.4", "48.0", "179.1", "66", "216"},
+	}
+	if got := tbl.Rows(); !reflect.DeepEqual(got, want) {
+		t.Errorf("E19 rows moved:\n got %v\nwant %v", got, want)
 	}
 }
