@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify build vet test race bench bench-smoke bench-smoke-multicore bench-gate fmt-check check
+.PHONY: verify build vet test race bench bench-compile bench-smoke bench-smoke-multicore bench-gate fmt-check check
 
-verify: build vet race check fmt-check
+verify: build vet race bench-compile check fmt-check
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,14 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# bench/ is a module of its own (it is what BENCHMARK.json runs), so
+# `./...` above never compiles it. Its tests build every workload
+# against today's internal/ APIs, run each at tiny size and check the
+# BENCHMARK.json pin, in under 3 s — a change that breaks the benchmark
+# fails here, not in the benchmark run.
+bench-compile:
+	$(GO) test -C bench ./...
 
 # CI-sized benchmark smoke test: one iteration of the n=8 split-scaling
 # points, the allocs/op=0 check on the barrier hot path, the fast-forward,

@@ -258,6 +258,54 @@ func TestWatchdogReportsMissingArrival(t *testing.T) {
 	}
 }
 
+// TestWatchdogIdleGroupIsNotStuck: members that completed their epochs
+// and simply stopped arriving leave the group idle — nobody has signaled
+// the current epoch, nobody waits on it — and the watchdog must stay
+// quiet however long that lasts. The moment one of them arrives alone,
+// the group is stuck on the other, and the report must name it.
+func TestWatchdogIdleGroupIsNotStuck(t *testing.T) {
+	nw := transport.NewSimNet(transport.SimConfig{Latency: 1, Seed: 1})
+	cfg := SimConfig(1, 0)
+	cfg.Shards = 2
+	var reports []StuckReport
+	svc, err := Start(nw, cfg, func(sr StuckReport) { reports = append(reports, sr) }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	c, err := Dial(nw, transport.ConnAddrBase, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const g, epochs = 1, 5
+	both := []uint64{10, 11}
+	var step func(rel int64)
+	step = func(rel int64) {
+		if rel+1 < epochs {
+			c.ArriveBatch(g, rel+1, both)
+			c.WhenReleased(g, rel+1, step)
+		}
+	}
+	c.JoinBatch(g, core.SignalWait, both, func(epoch int64) { step(epoch - 1) })
+	if _, ok := nw.Run(cfg.Watchdog, func() bool { return c.Released(g) == epochs-1 }); !ok {
+		t.Fatalf("group did not complete %d epochs: released=%d", epochs, c.Released(g))
+	}
+	nw.Run(nw.Now()+3*cfg.Watchdog, nil)
+	if len(reports) > 0 {
+		t.Fatalf("idle group reported stuck %d times, first: %+v", len(reports), reports[0])
+	}
+	c.ArriveBatch(g, epochs, []uint64{10}) // client 11 stays away
+	nw.Run(nw.Now()+3*cfg.Watchdog, func() bool { return len(reports) > 0 })
+	if len(reports) == 0 {
+		t.Fatal("watchdog never fired once a member was waiting on the other")
+	}
+	sr := reports[0]
+	why := strings.Join(sr.Why, "; ")
+	if sr.Group != g || sr.Epoch != epochs || !strings.Contains(why, "waiting-arrivals: 1 of 2") || !strings.Contains(why, "[11]") {
+		t.Fatalf("report does not name client 11 at epoch %d: %+v", epochs, sr)
+	}
+}
+
 // TestPhaserModesAndDrain: SignalOnly members gate epochs without
 // waiting, WaitOnly members never gate, and the last signaler's leave
 // drains the group, releasing all waiters.

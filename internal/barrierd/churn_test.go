@@ -56,6 +56,14 @@ func TestChurnNoEarlyReleaseNoDeadlock(t *testing.T) {
 	var stopEpoch atomic.Int64
 	stopEpoch.Store(-1)
 
+	// Nothing arrives, and no churner joins, until every stable conn has
+	// its JoinOK in every group. A lone early member would complete
+	// epoch 0 by itself, and a signal-only churner that joined and left
+	// first would drain the group for good — both correct coordinator
+	// behaviour that the early-release probe would misread.
+	var stableJoined sync.WaitGroup
+	stableJoined.Add(stable)
+
 	// Stable drivers: client id = conn index, registered in every group.
 	var stableConns []*Conn
 	for i := 0; i < stable; i++ {
@@ -73,6 +81,8 @@ func TestChurnNoEarlyReleaseNoDeadlock(t *testing.T) {
 			for g := uint32(0); g < groups; g++ {
 				c.AwaitJoined(g)
 			}
+			stableJoined.Done()
+			stableJoined.Wait()
 			for e := int64(0); ; e++ {
 				pos[i].Store(e)
 				if s := stopEpoch.Load(); s >= 0 && e > s {
@@ -126,6 +136,7 @@ func TestChurnNoEarlyReleaseNoDeadlock(t *testing.T) {
 			mode := []core.PhaserMode{core.SignalOnly, core.WaitOnly, core.SignalWait}[i%3]
 			id := []uint64{uint64(1000 + i)}
 			g := uint32(i % groups)
+			stableJoined.Wait()
 			for round := 0; round < 6; round++ {
 				c.JoinBatch(g, mode, id, nil)
 				e := c.AwaitJoined(g)

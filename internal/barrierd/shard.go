@@ -431,7 +431,10 @@ func (s *Shard) armWatchdog(gs *groupState) {
 
 // checkStuck emits a StuckReport when the group has signalers but the
 // epoch hasn't advanced within the watchdog window, naming what the
-// shard can see blocking it.
+// shard can see blocking it. A group nobody is waiting on is idle, not
+// stuck: with no signal yet for the current epoch and no wait-only
+// member registered, its members have simply stopped arriving (a
+// finished workload that has not left), and there is nothing to report.
 func (s *Shard) checkStuck(gs *groupState) {
 	now := s.ep.Now()
 	since := now - gs.lastAdvance
@@ -440,12 +443,17 @@ func (s *Shard) checkStuck(gs *groupState) {
 	}
 	var why []string
 	missing := make([]uint64, 0, 8)
-	outstanding := 0
+	outstanding, waiters := 0, 0
 	for c, mm := range gs.mem {
-		if signals(mm.mode) && mm.signaled <= gs.epoch {
+		if !signals(mm.mode) {
+			waiters++
+		} else if mm.signaled <= gs.epoch {
 			outstanding++
 			missing = append(missing, c)
 		}
+	}
+	if outstanding == gs.signalers && waiters == 0 {
+		return
 	}
 	if outstanding > 0 {
 		sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })

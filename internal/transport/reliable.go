@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"fuzzybarrier/internal/trace"
 )
@@ -125,15 +126,25 @@ func NewReliable(ep Endpoint, cfg ReliableConfig, deliver Handler, sink EventSin
 // construction cycle (the endpoint's Handler needs the layer, the layer
 // needs the endpoint) is closed through a sync point, so on the
 // multi-goroutine transports a datagram dispatched before construction
-// finishes waits instead of racing it.
+// finishes waits instead of racing it. Once the layer is published the
+// handler's whole cost is one atomic load per datagram.
 func AttachReliable(nw Network, a Addr, cfg ReliableConfig, deliver func(r *Reliable, m Message), sink EventSink) (*Reliable, Endpoint, error) {
-	var r *Reliable
+	var built atomic.Pointer[Reliable]
 	ready := make(chan struct{})
-	ep, err := nw.Attach(a, func(m Message) { <-ready; r.OnMessage(m) })
+	ep, err := nw.Attach(a, func(m Message) {
+		r := built.Load()
+		if r == nil {
+			<-ready
+			r = built.Load()
+		}
+		r.OnMessage(m)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
+	var r *Reliable
 	r = NewReliable(ep, cfg, func(m Message) { deliver(r, m) }, sink)
+	built.Store(r)
 	close(ready)
 	return r, ep, nil
 }

@@ -1,9 +1,10 @@
 package transport
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 
+	"fuzzybarrier/internal/des"
 	"fuzzybarrier/internal/trace"
 )
 
@@ -24,7 +25,8 @@ type SimConfig struct {
 }
 
 // SimNet is the deterministic virtual-time Network: a single-threaded
-// discrete-event loop with (at, seq)-ordered events and a seeded fault
+// discrete-event loop over a des.Queue — events dispatch by time, and
+// within one tick in the order they were scheduled — and a seeded fault
 // model. A fixed (SimConfig, workload) replays byte-identically — the
 // transcript guarantee TestBarrierdSimByteIdenticalTranscript pins for
 // the whole barrierd stack, extending the cluster simulator's
@@ -35,12 +37,10 @@ type SimConfig struct {
 // Do/After from outside the loop are only safe before Run or between
 // Run calls.
 type SimNet struct {
-	cfg  SimConfig
-	now  int64
-	eseq uint64
-	h    simHeap
-	eps  map[Addr]*simEndpoint
-	rng  *rng
+	cfg SimConfig
+	q   des.Queue[simEvent]
+	eps map[Addr]*simEndpoint
+	rng *rng
 
 	log     []string
 	wantLog bool
@@ -65,30 +65,14 @@ func NewSimNet(cfg SimConfig) *SimNet {
 	}
 }
 
+// simEvent is one scheduled action, stored by value in the queue's
+// arena: an After/Do callback (ep is the endpoint it runs on) or, with
+// ep nil, the delivery of msg to whatever is attached at msg.To when it
+// fires.
 type simEvent struct {
-	at  int64
-	seq uint64
+	ep  *simEndpoint
 	fn  func()
-}
-
-type simHeap []*simEvent
-
-func (h simHeap) Len() int { return len(h) }
-func (h simHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h simHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *simHeap) Push(x any)   { *h = append(*h, x.(*simEvent)) }
-func (h *simHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	msg Message
 }
 
 // Attach registers an endpoint.
@@ -104,33 +88,39 @@ func (s *SimNet) Attach(a Addr, h Handler) (Endpoint, error) {
 // Close discards all endpoints and pending events.
 func (s *SimNet) Close() error {
 	s.eps = make(map[Addr]*simEndpoint)
-	s.h = nil
+	s.q.Clear()
 	return nil
 }
 
 // Now returns the current virtual time.
-func (s *SimNet) Now() int64 { return s.now }
+func (s *SimNet) Now() int64 { return s.q.Now() }
 
 // EventLog returns the recorded log lines (empty unless LogEvents).
 func (s *SimNet) EventLog() []string { return s.log }
 
-// schedule queues fn after delay ticks (clamped to now).
-func (s *SimNet) schedule(delay int64, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	s.eseq++
-	heap.Push(&s.h, &simEvent{at: s.now + delay, seq: s.eseq, fn: fn})
+// schedule queues an event delay ticks from now (a negative delay is
+// none) and returns it for the caller to fill in at once.
+func (s *SimNet) schedule(delay int64) *simEvent {
+	return s.q.Push(s.q.Now() + max(delay, 0))
 }
 
 // Step executes the next event; false when the queue is empty.
-func (s *SimNet) Step() bool {
-	if s.h.Len() == 0 {
+func (s *SimNet) Step() bool { return s.step(math.MaxInt64) }
+
+// step executes the next event unless it lies beyond tick limit. An
+// event whose endpoint has closed, or whose destination is unattached,
+// is consumed and does nothing.
+func (s *SimNet) step(limit int64) bool {
+	ev, ok := s.q.Pop(limit)
+	if !ok {
 		return false
 	}
-	ev := heap.Pop(&s.h).(*simEvent)
-	s.now = ev.at
-	ev.fn()
+	switch {
+	case ev.ep == nil:
+		s.deliver(ev.msg)
+	case !ev.ep.closed:
+		ev.fn()
+	}
 	return true
 }
 
@@ -138,17 +128,17 @@ func (s *SimNet) Step() bool {
 // maxTicks of virtual time elapse (<= 0 means no budget). It returns
 // the virtual time reached and whether done() was satisfied.
 func (s *SimNet) Run(maxTicks int64, done func() bool) (int64, bool) {
+	limit := int64(math.MaxInt64)
+	if maxTicks > 0 {
+		limit = maxTicks
+	}
 	for {
 		if done != nil && done() {
-			return s.now, true
+			return s.Now(), true
 		}
-		if s.h.Len() == 0 {
-			return s.now, done == nil
+		if !s.step(limit) {
+			return s.Now(), done == nil && s.q.Len() == 0
 		}
-		if maxTicks > 0 && s.h[0].at > maxTicks {
-			return s.now, false
-		}
-		s.Step()
 	}
 }
 
@@ -163,7 +153,7 @@ func (s *SimNet) Event(now int64, a Addr, kind trace.EventKind, msg string) {
 }
 
 // send runs the fault model for one transmission.
-func (s *SimNet) send(m Message) {
+func (s *SimNet) send(m *Message) {
 	s.Sent++
 	copies := 1
 	if s.cfg.DupRate > 0 && s.rng.float() < s.cfg.DupRate {
@@ -174,7 +164,7 @@ func (s *SimNet) send(m Message) {
 		if s.cfg.DropRate > 0 && s.rng.float() < s.cfg.DropRate {
 			s.Dropped++
 			if s.wantLog {
-				s.Event(s.now, m.From, trace.EvDrop, "drop "+m.String())
+				s.Event(s.Now(), m.From, trace.EvDrop, "drop "+m.String())
 			}
 			continue
 		}
@@ -182,7 +172,7 @@ func (s *SimNet) send(m Message) {
 		if s.cfg.Jitter > 0 {
 			delay += s.rng.intN(s.cfg.Jitter + 1)
 		}
-		s.schedule(delay, func() { s.deliver(m) })
+		s.schedule(delay).msg = *m
 	}
 }
 
@@ -195,7 +185,7 @@ func (s *SimNet) deliver(m Message) {
 	}
 	s.Delivered++
 	if s.wantLog {
-		s.Event(s.now, m.To, trace.EvRecv, "recv "+m.String())
+		s.Event(s.Now(), m.To, trace.EvRecv, "recv "+m.String())
 	}
 	ep.h(m)
 }
@@ -209,14 +199,11 @@ type simEndpoint struct {
 }
 
 func (ep *simEndpoint) Addr() Addr { return ep.addr }
-func (ep *simEndpoint) Now() int64 { return ep.net.now }
+func (ep *simEndpoint) Now() int64 { return ep.net.Now() }
 
 func (ep *simEndpoint) After(delay int64, fn func()) {
-	ep.net.schedule(delay, func() {
-		if !ep.closed {
-			fn()
-		}
-	})
+	ev := ep.net.schedule(delay)
+	ev.ep, ev.fn = ep, fn
 }
 
 func (ep *simEndpoint) Do(fn func()) { ep.After(0, fn) }
@@ -227,7 +214,7 @@ func (ep *simEndpoint) Send(to Addr, m Message) {
 	}
 	m.From = ep.addr
 	m.To = to
-	ep.net.send(m)
+	ep.net.send(&m)
 }
 
 func (ep *simEndpoint) Close() error {
