@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet test race bench bench-compile bench-smoke bench-smoke-multicore bench-gate fmt-check check
+.PHONY: verify build vet test race bench bench-compile bench-gate fmt-check check
 
 verify: build vet race bench-compile check fmt-check
 
@@ -35,48 +35,18 @@ bench:
 bench-compile:
 	$(GO) test -C bench ./...
 
-# CI-sized benchmark smoke test: one iteration of the n=8 split-scaling
-# points, the allocs/op=0 check on the barrier hot path, the fast-forward,
-# sweep-pool, and cluster-engine before/after benchmarks, and a
-# machine-readable barbench run (-sim adds the before/after pairs —
-# including the serial-vs-sharded parallel_engine pair and the 4096x64
-# seed_batch time — and -scaling the central/tree/hier ns-per-episode
-# and hotspot curves up to 16384 participants, oversubscribed counts
-# recorded as skipped) archived as BENCH_SMOKE.json. The two barrierload runs merge the
-# epoch-service latency numbers (million-client in-process, 10k-client
-# loopback UDP) into the same file under "barrierd_load"; every entry
-# carries maxprocs so single-core results are interpretable.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'E2SplitScaling/[^/]*/p8/region=0$$' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BarrierHotPathAllocs' -benchtime 100x -benchmem ./internal/core
-	$(GO) test -run '^$$' -bench 'MachineFastForward|SweepParallel' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'ClusterEngine' -benchtime 1x -benchmem .
-	$(GO) run ./cmd/barbench -procs 2 -episodes 5000 -json -sim -scaling > BENCH_SMOKE.json
-	$(GO) run ./cmd/barrierload -clients 1000000 -groups 4 -conns 32 -epochs 4 -merge BENCH_SMOKE.json
-	$(GO) run ./cmd/barrierload -transport udp -clients 10000 -groups 2 -conns 8 -epochs 4 -merge BENCH_SMOKE.json
-	@head -c 200 BENCH_SMOKE.json; echo; echo "wrote BENCH_SMOKE.json"
-
-# bench-smoke pinned to every available core: refuses to run on a
-# single-core host (the speedup columns would be vacuous there) and
-# makes the GOMAXPROCS recorded in BENCH_SMOKE.json explicit.
-bench-smoke-multicore:
-	@n=$$(nproc); if [ "$$n" -lt 2 ]; then \
-		echo "bench-smoke-multicore: need >= 2 CPUs, have $$n (use bench-smoke)"; exit 1; fi
-	GOMAXPROCS=$$(nproc) $(MAKE) bench-smoke
-
 # Perf regression gates: fail if fast-forwarded machine.Run is not
 # comfortably faster than the naive per-cycle loop on a stall-heavy
 # workload (threshold 1.2x; typical measured ratio is ~10x), if the
-# typed-event cluster engine is not >= 2.5x the closure heap on a lossy
-# 256/1024-node sweep, if the sharded lookahead-window engine is not
-# >= 2x the serial fast engine at 1024 nodes (self-skips below 4
-# cores), if the sweep worker pool is not >= 1.2x on the E15 grid, or
-# if the hierarchical barrier's hotspot-ops/phase exceeds the flat
-# tree's at n >= 4096 (the parallel gates self-skip when GOMAXPROCS is
-# too low — one core cannot show parallel contention or speedup).
+# sharded lookahead-window cluster engine is not >= 2x the serial
+# engine at 1024 nodes (self-skips below 4 cores), if the sweep worker
+# pool is not >= 1.2x on the E15 grid, or if the hierarchical barrier's
+# hotspot-ops/phase exceeds the flat tree's at n >= 4096 (the parallel
+# gates self-skip when GOMAXPROCS is too low — one core cannot show
+# parallel contention or speedup).
 bench-gate:
 	BENCH_GATE=1 $(GO) test -run TestFastForwardSpeedupGate -count=1 -v ./internal/machine
-	BENCH_GATE=1 $(GO) test -run 'TestClusterEngineSpeedupGate|TestParallelEngineSpeedupGate' -count=1 -v ./internal/cluster
+	BENCH_GATE=1 $(GO) test -run TestParallelEngineSpeedupGate -count=1 -v ./internal/cluster
 	BENCH_GATE=1 $(GO) test -run TestSweepParallelSpeedupGate -count=1 -v ./internal/exp
 	BENCH_GATE=1 $(GO) test -run TestHierHotspotGate -count=1 -v .
 

@@ -192,8 +192,7 @@ func splitScalingOversubscribed(workers int) bool {
 //
 //   - arrive-ns/op: mean wall time inside Arrive (scheduler-noisy on a
 //     time-shared host; read orderings, not absolutes);
-//   - ns/episode: wall time per completed synchronization episode — the
-//     scaling-curve quantity BENCH_SMOKE.json archives;
+//   - ns/episode: wall time per completed synchronization episode;
 //   - hotspot-ops/phase: atomic operations landing on the hottest single
 //     counter word per episode, which is the deterministic, core-count-
 //     independent measure of the Section 1 hot spot. Central is always
@@ -421,13 +420,10 @@ func BenchmarkClusterSim(b *testing.B) {
 // BenchmarkE16ClusterScaling regenerates the 16..4096-node scaling table.
 func BenchmarkE16ClusterScaling(b *testing.B) { benchExperiment(b, "E16") }
 
-// BenchmarkClusterEngine compares the two cluster event engines on one
-// lossy 256-node run — the closure engine (container/heap of *event plus
-// captured closures) against the default typed-event engine (pooled
-// arena, calendar wheel, 4-ary overflow heap). Run with -benchmem: the
-// closure engine allocates per scheduled action, the typed engine's
-// steady state allocates nothing (allocs/op shows only per-run pool
-// warm-up). The bench-gate counterpart is TestClusterEngineSpeedupGate.
+// BenchmarkClusterEngine times the cluster event engine (pooled arena,
+// calendar wheel, 4-ary overflow heap) on one lossy 256-node run. Run
+// with -benchmem: the engine's steady state allocates nothing, so
+// allocs/op shows only per-run pool warm-up.
 func BenchmarkClusterEngine(b *testing.B) {
 	cfg := cluster.Config{
 		Protocol: "dissemination", Nodes: 256, Epochs: 20,
@@ -435,29 +431,20 @@ func BenchmarkClusterEngine(b *testing.B) {
 		Net:  cluster.NetConfig{Latency: 12, Jitter: 25, DropRate: 0.2, DupRate: 0.08},
 		Seed: 1234,
 	}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"closure", true}, {"typed", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var ticks int64
-			for i := 0; i < b.N; i++ {
-				c := cfg
-				c.DisableFastEngine = mode.disable
-				sim, err := cluster.New(c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sim.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				ticks = res.Ticks
-			}
-			b.ReportMetric(float64(ticks), "sim-ticks")
-		})
+	b.ReportAllocs()
+	var ticks int64
+	for i := 0; i < b.N; i++ {
+		sim, err := cluster.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := sim.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		ticks = res.Ticks
 	}
+	b.ReportMetric(float64(ticks), "sim-ticks")
 }
 
 // BenchmarkE18FleetAggregation regenerates the fleet epoch aggregation

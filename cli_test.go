@@ -241,44 +241,29 @@ func TestCLIClustersim(t *testing.T) {
 	}
 }
 
-func TestCLIBarbenchSimJSON(t *testing.T) {
+// TestCLIClustersimShards: -shards alone selects the engine. The sharded
+// run prints the serial run's stdout byte for byte (event log included),
+// and it really is the sharded engine — which cannot record a chrome
+// trace — not a silently ignored flag.
+func TestCLIClustersimShards(t *testing.T) {
 	dir := buildTools(t)
-	out, err := runTool(t, dir, "barbench",
-		"-procs", "2", "-episodes", "200", "-impl", "central", "-json", "-sim")
+	args := []string{"-proto", "dissemination", "-nodes", "6", "-epochs", "8",
+		"-jitter", "15", "-drop", "0.1", "-dup", "0.05", "-seed", "5", "-log"}
+	serial, err := runTool(t, dir, "clustersim", append(args, "-shards", "1")...)
 	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
+		t.Fatalf("%v\n%s", err, serial)
 	}
-	// With -sim the JSON becomes one combined object.
-	i := strings.Index(out, "{")
-	if i < 0 {
-		t.Fatalf("no JSON object in output:\n%s", out)
+	sharded, err := runTool(t, dir, "clustersim", append(args, "-shards", "4")...)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, sharded)
 	}
-	var doc struct {
-		Barbench []struct {
-			Impl string `json:"impl"`
-		} `json:"barbench"`
-		FF struct {
-			BeforeNs int64   `json:"before_ns"`
-			AfterNs  int64   `json:"after_ns"`
-			Speedup  float64 `json:"speedup"`
-		} `json:"machine_fast_forward"`
-		Sweep struct {
-			Cells    int     `json:"cells"`
-			MaxProcs int     `json:"maxprocs"`
-			Speedup  float64 `json:"speedup"`
-		} `json:"sweep_parallel"`
+	if serial != sharded {
+		t.Errorf("-shards changed the output:\n--- -shards 1 ---\n%s\n--- -shards 4 ---\n%s", serial, sharded)
 	}
-	if err := json.Unmarshal([]byte(out[i:]), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, out)
-	}
-	if len(doc.Barbench) != 1 || doc.Barbench[0].Impl != "central" {
-		t.Errorf("unexpected barbench records: %+v", doc.Barbench)
-	}
-	if doc.FF.BeforeNs <= 0 || doc.FF.AfterNs <= 0 || doc.FF.Speedup <= 0 {
-		t.Errorf("implausible fast-forward measurement: %+v", doc.FF)
-	}
-	if doc.Sweep.Cells != 54 || doc.Sweep.MaxProcs < 1 || doc.Sweep.Speedup <= 0 {
-		t.Errorf("implausible sweep measurement: %+v", doc.Sweep)
+	out, err := runTool(t, dir, "clustersim", append(args, "-shards", "4",
+		"-trace-out", filepath.Join(t.TempDir(), "trace.json"))...)
+	if err == nil || !strings.Contains(out, "-shards 4 cannot record a chrome trace") {
+		t.Errorf("-shards 4 -trace-out: err %v, want the sharded-engine refusal:\n%s", err, out)
 	}
 }
 
@@ -319,10 +304,9 @@ func TestCLIBarrierdSmoke(t *testing.T) {
 
 func TestCLIBarrierloadInproc(t *testing.T) {
 	dir := buildTools(t)
-	merged := filepath.Join(t.TempDir(), "smoke.json")
 	out, err := runTool(t, dir, "barrierload",
 		"-clients", "2000", "-groups", "2", "-conns", "4", "-epochs", "3",
-		"-json", "-merge", merged)
+		"-json")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -349,18 +333,6 @@ func TestCLIBarrierloadInproc(t *testing.T) {
 	if len(rep.Points) != 1 || rep.Points[0].Samples != 6 ||
 		rep.Points[0].P50Ms <= 0 || rep.Points[0].P99Ms < rep.Points[0].P50Ms {
 		t.Errorf("implausible latency point: %+v", rep.Points)
-	}
-	// The merge file holds the same report under "barrierd_load".
-	buf, err := os.ReadFile(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(buf, &doc); err != nil {
-		t.Fatalf("merge file is not a JSON object: %v\n%s", err, buf)
-	}
-	if _, ok := doc["barrierd_load"]; !ok {
-		t.Errorf("merge file missing barrierd_load:\n%s", buf)
 	}
 }
 

@@ -13,8 +13,6 @@
 //	barbench -impl fuzzy -region 50 # fuzzy with 50 units of region work
 //	barbench -impl fuzzy-tree -procs 256
 //	barbench -json > bench.json     # machine-readable measurements
-//	barbench -json -sim             # plus simulator perf before/after pairs
-//	barbench -json -scaling         # plus the central/tree/hier scaling sweep
 //	barbench -cpuprofile cpu.pprof  # write a pprof CPU profile
 //	barbench -mutexprofile m.pprof  # pprof mutex-contention profile
 //	                                # (also -memprofile, -blockprofile)
@@ -148,8 +146,6 @@ func main() {
 	region := flag.Int("region", 0, "per-episode barrier-region work units (split barriers only)")
 	stats := flag.Bool("stats", true, "print the barrier's counter/histogram snapshot (split barriers only)")
 	jsonOut := flag.Bool("json", false, "emit a JSON array of measurements instead of text")
-	sim := flag.Bool("sim", false, "also measure the simulator fast-forward, sweep pool, and cluster event engine (before/after pairs); with -json the output becomes one combined object")
-	scaling := flag.Bool("scaling", false, "also run the split-barrier scaling sweep (central vs tree vs hier, 64..16384 participants, oversubscribed counts skipped); with -json the output becomes one combined object")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	mutexProfile := flag.String("mutexprofile", "", "write a pprof mutex-contention profile to this file")
@@ -233,83 +229,10 @@ func main() {
 		fmt.Printf("%-16s procs=%-3d episodes=%-8d total=%-12v per-episode=%v\n",
 			name, *procs, *episodes, d, d/time.Duration(*episodes))
 	}
-	var combined *combinedOutput
-	if *sim {
-		ff, err := measureFastForward(8, 200, 3)
-		if err != nil {
-			die(err)
-		}
-		sw, err := measureSweep(2)
-		if err != nil {
-			die(err)
-		}
-		ce, err := measureClusterEngine(256, 20, 3)
-		if err != nil {
-			die(err)
-		}
-		pe, err := measureParallelEngine(1024, 10, 2)
-		if err != nil {
-			die(err)
-		}
-		sb, err := measureSeedBatch(4096, 4, 64)
-		if err != nil {
-			die(err)
-		}
-		if *jsonOut {
-			combined = &combinedOutput{
-				Barbench: records, MachineFastForward: &ff, SweepParallel: &sw,
-				ClusterEngine: &ce, ParallelEngine: &pe, SeedBatch: &sb,
-			}
-		} else {
-			fmt.Printf("%-22s before=%-12v after=%-12v speedup=%.1fx\n",
-				"machine-fast-forward", time.Duration(ff.BeforeNs), time.Duration(ff.AfterNs), ff.Speedup)
-			fmt.Printf("%-22s before=%-12v after=%-12v speedup=%.1fx (maxprocs=%d)\n",
-				"sweep-parallel(E15)", time.Duration(sw.BeforeNs), time.Duration(sw.AfterNs), sw.Speedup, sw.MaxProcs)
-			fmt.Printf("%-22s before=%-12v after=%-12v speedup=%.1fx (%s n=%d)\n",
-				"cluster-engine", time.Duration(ce.BeforeNs), time.Duration(ce.AfterNs), ce.Speedup, ce.Protocol, ce.Nodes)
-			if pe.Skipped != "" {
-				fmt.Printf("%-22s skipped: %s\n", "parallel-engine", pe.Skipped)
-			} else {
-				fmt.Printf("%-22s before=%-12v after=%-12v speedup=%.1fx (%s n=%d shards=%d maxprocs=%d)\n",
-					"parallel-engine", time.Duration(pe.BeforeNs), time.Duration(pe.AfterNs), pe.Speedup,
-					pe.Protocol, pe.Nodes, pe.Shards, pe.MaxProcs)
-			}
-			fmt.Printf("%-22s total=%-12v per-seed=%-10v (%s n=%d seeds=%d maxprocs=%d)\n",
-				"seed-batch", time.Duration(sb.TotalNs), time.Duration(sb.NsPerSeed),
-				sb.Protocol, sb.Nodes, sb.Seeds, sb.MaxProcs)
-		}
-	}
-	if *scaling {
-		// Episode count scaled down from the main -episodes knob: the
-		// sweep's large groups pay thousands of arrivals per episode, and
-		// the curve stabilizes in tens of episodes.
-		eps := *episodes / 100
-		if eps < 2 {
-			eps = 2
-		}
-		recs := measureScaling(eps)
-		if *jsonOut {
-			if combined == nil {
-				combined = &combinedOutput{Barbench: records}
-			}
-			combined.SplitScaling = recs
-		} else {
-			printScaling(recs)
-		}
-	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		// Without -sim or -scaling the output stays a plain array, the
-		// stable machine-readable format; either flag wraps it in one
-		// combined object.
-		var err error
-		if combined != nil {
-			err = enc.Encode(combined)
-		} else {
-			err = enc.Encode(records)
-		}
-		if err != nil {
+		if err := enc.Encode(records); err != nil {
 			die(err)
 		}
 	}

@@ -28,8 +28,6 @@
 //	               0 = closed loop, as fast as completions allow
 //	               (default "0")
 //	-json          emit the report as JSON to stdout
-//	-merge FILE    also merge the report into FILE (BENCH_SMOKE.json)
-//	               under the "barrierd_load" key
 //
 // The report's p50/p99 are over per-(group, epoch) completion samples:
 // an epoch's sample is the time from its (scheduled, when pacing; else
@@ -87,7 +85,6 @@ func main() {
 	epochs := flag.Int("epochs", 6, "epochs per rate point")
 	rates := flag.String("rates", "0", "offered epoch rates per second (0 = closed loop)")
 	jsonOut := flag.Bool("json", false, "emit JSON report")
-	merge := flag.String("merge", "", "merge report into this BENCH_SMOKE-style JSON file")
 	flag.Parse()
 
 	rep, err := run(*transportF, *connect, *clients, *groups, *conns, *shards, *epochs, *rates)
@@ -105,12 +102,6 @@ func main() {
 		for _, p := range rep.Points {
 			fmt.Printf("  offered=%.0f/s achieved=%.1f/s p50=%.2fms p99=%.2fms (%d samples)\n",
 				p.OfferedEpochsPerSec, p.AchievedEpochsPerSec, p.P50Ms, p.P99Ms, p.Samples)
-		}
-	}
-	if *merge != "" {
-		if err := mergeReport(*merge, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "barrierload: merge:", err)
-			os.Exit(1)
 		}
 	}
 }
@@ -319,37 +310,4 @@ func drivePoint(cs []*barrierd.Conn, ids [][][]uint64, groups, epochs int, e0 in
 		Samples:              len(samples),
 	}
 	return pt, e0 + int64(epochs), nil
-}
-
-// mergeReport read-modify-writes the report into a BENCH_SMOKE-style
-// JSON object under "barrierd_load" (a list: one entry per invocation
-// configuration, replaced wholesale for matching transport+clients).
-func mergeReport(path string, rep *report) error {
-	doc := map[string]json.RawMessage{}
-	if buf, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(buf, &doc); err != nil {
-			return fmt.Errorf("parsing %s: %w", path, err)
-		}
-	}
-	var entries []*report
-	if old, ok := doc["barrierd_load"]; ok {
-		json.Unmarshal(old, &entries)
-	}
-	kept := entries[:0]
-	for _, e := range entries {
-		if e.Transport != rep.Transport || e.Clients != rep.Clients {
-			kept = append(kept, e)
-		}
-	}
-	entries = append(kept, rep)
-	buf, err := json.Marshal(entries)
-	if err != nil {
-		return err
-	}
-	doc["barrierd_load"] = buf
-	out, err := json.MarshalIndent(doc, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -27,10 +27,9 @@
 //	-seed S         RNG seed; same seed => byte-identical run (default 1)
 //	-seeds K        replay K consecutive seeds S..S+K-1 per protocol (default 1)
 //	-parallel N     workers for the (protocol, seed) sweep; 0 = GOMAXPROCS
-//	-engine E       event engine: fast (typed-event arena, default), slow
-//	                (the original closure heap), or parallel (sharded
-//	                lookahead windows); output is byte-identical
-//	-shards N       shard count for -engine parallel (0 = GOMAXPROCS)
+//	-shards N       N > 1 runs each simulation on the sharded engine (N
+//	                lookahead-window lanes); 0 or 1 the serial engine
+//	                (default); output is byte-identical
 //	-progress       report seed-replay progress on stderr
 //	-log            print the full message-level event log
 //	-trace-out FILE write a Chrome trace-event JSON (chrome://tracing, Perfetto)
@@ -38,7 +37,7 @@
 //	                -mutexprofile, -blockprofile)
 //
 // Every run is deterministic and replayable: multi-seed output carries a
-// per-seed transcript hash, and under -engine parallel every seed is
+// per-seed transcript hash, and with -shards N > 1 every seed is
 // re-run on the serial engine and the hashes compared — any divergence
 // fails the run immediately. A run the watchdog declares stuck prints
 // the per-node diagnosis and exits nonzero.
@@ -49,7 +48,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"runtime"
 	"strings"
 
 	"fuzzybarrier/internal/cluster"
@@ -75,8 +73,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "RNG seed; same seed => byte-identical run")
 	seeds := flag.Int("seeds", 1, "replay this many consecutive seeds per protocol")
 	parallel := flag.Int("parallel", 0, "workers for the (protocol, seed) sweep; 0 = GOMAXPROCS")
-	engine := flag.String("engine", "fast", "event engine: fast (typed-event arena), slow (closure heap), or parallel (sharded lookahead windows)")
-	shards := flag.Int("shards", 0, "shard count for -engine parallel; 0 = GOMAXPROCS")
+	shards := flag.Int("shards", 0, "N > 1 runs the sharded engine on N lanes; 0 or 1 the serial engine")
 	progress := flag.Bool("progress", false, "report seed-replay progress on stderr")
 	logEvents := flag.Bool("log", false, "print the message-level event log")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file")
@@ -99,18 +96,9 @@ func main() {
 	if *logEvents && *seeds != 1 {
 		fatal(fmt.Errorf("-log wants -seeds 1, got %d seeds", *seeds))
 	}
-	if *engine != "fast" && *engine != "slow" && *engine != "parallel" {
-		fatal(fmt.Errorf("-engine wants fast, slow, or parallel, got %q", *engine))
-	}
-	if *engine == "parallel" && *traceOut != "" {
-		fatal(fmt.Errorf("-engine parallel cannot record a chrome trace; use -engine fast"))
-	}
-	nShards := 1
-	if *engine == "parallel" {
-		nShards = *shards
-		if nShards <= 0 {
-			nShards = runtime.GOMAXPROCS(0)
-		}
+	sharded := *shards > 1
+	if sharded && *traceOut != "" {
+		fatal(fmt.Errorf("-shards %d cannot record a chrome trace; drop -shards", *shards))
 	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile, *mutexProfile, *blockProfile)
@@ -131,11 +119,10 @@ func main() {
 				Latency: *latency, Jitter: *jitter,
 				DropRate: *drop, DupRate: *dup,
 			},
-			TreeArity:         *arity,
-			Seed:              s,
-			LogEvents:         *logEvents,
-			DisableFastEngine: *engine == "slow",
-			Shards:            nShards,
+			TreeArity: *arity,
+			Seed:      s,
+			LogEvents: *logEvents,
+			Shards:    *shards,
 		}
 	}
 	var progressHook func(done, total int)
@@ -149,7 +136,7 @@ func main() {
 	}
 
 	// Each (protocol, seed) cell is an independent replay. Cells run on
-	// the sweep worker pool — or, for plain multi-seed fast-engine runs,
+	// the sweep worker pool — or, for plain multi-seed serial-engine runs,
 	// on the lockstep multi-seed batch executor — and output is buffered
 	// per cell and printed in index order, so the transcript is identical
 	// at any -parallel and on either executor.
@@ -164,8 +151,8 @@ func main() {
 		if multi {
 			// The transcript hash makes engine-equivalence regressions
 			// visible outside the test suite: identical runs hash
-			// identically across -engine fast/slow/parallel and any
-			// -parallel worker count.
+			// identically at any -shards and any -parallel worker
+			// count.
 			fmt.Fprintf(&b, "seed %d: transcript=%016x\n", s, transcriptHash(transcript))
 		}
 		b.WriteString(transcript)
@@ -176,8 +163,8 @@ func main() {
 		}
 		return out
 	}
-	// checkSerial re-runs one parallel-engine cell on the serial fast
-	// engine and fails fast on any transcript divergence, so equivalence
+	// checkSerial re-runs one sharded cell on the serial engine and
+	// fails fast on any transcript divergence, so equivalence
 	// regressions surface outside the test suite too.
 	checkSerial := func(p string, s uint64, parRes *cluster.Result, parLog []string) error {
 		cfg := baseConfig(p, s)
@@ -197,7 +184,7 @@ func main() {
 
 	nCells := len(protos) * *seeds
 	var cells []cellOut
-	if *engine == "fast" && *traceOut == "" && !*logEvents && multi {
+	if !sharded && *traceOut == "" && !*logEvents && multi {
 		// The batch path: K seeds of one config in lockstep lane groups.
 		cells = make([]cellOut, nCells)
 		seedList := make([]uint64, *seeds)
@@ -234,7 +221,7 @@ func main() {
 			}
 			res, runErr := sim.Run()
 			out := renderCell(p, s, res, sim.EventLog(), runErr)
-			if *engine == "parallel" {
+			if sharded {
 				if err := checkSerial(p, s, res, sim.EventLog()); err != nil {
 					return cellOut{}, err
 				}

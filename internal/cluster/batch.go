@@ -26,7 +26,7 @@ import (
 // shrink as the per-lane footprint grows, so a group's combined working
 // set stays cache-resident instead of thrashing.
 //
-// Equivalence: a lane is an ordinary serial-fast-engine Sim driven by
+// Equivalence: a lane is an ordinary serial-engine Sim driven by
 // the same bounded stepFast the solo Run loop uses, stopped at the
 // same completion event and subject to the same per-event budget
 // checks. RunBatch therefore returns per-seed Results (and stuck
@@ -63,8 +63,8 @@ func batchLanes(nodes int) int {
 // with the completed and total counts (serialized; never concurrently).
 //
 // Configurations the lockstep fast path cannot share — a trace
-// Recorder, the closure engine, or intra-run sharding — fall back to
-// solo Runs on the same worker pool. A shared cfg.Recorder is only safe
+// Recorder or intra-run sharding — fall back to solo Runs on the same
+// worker pool. A shared cfg.Recorder is only safe
 // at workers == 1.
 func RunBatch(cfg Config, seeds []uint64, workers int, progress func(done, total int)) ([]*Result, []error) {
 	total := len(seeds)
@@ -85,7 +85,7 @@ func RunBatch(cfg Config, seeds []uint64, workers int, progress func(done, total
 		mu.Unlock()
 	}
 
-	lockstep := cfg.Recorder == nil && !cfg.DisableFastEngine && cfg.Shards <= 1
+	lockstep := cfg.Recorder == nil && cfg.Shards <= 1
 	group := 1
 	if lockstep {
 		group = batchLanes(cfg.Nodes)

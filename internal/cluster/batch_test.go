@@ -87,13 +87,13 @@ func TestBatchStuckEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchFallbackAndProgress covers the non-lockstep path (closure
-// engine) plus the progress hook contract: monotone counts, one call
+// TestBatchFallbackAndProgress covers the non-lockstep path (sharded
+// runs) plus the progress hook contract: monotone counts, one call
 // per seed, total always len(seeds), and hook calls never concurrent.
 func TestBatchFallbackAndProgress(t *testing.T) {
 	cfg := batchTestConfig()
 	cfg.Epochs = 4
-	cfg.DisableFastEngine = true
+	cfg.Shards = 2
 	seeds := []uint64{7, 8, 9, 10}
 	var mu sync.Mutex
 	var calls []int

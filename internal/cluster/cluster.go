@@ -94,20 +94,12 @@ type Config struct {
 	// Shards > 1 runs the sharded parallel engine (par.go): nodes are
 	// split into that many contiguous groups, each advanced by its own
 	// worker under conservative lookahead windows. Results and event
-	// logs are byte-identical to the serial engines at every shard
+	// logs are byte-identical to the serial engine at every shard
 	// count; the knob trades wall-clock for cores. Clamped to
 	// [1, Nodes]; <= 0 (the zero value) selects the serial engine.
-	// Incompatible with DisableFastEngine and with Recorder (lane
-	// recording is inherently sequential).
+	// Incompatible with Recorder (lane recording is inherently
+	// sequential).
 	Shards int
-
-	// DisableFastEngine falls back to the original closure-based
-	// container/heap event loop instead of the pooled typed-event
-	// engine. The two engines replay the same schedule event for event
-	// — byte-identical event logs and Results (see engine_test.go) —
-	// so this knob exists for differential testing and for measuring
-	// the engine speedup itself (BenchmarkClusterEngine, bench-gate).
-	DisableFastEngine bool
 }
 
 // maxNodes bounds Config.Nodes so delivery priorities (sender id above
@@ -147,13 +139,8 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Shards > cfg.Nodes {
 		cfg.Shards = cfg.Nodes
 	}
-	if cfg.Shards > 1 {
-		if cfg.DisableFastEngine {
-			return cfg, fmt.Errorf("cluster: Shards=%d requires the fast engine (DisableFastEngine set)", cfg.Shards)
-		}
-		if cfg.Recorder != nil {
-			return cfg, fmt.Errorf("cluster: Shards=%d is incompatible with a trace Recorder (use LogEvents)", cfg.Shards)
-		}
+	if cfg.Shards > 1 && cfg.Recorder != nil {
+		return cfg, fmt.Errorf("cluster: Shards=%d is incompatible with a trace Recorder (use LogEvents)", cfg.Shards)
 	}
 	if cfg.Epochs < 0 {
 		return cfg, fmt.Errorf("cluster: negative epoch count %d", cfg.Epochs)

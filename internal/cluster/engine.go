@@ -6,25 +6,23 @@ import (
 	"fuzzybarrier/internal/trace"
 )
 
-// This file is the default (fast) event engine: a pooled arena of typed
-// events ordered by a two-tier priority queue — a calendar wheel of
-// per-tick buckets for the near horizon, backed by a flat, index-based
-// 4-ary min-heap for far-future events — and dispatched through a
-// switch instead of captured closures. The closure engine in sim.go
-// heap-allocates an *event plus a closure per scheduled action and
-// boxes both through container/heap's `any` interface; this engine
-// recycles fixed-size slots through a free list, so the steady-state
-// schedule/dispatch path performs zero allocations
+// This file is the event engine: a pooled arena of typed events ordered
+// by a two-tier priority queue — a calendar wheel of per-tick buckets
+// for the near horizon, backed by a flat, index-based 4-ary min-heap for
+// far-future events — and dispatched through a switch instead of
+// captured closures. Fixed-size slots are recycled through a free list,
+// so the steady-state schedule/dispatch path performs zero allocations
 // (TestFastEngineZeroAllocSteadyState pins that down with
 // testing.AllocsPerRun).
 //
 // Determinism contract: events are dispatched in exactly the canonical
 // (at, node, pri) key order defined in sim.go, and every scheduling
-// action consumes the same node-local counters in every engine, so the
-// closure, fast, and sharded parallel engines all replay the identical
+// action consumes the same node-local counters however the run is
+// executed, so serial, sharded and batched runs all replay the identical
 // schedule — byte-identical event logs and Results
-// (TestEngineEquivalence). Retransmit timers additionally rely on the
-// lazy-cancel scheme in node.go inserting events at their *original*
+// (TestEngineEquivalence) that match the recorded transcripts
+// (TestTranscriptPins). Retransmit timers additionally rely on the
+// lazy-cancel scheme in outbox.go inserting events at their *original*
 // (deadline, armpri) key rather than a fresh priority; see
 // outbox.ensureArmed.
 //
@@ -377,8 +375,8 @@ func (f *fastEngine) popOver() heapEntry {
 // Priorities are consumed by the scheduling site (the owner's lseq for
 // local events, the sender's transmission counter for deliveries); the
 // lazy retransmit-timer scheme re-inserts a timer at the original key
-// its arm consumed, which is what keeps every engine's schedule
-// identical.
+// its arm consumed, which is what keeps the schedule on the pinned
+// transcripts.
 func (f *fastEngine) scheduleAt(at int64, node int32, pri uint64, kind evKind, epoch, start int64, msg Message) {
 	i := f.alloc()
 	ev := &f.arena[i]

@@ -23,14 +23,14 @@ func (x *exec) netSend(m Message) {
 	cfg := &x.s.cfg.Net
 	from := x.s.nodes[m.From]
 	copies := 1
-	if cfg.DupRate > 0 && from.netRNG.float() < cfg.DupRate {
+	if cfg.DupRate > 0 && from.netRNG.Float() < cfg.DupRate {
 		copies = 2
 		x.dups++
 	}
 	for c := 0; c < copies; c++ {
 		from.txSeq++
 		pri := deliverPri(m.From, from.txSeq)
-		if cfg.DropRate > 0 && from.netRNG.float() < cfg.DropRate {
+		if cfg.DropRate > 0 && from.netRNG.Float() < cfg.DropRate {
 			x.drops++
 			if x.s.wantLog {
 				x.logf(m.From, trace.EvDrop, "drop %v", m)
@@ -39,8 +39,8 @@ func (x *exec) netSend(m Message) {
 		}
 		delay := cfg.Latency
 		if cfg.Jitter > 0 {
-			delay += from.netRNG.intN(cfg.Jitter + 1)
+			delay += from.netRNG.IntN(cfg.Jitter + 1)
 		}
-		x.schedDeliver(m, delay, x.now+delay, pri)
+		x.schedDeliver(m, x.now+delay, pri)
 	}
 }

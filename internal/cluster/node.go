@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	"fuzzybarrier/internal/des"
 	"fuzzybarrier/internal/trace"
 )
 
@@ -23,8 +24,8 @@ type node struct {
 	x  *exec
 	s  *Sim // cfg and the node table (read-only during a run)
 
-	rng    *rng // work-jitter draws
-	netRNG *rng // per-sender link draws (latency jitter, drop, dup)
+	rng    *des.RNG // work-jitter draws
+	netRNG *des.RNG // per-sender link draws (latency jitter, drop, dup)
 	txSeq  uint64
 	lseq   uint64 // local-event priority counter (work/region/retx)
 
@@ -55,8 +56,8 @@ func newNode(x *exec, id int) *node {
 		id:        id,
 		x:         x,
 		s:         s,
-		rng:       newRNG(mix(s.cfg.Seed, uint64(id)+1)),
-		netRNG:    newRNG(mix(mix(s.cfg.Seed, 0xC0FFEE), uint64(id)+1)),
+		rng:       des.NewRNG(des.Mix(s.cfg.Seed, uint64(id)+1)),
+		netRNG:    des.NewRNG(des.Mix(des.Mix(s.cfg.Seed, 0xC0FFEE), uint64(id)+1)),
 		arriveAt:  make([]int64, s.cfg.Epochs),
 		releaseAt: make([]int64, s.cfg.Epochs),
 	}
@@ -102,7 +103,7 @@ func (n *node) startEpoch(e int64) {
 	n.epoch = e
 	w := n.s.cfg.Work
 	if n.s.cfg.WorkJitter > 0 {
-		w += n.rng.intN(n.s.cfg.WorkJitter + 1)
+		w += n.rng.IntN(n.s.cfg.WorkJitter + 1)
 	}
 	if n.s.cfg.StraggleExtra > 0 && n.id == n.s.cfg.Straggler {
 		w += n.s.cfg.StraggleExtra

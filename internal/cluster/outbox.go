@@ -15,24 +15,22 @@ import (
 // copy got through and duplicates are harmless. The ring, RTO policy,
 // Karn's rule and the retransmit-deadline heap live in
 // internal/transport/window.go — one verified codepath shared with the
-// real barrierd transports; what stays here is the engine-specific timer
-// arming.
+// real barrierd transports; what stays here is the timer arming.
 //
-// Timers differ per engine. The closure engine arms one heap event per
-// send/retransmit, exactly as before. The typed engines instead keep the
-// window's deadline queue (tq) plus a small stack of armed heap events
-// (armed): a send or retransmission records its (deadline, armpri) in
-// tq, and a heap event is inserted only when the new deadline undercuts
-// every armed one. Acks cancel nothing — a fired event whose message was
-// acked or re-armed is skipped ("lazy cancel") and the queue head
-// re-armed. Because re-arming inserts the event at the original
-// (deadline, armpri) key (the priority is consumed from the owner's
-// local counter at arm time in every engine), every real retransmission
-// still fires at exactly the key the closure engine would have given its
-// per-message timer: the invariant is that the smallest armed key never
-// exceeds the smallest live deadline key, so by induction an event with
-// exactly that key fires, matches, and retransmits. All keys here belong
-// to one node, so (deadline, pri) comparisons need no node component.
+// Timers are lazily cancelled. The outbox keeps the window's deadline
+// queue (tq) plus a small stack of armed heap events (armed): a send or
+// retransmission consumes one of the owner's local priorities, records
+// its (deadline, armpri) in tq, and a heap event is inserted only when
+// the new deadline undercuts every armed one. Acks cancel nothing — a
+// fired event whose message was acked or re-armed is skipped and the
+// queue head re-armed. Re-arming inserts the event at the original
+// (deadline, armpri) key, never a fresh priority, so every real
+// retransmission fires at exactly the key a dedicated per-message timer
+// armed at send time would have had — the schedule the transcript pins
+// record. The invariant is that the smallest armed key never exceeds the
+// smallest live deadline key, so by induction an event with exactly that
+// key fires, matches, and retransmits. All keys here belong to one node,
+// so (deadline, pri) comparisons need no node component.
 type outbox struct {
 	n *node
 	w transport.Window[Message]
@@ -72,18 +70,11 @@ func (o *outbox) send(m Message) {
 	o.arm(p)
 }
 
-// arm consumes one local priority for p's retransmit timer — a heap
-// closure on the slow engine, a tq entry (plus at most one heap event)
-// on the typed engines.
+// arm consumes one local priority for p's retransmit timer: a tq entry
+// plus at most one heap event.
 func (o *outbox) arm(p *transport.Pending[Message]) {
-	x := o.n.x
-	if x.fast == nil {
-		seq := p.Seq
-		x.schedule(p.RTO, int32(o.n.id), o.n.nextPri(), func() { o.timeout(seq) })
-		return
-	}
 	p.Armseq = o.n.nextPri()
-	p.Deadline = x.now + p.RTO
+	p.Deadline = o.n.x.now + p.RTO
 	o.w.TQPush(transport.RetxEntry{Deadline: p.Deadline, Armseq: p.Armseq, Seq: p.Seq})
 	o.ensureArmed()
 }
@@ -134,15 +125,6 @@ func (o *outbox) fireRetx(at int64, pri uint64) {
 		break
 	}
 	o.ensureArmed()
-}
-
-// timeout is the slow engine's per-message timer callback.
-func (o *outbox) timeout(seq uint64) {
-	p := o.w.Slot(seq)
-	if p == nil {
-		return // acked since the timer was armed
-	}
-	o.retransmit(p)
 }
 
 // retransmit re-sends a still-unacked message, doubling its RTO.

@@ -32,7 +32,7 @@ import (
 // with a larger key (same-shard: dispatched in order; cross-shard:
 // influence only via messages, which land at least a full window
 // later). The interleaving of shards inside a window is therefore
-// unobservable, and the run is byte-identical to the serial engines —
+// unobservable, and the run is byte-identical to the serial engine —
 // logs included, via the keyed-line merge in sim.go.
 //
 // Two situations make a window's outcome depend on global dispatch

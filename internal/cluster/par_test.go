@@ -11,8 +11,7 @@ import (
 )
 
 // TestParallelConfigValidation pins the Shards knob's edges: clamping
-// to [1, Nodes], and the two incompatibilities (closure engine, trace
-// recorder).
+// to [1, Nodes].
 func TestParallelConfigValidation(t *testing.T) {
 	base := Config{Protocol: "central", Nodes: 4, Epochs: 1}
 
@@ -31,13 +30,6 @@ func TestParallelConfigValidation(t *testing.T) {
 	if got, err = cfg.withDefaults(); err != nil || got.Shards != 1 {
 		t.Errorf("negative Shards -> (%d, %v), want (1, nil)", got.Shards, err)
 	}
-
-	cfg = base
-	cfg.Shards = 2
-	cfg.DisableFastEngine = true
-	if _, err = cfg.withDefaults(); err == nil {
-		t.Error("Shards with DisableFastEngine accepted; want a config error")
-	}
 }
 
 // TestParallelWatchdogEquivalence: the three stuck diagnoses must come
@@ -52,7 +44,7 @@ func TestParallelWatchdogEquivalence(t *testing.T) {
 		"tick budget exhausted":                     func(_ string, env ProtoEnv) Proto { return &chatterProto{env: env} },
 	}
 	for why, hook := range hooks {
-		cfg := watchdogConfig(false)
+		cfg := watchdogConfig(1)
 		cfg.LogEvents = true
 		switch why {
 		case "no epoch completed within watchdog window":

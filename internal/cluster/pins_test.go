@@ -39,14 +39,8 @@ const transcriptChainPin = 0xaafd09988010ccb1
 // ~100 k retransmit timers each.
 const gateResultsPin = 0x7f4639c78271e26b
 
-// TestTranscriptPins holds the engine to the pins above, on the typed
-// engine and on the closure engine they were recorded from.
+// TestTranscriptPins holds the engine to the pins above.
 func TestTranscriptPins(t *testing.T) {
-	t.Run("typed", func(t *testing.T) { checkTranscriptPins(t, false) })
-	t.Run("closure", func(t *testing.T) { checkTranscriptPins(t, true) })
-}
-
-func checkTranscriptPins(t *testing.T, closure bool) {
 	chain := fnv.New64a()
 	cells := 0
 	for _, proto := range Protocols() {
@@ -60,8 +54,6 @@ func checkTranscriptPins(t *testing.T, closure bool) {
 					Net:       nc.net,
 					Seed:      seed,
 					LogEvents: true,
-
-					DisableFastEngine: closure,
 				})
 				fmt.Fprintf(cell, "%s\n%s\n", log, res)
 				fmt.Fprintf(chain, "%s\n%s\n", log, res)
@@ -86,7 +78,6 @@ func checkTranscriptPins(t *testing.T, closure bool) {
 
 	gate := fnv.New64a()
 	for _, cfg := range gateConfigs() {
-		cfg.DisableFastEngine = closure
 		_, res := collectLog(t, cfg)
 		fmt.Fprintf(gate, "%s\n", res)
 	}

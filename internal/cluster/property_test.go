@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"testing"
+
+	"fuzzybarrier/internal/des"
 )
 
 // TestPropertyNoEarlyRelease is the barrier-correctness property under
@@ -24,16 +26,16 @@ func TestPropertyNoEarlyRelease(t *testing.T) {
 				name := fmt.Sprintf("%s/net%d/seed%d", proto, ni, seed)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					rng := newRNG(mix(seed, 99))
+					rng := des.NewRNG(des.Mix(seed, 99))
 					cfg := Config{
 						Protocol:      proto,
-						Nodes:         2 + int(rng.intN(9)), // 2..10, covers non-powers of two
+						Nodes:         2 + int(rng.IntN(9)), // 2..10, covers non-powers of two
 						Epochs:        25,
-						Work:          100 + rng.intN(200),
-						WorkJitter:    rng.intN(120),
-						Region:        rng.intN(250),
-						Straggler:     int(rng.intN(2)),
-						StraggleExtra: rng.intN(90),
+						Work:          100 + rng.IntN(200),
+						WorkJitter:    rng.IntN(120),
+						Region:        rng.IntN(250),
+						Straggler:     int(rng.IntN(2)),
+						StraggleExtra: rng.IntN(90),
 						Net:           net,
 						Seed:          seed,
 					}

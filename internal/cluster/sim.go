@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -12,10 +11,11 @@ import (
 // Event ordering. Every event carries a canonical key
 // (at, node, pri): the simulation tick, the *owner* node (the node on
 // which the event executes — for deliveries, the destination), and a
-// 64-bit per-owner priority. All engines — the closure heap, the typed
-// fast engine, and the sharded parallel engine — dispatch in strictly
-// ascending key order, which is what makes their event logs and Results
-// byte-identical (TestEngineEquivalence).
+// 64-bit per-owner priority. The serial engine, the sharded parallel
+// engine and the batch executor all dispatch in strictly ascending key
+// order, which is what makes their event logs and Results byte-identical
+// (TestEngineEquivalence) and keeps them on the recorded transcripts
+// (TestTranscriptPins).
 //
 // The priority space is split so that every component of the key is
 // produced by state local to one node, never by a global counter — the
@@ -57,36 +57,6 @@ func keyLess(a, b heapEntry) bool {
 	return a.pri < b.pri
 }
 
-// event is one scheduled callback of the fallback (closure) engine,
-// carrying the canonical key explicitly. The default engine replaces
-// this with pooled typed events (see engine.go) but dispatches in the
-// same key order, so both replay the identical schedule.
-type event struct {
-	at   int64
-	node int32
-	pri  uint64
-	fn   func()
-}
-
-// eventHeap is a min-heap on the canonical key.
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	return keyLess(heapEntry{at: h[i].at, node: h[i].node, pri: h[i].pri},
-		heapEntry{at: h[j].at, node: h[j].node, pri: h[j].pri})
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
 // logLine is one buffered event-log line in a parallel run, keyed by
 // the dispatching event plus an intra-event counter so the per-shard
 // buffers merge into exactly the serial emission order.
@@ -99,7 +69,7 @@ type logLine struct {
 }
 
 // exec is one execution lane: the mutable engine state that advances a
-// set of nodes through simulated time. The serial engines use a single
+// set of nodes through simulated time. The serial engine uses a single
 // exec for the whole run; the parallel engine gives each shard its own,
 // so nothing on an exec ever needs atomic access — cross-shard traffic
 // moves exclusively through the parallel engine's inboxes at window
@@ -109,8 +79,7 @@ type exec struct {
 	shard int32
 	now   int64
 
-	fast *fastEngine // typed-event engine; nil only on the closure engine
-	heap eventHeap   // closure engine (cfg.DisableFastEngine; serial only)
+	fast *fastEngine // the lane's event queue
 
 	lastProgress int64 // sim time of this lane's most recent epoch completion
 	doneNodes    int
@@ -168,59 +137,29 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// newExec builds one execution lane (with its typed engine unless the
-// closure engine was requested — serial only).
+// newExec builds one execution lane with its own event queue.
 func (s *Sim) newExec(shard int32) *exec {
 	x := &exec{s: s, shard: shard}
-	if !s.cfg.DisableFastEngine {
-		x.fast = newFastEngine(x)
-	}
+	x.fast = newFastEngine(x)
 	return x
 }
 
-// schedule runs fn at the given key on the closure engine.
-func (x *exec) schedule(delay int64, node int32, pri uint64, fn func()) {
+// schedWork schedules the end of node n's non-barrier work span for
+// epoch e, consuming one of n's local priorities.
+func (x *exec) schedWork(n *node, e, delay int64) {
 	if delay < 0 {
 		delay = 0
 	}
-	heap.Push(&x.heap, &event{at: x.now + delay, node: node, pri: pri, fn: fn})
-}
-
-// schedWork schedules the end of node n's non-barrier work span for
-// epoch e. Both serial engines consume exactly one local priority here,
-// so their key orderings stay aligned.
-func (x *exec) schedWork(n *node, e, delay int64) {
-	pri := n.nextPri()
-	if x.fast != nil {
-		if delay < 0 {
-			delay = 0
-		}
-		x.fast.scheduleAt(x.now+delay, int32(n.id), pri, evWork, e, x.now, Message{})
-		return
-	}
-	start := x.now
-	x.schedule(delay, int32(n.id), pri, func() {
-		n.markRange(start, x.now, trace.KindWork)
-		n.workDone(e)
-	})
+	x.fast.scheduleAt(x.now+delay, int32(n.id), n.nextPri(), evWork, e, x.now, Message{})
 }
 
 // schedRegion schedules the end of node n's barrier-region span for
 // epoch e.
 func (x *exec) schedRegion(n *node, e, delay int64) {
-	pri := n.nextPri()
-	if x.fast != nil {
-		if delay < 0 {
-			delay = 0
-		}
-		x.fast.scheduleAt(x.now+delay, int32(n.id), pri, evRegion, e, x.now, Message{})
-		return
+	if delay < 0 {
+		delay = 0
 	}
-	start := x.now
-	x.schedule(delay, int32(n.id), pri, func() {
-		n.markRange(start, x.now, trace.KindBarrier)
-		n.regionDone(e)
-	})
+	x.fast.scheduleAt(x.now+delay, int32(n.id), n.nextPri(), evRegion, e, x.now, Message{})
 }
 
 // schedDeliver schedules one network delivery of m at the
@@ -229,18 +168,14 @@ func (x *exec) schedRegion(n *node, e, delay int64) {
 // latency >= window length) guarantees they dispatch in a later window,
 // so the owner shard drains them at a window boundary it has not yet
 // simulated past.
-func (x *exec) schedDeliver(m Message, delay, at int64, pri uint64) {
+func (x *exec) schedDeliver(m Message, at int64, pri uint64) {
 	if p := x.s.par; p != nil {
 		if ts := p.shardOf[m.To]; ts != x.shard {
 			p.inbox[ts][x.shard] = append(p.inbox[ts][x.shard], inEvent{at: at, pri: pri, msg: m})
 			return
 		}
 	}
-	if x.fast != nil {
-		x.fast.scheduleAt(at, int32(m.To), pri, evDeliver, 0, 0, m)
-		return
-	}
-	x.schedule(delay, int32(m.To), pri, func() { x.deliver(m) })
+	x.fast.scheduleAt(at, int32(m.To), pri, evDeliver, 0, 0, m)
 }
 
 // deliver hands one transmission to its destination node.
@@ -316,18 +251,15 @@ func (s *Sim) Run() (*Result, error) {
 	}
 	s.ran = true
 	s.start()
-	switch {
-	case s.par != nil:
+	if s.par != nil {
 		s.par.run()
-	case s.ex.fast != nil:
+	} else {
 		x := s.ex
 		for x.doneNodes < len(s.nodes) {
 			if x.stepFast(math.MaxInt64) != stepOK {
 				break
 			}
 		}
-	default:
-		s.runSlow()
 	}
 	return s.finish()
 }
@@ -379,26 +311,6 @@ func (s *Sim) finishLog() {
 	}
 	s.log = append(s.log, s.tail...)
 	s.tail = nil
-}
-
-// runSlow is the closure engine's main loop.
-func (s *Sim) runSlow() {
-	x := s.ex
-	for x.doneNodes < len(s.nodes) {
-		if x.heap.Len() == 0 {
-			// No pending events but nodes unfinished: a protocol bug
-			// (reliable delivery always leaves a timer pending).
-			s.diagnoseStuck(x.now, "event queue drained")
-			break
-		}
-		ev := heap.Pop(&x.heap).(*event)
-		x.now = ev.at
-		if why := s.budgetWhy(x.now, x.lastProgress); why != "" {
-			s.diagnoseStuck(x.now, why)
-			break
-		}
-		ev.fn()
-	}
 }
 
 // budgetWhy runs the per-event liveness checks with the event's time

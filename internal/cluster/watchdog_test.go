@@ -49,8 +49,8 @@ func (c *chatterProto) CloneFor(env ProtoEnv) Proto {
 }
 func (c *chatterProto) AppendState(buf []byte) []byte { return buf }
 
-// runWithProto runs a small simulation with the hooked protocol on the
-// given engine and returns the run's result and error.
+// runWithProto runs a small simulation with the hooked protocol and
+// returns the run's result and error.
 func runWithProto(t *testing.T, hook func(string, ProtoEnv) Proto, cfg Config) (*Result, error) {
 	t.Helper()
 	newProtoHook = hook
@@ -62,65 +62,65 @@ func runWithProto(t *testing.T, hook func(string, ProtoEnv) Proto, cfg Config) (
 	return sim.Run()
 }
 
-func watchdogConfig(slowEngine bool) Config {
+func watchdogConfig(shards int) Config {
 	return Config{
 		Protocol: "central", Nodes: 3, Epochs: 2,
 		Work: 5, Region: 2, Seed: 7,
-		DisableFastEngine: slowEngine,
+		Shards: shards,
 	}
 }
 
 // TestWatchdogDrainedQueue: a protocol that stops sending must be
-// diagnosed — not silently terminate — on both engines, with the
+// diagnosed — not silently terminate — serial and sharded, with the
 // drained-queue cause in the report.
 func TestWatchdogDrainedQueue(t *testing.T) {
-	for _, slow := range []bool{false, true} {
-		res, err := runWithProto(t, func(string, ProtoEnv) Proto { return muteProto{} }, watchdogConfig(slow))
+	for _, shards := range []int{1, 2} {
+		res, err := runWithProto(t, func(string, ProtoEnv) Proto { return muteProto{} }, watchdogConfig(shards))
 		if err == nil {
-			t.Fatalf("slowEngine=%v: mute protocol completed without a watchdog error", slow)
+			t.Fatalf("shards=%d: mute protocol completed without a watchdog error", shards)
 		}
 		if res == nil || res.Stuck == nil {
-			t.Fatalf("slowEngine=%v: no StuckReport on the result", slow)
+			t.Fatalf("shards=%d: no StuckReport on the result", shards)
 		}
 		rep := res.Stuck
 		if rep.Why != "event queue drained" {
-			t.Errorf("slowEngine=%v: Why = %q, want %q", slow, rep.Why, "event queue drained")
+			t.Errorf("shards=%d: Why = %q, want %q", shards, rep.Why, "event queue drained")
 		}
 		if rep.Node < 0 || rep.Node >= 3 {
-			t.Errorf("slowEngine=%v: laggiest node = %d, want a real node", slow, rep.Node)
+			t.Errorf("shards=%d: laggiest node = %d, want a real node", shards, rep.Node)
 		}
 		if len(rep.States) != 3 {
-			t.Errorf("slowEngine=%v: %d state lines, want 3", slow, len(rep.States))
+			t.Errorf("shards=%d: %d state lines, want 3", shards, len(rep.States))
 		}
 		if !strings.Contains(rep.String(), "event queue drained") {
-			t.Errorf("slowEngine=%v: rendered report omits the cause:\n%s", slow, rep)
+			t.Errorf("shards=%d: rendered report omits the cause:\n%s", shards, rep)
 		}
 		if !strings.Contains(err.Error(), "event queue drained") {
-			t.Errorf("slowEngine=%v: error omits the cause: %v", slow, err)
+			t.Errorf("shards=%d: error omits the cause: %v", shards, err)
 		}
 	}
 }
 
 // TestWatchdogNoProgress: a protocol that keeps the network busy but
-// never completes an epoch trips the no-progress window on both
-// engines.
+// never completes an epoch trips the no-progress window, serial and
+// sharded.
 func TestWatchdogNoProgress(t *testing.T) {
-	for _, slow := range []bool{false, true} {
-		cfg := watchdogConfig(slow)
+	for _, shards := range []int{1, 2} {
+		cfg := watchdogConfig(shards)
 		cfg.WatchdogAfter = 500 // keep the test fast
 		res, err := runWithProto(t, func(_ string, env ProtoEnv) Proto { return &chatterProto{env: env} }, cfg)
 		if err == nil {
-			t.Fatalf("slowEngine=%v: chatter protocol completed without a watchdog error", slow)
+			t.Fatalf("shards=%d: chatter protocol completed without a watchdog error", shards)
 		}
 		if res.Stuck == nil || res.Stuck.Why != "no epoch completed within watchdog window" {
-			t.Fatalf("slowEngine=%v: Stuck = %+v, want the no-progress diagnosis", slow, res.Stuck)
+			t.Fatalf("shards=%d: Stuck = %+v, want the no-progress diagnosis", shards, res.Stuck)
 		}
 	}
 }
 
 // TestWatchdogTickBudget: the hard MaxTicks stop carries its own cause.
 func TestWatchdogTickBudget(t *testing.T) {
-	cfg := watchdogConfig(false)
+	cfg := watchdogConfig(1)
 	cfg.WatchdogAfter = 1 << 40 // out of the way
 	cfg.MaxTicks = 300
 	res, err := runWithProto(t, func(_ string, env ProtoEnv) Proto { return &chatterProto{env: env} }, cfg)

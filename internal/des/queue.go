@@ -2,7 +2,8 @@
 // time-ordered queue of typed events that dispatches in (time, push
 // order) and allocates nothing in steady state. It knows nothing about
 // networks or endpoints — the event payload is a type parameter — so
-// other simulators (internal/cluster's engines) can move onto it.
+// other simulators (internal/cluster's engine) can move onto it. The
+// seeded RNG both simulators draw from lives here too (rng.go).
 package des
 
 import "fmt"

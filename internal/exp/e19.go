@@ -23,9 +23,9 @@ import (
 // the classic latency-vs-load hockey stick. gap = 0 is the closed loop
 // (arrivals chase completions), the throughput ceiling.
 //
-// Wall-clock numbers for the same sweep on the real transports live in
-// BENCH_SMOKE.json under "barrierd_load" (make bench-smoke); this table
-// is the deterministic, byte-identical shape of the curve.
+// Wall-clock numbers for the same methodology on the real transports
+// come from the svc-* workloads of bench/run.sh; this table is the
+// deterministic, byte-identical shape of the curve.
 const (
 	e19Shards     = 4
 	e19Conns      = 4
@@ -85,7 +85,7 @@ func E19ServiceLatency() (*trace.Table, error) {
 	}
 	t.AddNote("latency counts from the offered epoch time: offered gaps under the service time accumulate backlog, so p50/p99 grow without bound with epochs driven — the saturation side of the curve")
 	t.AddNote("gap=0 is the closed loop (arrivals chase completions): the achieved-gap floor is the service time of one epoch through join-shard combine and release fan-out")
-	t.AddNote("wall-clock for the same methodology on the channel and UDP transports: BENCH_SMOKE.json \"barrierd_load\" (make bench-smoke), cmd/barrierload for sweeps")
+	t.AddNote("wall-clock for the same methodology on the channel and UDP transports: bench/run.sh workloads svc-1m, svc-small and svc-udp-churn; cmd/barrierload for sweeps")
 	return t, nil
 }
 

@@ -131,6 +131,6 @@ func E21ParallelEquivalence() (*trace.Table, error) {
 	}
 	t.AddNote("transcript = FNV-1a over the full event log + Result; every shard count of a protocol must hash identically (conservative windows + canonical event keys, DESIGN.md section 14)")
 	t.AddNote("batch replay: %d seeds per protocol through the lockstep SoA executor, every Result equal to its solo Run", e21BatchK)
-	t.AddNote("wall-clock speedup is deliberately absent: it lives in barbench -sim (parallel_engine/seed_batch rows of BENCH_SMOKE.json) and the bench-gate speedup tests")
+	t.AddNote("wall-clock speedup is deliberately absent: it lives in bench/run.sh -workload sim-cluster (cluster.par_speedup, cluster.batch_ns_per_seed_episode) and the bench-gate speedup tests")
 	return t, nil
 }

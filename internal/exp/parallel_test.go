@@ -37,8 +37,7 @@ func TestParallelDeterminism(t *testing.T) {
 // more than 1.2x wall clock. Like the other gates it only runs when
 // BENCH_GATE=1, and it additionally skips on single-core hosts — with
 // GOMAXPROCS=1 the pool cannot buy wall-clock time, so a ~1.0 ratio
-// there is expected, not a regression (BENCH_SMOKE.json records
-// maxprocs next to every entry for the same reason).
+// there is expected, not a regression.
 func TestSweepParallelSpeedupGate(t *testing.T) {
 	if os.Getenv("BENCH_GATE") == "" {
 		t.Skip("set BENCH_GATE=1 to run the wall-clock speedup gate")

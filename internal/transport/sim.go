@@ -40,7 +40,7 @@ type SimNet struct {
 	cfg SimConfig
 	q   des.Queue[simEvent]
 	eps map[Addr]*simEndpoint
-	rng *rng
+	rng *des.RNG
 
 	log     []string
 	wantLog bool
@@ -60,7 +60,7 @@ func NewSimNet(cfg SimConfig) *SimNet {
 	return &SimNet{
 		cfg:     cfg,
 		eps:     make(map[Addr]*simEndpoint),
-		rng:     newRNG(mix(cfg.Seed, 0x7A57E9)),
+		rng:     des.NewRNG(des.Mix(cfg.Seed, 0x7A57E9)),
 		wantLog: cfg.LogEvents || cfg.Recorder != nil,
 	}
 }
@@ -156,12 +156,12 @@ func (s *SimNet) Event(now int64, a Addr, kind trace.EventKind, msg string) {
 func (s *SimNet) send(m *Message) {
 	s.Sent++
 	copies := 1
-	if s.cfg.DupRate > 0 && s.rng.float() < s.cfg.DupRate {
+	if s.cfg.DupRate > 0 && s.rng.Float() < s.cfg.DupRate {
 		copies = 2
 		s.Duped++
 	}
 	for c := 0; c < copies; c++ {
-		if s.cfg.DropRate > 0 && s.rng.float() < s.cfg.DropRate {
+		if s.cfg.DropRate > 0 && s.rng.Float() < s.cfg.DropRate {
 			s.Dropped++
 			if s.wantLog {
 				s.Event(s.Now(), m.From, trace.EvDrop, "drop "+m.String())
@@ -170,7 +170,7 @@ func (s *SimNet) send(m *Message) {
 		}
 		delay := s.cfg.Latency
 		if s.cfg.Jitter > 0 {
-			delay += s.rng.intN(s.cfg.Jitter + 1)
+			delay += s.rng.IntN(s.cfg.Jitter + 1)
 		}
 		s.schedule(delay).msg = *m
 	}

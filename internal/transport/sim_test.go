@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"fuzzybarrier/internal/des"
 )
 
 // The schedule program below runs twice from one seed — on SimNet and
@@ -33,7 +35,7 @@ var progDelays = []int64{0, 0, 0, 1, 2, 5, progSpan - 1, progSpan, progSpan + 1,
 // one out-of-order dispatch changes everything after it.
 type schedProg struct {
 	host   progHost
-	rnd    *rng
+	rnd    *des.RNG
 	budget int // firings still allowed to schedule children
 	nextID int
 	fired  []string
@@ -41,21 +43,21 @@ type schedProg struct {
 
 func (p *schedProg) spawn(ep int) {
 	p.nextID++
-	switch to := int(p.rnd.intN(progEndpoints + 1)); p.rnd.intN(4) {
+	switch to := int(p.rnd.IntN(progEndpoints + 1)); p.rnd.IntN(4) {
 	case 0:
 		p.host.send(ep, to, p.nextID)
 	default:
-		p.host.after(ep, progDelays[p.rnd.intN(int64(len(progDelays)))], p.nextID)
+		p.host.after(ep, progDelays[p.rnd.IntN(int64(len(progDelays)))], p.nextID)
 	}
 }
 
 func (p *schedProg) fire(ep, id int) {
 	p.fired = append(p.fired, fmt.Sprintf("%d on %d at %d", id, ep, p.host.now()))
-	for n := p.rnd.intN(4); n > 0 && p.budget > 0; n-- {
+	for n := p.rnd.IntN(4); n > 0 && p.budget > 0; n-- {
 		p.budget--
 		p.spawn(ep)
 	}
-	if ep != 0 && p.rnd.intN(800) == 0 {
+	if ep != 0 && p.rnd.IntN(800) == 0 {
 		p.host.close(ep) // whatever is in flight to ep must now be skipped
 	}
 }
@@ -140,7 +142,7 @@ func (r *refNet) run(maxTicks int64, done func() bool) (int64, bool) {
 func TestSimNetMatchesSortedReference(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		nw := NewSimNet(SimConfig{Latency: progLatency, Seed: seed})
-		sim := &simHost{nw: nw, p: &schedProg{rnd: newRNG(seed), budget: 3000}}
+		sim := &simHost{nw: nw, p: &schedProg{rnd: des.NewRNG(seed), budget: 3000}}
 		sim.p.host = sim
 		for i := 0; i < progEndpoints; i++ {
 			i := i
@@ -150,7 +152,7 @@ func TestSimNetMatchesSortedReference(t *testing.T) {
 			}
 			sim.eps = append(sim.eps, ep)
 		}
-		ref := &refNet{p: &schedProg{rnd: newRNG(seed), budget: 3000}}
+		ref := &refNet{p: &schedProg{rnd: des.NewRNG(seed), budget: 3000}}
 		ref.p.host = ref
 		ref.closed[progEndpoints] = true
 
@@ -161,29 +163,29 @@ func TestSimNetMatchesSortedReference(t *testing.T) {
 					seed, what, nw.Now(), len(sim.p.fired), ref.t, len(ref.p.fired))
 			}
 		}
-		drive := newRNG(mix(seed, 1))
+		drive := des.NewRNG(des.Mix(seed, 1))
 		for round := 0; ; round++ {
 			// Outside the loop, at whatever tick the last call stopped
 			// on (a maxTicks boundary included), both get new work.
-			n := drive.intN(3)
+			n := drive.IntN(3)
 			if round == 0 {
 				n = 4
 			}
 			for ; n > 0; n-- {
-				ep := int(drive.intN(progEndpoints))
+				ep := int(drive.IntN(progEndpoints))
 				sim.p.spawn(ep)
 				ref.p.spawn(ep)
 			}
-			switch drive.intN(3) {
+			switch drive.IntN(3) {
 			case 0:
-				for n := drive.intN(40); n >= 0; n-- {
+				for n := drive.IntN(40); n >= 0; n-- {
 					if a, b := nw.Step(), ref.step(math.MaxInt64); a != b {
 						t.Fatalf("seed %d: Step = %v, reference %v", seed, a, b)
 					}
 					same("Step")
 				}
 			case 1:
-				limit := nw.Now() + 1 + progDelays[drive.intN(int64(len(progDelays)))]
+				limit := nw.Now() + 1 + progDelays[drive.IntN(int64(len(progDelays)))]
 				_, a := nw.Run(limit, nil)
 				_, b := ref.run(limit, nil)
 				if a != b {
@@ -191,7 +193,7 @@ func TestSimNetMatchesSortedReference(t *testing.T) {
 				}
 				same("Run to a tick budget")
 			case 2:
-				target := len(sim.p.fired) + int(drive.intN(60))
+				target := len(sim.p.fired) + int(drive.IntN(60))
 				limit := nw.Now() + 30*progSpan
 				_, a := nw.Run(limit, func() bool { return len(sim.p.fired) >= target })
 				_, b := ref.run(limit, func() bool { return len(ref.p.fired) >= target })
