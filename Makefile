@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet test race bench bench-compile bench-gate fmt-check check
+.PHONY: verify build vet test race bench bench-compile bench-pairs bench-gate fmt-check check
 
 verify: build vet race bench-compile check fmt-check
 
@@ -34,6 +34,15 @@ bench:
 # fails here, not in the benchmark run.
 bench-compile:
 	$(GO) test -C bench ./...
+
+# Back-to-back parent/change pairs of one bench/ workload, alternating
+# which side runs first, then bench/run.sh -compare and a won/lost/tied
+# line per end-to-end metric: `make bench-pairs PARENT=<ref> WORKLOAD=svc-1m`.
+PARENT ?= HEAD~1
+WORKLOAD ?= svc-1m
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # Perf regression gates: fail if fast-forwarded machine.Run is not
 # comfortably faster than the naive per-cycle loop on a stall-heavy

@@ -110,13 +110,21 @@ func run(transportF, connect string, clients, groups, conns, shards, epochs int,
 	if groups < 1 || conns < 1 || clients < groups*conns {
 		return nil, fmt.Errorf("need clients >= groups*conns (got %d < %d)", clients, groups*conns)
 	}
+	// A stuck report names the children that are short; the second step
+	// of the drill-down asks this process's connections which members.
 	var stuck int64
-	var stuckMu sync.Mutex
+	var stuckMu sync.Mutex // guards stuck and cs
+	var cs []*barrierd.Conn
 	onStuck := func(sr barrierd.StuckReport) {
 		stuckMu.Lock()
+		defer stuckMu.Unlock()
 		stuck++
-		stuckMu.Unlock()
 		fmt.Fprintln(os.Stderr, sr)
+		for _, c := range cs {
+			if e, ids := c.Outstanding(sr.Group); len(ids) > 0 {
+				fmt.Fprintf(os.Stderr, "  conn %d: %d members have not signaled epoch %d, e.g. %v\n", c.Addr(), len(ids), e, ids[:min(len(ids), 4)])
+			}
+		}
 	}
 
 	cfg := barrierd.RealtimeConfig()
@@ -175,14 +183,15 @@ func run(transportF, connect string, clients, groups, conns, shards, epochs int,
 		}
 	}
 
-	cs := make([]*barrierd.Conn, conns)
-	for i := range cs {
+	for i := 0; i < conns; i++ {
 		c, err := barrierd.Dial(nw, transport.ConnAddrBase+transport.Addr(i), cfg)
 		if err != nil {
 			return nil, err
 		}
 		defer c.Close()
-		cs[i] = c
+		stuckMu.Lock()
+		cs = append(cs, c)
+		stuckMu.Unlock()
 	}
 
 	// Register everybody (batched joins), in parallel across conns.

@@ -6,11 +6,21 @@
 // and the release is its barrier region.
 //
 // The coordinator is sharded: every group consistent-hashes to a home
-// shard that owns its membership and epoch state, connections spread
-// their traffic over ingress shards, and arrival batches combine up a
-// tree of shards rooted at the group's home (the same fan-in discipline
-// as cluster.TreeBarrier, with shards for tree nodes). Releases retrace
-// the tree and fan out to connections.
+// shard that owns its epoch state, connections spread their traffic over
+// ingress shards, and arrivals combine up a tree of shards rooted at the
+// group's home (the same fan-in discipline as cluster.TreeBarrier, with
+// shards for tree nodes). Releases retrace the tree and fan out to
+// connections.
+//
+// The barrier is a count, not a roll-call: the paper's processors each
+// contribute one bit and the hardware sees only "all set". Identity stays
+// at the edge — a Conn owns its members' ids and what each has signaled —
+// and all that crosses the network is counts per (group, epoch). So
+// client ids are scoped to their Conn (the service never sees one, and two
+// connections may use the same id without meeting), and since nothing
+// above the Conn can recognise a replayed count, what used to be
+// idempotent by id at the home shard now rests on transport.Reliable
+// delivering each message exactly once.
 //
 // The service speaks transport.Message over any transport.Network, so
 // one coordinator codebase runs on the deterministic simulator (where
@@ -32,13 +42,10 @@ import (
 // released. Drain is terminal for the group.
 const DrainEpoch = int64(1) << 62
 
-// MaxBatch bounds the client ids carried by one datagram, keeping the
-// wire size under typical UDP limits; larger batches are chunked.
-const MaxBatch = 2048
-
-// maxEpochSkip bounds how far one arrival may advance a member's
-// signaled range; wire input past it is discarded rather than looped
-// over (a hostile Epoch would otherwise cost 2^62 iterations).
+// maxEpochSkip bounds how far ahead of the last release a signal may be
+// banked, and so the epochs one message can name: a Conn ignores arrivals
+// past it and a shard drops messages past it rather than keep a counter
+// per epoch of a hostile range.
 const maxEpochSkip = 1 << 20
 
 // Config tunes a shard set. Times are in the transport's clock units
@@ -47,11 +54,9 @@ type Config struct {
 	Shards int // coordinator shards (default 4)
 	Radix  int // combine-tree fan-in (default 2)
 
-	// FlushDelay/FlushBatch batch arrival forwarding at non-home
-	// shards: accumulated client ids are combined upward when the batch
-	// reaches FlushBatch ids or FlushDelay elapses, whichever is first.
+	// FlushDelay batches arrival forwarding at non-home shards: signal
+	// counts accumulate for this long, then go up as one combine.
 	FlushDelay int64
-	FlushBatch int
 
 	// Watchdog is the no-progress threshold: a home shard whose group
 	// has signalers but whose epoch hasn't advanced for this long
@@ -68,9 +73,6 @@ func (c Config) withDefaults() Config {
 	if c.Radix < 2 {
 		c.Radix = 2
 	}
-	if c.FlushBatch <= 0 {
-		c.FlushBatch = MaxBatch
-	}
 	return c
 }
 
@@ -79,9 +81,9 @@ func (c Config) withDefaults() Config {
 func SimConfig(latency, jitter int64) Config {
 	return Config{
 		Shards: 4, Radix: 2,
-		FlushDelay: 1, FlushBatch: MaxBatch,
-		Watchdog: 200 * (latency + jitter + 1),
-		Reliable: transport.SimReliable(latency, jitter),
+		FlushDelay: 1,
+		Watchdog:   200 * (latency + jitter + 1),
+		Reliable:   transport.SimReliable(latency, jitter),
 	}
 }
 
@@ -90,9 +92,9 @@ func RealtimeConfig() Config {
 	const ms = int64(1e6)
 	return Config{
 		Shards: 4, Radix: 2,
-		FlushDelay: ms / 5, FlushBatch: MaxBatch,
-		Watchdog: 2000 * ms,
-		Reliable: transport.RealtimeReliable(),
+		FlushDelay: ms / 5,
+		Watchdog:   2000 * ms,
+		Reliable:   transport.RealtimeReliable(),
 	}
 }
 
@@ -154,13 +156,14 @@ func parentShard(s, home, shards, radix int) int {
 // StuckReport describes a group making no progress: the home shard's
 // watchdog emits one when signalers exist but the epoch hasn't advanced
 // within the configured window. Why lists the concrete causes the shard
-// can see.
+// can see; it names the children that are short, and Conn.Outstanding on
+// a short connection names the members.
 type StuckReport struct {
 	Shard int
 	Group uint32
 	Epoch int64
 	Since int64    // clock units since the last progress
-	Why   []string // e.g. "waiting-arrivals: 2 of 3 signalers outstanding (client 7, client 9)"
+	Why   []string // e.g. "waiting-arrivals: 2 of 3 signalers outstanding at epoch 4 (short: conn 65537 ×2)"
 }
 
 // String renders the report for logs.

@@ -3,6 +3,7 @@ package barrierd
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -134,8 +135,8 @@ func TestSimTranscriptPins(t *testing.T) {
 		lines                     int
 		tick                      int64
 	}{
-		{42, 3, 2, 5, 12, "b80afc7815031ad3", 973, 972}, // TestBarrierdSimByteIdenticalTranscript's scenario
-		{7, 16, 8, 8, 40, "8d13c40dddbf3fe9", 60155, 6737},
+		{42, 3, 2, 5, 12, "4e0150b0b9b68a21", 990, 1113}, // TestBarrierdSimByteIdenticalTranscript's scenario
+		{7, 16, 8, 8, 40, "4c2bd20e53cc8e5a", 60301, 5983},
 	} {
 		cfg := lossy
 		cfg.Seed = pin.seed
@@ -222,8 +223,9 @@ func TestEpochsAcrossTransports(t *testing.T) {
 }
 
 // TestWatchdogReportsMissingArrival: a group with one member that never
-// arrives must produce a StuckReport whose Why names the outstanding
-// client.
+// arrives must produce a StuckReport whose Why names the child that is
+// short and by how much, and Outstanding on the connection under it then
+// names the client: the two steps of the drill-down.
 func TestWatchdogReportsMissingArrival(t *testing.T) {
 	nw := transport.NewSimNet(transport.SimConfig{Latency: 1, Seed: 1})
 	cfg := SimConfig(1, 0)
@@ -250,8 +252,11 @@ func TestWatchdogReportsMissingArrival(t *testing.T) {
 		t.Fatalf("bad report target: %+v", sr)
 	}
 	joined := strings.Join(sr.Why, "; ")
-	if !strings.Contains(joined, "waiting-arrivals") || !strings.Contains(joined, "11") {
-		t.Fatalf("Why does not name the missing client: %q", joined)
+	if !strings.Contains(joined, "waiting-arrivals: 1 of 2 signalers outstanding at epoch 0 (short: ") || !strings.Contains(joined, " ×1)") {
+		t.Fatalf("Why does not name the short child: %q", joined)
+	}
+	if e, ids := c.Outstanding(1); e != 0 || !slices.Equal(ids, []uint64{11}) {
+		t.Fatalf("Outstanding = epoch %d, clients %v; want epoch 0, [11]", e, ids)
 	}
 	if c.Released(1) >= 0 {
 		t.Fatal("epoch released despite a missing arrival")
@@ -262,7 +267,7 @@ func TestWatchdogReportsMissingArrival(t *testing.T) {
 // and simply stopped arriving leave the group idle — nobody has signaled
 // the current epoch, nobody waits on it — and the watchdog must stay
 // quiet however long that lasts. The moment one of them arrives alone,
-// the group is stuck on the other, and the report must name it.
+// the group is stuck on the other, and the drill-down must name it.
 func TestWatchdogIdleGroupIsNotStuck(t *testing.T) {
 	nw := transport.NewSimNet(transport.SimConfig{Latency: 1, Seed: 1})
 	cfg := SimConfig(1, 0)
@@ -301,8 +306,9 @@ func TestWatchdogIdleGroupIsNotStuck(t *testing.T) {
 	}
 	sr := reports[0]
 	why := strings.Join(sr.Why, "; ")
-	if sr.Group != g || sr.Epoch != epochs || !strings.Contains(why, "waiting-arrivals: 1 of 2") || !strings.Contains(why, "[11]") {
-		t.Fatalf("report does not name client 11 at epoch %d: %+v", epochs, sr)
+	_, missing := c.Outstanding(g)
+	if sr.Group != g || sr.Epoch != epochs || !strings.Contains(why, "waiting-arrivals: 1 of 2") || fmt.Sprint(missing) != "[11]" {
+		t.Fatalf("report and Outstanding %v do not name client 11 at epoch %d: %+v", missing, epochs, sr)
 	}
 }
 

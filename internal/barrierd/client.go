@@ -2,7 +2,10 @@ package barrierd
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"fuzzybarrier/internal/core"
 	"fuzzybarrier/internal/transport"
@@ -10,9 +13,11 @@ import (
 
 // Conn is one client connection multiplexing any number of virtual
 // clients over a single transport endpoint — the load generator runs
-// tens of thousands of clients per Conn. Joins, arrivals and leaves
-// are batched per datagram; releases arrive once per (conn, group) and
-// fan out to every waiter locally.
+// hundreds of thousands of clients per Conn. It is where identity lives:
+// per group a table of its members' ids and what each has signaled. What
+// it sends is counts, one datagram per JoinBatch, ArriveBatch or
+// LeaveBatch whatever the batch size; releases arrive once per (conn,
+// group) and fan out to every waiter locally.
 //
 // The callback API (JoinBatch's done, WhenReleased) is transport
 // agnostic: callbacks run on the endpoint's dispatch context, so on
@@ -24,23 +29,80 @@ type Conn struct {
 	r    *transport.Reliable
 	ring Ring
 
-	mu     sync.Mutex
-	groups map[uint32]*connGroup
+	// mu guards groups, batches and each group's release and join
+	// bookkeeping. onMessage takes it for every release of every group,
+	// so no batch walk runs under it: a group's members have their own.
+	mu      sync.Mutex
+	groups  map[uint32]*connGroup
+	batches uint32 // JoinBatch calls so far; numbers the join tokens
 }
 
 type connGroup struct {
-	released int64
+	// released is written under Conn.mu. The batch walks read it under
+	// members.mu alone; a JoinOK raises it before confirming its batch
+	// there, so a walk never sees a member without the release it implies.
+	released atomic.Int64
 
-	joinPending int
+	joinPending int // JoinBatch calls awaiting their JoinOK
 	joinEpoch   int64
 	joinDone    []func(epoch int64)
 
 	watchers []watcher
+
+	members memberTable
 }
 
 type watcher struct {
 	epoch int64
 	fn    func(released int64)
+}
+
+// memberTable is one group's members on this connection, dense and in
+// registration order, so a batch that names them in that order is checked
+// by sequential compare; anything else goes through index. None of it
+// holds a pointer, so the GC never scans a million members.
+type memberTable struct {
+	mu  sync.Mutex
+	ids []uint64
+	// signaled[i] counts the epochs member i has signaled: those below it
+	// are covered. A member joins owing the epoch its JoinOK names (like
+	// core.Phaser registration), a wait-only one owing none; until then
+	// signaled[i] is minus its batch's number and ArriveBatch and
+	// LeaveBatch pass the member over.
+	signaled []int64
+	index    map[uint64]int32 // id -> slot
+}
+
+// waitOnly is a wait-only member's signaled: it never owes an epoch.
+const waitOnly = math.MaxInt64
+
+// slot finds id, trying hint — the slot after the previous hit — first.
+func (t *memberTable) slot(id uint64, hint int32) (int32, bool) {
+	if int(hint) < len(t.ids) && t.ids[hint] == id {
+		return hint, true
+	}
+	i, ok := t.index[id]
+	return i, ok
+}
+
+// remove deletes slot i by moving the last member into it.
+func (t *memberTable) remove(i int32) {
+	last := int32(len(t.ids) - 1)
+	delete(t.index, t.ids[i])
+	if i != last {
+		t.ids[i], t.signaled[i] = t.ids[last], t.signaled[last]
+		t.index[t.ids[i]] = i
+	}
+	t.ids, t.signaled = t.ids[:last], t.signaled[:last]
+}
+
+// tally adds one to h[j], growing h to hold it.
+func tally(h []uint64, j int64) []uint64 {
+	for int64(len(h)) <= j {
+		h = append(h, 0)
+	}
+	h[j]++
+	return h
 }
 
 // Dial attaches a client connection at addr (>= transport.ConnAddrBase)
@@ -91,144 +153,220 @@ func (c *Conn) TransportStatsSync() transport.ReliableStats {
 	return <-ch
 }
 
+// group returns g's state, creating it on first use.
 func (c *Conn) group(g uint32) *connGroup {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	cg := c.groups[g]
 	if cg == nil {
-		cg = &connGroup{released: -1}
+		cg = &connGroup{}
+		cg.released.Store(-1)
 		c.groups[g] = cg
 	}
 	return cg
 }
 
-// onMessage handles server traffic on the dispatch context.
+// onMessage handles server traffic on the dispatch context. A JoinOK for
+// epoch e also says that every epoch before e is complete.
 func (c *Conn) onMessage(m transport.Message) {
+	joinOK, released := m.Kind == transport.KindJoinOK, m.Epoch
+	if joinOK {
+		released--
+	} else if m.Kind != transport.KindRelease {
+		return
+	}
 	var fire []func()
 	c.mu.Lock()
-	cg := c.group(m.Group)
-	switch m.Kind {
-	case transport.KindJoinOK:
-		n := len(m.List)
-		if n == 0 {
-			n = 1
+	cg := c.groups[m.Group]
+	if cg == nil {
+		c.mu.Unlock()
+		return
+	}
+	if released > cg.released.Load() {
+		cg.released.Store(released)
+		kept := cg.watchers[:0]
+		for _, w := range cg.watchers {
+			if w.epoch <= released {
+				fire = append(fire, func() { w.fn(released) })
+			} else {
+				kept = append(kept, w)
+			}
 		}
-		cg.joinPending -= n
-		if m.Epoch > cg.joinEpoch {
-			cg.joinEpoch = m.Epoch
-		}
-		if cg.joinPending <= 0 && len(cg.joinDone) > 0 {
-			epoch := cg.joinEpoch
+		cg.watchers = kept
+	}
+	if joinOK {
+		cg.joinPending--
+		cg.joinEpoch = max(cg.joinEpoch, m.Epoch)
+		if epoch := cg.joinEpoch; cg.joinPending <= 0 {
 			for _, fn := range cg.joinDone {
-				fn := fn
 				fire = append(fire, func() { fn(epoch) })
 			}
 			cg.joinDone = nil
 		}
-	case transport.KindRelease:
-		if m.Epoch > cg.released {
-			cg.released = m.Epoch
-			rel := cg.released
-			kept := cg.watchers[:0]
-			for _, w := range cg.watchers {
-				if w.epoch <= rel {
-					w := w
-					fire = append(fire, func() { w.fn(rel) })
-				} else {
-					kept = append(kept, w)
-				}
-			}
-			cg.watchers = kept
-		}
 	}
 	c.mu.Unlock()
+	if joinOK {
+		t, parked, owes := &cg.members, -int64(uint32(m.Client)), int64(waitOnly)
+		if signals(m.Mode) {
+			owes = m.Epoch
+		}
+		t.mu.Lock()
+		for i, s := range t.signaled {
+			if s == parked {
+				t.signaled[i] = owes
+			}
+		}
+		t.mu.Unlock()
+	}
 	for _, fn := range fire {
 		fn()
 	}
 }
 
-// send marshals a protocol send onto the dispatch context.
-func (c *Conn) send(to transport.Addr, m transport.Message) {
+// send marshals a protocol send to g's ingress shard onto the dispatch
+// context.
+func (c *Conn) send(g uint32, m transport.Message) {
+	to := ShardAddr(c.ring.Ingress(g, c.ep.Addr()))
+	m.Group = g
 	c.ep.Do(func() { c.r.Send(to, m) })
 }
 
-// ingress returns the shard this connection sends g's traffic to.
-func (c *Conn) ingress(g uint32) transport.Addr {
-	return ShardAddr(c.ring.Ingress(g, c.ep.Addr()))
-}
-
-// JoinBatch registers ids in g with the given mode. done (may be nil)
-// fires on the dispatch context once every outstanding join on this
-// group is confirmed, with the epoch the members participate from.
+// JoinBatch registers ids in g with the given mode; an id that is
+// already a member keeps its registration. done (may be nil) fires on the
+// dispatch context once every outstanding join on this group is
+// confirmed, with the epoch the members participate from.
 func (c *Conn) JoinBatch(g uint32, mode core.PhaserMode, ids []uint64, done func(epoch int64)) {
-	c.mu.Lock()
 	cg := c.group(g)
-	cg.joinPending += len(ids)
+	c.mu.Lock()
+	cg.joinPending++
 	if done != nil {
 		cg.joinDone = append(cg.joinDone, done)
 	}
+	c.batches++
+	batch := c.batches
 	c.mu.Unlock()
-	to := c.ingress(g)
-	for len(ids) > 0 {
-		n := len(ids)
-		if n > MaxBatch {
-			n = MaxBatch
-		}
-		c.send(to, transport.Message{
-			Kind: transport.KindJoin, Mode: uint8(mode), Group: g,
-			List: append([]uint64(nil), ids[:n]...),
-		})
-		ids = ids[n:]
+
+	t := &cg.members
+	t.mu.Lock()
+	if t.index == nil {
+		t.index = make(map[uint64]int32, len(ids))
 	}
+	was := len(t.ids)
+	t.ids, t.signaled = slices.Grow(t.ids, len(ids)), slices.Grow(t.signaled, len(ids))
+	for _, id := range ids {
+		if _, dup := t.index[id]; !dup {
+			t.index[id] = int32(len(t.ids))
+			t.ids, t.signaled = append(t.ids, id), append(t.signaled, -int64(batch))
+		}
+	}
+	n := len(t.ids) - was
+	t.mu.Unlock()
+	c.send(g, transport.Message{
+		Kind: transport.KindJoin, Mode: uint8(mode),
+		Client: uint64(c.ep.Addr())<<32 | uint64(batch), List: []uint64{uint64(n)},
+	})
 }
 
-// ArriveBatch signals that each id in ids has arrived at epoch e of g.
+// ArriveBatch signals that each id in ids has arrived at epoch e of g:
+// every epoch up to e that a member has not signaled gains its signal.
+// Ids that are not confirmed signaling members or have signaled e are
+// passed over, so a replayed or overlapping batch counts once; so is the
+// whole call if e is more than maxEpochSkip past the last release seen.
 func (c *Conn) ArriveBatch(g uint32, e int64, ids []uint64) {
-	to := c.ingress(g)
-	for len(ids) > 0 {
-		n := len(ids)
-		if n > MaxBatch {
-			n = MaxBatch
+	cg := c.group(g)
+	var added []uint64 // in the walk: members found j epochs behind e
+	t, hint := &cg.members, int32(0)
+	t.mu.Lock()
+	if released := cg.released.Load(); e <= released || e > released+maxEpochSkip {
+		ids = nil // every member has signaled e, or e is out of the window
+	}
+	for _, id := range ids {
+		if i, ok := t.slot(id, hint); ok {
+			hint = i + 1
+			if s := t.signaled[i]; s >= 0 && s <= e {
+				t.signaled[i] = e + 1
+				added = tally(added, e-s)
+			}
 		}
-		c.send(to, transport.Message{
-			Kind: transport.KindArrive, Group: g, Epoch: e,
-			List: append([]uint64(nil), ids[:n]...),
-		})
-		ids = ids[n:]
+	}
+	t.mu.Unlock()
+	for j := len(added) - 2; j >= 0; j-- {
+		added[j] += added[j+1] // epoch e-j is signaled by all at least j behind
+	}
+	if len(added) > 0 {
+		c.send(g, transport.Message{Kind: transport.KindArrive, Epoch: e, List: added})
 	}
 }
 
-// LeaveBatch deregisters ids from g.
+// LeaveBatch deregisters ids from g, taking back the signals they had
+// banked for epochs not yet released. Unknown and unconfirmed ids are
+// passed over: a member can leave once its join is confirmed.
 func (c *Conn) LeaveBatch(g uint32, ids []uint64) {
-	to := c.ingress(g)
-	for len(ids) > 0 {
-		n := len(ids)
-		if n > MaxBatch {
-			n = MaxBatch
+	cg := c.group(g)
+	var gone census
+	var banked []uint64 // banked[j] is for epoch released+1+j
+	t, hint := &cg.members, int32(0)
+	t.mu.Lock()
+	released := cg.released.Load()
+	for _, id := range ids {
+		i, ok := t.slot(id, hint)
+		if !ok || t.signaled[i] < 0 {
+			continue
 		}
-		c.send(to, transport.Message{
-			Kind: transport.KindLeave, Group: g,
-			List: append([]uint64(nil), ids[:n]...),
-		})
-		ids = ids[n:]
+		hint = i + 1 // the next in registration order has not moved
+		if t.signaled[i] == waitOnly {
+			gone.waiters++
+		} else {
+			gone.signalers++
+			for k := released + 1; k < t.signaled[i]; k++ {
+				banked = tally(banked, k-released-1)
+			}
+		}
+		t.remove(i)
 	}
+	t.mu.Unlock()
+	if gone.signalers+gone.waiters == 0 {
+		return
+	}
+	slices.Reverse(banked) // highest epoch first, as in an arrive
+	c.send(g, transport.Message{
+		Kind: transport.KindLeave, Epoch: released + int64(len(banked)),
+		List: append([]uint64{uint64(gone.signalers), uint64(gone.waiters)}, banked...),
+	})
+}
+
+// Outstanding lists the signaling members of g on this connection that
+// have not signaled the first unreleased epoch: the last step of the
+// straggler drill-down a StuckReport starts.
+func (c *Conn) Outstanding(g uint32) (epoch int64, ids []uint64) {
+	cg := c.group(g)
+	t := &cg.members
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	released := cg.released.Load()
+	if released >= DrainEpoch {
+		return released + 1, nil // drained: nothing is owed
+	}
+	for i, s := range t.signaled {
+		if s >= 0 && s <= released+1 {
+			ids = append(ids, t.ids[i])
+		}
+	}
+	return released + 1, ids
 }
 
 // Released returns the highest epoch of g known released (DrainEpoch
 // once the group drained; -1 before any release).
-func (c *Conn) Released(g uint32) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.group(g).released
-}
+func (c *Conn) Released(g uint32) int64 { return c.group(g).released.Load() }
 
 // WhenReleased fires fn (dispatch context) once g's release reaches
 // epoch — immediately if it already has. This is the Wait half of the
 // split-phase barrier; everything the caller does before fn fires is
 // its barrier region.
 func (c *Conn) WhenReleased(g uint32, epoch int64, fn func(released int64)) {
-	c.mu.Lock()
 	cg := c.group(g)
-	if cg.released >= epoch {
-		rel := cg.released
+	c.mu.Lock()
+	if rel := cg.released.Load(); rel >= epoch {
 		c.mu.Unlock()
 		fn(rel)
 		return
@@ -249,8 +387,8 @@ func (c *Conn) WaitReleased(g uint32, epoch int64) int64 {
 // (real-time transports only) and returns the participation epoch.
 func (c *Conn) AwaitJoined(g uint32) int64 {
 	ch := make(chan int64, 1)
-	c.mu.Lock()
 	cg := c.group(g)
+	c.mu.Lock()
 	if cg.joinPending <= 0 {
 		epoch := cg.joinEpoch
 		c.mu.Unlock()

@@ -1,19 +1,22 @@
 package barrierd
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 
 	"fuzzybarrier/internal/core"
 	"fuzzybarrier/internal/transport"
 )
 
 // Shard is one coordinator shard. For groups homed here it runs the
-// phaser state machine (membership, per-member signal counters, epoch
-// advancement, releases, the no-progress watchdog); for other groups it
-// is a combine-tree node: arrival batches accumulate briefly and merge
-// upward, joins and leaves forward along the same path, and releases
-// retrace it downward.
+// phaser state machine over counts (signalers registered, signals per
+// epoch, epoch advancement, releases, the no-progress watchdog); for
+// other groups it is a combine-tree node: signals accumulate briefly and
+// go up as one sum, joins and leaves forward along the same path, and
+// releases retrace it downward. No shard ever sees a client id.
 //
 // All state is confined to the shard's endpoint dispatch context — no
 // locks; on SimNet every shard is fully deterministic.
@@ -27,48 +30,52 @@ type Shard struct {
 	onStuck func(StuckReport)
 
 	groups map[uint32]*groupState
-	gorder []uint32 // creation order, for deterministic sweeps
 
 	// Counters (read via Snapshot from outside the dispatch context).
-	Arrivals int64 // client arrivals applied (home) or accumulated (ingress)
+	Arrivals int64 // signals applied (home) or accumulated (elsewhere)
 	Releases int64 // release decisions made (home groups only)
 	Stucks   int64 // watchdog reports emitted
+	Rejected int64 // messages dropped unapplied: they claim more than their sender can
 }
 
-// member is one registered client of a home group.
-type member struct {
-	mode core.PhaserMode
-	// signaled is the absolute count of epochs this member has
-	// signaled: epochs < signaled are covered. Members join with
-	// signaled = the group's current epoch (they owe it, like
-	// core.Phaser registration).
-	signaled int64
+// census counts registered members by whether they gate the epoch.
+type census struct{ signalers, waiters int64 }
+
+func (c *census) add(mode uint8, n int64) {
+	if signals(mode) {
+		c.signalers += n
+	} else {
+		c.waiters += n
+	}
+}
+
+// child is what a shard knows about one downstream sender of a group, a
+// connection or a child shard: the members registered below it, and per
+// open epoch its net signals — added by arrivals, taken back by the leaves
+// of members that had banked them. A leave may overtake its own arrival,
+// so a net can be negative for a while; it never exceeds signalers.
+type child struct {
+	addr transport.Addr
+	census
+	sig map[int64]int64
 }
 
 // groupState is one group's state at one shard.
 type groupState struct {
-	g uint32
+	g    uint32
+	home bool
 
-	conns []transport.Addr // local connections with members (sorted)
-	kids  []transport.Addr // child shards with interest (sorted)
+	kids     []*child // by address: child shards, then connections
+	released int64    // highest release seen/sent; epochs <= released are complete
 
-	released int64 // highest release seen/sent; epochs <= released are complete
-
-	// pendingJoin maps a client awaiting JoinOK to the downstream
-	// address its join came from (non-home shards on the join path).
-	pendingJoin map[uint64]transport.Addr
-
-	// Ingress/combine accumulation (non-home shards).
-	acc        map[int64][]uint64 // epoch -> arrived client ids
-	accN       int
+	// signals sums the children's signals per open epoch. At the home it
+	// is what checkComplete holds against signalers (never above it, see
+	// handleLeave); elsewhere, what the next flush forwards.
+	signals    map[int64]int64
 	flushArmed bool
 
-	// Home-shard phaser state.
-	home        bool
-	mem         map[uint64]*member
-	epoch       int64
-	futureReady map[int64]int // epoch -> members that have signaled it
-	signalers   int
+	// Home-shard phaser state; the open epoch is released+1.
+	census      // Σ over kids
 	lastAdvance int64
 	wdArmed     bool
 }
@@ -104,30 +111,70 @@ func (s *Shard) Snapshot() (arrivals, releases, stucks int64) {
 	return
 }
 
+// group returns g's state, creating it: only a join does.
 func (s *Shard) group(g uint32) *groupState {
 	gs := s.groups[g]
 	if gs == nil {
-		gs = &groupState{g: g, released: -1}
-		if s.ring.Home(g) == s.Idx {
-			gs.home = true
-			gs.mem = make(map[uint64]*member)
-			gs.futureReady = make(map[int64]int)
-			gs.lastAdvance = s.ep.Now()
-			s.armWatchdog(gs)
-		} else {
-			gs.pendingJoin = make(map[uint64]transport.Addr)
-			gs.acc = make(map[int64][]uint64)
+		gs = &groupState{
+			g: g, home: s.ring.Home(g) == s.Idx, released: -1,
+			signals: make(map[int64]int64), lastAdvance: s.ep.Now(),
 		}
 		s.groups[g] = gs
-		s.gorder = append(s.gorder, g)
 	}
 	return gs
 }
 
+// child returns the state of gs's child at addr, nil if it never joined
+// anything (add creates it instead).
+func (gs *groupState) child(addr transport.Addr, add bool) *child {
+	i, found := slices.BinarySearchFunc(gs.kids, addr, func(ch *child, a transport.Addr) int { return cmp.Compare(ch.addr, a) })
+	if !found && add {
+		gs.kids = slices.Insert(gs.kids, i, &child{addr: addr, sig: make(map[int64]int64)})
+	} else if !found {
+		return nil
+	}
+	return gs.kids[i]
+}
+
+// claim applies the bounds every count message shares — a known child,
+// no more than maxEpochSkip epochs named, none further than that ahead —
+// and returns the child (nil if they fail) and the part of the per-epoch
+// list, list[i] counting epoch m.Epoch-i, that is past the release; the
+// rest is stale.
+func (s *Shard) claim(m transport.Message, list []uint64) (*groupState, *child, []uint64) {
+	gs := s.groups[m.Group]
+	if gs == nil || len(list) > maxEpochSkip || m.Epoch > gs.released+maxEpochSkip {
+		return nil, nil, nil
+	}
+	if m.Epoch <= gs.released {
+		list = nil
+	} else if span := m.Epoch - gs.released; span < int64(len(list)) {
+		list = list[:span]
+	}
+	return gs, gs.child(m.From, false), list
+}
+
 // parent returns this shard's combine-tree parent address for gs.
 func (s *Shard) parent(gs *groupState) transport.Addr {
-	p := parentShard(s.Idx, s.ring.Home(gs.g), s.cfg.Shards, s.cfg.Radix)
-	return ShardAddr(p)
+	return ShardAddr(parentShard(s.Idx, s.ring.Home(gs.g), s.cfg.Shards, s.cfg.Radix))
+}
+
+// downHop returns this shard's child on the way down to conn — conn
+// itself at its ingress shard — derived from the ring and the tree
+// alone, so a JoinOK needs no per-join routing state. ok is false when
+// conn's path does not cross this shard.
+func (s *Shard) downHop(g uint32, conn transport.Addr) (hop transport.Addr, ok bool) {
+	if conn < transport.ConnAddrBase {
+		return 0, false
+	}
+	hop = conn
+	for at, home := s.ring.Ingress(g, conn), s.ring.Home(g); at >= 0; at = parentShard(at, home, s.cfg.Shards, s.cfg.Radix) {
+		if at == s.Idx {
+			return hop, true
+		}
+		hop = ShardAddr(at)
+	}
+	return 0, false
 }
 
 // OnMessage is the shard's protocol dispatch (the Reliable deliver
@@ -143,166 +190,140 @@ func (s *Shard) OnMessage(m transport.Message) {
 	case transport.KindArrive, transport.KindCombine:
 		s.handleArrive(m)
 	case transport.KindRelease:
-		s.handleRelease(m)
+		if gs := s.groups[m.Group]; gs != nil && !gs.home {
+			s.release(gs, m.Epoch)
+		}
 	}
 }
 
-// noteInterest records where traffic for gs came from, so releases can
-// retrace the path.
-func (s *Shard) noteInterest(gs *groupState, from transport.Addr) {
-	list := &gs.kids
-	if from >= transport.ConnAddrBase {
-		list = &gs.conns
-	}
-	i := sort.Search(len(*list), func(i int) bool { return (*list)[i] >= from })
-	if i < len(*list) && (*list)[i] == from {
-		return
-	}
-	*list = append(*list, 0)
-	copy((*list)[i+1:], (*list)[i:])
-	(*list)[i] = from
-}
-
-// clients returns m's client-id payload: the batch List, else the
-// single Client field.
-func clients(m transport.Message) []uint64 {
-	if len(m.List) > 0 {
-		return m.List
-	}
-	return []uint64{m.Client}
-}
-
+// handleJoin counts List[0] new members of mode Mode under the sending
+// child. Client is the join's token, the joining connection's address over
+// its batch number: the join must have come up the path that address says
+// its JoinOK will go down.
 func (s *Shard) handleJoin(m transport.Message) {
-	gs := s.group(m.Group)
-	s.noteInterest(gs, m.From)
-	if !gs.home {
-		for _, c := range clients(m) {
-			gs.pendingJoin[c] = m.From
-		}
-		s.r.Send(s.parent(gs), transport.Message{
-			Kind: transport.KindJoin, Mode: m.Mode, Group: m.Group, List: append([]uint64(nil), clients(m)...),
-		})
+	hop, ok := s.downHop(m.Group, transport.Addr(m.Client>>32))
+	if !ok || hop != m.From || len(m.List) != 1 || m.List[0] > math.MaxInt32 {
+		s.Rejected++
 		return
 	}
-	mode := core.PhaserMode(m.Mode)
-	for _, c := range clients(m) {
-		if gs.mem[c] != nil {
-			continue // re-join: keep existing registration
-		}
-		gs.mem[c] = &member{mode: mode, signaled: gs.epoch}
-		if signals(mode) {
-			gs.signalers++
-		}
+	gs, n := s.group(m.Group), int64(m.List[0])
+	gs.child(m.From, true).add(m.Mode, n)
+	if !gs.home {
+		s.r.Send(s.parent(gs), m) // as it is: Send readdresses it
+		return
 	}
+	gs.add(m.Mode, n)
 	gs.lastAdvance = s.ep.Now() // membership change is progress
 	s.armWatchdog(gs)           // a re-populated group needs coverage again
-	// Confirm with the epoch the batch participates from; the joiner
-	// also learns anything already released.
-	s.sendJoinOK(m.From, gs, append([]uint64(nil), clients(m)...))
+	// The epoch the batch participates from also tells everyone on the
+	// way down that all before it are complete.
+	s.r.Send(m.From, transport.Message{
+		Kind: transport.KindJoinOK, Mode: m.Mode, Group: m.Group, Client: m.Client, Epoch: gs.released + 1,
+	})
 }
 
-func (s *Shard) sendJoinOK(to transport.Addr, gs *groupState, ids []uint64) {
-	for len(ids) > 0 {
-		n := len(ids)
-		if n > MaxBatch {
-			n = MaxBatch
-		}
-		s.r.Send(to, transport.Message{
-			Kind: transport.KindJoinOK, Group: gs.g, Epoch: gs.epoch, List: ids[:n],
-		})
-		ids = ids[n:]
-	}
-	if gs.released >= 0 {
-		s.r.Send(to, transport.Message{Kind: transport.KindRelease, Group: gs.g, Epoch: gs.released})
-	}
-}
-
-// handleJoinOK forwards confirmations down the join path: bucket the
-// batch by the downstream address each client's join arrived on.
+// handleJoinOK passes a confirmation one hop further down.
 func (s *Shard) handleJoinOK(m transport.Message) {
-	gs := s.group(m.Group)
-	if gs.home || gs.pendingJoin == nil {
+	gs := s.groups[m.Group]
+	hop, ok := s.downHop(m.Group, transport.Addr(m.Client>>32))
+	if gs == nil || gs.home || !ok || gs.child(hop, false) == nil {
 		return
 	}
-	var order []transport.Addr
-	buckets := make(map[transport.Addr][]uint64)
-	for _, c := range clients(m) {
-		to, ok := gs.pendingJoin[c]
-		if !ok {
-			continue
-		}
-		delete(gs.pendingJoin, c)
-		if _, seen := buckets[to]; !seen {
-			order = append(order, to)
-		}
-		buckets[to] = append(buckets[to], c)
-	}
-	for _, to := range order { // List order, not map order: deterministic
-		ids := buckets[to]
-		for len(ids) > 0 {
-			n := len(ids)
-			if n > MaxBatch {
-				n = MaxBatch
-			}
-			s.r.Send(to, transport.Message{
-				Kind: transport.KindJoinOK, Group: m.Group, Epoch: m.Epoch, List: ids[:n],
-			})
-			ids = ids[n:]
-		}
-	}
+	s.release(gs, m.Epoch-1)
+	s.r.Send(hop, m)
 }
 
+// handleLeave takes List[0] signalers and List[1] waiters off the sending
+// child, and with them the signals the leavers had banked: List[2+i] for
+// epoch Epoch-i.
+//
+// Counts commute, and that is what makes this safe without ids. A leave
+// is forwarded at once while the leavers' own arrive may still sit in an
+// accumulator below, so the retraction can land first: the home's
+// signals[k] then reads low by the signals still in flight, never high —
+// an epoch can complete late, not early, and since checkComplete runs
+// after every message it completes when the last of them lands. The
+// invariant is signals[k] <= signalers for every open k at the home (its
+// futureReady, when members were ids): a registered signaler contributes
+// at most one signal per epoch, a leaver's is retracted by the message
+// that takes it out of signalers, and a joiner signals only after its
+// JoinOK, that is after every shard on its path counted it. The same
+// holds per child, in either delivery order, and is the bound hostile
+// counts are checked against.
 func (s *Shard) handleLeave(m transport.Message) {
-	gs := s.group(m.Group)
-	if !gs.home {
-		s.noteInterest(gs, m.From)
-		s.r.Send(s.parent(gs), transport.Message{
-			Kind: transport.KindLeave, Group: m.Group, List: append([]uint64(nil), clients(m)...),
-		})
+	gs, ch, retract := s.claim(m, m.List[min(2, len(m.List)):])
+	if ch == nil || len(m.List) < 2 || m.List[0] > uint64(ch.signalers) || m.List[1] > uint64(ch.waiters) {
+		s.Rejected++
 		return
 	}
-	for _, c := range clients(m) {
-		mm := gs.mem[c]
-		if mm == nil {
-			continue
-		}
-		delete(gs.mem, c)
-		if signals(mm.mode) {
-			// Un-count every epoch the leaver had signaled but the
-			// group hasn't completed: remaining members alone decide.
-			for k := gs.epoch; k < mm.signaled; k++ {
-				gs.futureReady[k]--
-			}
-			gs.signalers--
+	gone := census{int64(m.List[0]), int64(m.List[1])}
+	for _, n := range retract {
+		if n > m.List[0] {
+			s.Rejected++
+			return
 		}
 	}
+	for k, net := range ch.sig { // what stays signaled needs a signaler that stays
+		if i := m.Epoch - k; i >= 0 && i < int64(len(retract)) {
+			net -= int64(retract[i])
+		}
+		if net > ch.signalers-gone.signalers {
+			s.Rejected++
+			return
+		}
+	}
+	ch.signalers -= gone.signalers
+	ch.waiters -= gone.waiters
+	for i, n := range retract {
+		if k := m.Epoch - int64(i); n > 0 {
+			ch.sig[k] -= int64(n)
+			if gs.home {
+				gs.signals[k] -= int64(n)
+			}
+		}
+	}
+	if !gs.home {
+		s.r.Send(s.parent(gs), m)
+		return
+	}
+	gs.signalers -= gone.signalers
+	gs.waiters -= gone.waiters
 	gs.lastAdvance = s.ep.Now()
-	s.checkComplete(gs)
-	if gs.signalers == 0 && gs.released < DrainEpoch {
+	s.checkComplete(gs) // the remaining members alone decide
+	if gone.signalers > 0 && gs.signalers == 0 {
 		// Last signaler gone: the phaser drains — everything releases.
+		clear(gs.signals)
 		s.release(gs, DrainEpoch)
 	}
 }
 
+// handleArrive adds a child's new signals: List[i] for epoch Epoch-i.
+// An ingress shard gets them from a connection (KindArrive), the shards
+// above as the sum a child shard forwarded (KindCombine).
 func (s *Shard) handleArrive(m transport.Message) {
-	gs := s.group(m.Group)
-	s.noteInterest(gs, m.From)
-	if gs.home {
-		for _, c := range clients(m) {
-			s.applyArrive(gs, c, m.Epoch)
+	gs, ch, signaled := s.claim(m, m.List)
+	if ch == nil {
+		s.Rejected++
+		return
+	}
+	for i, n := range signaled {
+		// Room is what the net may still grow by, not signalers: after an
+		// overtaking leave one combine can carry both incarnations' signals.
+		if room := ch.signalers - ch.sig[m.Epoch-int64(i)]; n > uint64(room) {
+			s.Rejected++
+			return
 		}
+	}
+	for i, n := range signaled {
+		if k := m.Epoch - int64(i); n > 0 {
+			ch.sig[k] += int64(n)
+			gs.signals[k] += int64(n)
+			s.Arrivals += int64(n)
+		}
+	}
+	if gs.home {
 		s.checkComplete(gs)
-		return
-	}
-	// Combine-tree node: accumulate, then flush upward in a batch.
-	gs.acc[m.Epoch] = append(gs.acc[m.Epoch], clients(m)...)
-	gs.accN += len(clients(m))
-	s.Arrivals += int64(len(clients(m)))
-	if gs.accN >= s.cfg.FlushBatch {
-		s.flush(gs)
-		return
-	}
-	if !gs.flushArmed {
+	} else if !gs.flushArmed && len(gs.signals) > 0 {
 		gs.flushArmed = true
 		s.ep.After(s.cfg.FlushDelay, func() {
 			gs.flushArmed = false
@@ -311,106 +332,60 @@ func (s *Shard) handleArrive(m transport.Message) {
 	}
 }
 
-// flush combines the accumulated arrivals into upward batches, epoch by
-// epoch in ascending order (deterministic on SimNet).
+// flush forwards the accumulated signals as one combine: the sums of the
+// still-open epochs, highest first.
 func (s *Shard) flush(gs *groupState) {
-	if gs.accN == 0 {
+	lo, hi := int64(math.MaxInt64), gs.released
+	for k := range gs.signals {
+		if k <= gs.released {
+			delete(gs.signals, k) // released while it waited
+			continue
+		}
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	if len(gs.signals) == 0 {
 		return
 	}
-	epochs := make([]int64, 0, len(gs.acc))
-	for e := range gs.acc {
-		epochs = append(epochs, e)
+	sums := make([]uint64, hi-lo+1)
+	for k, n := range gs.signals {
+		sums[hi-k] = uint64(n)
 	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	parent := s.parent(gs)
-	for _, e := range epochs {
-		ids := gs.acc[e]
-		delete(gs.acc, e)
-		for len(ids) > 0 {
-			n := len(ids)
-			if n > MaxBatch {
-				n = MaxBatch
-			}
-			s.r.Send(parent, transport.Message{
-				Kind: transport.KindCombine, Group: gs.g, Epoch: e, List: append([]uint64(nil), ids[:n]...),
-			})
-			ids = ids[n:]
-		}
-	}
-	gs.accN = 0
-}
-
-// applyArrive advances one member's signaled range through epoch e —
-// the phaser arrive: every epoch in [signaled, e] gains this member's
-// signal.
-func (s *Shard) applyArrive(gs *groupState, c uint64, e int64) {
-	mm := gs.mem[c]
-	if mm == nil || !signals(mm.mode) {
-		return // unknown (stale) client, or a waiter: no signal to count
-	}
-	if e < mm.signaled {
-		return // replay of an already-signaled epoch
-	}
-	if e-mm.signaled > maxEpochSkip {
-		return // wire value out of any plausible range
-	}
-	for k := mm.signaled; k <= e; k++ {
-		gs.futureReady[k]++
-	}
-	mm.signaled = e + 1
-	s.Arrivals++
+	clear(gs.signals)
+	s.r.Send(s.parent(gs), transport.Message{Kind: transport.KindCombine, Group: gs.g, Epoch: hi, List: sums})
 }
 
 // checkComplete advances the epoch while every signaler has signaled
 // it, then publishes the highest completed epoch.
 func (s *Shard) checkComplete(gs *groupState) {
-	advanced := false
-	for gs.signalers > 0 && gs.futureReady[gs.epoch] == gs.signalers {
-		delete(gs.futureReady, gs.epoch)
-		gs.epoch++
-		advanced = true
+	e := gs.released
+	for gs.signalers > 0 && gs.signals[e+1] == gs.signalers {
+		e++
+		delete(gs.signals, e)
 	}
-	if advanced {
+	if e > gs.released {
 		gs.lastAdvance = s.ep.Now()
-		s.release(gs, gs.epoch-1)
+		s.release(gs, e)
 	}
 }
 
-// release publishes "every epoch <= e of gs is complete" down the tree
-// and out to connections.
+// release records "every epoch <= e of gs is complete" and publishes it
+// to every child: down the tree and out to connections.
 func (s *Shard) release(gs *groupState, e int64) {
 	if e <= gs.released {
 		return
 	}
 	gs.released = e
-	s.Releases++
-	out := transport.Message{Kind: transport.KindRelease, Group: gs.g, Epoch: e}
-	for _, to := range gs.conns {
-		s.r.Send(to, out)
-	}
-	for _, to := range gs.kids {
-		s.r.Send(to, out)
-	}
-}
-
-// handleRelease forwards a release downward (non-home shards).
-func (s *Shard) handleRelease(m transport.Message) {
-	gs := s.group(m.Group)
 	if gs.home {
-		return
+		s.Releases++
 	}
-	if m.Epoch <= gs.released {
-		return
-	}
-	gs.released = m.Epoch
-	out := transport.Message{Kind: transport.KindRelease, Group: m.Group, Epoch: m.Epoch}
-	for _, to := range gs.conns {
-		s.r.Send(to, out)
-	}
-	for _, to := range gs.kids {
-		if to != m.From {
-			s.r.Send(to, out)
+	out := transport.Message{Kind: transport.KindRelease, Group: gs.g, Epoch: e}
+	for _, ch := range gs.kids {
+		for k := range ch.sig {
+			if k <= e {
+				delete(ch.sig, k)
+			}
 		}
+		s.r.Send(ch.addr, out)
 	}
 }
 
@@ -423,64 +398,48 @@ func (s *Shard) armWatchdog(gs *groupState) {
 	s.ep.After(s.cfg.Watchdog, func() {
 		gs.wdArmed = false
 		s.checkStuck(gs)
-		if len(gs.mem) > 0 || gs.signalers > 0 {
+		if gs.signalers+gs.waiters > 0 {
 			s.armWatchdog(gs)
 		}
 	})
 }
 
 // checkStuck emits a StuckReport when the group has signalers but the
-// epoch hasn't advanced within the watchdog window, naming what the
-// shard can see blocking it. A group nobody is waiting on is idle, not
-// stuck: with no signal yet for the current epoch and no wait-only
-// member registered, its members have simply stopped arriving (a
-// finished workload that has not left), and there is nothing to report.
+// epoch hasn't advanced within the watchdog window, naming the children
+// that are short and by how much: the first step of a drill-down that
+// Conn.Outstanding finishes. A group nobody is waiting on is idle, not
+// stuck: with no signal yet for the open epoch and no wait-only member,
+// its members have simply stopped arriving (a finished workload that has
+// not left). Neither is a drained group.
 func (s *Shard) checkStuck(gs *groupState) {
-	now := s.ep.Now()
-	since := now - gs.lastAdvance
-	if gs.signalers == 0 || since < s.cfg.Watchdog {
+	since, e := s.ep.Now()-gs.lastAdvance, gs.released+1
+	if gs.signalers == 0 || since < s.cfg.Watchdog || gs.released >= DrainEpoch ||
+		gs.signals[e] <= 0 && gs.waiters == 0 {
 		return
 	}
-	var why []string
-	missing := make([]uint64, 0, 8)
-	outstanding, waiters := 0, 0
-	for c, mm := range gs.mem {
-		if !signals(mm.mode) {
-			waiters++
-		} else if mm.signaled <= gs.epoch {
-			outstanding++
-			missing = append(missing, c)
+	var short []string
+	for _, ch := range gs.kids {
+		if n := ch.signalers - ch.sig[e]; n > 0 && len(short) < 4 {
+			who := fmt.Sprintf("shard %d", int(ch.addr-ShardAddr(0)))
+			if ch.addr >= transport.ConnAddrBase {
+				who = fmt.Sprintf("conn %d", ch.addr)
+			}
+			short = append(short, fmt.Sprintf("%s ×%d", who, n))
 		}
 	}
-	if outstanding == gs.signalers && waiters == 0 {
-		return
-	}
-	if outstanding > 0 {
-		sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-		if len(missing) > 4 {
-			missing = missing[:4]
-		}
-		why = append(why, fmt.Sprintf(
-			"waiting-arrivals: %d of %d signalers outstanding at epoch %d (e.g. clients %v)",
-			outstanding, gs.signalers, gs.epoch, missing))
-	} else {
-		why = append(why, fmt.Sprintf(
-			"arrivals-signaled-but-epoch-stalled: futureReady=%d signalers=%d (combine batch in flight or lost)",
-			gs.futureReady[gs.epoch], gs.signalers))
-	}
+	why := []string{fmt.Sprintf("waiting-arrivals: %d of %d signalers outstanding at epoch %d (short: %s)",
+		gs.signalers-gs.signals[e], gs.signalers, e, strings.Join(short, ", "))}
 	if unacked := s.r.Unacked(); unacked > 0 {
 		why = append(why, "transport-backlog: "+s.r.PendingLine())
 	}
-	if len(gs.conns)+len(gs.kids) == 0 {
-		why = append(why, "no-paths: group has no attached connections or child shards")
-	}
 	s.Stucks++
 	if s.onStuck != nil {
-		s.onStuck(StuckReport{Shard: s.Idx, Group: gs.g, Epoch: gs.epoch, Since: since, Why: why})
+		s.onStuck(StuckReport{Shard: s.Idx, Group: gs.g, Epoch: e, Since: since, Why: why})
 	}
 }
 
-// signals reports whether a mode gates epoch advancement.
-func signals(m core.PhaserMode) bool {
-	return m == core.SignalWait || m == core.SignalOnly
+// signals reports whether a mode (a core.PhaserMode as the wire carries
+// it) gates epoch advancement.
+func signals(mode uint8) bool {
+	return mode == uint8(core.SignalWait) || mode == uint8(core.SignalOnly)
 }

@@ -379,12 +379,12 @@ func TestE19TablePinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := [][]string{
-		{"0", "71.2", "48.0", "148.1", "42", "216"},
-		{"25", "71.2", "756.0", "1409.6", "42", "216"},
-		{"50", "70.0", "452.0", "652.2", "62", "216"},
-		{"100", "97.8", "49.5", "109.3", "63", "217"},
-		{"200", "194.8", "46.5", "217.5", "65", "216"},
-		{"400", "388.4", "48.0", "179.1", "66", "216"},
+		{"0", "70.5", "43.5", "178.0", "69", "217"},
+		{"25", "70.5", "898.5", "1387.5", "69", "217"},
+		{"50", "76.8", "218.0", "863.9", "60", "216"},
+		{"100", "98.4", "51.0", "123.3", "63", "216"},
+		{"200", "195.2", "47.0", "125.6", "59", "216"},
+		{"400", "388.7", "46.5", "130.5", "65", "216"},
 	}
 	if got := tbl.Rows(); !reflect.DeepEqual(got, want) {
 		t.Errorf("E19 rows moved:\n got %v\nwant %v", got, want)

@@ -14,19 +14,25 @@ const (
 	// KindAck acknowledges reliable messages: List carries the acked
 	// sequence numbers (acks are batched/coalesced per connection).
 	KindAck Kind = iota
-	// KindJoin registers Client in Group with phaser mode Mode
-	// (connection -> ingress shard -> home shard).
+	// KindJoin registers List[0] members in Group with phaser mode Mode
+	// (connection -> ingress shard -> home shard). Client is the batch's
+	// token: the joining connection's address over a batch number.
 	KindJoin
-	// KindJoinOK confirms a join: Epoch is the first epoch the member
-	// owes/observes (home shard -> ingress shard -> connection).
+	// KindJoinOK confirms the join batch whose token and mode Client and
+	// Mode repeat: Epoch is the first epoch its members owe/observe, and
+	// every epoch before it is complete (home shard -> ingress shard ->
+	// connection).
 	KindJoinOK
-	// KindLeave deregisters Client from Group.
+	// KindLeave deregisters List[0] signaling and List[1] wait-only
+	// members from Group and takes back the signals they had banked:
+	// List[2+i] of them for epoch Epoch-i.
 	KindLeave
-	// KindArrive reports arrivals at (Group, Epoch): List carries the
-	// client ids of one connection's batch (connection -> ingress shard).
+	// KindArrive reports one connection's new signals: List[i] of them
+	// for epoch Epoch-i of Group (connection -> ingress shard). Members'
+	// ids stay with the connection; only counts travel.
 	KindArrive
-	// KindCombine merges arrival batches up the shard tree toward the
-	// group's home shard: List carries client ids for (Group, Epoch).
+	// KindCombine sums arrivals up the shard tree toward the group's
+	// home shard: List[i] signals for epoch Epoch-i of Group.
 	KindCombine
 	// KindRelease publishes completion: every epoch <= Epoch of Group is
 	// complete (home shard -> shard tree -> connections).
@@ -62,14 +68,14 @@ func (k Kind) String() string {
 // so many virtual clients multiplex over one connection.
 type Message struct {
 	Kind   Kind
-	Mode   uint8 // phaser mode for KindJoin (core.PhaserMode)
+	Mode   uint8 // phaser mode for KindJoin/KindJoinOK (core.PhaserMode)
 	From   Addr  // filled by the sender's endpoint/reliability layer
 	To     Addr
 	Group  uint32
-	Client uint64 // single-client payload (join/leave/join-ok)
+	Client uint64 // join token (join/join-ok)
 	Epoch  int64
 	Seq    uint64   // reliable-layer sequence number (0 = unreliable)
-	List   []uint64 // acked seqs (KindAck) or client ids (arrive/combine)
+	List   []uint64 // acked seqs (KindAck) or counts (join/leave/arrive/combine)
 }
 
 // String renders the message for event logs.
