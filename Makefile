@@ -35,14 +35,15 @@ bench:
 bench-compile:
 	$(GO) test -C bench ./...
 
-# Back-to-back parent/change pairs of one bench/ workload, alternating
-# which side runs first, then bench/run.sh -compare and a won/lost/tied
-# line per end-to-end metric: `make bench-pairs PARENT=<ref> WORKLOAD=svc-1m`.
+# Back-to-back parent/change pairs of one or more bench/ workloads,
+# alternating which side runs first, then per workload bench/run.sh
+# -compare and a won/lost/tied line per end-to-end metric:
+# `make bench-pairs PARENT=<ref> WORKLOAD="rt-spin rt-block rt-region"`.
 PARENT ?= HEAD~1
 WORKLOAD ?= svc-1m
 PAIRS ?= 10
 bench-pairs:
-	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+	bash scripts/bench-pairs.sh $(PARENT) "$(WORKLOAD)" $(PAIRS)
 
 # Perf regression gates: fail if fast-forwarded machine.Run is not
 # comfortably faster than the naive per-cycle loop on a stall-heavy

@@ -8,13 +8,15 @@
 // region's end first. The repository contains:
 //
 //   - internal/core — the mechanism itself: the hardware barrier unit
-//     (state machine, tag/mask register, broadcast ready lines), a
+//     (state machine, tag/mask register, broadcast ready lines), the
 //     runtime split-phase barriers (Arrive/Wait) for goroutines — the
-//     central-counter FuzzyBarrier, a combining-tree TreeBarrier for
-//     large participant counts, and a DynamicBarrier with
-//     register/arrive-and-leave membership (the runtime form of
-//     Section 5's mask manipulation) — and the Section 5 multi-barrier
-//     allocation discipline;
+//     central-counter FuzzyBarrier, the combining-tree TreeBarrier,
+//     two-level HierBarrier and allreduce ReduceBarrier for large
+//     participant counts (one combining tree under all three), and
+//     DynamicBarrier and Phaser with run-time membership (the runtime
+//     form of Section 5's mask manipulation); the six differ in how
+//     arrivals are counted and embed one publish/wait/stats core — and
+//     the Section 5 multi-barrier allocation discipline;
 //   - internal/machine, internal/mem, internal/isa — a deterministic
 //     cycle-level multiprocessor simulator with per-instruction
 //     barrier-region bits;

@@ -38,7 +38,7 @@ type DynamicBarrier struct {
 	//     interleaving of two non-atomic steps.
 	//
 	// A mutex makes each transition (including its epoch read or
-	// publish) atomic. The lock order is mu -> phaseWaiter.mu, taken
+	// publish) atomic. The lock order is mu -> splitCore.mu, taken
 	// only on the publishing path; Wait never holds mu, so the
 	// spin-then-block slow path is unchanged. Arrival throughput gives
 	// up the lock-free CAS loop, which is the right trade for the
@@ -47,13 +47,9 @@ type DynamicBarrier struct {
 	mu      sync.Mutex
 	count   uint32 // arrivals counted toward the current phase
 	members uint32 // current membership; 0 = drained
+	arrived int64  // Arrive and ArriveAndLeave calls: membership varies, so BarrierStats.Arrivals cannot be derived
 
-	w phaseWaiter
-
-	// SpinLimit bounds the Wait fast path; 0 means DefaultSpinLimit.
-	SpinLimit int
-
-	stats RuntimeStats
+	splitCore
 }
 
 // NewDynamicBarrier creates a dynamic barrier with the given initial
@@ -63,7 +59,7 @@ func NewDynamicBarrier(initial int) *DynamicBarrier {
 		panic(fmt.Sprintf("core: dynamic barrier initial membership %d < 1", initial))
 	}
 	b := &DynamicBarrier{members: uint32(initial)}
-	b.w.init()
+	b.init()
 	return b
 }
 
@@ -75,26 +71,27 @@ func (b *DynamicBarrier) Members() int {
 	return int(m)
 }
 
-// Epoch returns the number of completed phases.
-func (b *DynamicBarrier) Epoch() int64 { return b.w.epoch.Load() }
+func (b *DynamicBarrier) arrivals() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.arrived
+}
 
 // Stats returns the barrier's counters (same shape as FuzzyBarrier).
 func (b *DynamicBarrier) Stats() (syncs, arrivals, fastWaits, spinWaits, blocks, spinIters int64) {
-	return b.stats.Syncs.Load(), b.stats.Arrivals.Load(), b.stats.FastWaits.Load(),
-		b.stats.SpinWaits.Load(), b.stats.Blocks.Load(), b.stats.SpinIters.Load()
+	return b.StatsSnapshot().tuple()
 }
 
 // StatsSnapshot returns the full observability snapshot, including the
 // wait-spin histogram.
-func (b *DynamicBarrier) StatsSnapshot() BarrierStats { return b.stats.Snapshot() }
+func (b *DynamicBarrier) StatsSnapshot() BarrierStats { return b.snapshot(b.arrivals) }
 
 // complete publishes a finished phase. Called with mu held, so the
 // count reset, the epoch bump and the broadcast are one atomic
 // transition as seen by Register/Arrive/ArriveAndLeave.
 func (b *DynamicBarrier) complete() {
 	b.count = 0
-	b.stats.Syncs.Add(1)
-	b.w.publish()
+	b.publish()
 }
 
 // Register adds one member. The new member has not arrived at the current
@@ -122,14 +119,14 @@ func (b *DynamicBarrier) Register() {
 // that counts the arrival, so it names exactly the phase the arrival
 // was counted toward.
 func (b *DynamicBarrier) Arrive() Phase {
-	b.stats.Arrivals.Add(1)
 	b.mu.Lock()
+	b.arrived++
 	if b.members == 0 || b.count >= b.members {
 		c, m := b.count, b.members
 		b.mu.Unlock()
 		panic(fmt.Sprintf("core: Arrive with %d arrivals of %d members (protocol violation)", c, m))
 	}
-	e := b.w.epoch.Load()
+	e := b.epoch.Load()
 	if b.count+1 == b.members {
 		b.complete()
 	} else {
@@ -145,8 +142,8 @@ func (b *DynamicBarrier) Arrive() Phase {
 // caller must not Wait (it is no longer a member) and must not use the
 // barrier again without Register.
 func (b *DynamicBarrier) ArriveAndLeave() {
-	b.stats.Arrivals.Add(1)
 	b.mu.Lock()
+	b.arrived++
 	switch {
 	case b.members == 0:
 		b.mu.Unlock()
@@ -164,17 +161,6 @@ func (b *DynamicBarrier) ArriveAndLeave() {
 		b.members--
 	}
 	b.mu.Unlock()
-}
-
-// TryWait reports whether the phase ticket's synchronization completed.
-func (b *DynamicBarrier) TryWait(p Phase) bool {
-	return b.w.tryWait(p)
-}
-
-// Wait blocks until the ticket's phase completes, spinning briefly first
-// (the split-phase fast path).
-func (b *DynamicBarrier) Wait(p Phase) {
-	b.w.wait(p, b.SpinLimit, &b.stats)
 }
 
 // Await is the point-barrier convenience: Arrive immediately followed by

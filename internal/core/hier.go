@@ -40,31 +40,13 @@ import (
 // root (the root holds quota·phase tokens iff every leaf filled), so
 // spill from an over-hashed shard scans S roots, not S·leaves counters.
 type HierBarrier struct {
-	n       int
-	radix   int
+	combTree // shard subtrees first (per shard: leaves, then interior, root last), then the cross-shard tree
+
 	nShards int
-	nodes   []hierNode      // shard subtrees first (per shard: leaves, then interior, root last), then the cross-shard tree
 	shards  []hierShardMeta // per-shard node ranges and quotas
 	rel     []hierRelease   // per-shard release epoch words, padded
 
-	w phaseWaiter
-
-	// SpinLimit bounds the Wait fast path; 0 means DefaultSpinLimit.
-	SpinLimit int
-
-	stats RuntimeStats
-}
-
-// hierNode is one counter of the two-level combining structure, padded
-// to two cache lines so neighboring nodes never false-share (the second
-// line defeats the adjacent-line prefetcher).
-type hierNode struct {
-	count  atomic.Int64 // cumulative arrival tokens: quota per phase
-	probes atomic.Int64 // fruitless read-probes observed here (full leaf, or full-shard root skip)
-	undos  atomic.Int64 // overshoot add+undo pairs charged to this node
-	quota  int64        // tokens that complete this node for one phase
-	parent int          // index of parent node, -1 at the cross-shard root
-	_      [88]byte
+	splitCore
 }
 
 // hierShardMeta locates one shard's subtree inside nodes.
@@ -127,71 +109,34 @@ func NewHierBarrierConfig(n int, cfg HierConfig) *HierBarrier {
 		}
 	}
 
-	b := &HierBarrier{n: n, radix: radix, nShards: s}
-	b.w.init()
+	b := &HierBarrier{combTree: combTree{n: n, radix: radix}, nShards: s}
+	b.init()
 	b.shards = make([]hierShardMeta, s)
 	b.rel = make([]hierRelease, s)
 
-	// Balanced shard quotas: max-min <= 1, summing to exactly n.
-	for i := 0; i < s; i++ {
-		q := n / s
+	// Lay out each shard's subtree (balanced quotas: max-min <= 1,
+	// summing to exactly n), then the cross-shard tree, in one flat node
+	// slice so a filling leaf climbs through both levels by following
+	// parent links — the cross-shard hop is just the shard root's parent.
+	for i := range b.shards {
+		m := &b.shards[i]
+		m.quota = int64(n / s)
 		if i < n%s {
-			q++
+			m.quota++
 		}
-		b.shards[i].quota = int64(q)
-	}
-	// Lay out each shard's subtree, then the cross-shard tree, in one
-	// flat node slice so a filling leaf climbs through both levels by
-	// following parent links — the cross-shard hop is just the shard
-	// root's parent.
-	for i := 0; i < s; i++ {
-		shape := buildTreeShape(int(b.shards[i].quota), radix)
-		base := len(b.nodes)
-		for j := range shape.quotas {
-			p := shape.parents[j]
-			if p >= 0 {
-				p += base
-			}
-			b.nodes = append(b.nodes, hierNode{quota: shape.quotas[j], parent: p})
-		}
-		b.shards[i].leafBase = base
-		b.shards[i].nLeaves = shape.nLeaves
-		b.shards[i].root = len(b.nodes) - 1
-	}
-	cross := buildTreeShape(s, radix)
-	xbase := len(b.nodes)
-	for j := range cross.quotas {
-		p := cross.parents[j]
-		if p >= 0 {
-			p += xbase
-		}
-		b.nodes = append(b.nodes, hierNode{quota: cross.quotas[j], parent: p})
+		m.leafBase, m.nLeaves, m.root = b.grow(int(m.quota), true)
 	}
 	// Shard i's completion token lands on cross-shard leaf i/radix —
-	// the same leaf packing buildTreeShape used for its quotas.
-	for i := 0; i < s; i++ {
+	// the same leaf packing grow used for its quotas.
+	xbase, _, _ := b.grow(s, false)
+	for i := range b.shards {
 		b.nodes[b.shards[i].root].parent = xbase + i/radix
 	}
 	return b
 }
 
-// N returns the number of participants.
-func (b *HierBarrier) N() int { return b.n }
-
 // Shards returns the number of arrival shards.
 func (b *HierBarrier) Shards() int { return b.nShards }
-
-// Radix returns the combining fan-in.
-func (b *HierBarrier) Radix() int { return b.radix }
-
-// Leaves returns the total number of leaf counters across all shards.
-func (b *HierBarrier) Leaves() int {
-	total := 0
-	for i := range b.shards {
-		total += b.shards[i].nLeaves
-	}
-	return total
-}
 
 // ShardLeaves returns the number of leaf counters owned by shard s.
 func (b *HierBarrier) ShardLeaves(s int) int {
@@ -201,48 +146,14 @@ func (b *HierBarrier) ShardLeaves(s int) int {
 	return b.shards[s].nLeaves
 }
 
-// Depth returns the number of counter levels above a participant: the
-// deepest shard subtree plus the cross-shard tree — the arrival
-// critical path in atomic operations.
-func (b *HierBarrier) Depth() int {
-	max := 0
-	for i := range b.shards {
-		d, node := 0, b.shards[i].leafBase
-		for node >= 0 {
-			d++
-			node = b.nodes[node].parent
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// Epoch returns the number of completed synchronization episodes.
-func (b *HierBarrier) Epoch() int64 { return b.w.epoch.Load() }
-
 // Stats returns a snapshot of the barrier's counters.
 func (b *HierBarrier) Stats() (syncs, arrivals, fastWaits, spinWaits, blocks, spinIters int64) {
-	return b.stats.Syncs.Load(), b.stats.Arrivals.Load(), b.stats.FastWaits.Load(),
-		b.stats.SpinWaits.Load(), b.stats.Blocks.Load(), b.stats.SpinIters.Load()
+	return b.StatsSnapshot().tuple()
 }
 
 // StatsSnapshot returns the full observability snapshot, including the
 // wait-spin histogram.
-func (b *HierBarrier) StatsSnapshot() BarrierStats { return b.stats.Snapshot() }
-
-// Probes returns the total number of fruitless read-probes: arrivals
-// that found a leaf (or, via its root, a whole shard) already full and
-// moved on. Each costs one coherence-quiet atomic load — compare
-// TreeBarrier, where every probe is an add+undo write pair.
-func (b *HierBarrier) Probes() int64 {
-	var total int64
-	for i := range b.nodes {
-		total += b.nodes[i].probes.Load()
-	}
-	return total
-}
+func (b *HierBarrier) StatsSnapshot() BarrierStats { return b.snapshot(b.arrivals) }
 
 // Undos returns the number of overshoot add+undo pairs: arrivals that
 // saw space in a leaf but lost the race for its last slot. Each pair is
@@ -261,7 +172,7 @@ func (b *HierBarrier) Undos() int64 {
 // by. Per phase a node absorbs its quota adds, one operation per
 // fruitless read-probe, and two per overshoot undo pair.
 func (b *HierBarrier) HotspotOps() (ops, phases int64) {
-	phases = b.stats.Syncs.Load()
+	phases = b.Epoch()
 	for i := range b.nodes {
 		v := b.nodes[i].count.Load() + b.nodes[i].probes.Load() + 2*b.nodes[i].undos.Load()
 		if v > ops {
@@ -316,13 +227,12 @@ func (b *HierBarrier) ArriveShardLeaf(shard, leaf int) Phase {
 }
 
 func (b *HierBarrier) arriveAt(shard, leaf int) Phase {
-	b.stats.Arrivals.Add(1)
 	for {
 		// The epoch is re-read on every pass: a Wait released through a
 		// shard word always sees a fresh epoch here (the central publish
 		// precedes the fan-out), but re-reading keeps even a stale-target
 		// pass — every slot looks full — a retry instead of a livelock.
-		e := b.w.epoch.Load()
+		e := b.epoch.Load()
 		target := e + 1
 		for s := 0; s < b.nShards; s++ {
 			si := shard + s
@@ -359,8 +269,8 @@ func (b *HierBarrier) arriveAt(shard, leaf int) Phase {
 					continue
 				}
 				if v := nd.count.Add(1); v <= full {
-					if v == full {
-						b.climb(nd.parent, target)
+					if v == full && b.climb(nd.parent, target) {
+						b.release(target)
 					}
 					return Phase{epoch: e}
 				}
@@ -381,26 +291,15 @@ func (b *HierBarrier) arriveAt(shard, leaf int) Phase {
 	}
 }
 
-// climb propagates one completion token upward from the given node,
-// through the shard subtree and across the shard root's parent link
-// into the cross-shard tree; the arrival that completes the cross-shard
-// root publishes the phase. Interior nodes receive exactly quota tokens
-// per phase (one per child or per shard), so no overshoot handling is
-// needed above the leaves.
-func (b *HierBarrier) climb(node int, target int64) {
-	for node >= 0 {
-		nd := &b.nodes[node]
-		if nd.count.Add(1) != nd.quota*target {
-			return
-		}
-		node = nd.parent
-	}
-	b.stats.Syncs.Add(1)
+// release publishes the phase whose cross-shard root the caller's token
+// just completed — the climb having run through its shard subtree and
+// across the shard root's parent link — and fans it out to the shards.
+func (b *HierBarrier) release(target int64) {
 	// Publish the central epoch first: any waiter released through a
 	// shard word below observes the CAS-max, which in the program (and
 	// seq-cst) order follows this publish — so its next Arrive reads a
 	// fresh epoch. Blocked waiters wake here too.
-	b.w.publish()
+	b.publish()
 	// Fan the release out to the per-shard spin words. CAS-max keeps the
 	// words monotone even when two publishers overlap: phase k+1's
 	// fan-out can begin (fast shards released early, raced through the
@@ -420,17 +319,12 @@ func casMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// TryWait reports whether synchronization for the given phase has
-// occurred, without blocking.
-func (b *HierBarrier) TryWait(p Phase) bool { return b.w.tryWait(p) }
-
 // Wait blocks until every participant has arrived at phase p, spinning
 // on the caller's shard-local release word before falling back to the
 // central blocking path — the spin reads never touch a line shared with
 // waiters outside the shard.
 func (b *HierBarrier) Wait(p Phase) {
-	local := &b.rel[int(ShardHint()%uint64(b.nShards))].epoch
-	b.w.waitLocal(p, local, b.SpinLimit, &b.stats)
+	b.wait(p, &b.rel[int(ShardHint()%uint64(b.nShards))].epoch)
 }
 
 // Await is the conventional point barrier: Arrive immediately followed

@@ -54,21 +54,17 @@ func (m PhaserMode) String() string {
 //
 // Like DynamicBarrier, one mutex serializes every membership and signal
 // transition together with any phase publication it triggers (lock
-// order mu -> phaseWaiter.mu); Wait never holds the mutex, so the
+// order mu -> splitCore.mu); Wait never holds the mutex, so the
 // spin-then-block slow path is untouched.
 type Phaser struct {
 	mu        sync.Mutex
 	members   []*PhaserMember
-	signalers int  // members with a signal-capable mode
-	ready     int  // signalers that have already signaled the current phase
-	drained   bool // the last signaler left; no phase can ever advance again
+	signalers int   // members with a signal-capable mode
+	ready     int   // signalers that have already signaled the current phase
+	drained   bool  // the last signaler left; no phase can ever advance again
+	arrived   int64 // member Arrive calls: membership varies, so BarrierStats.Arrivals cannot be derived
 
-	w phaseWaiter
-
-	// SpinLimit bounds the Wait fast path; 0 means DefaultSpinLimit.
-	SpinLimit int
-
-	stats RuntimeStats
+	splitCore
 }
 
 // PhaserMember is one registered participant. Members are not safe for
@@ -86,7 +82,7 @@ type PhaserMember struct {
 // registers.
 func NewPhaser() *Phaser {
 	p := &Phaser{}
-	p.w.init()
+	p.init()
 	return p
 }
 
@@ -104,7 +100,7 @@ func (p *Phaser) Register(mode PhaserMode) *PhaserMember {
 		p.mu.Unlock()
 		panic("core: Register on a drained phaser")
 	}
-	m := &PhaserMember{p: p, mode: mode, signaled: p.w.epoch.Load(), index: len(p.members)}
+	m := &PhaserMember{p: p, mode: mode, signaled: p.epoch.Load(), index: len(p.members)}
 	p.members = append(p.members, m)
 	if mode != WaitOnly {
 		p.signalers++
@@ -129,17 +125,19 @@ func (p *Phaser) Signalers() int {
 	return n
 }
 
-// Epoch returns the number of completed phases.
-func (p *Phaser) Epoch() int64 { return p.w.epoch.Load() }
+func (p *Phaser) arrivals() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.arrived
+}
 
 // Stats returns the phaser's counters (same shape as FuzzyBarrier).
 func (p *Phaser) Stats() (syncs, arrivals, fastWaits, spinWaits, blocks, spinIters int64) {
-	return p.stats.Syncs.Load(), p.stats.Arrivals.Load(), p.stats.FastWaits.Load(),
-		p.stats.SpinWaits.Load(), p.stats.Blocks.Load(), p.stats.SpinIters.Load()
+	return p.StatsSnapshot().tuple()
 }
 
 // StatsSnapshot returns the full observability snapshot.
-func (p *Phaser) StatsSnapshot() BarrierStats { return p.stats.Snapshot() }
+func (p *Phaser) StatsSnapshot() BarrierStats { return p.snapshot(p.arrivals) }
 
 // completeLocked advances phases while every signaler has signaled the
 // current one. Called with mu held. A single call can complete several
@@ -147,9 +145,8 @@ func (p *Phaser) StatsSnapshot() BarrierStats { return p.stats.Snapshot() }
 // phase as soon as it opens.
 func (p *Phaser) completeLocked() {
 	for p.signalers > 0 && p.ready == p.signalers {
-		p.stats.Syncs.Add(1)
-		p.w.publish()
-		e := p.w.epoch.Load()
+		p.publish()
+		e := p.epoch.Load()
 		p.ready = 0
 		for _, m := range p.members {
 			if m.mode != WaitOnly && m.signaled > e {
@@ -170,8 +167,8 @@ func (p *Phaser) completeLocked() {
 // boundary and gates nothing.
 func (m *PhaserMember) Arrive() Phase {
 	p := m.p
-	p.stats.Arrivals.Add(1)
 	p.mu.Lock()
+	p.arrived++
 	if m.index < 0 {
 		p.mu.Unlock()
 		panic("core: Arrive on a deregistered phaser member")
@@ -180,7 +177,7 @@ func (m *PhaserMember) Arrive() Phase {
 		p.mu.Unlock()
 		panic("core: Arrive on a drained phaser")
 	}
-	e := p.w.epoch.Load()
+	e := p.epoch.Load()
 	if m.mode == WaitOnly {
 		p.mu.Unlock()
 		return Phase{epoch: e}
@@ -197,7 +194,7 @@ func (m *PhaserMember) Arrive() Phase {
 
 // TryWait reports whether the ticket's phase has completed, without
 // blocking.
-func (m *PhaserMember) TryWait(ph Phase) bool { return m.p.w.tryWait(ph) }
+func (m *PhaserMember) TryWait(ph Phase) bool { return m.p.TryWait(ph) }
 
 // Wait blocks until the ticket's phase completes (spin then block, like
 // every split barrier here). Panics for SignalOnly members — a producer
@@ -206,7 +203,7 @@ func (m *PhaserMember) Wait(ph Phase) {
 	if m.mode == SignalOnly {
 		panic("core: Wait on a signal-only phaser member")
 	}
-	m.p.w.wait(ph, m.p.SpinLimit, &m.p.stats)
+	m.p.Wait(ph)
 }
 
 // Mode returns the member's registered mode.
@@ -239,18 +236,17 @@ func (m *PhaserMember) Deregister() {
 		p.mu.Unlock()
 		return
 	}
-	if m.signaled > p.w.epoch.Load() {
+	if m.signaled > p.epoch.Load() {
 		p.ready--
 	}
 	p.signalers--
 	if p.signalers == 0 {
 		// Drain: no signaler remains, so no phase can ever advance again.
-		// Publish one final release episode (counted in Syncs, keeping
-		// Syncs == Epoch) so tickets already issued do not wait forever.
+		// Publish one final release episode so tickets already issued do
+		// not wait forever.
 		p.drained = true
 		p.ready = 0
-		p.stats.Syncs.Add(1)
-		p.w.publish()
+		p.publish()
 	} else {
 		p.completeLocked()
 	}

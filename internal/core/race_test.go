@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,6 +83,50 @@ func TestRaceHierBarrierStress(t *testing.T) {
 func TestRaceReduceBarrierStress(t *testing.T) {
 	stressSplit(t, NewReduceBarrier(8, OpSum, IdentitySum), 8, 300)
 	stressSplit(t, NewReduceBarrierRadix(13, 2, OpMax, IdentityMax), 13, 200)
+}
+
+// TestRaceSnapshotDuringRun samples StatsSnapshot and HotspotOps while
+// each barrier runs: the derived Syncs and Arrivals read arrival state
+// the hot path is writing, so under -race any non-atomic access shows,
+// and every sample must be coherent — Syncs monotone, Arrivals within
+// one episode plus one in-flight probe overshoot per participant of
+// n·Syncs — and exact once the run is over.
+func TestRaceSnapshotDuringRun(t *testing.T) {
+	const n, episodes = 4, 2000
+	for _, row := range sixBarriers(n) {
+		b := row.handles[0]
+		stop := make(chan struct{})
+		sampled := make(chan struct{})
+		go func() {
+			defer close(sampled)
+			var last int64
+			for {
+				s := b.StatsSnapshot()
+				if s.Syncs < last {
+					t.Errorf("%s: Syncs went back from %d to %d", row.name, last, s.Syncs)
+				}
+				last = s.Syncs
+				if d := s.Arrivals - n*s.Syncs; d < -2*n || d > 2*n {
+					t.Errorf("%s: Arrivals = %d at Syncs = %d, more than 2n from n*Syncs", row.name, s.Arrivals, s.Syncs)
+				}
+				if prof, ok := b.(ArriveProfiler); ok {
+					prof.HotspotOps()
+				}
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched() // on one P a sampler that never yields starves the run
+				}
+			}
+		}()
+		row.run(episodes)
+		close(stop)
+		<-sampled
+		if s := b.StatsSnapshot(); s.Syncs != episodes || s.Arrivals != n*episodes {
+			t.Errorf("%s: at quiescence Syncs = %d, Arrivals = %d, want %d, %d", row.name, s.Syncs, s.Arrivals, episodes, n*episodes)
+		}
+	}
 }
 
 // TestRacePhaserChurn stresses Phaser registration against live phases:

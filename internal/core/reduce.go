@@ -55,44 +55,24 @@ const (
 // combining itself is overlapped too.
 //
 // Per node the arrival count is split into two counters so the probe
-// path never has to un-combine a value (min/max have no inverse): slots
+// path never has to un-combine a value (min/max have no inverse): count
 // is the claim/undo ticket counter — cumulative, probed and decremented
-// exactly like TreeBarrier's count — and done counts finished deposits.
-// A contribution is combined into the node's accumulator only after its
-// slot claim succeeded, then done is incremented; the arrival whose done
-// increment fills the node's quota drains the accumulator, resets it to
-// the identity, and carries the partial result to the parent. Go's
-// sync/atomic operations are sequentially consistent, so every combine
-// that contributed to the quota-filling done value is visible to the
-// drainer.
+// by the very claim loop TreeBarrier uses — and done counts finished
+// deposits. A contribution is combined into the node's accumulator only
+// after its slot claim succeeded, then done is incremented; the arrival
+// whose done increment fills the node's quota drains the accumulator,
+// resets it to the identity, and carries the partial result to the
+// parent. Go's sync/atomic operations are sequentially consistent, so
+// every combine that contributed to the quota-filling done value is
+// visible to the drainer.
 type ReduceBarrier struct {
-	n       int
-	radix   int
-	nLeaves int
-	nodes   []reduceNode
+	combTree
 
 	op       ReduceOp
 	identity int64
 	result   atomic.Int64
 
-	w phaseWaiter
-
-	// SpinLimit bounds the Wait fast path; 0 means DefaultSpinLimit.
-	SpinLimit int
-
-	stats RuntimeStats
-}
-
-// reduceNode is one combining node, padded to two cache lines like
-// treeBarrierNode so neighbors never false-share.
-type reduceNode struct {
-	slots  atomic.Int64 // cumulative slot claims: quota per phase (probe/undo here)
-	done   atomic.Int64 // cumulative finished deposits: combine-then-increment
-	acc    atomic.Int64 // partial reduction for the phase in progress
-	probes atomic.Int64 // overshoot undos charged to this node
-	quota  int64        // deposits that complete this node for one phase
-	parent int          // index of parent node, -1 at the root
-	_      [80]byte
+	splitCore
 }
 
 // NewReduceBarrier creates a fuzzy reduce barrier for n participants
@@ -114,72 +94,34 @@ func NewReduceBarrierRadix(n, radix int, op ReduceOp, identity int64) *ReduceBar
 	if radix < 2 {
 		radix = DefaultTreeRadix
 	}
-	b := &ReduceBarrier{n: n, radix: radix, op: op, identity: identity}
-	b.w.init()
-
-	shape := buildTreeShape(n, radix)
-	b.nLeaves = shape.nLeaves
-	b.nodes = make([]reduceNode, len(shape.quotas))
+	b := &ReduceBarrier{combTree: combTree{n: n, radix: radix}, op: op, identity: identity}
+	b.init()
+	b.grow(n, true)
 	for i := range b.nodes {
-		b.nodes[i].quota = shape.quotas[i]
-		b.nodes[i].parent = shape.parents[i]
 		b.nodes[i].acc.Store(identity)
 	}
 	b.result.Store(identity)
 	return b
 }
 
-// N returns the number of participants.
-func (b *ReduceBarrier) N() int { return b.n }
-
-// Radix returns the tree fan-in.
-func (b *ReduceBarrier) Radix() int { return b.radix }
-
-// Leaves returns the number of leaf nodes.
-func (b *ReduceBarrier) Leaves() int { return b.nLeaves }
-
-// Depth returns the number of tree levels above the participants.
-func (b *ReduceBarrier) Depth() int {
-	d, node := 0, 0
-	for node >= 0 {
-		d++
-		node = b.nodes[node].parent
-	}
-	return d
-}
-
-// Epoch returns the number of completed synchronization episodes.
-func (b *ReduceBarrier) Epoch() int64 { return b.w.epoch.Load() }
-
 // Stats returns a snapshot of the barrier's counters.
 func (b *ReduceBarrier) Stats() (syncs, arrivals, fastWaits, spinWaits, blocks, spinIters int64) {
-	return b.stats.Syncs.Load(), b.stats.Arrivals.Load(), b.stats.FastWaits.Load(),
-		b.stats.SpinWaits.Load(), b.stats.Blocks.Load(), b.stats.SpinIters.Load()
+	return b.StatsSnapshot().tuple()
 }
 
 // StatsSnapshot returns the full observability snapshot, including the
 // wait-spin histogram.
-func (b *ReduceBarrier) StatsSnapshot() BarrierStats { return b.stats.Snapshot() }
-
-// Probes returns the number of arrive-side leaf probes that found their
-// leaf already full and moved on.
-func (b *ReduceBarrier) Probes() int64 {
-	var total int64
-	for i := 0; i < b.nLeaves; i++ {
-		total += b.nodes[i].probes.Load()
-	}
-	return total
-}
+func (b *ReduceBarrier) StatsSnapshot() BarrierStats { return b.snapshot(b.arrivals) }
 
 // HotspotOps implements ArriveProfiler like TreeBarrier: the
 // atomic-operation traffic on the hottest single node, counting each
 // deposit's slot claim + combine + done increment, the per-phase drain
 // pair (read + identity reset), and two operations per full-probe.
 func (b *ReduceBarrier) HotspotOps() (ops, phases int64) {
-	phases = b.stats.Syncs.Load()
+	phases = b.Epoch()
 	for i := range b.nodes {
 		nd := &b.nodes[i]
-		// Per deposit: slots.Add + acc CAS + done.Add = 3 ops; per phase
+		// Per deposit: count.Add + acc CAS + done.Add = 3 ops; per phase
 		// the drainer's acc load + reset = 2 ops; per probe: add + undo.
 		v := 3*nd.done.Load() + 2*phases + 2*nd.probes.Load()
 		if v > ops {
@@ -234,34 +176,14 @@ func (b *ReduceBarrier) ArriveValueLeaf(leaf int, v int64) Phase {
 }
 
 func (b *ReduceBarrier) arriveAt(leaf int, v int64) Phase {
-	b.stats.Arrivals.Add(1)
-	e := b.w.epoch.Load()
-	target := e + 1
-
-	for {
-		nd := &b.nodes[leaf]
-		full := nd.quota * target
-		if s := nd.slots.Add(1); s <= full {
-			// Slot claimed: the deposit is now committed to this leaf.
-			// Claiming touches only the ticket counter, so undoing an
-			// overshoot never has to un-combine a value — which min/max
-			// could not support.
-			b.deposit(leaf, v, target)
-			return Phase{epoch: e}
-		}
-		// Leaf already full for this phase: undo the overshoot and probe
-		// the next leaf. Total capacity is exactly n, so a slot exists.
-		nd.slots.Add(-1)
-		nd.probes.Add(1)
-		leaf++
-		if leaf == b.nLeaves {
-			leaf = 0
-		}
-	}
+	e := b.epoch.Load()
+	at, _ := b.claim(leaf, e+1)
+	b.deposit(at, v, e+1)
+	return Phase{epoch: e}
 }
 
 // combine folds v into the node's accumulator with a CAS loop.
-func (b *ReduceBarrier) combine(nd *reduceNode, v int64) {
+func (b *ReduceBarrier) combine(nd *combNode, v int64) {
 	for {
 		old := nd.acc.Load()
 		if nd.acc.CompareAndSwap(old, b.op(old, v)) {
@@ -292,21 +214,12 @@ func (b *ReduceBarrier) deposit(node int, v int64, target int64) {
 		nd.acc.Store(b.identity)
 		if nd.parent < 0 {
 			b.result.Store(v)
-			b.stats.Syncs.Add(1)
-			b.w.publish()
+			b.publish()
 			return
 		}
 		node = nd.parent
 	}
 }
-
-// TryWait reports whether synchronization for the given phase has
-// occurred, without blocking.
-func (b *ReduceBarrier) TryWait(p Phase) bool { return b.w.tryWait(p) }
-
-// Wait blocks until every participant has arrived at phase p, spinning
-// briefly before blocking.
-func (b *ReduceBarrier) Wait(p Phase) { b.w.wait(p, b.SpinLimit, &b.stats) }
 
 // WaitValue blocks like Wait and returns the phase's allreduce result —
 // op folded over every participant's contribution. Reading the result
@@ -315,7 +228,7 @@ func (b *ReduceBarrier) Wait(p Phase) { b.w.wait(p, b.SpinLimit, &b.stats) }
 // each participant's p+1 arrival is preceded by its own WaitValue(p)
 // return.
 func (b *ReduceBarrier) WaitValue(p Phase) int64 {
-	b.w.wait(p, b.SpinLimit, &b.stats)
+	b.Wait(p)
 	return b.result.Load()
 }
 

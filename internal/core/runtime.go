@@ -33,20 +33,13 @@ type FuzzyBarrier struct {
 	tag   Tag // identity, for multi-barrier setups (Section 5); informational
 	count atomic.Int64
 
-	w phaseWaiter
-
-	// SpinLimit bounds the Wait fast path; 0 means DefaultSpinLimit.
-	SpinLimit int
-
-	stats RuntimeStats
+	splitCore
 }
 
-// RuntimeStats counts the events that matter for the Section 8
-// measurement. Snapshot copies the live counters into the exported
-// BarrierStats form.
+// RuntimeStats counts the Wait outcomes that matter for the Section 8
+// measurement; splitCore.snapshot copies the live counters into the
+// exported BarrierStats form.
 type RuntimeStats struct {
-	Syncs     atomic.Int64 // completed barrier episodes
-	Arrivals  atomic.Int64 // total Arrive calls
 	FastWaits atomic.Int64 // Waits satisfied without spinning (already synced)
 	SpinWaits atomic.Int64 // Waits satisfied during the spin phase
 	LockWaits atomic.Int64 // Waits resolved at the locked recheck, no sleep
@@ -73,7 +66,7 @@ func NewFuzzyBarrier(n int) *FuzzyBarrier {
 		panic(fmt.Sprintf("core: fuzzy barrier size %d < 1", n))
 	}
 	b := &FuzzyBarrier{n: int64(n)}
-	b.w.init()
+	b.init()
 	return b
 }
 
@@ -91,22 +84,26 @@ func (b *FuzzyBarrier) N() int { return int(b.n) }
 // Tag returns the barrier's logical identity (TagNone if untagged).
 func (b *FuzzyBarrier) Tag() Tag { return b.tag }
 
+// arrivals derives the Arrive count: n per completed episode plus the
+// arrivals counted toward the episode in progress.
+func (b *FuzzyBarrier) arrivals() int64 { return b.Epoch()*b.n + b.count.Load() }
+
 // Stats returns a snapshot of the barrier's counters.
 func (b *FuzzyBarrier) Stats() (syncs, arrivals, fastWaits, spinWaits, blocks, spinIters int64) {
-	return b.stats.Syncs.Load(), b.stats.Arrivals.Load(), b.stats.FastWaits.Load(),
-		b.stats.SpinWaits.Load(), b.stats.Blocks.Load(), b.stats.SpinIters.Load()
+	return b.StatsSnapshot().tuple()
 }
 
 // StatsSnapshot returns the full observability snapshot, including the
 // wait-spin histogram.
-func (b *FuzzyBarrier) StatsSnapshot() BarrierStats { return b.stats.Snapshot() }
+func (b *FuzzyBarrier) StatsSnapshot() BarrierStats { return b.snapshot(b.arrivals) }
 
 // HotspotOps implements ArriveProfiler: every arrival's add and every
 // episode's reset land on the single shared counter, so the hottest-word
 // traffic is Arrivals + Syncs — n+1 operations per phase, the linear
 // hot spot of Section 1.
 func (b *FuzzyBarrier) HotspotOps() (ops, phases int64) {
-	return b.stats.Arrivals.Load() + b.stats.Syncs.Load(), b.stats.Syncs.Load()
+	phases = b.Epoch()
+	return b.arrivals() + phases, phases
 }
 
 // Arrive signals that the caller is ready to synchronize and returns the
@@ -117,32 +114,16 @@ func (b *FuzzyBarrier) HotspotOps() (ops, phases int64) {
 // barrier k before reaching barrier k+1; violating that is the Figure 2
 // invalid-branch bug.)
 func (b *FuzzyBarrier) Arrive() Phase {
-	b.stats.Arrivals.Add(1)
-	e := b.w.epoch.Load()
+	e := b.epoch.Load()
 	if b.count.Add(1) == b.n {
 		// Last arriver completes the episode: reset the counter for the
 		// next phase, then publish the new epoch. No participant can
 		// arrive for the next phase before the epoch is published,
 		// because its Wait for this phase has not returned yet.
 		b.count.Store(0)
-		b.stats.Syncs.Add(1)
-		b.w.publish()
+		b.publish()
 	}
 	return Phase{epoch: e}
-}
-
-// TryWait reports whether synchronization for the given phase has
-// occurred, without blocking — the software analog of the hardware's
-// "processor is in the barrier region and has synchronized" state.
-func (b *FuzzyBarrier) TryWait(p Phase) bool {
-	return b.w.tryWait(p)
-}
-
-// Wait blocks until every participant has arrived at phase p. It spins
-// briefly before blocking so that well-balanced regions never pay for a
-// context switch.
-func (b *FuzzyBarrier) Wait(p Phase) {
-	b.w.wait(p, b.SpinLimit, &b.stats)
 }
 
 // Await is the conventional point barrier: Arrive immediately followed by
@@ -150,6 +131,3 @@ func (b *FuzzyBarrier) Wait(p Phase) {
 func (b *FuzzyBarrier) Await() {
 	b.Wait(b.Arrive())
 }
-
-// Epoch returns the number of completed synchronization episodes.
-func (b *FuzzyBarrier) Epoch() int64 { return b.w.epoch.Load() }

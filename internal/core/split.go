@@ -4,10 +4,11 @@ package core
 // runtime implementations: the central-counter FuzzyBarrier, the
 // combining-tree TreeBarrier, the two-level sharded HierBarrier, and
 // the allreduce ReduceBarrier (whose plain Arrive contributes the
-// reduction identity). The experiment
-// harness, the benchmarks and cmd/barbench all drive barriers through
-// this interface so that implementations can be compared
-// apples-to-apples.
+// reduction identity). They differ in Arrive alone: TryWait, Wait (bar
+// HierBarrier's choice of spin word) and Epoch are the one embedded
+// splitCore's. The experiment harness, the benchmarks and cmd/barbench
+// all drive barriers through this interface so that implementations can
+// be compared apples-to-apples.
 //
 // The protocol is the paper's: Arrive marks entry into the barrier
 // region and never blocks; Wait marks the region's end and blocks only
@@ -30,7 +31,7 @@ type SplitBarrier interface {
 	N() int
 	// Epoch returns the number of completed synchronization episodes.
 	Epoch() int64
-	// Stats returns the runtime counters (see RuntimeStats).
+	// Stats returns the runtime counters (StatsSnapshot's legacy tuple).
 	Stats() (syncs, arrivals, fastWaits, spinWaits, blocks, spinIters int64)
 	// StatsSnapshot returns the full observability snapshot, including
 	// the wait-spin histogram (see BarrierStats).

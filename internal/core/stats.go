@@ -54,13 +54,20 @@ func pow4(n int) int64 {
 
 // BarrierStats is a point-in-time snapshot of a runtime barrier's
 // counters: the observability surface shared by FuzzyBarrier,
-// DynamicBarrier, TreeBarrier, ReduceBarrier and Phaser, rendered by
-// cmd/barbench. The counters themselves are plain atomics bumped on the
-// Arrive/Wait hot path — no locks, no allocation — so keeping them
-// always-on costs a handful of uncontended atomic adds per episode.
+// DynamicBarrier, TreeBarrier, HierBarrier, ReduceBarrier and Phaser,
+// rendered by cmd/barbench. Always-on costs the hot path no lock and no
+// allocation: each Wait adds to one outcome counter and one histogram
+// bucket (a spinning Wait also to SpinIters), all padded off the line
+// waiters spin on, and Arrive of a fixed-membership barrier writes no
+// statistics word at all — Syncs and Arrivals are derived when a
+// snapshot is taken.
 type BarrierStats struct {
-	Syncs     int64 // completed barrier episodes
-	Arrivals  int64 // total Arrive calls
+	Syncs int64 // completed barrier episodes: the epoch
+	// Arrivals is the total number of Arrive calls, derived from the
+	// barrier's own arrival state: exact at quiescence, within one
+	// episode of n·Syncs while running (plus at most one in-flight probe
+	// overshoot per participant on the combining trees).
+	Arrivals  int64
 	FastWaits int64 // Waits satisfied without spinning (already synced)
 	SpinWaits int64 // Waits satisfied during the spin phase
 	LockWaits int64 // Waits that exhausted the spin budget but resolved at the locked recheck (no sleep)
@@ -119,21 +126,9 @@ func (s BarrierStats) String() string {
 	return b.String()
 }
 
-// Snapshot copies the live counters into a BarrierStats value.
-func (rs *RuntimeStats) Snapshot() BarrierStats {
-	s := BarrierStats{
-		Syncs:     rs.Syncs.Load(),
-		Arrivals:  rs.Arrivals.Load(),
-		FastWaits: rs.FastWaits.Load(),
-		SpinWaits: rs.SpinWaits.Load(),
-		LockWaits: rs.LockWaits.Load(),
-		Blocks:    rs.Blocks.Load(),
-		SpinIters: rs.SpinIters.Load(),
-	}
-	for i := range s.WaitSpins {
-		s.WaitSpins[i] = rs.waitSpins[i].Load()
-	}
-	return s
+// tuple is the legacy six-value form every barrier's Stats() returns.
+func (s BarrierStats) tuple() (syncs, arrivals, fastWaits, spinWaits, blocks, spinIters int64) {
+	return s.Syncs, s.Arrivals, s.FastWaits, s.SpinWaits, s.Blocks, s.SpinIters
 }
 
 // observeSpin records a resolved Wait's spin-iteration count in the

@@ -31,61 +31,105 @@ func TestWaitBucket(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshotConsistency drives a real multi-goroutine barrier and
+// barrierRow is one runtime barrier as a table row: one stressBarrier
+// handle per worker — the barrier itself n times over where participants
+// are anonymous, one SignalWait member each for Phaser.
+type barrierRow struct {
+	name    string
+	handles []stressBarrier
+}
+
+// phaserHandle adapts one Phaser member to stressBarrier.
+type phaserHandle struct{ *PhaserMember }
+
+func (h phaserHandle) Await()                      { h.Wait(h.Arrive()) }
+func (h phaserHandle) Epoch() int64                { return h.p.Epoch() }
+func (h phaserHandle) StatsSnapshot() BarrierStats { return h.p.StatsSnapshot() }
+
+// sixBarriers builds every runtime barrier for n fixed members.
+func sixBarriers(n int) []barrierRow {
+	rows := []barrierRow{{name: "phaser"}}
+	p := NewPhaser()
+	for i := 0; i < n; i++ {
+		rows[0].handles = append(rows[0].handles, phaserHandle{p.Register(SignalWait)})
+	}
+	for _, r := range []struct {
+		name string
+		b    stressBarrier
+	}{
+		{"fuzzy", NewFuzzyBarrier(n)},
+		{"fuzzy-tree", NewTreeBarrier(n)},
+		{"hier", NewHierBarrier(n)},
+		{"fuzzy-reduce", NewReduceBarrier(n, OpSum, IdentitySum)},
+		{"dynamic", NewDynamicBarrier(n)},
+	} {
+		row := barrierRow{name: r.name}
+		for i := 0; i < n; i++ {
+			row.handles = append(row.handles, r.b)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// run drives every handle through the given number of Arrive+Wait
+// episodes, one goroutine per handle, and returns at quiescence.
+func (r barrierRow) run(episodes int) {
+	var wg sync.WaitGroup
+	for _, h := range r.handles {
+		wg.Add(1)
+		go func(h stressBarrier) {
+			defer wg.Done()
+			for e := 0; e < episodes; e++ {
+				h.Wait(h.Arrive())
+			}
+		}(h)
+	}
+	wg.Wait()
+}
+
+// TestStatsSnapshotConsistency drives real multi-goroutine barriers and
 // checks the snapshot's internal arithmetic: every Wait lands in exactly
 // one outcome counter (fast, spin, lock, block) and exactly one
-// histogram bucket, so the histogram covers every Wait.
+// histogram bucket, so the histogram covers every Wait; at quiescence
+// the derived Syncs and Arrivals are exact. A lone participant's Wait
+// always finds its own phase complete, so every one is a fast Wait.
 func TestStatsSnapshotConsistency(t *testing.T) {
-	const workers, episodes = 4, 2000
-	for _, impl := range []SplitBarrier{
-		NewFuzzyBarrier(workers),
-		NewTreeBarrier(workers),
-		NewHierBarrier(workers),
-		NewReduceBarrier(workers, OpSum, IdentitySum),
-	} {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for e := 0; e < episodes; e++ {
-					impl.Wait(impl.Arrive())
+	const episodes = 2000
+	for _, workers := range []int64{1, 4} {
+		for _, row := range sixBarriers(int(workers)) {
+			row.run(episodes)
+			impl := row.handles[0]
+			s := impl.StatsSnapshot()
+			if s.Syncs != episodes || s.Syncs != impl.Epoch() {
+				t.Errorf("%s/%d: syncs = %d, epoch = %d, want %d", row.name, workers, s.Syncs, impl.Epoch(), episodes)
+			}
+			if s.Arrivals != workers*episodes {
+				t.Errorf("%s/%d: arrivals = %d, want %d", row.name, workers, s.Arrivals, workers*episodes)
+			}
+			if got := s.Waits(); got != workers*episodes {
+				t.Errorf("%s/%d: fast+spin+block = %d, want %d", row.name, workers, got, workers*episodes)
+			}
+			if workers == 1 && s.FastWaits != episodes {
+				t.Errorf("%s/1: FastWaits = %d, want %d", row.name, s.FastWaits, episodes)
+			}
+			checkHistogramReconciles(t, s)
+			if s.StalledWaits() != s.SpinWaits+s.LockWaits+s.Blocks {
+				t.Errorf("%s/%d: StalledWaits = %d", row.name, workers, s.StalledWaits())
+			}
+			if r := s.BlockRate(); r < 0 || r > 1 {
+				t.Errorf("%s/%d: BlockRate = %f", row.name, workers, r)
+			}
+			// The legacy tuple accessor and the snapshot must agree.
+			if st, ok := impl.(interface {
+				Stats() (syncs, arrivals, fastWaits, spinWaits, blocks, spinIters int64)
+			}); ok {
+				syncs, arrivals, fast, spin, blocks, iters := st.Stats()
+				if syncs != s.Syncs || arrivals != s.Arrivals || fast != s.FastWaits ||
+					spin != s.SpinWaits || blocks != s.Blocks || iters != s.SpinIters {
+					t.Errorf("%s/%d: Stats() tuple disagrees with StatsSnapshot()", row.name, workers)
 				}
-			}()
-		}
-		wg.Wait()
-		s := impl.StatsSnapshot()
-		if s.Syncs != episodes {
-			t.Errorf("%T: syncs = %d, want %d", impl, s.Syncs, episodes)
-		}
-		if s.Arrivals != workers*episodes {
-			t.Errorf("%T: arrivals = %d, want %d", impl, s.Arrivals, workers*episodes)
-		}
-		if got := s.Waits(); got != workers*episodes {
-			t.Errorf("%T: fast+spin+block = %d, want %d", impl, got, workers*episodes)
-		}
-		var hist int64
-		for _, c := range s.WaitSpins {
-			hist += c
-		}
-		if hist != s.Waits() {
-			t.Errorf("%T: spin histogram sum = %d, want Waits() = %d", impl, hist, s.Waits())
-		}
-		if got := s.WaitSpins[NumWaitBuckets-1]; got != s.LockWaits+s.Blocks {
-			t.Errorf("%T: exhausted bucket = %d, want LockWaits+Blocks = %d",
-				impl, got, s.LockWaits+s.Blocks)
-		}
-		if s.StalledWaits() != s.SpinWaits+s.LockWaits+s.Blocks {
-			t.Errorf("%T: StalledWaits = %d", impl, s.StalledWaits())
-		}
-		if r := s.BlockRate(); r < 0 || r > 1 {
-			t.Errorf("%T: BlockRate = %f", impl, r)
-		}
-		// The legacy tuple accessor and the snapshot must agree.
-		syncs, arrivals, fast, spin, blocks, iters := impl.Stats()
-		if syncs != s.Syncs || arrivals != s.Arrivals || fast != s.FastWaits ||
-			spin != s.SpinWaits || blocks != s.Blocks || iters != s.SpinIters {
-			t.Errorf("%T: Stats() tuple disagrees with StatsSnapshot()", impl)
+			}
 		}
 	}
 }
@@ -105,47 +149,21 @@ func TestBarrierStatsString(t *testing.T) {
 	}
 }
 
-func TestDynamicBarrierSnapshot(t *testing.T) {
-	b := NewDynamicBarrier(1)
-	b.Wait(b.Arrive())
-	s := b.StatsSnapshot()
-	if s.Syncs != 1 || s.Arrivals != 1 || s.FastWaits != 1 {
-		t.Errorf("snapshot = %+v", s)
-	}
-}
-
 // TestBarrierHotPathZeroAllocs pins the allocation-free guarantee: the
 // Arrive/Wait hot path allocates nothing, so the always-on counters (and
 // the nil-disabled trace hooks upstream) never add GC pressure.
 func TestBarrierHotPathZeroAllocs(t *testing.T) {
-	barriers := map[string]SplitBarrier{
-		"fuzzy":        NewFuzzyBarrier(1),
-		"fuzzy-tree":   NewTreeBarrier(1),
-		"fuzzy-reduce": NewReduceBarrier(1, OpSum, IdentitySum),
-		"hier":         NewHierBarrier(1),
-	}
-	for name, b := range barriers {
-		allocs := testing.AllocsPerRun(1000, func() {
-			b.Wait(b.Arrive())
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %.1f allocs/op on Arrive+Wait, want 0", name, allocs)
+	for _, row := range sixBarriers(1) {
+		b := row.handles[0]
+		if allocs := testing.AllocsPerRun(1000, func() { b.Wait(b.Arrive()) }); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op on Arrive+Wait, want 0", row.name, allocs)
 		}
-	}
-	d := NewDynamicBarrier(1)
-	if allocs := testing.AllocsPerRun(1000, func() { d.Wait(d.Arrive()) }); allocs != 0 {
-		t.Errorf("dynamic: %.1f allocs/op on Arrive+Wait, want 0", allocs)
 	}
 	// The int64 reduce fast path must stay allocation-free too:
 	// contribute-and-read, not just the identity Arrive.
 	r := NewReduceBarrier(1, OpMax, IdentityMax)
 	if allocs := testing.AllocsPerRun(1000, func() { r.AwaitValue(7) }); allocs != 0 {
 		t.Errorf("reduce: %.1f allocs/op on ArriveValue+WaitValue, want 0", allocs)
-	}
-	p := NewPhaser()
-	m := p.Register(SignalWait)
-	if allocs := testing.AllocsPerRun(1000, func() { m.Wait(m.Arrive()) }); allocs != 0 {
-		t.Errorf("phaser: %.1f allocs/op on Arrive+Wait, want 0", allocs)
 	}
 }
 

@@ -112,11 +112,9 @@ func (r *StressReport) String() string {
 type stressRNG uint64
 
 func (r *stressRNG) next() uint64 {
-	*r += 0x9e3779b97f4a7c15
-	z := uint64(*r)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	z := splitmix64(uint64(*r))
+	*r += splitmixGamma
+	return z
 }
 
 // storm yields the processor a random number of times, at a random
@@ -131,8 +129,8 @@ func (r *stressRNG) storm() {
 }
 
 // stressBarrier is the slice of SplitBarrier the harness needs; it is
-// satisfied by FuzzyBarrier, TreeBarrier, HierBarrier and
-// DynamicBarrier alike.
+// satisfied by FuzzyBarrier, TreeBarrier, HierBarrier, ReduceBarrier
+// and DynamicBarrier alike.
 type stressBarrier interface {
 	Arrive() Phase
 	TryWait(Phase) bool
@@ -546,8 +544,5 @@ func (rep *StressReport) check(dyn *DynamicBarrier, phs *Phaser) {
 // mix64 is splitmix64 over a seed/stream pair, for decorrelated
 // per-worker schedule streams.
 func mix64(seed, stream uint64) uint64 {
-	z := seed + stream*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return splitmix64(seed + (stream-1)*splitmixGamma)
 }

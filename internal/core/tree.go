@@ -30,76 +30,169 @@ import (
 // anywhere in Arrive. The filling arrival of a node propagates one token
 // to its parent; whoever completes the root publishes the epoch.
 type TreeBarrier struct {
-	n       int
-	radix   int
-	nLeaves int
-	nodes   []treeBarrierNode
-
-	w phaseWaiter
-
-	// SpinLimit bounds the Wait fast path; 0 means DefaultSpinLimit.
-	SpinLimit int
-
-	stats RuntimeStats
-}
-
-// treeBarrierNode is one counter of the combining tree, padded to two
-// cache lines so neighboring nodes never false-share (the second line
-// defeats the adjacent-line prefetcher).
-type treeBarrierNode struct {
-	count  atomic.Int64 // cumulative arrival tokens: quota per phase
-	probes atomic.Int64 // overshoot undos charged to this node
-	quota  int64        // tokens that complete this node for one phase
-	parent int          // index of parent node, -1 at the root
-	_      [96]byte
+	combTree
+	splitCore
 }
 
 // DefaultTreeRadix is the fan-in used by NewTreeBarrier.
 const DefaultTreeRadix = 4
 
-// treeShape is the combining-tree layout shared by TreeBarrier and
-// ReduceBarrier: per-node quotas and parent links, nodes stored leaves
-// first then interior levels bottom-up, root last with parent -1.
-type treeShape struct {
-	quotas  []int64
-	parents []int
-	nLeaves int
+// combTree is the radix-k combining tree under TreeBarrier,
+// ReduceBarrier and HierBarrier: cache-line-padded cumulative counters
+// linked leaf-to-root, in one flat slice. TreeBarrier and ReduceBarrier
+// hold a single tree whose leaves are nodes[:nLeaves]; HierBarrier
+// holds one subtree per shard plus the cross-shard tree their roots
+// feed.
+type combTree struct {
+	n, radix int
+	nLeaves  int // leaves participants claim slots on, over every subtree
+	nodes    []combNode
 }
 
-// buildTreeShape lays out a radix-k combining tree for n participants:
-// leaf per-phase capacities sum to exactly n (the last leaf may be
-// partial) and each interior node's quota is its child count.
-func buildTreeShape(n, radix int) treeShape {
-	nLeaves := (n + radix - 1) / radix
-	s := treeShape{nLeaves: nLeaves}
-	s.quotas = make([]int64, 0, 2*nLeaves)
-	s.parents = make([]int, 0, 2*nLeaves)
-	for i := 0; i < nLeaves; i++ {
-		q := radix
-		if i == nLeaves-1 {
-			q = n - radix*(nLeaves-1)
-		}
-		s.quotas = append(s.quotas, int64(q))
-		s.parents = append(s.parents, -1)
-	}
-	first, count := 0, nLeaves
-	for count > 1 {
-		inner := (count + radix - 1) / radix
-		base := len(s.quotas)
-		for i := 0; i < inner; i++ {
-			q := radix
-			if i == inner-1 {
-				q = count - radix*(inner-1)
+// combNode is one node of a combining tree, padded to two cache lines
+// so neighboring nodes never false-share (the second line defeats the
+// adjacent-line prefetcher). It carries every lane any of the three
+// barriers uses — ReduceBarrier is TreeBarrier plus a payload lane.
+type combNode struct {
+	count  atomic.Int64 // cumulative tokens, quota per phase: slot claims on a leaf, one per filled child above
+	done   atomic.Int64 // ReduceBarrier: cumulative finished deposits, combine-then-increment
+	acc    atomic.Int64 // ReduceBarrier: partial reduction for the phase in progress
+	probes atomic.Int64 // arrivals that found this node full and moved on (HierBarrier: by a read)
+	undos  atomic.Int64 // HierBarrier: overshoot add+undo pairs charged to this node
+	quota  int64        // tokens that complete this node for one phase
+	parent int          // index of parent node, -1 at the root
+	leaf   bool         // participants claim slots here
+	_      [71]byte
+}
+
+// grow appends a radix-k combining subtree over n tokens — leaves
+// first, then interior levels bottom-up, root last with parent -1 — and
+// returns its first leaf, its leaf count and its root. Leaf per-phase
+// capacities sum to exactly n (the last leaf may be partial) and each
+// interior node's quota is its child count. claimed says participants
+// claim slots on the leaves (HierBarrier's cross-shard tree is fed by
+// shard roots instead).
+func (t *combTree) grow(n int, claimed bool) (base, nLeaves, root int) {
+	// level appends the nodes that absorb `tokens` tokens per phase.
+	level := func(tokens int, leaf bool) (first, width int) {
+		first, width = len(t.nodes), (tokens+t.radix-1)/t.radix
+		for i := 0; i < width; i++ {
+			q := t.radix
+			if i == width-1 {
+				q = tokens - t.radix*(width-1)
 			}
-			s.quotas = append(s.quotas, int64(q))
-			s.parents = append(s.parents, -1)
+			t.nodes = append(t.nodes, combNode{quota: int64(q), parent: -1, leaf: leaf})
 		}
-		for i := 0; i < count; i++ {
-			s.parents[first+i] = base + i/radix
-		}
-		first, count = base, inner
+		return first, width
 	}
-	return s
+	base, nLeaves = level(n, claimed)
+	if claimed {
+		t.nLeaves += nLeaves
+	}
+	first, width := base, nLeaves
+	for width > 1 {
+		up, w := level(width, false)
+		for i := 0; i < width; i++ {
+			t.nodes[first+i].parent = up + i/t.radix
+		}
+		first, width = up, w
+	}
+	return base, nLeaves, first
+}
+
+// N returns the number of participants.
+func (t *combTree) N() int { return t.n }
+
+// Radix returns the combining fan-in.
+func (t *combTree) Radix() int { return t.radix }
+
+// Leaves returns the number of leaf counters participants arrive on.
+func (t *combTree) Leaves() int { return t.nLeaves }
+
+// Depth returns the number of counter levels above a participant — the
+// arrival critical path in atomic operations (for HierBarrier the
+// deepest shard subtree plus the cross-shard tree).
+func (t *combTree) Depth() int {
+	max := 0
+	for i := range t.nodes {
+		d := 0
+		for node := i; node >= 0; node = t.nodes[node].parent {
+			d++
+		}
+		if d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+// Probes returns the number of arrive-side probes that found their
+// leaf (or, in HierBarrier, a whole shard via its root) already full
+// and moved on — the routing cost of anonymity. A TreeBarrier or
+// ReduceBarrier probe is an add+undo write pair on the full leaf; a
+// HierBarrier probe is one coherence-quiet atomic load.
+func (t *combTree) Probes() int64 {
+	var total int64
+	for i := range t.nodes {
+		total += t.nodes[i].probes.Load()
+	}
+	return total
+}
+
+// arrivals derives the Arrive count from state the arrivals themselves
+// keep: leaf counts are cumulative and every Arrive claims exactly one
+// leaf slot (an in-flight overshoot is counted until its undo lands).
+func (t *combTree) arrivals() int64 {
+	var total int64
+	for i := range t.nodes {
+		if t.nodes[i].leaf {
+			total += t.nodes[i].count.Load()
+		}
+	}
+	return total
+}
+
+// claim takes one slot of phase `target` by add-and-undo, starting at
+// the caller's home leaf and probing onward round the single tree's
+// leaves while they are full (HierBarrier probes its shards by
+// test-and-test-and-set instead — E20 compares the two disciplines); it
+// returns the leaf claimed and whether the claim filled it. Total leaf
+// capacity is exactly n, so a free slot exists. Once a leaf's count
+// reaches its phase target it never dips below it (every undo cancels
+// its own overshoot), so the exact target value is returned to exactly
+// one arrival. Claiming touches only the ticket counter, so undoing an
+// overshoot never has to un-combine a value — which ReduceBarrier's
+// min/max could not support.
+func (t *combTree) claim(leaf int, target int64) (at int, filled bool) {
+	for {
+		nd := &t.nodes[leaf]
+		full := nd.quota * target
+		if v := nd.count.Add(1); v <= full {
+			return leaf, v == full
+		}
+		nd.count.Add(-1)
+		nd.probes.Add(1)
+		leaf++
+		if leaf == t.nLeaves {
+			leaf = 0
+		}
+	}
+}
+
+// climb propagates one completion token upward from the given node and
+// reports whether it completed the root — the arrival that does
+// publishes the phase. Interior nodes receive exactly quota tokens per
+// phase (one per child, or per shard), so no overshoot handling is
+// needed above the leaves.
+func (t *combTree) climb(node int, target int64) bool {
+	for node >= 0 {
+		nd := &t.nodes[node]
+		if nd.count.Add(1) != nd.quota*target {
+			return false
+		}
+		node = nd.parent
+	}
+	return true
 }
 
 // homeLeaf reduces the caller's ShardHint to a leaf index in
@@ -124,68 +217,27 @@ func NewTreeBarrierRadix(n, radix int) *TreeBarrier {
 	if radix < 2 {
 		radix = DefaultTreeRadix
 	}
-	b := &TreeBarrier{n: n, radix: radix}
-	b.w.init()
-
-	shape := buildTreeShape(n, radix)
-	b.nLeaves = shape.nLeaves
-	b.nodes = make([]treeBarrierNode, len(shape.quotas))
-	for i := range b.nodes {
-		b.nodes[i].quota = shape.quotas[i]
-		b.nodes[i].parent = shape.parents[i]
-	}
+	b := &TreeBarrier{combTree: combTree{n: n, radix: radix}}
+	b.init()
+	b.grow(n, true)
 	return b
 }
 
-// N returns the number of participants.
-func (b *TreeBarrier) N() int { return b.n }
-
-// Radix returns the tree fan-in.
-func (b *TreeBarrier) Radix() int { return b.radix }
-
-// Depth returns the number of tree levels above the participants; the
-// arrival critical path is Depth atomic operations.
-func (b *TreeBarrier) Depth() int {
-	d, node := 0, 0
-	for node >= 0 {
-		d++
-		node = b.nodes[node].parent
-	}
-	return d
-}
-
-// Leaves returns the number of leaf counters.
-func (b *TreeBarrier) Leaves() int { return b.nLeaves }
-
-// Epoch returns the number of completed synchronization episodes.
-func (b *TreeBarrier) Epoch() int64 { return b.w.epoch.Load() }
-
 // Stats returns a snapshot of the barrier's counters.
 func (b *TreeBarrier) Stats() (syncs, arrivals, fastWaits, spinWaits, blocks, spinIters int64) {
-	return b.stats.Syncs.Load(), b.stats.Arrivals.Load(), b.stats.FastWaits.Load(),
-		b.stats.SpinWaits.Load(), b.stats.Blocks.Load(), b.stats.SpinIters.Load()
+	return b.StatsSnapshot().tuple()
 }
 
 // StatsSnapshot returns the full observability snapshot, including the
 // wait-spin histogram.
-func (b *TreeBarrier) StatsSnapshot() BarrierStats { return b.stats.Snapshot() }
-
-// Probes returns the number of arrive-side leaf probes that found their
-// leaf already full and moved on — the routing cost of anonymity.
-func (b *TreeBarrier) Probes() int64 {
-	var total int64
-	for i := 0; i < b.nLeaves; i++ {
-		total += b.nodes[i].probes.Load()
-	}
-	return total
-}
+func (b *TreeBarrier) StatsSnapshot() BarrierStats { return b.snapshot(b.arrivals) }
 
 // HotspotOps implements ArriveProfiler: the atomic-operation traffic on
 // the hottest single node, plus the phase count to normalize by. Each
 // phase a node absorbs quota adds, and a leaf additionally pays two
 // operations (add + undo) per full-probe.
 func (b *TreeBarrier) HotspotOps() (ops, phases int64) {
-	phases = b.stats.Syncs.Load()
+	phases = b.Epoch()
 	for i := range b.nodes {
 		v := b.nodes[i].count.Load() + 2*b.nodes[i].probes.Load()
 		if v > ops {
@@ -215,58 +267,12 @@ func (b *TreeBarrier) ArriveLeaf(leaf int) Phase {
 }
 
 func (b *TreeBarrier) arriveAt(leaf int) Phase {
-	b.stats.Arrivals.Add(1)
-	e := b.w.epoch.Load()
-	target := e + 1
-
-	for {
-		nd := &b.nodes[leaf]
-		full := nd.quota * target
-		if v := nd.count.Add(1); v <= full {
-			if v == full {
-				b.climb(nd.parent, target)
-			}
-			return Phase{epoch: e}
-		}
-		// The leaf is already full for this phase. Undo the overshoot
-		// and probe the next leaf; total capacity is exactly n, so a
-		// free slot exists. Once a leaf's count reaches its phase
-		// target it never dips below it (every undo cancels its own
-		// overshoot), so the exact target value is returned to exactly
-		// one arrival — the one that climbs.
-		nd.count.Add(-1)
-		nd.probes.Add(1)
-		leaf++
-		if leaf == b.nLeaves {
-			leaf = 0
-		}
+	e := b.epoch.Load()
+	if at, filled := b.claim(leaf, e+1); filled && b.climb(b.nodes[at].parent, e+1) {
+		b.publish()
 	}
+	return Phase{epoch: e}
 }
-
-// climb propagates one completion token upward from the given node; the
-// arrival that completes the root publishes the new epoch. Interior
-// nodes receive exactly quota tokens per phase (one per child), so no
-// overshoot handling is needed above the leaves.
-func (b *TreeBarrier) climb(node int, target int64) {
-	for node >= 0 {
-		nd := &b.nodes[node]
-		if nd.count.Add(1) != nd.quota*target {
-			return
-		}
-		node = nd.parent
-	}
-	b.stats.Syncs.Add(1)
-	b.w.publish()
-}
-
-// TryWait reports whether synchronization for the given phase has
-// occurred, without blocking.
-func (b *TreeBarrier) TryWait(p Phase) bool { return b.w.tryWait(p) }
-
-// Wait blocks until every participant has arrived at phase p, spinning
-// briefly before blocking so well-balanced regions never pay for a
-// context switch.
-func (b *TreeBarrier) Wait(p Phase) { b.w.wait(p, b.SpinLimit, &b.stats) }
 
 // Await is the conventional point barrier: Arrive immediately followed
 // by Wait.

@@ -6,36 +6,58 @@ import (
 	"sync/atomic"
 )
 
-// phaseWaiter is the publish/wait half of a split-phase barrier: an
-// atomically readable epoch counter published under a mutex, and the
-// bounded-spin-then-cond-block slow path of Wait. FuzzyBarrier,
-// DynamicBarrier, TreeBarrier, ReduceBarrier and Phaser differ only in
-// how arrivals are *counted*; how a completed phase is published and
-// waited on is identical, so it lives here once.
+// splitCore is the publish/wait half of a split-phase barrier: an
+// atomically readable epoch counter published under a mutex, the
+// bounded-spin-then-cond-block slow path of Wait, and the wait-outcome
+// counters. FuzzyBarrier, TreeBarrier, HierBarrier, ReduceBarrier,
+// DynamicBarrier and Phaser differ only in how arrivals are *counted*;
+// how a completed phase is published, waited on and accounted is
+// identical, so all six embed this one type.
 //
 // Blocking is counted in RuntimeStats because the Encore measurement
 // attributes the cost of conventional barriers to exactly these
 // context-save/restore events (Section 8).
-type phaseWaiter struct {
+type splitCore struct {
 	epoch atomic.Int64
 
 	mu   sync.Mutex
 	cond *sync.Cond
+
+	// SpinLimit bounds the spin phase of Wait before it blocks; 0 means
+	// DefaultSpinLimit. It is the one wait-policy knob of the package.
+	SpinLimit int
+
+	// The wait counters order nothing — no reader takes a happens-before
+	// edge from them — but every Wait writes one, and the epoch above is
+	// the word waiters spin on: a full cache line of padding keeps the
+	// instrumentation off the line that carries the synchronization.
+	_     [64]byte
+	waits RuntimeStats
 }
 
-func (w *phaseWaiter) init() { w.cond = sync.NewCond(&w.mu) }
+func (c *splitCore) init() { c.cond = sync.NewCond(&c.mu) }
 
 // publish completes one phase: the epoch advances under the mutex so a
 // concurrent blocked waiter cannot miss the broadcast.
-func (w *phaseWaiter) publish() {
-	w.mu.Lock()
-	w.epoch.Add(1)
-	w.cond.Broadcast()
-	w.mu.Unlock()
+func (c *splitCore) publish() {
+	c.mu.Lock()
+	c.epoch.Add(1)
+	c.cond.Broadcast()
+	c.mu.Unlock()
 }
 
-// tryWait reports whether the ticket's phase has completed.
-func (w *phaseWaiter) tryWait(p Phase) bool { return w.epoch.Load() > p.epoch }
+// Epoch returns the number of completed synchronization episodes.
+func (c *splitCore) Epoch() int64 { return c.epoch.Load() }
+
+// TryWait reports whether synchronization for the given phase has
+// occurred, without blocking — the software analog of the hardware's
+// "processor is in the barrier region and has synchronized" state.
+func (c *splitCore) TryWait(p Phase) bool { return c.epoch.Load() > p.epoch }
+
+// Wait blocks until every participant has arrived at phase p. It spins
+// briefly before blocking so that well-balanced regions never pay for a
+// context switch.
+func (c *splitCore) Wait(p Phase) { c.wait(p, &c.epoch) }
 
 // spinYieldEvery is the yield cadence of the Wait spin loop: every
 // spinYieldEvery-th fruitless iteration calls runtime.Gosched, so on a
@@ -47,8 +69,21 @@ func (w *phaseWaiter) tryWait(p Phase) bool { return w.epoch.Load() > p.epoch }
 const spinYieldEvery = 16
 
 // wait blocks until the ticket's phase completes: fast path if already
-// complete, then at most spinLimit spins, then a condition-variable
-// block. spinLimit <= 0 selects DefaultSpinLimit.
+// complete, then at most SpinLimit spins, then a condition-variable
+// block.
+//
+// The fast path and the spin loop load `word`: the epoch itself for
+// everyone but HierBarrier, which passes its caller's per-shard release
+// word so a spinning waiter's reads stay on a line shared only with its
+// shard — the local-spin discipline of the classic busy-wait
+// literature. The locked slow path rechecks the central epoch under the
+// mutex publish() advances it under, so the block path never depends on
+// `word` at all: publishers must guarantee only that it reaches the
+// target *eventually*, and wait stays correct even if the local word
+// lags, never moves, or belongs to a different shard than the caller
+// arrived on. The fast path also checks the central epoch, so a Wait
+// issued in the window between the central publish and the local
+// fan-out still counts as fast instead of burning its spin budget.
 //
 // Every outcome is recorded in exactly one of FastWaits, SpinWaits,
 // LockWaits or Blocks, and in exactly one wait-spin histogram bucket, so
@@ -58,17 +93,19 @@ const spinYieldEvery = 16
 // the epoch published at the locked recheck never context-switches, so
 // charging it as a block would corrupt the Section 8 measurement — that
 // case is LockWaits.
-func (w *phaseWaiter) wait(p Phase, spinLimit int, stats *RuntimeStats) {
-	if w.epoch.Load() > p.epoch {
+func (c *splitCore) wait(p Phase, word *atomic.Int64) {
+	stats := &c.waits
+	if word.Load() > p.epoch || c.epoch.Load() > p.epoch {
 		stats.FastWaits.Add(1)
 		stats.observeSpin(0)
 		return
 	}
+	spinLimit := c.SpinLimit
 	if spinLimit <= 0 {
 		spinLimit = DefaultSpinLimit
 	}
 	for i := 0; i < spinLimit; i++ {
-		if w.epoch.Load() > p.epoch {
+		if word.Load() > p.epoch {
 			stats.SpinWaits.Add(1)
 			stats.SpinIters.Add(int64(i + 1))
 			stats.observeSpin(int64(i + 1))
@@ -80,71 +117,45 @@ func (w *phaseWaiter) wait(p Phase, spinLimit int, stats *RuntimeStats) {
 	}
 	stats.SpinIters.Add(int64(spinLimit))
 	stats.observeExhausted()
-	w.mu.Lock()
-	if w.epoch.Load() > p.epoch {
+	c.mu.Lock()
+	if c.epoch.Load() > p.epoch {
 		// The phase completed between the last spin and taking the lock:
 		// no sleep, no context switch — not a block.
-		w.mu.Unlock()
+		c.mu.Unlock()
 		stats.LockWaits.Add(1)
 		return
 	}
 	// The recheck ran under the same mutex publish() advances the epoch
 	// under, so the phase is still pending and cond.Wait really runs.
 	stats.Blocks.Add(1)
-	for w.epoch.Load() <= p.epoch {
-		w.cond.Wait()
+	for c.epoch.Load() <= p.epoch {
+		c.cond.Wait()
 	}
-	w.mu.Unlock()
+	c.mu.Unlock()
 }
 
-// waitLocal is wait with the spin phase redirected to a caller-local
-// epoch word (HierBarrier's per-shard release words): the fast path and
-// the spin loop load `local` instead of the central epoch, so a spinning
-// waiter's reads stay on a line shared only with its shard — the
-// local-spin discipline of the classic busy-wait literature. The locked
-// slow path is unchanged: it rechecks the central epoch under the mutex
-// publish() advances it under, so the block path never depends on the
-// local word at all (publishers must guarantee only that `local` reaches
-// the target *eventually*; waitLocal stays correct even if the local
-// word lags or the caller picked a different shard than it arrived on).
-//
-// Accounting is identical to wait: every outcome lands in exactly one of
-// FastWaits, SpinWaits, LockWaits or Blocks and one histogram bucket.
-// The fast path also checks the central epoch (one extra read-shared
-// load) so a Wait issued in the window between the central publish and
-// the local fan-out still counts as fast instead of burning its spin
-// budget.
-func (w *phaseWaiter) waitLocal(p Phase, local *atomic.Int64, spinLimit int, stats *RuntimeStats) {
-	if local.Load() > p.epoch || w.epoch.Load() > p.epoch {
-		stats.FastWaits.Add(1)
-		stats.observeSpin(0)
-		return
+// snapshot copies the counters into a BarrierStats. Completed episodes
+// are the epoch, and arrivals are derived by the embedding barrier from
+// state its Arrive already keeps, so neither costs the hot path a
+// write. arrivals is re-evaluated until the epoch reads the same before
+// and after it, so Arrivals and Syncs always describe the same episode.
+func (c *splitCore) snapshot(arrivals func() int64) BarrierStats {
+	w := &c.waits
+	s := BarrierStats{
+		FastWaits: w.FastWaits.Load(),
+		SpinWaits: w.SpinWaits.Load(),
+		LockWaits: w.LockWaits.Load(),
+		Blocks:    w.Blocks.Load(),
+		SpinIters: w.SpinIters.Load(),
 	}
-	if spinLimit <= 0 {
-		spinLimit = DefaultSpinLimit
+	for i := range s.WaitSpins {
+		s.WaitSpins[i] = w.waitSpins[i].Load()
 	}
-	for i := 0; i < spinLimit; i++ {
-		if local.Load() > p.epoch {
-			stats.SpinWaits.Add(1)
-			stats.SpinIters.Add(int64(i + 1))
-			stats.observeSpin(int64(i + 1))
-			return
-		}
-		if i%spinYieldEvery == spinYieldEvery-1 {
-			runtime.Gosched()
+	for {
+		s.Syncs = c.epoch.Load()
+		s.Arrivals = arrivals()
+		if c.epoch.Load() == s.Syncs {
+			return s
 		}
 	}
-	stats.SpinIters.Add(int64(spinLimit))
-	stats.observeExhausted()
-	w.mu.Lock()
-	if w.epoch.Load() > p.epoch {
-		w.mu.Unlock()
-		stats.LockWaits.Add(1)
-		return
-	}
-	stats.Blocks.Add(1)
-	for w.epoch.Load() <= p.epoch {
-		w.cond.Wait()
-	}
-	w.mu.Unlock()
 }
