@@ -19,6 +19,7 @@ import (
 	"fuzzybarrier/internal/cluster"
 	"fuzzybarrier/internal/compiler"
 	"fuzzybarrier/internal/core"
+	"fuzzybarrier/internal/des"
 	"fuzzybarrier/internal/exp"
 	"fuzzybarrier/internal/isa"
 	"fuzzybarrier/internal/lang"
@@ -120,7 +121,7 @@ func BenchmarkE1Simulated(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				progs := make([]*isa.Program, procs)
 				for p := 0; p < procs; p++ {
-					rng := workload.NewRNG(uint64(7919*p + 13))
+					rng := des.NewRNG(uint64(7919*p + 13))
 					prog, err := workload.SyncLoop{
 						Self: p, Procs: procs,
 						Work:   workload.DriftWork(rng, iters, body-region-jitter/2, jitter),

@@ -171,7 +171,7 @@ func runLockstep(cfg Config, seeds []uint64, results []*Result, errs []error, re
 		sims[i], execs[i], nodeCount[i] = s, s.ex, len(s.nodes)
 		live[i] = true
 		nlive++
-		span = int64(len(s.ex.fast.wheel))
+		span = s.ex.q.Span()
 	}
 	for nlive > 0 {
 		// Next window: [min pending time, +one wheel span).
@@ -181,7 +181,7 @@ func runLockstep(cfg Config, seeds []uint64, results []*Result, errs []error, re
 			if !live[i] {
 				continue
 			}
-			if t, has := execs[i].fast.nextAt(); has && (!seen || t < w) {
+			if t, has := execs[i].q.NextAt(); has && (!seen || t < w) {
 				w, seen = t, true
 			}
 		}

@@ -96,7 +96,7 @@ func (o *outbox) ensureArmed() {
 		}
 	}
 	o.armed = append(o.armed, retxKey{at: head.Deadline, pri: head.Armseq})
-	o.n.x.fast.scheduleAt(head.Deadline, int32(o.n.id), head.Armseq, evRetx, 0, 0, Message{})
+	o.n.x.scheduleAt(head.Deadline, int32(o.n.id), head.Armseq, evRetx, 0, 0, Message{})
 }
 
 // fireRetx handles one evRetx heap event: prune acked/re-armed

@@ -4,12 +4,13 @@ import (
 	"sync"
 
 	"fuzzybarrier/internal/core"
+	"fuzzybarrier/internal/des"
 )
 
 // parEngine runs one simulation across Config.Shards lanes using
 // conservative parallel discrete-event simulation (Chandy–Misra–Bryant
 // style). Nodes are split into contiguous shards; each shard owns its
-// nodes, their outboxes, and a private fast engine, and the only
+// nodes, their outboxes, and a private event queue, and the only
 // cross-shard traffic is message delivery. The conservative lookahead
 // is the minimum link delay (Net.Latency >= 1): a message sent at time
 // t arrives no earlier than t + Latency, so if every shard has
@@ -67,7 +68,7 @@ type parEngine struct {
 	globalLP int64 // cross-shard max lastProgress, maintained in careful mode
 }
 
-// inEvent is one cross-shard delivery awaiting its owner's wheel.
+// inEvent is one cross-shard delivery awaiting its owner's queue.
 type inEvent struct {
 	at  int64
 	pri uint64
@@ -164,14 +165,15 @@ func (p *parEngine) worker(x *exec) {
 }
 
 // drainInboxes moves every pending cross-shard delivery into its
-// owner's wheel. Arrivals always carry at >= the previous window's
-// bound >= the owner's wheel time, so none can land in the past.
+// owner's queue. Arrivals always carry at >= the previous window's
+// bound, and the owner's queue time is that of its last dispatched
+// event, before the bound, so none can land in the past.
 func (p *parEngine) drainInboxes() {
 	for to, row := range p.inbox {
 		x := p.shards[to]
 		for from, cell := range row {
 			for _, ie := range cell {
-				x.fast.scheduleAt(ie.at, int32(ie.msg.To), ie.pri, evDeliver, 0, 0, ie.msg)
+				x.scheduleAt(ie.at, int32(ie.msg.To), ie.pri, evDeliver, 0, 0, ie.msg)
 			}
 			row[from] = cell[:0]
 		}
@@ -183,7 +185,7 @@ func (p *parEngine) minNextAt() (int64, bool) {
 	var min int64
 	ok := false
 	for _, x := range p.shards {
-		if t, has := x.fast.nextAt(); has && (!ok || t < min) {
+		if t, has := x.q.NextAt(); has && (!ok || t < min) {
 			min, ok = t, true
 		}
 	}
@@ -266,9 +268,9 @@ func (p *parEngine) runCareful(bound int64) bool {
 	n := len(p.s.nodes)
 	for p.doneCount() < n {
 		var best *exec
-		var bestKey heapEntry
+		var bestKey des.Key
 		for _, x := range p.shards {
-			if k, ok := x.fast.peekKey(bound); ok && (best == nil || keyLess(k, bestKey)) {
+			if k, ok := x.q.Peek(bound - 1); ok && (best == nil || k.Less(bestKey)) {
 				best, bestKey = x, k
 			}
 		}

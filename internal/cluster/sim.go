@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"fuzzybarrier/internal/des"
 	"fuzzybarrier/internal/trace"
 )
 
@@ -30,7 +31,7 @@ import (
 //
 // Delivery priorities sort below local ones, so at equal (at, node) all
 // deliveries dispatch before any same-tick local event. That inequality
-// is also what keeps the wheel's dispatch cursor safe: a handler that
+// is also what honours des.Queue's producers' contract: a handler that
 // schedules a zero-delay local event always lands it after the event
 // being dispatched (deliveries never have zero delay — link latency is
 // >= 1).
@@ -44,17 +45,6 @@ const deliverPriBits = 40
 // deliverPri builds the priority of one network transmission copy.
 func deliverPri(from int, txSeq uint64) uint64 {
 	return (uint64(from)+1)<<deliverPriBits | txSeq
-}
-
-// keyLess is the canonical event order.
-func keyLess(a, b heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.node != b.node {
-		return a.node < b.node
-	}
-	return a.pri < b.pri
 }
 
 // logLine is one buffered event-log line in a parallel run, keyed by
@@ -79,7 +69,7 @@ type exec struct {
 	shard int32
 	now   int64
 
-	fast *fastEngine // the lane's event queue
+	q *des.Queue[fevent] // the lane's events, popped in (at, node, pri) order
 
 	lastProgress int64 // sim time of this lane's most recent epoch completion
 	doneNodes    int
@@ -139,9 +129,7 @@ func New(cfg Config) (*Sim, error) {
 
 // newExec builds one execution lane with its own event queue.
 func (s *Sim) newExec(shard int32) *exec {
-	x := &exec{s: s, shard: shard}
-	x.fast = newFastEngine(x)
-	return x
+	return &exec{s: s, shard: shard, q: newQueue(&s.cfg)}
 }
 
 // schedWork schedules the end of node n's non-barrier work span for
@@ -150,7 +138,7 @@ func (x *exec) schedWork(n *node, e, delay int64) {
 	if delay < 0 {
 		delay = 0
 	}
-	x.fast.scheduleAt(x.now+delay, int32(n.id), n.nextPri(), evWork, e, x.now, Message{})
+	x.scheduleAt(x.now+delay, int32(n.id), n.nextPri(), evWork, e, x.now, Message{})
 }
 
 // schedRegion schedules the end of node n's barrier-region span for
@@ -159,7 +147,7 @@ func (x *exec) schedRegion(n *node, e, delay int64) {
 	if delay < 0 {
 		delay = 0
 	}
-	x.fast.scheduleAt(x.now+delay, int32(n.id), n.nextPri(), evRegion, e, x.now, Message{})
+	x.scheduleAt(x.now+delay, int32(n.id), n.nextPri(), evRegion, e, x.now, Message{})
 }
 
 // schedDeliver schedules one network delivery of m at the
@@ -175,7 +163,7 @@ func (x *exec) schedDeliver(m Message, at int64, pri uint64) {
 			return
 		}
 	}
-	x.fast.scheduleAt(at, int32(m.To), pri, evDeliver, 0, 0, m)
+	x.scheduleAt(at, int32(m.To), pri, evDeliver, 0, 0, m)
 }
 
 // deliver hands one transmission to its destination node.

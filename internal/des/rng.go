@@ -1,17 +1,19 @@
 package des
 
-// RNG is the xorshift64* generator the simulators draw from wherever
-// determinism matters: internal/cluster (per-node work and link
-// streams) and transport.SimNet (the network stream) share this one
-// copy. workload.RNG is the same recurrence, exported by the ISA-side
-// workload package; folding it in belongs with moving the cluster
-// protocols onto transport (ROADMAP item 5(d)), so no alias is added
-// here.
+// RNG is the xorshift64* generator everything seeded in this repo
+// draws from: internal/cluster (per-node work and link streams),
+// transport.SimNet (the network stream), and internal/workload's drift
+// and branch generators with the experiments built on them.
 type RNG struct{ state uint64 }
 
 // Mix derives an independent stream seed from (seed, salt) via one
 // splitmix64 step, so per-node, per-endpoint and per-network streams
 // never collide even for adjacent seeds.
+//
+// Two look-alikes are deliberately not folded in. barrierd.rdvmix XORs
+// its inputs where Mix adds — a different function, and shard placement
+// depends on its values. core.splitmix64/mix64 stay in core, which must
+// not import a simulator package.
 func Mix(seed, salt uint64) uint64 {
 	z := seed + salt*0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"fuzzybarrier/internal/des"
 	"fuzzybarrier/internal/isa"
 	"fuzzybarrier/internal/machine"
 	"fuzzybarrier/internal/stats"
@@ -81,7 +82,7 @@ func trimSpeedup(s float64) string {
 func e1Run(region int64) (stallPerIter, cyclesPerIter float64) {
 	progs := make([]*isa.Program, e1Procs)
 	for p := 0; p < e1Procs; p++ {
-		rng := workload.NewRNG(uint64(7919*p + 13))
+		rng := des.NewRNG(uint64(7919*p + 13))
 		work := workload.DriftWork(rng, e1Iters, e1Body-region-e1Jitter/2, e1Jitter)
 		progs[p] = must(workload.SyncLoop{
 			Self: p, Procs: e1Procs, Work: work, Region: region,

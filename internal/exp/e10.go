@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fuzzybarrier/internal/des"
 	"fuzzybarrier/internal/isa"
 	"fuzzybarrier/internal/machine"
 	"fuzzybarrier/internal/stats"
@@ -34,7 +35,7 @@ func E10StallProbability() (*trace.Table, error) {
 		seed := i % seeds
 		progs := make([]*isa.Program, procs)
 		for p := 0; p < procs; p++ {
-			rng := workload.NewRNG(uint64(seed*1000+p*17) + 3)
+			rng := des.NewRNG(uint64(seed*1000+p*17) + 3)
 			progs[p] = must(workload.SyncLoop{
 				Self: p, Procs: procs,
 				Work:   workload.DriftWork(rng, iters, base, jitter),

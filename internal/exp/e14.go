@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fuzzybarrier/internal/des"
 	"fuzzybarrier/internal/isa"
 	"fuzzybarrier/internal/machine"
 	"fuzzybarrier/internal/trace"
@@ -62,7 +63,7 @@ func e14Run() (*trace.Phases, *machine.Result, error) {
 func e14Programs() []*isa.Program {
 	progs := make([]*isa.Program, e14Procs)
 	for p := 0; p < e14Procs; p++ {
-		rng := workload.NewRNG(uint64(7919*p + 13))
+		rng := des.NewRNG(uint64(7919*p + 13))
 		work := workload.DriftWork(rng, e14Iters, e14Body-e14Region-e14Jitter/2, e14Jitter)
 		progs[p] = must(workload.SyncLoop{
 			Self: p, Procs: e14Procs, Work: work, Region: e14Region,

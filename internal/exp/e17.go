@@ -6,6 +6,7 @@ import (
 
 	"fuzzybarrier/internal/check"
 	"fuzzybarrier/internal/cluster"
+	"fuzzybarrier/internal/des"
 	"fuzzybarrier/internal/trace"
 )
 
@@ -136,7 +137,7 @@ func e17OracleCell(proto string, nodes int, seed uint64) (*e17Oracle, error) {
 			WorkJitter: e17WorkJitter,
 			Region:     0,
 			Net:        cluster.NetConfig{Latency: e17Latency},
-			Seed:       mix64(seed, uint64(s)+1),
+			Seed:       des.Mix(seed, uint64(s)+1),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E17 oracle %s/n=%d seed %d: %w", proto, nodes, s, err)
@@ -168,12 +169,3 @@ func e17OracleCell(proto string, nodes int, seed uint64) (*e17Oracle, error) {
 
 // e17Seed derives a distinct, fixed base seed per oracle cell.
 func e17Seed(cell int) uint64 { return uint64(0xE17<<20 | cell) }
-
-// mix64 is splitmix64 over a seed/stream pair: a cheap way to derive
-// independent per-run seeds from one per-cell base seed.
-func mix64(seed, stream uint64) uint64 {
-	z := seed + stream*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}

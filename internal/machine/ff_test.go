@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fuzzybarrier/internal/des"
 	"fuzzybarrier/internal/isa"
 	"fuzzybarrier/internal/mem"
 	"fuzzybarrier/internal/trace"
@@ -93,7 +94,7 @@ func driftProgs(t *testing.T, procs, iters int, body, region, jitter int64, seed
 	t.Helper()
 	progs := make([]*isa.Program, procs)
 	for p := 0; p < procs; p++ {
-		rng := workload.NewRNG(seed + uint64(7919*p+13))
+		rng := des.NewRNG(seed + uint64(7919*p+13))
 		prog, err := workload.SyncLoop{
 			Self: p, Procs: procs,
 			Work:   workload.DriftWork(rng, iters, body-region-jitter/2, jitter),
@@ -210,7 +211,7 @@ func TestFastForwardEquivalenceRandom(t *testing.T) {
 	for seed := uint64(1); seed <= 24; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := workload.NewRNG(seed * 0xFF1)
+			rng := des.NewRNG(seed * 0xFF1)
 			procs := int(2 + rng.IntN(7))
 			iters := int(4 + rng.IntN(12))
 			jitter := 10 + rng.IntN(90)

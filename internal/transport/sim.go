@@ -26,10 +26,11 @@ type SimConfig struct {
 
 // SimNet is the deterministic virtual-time Network: a single-threaded
 // discrete-event loop over a des.Queue — events dispatch by time, and
-// within one tick in the order they were scheduled — and a seeded fault
-// model. A fixed (SimConfig, workload) replays byte-identically — the
-// transcript guarantee TestBarrierdSimByteIdenticalTranscript pins for
-// the whole barrierd stack, extending the cluster simulator's
+// within one tick in the order they were scheduled, because each is
+// keyed by the push counter seq — and a seeded fault model. A fixed
+// (SimConfig, workload) replays byte-identically — the transcript
+// guarantee TestBarrierdSimByteIdenticalTranscript pins for the whole
+// barrierd stack, extending the cluster simulator's
 // TestSameSeedByteIdenticalEventLog to the extracted reliability layer.
 //
 // The driving goroutine owns the loop: Attach endpoints, inject initial
@@ -38,7 +39,8 @@ type SimConfig struct {
 // Run calls.
 type SimNet struct {
 	cfg SimConfig
-	q   des.Queue[simEvent]
+	q   *des.Queue[simEvent]
+	seq uint64 // events scheduled so far: the in-tick key
 	eps map[Addr]*simEndpoint
 	rng *des.RNG
 
@@ -58,7 +60,13 @@ func NewSimNet(cfg SimConfig) *SimNet {
 		cfg.Jitter = 0
 	}
 	return &SimNet{
-		cfg:     cfg,
+		cfg: cfg,
+		// The wheel is sized from the link delay alone, and timers
+		// longer than it ride the overflow heap: every bucket keeps the
+		// capacity of its largest burst, and a wheel wide enough for the
+		// slowest timer (2048 buckets) took sim-svc's heap peak from
+		// 64-76 MB to 104-120 MB.
+		q:       des.NewQueue[simEvent](cfg.Latency + cfg.Jitter),
 		eps:     make(map[Addr]*simEndpoint),
 		rng:     des.NewRNG(des.Mix(cfg.Seed, 0x7A57E9)),
 		wantLog: cfg.LogEvents || cfg.Recorder != nil,
@@ -101,7 +109,8 @@ func (s *SimNet) EventLog() []string { return s.log }
 // schedule queues an event delay ticks from now (a negative delay is
 // none) and returns it for the caller to fill in at once.
 func (s *SimNet) schedule(delay int64) *simEvent {
-	return s.q.Push(s.q.Now() + max(delay, 0))
+	s.seq++
+	return s.q.Push(des.Key{At: s.q.Now() + max(delay, 0), Pri: s.seq})
 }
 
 // Step executes the next event; false when the queue is empty.
@@ -111,7 +120,7 @@ func (s *SimNet) Step() bool { return s.step(math.MaxInt64) }
 // event whose endpoint has closed, or whose destination is unattached,
 // is consumed and does nothing.
 func (s *SimNet) step(limit int64) bool {
-	ev, ok := s.q.Pop(limit)
+	_, ev, ok := s.q.Pop(limit)
 	if !ok {
 		return false
 	}
@@ -125,8 +134,11 @@ func (s *SimNet) step(limit int64) bool {
 }
 
 // Run executes events until the queue drains, done() reports true, or
-// maxTicks of virtual time elapse (<= 0 means no budget). It returns
-// the virtual time reached and whether done() was satisfied.
+// the next event lies beyond tick maxTicks — an absolute virtual time,
+// inclusive, not a span from Now: a second call continues with
+// Run(Now()+n, …), and one whose maxTicks is behind Now runs nothing.
+// maxTicks <= 0 means no budget. It returns the virtual time reached
+// and whether done() was satisfied.
 func (s *SimNet) Run(maxTicks int64, done func() bool) (int64, bool) {
 	limit := int64(math.MaxInt64)
 	if maxTicks > 0 {

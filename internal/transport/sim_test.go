@@ -220,7 +220,7 @@ func TestSimNetMatchesSortedReference(t *testing.T) {
 	}
 }
 
-// TestSimNetSteadyStateAllocatesNothing: once the event arena has
+// TestSimNetSteadyStateAllocatesNothing: once the event queue has
 // reached its high-water mark, neither a datagram (Send through the
 // fault model to the handler) nor a timer with a pre-built callback
 // allocates.
@@ -247,8 +247,12 @@ func TestSimNetSteadyStateAllocatesNothing(t *testing.T) {
 		a.Do(fn)
 		nw.Run(0, nil)
 	}
-	for i := 0; i < 50; i++ {
-		send() // reach the arena's high-water mark
+	// The queue's high-water mark includes the capacity of every wheel
+	// bucket, and which buckets a burst lands on shifts with each
+	// revolution: warm for a good sixteen of them (a send advances Now
+	// by at most Latency+Jitter = 7 ticks, the wheel is 64 wide).
+	for nw.Now() < 16*64 {
+		send()
 	}
 	if n := testing.AllocsPerRun(200, send); n != 0 {
 		t.Errorf("Send -> deliver allocates %v times per 8 datagrams", n)
@@ -258,5 +262,31 @@ func TestSimNetSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if got == 0 {
 		t.Fatal("nothing was delivered")
+	}
+}
+
+// TestSimNetRunBudgetIsAnAbsoluteTick pins Run's maxTicks: the last
+// tick it may execute, inclusive, not a span from Now — so a second
+// call must add Now itself, and a budget behind Now runs nothing and
+// moves nothing.
+func TestSimNetRunBudgetIsAnAbsoluteTick(t *testing.T) {
+	nw := NewSimNet(SimConfig{})
+	ep, err := nw.Attach(1, func(Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fired []int64
+	for _, d := range []int64{10, 20, 30} {
+		ep.After(d, func() { fired = append(fired, nw.Now()) })
+	}
+	if now, drained := nw.Run(20, nil); now != 20 || drained || len(fired) != 2 {
+		t.Fatalf("Run(20) = (%d, %v) after firing %v; want (20, false) with the timers at 10 and 20 fired", now, drained, fired)
+	}
+	if now, drained := nw.Run(15, nil); now != 20 || drained || len(fired) != 2 {
+		t.Fatalf("Run(15) at tick 20 = (%d, %v) after firing %v; want nothing run", now, drained, fired)
+	}
+	ep.After(0, func() { fired = append(fired, nw.Now()) }) // Now is still pushable
+	if now, drained := nw.Run(nw.Now()+10, nil); now != 30 || !drained || len(fired) != 4 || fired[2] != 20 {
+		t.Fatalf("Run(Now+10) = (%d, %v) after firing %v; want (30, true) with 20 then 30 fired", now, drained, fired)
 	}
 }

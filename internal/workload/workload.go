@@ -5,7 +5,7 @@
 // self-scheduled loop.
 //
 // All generators are deterministic: pseudo-randomness comes from an
-// explicit xorshift PRNG seeded by the caller, so experiment tables are
+// explicit des.RNG seeded by the caller, so experiment tables are
 // reproducible run to run.
 package workload
 
@@ -13,38 +13,9 @@ import (
 	"fmt"
 
 	"fuzzybarrier/internal/core"
+	"fuzzybarrier/internal/des"
 	"fuzzybarrier/internal/isa"
 )
-
-// RNG is a tiny deterministic xorshift64* generator. The zero value is
-// invalid; use NewRNG.
-type RNG struct{ state uint64 }
-
-// NewRNG seeds a generator (seed 0 is remapped to a fixed constant).
-func NewRNG(seed uint64) *RNG {
-	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15
-	}
-	return &RNG{state: seed}
-}
-
-// Next returns the next raw 64-bit value.
-func (r *RNG) Next() uint64 {
-	x := r.state
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	r.state = x
-	return x * 0x2545F4914F6CDD1D
-}
-
-// IntN returns a value in [0, n).
-func (r *RNG) IntN(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return int64(r.Next() % uint64(n))
-}
 
 // SyncLoop describes the canonical synchronizing loop: each iteration
 // executes Work[k] cycles of non-barrier work followed by a barrier region
@@ -102,7 +73,7 @@ func UniformWork(n int, cost int64) []int64 {
 // random jitter in [0, jitter), drawn from rng — the cache-miss/branch
 // execution-rate drift of Section 1. Different processors should use
 // differently-seeded RNGs.
-func DriftWork(rng *RNG, n int, base, jitter int64) []int64 {
+func DriftWork(rng *des.RNG, n int, base, jitter int64) []int64 {
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = base + rng.IntN(jitter)
@@ -122,7 +93,7 @@ func StallHeavyPrograms(procs, iters int, seed uint64) ([]*isa.Program, error) {
 	)
 	progs := make([]*isa.Program, procs)
 	for p := 0; p < procs; p++ {
-		rng := NewRNG(seed + uint64(p)*0x9E37 + 1)
+		rng := des.NewRNG(seed + uint64(p)*0x9E37 + 1)
 		prog, err := SyncLoop{
 			Self: p, Procs: procs,
 			Work: DriftWork(rng, iters, base, jitter),
@@ -173,7 +144,7 @@ func (c IfLoop) Program() (*isa.Program, error) {
 	if c.Procs < 1 || c.Self < 0 || c.Self >= c.Procs {
 		return nil, fmt.Errorf("workload: bad self/procs %d/%d", c.Self, c.Procs)
 	}
-	rng := NewRNG(c.Seed + uint64(c.Self)*0x9E37 + 1)
+	rng := des.NewRNG(c.Seed + uint64(c.Self)*0x9E37 + 1)
 	b := isa.NewBuilder(fmt.Sprintf("ifloop-p%d", c.Self))
 	b.BarrierInit(1, uint64(core.AllExcept(c.Procs, c.Self)))
 	for k := 0; k < c.Iters; k++ {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fuzzybarrier/internal/des"
 	"fuzzybarrier/internal/isa"
 	"fuzzybarrier/internal/machine"
 	"fuzzybarrier/internal/mem"
@@ -42,15 +43,15 @@ func fastMem(procs int) mem.Config {
 }
 
 func TestRNGDeterministic(t *testing.T) {
-	a, b := NewRNG(42), NewRNG(42)
+	a, b := des.NewRNG(42), des.NewRNG(42)
 	for i := 0; i < 100; i++ {
 		if a.Next() != b.Next() {
 			t.Fatal("same seed diverged")
 		}
 	}
-	c := NewRNG(43)
+	c := des.NewRNG(43)
 	same := 0
-	a = NewRNG(42)
+	a = des.NewRNG(42)
 	for i := 0; i < 100; i++ {
 		if a.Next() == c.Next() {
 			same++
@@ -59,7 +60,7 @@ func TestRNGDeterministic(t *testing.T) {
 	if same > 2 {
 		t.Errorf("different seeds collided %d/100 times", same)
 	}
-	if NewRNG(0).Next() == 0 {
+	if des.NewRNG(0).Next() == 0 {
 		t.Error("zero seed should be remapped")
 	}
 }
@@ -67,7 +68,7 @@ func TestRNGDeterministic(t *testing.T) {
 func TestRNGIntNRange(t *testing.T) {
 	f := func(seed uint64, n8 uint8) bool {
 		n := int64(n8%50) + 1
-		r := NewRNG(seed)
+		r := des.NewRNG(seed)
 		for i := 0; i < 20; i++ {
 			v := r.IntN(n)
 			if v < 0 || v >= n {
@@ -91,7 +92,7 @@ func TestWorkVectors(t *testing.T) {
 	if a0[0] != 1 || a0[1] != 9 || a1[0] != 9 || a1[1] != 1 {
 		t.Errorf("alternating = %v / %v", a0, a1)
 	}
-	d := DriftWork(NewRNG(1), 100, 50, 20)
+	d := DriftWork(des.NewRNG(1), 100, 50, 20)
 	for _, w := range d {
 		if w < 50 || w >= 70 {
 			t.Fatalf("drift value %d out of [50,70)", w)
