@@ -239,6 +239,11 @@ func TestCLIClustersim(t *testing.T) {
 	if !strings.Contains(out, "stuck") || !strings.Contains(out, "node 0") {
 		t.Errorf("missing stuck diagnosis:\n%s", out)
 	}
+	// -drop NaN parses as a float; the config check must refuse it.
+	out, err = runTool(t, dir, "clustersim", "-proto", "central", "-nodes", "3", "-epochs", "2", "-drop", "NaN")
+	if err == nil || !strings.Contains(out, "outside [0,1]") {
+		t.Errorf("-drop NaN: err %v, want the fault-rate refusal:\n%s", err, out)
+	}
 }
 
 // TestCLIClustersimShards: -shards alone selects the engine. The sharded

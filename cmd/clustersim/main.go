@@ -36,8 +36,10 @@
 //	-cpuprofile F   write a pprof CPU profile (also -memprofile,
 //	                -mutexprofile, -blockprofile)
 //
-// Every run is deterministic and replayable: multi-seed output carries a
-// per-seed transcript hash, and with -shards N > 1 every seed is
+// Every run is deterministic and replayable. Each (protocol, seed) cell
+// is one solo run on the -parallel worker pool, whatever the other
+// flags, and the output is identical at any -parallel. Multi-seed output
+// carries a per-seed transcript hash, and with -shards N > 1 every seed is
 // re-run on the serial engine and the hashes compared — any divergence
 // fails the run immediately. A run the watchdog declares stuck prints
 // the per-node diagnosis and exits nonzero.
@@ -135,38 +137,17 @@ func main() {
 		}
 	}
 
-	// Each (protocol, seed) cell is an independent replay. Cells run on
-	// the sweep worker pool — or, for plain multi-seed serial-engine runs,
-	// on the lockstep multi-seed batch executor — and output is buffered
-	// per cell and printed in index order, so the transcript is identical
-	// at any -parallel and on either executor.
+	// Each (protocol, seed) cell is an independent replay on the sweep
+	// worker pool; output is buffered per cell and printed in index
+	// order, so the transcript is identical at any -parallel.
 	type cellOut struct {
 		text   string
-		failed bool
-	}
-	multi := *seeds > 1
-	renderCell := func(p string, s uint64, res *cluster.Result, log []string, runErr error) cellOut {
-		transcript := renderTranscript(res, log)
-		var b strings.Builder
-		if multi {
-			// The transcript hash makes engine-equivalence regressions
-			// visible outside the test suite: identical runs hash
-			// identically at any -shards and any -parallel worker
-			// count.
-			fmt.Fprintf(&b, "seed %d: transcript=%016x\n", s, transcriptHash(transcript))
-		}
-		b.WriteString(transcript)
-		out := cellOut{text: b.String()}
-		if runErr != nil {
-			fmt.Fprintf(os.Stderr, "clustersim: %v\n", runErr)
-			out.failed = true
-		}
-		return out
+		runErr error // a stuck run: reported after the pool drains, in cell order
 	}
 	// checkSerial re-runs one sharded cell on the serial engine and
 	// fails fast on any transcript divergence, so equivalence
 	// regressions surface outside the test suite too.
-	checkSerial := func(p string, s uint64, parRes *cluster.Result, parLog []string) error {
+	checkSerial := func(p string, s uint64, parT string) error {
 		cfg := baseConfig(p, s)
 		cfg.Shards = 1
 		sim, err := cluster.New(cfg)
@@ -174,85 +155,68 @@ func main() {
 			return err
 		}
 		serRes, _ := sim.Run()
-		parT, serT := renderTranscript(parRes, parLog), renderTranscript(serRes, sim.EventLog())
-		if parT != serT {
+		if serT := renderTranscript(serRes, sim.EventLog()); parT != serT {
 			return fmt.Errorf("%s seed %d: parallel engine diverges from serial (parallel transcript=%016x, serial=%016x)",
 				p, s, transcriptHash(parT), transcriptHash(serT))
 		}
 		return nil
 	}
 
-	nCells := len(protos) * *seeds
-	var cells []cellOut
-	if !sharded && *traceOut == "" && !*logEvents && multi {
-		// The batch path: K seeds of one config in lockstep lane groups.
-		cells = make([]cellOut, nCells)
-		seedList := make([]uint64, *seeds)
-		for i := range seedList {
-			seedList[i] = *seed + uint64(i)
+	cells, err := sweep.RunProgress(*parallel, len(protos)**seeds, progressHook, func(i int) (cellOut, error) {
+		p := protos[i / *seeds]
+		s := *seed + uint64(i%*seeds)
+		cfg := baseConfig(p, s)
+		if *traceOut != "" {
+			cfg.Recorder = trace.NewRecorder(*nodes)
 		}
-		for pi, p := range protos {
-			hook := progressHook
-			if hook != nil {
-				off := pi * *seeds
-				hook = func(done, total int) { progressHook(off+done, nCells) }
-			}
-			results, errs := cluster.RunBatch(baseConfig(p, 0), seedList, sweep.Workers(*parallel), hook)
-			for i, res := range results {
-				if res == nil { // config rejected before the run started
-					fatal(errs[i])
-				}
-				cells[pi**seeds+i] = renderCell(p, seedList[i], res, nil, errs[i])
+		sim, err := cluster.New(cfg)
+		if err != nil {
+			return cellOut{}, err
+		}
+		res, runErr := sim.Run()
+		transcript := renderTranscript(res, sim.EventLog())
+		out := cellOut{text: transcript, runErr: runErr}
+		if *seeds > 1 {
+			// The transcript hash makes engine-equivalence regressions
+			// visible outside the test suite: identical runs hash
+			// identically at any -shards and any -parallel worker
+			// count.
+			out.text = fmt.Sprintf("seed %d: transcript=%016x\n", s, transcriptHash(transcript)) + transcript
+		}
+		if sharded {
+			if err := checkSerial(p, s, transcript); err != nil {
+				return cellOut{}, err
 			}
 		}
-	} else {
-		cells, err = sweep.RunProgress(sweep.Workers(*parallel), nCells, progressHook, func(i int) (cellOut, error) {
-			p := protos[i / *seeds]
-			s := *seed + uint64(i%*seeds)
-			var rec *trace.Recorder
-			if *traceOut != "" {
-				rec = trace.NewRecorder(*nodes)
-			}
-			cfg := baseConfig(p, s)
-			cfg.Recorder = rec
-			sim, err := cluster.New(cfg)
+		if rec := cfg.Recorder; rec != nil {
+			f, err := os.Create(*traceOut)
 			if err != nil {
 				return cellOut{}, err
 			}
-			res, runErr := sim.Run()
-			out := renderCell(p, s, res, sim.EventLog(), runErr)
-			if sharded {
-				if err := checkSerial(p, s, res, sim.EventLog()); err != nil {
-					return cellOut{}, err
-				}
+			if err := rec.WriteChrome(f); err != nil {
+				f.Close()
+				return cellOut{}, err
 			}
-			if rec != nil {
-				f, err := os.Create(*traceOut)
-				if err != nil {
-					return cellOut{}, err
-				}
-				if err := rec.WriteChrome(f); err != nil {
-					f.Close()
-					return cellOut{}, err
-				}
-				if err := f.Close(); err != nil {
-					return cellOut{}, err
-				}
-				out.text += fmt.Sprintf("chrome trace: %s (load in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
+			if err := f.Close(); err != nil {
+				return cellOut{}, err
 			}
-			return out, nil
-		})
-		if err != nil {
-			stopProf()
-			fatal(err)
+			out.text += fmt.Sprintf("chrome trace: %s (load in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
 		}
+		return out, nil
+	})
+	if err != nil {
+		stopProf()
+		fatal(err)
 	}
 	exit := 0
 	for _, c := range cells {
-		fmt.Print(c.text)
-		if c.failed {
+		if c.runErr != nil {
+			fmt.Fprintf(os.Stderr, "clustersim: %v\n", c.runErr)
 			exit = 1
 		}
+	}
+	for _, c := range cells {
+		fmt.Print(c.text)
 	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "clustersim: %v\n", err)
@@ -265,7 +229,7 @@ func main() {
 
 // renderTranscript renders one run's deterministic transcript: the
 // event log (when enabled), the Result line, and the per-node stall
-// table. Identical runs — any engine, any executor — render
+// table. Identical runs — either engine, any worker count — render
 // byte-identical transcripts.
 func renderTranscript(res *cluster.Result, log []string) string {
 	var b strings.Builder

@@ -146,7 +146,7 @@ func (cfg Config) withDefaults() (Config, error) {
 		return cfg, fmt.Errorf("cluster: negative epoch count %d", cfg.Epochs)
 	}
 	for _, r := range []float64{cfg.Net.DropRate, cfg.Net.DupRate} {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) { // NaN fails both comparisons
 			return cfg, fmt.Errorf("cluster: fault rate %v outside [0,1]", r)
 		}
 	}

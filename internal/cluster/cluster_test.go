@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -165,6 +166,8 @@ func TestConfigValidation(t *testing.T) {
 		{Protocol: "central", Nodes: 4, Epochs: -1},
 		{Protocol: "central", Nodes: 4, Epochs: 1, Net: NetConfig{DropRate: 1.5}},
 		{Protocol: "central", Nodes: 4, Epochs: 1, Net: NetConfig{DupRate: -0.1}},
+		{Protocol: "central", Nodes: 4, Epochs: 1, Net: NetConfig{DropRate: math.NaN()}},
+		{Protocol: "central", Nodes: 4, Epochs: 1, Net: NetConfig{DupRate: math.NaN()}},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

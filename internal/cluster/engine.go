@@ -19,8 +19,8 @@ import (
 // Determinism contract: events are dispatched in exactly the canonical
 // (at, node, pri) key order defined in sim.go, and every scheduling
 // action consumes the same node-local counters however the run is
-// executed, so serial, sharded and batched runs all replay the identical
-// schedule — byte-identical event logs and Results
+// executed, so serial and sharded runs replay the identical schedule —
+// byte-identical event logs and Results
 // (TestEngineEquivalence) that match the recorded transcripts
 // (TestTranscriptPins). Retransmit timers additionally rely on the
 // lazy-cancel scheme in outbox.go inserting events at their *original*
@@ -28,12 +28,11 @@ import (
 // outbox.ensureArmed.
 //
 // Dispatch is bounded (stepFast): the parallel engine runs each shard's
-// lane one conservative lookahead window at a time, and the batch
-// executor steps lanes in lockstep windows. A bounded miss leaves the
-// queue's clock at the last dispatched event, behind the bound, so
-// events arriving later from another shard's window (always at >= the
-// bound, by the lookahead argument in par.go) can never be scheduled in
-// this lane's past.
+// lane one conservative lookahead window at a time. A bounded miss
+// leaves the queue's clock at the last dispatched event, behind the
+// bound, so events arriving later from another shard's window (always
+// at >= the bound, by the lookahead argument in par.go) can never be
+// scheduled in this lane's past.
 
 // evKind tags a pooled event; dispatch switches on it.
 type evKind uint8

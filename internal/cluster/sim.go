@@ -12,9 +12,9 @@ import (
 // Event ordering. Every event carries a canonical key
 // (at, node, pri): the simulation tick, the *owner* node (the node on
 // which the event executes — for deliveries, the destination), and a
-// 64-bit per-owner priority. The serial engine, the sharded parallel
-// engine and the batch executor all dispatch in strictly ascending key
-// order, which is what makes their event logs and Results byte-identical
+// 64-bit per-owner priority. The serial engine and the sharded parallel
+// engine both dispatch in strictly ascending key order, which is what
+// makes their event logs and Results byte-identical
 // (TestEngineEquivalence) and keeps them on the recorded transcripts
 // (TestTranscriptPins).
 //
@@ -249,13 +249,6 @@ func (s *Sim) Run() (*Result, error) {
 			}
 		}
 	}
-	return s.finish()
-}
-
-// finish seals a completed (or stuck) run: merge the log buffers and
-// snapshot the Result. Shared by Run and the batch executor's lockstep
-// lanes.
-func (s *Sim) finish() (*Result, error) {
 	s.finishLog()
 	res := s.result()
 	if s.stuck != nil {

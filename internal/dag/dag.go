@@ -147,12 +147,6 @@ func Build(b ir.Block) (*Graph, error) {
 	return g, nil
 }
 
-// Preds returns the dependence predecessors of instruction i.
-func (g *Graph) Preds(i int) []int { return g.preds[i] }
-
-// Succs returns the dependence successors of instruction i.
-func (g *Graph) Succs(i int) []int { return g.succs[i] }
-
 // hasMarkedAncestor computes, for every node, whether any transitive
 // predecessor is marked.
 func (g *Graph) hasMarkedAncestor() []bool {

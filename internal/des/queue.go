@@ -118,10 +118,6 @@ func (q *Queue[E]) Now() int64 { return q.now }
 // Len returns the number of queued events.
 func (q *Queue[E]) Len() int { return q.queued + len(q.over) }
 
-// Span returns the wheel's bucket count: delays below it never touch
-// the overflow heap.
-func (q *Queue[E]) Span() int64 { return int64(len(q.wheel)) }
-
 // Push queues an event at k, which must honour the producers' contract
 // (see Queue), and returns its payload — zero — for the caller to fill
 // in. The pointer is into the arena: it is good until the next call on

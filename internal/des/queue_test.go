@@ -121,8 +121,8 @@ func TestQueueMatchesKeyedReference(t *testing.T) {
 	var sameTick, dirtied, overflowed, jumps, boundStops int
 	for seed := uint64(1); seed <= 12; seed++ {
 		rnd := NewRNG(Mix(seed, 0xE9))
-		q := NewQueue[uint64](0)
-		span := q.Span()
+		q := NewQueue[uint64](testSpan - 1) // delays below testSpan stay on the wheel
+		span := int64(testSpan)
 		ref := &keyedRef{}
 		var last Key // last popped key
 		popped := false

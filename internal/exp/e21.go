@@ -17,7 +17,6 @@ const (
 	e21Nodes  = 64
 	e21Epochs = 12
 	e21Seed   = 0xE21
-	e21BatchK = 16 // seeds replayed through the lockstep batch executor
 )
 
 // e21Shards is the shard-count sweep: serial baseline, then powers of
@@ -34,20 +33,18 @@ func e21Config() cluster.Config {
 	}
 }
 
-// E21ParallelEquivalence is the determinism audit of the parallel
-// simulation paths (DESIGN.md section 14). For every protocol and shard
-// count it replays one lossy run with full event logging and
-// fingerprints the transcript (event log + Result); all shard counts of
-// a protocol must produce the serial fingerprint bit-for-bit. A second
-// section replays E21_BATCH_K seeds through the lockstep multi-seed
-// batch executor and counts exact Result matches against solo runs.
-// The table is fully deterministic — wall-clock speedup is measured by
-// `barbench -sim` and enforced by TestParallelEngineSpeedupGate in
-// `make bench-gate`, per the repro note on time-shared measurements.
+// E21ParallelEquivalence is the determinism audit of the sharded
+// engine (DESIGN.md section 14). For every protocol and shard count it
+// replays one lossy run with full event logging and fingerprints the
+// transcript (event log + Result); all shard counts of a protocol must
+// produce the serial fingerprint bit-for-bit. The table is fully
+// deterministic — wall-clock speedup is measured by `bash bench/run.sh
+// -workload sim-cluster -trace 1` (cluster.par_speedup) and enforced by
+// TestParallelEngineSpeedupGate in `make bench-gate`, per the repro
+// note on time-shared measurements.
 func E21ParallelEquivalence() (*trace.Table, error) {
 	t := trace.NewTable(
-		fmt.Sprintf("E21: parallel-engine equivalence, %d nodes (shard counts %v) + %d-seed batch replay",
-			e21Nodes, e21Shards, e21BatchK),
+		fmt.Sprintf("E21: parallel-engine equivalence, %d nodes (shard counts %v)", e21Nodes, e21Shards),
 		"protocol", "shards", "ticks", "msgs/epoch", "retrans/epoch", "transcript",
 	)
 	protos := cluster.Protocols()
@@ -89,48 +86,7 @@ func E21ParallelEquivalence() (*trace.Table, error) {
 			}
 		}
 	}
-
-	// Batch section: the lockstep multi-seed executor must reproduce
-	// solo Runs exactly, seed by seed.
-	seeds := make([]uint64, e21BatchK)
-	for i := range seeds {
-		seeds[i] = e21Seed + uint64(i+1)
-	}
-	batch, err := sweepRun(len(protos), func(pi int) (int, error) {
-		cfg := e21Config()
-		cfg.Protocol = protos[pi]
-		results, errs := cluster.RunBatch(cfg, seeds, Parallelism(), nil)
-		matched := 0
-		for i, seed := range seeds {
-			if errs[i] != nil {
-				return matched, fmt.Errorf("E21 batch %s/seed=%d: %w", cfg.Protocol, seed, errs[i])
-			}
-			solo := cfg
-			solo.Seed = seed
-			sim, err := cluster.New(solo)
-			if err != nil {
-				return matched, err
-			}
-			want, err := sim.Run()
-			if err != nil {
-				return matched, fmt.Errorf("E21 solo %s/seed=%d: %w", cfg.Protocol, seed, err)
-			}
-			if fmt.Sprintf("%+v", results[i]) == fmt.Sprintf("%+v", want) {
-				matched++
-			}
-		}
-		return matched, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for pi, proto := range protos {
-		if batch[pi] != e21BatchK {
-			t.AddNote("WARNING: %s batch executor matched only %d/%d solo Results", proto, batch[pi], e21BatchK)
-		}
-	}
 	t.AddNote("transcript = FNV-1a over the full event log + Result; every shard count of a protocol must hash identically (conservative windows + canonical event keys, DESIGN.md section 14)")
-	t.AddNote("batch replay: %d seeds per protocol through the lockstep SoA executor, every Result equal to its solo Run", e21BatchK)
-	t.AddNote("wall-clock speedup is deliberately absent: it lives in bench/run.sh -workload sim-cluster (cluster.par_speedup, cluster.batch_ns_per_seed_episode) and the bench-gate speedup tests")
+	t.AddNote("wall-clock speedup is deliberately absent: it lives in bench/run.sh -workload sim-cluster (cluster.par_speedup) and the bench-gate speedup tests")
 	return t, nil
 }

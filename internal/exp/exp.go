@@ -95,7 +95,7 @@ func All() []Experiment {
 		{"E18", "Fleet epoch aggregation: reduce-barrier allreduce vs central gather (extension)", E18FleetAggregation},
 		{"E19", "barrierd epoch latency vs offered load over lossy links (extension)", E19ServiceLatency},
 		{"E20", "Hierarchical vs flat split barriers: hot-spot traffic under routing (extension)", E20HierScaling},
-		{"E21", "Parallel-engine shard equivalence + batched-seed replay (engine extension)", E21ParallelEquivalence},
+		{"E21", "Parallel-engine shard equivalence (engine extension)", E21ParallelEquivalence},
 	}
 }
 

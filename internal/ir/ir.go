@@ -97,15 +97,6 @@ func (op Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(op))
 }
 
-// IsArith reports whether op is a binary arithmetic operation.
-func (op Op) IsArith() bool {
-	switch op {
-	case Add, Sub, Mul, Div, Mod:
-		return true
-	}
-	return false
-}
-
 // Rel is a comparison operator for IfGoto.
 type Rel int
 

@@ -243,17 +243,6 @@ func (r *Result) TotalStalls() int64 {
 	return s
 }
 
-// MaxStalls returns the worst single-processor stall count.
-func (r *Result) MaxStalls() int64 {
-	var s int64
-	for _, p := range r.Procs {
-		if p.StallCycles > s {
-			s = p.StallCycles
-		}
-	}
-	return s
-}
-
 // Syncs returns the maximum per-processor synchronization count (the
 // number of barrier episodes the slowest participant completed).
 func (r *Result) Syncs() int64 {

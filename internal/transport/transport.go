@@ -33,11 +33,7 @@
 // in those units.
 package transport
 
-import (
-	"sync"
-
-	"fuzzybarrier/internal/trace"
-)
+import "fuzzybarrier/internal/trace"
 
 // Addr identifies one endpoint on a Network. Address assignment is by
 // convention: barrierd gives shards small addresses and client
@@ -80,31 +76,7 @@ type Network interface {
 
 // EventSink receives transport-level events (send, recv, retransmit,
 // drop) for transcripts and traces. SimNet implements it natively (its
-// append-only log is the byte-identical replay artifact); real-time
-// networks use LockedSink to fan the same events into a trace.Recorder
-// safely from concurrent endpoint loops.
+// append-only log is the byte-identical replay artifact).
 type EventSink interface {
 	Event(now int64, a Addr, kind trace.EventKind, msg string)
-}
-
-// LockedSink is a mutex-guarded EventSink over a trace.Recorder, for
-// the real-time transports whose endpoints dispatch concurrently.
-type LockedSink struct {
-	mu  sync.Mutex
-	rec *trace.Recorder
-}
-
-// NewLockedSink wraps rec; a nil rec yields a nil sink (disabled).
-func NewLockedSink(rec *trace.Recorder) *LockedSink {
-	if rec == nil {
-		return nil
-	}
-	return &LockedSink{rec: rec}
-}
-
-// Event records one transport event on the recorder's event stream.
-func (s *LockedSink) Event(now int64, a Addr, kind trace.EventKind, msg string) {
-	s.mu.Lock()
-	s.rec.EventKind(now, int(a), kind, msg)
-	s.mu.Unlock()
 }

@@ -66,14 +66,8 @@ type Window[M any] struct {
 	tq []RetxEntry // min-heap on (Deadline, Armseq); lazily pruned
 }
 
-// NewWindow returns a ready Window with the initial 8-slot ring.
-func NewWindow[M any]() *Window[M] {
-	w := &Window[M]{}
-	w.Init()
-	return w
-}
-
-// Init prepares a zero-value Window (for embedding).
+// Init prepares a zero-value Window with the initial 8-slot ring (every
+// host embeds one).
 func (w *Window[M]) Init() {
 	w.slots = make([]Pending[M], 8)
 	w.mask = 7
