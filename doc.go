@@ -14,9 +14,11 @@
 //     two-level HierBarrier and allreduce ReduceBarrier for large
 //     participant counts (one combining tree under all three), and
 //     DynamicBarrier and Phaser with run-time membership (the runtime
-//     form of Section 5's mask manipulation); the six differ in how
-//     arrivals are counted and embed one publish/wait/stats core — and
-//     the Section 5 multi-barrier allocation discipline;
+//     form of Section 5's mask manipulation); the six embed one
+//     publish/wait/stats core and count arrivals three ways: a central
+//     counter, the combining tree, and the one counting phaser of
+//     internal/phase, which barrierd's home shard holds too — and the
+//     Section 5 multi-barrier allocation discipline;
 //   - internal/machine, internal/mem, internal/isa — a deterministic
 //     cycle-level multiprocessor simulator with per-instruction
 //     barrier-region bits;

@@ -37,16 +37,12 @@ import (
 )
 
 // DrainEpoch is the release epoch broadcast when a group's last
-// signaler deregisters: with no signalers every epoch completes
-// trivially (core.Phaser's drained state), so waiters at any epoch are
-// released. Drain is terminal for the group.
+// signaler deregisters: the home's phase.Counter drains, so waiters at
+// any epoch are released. Drain is terminal for the group. (How far ahead
+// of the last release a signal may be banked, and so the epochs one
+// message can name, is phase.MaxAhead: a Conn ignores arrivals past it
+// and a shard drops messages past it.)
 const DrainEpoch = int64(1) << 62
-
-// maxEpochSkip bounds how far ahead of the last release a signal may be
-// banked, and so the epochs one message can name: a Conn ignores arrivals
-// past it and a shard drops messages past it rather than keep a counter
-// per epoch of a hostile range.
-const maxEpochSkip = 1 << 20
 
 // Config tunes a shard set. Times are in the transport's clock units
 // (ticks on SimNet, nanoseconds otherwise).

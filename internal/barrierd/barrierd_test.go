@@ -355,4 +355,20 @@ func TestPhaserModesAndDrain(t *testing.T) {
 	if _, ok := nw.Run(400_000, func() bool { return cons.Released(g) >= DrainEpoch }); !ok {
 		t.Fatalf("group did not drain after last signaler left: released=%d", cons.Released(g))
 	}
+	// Drain is terminal: the home refuses a later join, which is never
+	// confirmed.
+	home := svc.Shards[Ring{Shards: cfg.Shards}.Home(g)]
+	rejected, confirmed := home.Rejected, false
+	prod.JoinBatch(g, core.SignalWait, []uint64{2}, func(int64) { confirmed = true })
+	nw.Run(nw.Now()+5000, nil)
+	if confirmed || home.Rejected != rejected+1 {
+		t.Fatalf("join after the drain: confirmed %v, home Rejected %d -> %d", confirmed, rejected, home.Rejected)
+	}
+	// A mode that is none of the three never leaves the Conn.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("JoinBatch took phaser mode 7")
+		}
+	}()
+	prod.JoinBatch(g, core.PhaserMode(7), []uint64{3}, nil)
 }

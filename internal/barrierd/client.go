@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"fuzzybarrier/internal/core"
+	"fuzzybarrier/internal/phase"
 	"fuzzybarrier/internal/transport"
 )
 
@@ -234,8 +235,12 @@ func (c *Conn) send(g uint32, m transport.Message) {
 // JoinBatch registers ids in g with the given mode; an id that is
 // already a member keeps its registration. done (may be nil) fires on the
 // dispatch context once every outstanding join on this group is
-// confirmed, with the epoch the members participate from.
+// confirmed, with the epoch the members participate from. A mode that is
+// none of the three panics, as in core.Phaser.Register.
 func (c *Conn) JoinBatch(g uint32, mode core.PhaserMode, ids []uint64, done func(epoch int64)) {
+	if mode < core.SignalWait || mode > core.WaitOnly {
+		panic(fmt.Sprintf("barrierd: JoinBatch with invalid phaser mode %d", int(mode)))
+	}
 	cg := c.group(g)
 	c.mu.Lock()
 	cg.joinPending++
@@ -271,13 +276,13 @@ func (c *Conn) JoinBatch(g uint32, mode core.PhaserMode, ids []uint64, done func
 // every epoch up to e that a member has not signaled gains its signal.
 // Ids that are not confirmed signaling members or have signaled e are
 // passed over, so a replayed or overlapping batch counts once; so is the
-// whole call if e is more than maxEpochSkip past the last release seen.
+// whole call if e is more than phase.MaxAhead past the last release seen.
 func (c *Conn) ArriveBatch(g uint32, e int64, ids []uint64) {
 	cg := c.group(g)
 	var added []uint64 // in the walk: members found j epochs behind e
 	t, hint := &cg.members, int32(0)
 	t.mu.Lock()
-	if released := cg.released.Load(); e <= released || e > released+maxEpochSkip {
+	if released := cg.released.Load(); e <= released || e > released+phase.MaxAhead {
 		ids = nil // every member has signaled e, or e is out of the window
 	}
 	for _, id := range ids {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fuzzybarrier/internal/core"
+	"fuzzybarrier/internal/phase"
 	"fuzzybarrier/internal/transport"
 )
 
@@ -16,7 +17,7 @@ func shardState(svc *Service) string {
 	for _, sh := range svc.Shards {
 		groups := map[uint32]string{}
 		for g, gs := range sh.groups {
-			s := fmt.Sprintf("released=%d %+v signals=%v", gs.released, gs.census, gs.signals)
+			s := fmt.Sprintf("released=%d %+v signals=%v", gs.released, gs.ph, gs.signals)
 			for _, ch := range gs.kids {
 				s += fmt.Sprintf(" [%d %+v %v]", ch.addr, ch.census, ch.sig)
 			}
@@ -76,7 +77,7 @@ func TestHostileCountsAreDropped(t *testing.T) {
 	nw.Run(1000, func() bool { return joined == 2 })
 	o.arrive(a, g, 0, 1)
 	atHome := svc.Shards[home].groups[g]
-	if _, ok := nw.Run(2000, func() bool { return atHome.signals[0] == 1 }); !ok {
+	if _, ok := nw.Run(2000, func() bool { return atHome.ph.Net(0) == 1 }); !ok {
 		t.Fatal("set-up: a's signal did not reach the home shard")
 	}
 
@@ -97,7 +98,7 @@ func TestHostileCountsAreDropped(t *testing.T) {
 		{"a delta that overflows", home, msg{Kind: transport.KindCombine, From: kidAddr, Epoch: 0, List: []uint64{1 << 63}}, true},
 		{"a delta of all ones", kid, msg{Kind: transport.KindArrive, From: connB, Epoch: 0, List: []uint64{math.MaxUint64}}, true},
 		{"a good epoch ahead of a bad one", home, msg{Kind: transport.KindCombine, From: kidAddr, Epoch: 1, List: []uint64{1, 2}}, true},
-		{"more epochs than one message may name", kid, msg{Kind: transport.KindArrive, From: connB, Epoch: maxEpochSkip - 1, List: make([]uint64, maxEpochSkip+1)}, true},
+		{"more epochs than one message may name", kid, msg{Kind: transport.KindArrive, From: connB, Epoch: phase.MaxAhead - 1, List: make([]uint64, phase.MaxAhead+1)}, true},
 		{"arrive from a child that never joined", home, msg{Kind: transport.KindArrive, From: stranger, Epoch: 0, List: []uint64{1}}, true},
 		{"combine from a shard that never joined", kid, msg{Kind: transport.KindCombine, From: ShardAddr(home), Epoch: 0, List: []uint64{1}}, true},
 		{"arrive for a group nobody joined", home, msg{Kind: transport.KindArrive, From: connA, Group: 999, Epoch: 0, List: []uint64{1}}, true},
@@ -112,6 +113,7 @@ func TestHostileCountsAreDropped(t *testing.T) {
 		{"leave from a child that never joined", home, msg{Kind: transport.KindLeave, From: stranger, Epoch: 0, List: []uint64{1, 0}}, true},
 		{"join for somebody else's connection", home, msg{Kind: transport.KindJoin, From: stranger, Client: uint64(connA)<<32 | 9, List: []uint64{1}}, true},
 		{"join of more members than a table holds", home, msg{Kind: transport.KindJoin, From: connA, Client: uint64(connA)<<32 | 9, List: []uint64{1 << 40}}, true},
+		{"join with a mode that is none of the three", home, msg{Kind: transport.KindJoin, From: connA, Mode: 7, Client: uint64(connA)<<32 | 9, List: []uint64{1}}, true},
 	} {
 		sh := svc.Shards[tc.at]
 		before, sent, rejected := shardState(svc), nw.Sent, sh.Rejected

@@ -9,7 +9,6 @@ import (
 
 // Service is a running shard set on one Network.
 type Service struct {
-	Cfg    Config
 	Shards []*Shard
 	eps    []transport.Endpoint
 }
@@ -19,9 +18,9 @@ type Service struct {
 // context. The same code runs unmodified on SimNet, ChanNet and UDPNet.
 func Start(nw transport.Network, cfg Config, onStuck func(StuckReport), sink transport.EventSink) (*Service, error) {
 	cfg = cfg.withDefaults()
-	svc := &Service{Cfg: cfg}
+	svc := &Service{}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := NewShard(i, cfg, onStuck)
+		sh := newShard(i, cfg, onStuck)
 		r, ep, err := transport.AttachReliable(nw, ShardAddr(i),
 			cfg.Reliable, func(r *transport.Reliable, m transport.Message) { sh.OnMessage(m) }, sink)
 		if err != nil {
@@ -42,10 +41,10 @@ func Start(nw transport.Network, cfg Config, onStuck func(StuckReport), sink tra
 func StartUDP(cfg Config, basePort int, onStuck func(StuckReport)) (*Service, *transport.UDPNet, []*net.UDPAddr, error) {
 	cfg = cfg.withDefaults()
 	nw := transport.NewUDPNet(0)
-	svc := &Service{Cfg: cfg}
+	svc := &Service{}
 	var addrs []*net.UDPAddr
 	for i := 0; i < cfg.Shards; i++ {
-		sh := NewShard(i, cfg, onStuck)
+		sh := newShard(i, cfg, onStuck)
 		bind := "127.0.0.1:0"
 		if basePort > 0 {
 			bind = fmt.Sprintf("127.0.0.1:%d", basePort+i)

@@ -8,15 +8,17 @@ import (
 	"strings"
 
 	"fuzzybarrier/internal/core"
+	"fuzzybarrier/internal/phase"
 	"fuzzybarrier/internal/transport"
 )
 
-// Shard is one coordinator shard. For groups homed here it runs the
-// phaser state machine over counts (signalers registered, signals per
-// epoch, epoch advancement, releases, the no-progress watchdog); for
-// other groups it is a combine-tree node: signals accumulate briefly and
-// go up as one sum, joins and leaves forward along the same path, and
-// releases retrace it downward. No shard ever sees a client id.
+// Shard is one coordinator shard. For groups homed here it holds the
+// group's phase.Counter — the census, the signals banked per open epoch,
+// epoch advancement and the drain — sends the releases and runs the
+// no-progress watchdog; for other groups it is a combine-tree node:
+// signals accumulate briefly and go up as one sum, joins and leaves
+// forward along the same path, and releases retrace it downward. No shard
+// ever sees a client id.
 //
 // All state is confined to the shard's endpoint dispatch context — no
 // locks; on SimNet every shard is fully deterministic.
@@ -68,21 +70,21 @@ type groupState struct {
 	kids     []*child // by address: child shards, then connections
 	released int64    // highest release seen/sent; epochs <= released are complete
 
-	// signals sums the children's signals per open epoch. At the home it
-	// is what checkComplete holds against signalers (never above it, see
-	// handleLeave); elsewhere, what the next flush forwards.
+	// signals sums the children's signals per open epoch until the next
+	// flush forwards them (not at the home).
 	signals    map[int64]int64
 	flushArmed bool
 
-	// Home-shard phaser state; the open epoch is released+1.
-	census      // Σ over kids
+	// Home-shard state: the phaser over the sums of the kids (its open
+	// epoch is released+1 until it drains) and the watchdog's.
+	ph          phase.Counter
 	lastAdvance int64
 	wdArmed     bool
 }
 
-// NewShard builds shard idx of a cfg.Shards-way coordinator. Wire it to
+// newShard builds shard idx of a cfg.Shards-way coordinator. Wire it to
 // an endpoint whose Handler calls OnMessage; Start completes the hookup.
-func NewShard(idx int, cfg Config, onStuck func(StuckReport)) *Shard {
+func newShard(idx int, cfg Config, onStuck func(StuckReport)) *Shard {
 	cfg = cfg.withDefaults()
 	return &Shard{
 		Idx: idx, cfg: cfg, ring: Ring{Shards: cfg.Shards},
@@ -137,13 +139,13 @@ func (gs *groupState) child(addr transport.Addr, add bool) *child {
 }
 
 // claim applies the bounds every count message shares — a known child,
-// no more than maxEpochSkip epochs named, none further than that ahead —
+// no more than phase.MaxAhead epochs named, none further than that ahead —
 // and returns the child (nil if they fail) and the part of the per-epoch
 // list, list[i] counting epoch m.Epoch-i, that is past the release; the
 // rest is stale.
 func (s *Shard) claim(m transport.Message, list []uint64) (*groupState, *child, []uint64) {
 	gs := s.groups[m.Group]
-	if gs == nil || len(list) > maxEpochSkip || m.Epoch > gs.released+maxEpochSkip {
+	if gs == nil || len(list) > phase.MaxAhead || m.Epoch > gs.released+phase.MaxAhead {
 		return nil, nil, nil
 	}
 	if m.Epoch <= gs.released {
@@ -199,10 +201,12 @@ func (s *Shard) OnMessage(m transport.Message) {
 // handleJoin counts List[0] new members of mode Mode under the sending
 // child. Client is the join's token, the joining connection's address over
 // its batch number: the join must have come up the path that address says
-// its JoinOK will go down.
+// its JoinOK will go down. A drained group is done for good: its home
+// (the only shard whose counter can drain) refuses the join.
 func (s *Shard) handleJoin(m transport.Message) {
 	hop, ok := s.downHop(m.Group, transport.Addr(m.Client>>32))
-	if !ok || hop != m.From || len(m.List) != 1 || m.List[0] > math.MaxInt32 {
+	if gs := s.groups[m.Group]; !ok || hop != m.From || len(m.List) != 1 || m.List[0] > math.MaxInt32 ||
+		m.Mode > uint8(core.WaitOnly) || gs != nil && gs.ph.Drained() {
 		s.Rejected++
 		return
 	}
@@ -212,7 +216,9 @@ func (s *Shard) handleJoin(m transport.Message) {
 		s.r.Send(s.parent(gs), m) // as it is: Send readdresses it
 		return
 	}
-	gs.add(m.Mode, n)
+	var joined census
+	joined.add(m.Mode, n)
+	gs.ph.Join(joined.signalers, joined.waiters)
 	gs.lastAdvance = s.ep.Now() // membership change is progress
 	s.armWatchdog(gs)           // a re-populated group needs coverage again
 	// The epoch the batch participates from also tells everyone on the
@@ -239,17 +245,17 @@ func (s *Shard) handleJoinOK(m transport.Message) {
 //
 // Counts commute, and that is what makes this safe without ids. A leave
 // is forwarded at once while the leavers' own arrive may still sit in an
-// accumulator below, so the retraction can land first: the home's
-// signals[k] then reads low by the signals still in flight, never high —
-// an epoch can complete late, not early, and since checkComplete runs
-// after every message it completes when the last of them lands. The
-// invariant is signals[k] <= signalers for every open k at the home (its
-// futureReady, when members were ids): a registered signaler contributes
-// at most one signal per epoch, a leaver's is retracted by the message
-// that takes it out of signalers, and a joiner signals only after its
-// JoinOK, that is after every shard on its path counted it. The same
-// holds per child, in either delivery order, and is the bound hostile
-// counts are checked against.
+// accumulator below, so the retraction can land first: the home counter's
+// net[k] then reads low by the signals still in flight, never high — an
+// epoch can complete late, not early, and since checkComplete runs after
+// every message it completes when the last of them lands. The invariant
+// is net[k] <= signalers for every open k at the home (its futureReady,
+// when members were ids): a registered signaler contributes at most one
+// signal per epoch, a leaver's is retracted by the message that takes it
+// out of signalers, and a joiner signals only after its JoinOK, that is
+// after every shard on its path counted it. The same holds per child, in
+// either delivery order, and is the bound hostile counts are checked
+// against, so the counter never refuses what the child checks let by.
 func (s *Shard) handleLeave(m transport.Message) {
 	gs, ch, retract := s.claim(m, m.List[min(2, len(m.List)):])
 	if ch == nil || len(m.List) < 2 || m.List[0] > uint64(ch.signalers) || m.List[1] > uint64(ch.waiters) {
@@ -278,7 +284,7 @@ func (s *Shard) handleLeave(m transport.Message) {
 		if k := m.Epoch - int64(i); n > 0 {
 			ch.sig[k] -= int64(n)
 			if gs.home {
-				gs.signals[k] -= int64(n)
+				gs.ph.Retract(k, int64(n))
 			}
 		}
 	}
@@ -286,14 +292,11 @@ func (s *Shard) handleLeave(m transport.Message) {
 		s.r.Send(s.parent(gs), m)
 		return
 	}
-	gs.signalers -= gone.signalers
-	gs.waiters -= gone.waiters
 	gs.lastAdvance = s.ep.Now()
-	s.checkComplete(gs) // the remaining members alone decide
-	if gone.signalers > 0 && gs.signalers == 0 {
-		// Last signaler gone: the phaser drains — everything releases.
-		clear(gs.signals)
-		s.release(gs, DrainEpoch)
+	if gs.ph.Leave(gone.signalers, gone.waiters) {
+		s.release(gs, DrainEpoch) // the last signaler is gone: everything releases
+	} else {
+		s.checkComplete(gs) // the remaining members alone decide
 	}
 }
 
@@ -317,7 +320,11 @@ func (s *Shard) handleArrive(m transport.Message) {
 	for i, n := range signaled {
 		if k := m.Epoch - int64(i); n > 0 {
 			ch.sig[k] += int64(n)
-			gs.signals[k] += int64(n)
+			if gs.home {
+				gs.ph.Signal(k, int64(n)) // within bounds: the child's are stricter
+			} else {
+				gs.signals[k] += int64(n)
+			}
 			s.Arrivals += int64(n)
 		}
 	}
@@ -354,17 +361,12 @@ func (s *Shard) flush(gs *groupState) {
 	s.r.Send(s.parent(gs), transport.Message{Kind: transport.KindCombine, Group: gs.g, Epoch: hi, List: sums})
 }
 
-// checkComplete advances the epoch while every signaler has signaled
-// it, then publishes the highest completed epoch.
+// checkComplete completes every epoch the home's counter can, then
+// publishes the highest completed one.
 func (s *Shard) checkComplete(gs *groupState) {
-	e := gs.released
-	for gs.signalers > 0 && gs.signals[e+1] == gs.signalers {
-		e++
-		delete(gs.signals, e)
-	}
-	if e > gs.released {
+	if gs.ph.Advance() > 0 {
 		gs.lastAdvance = s.ep.Now()
-		s.release(gs, e)
+		s.release(gs, gs.ph.Open()-1)
 	}
 }
 
@@ -398,7 +400,7 @@ func (s *Shard) armWatchdog(gs *groupState) {
 	s.ep.After(s.cfg.Watchdog, func() {
 		gs.wdArmed = false
 		s.checkStuck(gs)
-		if gs.signalers+gs.waiters > 0 {
+		if gs.ph.Signalers()+gs.ph.Waiters() > 0 {
 			s.armWatchdog(gs)
 		}
 	})
@@ -412,9 +414,8 @@ func (s *Shard) armWatchdog(gs *groupState) {
 // its members have simply stopped arriving (a finished workload that has
 // not left). Neither is a drained group.
 func (s *Shard) checkStuck(gs *groupState) {
-	since, e := s.ep.Now()-gs.lastAdvance, gs.released+1
-	if gs.signalers == 0 || since < s.cfg.Watchdog || gs.released >= DrainEpoch ||
-		gs.signals[e] <= 0 && gs.waiters == 0 {
+	since, e, signalers := s.ep.Now()-gs.lastAdvance, gs.released+1, gs.ph.Signalers()
+	if signalers == 0 || since < s.cfg.Watchdog || gs.ph.Net(e) <= 0 && gs.ph.Waiters() == 0 {
 		return
 	}
 	var short []string
@@ -428,7 +429,7 @@ func (s *Shard) checkStuck(gs *groupState) {
 		}
 	}
 	why := []string{fmt.Sprintf("waiting-arrivals: %d of %d signalers outstanding at epoch %d (short: %s)",
-		gs.signalers-gs.signals[e], gs.signalers, e, strings.Join(short, ", "))}
+		signalers-gs.ph.Net(e), signalers, e, strings.Join(short, ", "))}
 	if unacked := s.r.Unacked(); unacked > 0 {
 		why = append(why, "transport-backlog: "+s.r.PendingLine())
 	}

@@ -30,11 +30,11 @@ func New(name string, n int) (Barrier, error) {
 	case "fuzzy":
 		return NewFuzzyPoint(n), nil
 	case "fuzzy-tree":
-		return NewSplitPoint("fuzzy-tree", core.NewTreeBarrier(n)), nil
+		return newSplitPoint("fuzzy-tree", core.NewTreeBarrier(n)), nil
 	case "fuzzy-reduce":
-		return NewSplitPoint("fuzzy-reduce", core.NewReduceBarrier(n, core.OpSum, core.IdentitySum)), nil
+		return newSplitPoint("fuzzy-reduce", core.NewReduceBarrier(n, core.OpSum, core.IdentitySum)), nil
 	case "hier":
-		return NewSplitPoint("hier", core.NewHierBarrier(n)), nil
+		return newSplitPoint("hier", core.NewHierBarrier(n)), nil
 	}
 	return nil, fmt.Errorf("baseline: unknown barrier %q", name)
 }
@@ -47,7 +47,7 @@ func Names() []string {
 }
 
 // SplitNames returns the names that are split-phase (fuzzy) barriers —
-// the subset whose Inner exposes Arrive/Wait for region workloads.
+// the subset NewSplit builds with Arrive/Wait for region workloads.
 func SplitNames() []string { return []string{"fuzzy", "fuzzy-tree", "fuzzy-reduce", "hier"} }
 
 // NewSplit constructs a runtime split-phase barrier by split name.
@@ -66,26 +66,22 @@ func NewSplit(name string, n int) (core.SplitBarrier, error) {
 }
 
 // SplitPoint adapts any core.SplitBarrier to the Barrier interface by
-// using it as a point barrier (empty barrier region). The split-phase
-// API remains available through Inner.
+// using it as a point barrier (empty barrier region).
 type SplitPoint struct {
 	name  string
 	inner core.SplitBarrier
 }
 
-// NewSplitPoint wraps a split-phase barrier under the given table name.
-func NewSplitPoint(name string, b core.SplitBarrier) *SplitPoint {
+// newSplitPoint wraps a split-phase barrier under the given table name.
+func newSplitPoint(name string, b core.SplitBarrier) *SplitPoint {
 	return &SplitPoint{name: name, inner: b}
 }
 
 // NewFuzzyPoint wraps a fresh central-counter fuzzy barrier for n
 // participants.
 func NewFuzzyPoint(n int) *SplitPoint {
-	return NewSplitPoint("fuzzy", core.NewFuzzyBarrier(n))
+	return newSplitPoint("fuzzy", core.NewFuzzyBarrier(n))
 }
-
-// Inner exposes the wrapped split-phase barrier.
-func (b *SplitPoint) Inner() core.SplitBarrier { return b.inner }
 
 // Await implements Barrier.
 func (b *SplitPoint) Await(id int) {

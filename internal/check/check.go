@@ -63,9 +63,9 @@ import (
 
 // Defaults for the search budgets.
 const (
-	DefaultMaxStates = 4 << 20
-	DefaultMaxDepth  = 1 << 20
-	DefaultMaxDup    = 1
+	defaultMaxStates = 4 << 20
+	defaultMaxDepth  = 1 << 20
+	defaultMaxDup    = 1
 )
 
 // Config describes one exhaustive verification run.
@@ -114,13 +114,13 @@ func (cfg Config) withDefaults() (Config, error) {
 	case cfg.MaxDup < 0:
 		cfg.MaxDup = 0 // negative: duplication explicitly disabled
 	case cfg.MaxDup == 0:
-		cfg.MaxDup = DefaultMaxDup
+		cfg.MaxDup = defaultMaxDup
 	}
 	if cfg.MaxStates <= 0 {
-		cfg.MaxStates = DefaultMaxStates
+		cfg.MaxStates = defaultMaxStates
 	}
 	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = DefaultMaxDepth
+		cfg.MaxDepth = defaultMaxDepth
 	}
 	return cfg, nil
 }
@@ -129,14 +129,14 @@ func (cfg Config) withDefaults() (Config, error) {
 // counterexample trace from the initial state.
 type Violation struct {
 	Property string   // "early-release", "release-order", "deadlock" or "panic"
-	Detail   string   // what went wrong at the final transition
+	detail   string   // what went wrong at the final transition
 	Trace    []string // one action per line, in execution order
 }
 
 // String renders the violation with its trace, one action per line.
 func (v *Violation) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %s\n", v.Property, v.Detail)
+	fmt.Fprintf(&b, "%s: %s\n", v.Property, v.detail)
 	fmt.Fprintf(&b, "counterexample (%d steps):\n", len(v.Trace))
 	for i, step := range v.Trace {
 		fmt.Fprintf(&b, "  %2d. %s\n", i+1, step)
@@ -335,7 +335,7 @@ func (e *env) Release(epoch int64) {
 	if epoch > nd.released {
 		e.c.fail = &Violation{
 			Property: "release-order",
-			Detail: fmt.Sprintf("node %d released epoch %d before completing epoch %d",
+			detail: fmt.Sprintf("node %d released epoch %d before completing epoch %d",
 				e.id, epoch, nd.released),
 		}
 		return
@@ -344,7 +344,7 @@ func (e *env) Release(epoch int64) {
 		if e.c.cur.nodes[j].arrived <= epoch {
 			e.c.fail = &Violation{
 				Property: "early-release",
-				Detail: fmt.Sprintf("node %d released epoch %d but node %d has not arrived (arrived through %d of %d nodes required)",
+				detail: fmt.Sprintf("node %d released epoch %d but node %d has not arrived (arrived through %d of %d nodes required)",
 					e.id, epoch, j, e.c.cur.nodes[j].arrived, e.c.cfg.Nodes),
 			}
 			return
@@ -363,7 +363,7 @@ func (c *checker) initial() (*state, error) {
 			return nil, err
 		}
 		if c.cfg.Mutation != nil {
-			p = c.cfg.Mutation.Wrap(p, c.envs[i])
+			p = c.cfg.Mutation.wrap(p, c.envs[i])
 		}
 		st.nodes[i].proto = p
 	}
@@ -448,7 +448,7 @@ func (c *checker) apply(s *state, a action) (ns *state, viol *Violation) {
 	c.fail = nil
 	defer func() {
 		if r := recover(); r != nil {
-			viol = &Violation{Property: "panic", Detail: fmt.Sprint(r)}
+			viol = &Violation{Property: "panic", detail: fmt.Sprint(r)}
 		}
 		c.cur = nil
 	}()
@@ -591,7 +591,7 @@ func (c *checker) search(strategy int) (*Result, error) {
 			c.cur = nil
 			res.Violation = &Violation{
 				Property: "deadlock",
-				Detail:   detail,
+				detail:   detail,
 				Trace:    c.trace(it.id, nil),
 			}
 			return res, nil

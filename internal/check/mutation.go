@@ -17,7 +17,6 @@ const (
 // produce counterexamples rather than silent passes.
 type Mutation struct {
 	Name string
-	Desc string
 	kind int
 }
 
@@ -30,7 +29,6 @@ type Mutation struct {
 func MutationRetagStale() *Mutation {
 	return &Mutation{
 		Name: "retag-stale",
-		Desc: "stale deliveries are counted as current-epoch arrivals (missing epoch-tag check)",
 		kind: mutRetagStale,
 	}
 }
@@ -42,13 +40,12 @@ func MutationRetagStale() *Mutation {
 func MutationDropRelease() *Mutation {
 	return &Mutation{
 		Name: "drop-release",
-		Desc: "last node silently ignores release/round messages (lost wake-up)",
 		kind: mutDropRelease,
 	}
 }
 
-// Wrap wraps one node's protocol machine with the mutation.
-func (mu *Mutation) Wrap(p cluster.Proto, env cluster.ProtoEnv) cluster.Proto {
+// wrap wraps one node's protocol machine with the mutation.
+func (mu *Mutation) wrap(p cluster.Proto, env cluster.ProtoEnv) cluster.Proto {
 	return &mutProto{inner: p, env: env, mu: mu}
 }
 

@@ -277,7 +277,6 @@ type Result struct {
 	ReleaseAt [][]int64
 
 	Sends       int64 // protocol messages handed to the network (first transmissions)
-	Acks        int64 // acknowledgements handed to the network
 	Retransmits int64 // retransmission-timer firings that re-sent
 	Drops       int64 // transmissions lost by the network
 	Dups        int64 // transmissions duplicated by the network

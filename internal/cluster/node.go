@@ -166,7 +166,6 @@ func (n *node) handle(m Message) {
 		n.out.ack(m.Seq)
 		return
 	}
-	n.x.acks++
 	n.x.netSend(Message{Kind: MsgAck, From: n.id, To: m.From, Epoch: m.Epoch, Seq: m.Seq})
 	n.proto.Handle(m)
 }

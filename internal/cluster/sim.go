@@ -75,7 +75,7 @@ type exec struct {
 	doneNodes    int
 
 	// Network/reliability counters (summed into Result across lanes).
-	sends, acks, retransmits, drops, dups, delivered int64
+	sends, retransmits, drops, dups, delivered int64
 
 	// Event-log buffering (parallel lanes only): lines carry the
 	// dispatching event's key so a merge reproduces serial order.
@@ -350,7 +350,6 @@ func (s *Sim) result() *Result {
 			res.Ticks = x.now
 		}
 		res.Sends += x.sends
-		res.Acks += x.acks
 		res.Retransmits += x.retransmits
 		res.Drops += x.drops
 		res.Dups += x.dups

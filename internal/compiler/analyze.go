@@ -52,15 +52,15 @@ func (s subscript) String() string {
 // access is one array read or write site, identified by its signature.
 type access struct {
 	Array string
-	Subs  []subscript
+	subs  []subscript
 	Write bool
 }
 
-// Signature is the canonical identity of an access pattern; lowering uses
+// signature is the canonical identity of an access pattern; lowering uses
 // it to tag the Load/Store instructions it emits.
-func (a access) Signature() string {
+func (a access) signature() string {
 	s := a.Array
-	for _, sub := range a.Subs {
+	for _, sub := range a.subs {
 		s += "[" + sub.String() + "]"
 	}
 	if a.Write {
@@ -132,7 +132,7 @@ func analyze(prog *lang.Program) *analysis {
 		case lang.IndexExpr:
 			acc := access{Array: x.Name}
 			for _, idx := range x.Indices {
-				acc.Subs = append(acc.Subs, affineOf(idx))
+				acc.subs = append(acc.subs, affineOf(idx))
 				walkExpr(idx)
 			}
 			a.accesses = append(a.accesses, acc)
@@ -147,7 +147,7 @@ func analyze(prog *lang.Program) *analysis {
 				if len(x.LHS.Indices) > 0 {
 					acc := access{Array: x.LHS.Name, Write: true}
 					for _, idx := range x.LHS.Indices {
-						acc.Subs = append(acc.Subs, affineOf(idx))
+						acc.subs = append(acc.subs, affineOf(idx))
 						walkExpr(idx)
 					}
 					a.accesses = append(a.accesses, acc)
@@ -181,13 +181,13 @@ func analyze(prog *lang.Program) *analysis {
 // whether the subscript systems admit a solution in which some par
 // variable differs between the two accesses.
 func (a *analysis) crossProcessor(w, r access) bool {
-	if len(w.Subs) != len(r.Subs) {
+	if len(w.subs) != len(r.subs) {
 		return true // malformed; be conservative
 	}
 	constrained := make(map[string]int64) // par var -> forced displacement
 	conservative := false
-	for d := range w.Subs {
-		ws, rs := w.Subs[d], r.Subs[d]
+	for d := range w.subs {
+		ws, rs := w.subs[d], r.subs[d]
 		if ws.Opaque || rs.Opaque {
 			conservative = true
 			continue
@@ -254,8 +254,8 @@ func (a *analysis) computeMarked() {
 				continue // read-read pairs carry no dependence
 			}
 			if a.crossProcessor(w, r) {
-				a.marked[w.Signature()] = true
-				a.marked[r.Signature()] = true
+				a.marked[w.signature()] = true
+				a.marked[r.signature()] = true
 			}
 		}
 	}

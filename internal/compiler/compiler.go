@@ -149,10 +149,9 @@ type Task struct {
 
 // Compiled is the result of compiling a program.
 type Compiled struct {
-	Layout  *Layout
-	Tasks   []*Task
-	Marked  []string // marked access signatures (diagnostics)
-	Options Options
+	Layout *Layout
+	Tasks  []*Task
+	Marked []string // marked access signatures (diagnostics)
 }
 
 // Compile compiles a program for opt.Procs processors.
@@ -179,7 +178,7 @@ func Compile(prog *lang.Program, opt Options) (*Compiled, error) {
 	layout := NewLayout(prog.Arrays, opt.Origin)
 	an := analyze(prog)
 
-	c := &Compiled{Layout: layout, Marked: an.MarkedSignatures(), Options: opt}
+	c := &Compiled{Layout: layout, Marked: an.MarkedSignatures()}
 	for p := 0; p < opt.Procs; p++ {
 		task, err := compileTask(prog, outer, layout, an, opt, p)
 		if err != nil {

@@ -75,9 +75,9 @@ func EstimateTAC(p *ir.Program) CycleEstimate {
 	return e
 }
 
-// EstimateMachine computes the static cycle estimate of generated machine
+// estimateMachine computes the static cycle estimate of generated machine
 // code, including WORK immediates.
-func EstimateMachine(p *isa.Program) CycleEstimate {
+func estimateMachine(p *isa.Program) CycleEstimate {
 	var e CycleEstimate
 	add := func(barrier bool, c int64) {
 		if barrier {
@@ -110,5 +110,5 @@ func EstimateMachine(p *isa.Program) CycleEstimate {
 
 // Estimate returns the machine-level cycle estimate for a compiled task.
 func (t *Task) Estimate() CycleEstimate {
-	return EstimateMachine(t.Machine)
+	return estimateMachine(t.Machine)
 }

@@ -37,9 +37,9 @@ func newLowerer(layout *Layout, params map[string]int64, marked func(string) boo
 func accessSig(name string, indices []lang.Expr, write bool) string {
 	acc := access{Array: name, Write: write}
 	for _, idx := range indices {
-		acc.Subs = append(acc.Subs, affineOf(idx))
+		acc.subs = append(acc.subs, affineOf(idx))
 	}
-	return acc.Signature()
+	return acc.signature()
 }
 
 func (lo *lowerer) errf(format string, args ...any) {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // DynamicBarrier is a split-phase fuzzy barrier whose membership can
 // change between (and during) phases: streams may Register to join and
@@ -19,38 +16,12 @@ import (
 // further must leave with ArriveAndLeave rather than simply stopping,
 // otherwise the remaining members deadlock (exactly like a halted
 // processor whose mask bit is still set in the hardware).
-type DynamicBarrier struct {
-	// mu serializes every membership/arrival transition *and* the phase
-	// publication it may trigger. An earlier implementation CAS-packed
-	// (count, members) into one word, but two transitions are
-	// fundamentally multi-word and the gaps were real bugs caught by the
-	// stress harness (see TestRaceDynamicRegisterDuringCompletion):
-	//
-	//   - the completing arrival's count reset and the epoch publication
-	//     were separate steps, so a stream that Registered and Arrived
-	//     in the gap read the previous phase's epoch into its ticket and
-	//     its Wait returned before its own phase completed (an early
-	//     release, the exact property internal/check verifies for the
-	//     cluster protocols);
-	//   - Register's drained-barrier check could interleave with the
-	//     final ArriveAndLeave's drain transition, making the
-	//     join-vs-drain outcome (and the resulting panic) depend on the
-	//     interleaving of two non-atomic steps.
-	//
-	// A mutex makes each transition (including its epoch read or
-	// publish) atomic. The lock order is mu -> splitCore.mu, taken
-	// only on the publishing path; Wait never holds mu, so the
-	// spin-then-block slow path is unchanged. Arrival throughput gives
-	// up the lock-free CAS loop, which is the right trade for the
-	// membership-churn barrier — the fixed-membership hot paths
-	// (FuzzyBarrier, TreeBarrier) remain lock-free.
-	mu      sync.Mutex
-	count   uint32 // arrivals counted toward the current phase
-	members uint32 // current membership; 0 = drained
-	arrived int64  // Arrive and ArriveAndLeave calls: membership varies, so BarrierStats.Arrivals cannot be derived
-
-	splitCore
-}
+//
+// It is a Phaser with anonymous SignalWait members, on the same host.
+// Arrive signals the open phase, and an arrival that would make its count
+// reach the members completes it, so an over-arrival cannot happen: only
+// a drained barrier refuses one.
+type DynamicBarrier struct{ host }
 
 // NewDynamicBarrier creates a dynamic barrier with the given initial
 // membership (>= 1).
@@ -58,59 +29,22 @@ func NewDynamicBarrier(initial int) *DynamicBarrier {
 	if initial < 1 {
 		panic(fmt.Sprintf("core: dynamic barrier initial membership %d < 1", initial))
 	}
-	b := &DynamicBarrier{members: uint32(initial)}
+	b := &DynamicBarrier{}
 	b.init()
+	b.c.Join(int64(initial), 0)
 	return b
 }
 
-// Members returns the current membership.
-func (b *DynamicBarrier) Members() int {
-	b.mu.Lock()
-	m := b.members
-	b.mu.Unlock()
-	return int(m)
-}
-
-func (b *DynamicBarrier) arrivals() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.arrived
-}
-
-// Stats returns the barrier's counters (same shape as FuzzyBarrier).
-func (b *DynamicBarrier) Stats() (syncs, arrivals, fastWaits, spinWaits, blocks, spinIters int64) {
-	return b.StatsSnapshot().tuple()
-}
-
-// StatsSnapshot returns the full observability snapshot, including the
-// wait-spin histogram.
-func (b *DynamicBarrier) StatsSnapshot() BarrierStats { return b.snapshot(b.arrivals) }
-
-// complete publishes a finished phase. Called with mu held, so the
-// count reset, the epoch bump and the broadcast are one atomic
-// transition as seen by Register/Arrive/ArriveAndLeave.
-func (b *DynamicBarrier) complete() {
-	b.count = 0
-	b.publish()
-}
-
-// Register adds one member. The new member has not arrived at the current
-// phase, so the phase now requires one more arrival — register from a
-// stream that is itself between Wait and Arrive (or before starting), the
-// same discipline as allocating a barrier when a stream is spawned.
-//
+// Register adds one member, which owes the current phase an arrival —
+// register from a stream that is itself between Wait and Arrive (or
+// before starting), as when a spawned stream allocates its barrier.
 // Registering on a drained barrier (membership reached zero) panics; the
-// check and the join are atomic, so racing Register against the final
-// ArriveAndLeave either joins before the drain (keeping the barrier
-// live) or observes the drained barrier — never a half-applied mix.
+// check and the join are one transition, so a Register racing the final
+// ArriveAndLeave either keeps the barrier live or sees it drained.
 func (b *DynamicBarrier) Register() {
 	b.mu.Lock()
-	if b.members == 0 {
-		b.mu.Unlock()
-		panic("core: Register on a drained dynamic barrier")
-	}
-	b.members++
-	b.mu.Unlock()
+	defer b.mu.Unlock()
+	b.join(1, 0, "dynamic barrier")
 }
 
 // Arrive signals readiness for the current phase and returns the ticket
@@ -120,19 +54,13 @@ func (b *DynamicBarrier) Register() {
 // was counted toward.
 func (b *DynamicBarrier) Arrive() Phase {
 	b.mu.Lock()
-	b.arrived++
-	if b.members == 0 || b.count >= b.members {
-		c, m := b.count, b.members
-		b.mu.Unlock()
-		panic(fmt.Sprintf("core: Arrive with %d arrivals of %d members (protocol violation)", c, m))
-	}
+	defer b.mu.Unlock()
 	e := b.epoch.Load()
-	if b.count+1 == b.members {
-		b.complete()
-	} else {
-		b.count++
+	if !b.c.Signal(e, 1) {
+		panic("core: Arrive on a drained dynamic barrier")
 	}
-	b.mu.Unlock()
+	b.arrived++
+	b.advance()
 	return Phase{epoch: e}
 }
 
@@ -143,24 +71,12 @@ func (b *DynamicBarrier) Arrive() Phase {
 // barrier again without Register.
 func (b *DynamicBarrier) ArriveAndLeave() {
 	b.mu.Lock()
-	b.arrived++
-	switch {
-	case b.members == 0:
-		b.mu.Unlock()
+	defer b.mu.Unlock()
+	if b.c.Drained() {
 		panic("core: ArriveAndLeave on a drained dynamic barrier")
-	case b.members == 1:
-		// Last member out: the barrier is drained.
-		b.members = 0
-		b.complete()
-	case b.count == b.members-1:
-		// Everyone else already arrived; our departure completes the
-		// phase for them.
-		b.members--
-		b.complete()
-	default:
-		b.members--
 	}
-	b.mu.Unlock()
+	b.arrived++
+	b.leave(1, 0)
 }
 
 // Await is the point-barrier convenience: Arrive immediately followed by

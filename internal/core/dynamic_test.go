@@ -176,6 +176,18 @@ func TestDynamicBarrierPanicsOnMisuse(t *testing.T) {
 		b.ArriveAndLeave()
 		b.ArriveAndLeave()
 	})
+
+	// A recovered misuse panic applied nothing, so it counts no arrival.
+	b := NewDynamicBarrier(2)
+	b.Arrive()
+	b.ArriveAndLeave()
+	b.ArriveAndLeave() // drained: three arrivals, one phase and the drain's
+	for name, misuse := range map[string]func(){"drained arrive": func() { b.Arrive() }, "drained leave": b.ArriveAndLeave} {
+		mustPanic(name, misuse)
+		if s := b.StatsSnapshot(); s.Arrivals != 3 || s.Syncs != 2 {
+			t.Errorf("%s: arrivals = %d, syncs = %d after the recovered panic, want 3, 2", name, s.Arrivals, s.Syncs)
+		}
+	}
 }
 
 // TestDynamicBarrierProperty: random per-worker phase counts with leaves

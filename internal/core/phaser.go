@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sync"
+
+	"fuzzybarrier/internal/phase"
 )
 
 // PhaserMode is a Phaser member's synchronization role.
@@ -13,7 +15,7 @@ const (
 	// ordinary barrier participants.
 	SignalWait PhaserMode = iota
 	// SignalOnly members (producers) gate phase advancement but never
-	// wait: they may run arbitrarily many phases ahead of the group.
+	// wait: they may run up to phase.MaxAhead phases ahead of the group.
 	SignalOnly
 	// WaitOnly members (consumers) wait on phases but do not gate them:
 	// a phase completes without their arrival.
@@ -34,6 +36,83 @@ func (m PhaserMode) String() string {
 	}
 }
 
+// census returns the signalers and waiters one member of mode m counts as.
+func (m PhaserMode) census() (signalers, waiters int64) {
+	if m < SignalWait || m > WaitOnly {
+		panic(fmt.Sprintf("core: Register with invalid phaser mode %d", int(m)))
+	}
+	if m == WaitOnly {
+		return 0, 1
+	}
+	return 1, 0
+}
+
+// host is what Phaser and DynamicBarrier share: one phase.Counter (the
+// census, the signals banked per open phase, the drain) and one mutex
+// that makes each transition on it, with its epoch read or publish,
+// atomic. An earlier DynamicBarrier CAS-packed (count, members) into one
+// word, and the gaps between its multi-word steps released a stream that
+// joined mid-completion early (TestRaceDynamicRegisterDuringCompletion).
+// The splitCore epoch is the counter's open phase until the drain, which
+// publishes one final episode so every ticket releases. Lock order is
+// mu -> splitCore.mu, taken only to publish; Wait never holds mu.
+type host struct {
+	mu      sync.Mutex
+	c       phase.Counter
+	arrived int64 // applied Arrive and ArriveAndLeave calls: membership varies, so BarrierStats.Arrivals cannot be derived
+
+	splitCore
+}
+
+// Members returns the current number of registered members.
+func (h *host) Members() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return int(h.c.Signalers() + h.c.Waiters())
+}
+
+func (h *host) arrivals() int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.arrived
+}
+
+// Stats returns the counters (same shape as FuzzyBarrier).
+func (h *host) Stats() (syncs, arrivals, fastWaits, spinWaits, blocks, spinIters int64) {
+	return h.StatsSnapshot().tuple()
+}
+
+// StatsSnapshot returns the full observability snapshot, including the
+// wait-spin histogram.
+func (h *host) StatsSnapshot() BarrierStats { return h.snapshot(h.arrivals) }
+
+// join registers a member and returns the phase it owes first; joining a
+// drained barrier panics. The three helpers run with mu held.
+func (h *host) join(signalers, waiters int64, what string) int64 {
+	open, ok := h.c.Join(signalers, waiters)
+	if !ok {
+		panic("core: Register on a drained " + what)
+	}
+	return open
+}
+
+// advance publishes every phase the counter completes.
+func (h *host) advance() {
+	for n := h.c.Advance(); n > 0; n-- {
+		h.publish()
+	}
+}
+
+// leave deregisters members whose banked signals are retracted: the
+// phases they held back complete, or the last signaler out drains.
+func (h *host) leave(signalers, waiters int64) {
+	if h.c.Leave(signalers, waiters) {
+		h.publish()
+		return
+	}
+	h.advance()
+}
+
 // Phaser is phaser-style dynamic synchronization (Habanero/X10 lineage;
 // "Formalization of Phase Ordering" in PAPERS.md): DynamicBarrier's
 // register/deregister membership generalized with per-member modes. A
@@ -50,31 +129,18 @@ func (m PhaserMode) String() string {
 // ticket's phase completes. For a SignalWait member the ticket names the
 // phase its signal gates; for a WaitOnly member it names the next phase
 // boundary after the call — "everything signaled from now on is ordered
-// after what the producers published before that boundary".
-//
-// Like DynamicBarrier, one mutex serializes every membership and signal
-// transition together with any phase publication it triggers (lock
-// order mu -> splitCore.mu); Wait never holds the mutex, so the
-// spin-then-block slow path is untouched.
-type Phaser struct {
-	mu        sync.Mutex
-	members   []*PhaserMember
-	signalers int   // members with a signal-capable mode
-	ready     int   // signalers that have already signaled the current phase
-	drained   bool  // the last signaler left; no phase can ever advance again
-	arrived   int64 // member Arrive calls: membership varies, so BarrierStats.Arrivals cannot be derived
-
-	splitCore
-}
+// after what the producers published before that boundary". A member
+// keeps only the next phase it signals; the counting is the host's, so a
+// phase completes in O(1), never a scan of the members.
+type Phaser struct{ host }
 
 // PhaserMember is one registered participant. Members are not safe for
 // concurrent use by multiple goroutines (each goroutine registers its
 // own member); the Phaser itself is.
 type PhaserMember struct {
-	p        *Phaser
-	mode     PhaserMode
-	signaled int64 // absolute count of phases this member has signaled
-	index    int   // position in p.members; -1 after deregistration
+	p    *Phaser
+	mode PhaserMode
+	next int64 // the next phase this member signals; -1 after Deregister
 }
 
 // NewPhaser creates an empty phaser. Members join with Register; the
@@ -92,68 +158,17 @@ func NewPhaser() *Phaser {
 // Registering on a drained phaser panics, exactly like DynamicBarrier —
 // the check and the join are one atomic transition.
 func (p *Phaser) Register(mode PhaserMode) *PhaserMember {
-	if mode != SignalWait && mode != SignalOnly && mode != WaitOnly {
-		panic(fmt.Sprintf("core: Register with invalid phaser mode %d", int(mode)))
-	}
+	s, w := mode.census()
 	p.mu.Lock()
-	if p.drained {
-		p.mu.Unlock()
-		panic("core: Register on a drained phaser")
-	}
-	m := &PhaserMember{p: p, mode: mode, signaled: p.epoch.Load(), index: len(p.members)}
-	p.members = append(p.members, m)
-	if mode != WaitOnly {
-		p.signalers++
-	}
-	p.mu.Unlock()
-	return m
-}
-
-// Members returns the current number of registered members.
-func (p *Phaser) Members() int {
-	p.mu.Lock()
-	n := len(p.members)
-	p.mu.Unlock()
-	return n
+	defer p.mu.Unlock()
+	return &PhaserMember{p: p, mode: mode, next: p.join(s, w, "phaser")}
 }
 
 // Signalers returns the number of signal-capable members.
 func (p *Phaser) Signalers() int {
 	p.mu.Lock()
-	n := p.signalers
-	p.mu.Unlock()
-	return n
-}
-
-func (p *Phaser) arrivals() int64 {
-	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.arrived
-}
-
-// Stats returns the phaser's counters (same shape as FuzzyBarrier).
-func (p *Phaser) Stats() (syncs, arrivals, fastWaits, spinWaits, blocks, spinIters int64) {
-	return p.StatsSnapshot().tuple()
-}
-
-// StatsSnapshot returns the full observability snapshot.
-func (p *Phaser) StatsSnapshot() BarrierStats { return p.snapshot(p.arrivals) }
-
-// completeLocked advances phases while every signaler has signaled the
-// current one. Called with mu held. A single call can complete several
-// phases: a signal-only producer that ran ahead counts toward each new
-// phase as soon as it opens.
-func (p *Phaser) completeLocked() {
-	for p.signalers > 0 && p.ready == p.signalers {
-		p.publish()
-		e := p.epoch.Load()
-		p.ready = 0
-		for _, m := range p.members {
-			if m.mode != WaitOnly && m.signaled > e {
-				p.ready++
-			}
-		}
-	}
+	return int(p.c.Signalers())
 }
 
 // Arrive records the member's arrival at its next phase and returns the
@@ -162,34 +177,29 @@ func (p *Phaser) completeLocked() {
 // For a signal-capable member the k-th Arrive signals phase k-1 (counting
 // from the member's registration epoch) and the ticket names that phase;
 // a SignalWait member must Wait between Arrives, while a SignalOnly
-// member may Arrive repeatedly, running ahead of the group. For a
-// WaitOnly member, Arrive just takes a ticket for the next phase
-// boundary and gates nothing.
+// member may Arrive repeatedly, running up to phase.MaxAhead phases ahead
+// of the group. For a WaitOnly member, Arrive just takes a ticket for the
+// next phase boundary and gates nothing.
 func (m *PhaserMember) Arrive() Phase {
 	p := m.p
 	p.mu.Lock()
-	p.arrived++
-	if m.index < 0 {
-		p.mu.Unlock()
-		panic("core: Arrive on a deregistered phaser member")
-	}
-	if p.drained {
-		p.mu.Unlock()
-		panic("core: Arrive on a drained phaser")
-	}
+	defer p.mu.Unlock()
 	e := p.epoch.Load()
-	if m.mode == WaitOnly {
-		p.mu.Unlock()
-		return Phase{epoch: e}
+	switch {
+	case m.next < 0:
+		panic("core: Arrive on a deregistered phaser member")
+	case p.c.Drained():
+		panic("core: Arrive on a drained phaser")
+	case m.mode != WaitOnly:
+		if !p.c.Signal(m.next, 1) {
+			panic(fmt.Sprintf("core: Arrive more than %d phases ahead of the phaser", phase.MaxAhead))
+		}
+		e = m.next
+		m.next++
+		p.advance()
 	}
-	m.signaled++
-	ticket := Phase{epoch: m.signaled - 1}
-	if m.signaled == e+1 {
-		p.ready++
-		p.completeLocked()
-	}
-	p.mu.Unlock()
-	return ticket
+	p.arrived++
+	return Phase{epoch: e}
 }
 
 // TryWait reports whether the ticket's phase has completed, without
@@ -209,46 +219,26 @@ func (m *PhaserMember) Wait(ph Phase) {
 // Mode returns the member's registered mode.
 func (m *PhaserMember) Mode() PhaserMode { return m.mode }
 
-// Deregister removes the member. A signaler's pending obligations
-// disappear with it — if the remaining signalers have all signaled the
-// current phase, the phase (and any the departed member was lagging)
-// completes now. When the last signal-capable member leaves, the phaser
-// drains: one final phase is published so pending Waits release, and
-// any further Register/Arrive panics. The member must not be used after
-// Deregister.
+// Deregister removes the member. A signaler's banked signals are
+// retracted and its pending obligations disappear with it — if the
+// remaining signalers have all signaled the current phase, the phase
+// (and any the departed member was lagging) completes now. When the last
+// signal-capable member leaves, the phaser drains: one final phase is
+// published so pending Waits release, and any further Register/Arrive
+// panics. The member must not be used after Deregister.
 func (m *PhaserMember) Deregister() {
 	p := m.p
 	p.mu.Lock()
-	if m.index < 0 {
-		p.mu.Unlock()
+	defer p.mu.Unlock()
+	switch {
+	case m.next < 0:
 		panic("core: Deregister on an already deregistered phaser member")
-	}
-	if p.drained {
-		p.mu.Unlock()
+	case p.c.Drained():
 		panic("core: Deregister on a drained phaser")
 	}
-	last := len(p.members) - 1
-	p.members[m.index] = p.members[last]
-	p.members[m.index].index = m.index
-	p.members = p.members[:last]
-	m.index = -1
-	if m.mode == WaitOnly {
-		p.mu.Unlock()
-		return
+	for e := p.c.Open(); e < m.next; e++ { // none for a waiter: its next is its first phase
+		p.c.Retract(e, 1)
 	}
-	if m.signaled > p.epoch.Load() {
-		p.ready--
-	}
-	p.signalers--
-	if p.signalers == 0 {
-		// Drain: no signaler remains, so no phase can ever advance again.
-		// Publish one final release episode so tickets already issued do
-		// not wait forever.
-		p.drained = true
-		p.ready = 0
-		p.publish()
-	} else {
-		p.completeLocked()
-	}
-	p.mu.Unlock()
+	m.next = -1
+	p.leave(m.mode.census())
 }

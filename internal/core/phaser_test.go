@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"fuzzybarrier/internal/phase"
 )
 
 // TestPhaserSignalWaitGroup: a group of signal+wait members behaves like
@@ -218,7 +220,8 @@ func TestPhaserDeregisterAheadProducer(t *testing.T) {
 }
 
 // TestPhaserPanics: protocol violations fail loudly, like the other
-// barriers here.
+// barriers here, and a recovered one has applied nothing — not even an
+// arrival in the stats.
 func TestPhaserPanics(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		t.Helper()
@@ -229,19 +232,21 @@ func TestPhaserPanics(t *testing.T) {
 		}()
 		f()
 	}
+	countsNothing := func(name string, p *Phaser, f func()) {
+		t.Helper()
+		before := p.StatsSnapshot()
+		expectPanic(name, f)
+		if after := p.StatsSnapshot(); after.Arrivals != before.Arrivals || after.Syncs != before.Syncs {
+			t.Errorf("%s: arrivals %d -> %d, syncs %d -> %d after the recovered panic",
+				name, before.Arrivals, after.Arrivals, before.Syncs, after.Syncs)
+		}
+	}
 	expectPanic("invalid mode", func() { NewPhaser().Register(PhaserMode(42)) })
 	expectPanic("wait on signal-only", func() {
 		p := NewPhaser()
 		p.Register(SignalWait) // keeps the phaser live
 		m := p.Register(SignalOnly)
 		m.Wait(m.Arrive())
-	})
-	expectPanic("arrive after deregister", func() {
-		p := NewPhaser()
-		p.Register(SignalWait)
-		m := p.Register(SignalWait)
-		m.Deregister()
-		m.Arrive()
 	})
 	expectPanic("double deregister", func() {
 		p := NewPhaser()
@@ -255,12 +260,20 @@ func TestPhaserPanics(t *testing.T) {
 		p.Register(SignalWait).Deregister()
 		p.Register(SignalWait)
 	})
-	expectPanic("arrive on drained", func() {
-		p := NewPhaser()
-		m := p.Register(WaitOnly)
-		p.Register(SignalWait).Deregister()
-		m.Arrive()
-	})
+
+	p := NewPhaser()
+	a := p.Register(SignalWait)
+	gone := p.Register(SignalWait)
+	gone.Deregister()
+	countsNothing("arrive after deregister", p, func() { gone.Arrive() })
+	ahead := p.Register(SignalOnly)
+	ahead.next = p.Epoch() + phase.MaxAhead // as if it had banked the whole bound
+	countsNothing("arrive past phase.MaxAhead", p, func() { ahead.Arrive() })
+	ahead.next = p.Epoch() // it banked nothing after all
+	ahead.Deregister()
+	consumer := p.Register(WaitOnly)
+	a.Deregister() // the last signaler: drain
+	countsNothing("arrive on drained", p, func() { consumer.Arrive() })
 }
 
 // TestPhaserModeString covers the mode labels.

@@ -132,9 +132,9 @@ func TestRaceSnapshotDuringRun(t *testing.T) {
 // TestRacePhaserChurn stresses Phaser registration against live phases:
 // a fixed core of signal+wait members synchronizes for the whole run
 // while churners register in signal-only or wait-only mode, ride a few
-// boundaries, and leave. Under -race this hammers the members-slice
-// swap-remove, the ready recount in completeLocked, and Deregister's
-// obligation removal — every transition shares the phaser mutex, and a
+// boundaries, and leave. Under -race this hammers the counter's banked
+// signals, the release loop, and Deregister's retraction of what a
+// producer banked — every transition shares the phaser mutex, and a
 // leaked edge shows up on the plain per-member counters.
 func TestRacePhaserChurn(t *testing.T) {
 	const fixed = 4
@@ -213,7 +213,7 @@ func TestRacePhaserChurn(t *testing.T) {
 // churn: a fixed core of members synchronizes for the whole run while
 // transient members register, ride along for a few phases, and leave.
 // TestRaceDynamicRegisterDuringCompletion pins the two races fixed by
-// serializing DynamicBarrier's transitions under one mutex (dynamic.go).
+// serializing DynamicBarrier's transitions under one mutex (host, phaser.go).
 // With the earlier CAS-packed state, a stream that Registered and
 // Arrived in the gap between the completing arrival's count reset and
 // its epoch publication got a ticket naming the *previous* phase: its

@@ -36,10 +36,10 @@ type FuzzyBarrier struct {
 	splitCore
 }
 
-// RuntimeStats counts the Wait outcomes that matter for the Section 8
+// runtimeStats counts the Wait outcomes that matter for the Section 8
 // measurement; splitCore.snapshot copies the live counters into the
 // exported BarrierStats form.
-type RuntimeStats struct {
+type runtimeStats struct {
 	FastWaits atomic.Int64 // Waits satisfied without spinning (already synced)
 	SpinWaits atomic.Int64 // Waits satisfied during the spin phase
 	LockWaits atomic.Int64 // Waits resolved at the locked recheck, no sleep

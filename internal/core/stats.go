@@ -133,7 +133,7 @@ func (s BarrierStats) tuple() (syncs, arrivals, fastWaits, spinWaits, blocks, sp
 
 // observeSpin records a resolved Wait's spin-iteration count in the
 // wait-spin histogram (0 for fast Waits).
-func (rs *RuntimeStats) observeSpin(iters int64) {
+func (rs *runtimeStats) observeSpin(iters int64) {
 	rs.waitSpins[waitBucket(iters)].Add(1)
 }
 
@@ -141,6 +141,6 @@ func (rs *RuntimeStats) observeSpin(iters int64) {
 // without resolving — the slowest class of waits, which previously went
 // missing from the histogram entirely — in the dedicated overflow
 // bucket.
-func (rs *RuntimeStats) observeExhausted() {
+func (rs *runtimeStats) observeExhausted() {
 	rs.waitSpins[NumWaitBuckets-1].Add(1)
 }

@@ -39,13 +39,6 @@ type barrierRow struct {
 	handles []stressBarrier
 }
 
-// phaserHandle adapts one Phaser member to stressBarrier.
-type phaserHandle struct{ *PhaserMember }
-
-func (h phaserHandle) Await()                      { h.Wait(h.Arrive()) }
-func (h phaserHandle) Epoch() int64                { return h.p.Epoch() }
-func (h phaserHandle) StatsSnapshot() BarrierStats { return h.p.StatsSnapshot() }
-
 // sixBarriers builds every runtime barrier for n fixed members.
 func sixBarriers(n int) []barrierRow {
 	rows := []barrierRow{{name: "phaser"}}

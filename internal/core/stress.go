@@ -77,17 +77,12 @@ type StressReport struct {
 	Stats  BarrierStats
 
 	Epoch      int64  // barrier epoch at the end of the run
-	StaleReads int64  // slot reads that observed a pre-arrival value
 	ChurnJoins int64  // completed register..ride..leave rounds
 	Arrivals   int64  // Arrive/ArriveAndLeave calls the harness issued
 	Waits      int64  // Wait calls the harness issued
 	ReduceOp   string // reduce only: the seed-chosen operator name
-	ReduceBad  int64  // reduce only: WaitValue results != the serial fold
 	Violations []string
 }
-
-// Ok reports whether the run completed with no invariant violations.
-func (r *StressReport) Ok() bool { return len(r.Violations) == 0 }
 
 func (r *StressReport) violatef(format string, args ...any) {
 	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
@@ -96,7 +91,7 @@ func (r *StressReport) violatef(format string, args ...any) {
 // String renders a one-line summary.
 func (r *StressReport) String() string {
 	verdict := "ok"
-	if !r.Ok() {
+	if len(r.Violations) > 0 {
 		verdict = fmt.Sprintf("%d VIOLATIONS", len(r.Violations))
 	}
 	name := r.Config.Barrier
@@ -130,7 +125,7 @@ func (r *stressRNG) storm() {
 
 // stressBarrier is the slice of SplitBarrier the harness needs; it is
 // satisfied by FuzzyBarrier, TreeBarrier, HierBarrier, ReduceBarrier
-// and DynamicBarrier alike.
+// and DynamicBarrier alike, and by a phaserHandle.
 type stressBarrier interface {
 	Arrive() Phase
 	TryWait(Phase) bool
@@ -139,6 +134,13 @@ type stressBarrier interface {
 	Epoch() int64
 	StatsSnapshot() BarrierStats
 }
+
+// phaserHandle adapts one Phaser member to stressBarrier.
+type phaserHandle struct{ *PhaserMember }
+
+func (h phaserHandle) Await()                      { h.Wait(h.Arrive()) }
+func (h phaserHandle) Epoch() int64                { return h.p.Epoch() }
+func (h phaserHandle) StatsSnapshot() BarrierStats { return h.p.StatsSnapshot() }
 
 // Stress runs the harness to completion and returns the report. The
 // error covers config problems only; property violations are collected
@@ -242,254 +244,185 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 		}
 	}
 
+	// Each permanent member's handle: the barrier itself, or for the
+	// phaser one SignalWait member each.
+	hs := make([]stressBarrier, cfg.Workers)
+	for w := range hs {
+		hs[w] = b
+		if phs != nil {
+			hs[w] = phaserHandle{phs.Register(SignalWait)}
+		}
+	}
 	// wait drives the randomized wait flavor: a few TryWait polls (as a
 	// barrier region scheduling more work would), storms, then Wait —
 	// WaitValue for the reduce barrier, whose result is returned.
-	wait := func(r *stressRNG, ph Phase) int64 {
+	wait := func(r *stressRNG, h stressBarrier, ph Phase) int64 {
 		for i := uint64(0); i < r.next()&7; i++ {
-			b.TryWait(ph)
+			h.TryWait(ph)
 			r.storm()
 		}
 		var v int64
 		if red != nil {
 			v = red.WaitValue(ph)
 		} else {
-			b.Wait(ph)
+			h.Wait(ph)
 		}
 		waits.Add(1)
 		return v
 	}
+	// Phaser wait-only churners cannot read the plain slots: unlike a
+	// dynamic-barrier churner, a wait-only member does not gate the next
+	// phase, so the permanents' next writes have no happens-before edge to
+	// its reads — a real data race, not just bait. They check the ordering
+	// property through these atomic mirrors instead (value-level teeth
+	// only; the -race teeth for the consumer path live in
+	// TestPhaserPointToPoint, where each slot is written exactly once).
+	mirror := make([]atomic.Int64, cfg.Workers)
+	finalEpoch := int64(2 * cfg.Phases) // the permanents' last phase boundary
 
 	var wg sync.WaitGroup
-	var permanents []*PhaserMember
-	if phs != nil {
-		permanents = make([]*PhaserMember, cfg.Workers)
-		for w := range permanents {
-			permanents[w] = phs.Register(SignalWait)
-		}
-		finalEpoch := int64(2 * cfg.Phases) // the permanents' last phase boundary
-		// Wait-only churners cannot read the plain slots: unlike a
-		// dynamic-barrier churner, a wait-only member does not gate the
-		// next phase, so the permanents' next writes have no
-		// happens-before edge to its reads — a real data race, not just
-		// bait. They check the ordering property through these atomic
-		// mirrors instead (value-level teeth only; the -race teeth for the
-		// consumer path live in TestPhaserPointToPoint, where each slot is
-		// written exactly once).
-		mirror := make([]atomic.Int64, cfg.Workers)
-		waitMember := func(r *stressRNG, m *PhaserMember, ph Phase) {
-			for i := uint64(0); i < r.next()&7; i++ {
-				m.TryWait(ph)
+	for w := 0; w < cfg.Workers; w++ {
+		wg.Add(1)
+		go func(id int, h stressBarrier) {
+			defer wg.Done()
+			r := stressRNG(mix64(cfg.Seed, uint64(id)+1))
+			for p := int64(0); p < int64(cfg.Phases); p++ {
 				r.storm()
+				slots[id] = p + 1 // plain write, ordered only by the barrier
+				mirror[id].Store(p + 1)
+				r.storm()
+				var ph Phase
+				if red != nil {
+					ph = red.ArriveValue(contrib(p, id))
+				} else {
+					ph = h.Arrive()
+				}
+				arrivals.Add(1)
+				if got := wait(&r, h, ph); red != nil && got != expectFold[p] {
+					reduceBad.Add(1)
+				}
+				// Every permanent member must have written p+1 before any
+				// Wait for this phase returned.
+				for j := 0; j < cfg.Workers; j++ {
+					if slots[j] < p+1 {
+						stale.Add(1)
+					}
+				}
+				// Close the read window with a second phase so the reads
+				// above are ordered before the next round of writes.
+				ph = h.Arrive()
+				arrivals.Add(1)
+				if got := wait(&r, h, ph); red != nil && got != identity {
+					reduceBad.Add(1)
+				}
 			}
-			m.Wait(ph)
-			waits.Add(1)
+			if dyn != nil {
+				dyn.ArriveAndLeave()
+				arrivals.Add(1)
+			}
+		}(w, hs[w])
+	}
+	// checkSlots checks what a churner reads, through load, once its
+	// ticket for phase e is released: the permanents write before even
+	// phases and read back before odd ones close the window, so at an even
+	// e every slot holds e/2+1 (capped at Phases).
+	checkSlots := func(e int64, load func(j int) int64) {
+		if e%2 != 0 {
+			return
 		}
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(id int, m *PhaserMember) {
-				defer wg.Done()
-				r := stressRNG(mix64(cfg.Seed, uint64(id)+1))
-				for p := int64(0); p < int64(cfg.Phases); p++ {
-					r.storm()
-					slots[id] = p + 1 // plain write, ordered only by the phaser
-					mirror[id].Store(p + 1)
-					r.storm()
-					ph := m.Arrive()
-					arrivals.Add(1)
-					waitMember(&r, m, ph)
-					// Every permanent signaler must have written p+1 before
-					// any Wait for this phase returned.
-					for j := 0; j < cfg.Workers; j++ {
-						if slots[j] < p+1 {
-							stale.Add(1)
-						}
-					}
-					// Close the read window with a second phase.
-					ph = m.Arrive()
-					arrivals.Add(1)
-					waitMember(&r, m, ph)
-				}
-			}(w, permanents[w])
+		for j := 0; j < cfg.Workers; j++ {
+			if load(j) < min(e/2+1, int64(cfg.Phases)) {
+				stale.Add(1)
+			}
 		}
-		for c := 0; c < cfg.Churners; c++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				r := stressRNG(mix64(cfg.Seed, uint64(cfg.Workers+id)+0x5bd1))
-				for round := 0; round < churnRounds; round++ {
-					r.storm()
-					if r.next()&1 == 0 {
-						// Signal-only producer: gates phases while registered,
-						// may run ahead of the group, never waits.
-						m := phs.Register(SignalOnly)
-						ride := 1 + r.next()&3
-						for p := uint64(0); p < ride; p++ {
-							slots[cfg.Workers+id]++ // plain write on the churner's own slot
-							m.Arrive()
-							arrivals.Add(1)
-							r.storm()
-						}
-						m.Deregister()
-					} else {
-						// Wait-only consumer: observes phase boundaries
-						// without gating them.
-						m := phs.Register(WaitOnly)
-						ride := 1 + r.next()&3
-						for p := uint64(0); p < ride; p++ {
-							ph := m.Arrive()
-							arrivals.Add(1)
-							// A ticket at or past the permanents' final phase
-							// would only be released by the drain publish,
-							// which happens after every churner has exited —
-							// waiting on it would deadlock the drain.
-							if ph.epoch < finalEpoch {
-								waitMember(&r, m, ph)
-								// The permanents' phase-e signal (e even)
-								// happens after their mirror store for logical
-								// phase e/2, and the ticket epoch is read
-								// under the phaser mutex, so waiting past the
-								// boundary guarantees every mirror already
-								// holds e/2+1 — checked on the atomic mirrors
-								// (see their declaration for why the plain
-								// slots are off limits here).
-								if ph.epoch%2 == 0 {
-									expect := ph.epoch/2 + 1
-									if max := int64(cfg.Phases); expect > max {
-										expect = max
-									}
-									for j := 0; j < cfg.Workers; j++ {
-										if mirror[j].Load() < expect {
-											stale.Add(1)
-										}
-									}
-								}
-							}
-							r.storm()
-						}
-						m.Deregister()
-					}
-					churnJoins.Add(1)
-				}
-			}(c)
-		}
-	} else {
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				r := stressRNG(mix64(cfg.Seed, uint64(id)+1))
-				for p := int64(0); p < int64(cfg.Phases); p++ {
-					r.storm()
-					slots[id] = p + 1 // plain write, ordered only by the barrier
-					r.storm()
-					var ph Phase
-					if red != nil {
-						ph = red.ArriveValue(contrib(p, id))
-					} else {
-						ph = b.Arrive()
-					}
-					arrivals.Add(1)
-					if got := wait(&r, ph); red != nil && got != expectFold[p] {
-						reduceBad.Add(1)
-					}
-					// Every permanent member must have written p+1 before any
-					// Wait for this phase returned.
-					for j := 0; j < cfg.Workers; j++ {
-						if slots[j] < p+1 {
-							stale.Add(1)
-						}
-					}
-					// Close the read window with a second phase so the reads
-					// above are ordered before the next round of writes.
-					ph = b.Arrive()
-					arrivals.Add(1)
-					if got := wait(&r, ph); red != nil && got != identity {
-						reduceBad.Add(1)
-					}
-				}
-				if dyn != nil {
-					dyn.ArriveAndLeave()
-					arrivals.Add(1)
-				}
-			}(w)
-		}
-		for c := 0; c < cfg.Churners; c++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				r := stressRNG(mix64(cfg.Seed, uint64(cfg.Workers+id)+0x5bd1))
-				for round := 0; round < churnRounds; round++ {
-					r.storm()
+	}
+	for c := 0; c < cfg.Churners; c++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			r := stressRNG(mix64(cfg.Seed, uint64(cfg.Workers+id)+0x5bd1))
+			for round := 0; round < churnRounds; round++ {
+				r.storm()
+				ride := 1 + r.next()&3
+				switch {
+				case phs == nil:
+					// A dynamic-barrier churner is an ordinary member for a
+					// few phases. It reads the slots only on even tickets: on
+					// odd ones the permanents' next writes race with it. The
+					// ticket is exact because Arrive reads the epoch under
+					// the mutex that counts the arrival.
 					dyn.Register()
-					ride := 1 + r.next()&3
 					for p := uint64(0); p < ride; p++ {
 						slots[cfg.Workers+id]++ // plain write on the churner's own slot
 						ph := dyn.Arrive()
 						arrivals.Add(1)
-						wait(&r, ph)
-						// The permanent members write their slots before even
-						// phases and read them back before odd phases close the
-						// window; a churner may therefore only read the slots
-						// when its ticket names an even phase — which also says
-						// exactly which value each slot must already hold. (On
-						// odd phases the permanents' next writes are concurrent
-						// with us, so reading would be a real data race; the
-						// ticket epoch is trustworthy because Arrive reads it in
-						// the same critical section that counts the arrival —
-						// the exact guarantee the mutex rework of dynamic.go
-						// added.)
-						if ph.epoch%2 == 0 {
-							expect := ph.epoch/2 + 1
-							if max := int64(cfg.Phases); expect > max {
-								expect = max
-							}
-							for j := 0; j < cfg.Workers; j++ {
-								if slots[j] < expect {
-									stale.Add(1)
-								}
-							}
-						}
+						wait(&r, b, ph)
+						checkSlots(ph.epoch, func(j int) int64 { return slots[j] })
 					}
 					dyn.ArriveAndLeave()
 					arrivals.Add(1)
-					churnJoins.Add(1)
+				case r.next()&1 == 0:
+					// Signal-only producer: gates phases while registered,
+					// may run ahead of the group, never waits.
+					m := phs.Register(SignalOnly)
+					for p := uint64(0); p < ride; p++ {
+						slots[cfg.Workers+id]++ // plain write on the churner's own slot
+						m.Arrive()
+						arrivals.Add(1)
+						r.storm()
+					}
+					m.Deregister()
+				default:
+					// Wait-only consumer: observes phase boundaries without
+					// gating them, on the mirrors. A ticket at or past the
+					// permanents' final phase would only be released by the
+					// drain publish, which happens after every churner has
+					// exited — waiting on it would deadlock the drain.
+					m := phs.Register(WaitOnly)
+					for p := uint64(0); p < ride; p++ {
+						ph := m.Arrive()
+						arrivals.Add(1)
+						if ph.epoch < finalEpoch {
+							wait(&r, phaserHandle{m}, ph)
+							checkSlots(ph.epoch, func(j int) int64 { return mirror[j].Load() })
+						}
+						r.storm()
+					}
+					m.Deregister()
 				}
-			}(c)
-		}
+				churnJoins.Add(1)
+			}
+		}(c)
 	}
 	wg.Wait()
 
 	if phs != nil {
 		// Permanents leave last; the final Deregister drains the phaser
 		// and publishes the closing episode.
-		for _, m := range permanents {
-			m.Deregister()
+		for _, h := range hs {
+			h.(phaserHandle).Deregister()
 		}
-		rep.Stats = phs.StatsSnapshot()
-		rep.Epoch = phs.Epoch()
-	} else {
-		rep.Stats = b.StatsSnapshot()
-		rep.Epoch = b.Epoch()
 	}
-	rep.StaleReads = stale.Load()
+	rep.Stats = hs[0].StatsSnapshot()
+	rep.Epoch = hs[0].Epoch()
 	rep.ChurnJoins = churnJoins.Load()
 	rep.Arrivals = arrivals.Load()
 	rep.Waits = waits.Load()
-	rep.ReduceBad = reduceBad.Load()
-	rep.check(dyn, phs)
+	rep.check(dyn, phs, stale.Load(), reduceBad.Load())
 	return rep, nil
 }
 
 // check cross-validates the barrier's counters against the harness's
-// own accounting and the stats invariants.
-func (rep *StressReport) check(dyn *DynamicBarrier, phs *Phaser) {
+// own accounting and the stats invariants, given the slot reads that saw
+// a pre-arrival value and the reduce results that differed from the
+// serial fold.
+func (rep *StressReport) check(dyn *DynamicBarrier, phs *Phaser, stale, reduceBad int64) {
 	cfg, s := rep.Config, rep.Stats
-	if rep.StaleReads > 0 {
-		rep.violatef("%d stale slot reads: some Wait returned before every member arrived", rep.StaleReads)
+	if stale > 0 {
+		rep.violatef("%d stale slot reads: some Wait returned before every member arrived", stale)
 	}
-	if rep.ReduceBad > 0 {
-		rep.violatef("%d reduce results (op %s) differed from the serial fold", rep.ReduceBad, rep.ReduceOp)
+	if reduceBad > 0 {
+		rep.violatef("%d reduce results (op %s) differed from the serial fold", reduceBad, rep.ReduceOp)
 	}
 	if s.Arrivals != rep.Arrivals {
 		rep.violatef("stats.Arrivals = %d, harness issued %d", s.Arrivals, rep.Arrivals)

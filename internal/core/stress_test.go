@@ -80,7 +80,7 @@ func TestStressHierShapes(t *testing.T) {
 
 // TestStressDynamicChurn adds transient members registering and leaving
 // against the permanent members' phases — the schedule class that found
-// the pre-mutex DynamicBarrier races (see dynamic.go and
+// the pre-mutex DynamicBarrier races (see host in phaser.go and
 // TestRaceDynamicRegisterDuringCompletion).
 func TestStressDynamicChurn(t *testing.T) {
 	phases := stressPhases(t)

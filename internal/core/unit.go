@@ -69,9 +69,6 @@ func (u *Unit) Ready() bool { return u.ready }
 // Tag returns the current tag register value.
 func (u *Unit) Tag() Tag { return u.tag }
 
-// Mask returns the current mask register value.
-func (u *Unit) Mask() Mask { return u.mask }
-
 // Syncs returns how many synchronizations this unit has completed.
 func (u *Unit) Syncs() int64 { return u.syncs }
 

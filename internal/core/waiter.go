@@ -9,12 +9,13 @@ import (
 // splitCore is the publish/wait half of a split-phase barrier: an
 // atomically readable epoch counter published under a mutex, the
 // bounded-spin-then-cond-block slow path of Wait, and the wait-outcome
-// counters. FuzzyBarrier, TreeBarrier, HierBarrier, ReduceBarrier,
-// DynamicBarrier and Phaser differ only in how arrivals are *counted*;
+// counters. The six barriers count arrivals three ways — FuzzyBarrier's
+// central counter, the combTree under TreeBarrier, HierBarrier and
+// ReduceBarrier, and the phase.Counter under DynamicBarrier and Phaser;
 // how a completed phase is published, waited on and accounted is
 // identical, so all six embed this one type.
 //
-// Blocking is counted in RuntimeStats because the Encore measurement
+// Blocking is counted in runtimeStats because the Encore measurement
 // attributes the cost of conventional barriers to exactly these
 // context-save/restore events (Section 8).
 type splitCore struct {
@@ -32,7 +33,7 @@ type splitCore struct {
 	// the word waiters spin on: a full cache line of padding keeps the
 	// instrumentation off the line that carries the synchronization.
 	_     [64]byte
-	waits RuntimeStats
+	waits runtimeStats
 }
 
 func (c *splitCore) init() { c.cond = sync.NewCond(&c.mu) }

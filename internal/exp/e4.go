@@ -10,10 +10,10 @@ import (
 	"fuzzybarrier/internal/trace"
 )
 
-// Fig5Source is the Figure 5(a) loop: S1 carries a cross-processor
+// fig5Source is the Figure 5(a) loop: S1 carries a cross-processor
 // dependence, S2 does not, so distributing the loop moves all of S2 into
 // the barrier region.
-const Fig5Source = `
+const fig5Source = `
 int a[8][12];
 int b[8][12];
 int c[8][12];
@@ -62,7 +62,7 @@ func E4LoopDistribution() (*trace.Table, error) {
 		"variant", "mode", "non-barrier TAC", "barrier TAC", "stalls", "cycles",
 	)
 	for _, distributed := range []bool{false, true} {
-		prog := lang.MustParse(Fig5Source)
+		prog := lang.MustParse(fig5Source)
 		name := "original"
 		if distributed {
 			outer := prog.Body[0].(*lang.ForStmt)

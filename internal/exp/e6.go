@@ -8,11 +8,11 @@ import (
 	"fuzzybarrier/internal/trace"
 )
 
-// Fig9Source is the Figure 9 loop: the write a[j][i] and the read
+// fig9Source is the Figure 9 loop: the write a[j][i] and the read
 // a[j-1][i-1] connect different processors both within an unrolled
 // iteration pair (lexically forward dependence) and across iterations of
 // the sequential loop (loop carried dependence).
-const Fig9Source = `
+const fig9Source = `
 int a[17][9];
 for (j=1; j<=16; j++) do seq
   for (i=1; i<=8; i++) do par {
@@ -32,7 +32,7 @@ func E6LexicallyForward() (*trace.Table, error) {
 	)
 	for _, missEvery := range []int{0, 9, 5, 3} {
 		for _, mode := range []compiler.RegionMode{compiler.RegionPoint, compiler.RegionReorder} {
-			prog := lang.MustParse(Fig9Source)
+			prog := lang.MustParse(fig9Source)
 			outer := prog.Body[0].(*lang.ForStmt)
 			unrolled, err := compiler.UnrollSeq(outer, 2, nil)
 			if err != nil {

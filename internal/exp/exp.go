@@ -50,19 +50,12 @@ type progressFn func(done, total int)
 // silent for minutes.
 func SetProgress(hook func(done, total int)) { progressHook.Store(progressFn(hook)) }
 
-// Progress returns the installed hook, or nil.
-func Progress() func(done, total int) {
-	if h, ok := progressHook.Load().(progressFn); ok && h != nil {
-		return h
-	}
-	return nil
-}
-
 // sweepRun executes n independent experiment cells on the configured
 // worker pool, returning results in index order and reporting cell
 // completions to the installed progress hook.
 func sweepRun[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return sweep.RunProgress(Parallelism(), n, Progress(), fn)
+	hook, _ := progressHook.Load().(progressFn) // nil when none is installed
+	return sweep.RunProgress(Parallelism(), n, hook, fn)
 }
 
 // Experiment identifies one reproducible table/figure.

@@ -148,7 +148,7 @@ func assembleInstr(b *Builder, line, comment string) error {
 		if err := need(1); err != nil {
 			return err
 		}
-		emit(Instr{Op: op, Sym: args[0]})
+		emit(Instr{Op: op, sym: args[0]})
 	case NOP, HALT, BENTER, BEXIT:
 		if err := need(0); err != nil {
 			return err
@@ -243,7 +243,7 @@ func assembleInstr(b *Builder, line, comment string) error {
 		if err := need(1); err != nil {
 			return err
 		}
-		emit(Instr{Op: op, Sym: args[0]})
+		emit(Instr{Op: op, sym: args[0]})
 	case BEQ, BNE, BLT, BLE, BGT, BGE:
 		if err := need(3); err != nil {
 			return err
@@ -253,7 +253,7 @@ func assembleInstr(b *Builder, line, comment string) error {
 		if err := firstErr(err1, err2); err != nil {
 			return err
 		}
-		emit(Instr{Op: op, Rs: rs, Rt: rt, Sym: args[2]})
+		emit(Instr{Op: op, Rs: rs, Rt: rt, sym: args[2]})
 	case BARRIER:
 		if err := need(2); err != nil {
 			return err

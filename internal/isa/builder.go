@@ -154,7 +154,7 @@ func (b *Builder) Faa(rd, rs Reg, off int64, rt Reg) *Builder {
 
 // Br emits an unconditional branch to a label.
 func (b *Builder) Br(label string) *Builder {
-	return b.emit(Instr{Op: BR, Sym: label})
+	return b.emit(Instr{Op: BR, sym: label})
 }
 
 // CondBr emits a conditional branch comparing Rs against Rt.
@@ -162,7 +162,7 @@ func (b *Builder) CondBr(op Op, rs, rt Reg, label string) *Builder {
 	if !op.IsConditional() {
 		b.errf("CondBr called with non-conditional opcode %v", op)
 	}
-	return b.emit(Instr{Op: op, Rs: rs, Rt: rt, Sym: label})
+	return b.emit(Instr{Op: op, Rs: rs, Rt: rt, sym: label})
 }
 
 // BarrierInit emits BARRIER tag, mask.
@@ -182,7 +182,7 @@ func (b *Builder) WorkR(rs Reg) *Builder {
 
 // Call emits CALL to a label.
 func (b *Builder) Call(label string) *Builder {
-	return b.emit(Instr{Op: CALL, Sym: label})
+	return b.emit(Instr{Op: CALL, sym: label})
 }
 
 // Ret emits RET.
@@ -205,9 +205,9 @@ func (b *Builder) Build() (*Program, error) {
 	code := append([]Instr(nil), b.code...)
 	for i := range code {
 		if code[i].Op.IsBranch() || code[i].Op == CALL {
-			addr, ok := b.labels[code[i].Sym]
+			addr, ok := b.labels[code[i].sym]
 			if !ok {
-				return nil, fmt.Errorf("isa builder %s: undefined label %q at instruction %d", b.name, code[i].Sym, i)
+				return nil, fmt.Errorf("isa builder %s: undefined label %q at instruction %d", b.name, code[i].sym, i)
 			}
 			code[i].Target = addr
 		}

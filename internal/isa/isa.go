@@ -140,7 +140,7 @@ type Instr struct {
 	Imm2    int64  // second immediate: mask operand of BARRIER
 	Target  int    // resolved branch target (instruction index)
 	Label   string // optional label naming this instruction
-	Sym     string // unresolved branch target symbol (used by the assembler/builder)
+	sym     string // unresolved branch target symbol (used by the assembler/builder)
 	Barrier bool   // barrier-region bit
 	Comment string
 }
@@ -193,8 +193,8 @@ func (in Instr) String() string {
 }
 
 func (in Instr) targetStr() string {
-	if in.Sym != "" {
-		return in.Sym
+	if in.sym != "" {
+		return in.sym
 	}
 	return fmt.Sprintf("@%d", in.Target)
 }

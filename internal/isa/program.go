@@ -229,7 +229,6 @@ type Stats struct {
 	BarrierInstrs     int
 	NonBarrierInstrs  int
 	LargestBarrier    int
-	LargestNonBarrier int
 }
 
 // StaticStats computes region statistics for the program.
@@ -246,9 +245,6 @@ func (p *Program) StaticStats() Stats {
 		} else {
 			s.NonBarrierRegions++
 			s.NonBarrierInstrs += r.Len()
-			if r.Len() > s.LargestNonBarrier {
-				s.LargestNonBarrier = r.Len()
-			}
 		}
 	}
 	return s

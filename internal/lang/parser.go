@@ -34,15 +34,15 @@ func MustParse(src string) *Program {
 }
 
 type parser struct {
-	toks []Token
+	toks []token
 	pos  int
 }
 
-func (p *parser) cur() Token { return p.toks[p.pos] }
+func (p *parser) cur() token { return p.toks[p.pos] }
 func (p *parser) advance()   { p.pos++ }
 func (p *parser) at(text string) bool {
 	t := p.cur()
-	return (t.Kind == TokPunct || t.Kind == TokKeyword) && t.Text == text
+	return (t.Kind == tokPunct || t.Kind == tokKeyword) && t.Text == text
 }
 
 func (p *parser) accept(text string) bool {
@@ -58,13 +58,13 @@ func (p *parser) expect(text string) error {
 		return nil
 	}
 	t := p.cur()
-	return fmt.Errorf("lang: %d:%d: expected %q, found %s", t.Line, t.Col, text, t)
+	return fmt.Errorf("lang: %d:%d: expected %q, found %s", t.line, t.col, text, t)
 }
 
 func (p *parser) ident() (string, error) {
 	t := p.cur()
-	if t.Kind != TokIdent {
-		return "", fmt.Errorf("lang: %d:%d: expected identifier, found %s", t.Line, t.Col, t)
+	if t.Kind != tokIdent {
+		return "", fmt.Errorf("lang: %d:%d: expected identifier, found %s", t.line, t.col, t)
 	}
 	p.advance()
 	return t.Text, nil
@@ -81,11 +81,11 @@ func (p *parser) program() (*Program, error) {
 		decl := ArrayDecl{Name: name}
 		for p.accept("[") {
 			t := p.cur()
-			if t.Kind != TokNumber {
-				return nil, fmt.Errorf("lang: %d:%d: array dimensions must be integer literals, found %s", t.Line, t.Col, t)
+			if t.Kind != tokNumber {
+				return nil, fmt.Errorf("lang: %d:%d: array dimensions must be integer literals, found %s", t.line, t.col, t)
 			}
 			if t.Val <= 0 {
-				return nil, fmt.Errorf("lang: %d:%d: array dimension must be positive, found %d", t.Line, t.Col, t.Val)
+				return nil, fmt.Errorf("lang: %d:%d: array dimension must be positive, found %d", t.line, t.col, t.Val)
 			}
 			decl.Dims = append(decl.Dims, t.Val)
 			p.advance()
@@ -101,7 +101,7 @@ func (p *parser) program() (*Program, error) {
 		}
 		prog.Arrays = append(prog.Arrays, decl)
 	}
-	for p.cur().Kind != TokEOF {
+	for p.cur().Kind != tokEOF {
 		s, err := p.stmt()
 		if err != nil {
 			return nil, err
@@ -115,7 +115,7 @@ func (p *parser) block() ([]Stmt, error) {
 	if p.accept("{") {
 		var out []Stmt
 		for !p.at("}") {
-			if p.cur().Kind == TokEOF {
+			if p.cur().Kind == tokEOF {
 				return nil, fmt.Errorf("lang: unexpected end of input inside block")
 			}
 			s, err := p.stmt()
@@ -194,14 +194,14 @@ func (p *parser) forStmt() (Stmt, error) {
 	case p.accept("++"):
 	case p.accept("+="):
 		t := p.cur()
-		if t.Kind != TokNumber {
-			return nil, fmt.Errorf("lang: %d:%d: loop step must be an integer literal", t.Line, t.Col)
+		if t.Kind != tokNumber {
+			return nil, fmt.Errorf("lang: %d:%d: loop step must be an integer literal", t.line, t.col)
 		}
 		step = t.Val
 		p.advance()
 	default:
 		t := p.cur()
-		return nil, fmt.Errorf("lang: %d:%d: expected ++ or +=, found %s", t.Line, t.Col, t)
+		return nil, fmt.Errorf("lang: %d:%d: expected ++ or +=, found %s", t.line, t.col, t)
 	}
 	if err := p.expect(")"); err != nil {
 		return nil, err
@@ -214,7 +214,7 @@ func (p *parser) forStmt() (Stmt, error) {
 		case p.accept("seq"):
 		default:
 			t := p.cur()
-			return nil, fmt.Errorf("lang: %d:%d: expected seq or par after do, found %s", t.Line, t.Col, t)
+			return nil, fmt.Errorf("lang: %d:%d: expected seq or par after do, found %s", t.line, t.col, t)
 		}
 	}
 	body, err := p.block()
@@ -301,7 +301,7 @@ func (p *parser) relop() (ir.Rel, error) {
 		}
 	}
 	t := p.cur()
-	return 0, fmt.Errorf("lang: %d:%d: expected comparison operator, found %s", t.Line, t.Col, t)
+	return 0, fmt.Errorf("lang: %d:%d: expected comparison operator, found %s", t.line, t.col, t)
 }
 
 // expr parses additive expressions; term handles * / %; factor handles
@@ -357,10 +357,10 @@ func (p *parser) term() (Expr, error) {
 func (p *parser) factor() (Expr, error) {
 	t := p.cur()
 	switch {
-	case t.Kind == TokNumber:
+	case t.Kind == tokNumber:
 		p.advance()
 		return NumExpr{Val: t.Val}, nil
-	case t.Kind == TokIdent:
+	case t.Kind == tokIdent:
 		p.advance()
 		if !p.at("[") {
 			return VarExpr{Name: t.Text}, nil
@@ -393,7 +393,7 @@ func (p *parser) factor() (Expr, error) {
 		}
 		return BinExpr{Op: ir.Sub, L: NumExpr{Val: 0}, R: e}, nil
 	}
-	return nil, fmt.Errorf("lang: %d:%d: expected expression, found %s", t.Line, t.Col, t)
+	return nil, fmt.Errorf("lang: %d:%d: expected expression, found %s", t.line, t.col, t)
 }
 
 // check verifies semantic constraints: array references must match the

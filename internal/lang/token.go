@@ -10,32 +10,32 @@ import (
 	"unicode"
 )
 
-// TokKind classifies lexical tokens.
-type TokKind int
+// tokKind classifies lexical tokens.
+type tokKind int
 
 // Token kinds.
 const (
-	TokEOF TokKind = iota
-	TokIdent
-	TokNumber
-	TokKeyword // int for if else do seq par
-	TokPunct   // ( ) { } [ ] ; , = + - * / % ++ += < <= > >= == !=
+	tokEOF tokKind = iota
+	tokIdent
+	tokNumber
+	tokKeyword // int for if else do seq par
+	tokPunct   // ( ) { } [ ] ; , = + - * / % ++ += < <= > >= == !=
 )
 
-// Token is a lexical token with source position (1-based line/column).
-type Token struct {
-	Kind TokKind
+// token is a lexical token with source position (1-based line/column).
+type token struct {
+	Kind tokKind
 	Text string
 	Val  int64
-	Line int
-	Col  int
+	line int
+	col  int
 }
 
-func (t Token) String() string {
+func (t token) String() string {
 	switch t.Kind {
-	case TokEOF:
+	case tokEOF:
 		return "end of input"
-	case TokNumber:
+	case tokNumber:
 		return fmt.Sprintf("number %d", t.Val)
 	default:
 		return fmt.Sprintf("%q", t.Text)
@@ -90,7 +90,7 @@ func (l *lexer) peek2() byte {
 }
 
 // next returns the next token.
-func (l *lexer) next() (Token, error) {
+func (l *lexer) next() (token, error) {
 	for l.pos < len(l.src) {
 		c := l.peek()
 		switch {
@@ -107,7 +107,7 @@ func (l *lexer) next() (Token, error) {
 				l.advance()
 			}
 			if l.pos >= len(l.src) {
-				return Token{}, l.errf("unterminated block comment")
+				return token{}, l.errf("unterminated block comment")
 			}
 			l.advance()
 			l.advance()
@@ -115,10 +115,10 @@ func (l *lexer) next() (Token, error) {
 			return l.scan()
 		}
 	}
-	return Token{Kind: TokEOF, Line: l.line, Col: l.col}, nil
+	return token{Kind: tokEOF, line: l.line, col: l.col}, nil
 }
 
-func (l *lexer) scan() (Token, error) {
+func (l *lexer) scan() (token, error) {
 	line, col := l.line, l.col
 	c := l.peek()
 	switch {
@@ -133,17 +133,17 @@ func (l *lexer) scan() (Token, error) {
 			}
 		}
 		text := sb.String()
-		kind := TokIdent
+		kind := tokIdent
 		if keywords[text] {
-			kind = TokKeyword
+			kind = tokKeyword
 		}
-		return Token{Kind: kind, Text: text, Line: line, Col: col}, nil
+		return token{Kind: kind, Text: text, line: line, col: col}, nil
 	case unicode.IsDigit(rune(c)):
 		var v int64
 		for l.pos < len(l.src) && unicode.IsDigit(rune(l.peek())) {
 			v = v*10 + int64(l.advance()-'0')
 		}
-		return Token{Kind: TokNumber, Val: v, Text: fmt.Sprint(v), Line: line, Col: col}, nil
+		return token{Kind: tokNumber, Val: v, Text: fmt.Sprint(v), line: line, col: col}, nil
 	default:
 		// Multi-character punctuation first.
 		two := ""
@@ -154,28 +154,28 @@ func (l *lexer) scan() (Token, error) {
 		case "++", "+=", "<=", ">=", "==", "!=":
 			l.advance()
 			l.advance()
-			return Token{Kind: TokPunct, Text: two, Line: line, Col: col}, nil
+			return token{Kind: tokPunct, Text: two, line: line, col: col}, nil
 		}
 		switch c {
 		case '(', ')', '{', '}', '[', ']', ';', ',', '=', '+', '-', '*', '/', '%', '<', '>':
 			l.advance()
-			return Token{Kind: TokPunct, Text: string(c), Line: line, Col: col}, nil
+			return token{Kind: tokPunct, Text: string(c), line: line, col: col}, nil
 		}
-		return Token{}, l.errf("unexpected character %q", string(c))
+		return token{}, l.errf("unexpected character %q", string(c))
 	}
 }
 
 // lexAll tokenizes the whole input.
-func lexAll(src string) ([]Token, error) {
+func lexAll(src string) ([]token, error) {
 	l := newLexer(src)
-	var out []Token
+	var out []token
 	for {
 		t, err := l.next()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, t)
-		if t.Kind == TokEOF {
+		if t.Kind == tokEOF {
 			return out, nil
 		}
 	}

@@ -185,9 +185,6 @@ func New(cfg Config) *Machine {
 // inspection).
 func (m *Machine) Mem() *mem.System { return m.mem }
 
-// Network exposes the barrier network (for inspection in tests).
-func (m *Machine) Network() *core.Network { return m.net }
-
 // Load assigns a program to processor p and resets its state. A processor
 // with no program stays halted and does not participate.
 func (m *Machine) Load(p int, prog *isa.Program) error {
@@ -220,8 +217,8 @@ func (m *Machine) SetReg(p int, r isa.Reg, v int64) error {
 // invalid branch, or a barrier whose partner halted.
 var ErrDeadlock = errors.New("machine: barrier deadlock")
 
-// ErrMaxCycles is wrapped when the simulation exceeds Config.MaxCycles.
-var ErrMaxCycles = errors.New("machine: cycle limit exceeded")
+// errMaxCycles is wrapped when the simulation exceeds Config.MaxCycles.
+var errMaxCycles = errors.New("machine: cycle limit exceeded")
 
 // Result summarizes a completed run.
 type Result struct {
@@ -274,13 +271,13 @@ func (m *Machine) Run() (*Result, error) {
 	for {
 		if m.cycle >= m.cfg.MaxCycles {
 			m.finish(res)
-			return res, fmt.Errorf("%w: %d cycles", ErrMaxCycles, m.cfg.MaxCycles)
+			return res, fmt.Errorf("%w: %d cycles", errMaxCycles, m.cfg.MaxCycles)
 		}
 		if !m.cfg.DisableFastForward {
 			m.fastForward()
 			if m.cycle >= m.cfg.MaxCycles {
 				m.finish(res)
-				return res, fmt.Errorf("%w: %d cycles", ErrMaxCycles, m.cfg.MaxCycles)
+				return res, fmt.Errorf("%w: %d cycles", errMaxCycles, m.cfg.MaxCycles)
 			}
 		}
 		progress := false

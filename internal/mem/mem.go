@@ -93,8 +93,6 @@ func (c *Config) normalize() {
 // Stats aggregates memory-system activity.
 type Stats struct {
 	Accesses    int64 // total reads+writes+atomics
-	Reads       int64
-	Writes      int64
 	Atomics     int64
 	Hits        int64
 	Misses      int64
@@ -269,7 +267,6 @@ func (s *System) Read(proc int, addr, now int64) (val, done int64, err error) {
 		return 0, now, err
 	}
 	s.stats.Accesses++
-	s.stats.Reads++
 	s.addrCounts[addr]++
 	start := s.schedule(addr, now)
 	lat := s.latency(proc, addr, false, false)
@@ -282,7 +279,6 @@ func (s *System) Write(proc int, addr, val, now int64) (done int64, err error) {
 		return now, err
 	}
 	s.stats.Accesses++
-	s.stats.Writes++
 	s.addrCounts[addr]++
 	start := s.schedule(addr, now)
 	lat := s.latency(proc, addr, true, false)

@@ -187,8 +187,8 @@ func Speedup(base, v float64) float64 {
 
 // Histogram is a fixed-width-bucket histogram over float64 observations.
 type Histogram struct {
-	Lo      float64
-	Width   float64
+	lo      float64
+	width   float64
 	Counts  []int64
 	Under   int64 // observations below Lo
 	Over    int64 // observations at or above Lo+Width*len(Counts)
@@ -203,7 +203,7 @@ func NewHistogram(lo, width float64, n int) *Histogram {
 	if n <= 0 || width <= 0 {
 		panic(fmt.Sprintf("stats: invalid histogram shape n=%d width=%g", n, width))
 	}
-	return &Histogram{Lo: lo, Width: width, Counts: make([]int64, n)}
+	return &Histogram{lo: lo, width: width, Counts: make([]int64, n)}
 }
 
 // Observe records a single observation. NaN is counted in Invalid, -Inf
@@ -216,13 +216,13 @@ func (h *Histogram) Observe(x float64) {
 		h.Invalid++
 		return
 	}
-	if x < h.Lo {
+	if x < h.lo {
 		h.Under++
 		return
 	}
 	// Bucket in float space first: the quotient can exceed int range (or
 	// be NaN when Lo is infinite), so compare before converting.
-	idx := (x - h.Lo) / h.Width
+	idx := (x - h.lo) / h.width
 	if idx < float64(len(h.Counts)) {
 		h.Counts[int(idx)]++
 		return
@@ -232,15 +232,15 @@ func (h *Histogram) Observe(x float64) {
 
 // Bucket returns the [lo, hi) bounds of bucket i.
 func (h *Histogram) Bucket(i int) (lo, hi float64) {
-	lo = h.Lo + float64(i)*h.Width
-	return lo, lo + h.Width
+	lo = h.lo + float64(i)*h.width
+	return lo, lo + h.width
 }
 
 // String renders the histogram as a compact text table.
 func (h *Histogram) String() string {
 	out := ""
 	if h.Under > 0 {
-		out += fmt.Sprintf("  <%g: %d\n", h.Lo, h.Under)
+		out += fmt.Sprintf("  <%g: %d\n", h.lo, h.Under)
 	}
 	for i, c := range h.Counts {
 		lo, hi := h.Bucket(i)

@@ -15,7 +15,7 @@ package trace
 // gate larger blocks of instrumentation with Enabled.
 type Phases struct {
 	cur    []int     // current phase index per processor
-	counts [][]int64 // per processor: flat [phase*NumKinds + kindIndex]
+	counts [][]int64 // per processor: flat [phase*numKinds + kindIndex]
 }
 
 // NewPhases returns a Phases aggregator for the given processor count.
@@ -43,7 +43,7 @@ func (ph *Phases) Account(p int, k Kind) {
 	if ki < 0 {
 		return
 	}
-	idx := ph.cur[p]*NumKinds + ki
+	idx := ph.cur[p]*numKinds + ki
 	c := ph.counts[p]
 	for len(c) <= idx {
 		c = append(c, 0)
@@ -64,7 +64,7 @@ func (ph *Phases) AccountN(p int, k Kind, n int64) {
 	if ki < 0 {
 		return
 	}
-	idx := ph.cur[p]*NumKinds + ki
+	idx := ph.cur[p]*numKinds + ki
 	c := ph.counts[p]
 	for len(c) <= idx {
 		c = append(c, 0)
@@ -102,7 +102,7 @@ func (ph *Phases) NumPhases() int {
 	for p := range ph.cur {
 		hi := ph.cur[p]
 		if c := len(ph.counts[p]); c > 0 {
-			if last := (c - 1) / NumKinds; last > hi {
+			if last := (c - 1) / numKinds; last > hi {
 				hi = last
 			}
 		} else if ph.cur[p] == 0 {
@@ -116,16 +116,16 @@ func (ph *Phases) NumPhases() int {
 }
 
 // ProcCounts returns processor p's cycle counts for one phase, indexed by
-// Kind.Index (length NumKinds). It returns nil for unknown processors;
+// Kind.Index (length numKinds). It returns nil for unknown processors;
 // phases beyond the last accounted one yield all zeros.
 func (ph *Phases) ProcCounts(p, phase int) []int64 {
 	if ph == nil || p < 0 || p >= len(ph.cur) || phase < 0 {
 		return nil
 	}
-	out := make([]int64, NumKinds)
-	base := phase * NumKinds
+	out := make([]int64, numKinds)
+	base := phase * numKinds
 	c := ph.counts[p]
-	for i := 0; i < NumKinds; i++ {
+	for i := 0; i < numKinds; i++ {
 		if base+i < len(c) {
 			out[i] = c[base+i]
 		}
@@ -139,7 +139,7 @@ func (ph *Phases) Counts(phase int) []int64 {
 	if ph == nil {
 		return nil
 	}
-	out := make([]int64, NumKinds)
+	out := make([]int64, numKinds)
 	for p := range ph.cur {
 		for i, v := range ph.ProcCounts(p, phase) {
 			out[i] += v
@@ -159,7 +159,7 @@ func (ph *Phases) PhaseCycles(phase int, k Kind) int64 {
 		return 0
 	}
 	var total int64
-	base := phase * NumKinds
+	base := phase * numKinds
 	for p := range ph.cur {
 		c := ph.counts[p]
 		if base+ki < len(c) {
@@ -183,7 +183,7 @@ func (ph *Phases) KindTotal(k Kind) int64 {
 	var total int64
 	for p := range ph.cur {
 		c := ph.counts[p]
-		for i := ki; i < len(c); i += NumKinds {
+		for i := ki; i < len(c); i += numKinds {
 			total += c[i]
 		}
 	}

@@ -36,9 +36,9 @@ var Kinds = []Kind{
 	KindSync, KindHalted, KindWork, KindSpin, KindOverheadOp, KindInterrupt,
 }
 
-// NumKinds is len(Kinds); per-kind count vectors are indexed by
-// Kind.Index in [0, NumKinds).
-const NumKinds = 12
+// numKinds is len(Kinds); per-kind count vectors are indexed by
+// Kind.Index in [0, numKinds).
+const numKinds = 12
 
 // Index returns the kind's position in Kinds, or -1 for an unknown glyph.
 func (k Kind) Index() int {

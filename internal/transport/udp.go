@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -22,8 +21,6 @@ type UDPNet struct {
 	routes map[Addr]*net.UDPAddr
 	start  time.Time
 	qcap   int
-
-	DecodeErrs atomic.Int64 // datagrams that failed Decode (ignored)
 }
 
 // NewUDPNet builds a UDP network; queueCap bounds each endpoint's
@@ -140,8 +137,7 @@ func (ep *udpEndpoint) read() {
 		}
 		m, err := Decode(buf[:nb])
 		if err != nil {
-			ep.net.DecodeErrs.Add(1)
-			continue
+			continue // not a message: ignored
 		}
 		ep.net.learn(m.From, src)
 		ep.rt.enqueueMsg(m)

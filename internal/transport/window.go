@@ -35,9 +35,9 @@ type RetxEntry struct {
 	Seq      uint64
 }
 
-// RetxLess is the timer-queue ordering: earliest deadline first,
+// retxLess is the timer-queue ordering: earliest deadline first,
 // arm-sequence breaking ties in arming order.
-func RetxLess(a, b RetxEntry) bool {
+func retxLess(a, b RetxEntry) bool {
 	if a.Deadline != b.Deadline {
 		return a.Deadline < b.Deadline
 	}
@@ -56,7 +56,7 @@ func RetxLess(a, b RetxEntry) bool {
 // allocation. The ring grows only while the in-flight window exceeds
 // its previous high-water mark.
 type Window[M any] struct {
-	NextSeq uint64 // last assigned sequence number
+	nextSeq uint64 // last assigned sequence number
 	RTT     stats.RTTEstimator
 	Live    int // pending (unacked) messages, for stuck reports
 
@@ -75,8 +75,8 @@ func (w *Window[M]) Init() {
 
 // Assign consumes and returns the next sequence number.
 func (w *Window[M]) Assign() uint64 {
-	w.NextSeq++
-	return w.NextSeq
+	w.nextSeq++
+	return w.nextSeq
 }
 
 // Slot returns the live pending record for seq, or nil.
@@ -187,7 +187,7 @@ func (w *Window[M]) TQPush(e RetxEntry) {
 	c := len(w.tq) - 1
 	for c > 0 {
 		p := (c - 1) / 2
-		if !RetxLess(w.tq[c], w.tq[p]) {
+		if !retxLess(w.tq[c], w.tq[p]) {
 			break
 		}
 		w.tq[c], w.tq[p] = w.tq[p], w.tq[c]
@@ -208,10 +208,10 @@ func (w *Window[M]) TQPop() {
 			break
 		}
 		m := l
-		if r < n && RetxLess(w.tq[r], w.tq[l]) {
+		if r < n && retxLess(w.tq[r], w.tq[l]) {
 			m = r
 		}
-		if !RetxLess(w.tq[m], w.tq[c]) {
+		if !retxLess(w.tq[m], w.tq[c]) {
 			break
 		}
 		w.tq[c], w.tq[m] = w.tq[m], w.tq[c]
