@@ -61,21 +61,49 @@ type watcher struct {
 // memberTable is one group's members on this connection, dense and in
 // registration order, so a batch that names them in that order is checked
 // by sequential compare; anything else goes through index. None of it
-// holds a pointer, so the GC never scans a million members.
+// holds a pointer, so the GC never scans a million members. Its methods
+// are the table alone: the Conn holds mu around them and does the sends.
+//
+// What each member has signaled has two forms. While every member agrees —
+// one batch joined, its JoinOK in, each arrival naming the whole batch —
+// signaled is nil and the one value is shared: the paper's "all set"
+// rather than a roll-call, so an in-order full-batch arrive checks the ids
+// and writes one word. The first call that would set members apart gives
+// each its own value, which it keeps until the table empties.
 type memberTable struct {
 	mu  sync.Mutex
 	ids []uint64
 	// signaled[i] counts the epochs member i has signaled: those below it
 	// are covered. A member joins owing the epoch its JoinOK names (like
 	// core.Phaser registration), a wait-only one owing none; until then
-	// signaled[i] is minus its batch's number and ArriveBatch and
-	// LeaveBatch pass the member over.
+	// signaled[i] is minus its batch's number and arrive and leave pass the
+	// member over. nil while every member's value is shared.
 	signaled []int64
+	shared   int64
 	index    map[uint64]int32 // id -> slot
 }
 
 // waitOnly is a wait-only member's signaled: it never owes an epoch.
 const waitOnly = math.MaxInt64
+
+// at returns member i's signaled.
+func (t *memberTable) at(i int32) int64 {
+	if t.signaled == nil {
+		return t.shared
+	}
+	return t.signaled[i]
+}
+
+// diverge gives every member its own signaled, equal to shared, with room
+// for extra more.
+func (t *memberTable) diverge(extra int) {
+	if t.signaled == nil {
+		t.signaled = make([]int64, len(t.ids), len(t.ids)+extra)
+		for i := range t.signaled {
+			t.signaled[i] = t.shared
+		}
+	}
+}
 
 // slot finds id, trying hint — the slot after the previous hit — first.
 func (t *memberTable) slot(id uint64, hint int32) (int32, bool) {
@@ -86,15 +114,138 @@ func (t *memberTable) slot(id uint64, hint int32) (int32, bool) {
 	return i, ok
 }
 
-// remove deletes slot i by moving the last member into it.
+// remove deletes slot i by moving the last member into it. Members that
+// agree still agree.
 func (t *memberTable) remove(i int32) {
 	last := int32(len(t.ids) - 1)
 	delete(t.index, t.ids[i])
 	if i != last {
-		t.ids[i], t.signaled[i] = t.ids[last], t.signaled[last]
+		t.ids[i] = t.ids[last]
 		t.index[t.ids[i]] = i
+		if t.signaled != nil {
+			t.signaled[i] = t.signaled[last]
+		}
 	}
-	t.ids, t.signaled = t.ids[:last], t.signaled[:last]
+	t.ids = t.ids[:last]
+	if t.signaled != nil {
+		t.signaled = t.signaled[:last]
+	}
+}
+
+// join registers the ids that are not members yet, parked under batch,
+// and returns how many that was. A batch into an empty table is one
+// shared value.
+func (t *memberTable) join(batch uint32, ids []uint64) int {
+	if t.index == nil {
+		t.index = make(map[uint64]int32, len(ids))
+	}
+	was := len(t.ids)
+	if was == 0 {
+		t.signaled, t.shared = nil, -int64(batch)
+	} else {
+		t.diverge(len(ids))
+		t.signaled = slices.Grow(t.signaled, len(ids)) // no-op if diverge just built it
+	}
+	t.ids = slices.Grow(t.ids, len(ids))
+	for _, id := range ids {
+		if _, dup := t.index[id]; !dup {
+			t.index[id] = int32(len(t.ids))
+			t.ids = append(t.ids, id)
+			if t.signaled != nil {
+				t.signaled = append(t.signaled, -int64(batch))
+			}
+		}
+	}
+	return len(t.ids) - was
+}
+
+// unpark confirms batch's members: from now on they owe epoch owes
+// (waitOnly: none).
+func (t *memberTable) unpark(batch uint32, owes int64) {
+	parked := -int64(batch)
+	if t.signaled == nil {
+		if t.shared == parked {
+			t.shared = owes
+		}
+		return
+	}
+	for i, s := range t.signaled {
+		if s == parked {
+			t.signaled[i] = owes
+		}
+	}
+}
+
+// arrive signals every epoch up to e that a member in ids has not, and
+// returns the new signals as an arrive's list: entry j counts those for
+// epoch e-j. Ids that are not confirmed signaling members or have
+// signaled e are passed over, so a replayed batch counts once. On a table
+// that agrees, a batch naming every member in registration order is one
+// compare: all n members are shared epochs behind e, so each epoch from
+// shared to e gains n.
+func (t *memberTable) arrive(e int64, ids []uint64) []uint64 {
+	if t.signaled == nil && len(ids) > 0 && slices.Equal(ids, t.ids) {
+		if t.shared < 0 || t.shared > e { // parked, wait-only or signaled e
+			return nil
+		}
+		added := make([]uint64, e-t.shared+1)
+		for j := range added {
+			added[j] = uint64(len(ids))
+		}
+		t.shared = e + 1
+		return added
+	}
+	t.diverge(0)
+	var added []uint64 // in the walk: members found j epochs behind e
+	hint := int32(0)
+	for _, id := range ids {
+		if i, ok := t.slot(id, hint); ok {
+			hint = i + 1
+			if s := t.signaled[i]; s >= 0 && s <= e {
+				t.signaled[i] = e + 1
+				added = tally(added, e-s)
+			}
+		}
+	}
+	for j := len(added) - 2; j >= 0; j-- {
+		added[j] += added[j+1] // epoch e-j is signaled by all at least j behind
+	}
+	return added
+}
+
+// leave deregisters the confirmed members in ids and returns how many of
+// each kind went and the signals they had banked for epochs past released,
+// highest epoch first. Unknown and unconfirmed ids are passed over.
+func (t *memberTable) leave(released int64, ids []uint64) (gone census, banked []uint64) {
+	hint := int32(0)
+	for _, id := range ids {
+		i, ok := t.slot(id, hint)
+		if !ok || t.at(i) < 0 {
+			continue
+		}
+		hint = i + 1 // the next in registration order has not moved
+		if s := t.at(i); s == waitOnly {
+			gone.waiters++
+		} else {
+			gone.signalers++
+			for k := released + 1; k < s; k++ {
+				banked = tally(banked, k-released-1)
+			}
+		}
+		t.remove(i)
+	}
+	slices.Reverse(banked) // highest epoch first, as in an arrive
+	return gone, banked
+}
+
+// outstanding lists the signaling members that have not signaled e.
+func (t *memberTable) outstanding(e int64) (ids []uint64) {
+	for i, id := range t.ids {
+		if s := t.at(int32(i)); s >= 0 && s <= e {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // tally adds one to h[j], growing h to hold it.
@@ -207,16 +358,12 @@ func (c *Conn) onMessage(m transport.Message) {
 	}
 	c.mu.Unlock()
 	if joinOK {
-		t, parked, owes := &cg.members, -int64(uint32(m.Client)), int64(waitOnly)
+		t, owes := &cg.members, int64(waitOnly)
 		if signals(m.Mode) {
 			owes = m.Epoch
 		}
 		t.mu.Lock()
-		for i, s := range t.signaled {
-			if s == parked {
-				t.signaled[i] = owes
-			}
-		}
+		t.unpark(uint32(m.Client), owes)
 		t.mu.Unlock()
 	}
 	for _, fn := range fire {
@@ -253,18 +400,7 @@ func (c *Conn) JoinBatch(g uint32, mode core.PhaserMode, ids []uint64, done func
 
 	t := &cg.members
 	t.mu.Lock()
-	if t.index == nil {
-		t.index = make(map[uint64]int32, len(ids))
-	}
-	was := len(t.ids)
-	t.ids, t.signaled = slices.Grow(t.ids, len(ids)), slices.Grow(t.signaled, len(ids))
-	for _, id := range ids {
-		if _, dup := t.index[id]; !dup {
-			t.index[id] = int32(len(t.ids))
-			t.ids, t.signaled = append(t.ids, id), append(t.signaled, -int64(batch))
-		}
-	}
-	n := len(t.ids) - was
+	n := t.join(batch, ids)
 	t.mu.Unlock()
 	c.send(g, transport.Message{
 		Kind: transport.KindJoin, Mode: uint8(mode),
@@ -277,27 +413,19 @@ func (c *Conn) JoinBatch(g uint32, mode core.PhaserMode, ids []uint64, done func
 // Ids that are not confirmed signaling members or have signaled e are
 // passed over, so a replayed or overlapping batch counts once; so is the
 // whole call if e is more than phase.MaxAhead past the last release seen.
+// A batch that names every member in registration order, the same cohort
+// every epoch as in any SPMD client, costs one compare of the ids while
+// the members agree; any other batch is walked id by id.
 func (c *Conn) ArriveBatch(g uint32, e int64, ids []uint64) {
 	cg := c.group(g)
-	var added []uint64 // in the walk: members found j epochs behind e
-	t, hint := &cg.members, int32(0)
+	var added []uint64
+	t := &cg.members
 	t.mu.Lock()
-	if released := cg.released.Load(); e <= released || e > released+phase.MaxAhead {
-		ids = nil // every member has signaled e, or e is out of the window
-	}
-	for _, id := range ids {
-		if i, ok := t.slot(id, hint); ok {
-			hint = i + 1
-			if s := t.signaled[i]; s >= 0 && s <= e {
-				t.signaled[i] = e + 1
-				added = tally(added, e-s)
-			}
-		}
+	// Outside the window every member has signaled e, or e is too far ahead.
+	if released := cg.released.Load(); e > released && e <= released+phase.MaxAhead {
+		added = t.arrive(e, ids)
 	}
 	t.mu.Unlock()
-	for j := len(added) - 2; j >= 0; j-- {
-		added[j] += added[j+1] // epoch e-j is signaled by all at least j behind
-	}
 	if len(added) > 0 {
 		c.send(g, transport.Message{Kind: transport.KindArrive, Epoch: e, List: added})
 	}
@@ -308,32 +436,14 @@ func (c *Conn) ArriveBatch(g uint32, e int64, ids []uint64) {
 // passed over: a member can leave once its join is confirmed.
 func (c *Conn) LeaveBatch(g uint32, ids []uint64) {
 	cg := c.group(g)
-	var gone census
-	var banked []uint64 // banked[j] is for epoch released+1+j
-	t, hint := &cg.members, int32(0)
+	t := &cg.members
 	t.mu.Lock()
 	released := cg.released.Load()
-	for _, id := range ids {
-		i, ok := t.slot(id, hint)
-		if !ok || t.signaled[i] < 0 {
-			continue
-		}
-		hint = i + 1 // the next in registration order has not moved
-		if t.signaled[i] == waitOnly {
-			gone.waiters++
-		} else {
-			gone.signalers++
-			for k := released + 1; k < t.signaled[i]; k++ {
-				banked = tally(banked, k-released-1)
-			}
-		}
-		t.remove(i)
-	}
+	gone, banked := t.leave(released, ids)
 	t.mu.Unlock()
 	if gone.signalers+gone.waiters == 0 {
 		return
 	}
-	slices.Reverse(banked) // highest epoch first, as in an arrive
 	c.send(g, transport.Message{
 		Kind: transport.KindLeave, Epoch: released + int64(len(banked)),
 		List: append([]uint64{uint64(gone.signalers), uint64(gone.waiters)}, banked...),
@@ -352,12 +462,7 @@ func (c *Conn) Outstanding(g uint32) (epoch int64, ids []uint64) {
 	if released >= DrainEpoch {
 		return released + 1, nil // drained: nothing is owed
 	}
-	for i, s := range t.signaled {
-		if s >= 0 && s <= released+1 {
-			ids = append(ids, t.ids[i])
-		}
-	}
-	return released + 1, ids
+	return released + 1, t.outstanding(released + 1)
 }
 
 // Released returns the highest epoch of g known released (DrainEpoch

@@ -12,8 +12,11 @@ package phase
 
 // MaxAhead bounds how far past the open epoch a signal may be banked:
 // each banked epoch is one counter, so an unbounded bank is unbounded
-// memory.
-const MaxAhead = 1 << 20
+// memory. It also bounds barrierd's count messages, whose lists run one
+// entry per epoch named: (MaxAhead+2) varints of at most 10 bytes each
+// plus the header stay under 65,507 bytes, so the largest arrive, leave or
+// combine still fits one UDP datagram.
+const MaxAhead = 1 << 12
 
 // Counter is one phaser. The zero value is empty, with open epoch 0.
 type Counter struct {
