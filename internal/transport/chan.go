@@ -16,23 +16,32 @@ type rtItem struct {
 }
 
 // rtEndpoint is the shared dispatch machinery of the real-time
-// transports (ChanNet, UDPNet): one goroutine drains a queue, so
+// transports (ChanNet, UDPNet): one goroutine drains a FIFO queue, so
 // message handlers, timers and injected closures are serialized exactly
-// as on the simulator. Closures are enqueued blocking (they carry
-// protocol obligations and must not be lost); messages are enqueued
-// non-blocking — a full queue drops the datagram, which is the
-// transport's loss model and exactly what the reliability layer exists
-// to absorb.
+// as on the simulator, in one order. queueCap bounds the items queued
+// plus the items of the batch being drained. At the cap, messages drop
+// — the transport's loss model and exactly what the reliability layer
+// exists to absorb — while closures block for space (they carry
+// protocol obligations and must not be lost). The queue is a slice the
+// loop swaps whole for its spare, so its memory is the most it has had
+// queued at once, not the cap.
 type rtEndpoint struct {
 	addr     Addr
 	h        Handler
 	clock    func() int64
 	transmit func(m Message)
+	qcap     int
 
-	q    chan rtItem
-	done chan struct{}
-	once sync.Once
-	wg   sync.WaitGroup
+	mu       sync.Mutex
+	q        []rtItem      // queued, FIFO
+	draining int           // items in the loop's current batch, still counted against qcap
+	parked   bool          // the loop found the queue empty and waits on wake
+	closed   bool          // after Close: enqueue is a no-op, the loop exits
+	blocked  int           // closures waiting on space
+	space    sync.Cond     // signaled (on mu) when a batch frees its slots or at close
+	wake     chan struct{} // 1 slot: the loop's park/unpark signal
+	once     sync.Once
+	wg       sync.WaitGroup
 
 	drops atomic.Int64 // queue-overflow losses at this endpoint
 }
@@ -42,50 +51,106 @@ func newRTEndpoint(addr Addr, h Handler, qcap int, clock func() int64, transmit 
 		qcap = 1 << 14
 	}
 	ep := &rtEndpoint{
-		addr: addr, h: h, clock: clock, transmit: transmit,
-		q: make(chan rtItem, qcap), done: make(chan struct{}),
+		addr: addr, h: h, clock: clock, transmit: transmit, qcap: qcap,
+		wake: make(chan struct{}, 1),
 	}
+	ep.space.L = &ep.mu
 	ep.wg.Add(1)
 	go ep.loop()
 	return ep
 }
 
+// loop takes the whole queue as one batch, leaving its spare in its
+// place, dispatches the batch and releases its slots. Close is checked
+// once per batch. An empty loop blocks at once. Yielding its P for a
+// few µs first made the service about 2× faster only while a core sat
+// idle, so its speed depended on what else the host was running.
 func (ep *rtEndpoint) loop() {
 	defer ep.wg.Done()
+	var batch []rtItem
+	ep.mu.Lock()
 	for {
-		select {
-		case it := <-ep.q:
-			if it.isMsg {
+		for len(ep.q) == 0 && !ep.closed {
+			ep.parked = true
+			ep.mu.Unlock()
+			<-ep.wake
+			ep.mu.Lock()
+		}
+		if ep.closed {
+			ep.mu.Unlock()
+			return
+		}
+		batch, ep.q = ep.q, batch[:0]
+		ep.draining = len(batch)
+		ep.mu.Unlock()
+		for i := range batch {
+			if it := &batch[i]; it.isMsg {
 				ep.h(it.m)
 			} else {
 				it.fn()
 			}
-		case <-ep.done:
-			return
+		}
+		clear(batch) // drop the items' references before reuse
+		ep.mu.Lock()
+		ep.draining = 0
+		if ep.blocked > 0 {
+			ep.space.Broadcast()
 		}
 	}
 }
 
+// push appends it under mu (held by the caller, released here) and
+// wakes the loop if it parked on an empty queue.
+func (ep *rtEndpoint) push(it rtItem) {
+	ep.q = append(ep.q, it)
+	wake := ep.parked
+	ep.parked = false
+	ep.mu.Unlock()
+	if wake {
+		ep.signal()
+	}
+}
+
+// signal posts the loop's wake-up; the slot holds at most one, and the
+// loop re-checks the queue after every wake, so a full slot is enough.
+func (ep *rtEndpoint) signal() {
+	select {
+	case ep.wake <- struct{}{}:
+	default:
+	}
+}
+
+func (ep *rtEndpoint) full() bool { return len(ep.q)+ep.draining >= ep.qcap }
+
 // enqueueMsg delivers a datagram, dropping on overflow or after close.
 func (ep *rtEndpoint) enqueueMsg(m Message) {
-	select {
-	case <-ep.done:
-	default:
-		select {
-		case ep.q <- rtItem{m: m, isMsg: true}:
-		default:
-			ep.drops.Add(1)
-		}
+	ep.mu.Lock()
+	if ep.closed {
+		ep.mu.Unlock()
+		return
 	}
+	if ep.full() {
+		ep.mu.Unlock()
+		ep.drops.Add(1)
+		return
+	}
+	ep.push(rtItem{m: m, isMsg: true})
 }
 
 // enqueueFn injects a closure; blocks rather than drop, and is a no-op
 // after close.
 func (ep *rtEndpoint) enqueueFn(fn func()) {
-	select {
-	case ep.q <- rtItem{fn: fn}:
-	case <-ep.done:
+	ep.mu.Lock()
+	for ep.full() && !ep.closed {
+		ep.blocked++
+		ep.space.Wait()
+		ep.blocked--
 	}
+	if ep.closed {
+		ep.mu.Unlock()
+		return
+	}
+	ep.push(rtItem{fn: fn})
 }
 
 func (ep *rtEndpoint) Addr() Addr { return ep.addr }
@@ -107,7 +172,13 @@ func (ep *rtEndpoint) Send(to Addr, m Message) {
 }
 
 func (ep *rtEndpoint) Close() error {
-	ep.once.Do(func() { close(ep.done) })
+	ep.once.Do(func() {
+		ep.mu.Lock()
+		ep.closed = true
+		ep.space.Broadcast()
+		ep.mu.Unlock()
+		ep.signal()
+	})
 	ep.wg.Wait()
 	return nil
 }
@@ -126,7 +197,10 @@ type ChanNet struct {
 }
 
 // NewChanNet builds an in-process network; queueCap bounds each
-// endpoint's dispatch queue (<= 0 uses the 16384 default).
+// endpoint's dispatch queue (<= 0 uses the 16384 default): the items
+// not yet dispatched, past which messages drop and closures block. It
+// is a bound, not a size: an endpoint's queue memory is what has been
+// queued at once.
 func NewChanNet(queueCap int) *ChanNet {
 	return &ChanNet{eps: make(map[Addr]*rtEndpoint), start: time.Now(), qcap: queueCap}
 }

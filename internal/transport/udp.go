@@ -24,7 +24,9 @@ type UDPNet struct {
 }
 
 // NewUDPNet builds a UDP network; queueCap bounds each endpoint's
-// dispatch queue (<= 0 uses the default).
+// dispatch queue exactly as for NewChanNet (<= 0 uses the default):
+// received datagrams past it drop, closures block, and the queue's
+// memory is what has been queued at once.
 func NewUDPNet(queueCap int) *UDPNet {
 	return &UDPNet{
 		eps:    make(map[Addr]*udpEndpoint),
