@@ -341,6 +341,28 @@ func TestCLIBarrierloadInproc(t *testing.T) {
 	}
 }
 
+// TestCLIJSONWriteFailureExits: a tool whose JSON report cannot be
+// written (stdout on /dev/full) must exit non-zero, not report success.
+func TestCLIJSONWriteFailureExits(t *testing.T) {
+	dir := buildTools(t)
+	for _, row := range [][]string{
+		{"barbench", "-procs", "2", "-episodes", "200", "-impl", "fuzzy", "-json"},
+		{"barrierload", "-clients", "64", "-groups", "1", "-conns", "2", "-epochs", "2", "-json"},
+	} {
+		full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+		if err != nil {
+			t.Skipf("no /dev/full: %v", err)
+		}
+		cmd := exec.Command(filepath.Join(dir, row[0]), row[1:]...)
+		cmd.Stdout = full
+		err = cmd.Run()
+		full.Close()
+		if err == nil {
+			t.Errorf("%s exited 0 with its JSON report unwritten", strings.Join(row, " "))
+		}
+	}
+}
+
 // TestCLIBarrierloadDrivesExternalBarrierd is the loopback end-to-end:
 // a real barrierd process on ephemeral UDP ports, driven by a separate
 // barrierload process that connects to the printed addresses.

@@ -95,7 +95,10 @@ func main() {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", " ")
-		enc.Encode(rep)
+		if err := enc.Encode(rep); err != nil {
+			fmt.Fprintln(os.Stderr, "barrierload:", err)
+			os.Exit(1)
+		}
 	} else {
 		fmt.Printf("barrierload: transport=%s clients=%d groups=%d conns=%d shards=%d maxprocs=%d join=%.1fms\n",
 			rep.Transport, rep.Clients, rep.Groups, rep.Conns, rep.Shards, rep.MaxProcs, rep.JoinMs)
@@ -258,12 +261,6 @@ func run(transportF, connect string, clients, groups, conns, shards, epochs int,
 	wg.Wait()
 	time.Sleep(200 * time.Millisecond)
 
-	if svc != nil {
-		for _, sh := range svc.Shards {
-			_, _, s := sh.Snapshot()
-			_ = s
-		}
-	}
 	stuckMu.Lock()
 	rep.StuckReports = stuck
 	stuckMu.Unlock()

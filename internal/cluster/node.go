@@ -163,7 +163,7 @@ func (n *node) release(e int64) {
 // delivery re-acks and re-applies a no-op.
 func (n *node) handle(m Message) {
 	if m.Kind == MsgAck {
-		n.out.ack(m.Seq)
+		n.out.w.Ack(m.Seq, n.x.now)
 		return
 	}
 	n.x.netSend(Message{Kind: MsgAck, From: n.id, To: m.From, Epoch: m.Epoch, Seq: m.Seq})
@@ -189,9 +189,9 @@ func (n *node) stateLine() string {
 		return "done"
 	case n.blocked:
 		return fmt.Sprintf("blocked in Wait(epoch %d) since t=%d; unacked=%d; %s",
-			n.epoch, n.blockedAt, n.out.live(), n.proto.PendingLine())
+			n.epoch, n.blockedAt, n.out.w.Live(), n.proto.PendingLine())
 	default:
 		return fmt.Sprintf("executing epoch %d (released through %d); unacked=%d; %s",
-			n.epoch, n.releasedThrough, n.out.live(), n.proto.PendingLine())
+			n.epoch, n.releasedThrough, n.out.w.Live(), n.proto.PendingLine())
 	}
 }

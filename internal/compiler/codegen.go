@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 
 	"fuzzybarrier/internal/core"
 	"fuzzybarrier/internal/ir"
@@ -88,13 +89,19 @@ func (ra *regAlloc) allocTemp(id int) (isa.Reg, error) {
 }
 
 // releaseDead recycles registers of temps whose last use is at or before
-// index i.
+// index i, in ascending temp id so the free list — and with it the
+// generated code — does not depend on map iteration order.
 func (ra *regAlloc) releaseDead(i int) {
-	for id, r := range ra.tempReg {
+	var dead []int
+	for id := range ra.tempReg {
 		if ra.lastUse[id] <= i {
-			delete(ra.tempReg, id)
-			ra.free = append(ra.free, r)
+			dead = append(dead, id)
 		}
+	}
+	slices.Sort(dead)
+	for _, id := range dead {
+		ra.free = append(ra.free, ra.tempReg[id])
+		delete(ra.tempReg, id)
 	}
 }
 

@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -365,5 +367,43 @@ func TestMachineRegisterDepsRespectScratchReuse(t *testing.T) {
 	if pre != 1 || nb != 3 || post != 1 {
 		t.Errorf("split = %d/%d/%d, want 1/3/1\npre=%v\nnb=%v\npost=%v",
 			pre, nb, post, split.Pre, split.NonBarrier, split.Post)
+	}
+}
+
+// TestCodegenIsDeterministic compiles every example program many times
+// and requires one machine listing per program: register allocation
+// must not depend on map iteration order.
+func TestCodegenIsDeterministic(t *testing.T) {
+	files, err := filepath.Glob("../../examples/programs/*.loop")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example programs found: %v", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := lang.Parse(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		listing := func() string {
+			c, err := Compile(prog, Options{Procs: 4, Mode: RegionReorder})
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			var sb strings.Builder
+			for _, tk := range c.Tasks {
+				sb.WriteString(tk.Machine.Disassemble())
+			}
+			return sb.String()
+		}
+		want := listing()
+		for i := 1; i < 30; i++ {
+			if listing() != want {
+				t.Errorf("%s: compile %d produced a different machine listing", filepath.Base(f), i+1)
+				break
+			}
+		}
 	}
 }

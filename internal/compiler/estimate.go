@@ -17,12 +17,11 @@ import (
 
 // Default per-operation cycle weights, mirroring machine.Config defaults.
 const (
-	estALU  = 1
-	estMul  = 3
-	estDiv  = 8
-	estMem  = 2 // hit-biased average of load/store latency
-	estCtl  = 1
-	estWork = 0 // WORK duration comes from the immediate
+	estALU = 1
+	estMul = 3
+	estDiv = 8
+	estMem = 2 // hit-biased average of load/store latency
+	estCtl = 1
 )
 
 // CycleEstimate is the static cost split of a task by region kind.

@@ -1,8 +1,7 @@
 package compiler
 
 import (
-	"fmt"
-
+	"fuzzybarrier/internal/dag"
 	"fuzzybarrier/internal/isa"
 )
 
@@ -13,12 +12,14 @@ import (
 // ablation runs both levels on the same program and reports the
 // difference.
 //
-// The algorithm is the same three-phase scheme as dag.ThreePhase, but the
-// dependence edges come from machine registers (including the scratch
-// registers the code generator recycles every few instructions) instead
-// of the infinite TAC temporary space. Marked instructions are the memory
-// accesses — at this level the compiler can no longer distinguish which
-// loads/stores carry cross-processor dependences, another fidelity loss.
+// Both levels run the one three-phase scheduler and dependence builder
+// in internal/dag; this file only describes machine instructions to it.
+// The locations are machine registers (including the scratch registers
+// the code generator recycles every few instructions) instead of the
+// infinite TAC temporary space, so the gap E3 reports comes from those
+// dependences alone. Marked instructions are the memory accesses — at
+// this level the compiler can no longer distinguish which loads/stores
+// carry cross-processor dependences, another fidelity loss.
 
 // MachineSplit is the result of machine-level reordering of one
 // straight-line window.
@@ -33,186 +34,36 @@ func (s MachineSplit) Sizes() (int, int, int) {
 	return len(s.Pre), len(s.NonBarrier), len(s.Post)
 }
 
-// machineDeps builds dependence predecessor lists over straight-line
-// machine code: flow/anti/output edges through registers, plus
-// conservative memory ordering (stores and atomics conflict with
-// everything; loads commute with loads).
-func machineDeps(code []isa.Instr) ([][]int, [][]int, error) {
-	n := len(code)
-	preds := make([][]int, n)
-	succs := make([][]int, n)
-	seen := make(map[[2]int]bool)
-	addEdge := func(from, to int) {
-		if from < 0 || from == to {
-			return
-		}
-		k := [2]int{from, to}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		preds[to] = append(preds[to], from)
-		succs[from] = append(succs[from], to)
-	}
-	lastDef := make(map[isa.Reg]int)
-	lastUses := make(map[isa.Reg][]int)
-	lastStore := -1
-	var loads []int
-	for i, in := range code {
-		if in.Op.IsBranch() || in.Op == isa.CALL || in.Op == isa.RET ||
-			in.Op == isa.HALT || in.Op == isa.BARRIER ||
-			in.Op == isa.BENTER || in.Op == isa.BEXIT {
-			return nil, nil, fmt.Errorf("compiler: control instruction %v in machine reorder window", in.Op)
-		}
-		for _, u := range in.UseRegs() {
-			if d, ok := lastDef[u]; ok {
-				addEdge(d, i)
-			}
-			lastUses[u] = append(lastUses[u], i)
-		}
-		if in.Op == isa.LD {
-			if lastStore >= 0 {
-				addEdge(lastStore, i)
-			}
-			loads = append(loads, i)
-		}
-		if in.Op == isa.ST || in.Op == isa.FAA {
-			if lastStore >= 0 {
-				addEdge(lastStore, i)
-			}
-			for _, l := range loads {
-				addEdge(l, i)
-			}
-			loads = loads[:0]
-			lastStore = i
-		}
-		if d, ok := in.DefReg(); ok {
-			if prev, ok := lastDef[d]; ok {
-				addEdge(prev, i) // output dependence
-			}
-			for _, u := range lastUses[d] {
-				addEdge(u, i) // anti dependence
-			}
-			lastDef[d] = i
-			lastUses[d] = nil
-		}
-	}
-	return preds, succs, nil
-}
-
 // ReorderMachineWindow applies the three-phase reordering to a
 // straight-line machine-code window, treating every memory access as
 // marked. It returns the split; the caller compares len(NonBarrier)
 // against the intermediate-level result.
 func ReorderMachineWindow(code []isa.Instr) (MachineSplit, error) {
-	preds, succs, err := machineDeps(code)
+	pre, nb, post, err := dag.Reorder(code, machineAccess)
 	if err != nil {
 		return MachineSplit{}, err
 	}
-	n := len(code)
-	marked := make([]bool, n)
-	for i, in := range code {
-		marked[i] = in.TouchesMemory()
-	}
-	// Transitive marked-ancestor / needed-for-marked, as in dag.
-	markedAnc := make([]bool, n)
-	for i := 0; i < n; i++ {
-		for _, p := range preds[i] {
-			if marked[p] || markedAnc[p] {
-				markedAnc[i] = true
-				break
-			}
-		}
-	}
-	needed := make([]bool, n)
-	for i := n - 1; i >= 0; i-- {
-		for _, s := range succs[i] {
-			if marked[s] || needed[s] {
-				needed[i] = true
-				break
-			}
-		}
-	}
+	return MachineSplit{Pre: pre, NonBarrier: nb, Post: post}, nil
+}
 
-	scheduled := make([]bool, n)
-	pending := make([]int, n)
-	for i := 0; i < n; i++ {
-		pending[i] = len(preds[i])
+// machineAccess describes one machine instruction to dag's builder:
+// register flow, loads (LD), and stores and atomics (ST, FAA), which
+// conflict with every other memory access.
+func machineAccess(in isa.Instr) dag.Access[isa.Reg] {
+	d, ok := in.DefReg()
+	return dag.Access[isa.Reg]{
+		Uses: in.UseRegs(), Def: d, HasDef: ok,
+		Load: in.Op == isa.LD, Store: in.Op == isa.ST || in.Op == isa.FAA,
+		Control: isControl(in.Op), Marked: in.TouchesMemory(),
 	}
-	ready := func(i int) bool { return !scheduled[i] && pending[i] == 0 }
-	var split MachineSplit
-	schedule := func(i int, out *[]isa.Instr) {
-		scheduled[i] = true
-		*out = append(*out, code[i])
-		for _, s := range succs[i] {
-			pending[s]--
-		}
-	}
-	// Phase 1: unmarked, no marked ancestors -> preceding barrier region.
-	for {
-		progress := false
-		for i := 0; i < n; i++ {
-			if ready(i) && !marked[i] && !markedAnc[i] {
-				schedule(i, &split.Pre)
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	// Phase 2: marked ASAP, pulling in what they need.
-	remaining := 0
-	for i := 0; i < n; i++ {
-		if marked[i] && !scheduled[i] {
-			remaining++
-		}
-	}
-	for remaining > 0 {
-		progress := false
-		for i := 0; i < n; i++ {
-			if ready(i) && marked[i] {
-				schedule(i, &split.NonBarrier)
-				remaining--
-				progress = true
-			}
-		}
-		if remaining == 0 {
-			break
-		}
-		if progress {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			if ready(i) && needed[i] {
-				schedule(i, &split.NonBarrier)
-				progress = true
-				break
-			}
-		}
-		if !progress {
-			return MachineSplit{}, fmt.Errorf("compiler: machine reorder wedged with %d marked left", remaining)
-		}
-	}
-	// Phase 3: the rest.
-	for {
-		progress := false
-		for i := 0; i < n; i++ {
-			if ready(i) {
-				schedule(i, &split.Post)
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	for i := 0; i < n; i++ {
-		if !scheduled[i] {
-			return MachineSplit{}, fmt.Errorf("compiler: machine reorder left instruction %d unscheduled", i)
-		}
-	}
-	return split, nil
+}
+
+// isControl reports whether op ends a straight-line run: branches,
+// calls and returns, HALT, and the barrier instructions.
+func isControl(op isa.Op) bool {
+	return op.IsBranch() || op == isa.CALL || op == isa.RET ||
+		op == isa.HALT || op == isa.BARRIER ||
+		op == isa.BENTER || op == isa.BEXIT
 }
 
 // LargestNonBarrierWindow extracts the biggest straight-line run of
@@ -227,10 +78,7 @@ func LargestNonBarrierWindow(p *isa.Program) []isa.Instr {
 		cur = nil
 	}
 	for i, in := range p.Code {
-		straight := !in.Op.IsBranch() && in.Op != isa.CALL && in.Op != isa.RET &&
-			in.Op != isa.HALT && in.Op != isa.BARRIER &&
-			in.Op != isa.BENTER && in.Op != isa.BEXIT
-		if p.InBarrierRegion(i) || !straight {
+		if p.InBarrierRegion(i) || isControl(in.Op) {
 			flush()
 			continue
 		}

@@ -44,7 +44,8 @@ type Edge struct {
 	Kind     EdgeKind
 }
 
-// Graph is the dependence DAG of one straight-line block.
+// Graph is the dependence DAG of one straight-line block; Block is nil
+// when the graph was built over machine code.
 type Graph struct {
 	Block ir.Block
 	Edges []Edge
@@ -52,29 +53,29 @@ type Graph struct {
 	succs [][]int
 }
 
-// operand identity key for dependence tracking.
-func opKey(o ir.Operand) (string, bool) {
-	switch o.Kind {
-	case ir.KindTemp:
-		return fmt.Sprintf("T%d", o.ID), true
-	case ir.KindVar:
-		return "v:" + o.Name, true
-	}
-	return "", false
+// Access is one instruction as the dependence builder sees it, at
+// either code level: the locations it reads and writes (operands of
+// three-address code, registers of machine code), whether it reads or
+// writes memory, whether it transfers control, and whether it is marked
+// to stay in the non-barrier region.
+type Access[K comparable] struct {
+	Uses    []K
+	Def     K
+	HasDef  bool
+	Load    bool // reads memory
+	Store   bool // writes memory
+	Control bool
+	Marked  bool
 }
 
-// Build constructs the dependence DAG. Memory dependences are
-// conservative: every store conflicts with every other load or store
-// (loads commute with loads). A trailing control instruction depends on
-// everything before it and is pinned last.
-func Build(b ir.Block) (*Graph, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	g := &Graph{Block: b}
-	n := len(b)
-	g.preds = make([][]int, n)
-	g.succs = make([][]int, n)
+// build constructs the dependence DAG of a straight-line run: flow,
+// anti and output edges through each location, and conservative memory
+// ordering — every store conflicts with every other load or store
+// (loads commute with loads). A control instruction depends on
+// everything before it and so is pinned after it.
+func build[K comparable](acc []Access[K]) *Graph {
+	n := len(acc)
+	g := &Graph{preds: make([][]int, n), succs: make([][]int, n)}
 	seen := make(map[[2]int]bool)
 	addEdge := func(from, to int, k EdgeKind) {
 		if from == to || from < 0 {
@@ -90,36 +91,33 @@ func Build(b ir.Block) (*Graph, error) {
 		g.succs[from] = append(g.succs[from], to)
 	}
 
-	lastDef := make(map[string]int)    // key -> last defining instr
-	lastUses := make(map[string][]int) // key -> uses since last def
+	lastDef := make(map[K]int)    // location -> last defining instr
+	lastUses := make(map[K][]int) // location -> uses since last def
 	lastStore := -1
 	var loadsSinceStore []int
 
-	for i, in := range b {
-		if in.IsControl() {
-			// Pinned last: depends on every prior instruction.
+	for i, a := range acc {
+		if a.Control {
 			for j := 0; j < i; j++ {
 				addEdge(j, i, Flow)
 			}
 			continue
 		}
 		// Uses: flow edges from last def.
-		for _, u := range in.Uses() {
-			if k, ok := opKey(u); ok {
-				if d, ok := lastDef[k]; ok {
-					addEdge(d, i, Flow)
-				}
-				lastUses[k] = append(lastUses[k], i)
+		for _, u := range a.Uses {
+			if d, ok := lastDef[u]; ok {
+				addEdge(d, i, Flow)
 			}
+			lastUses[u] = append(lastUses[u], i)
 		}
 		// Memory ordering.
-		if in.ReadsMemory() {
+		if a.Load {
 			if lastStore >= 0 {
 				addEdge(lastStore, i, Memory)
 			}
 			loadsSinceStore = append(loadsSinceStore, i)
 		}
-		if in.WritesMemory() {
+		if a.Store {
 			if lastStore >= 0 {
 				addEdge(lastStore, i, Memory)
 			}
@@ -129,54 +127,66 @@ func Build(b ir.Block) (*Graph, error) {
 			loadsSinceStore = loadsSinceStore[:0]
 			lastStore = i
 		}
-		// Defs: output edge from previous def, anti edges from previous
+		// Def: output edge from previous def, anti edges from previous
 		// uses.
-		if d, ok := in.Defs(); ok {
-			if k, ok := opKey(d); ok {
-				if prev, ok := lastDef[k]; ok {
-					addEdge(prev, i, Output)
-				}
-				for _, u := range lastUses[k] {
-					addEdge(u, i, Anti)
-				}
-				lastDef[k] = i
-				lastUses[k] = nil
+		if a.HasDef {
+			if prev, ok := lastDef[a.Def]; ok {
+				addEdge(prev, i, Output)
 			}
+			for _, u := range lastUses[a.Def] {
+				addEdge(u, i, Anti)
+			}
+			lastDef[a.Def] = i
+			lastUses[a.Def] = nil
 		}
 	}
+	return g
+}
+
+// tacAccess describes one TAC instruction to the builder. Temporaries
+// and scalar variables are locations; constants and array bases are
+// not.
+func tacAccess(in ir.Instr) Access[ir.Operand] {
+	a := Access[ir.Operand]{
+		Load: in.ReadsMemory(), Store: in.WritesMemory(),
+		Control: in.IsControl(), Marked: in.Marked,
+	}
+	for _, u := range in.Uses() {
+		if k, ok := location(u); ok {
+			a.Uses = append(a.Uses, k)
+		}
+	}
+	if d, ok := in.Defs(); ok {
+		a.Def, a.HasDef = location(d)
+	}
+	return a
+}
+
+// location returns the identity of a TAC operand that names storage:
+// a temporary by number, a variable by name.
+func location(o ir.Operand) (ir.Operand, bool) {
+	switch o.Kind {
+	case ir.KindTemp:
+		return ir.Operand{Kind: o.Kind, ID: o.ID}, true
+	case ir.KindVar:
+		return ir.Operand{Kind: o.Kind, Name: o.Name}, true
+	}
+	return ir.Operand{}, false
+}
+
+// Build constructs the dependence DAG of a TAC block. A trailing control
+// instruction depends on everything before it and is pinned last.
+func Build(b ir.Block) (*Graph, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	acc := make([]Access[ir.Operand], len(b))
+	for i, in := range b {
+		acc[i] = tacAccess(in)
+	}
+	g := build(acc)
+	g.Block = b
 	return g, nil
-}
-
-// hasMarkedAncestor computes, for every node, whether any transitive
-// predecessor is marked.
-func (g *Graph) hasMarkedAncestor() []bool {
-	n := len(g.Block)
-	out := make([]bool, n)
-	for i := 0; i < n; i++ { // preds have smaller indices is NOT guaranteed; but block order is a topological order
-		for _, p := range g.preds[i] {
-			if g.Block[p].Marked || out[p] {
-				out[i] = true
-				break
-			}
-		}
-	}
-	return out
-}
-
-// neededForMarked computes, for every node, whether any transitive
-// successor is marked.
-func (g *Graph) neededForMarked() []bool {
-	n := len(g.Block)
-	out := make([]bool, n)
-	for i := n - 1; i >= 0; i-- {
-		for _, s := range g.succs[i] {
-			if g.Block[s].Marked || out[s] {
-				out[i] = true
-				break
-			}
-		}
-	}
-	return out
 }
 
 // CriticalPath returns the length (in instructions) of the longest

@@ -1,8 +1,10 @@
 package dag
 
-import "fmt"
+import (
+	"fmt"
 
-import "fuzzybarrier/internal/ir"
+	"fuzzybarrier/internal/ir"
+)
 
 // Split is the result of the Section 4 three-phase reordering of a
 // non-barrier region candidate.
@@ -26,67 +28,121 @@ func (s Split) Sizes() (int, int, int) {
 	return len(s.Pre), len(s.NonBarrier), len(s.Post)
 }
 
-// ThreePhase reorders a straight-line block per Section 4. The block's
-// Marked flags identify the instructions that must remain in the
-// non-barrier region. A trailing control instruction (a loop back-edge) is
-// not permitted here; reorder the body and re-attach control flow in the
-// caller.
+// ThreePhase reorders a straight-line TAC block per Section 4. The
+// block's Marked flags identify the instructions that must remain in the
+// non-barrier region. A trailing control instruction (a loop back-edge)
+// is not permitted here; reorder the body and re-attach control flow in
+// the caller.
 //
 // The returned blocks partition the input: concatenating Pre, NonBarrier
 // and Post yields a legal schedule of the original block (every
 // dependence edge points forward).
 func ThreePhase(b ir.Block) (Split, error) {
-	for _, in := range b {
-		if in.IsControl() {
-			return Split{}, fmt.Errorf("dag: control instruction %q in reorder input", in)
-		}
+	if err := b.Validate(); err != nil {
+		return Split{}, err
 	}
-	g, err := Build(b)
+	pre, nb, post, err := Reorder(b, tacAccess)
 	if err != nil {
 		return Split{}, err
 	}
-	n := len(b)
-	markedAnc := g.hasMarkedAncestor()
-	needed := g.neededForMarked()
+	return Split{Pre: pre, NonBarrier: nb, Post: post}, nil
+}
 
+// Reorder is the Section 4 three-phase reorder of a straight-line window
+// at any code level: access describes each instruction to the one
+// dependence builder, and the result partitions code into the part
+// moved into the preceding barrier region, the non-barrier region, and
+// the part moved into the following barrier region. Concatenated they
+// are a legal schedule of code. A control instruction is an error.
+func Reorder[I any, K comparable](code []I, access func(I) Access[K]) (pre, nonBarrier, post []I, err error) {
+	acc := make([]Access[K], len(code))
+	marked := make([]bool, len(code))
+	for i, in := range code {
+		acc[i] = access(in)
+		if acc[i].Control {
+			return nil, nil, nil, fmt.Errorf("dag: control instruction %v in reorder input", in)
+		}
+		marked[i] = acc[i].Marked
+	}
+	regions, err := build(acc).schedule(marked)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	pick := func(idx []int) []I {
+		var out []I
+		for _, i := range idx {
+			out = append(out, code[i])
+		}
+		return out
+	}
+	return pick(regions[0]), pick(regions[1]), pick(regions[2]), nil
+}
+
+// schedule runs the three phases over g, whose marked instructions must
+// stay in the non-barrier region, returning the instruction indices of
+// each region in schedule order. Repeated sweeps in original order keep
+// every phase stable and legal.
+func (g *Graph) schedule(marked []bool) ([3][]int, error) {
+	n := len(marked)
+	// markedAnc: some transitive predecessor is marked; needed: some
+	// transitive successor is. Block order is a topological order.
+	markedAnc := make([]bool, n)
+	for i := 0; i < n; i++ {
+		for _, p := range g.preds[i] {
+			if marked[p] || markedAnc[p] {
+				markedAnc[i] = true
+				break
+			}
+		}
+	}
+	needed := make([]bool, n)
+	for i := n - 1; i >= 0; i-- {
+		for _, s := range g.succs[i] {
+			if marked[s] || needed[s] {
+				needed[i] = true
+				break
+			}
+		}
+	}
+
+	var regions [3][]int
 	scheduled := make([]bool, n)
 	pending := make([]int, n) // unscheduled predecessor count
 	for i := 0; i < n; i++ {
 		pending[i] = len(g.preds[i])
 	}
 	ready := func(i int) bool { return !scheduled[i] && pending[i] == 0 }
-	schedule := func(i int, out *ir.Block) {
+	schedule := func(i, region int) {
 		scheduled[i] = true
-		*out = append(*out, b[i])
+		regions[region] = append(regions[region], i)
 		for _, s := range g.succs[i] {
 			pending[s]--
 		}
 	}
-
-	var split Split
-
-	// Phase 1: unmarked instructions with no marked ancestors move into
-	// the preceding barrier region. Repeated sweeps in original order
-	// keep the schedule stable and legal.
-	for {
-		progress := false
-		for i := 0; i < n; i++ {
-			if ready(i) && !b[i].Marked && !markedAnc[i] {
-				schedule(i, &split.Pre)
-				progress = true
+	// sweep schedules every ready instruction that pick accepts into
+	// region until a pass adds none.
+	sweep := func(region int, pick func(i int) bool) {
+		for progress := true; progress; {
+			progress = false
+			for i := 0; i < n; i++ {
+				if ready(i) && pick(i) {
+					schedule(i, region)
+					progress = true
+				}
 			}
 		}
-		if !progress {
-			break
-		}
 	}
+
+	// Phase 1: unmarked instructions with no marked ancestors move into
+	// the preceding barrier region.
+	sweep(0, func(i int) bool { return !marked[i] && !markedAnc[i] })
 
 	// Phase 2: schedule marked instructions as early as possible; an
 	// unmarked instruction is scheduled here only if a marked one still
 	// needs it.
 	remainingMarked := 0
 	for i := 0; i < n; i++ {
-		if b[i].Marked && !scheduled[i] {
+		if marked[i] && !scheduled[i] {
 			remainingMarked++
 		}
 	}
@@ -94,8 +150,8 @@ func ThreePhase(b ir.Block) (Split, error) {
 		progress := false
 		// Prefer ready marked instructions.
 		for i := 0; i < n; i++ {
-			if ready(i) && b[i].Marked {
-				schedule(i, &split.NonBarrier)
+			if ready(i) && marked[i] {
+				schedule(i, 1)
 				remainingMarked--
 				progress = true
 			}
@@ -110,35 +166,24 @@ func ThreePhase(b ir.Block) (Split, error) {
 		// ready unmarked instruction that a marked instruction needs.
 		for i := 0; i < n; i++ {
 			if ready(i) && needed[i] {
-				schedule(i, &split.NonBarrier)
+				schedule(i, 1)
 				progress = true
 				break
 			}
 		}
 		if !progress {
-			return Split{}, fmt.Errorf("dag: phase 2 wedged with %d marked instructions unscheduled (cyclic dependence?)", remainingMarked)
+			return regions, fmt.Errorf("dag: phase 2 wedged with %d marked instructions unscheduled (cyclic dependence?)", remainingMarked)
 		}
 	}
 
 	// Phase 3: everything left moves into the following barrier region.
-	for {
-		progress := false
-		for i := 0; i < n; i++ {
-			if ready(i) {
-				schedule(i, &split.Post)
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
+	sweep(2, func(int) bool { return true })
 	for i := 0; i < n; i++ {
 		if !scheduled[i] {
-			return Split{}, fmt.Errorf("dag: instruction %d (%s) unschedulable", i, b[i])
+			return regions, fmt.Errorf("dag: instruction %d unschedulable", i)
 		}
 	}
-	return split, nil
+	return regions, nil
 }
 
 // Verify checks that order is a legal schedule of g's block: every edge

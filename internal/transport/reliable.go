@@ -18,10 +18,11 @@ type ReliableConfig struct {
 	// then rides one KindAck datagram. 0 acks each message immediately
 	// (still batched with anything already pending).
 	AckDelay int64
-	// AckBatch flushes immediately once this many acks are pending
-	// (default 64), bounding datagram size and sender ring growth.
-	AckBatch int
 }
+
+// ackBatch flushes immediately once this many acks are pending,
+// bounding datagram size and sender ring growth.
+const ackBatch = 64
 
 // withDefaults fills the derived knobs, mirroring cluster's RTO rules.
 func (c ReliableConfig) withDefaults() ReliableConfig {
@@ -34,9 +35,6 @@ func (c ReliableConfig) withDefaults() ReliableConfig {
 	if c.MaxRTO < c.InitRTO {
 		c.MaxRTO = c.InitRTO
 	}
-	if c.AckBatch <= 0 {
-		c.AckBatch = 64
-	}
 	return c
 }
 
@@ -45,7 +43,7 @@ func (c ReliableConfig) withDefaults() ReliableConfig {
 // 500ms backoff cap, 1ms ack coalescing.
 func RealtimeReliable() ReliableConfig {
 	const ms = int64(1e6)
-	return ReliableConfig{InitRTO: 20 * ms, MaxRTO: 500 * ms, AckDelay: 1 * ms, AckBatch: 64}
+	return ReliableConfig{InitRTO: 20 * ms, MaxRTO: 500 * ms, AckDelay: 1 * ms}
 }
 
 // SimReliable returns tuning for a SimNet with the given link
@@ -54,7 +52,7 @@ func RealtimeReliable() ReliableConfig {
 // tick.
 func SimReliable(latency, jitter int64) ReliableConfig {
 	rto := 2*(latency+jitter) + 2
-	return ReliableConfig{InitRTO: rto, MaxRTO: 16 * rto, AckDelay: 1, AckBatch: 64}
+	return ReliableConfig{InitRTO: rto, MaxRTO: 16 * rto, AckDelay: 1}
 }
 
 // ReliableStats counts the layer's work for reports and tests.
@@ -67,12 +65,15 @@ type ReliableStats struct {
 	DupDropped  int64 // duplicate deliveries suppressed (re-acked, not re-delivered)
 }
 
-// Reliable runs the extracted reliability layer over one Endpoint: a
-// transport.Window per peer on the send side (sequence numbers,
-// RTT-estimated retransmission with exponential backoff, Karn's rule,
-// lazy-cancel deadline queue — the codepath internal/cluster verified),
-// and idempotent receive on the other (per-peer dedup: duplicates are
-// re-acked, never re-delivered) with per-connection ack coalescing.
+// Reliable runs the reliability layer over one Endpoint: a Window per
+// peer on the send side (sequence numbers, RTT-estimated retransmission
+// with exponential backoff, Karn's rule, the lazy-cancel deadline queue
+// — the core internal/cluster's outbox runs too), and idempotent receive
+// on the other (per-peer dedup: duplicates are re-acked, never
+// re-delivered) with per-connection ack coalescing. Of the send side,
+// Reliable keeps only its timer arming: one Endpoint.After per peer,
+// covering the window's earliest deadline, which retransmits every
+// deadline due when it fires.
 //
 // All methods must be called on the endpoint's dispatch context (the
 // Handler, After callbacks, or Do closures); the transports serialize
@@ -153,7 +154,7 @@ func (r *Reliable) peer(a Addr) *relPeer {
 	p := r.peers[a]
 	if p == nil {
 		p = &relPeer{addr: a, ahead: make(map[uint64]struct{})}
-		p.w.Init()
+		p.w.Init(r.cfg.InitRTO, r.cfg.MaxRTO)
 		r.peers[a] = p
 		r.order = append(r.order, a)
 	}
@@ -167,76 +168,53 @@ func (r *Reliable) Send(to Addr, m Message) {
 	p := r.peer(to)
 	m.From = r.ep.Addr()
 	m.To = to
-	m.Seq = p.w.Assign()
+	m.Seq = p.w.Next()
 	now := r.ep.Now()
-	pd := p.w.Claim(m.Seq)
-	*pd = Pending[Message]{
-		Msg: m, Seq: m.Seq, FirstSent: now,
-		RTO: p.w.NextRTO(r.cfg.InitRTO, r.cfg.MaxRTO), Tries: 1, InUse: true,
-	}
-	p.w.Live++
+	p.w.Track(m, m.Seq, now, r.nextArm())
 	r.Stats.Sends++
 	if r.sink != nil {
 		r.sink.Event(now, r.ep.Addr(), trace.EvSend, "send "+m.String())
 	}
 	r.ep.Send(to, m)
-	r.push(p, pd, now)
 	r.armRetx(p, now)
 }
 
-// push records pd's retransmit deadline in the peer's lazy-cancel queue.
-// Arm sequences are per-Reliable (each instance lives on one dispatch
-// context): they only disambiguate re-armed entries within that
-// instance's queues, and allocation order is deterministic on SimNet.
-func (r *Reliable) push(p *relPeer, pd *Pending[Message], now int64) {
+// nextArm consumes one arm sequence. Arm sequences are per-Reliable
+// (each instance lives on one dispatch context): they only disambiguate
+// re-armed entries within that instance's windows, and allocation order
+// is deterministic on SimNet.
+func (r *Reliable) nextArm() uint64 {
 	r.armSeq++
-	pd.Armseq = r.armSeq
-	pd.Deadline = now + pd.RTO
-	p.w.TQPush(RetxEntry{Deadline: pd.Deadline, Armseq: pd.Armseq, Seq: pd.Seq})
+	return r.armSeq
 }
 
 // armRetx establishes timer coverage for the peer's earliest deadline:
 // arm only when no outstanding timer fires early enough.
 func (r *Reliable) armRetx(p *relPeer, now int64) {
-	if p.w.TQLen() == 0 {
-		return
-	}
-	head := p.w.TQHead().Deadline
-	if p.retxArmed && p.retxAt <= head {
+	e, ok := p.w.Head()
+	if !ok || (p.retxArmed && p.retxAt <= e.Deadline) {
 		return
 	}
 	p.retxArmed = true
-	p.retxAt = head
-	delay := head - now
-	r.ep.After(delay, func() { r.fireRetx(p, head) })
+	p.retxAt = e.Deadline
+	r.ep.After(e.Deadline-now, func() { r.fireRetx(p, e.Deadline) })
 }
 
-// fireRetx services due deadlines: prune acked/re-armed entries,
-// retransmit expired ones with backoff, and re-arm coverage.
+// fireRetx retransmits every deadline that has expired, with backoff,
+// and re-arms coverage.
 func (r *Reliable) fireRetx(p *relPeer, at int64) {
 	if p.retxArmed && p.retxAt == at {
 		p.retxArmed = false
 	}
 	now := r.ep.Now()
-	for p.w.TQLen() > 0 {
-		e := p.w.TQHead()
-		pd := p.w.Slot(e.Seq)
-		if pd == nil || pd.Armseq != e.Armseq {
-			p.w.TQPop() // stale: acked, or re-armed by a later retransmission
-			continue
-		}
-		if e.Deadline > now {
-			break
-		}
-		p.w.TQPop()
-		p.w.Backoff(pd, r.cfg.MaxRTO)
+	for e, ok := p.w.Due(); ok && e.Deadline <= now; e, ok = p.w.Due() {
+		m, tries, rto := p.w.Retry(now, r.nextArm())
 		r.Stats.Retransmits++
 		if r.sink != nil {
 			r.sink.Event(now, r.ep.Addr(), trace.EvRetransmit,
-				fmt.Sprintf("retransmit %v try=%d rto=%d", pd.Msg, pd.Tries, pd.RTO))
+				fmt.Sprintf("retransmit %v try=%d rto=%d", m, tries, rto))
 		}
-		r.ep.Send(p.addr, pd.Msg)
-		r.push(p, pd, now)
+		r.ep.Send(p.addr, m)
 	}
 	r.armRetx(p, now)
 }
@@ -296,7 +274,7 @@ func (r *Reliable) seen(p *relPeer, seq uint64) bool {
 // flushOrArmAcks sends the pending acks when the batch is full,
 // otherwise arms the coalescing timer.
 func (r *Reliable) flushOrArmAcks(p *relPeer) {
-	if len(p.ackPend) >= r.cfg.AckBatch {
+	if len(p.ackPend) >= ackBatch {
 		r.flushAcks(p)
 		return
 	}
@@ -330,7 +308,7 @@ func (r *Reliable) flushAcks(p *relPeer) {
 func (r *Reliable) Unacked() int {
 	total := 0
 	for _, a := range r.order {
-		total += r.peers[a].w.Live
+		total += r.peers[a].w.Live()
 	}
 	return total
 }
@@ -340,7 +318,7 @@ func (r *Reliable) Unacked() int {
 func (r *Reliable) PendingLine() string {
 	s := fmt.Sprintf("unacked=%d", r.Unacked())
 	for _, a := range r.order {
-		if live := r.peers[a].w.Live; live > 0 {
+		if live := r.peers[a].w.Live(); live > 0 {
 			s += fmt.Sprintf(" peer%d=%d", a, live)
 		}
 	}

@@ -95,7 +95,7 @@ func TestReliableDupsReackedNotRedelivered(t *testing.T) {
 // i.e. the stats.RTTEstimator is actually wired into the extracted path.
 func TestReliableRTTAdaptsRTO(t *testing.T) {
 	cfg := SimConfig{Latency: 5, Jitter: 0, Seed: 1}
-	rcfg := ReliableConfig{InitRTO: 100_000, MaxRTO: 200_000, AckDelay: 1, AckBatch: 64}
+	rcfg := ReliableConfig{InitRTO: 100_000, MaxRTO: 200_000, AckDelay: 1}
 	net, ra, _, _, _ := relPair(t, cfg, rcfg)
 	ep := net.eps[1]
 	for i := 0; i < 50; i++ {
@@ -106,18 +106,18 @@ func TestReliableRTTAdaptsRTO(t *testing.T) {
 	p := ra.peer(2)
 	// RTT is ~11 ticks (2*latency + ack delay); the estimator must have
 	// converged near that, nowhere near InitRTO.
-	est := p.w.RTT.RTO()
+	est := p.w.rtt.RTO()
 	if est <= 0 {
 		t.Fatal("estimator has no samples — not wired into the ack path")
 	}
 	if est < 5 || est > 200 {
 		t.Fatalf("RTT-driven RTO estimate %.1f outside plausible [5,200] for an 11-tick RTT", est)
 	}
-	// NextRTO applies the InitRTO/4 floor (cluster's rule), so with this
+	// nextRTO applies the InitRTO/4 floor (cluster's rule), so with this
 	// deliberately huge InitRTO it must sit at exactly that floor — far
 	// below InitRTO itself.
-	if got := p.w.NextRTO(rcfg.InitRTO, rcfg.MaxRTO); got != rcfg.InitRTO/4 {
-		t.Fatalf("NextRTO=%d, want clamp to InitRTO/4=%d", got, rcfg.InitRTO/4)
+	if got := p.w.nextRTO(); got != rcfg.InitRTO/4 {
+		t.Fatalf("nextRTO=%d, want clamp to InitRTO/4=%d", got, rcfg.InitRTO/4)
 	}
 }
 
@@ -142,17 +142,18 @@ func TestReliableKarnRule(t *testing.T) {
 	if ra.Stats.Retransmits == 0 {
 		t.Skip("no retransmissions at this seed")
 	}
-	est := p.w.RTT.RTO()
+	est := p.w.rtt.RTO()
 	if est > 0 && est < 4 {
 		t.Fatalf("RTT estimate %.1f below the true RTT — a retransmission's ack leaked a bogus sample", est)
 	}
 }
 
 // TestReliableAckCoalescing: many messages arriving inside one AckDelay
-// window must produce far fewer ack datagrams than messages.
+// window must produce far fewer ack datagrams than messages, and a full
+// batch of ackBatch pending acks must flush at once instead of waiting.
 func TestReliableAckCoalescing(t *testing.T) {
 	cfg := SimConfig{Latency: 1, Jitter: 0, Seed: 1}
-	rcfg := ReliableConfig{InitRTO: 1000, MaxRTO: 4000, AckDelay: 50, AckBatch: 1 << 20}
+	rcfg := ReliableConfig{InitRTO: 1000, MaxRTO: 4000, AckDelay: 50}
 	net, ra, rb, _, _ := relPair(t, cfg, rcfg)
 	const n = 100
 	net.eps[1].Do(func() {
@@ -170,20 +171,23 @@ func TestReliableAckCoalescing(t *testing.T) {
 	if rb.Stats.AcksSent >= n/4 {
 		t.Fatalf("coalescing ineffective: %d ack datagrams for %d messages", rb.Stats.AcksSent, n)
 	}
-	// AckBatch path: tiny batch limit must flush eagerly instead.
-	rcfg2 := ReliableConfig{InitRTO: 1000, MaxRTO: 4000, AckDelay: 1 << 20, AckBatch: 4}
+	// Batch path: with an AckDelay no run reaches, only full batches
+	// flush, so 4 batches' worth of messages draw exactly 4 datagrams.
+	const batches = 4
+	rcfg2 := ReliableConfig{InitRTO: 1000, MaxRTO: 4000, AckDelay: 1 << 20}
 	net2, ra2, rb2, _, _ := relPair(t, cfg, rcfg2)
 	net2.eps[1].Do(func() {
-		for i := 0; i < 16; i++ {
+		for i := 0; i < batches*ackBatch; i++ {
 			ra2.Send(2, Message{Kind: KindArrive, Epoch: int64(i)})
 		}
 	})
-	net2.Run(100_000, func() bool { return ra2.Stats.Sends == 16 && ra2.Unacked() == 0 })
-	if ra2.Stats.Sends != 16 || ra2.Unacked() != 0 {
+	net2.Run(100_000, func() bool { return ra2.Stats.Sends == batches*ackBatch && ra2.Unacked() == 0 })
+	if ra2.Stats.Sends != batches*ackBatch || ra2.Unacked() != 0 {
 		t.Fatal("batch-flush run did not drain (AckDelay timer should never have been needed)")
 	}
-	if rb2.Stats.AcksSent != 4 {
-		t.Fatalf("batch flush sent %d datagrams for 16 acks with AckBatch=4, want 4", rb2.Stats.AcksSent)
+	if rb2.Stats.AcksSent != batches {
+		t.Fatalf("batch flush sent %d datagrams for %d acks with ackBatch=%d, want %d",
+			rb2.Stats.AcksSent, batches*ackBatch, ackBatch, batches)
 	}
 }
 

@@ -16,7 +16,7 @@ func runEcho(t *testing.T, nw Network, n int, wait func(done func() bool) bool) 
 	t.Helper()
 	var mu sync.Mutex
 	gotReq, gotResp := 0, 0
-	rcfg := ReliableConfig{InitRTO: int64(20 * time.Millisecond), MaxRTO: int64(200 * time.Millisecond), AckDelay: int64(time.Millisecond), AckBatch: 32}
+	rcfg := ReliableConfig{InitRTO: int64(20 * time.Millisecond), MaxRTO: int64(200 * time.Millisecond), AckDelay: int64(time.Millisecond)}
 	if _, sim := nw.(*SimNet); sim {
 		rcfg = SimReliable(2, 4)
 	}

@@ -2,32 +2,30 @@ package transport
 
 import "fuzzybarrier/internal/stats"
 
-// This file is the reliability layer extracted from
-// internal/cluster/node.go's outbox, generalized over the message type
-// so the cluster simulator (cluster.Message) and the barrierd service
-// (transport.Message) run the *same* verified code: the pending ring,
-// the Jacobson/Karels RTO policy with Karn's rule, exponential backoff,
-// and the lazy-cancel retransmission timer queue. Only the timer *host*
-// differs per environment — the cluster engines arm heap events, the
-// real-time transports arm Endpoint.After — and each host keeps exactly
-// the arming discipline it had.
+// This file is the one reliable-send core, shared by the cluster
+// simulator (cluster.Message, internal/cluster/outbox.go) and the
+// barrierd service (transport.Message, reliable.go): sequence numbers,
+// the pending ring, the Jacobson/Karels RTO policy with Karn's rule,
+// exponential backoff, and the lazy-cancel retransmission deadline
+// queue with its stale-entry prune. The hosts keep only their timer
+// arming — the cluster engines arm exact-key heap events, the
+// real-time transports one covering Endpoint.After — and each supplies
+// the arm sequence numbers, so a deadline's key is the host's own.
 
-// Pending is one unacked reliable send. The embedded bookkeeping mirrors
-// cluster's pendingMsg field for field; Seq duplicates the sequence
+// pending is one unacked reliable send. seq duplicates the sequence
 // number out of the message payload so the ring is message-type
 // agnostic.
-type Pending[M any] struct {
-	Msg       M
-	Seq       uint64
-	FirstSent int64
-	RTO       int64
-	Deadline  int64  // current retransmit deadline (deadline-queue hosts)
-	Armseq    uint64 // sequence consumed when that deadline was armed
-	Tries     int
-	InUse     bool
+type pending[M any] struct {
+	msg       M
+	seq       uint64
+	firstSent int64
+	rto       int64
+	armseq    uint64 // sequence consumed when the live deadline was armed
+	tries     int
+	inUse     bool
 }
 
-// RetxEntry is one armed deadline in a per-window timer queue, ordered
+// RetxEntry is one armed deadline in a window's timer queue, ordered
 // by (Deadline, Armseq); Seq names the message the deadline guards.
 type RetxEntry struct {
 	Deadline int64
@@ -45,56 +43,68 @@ func retxLess(a, b RetxEntry) bool {
 }
 
 // Window is the reliable-send state for one (sender, peer) direction:
-// each logical send keeps a Pending record until the matching ack
-// returns; a timer retransmits on a Jacobson/Karels-estimated RTO with
-// exponential backoff. Retransmissions reuse the original sequence
+// each logical send keeps a pending record until the matching ack
+// returns; a deadline retransmits it on a Jacobson/Karels-estimated RTO
+// with exponential backoff. Retransmissions reuse the original sequence
 // number, so the receiver's ack matches whichever copy got through and
 // duplicates are harmless.
 //
 // Pending records live in a power-of-two ring indexed by sequence
 // number (seq & mask), recycled in place — no map, no per-send
 // allocation. The ring grows only while the in-flight window exceeds
-// its previous high-water mark.
+// its previous high-water mark. Deadlines live in a min-heap that is
+// never searched: an ack or a re-arm leaves the old entry behind, and
+// Due drops it once it reaches the head.
 type Window[M any] struct {
-	nextSeq uint64 // last assigned sequence number
-	RTT     stats.RTTEstimator
-	Live    int // pending (unacked) messages, for stuck reports
+	nextSeq         uint64 // last assigned sequence number
+	initRTO, maxRTO int64
+	rtt             stats.RTTEstimator
+	live            int // pending (unacked) messages
 
-	slots []Pending[M] // ring keyed by Seq & mask
+	slots []pending[M] // ring keyed by seq & mask
 	mask  uint64
 
 	tq []RetxEntry // min-heap on (Deadline, Armseq); lazily pruned
 }
 
-// Init prepares a zero-value Window with the initial 8-slot ring (every
-// host embeds one).
-func (w *Window[M]) Init() {
-	w.slots = make([]Pending[M], 8)
+// Init prepares a zero-value Window with the initial 8-slot ring and
+// its RTO bounds: initRTO before any RTT sample, backoff capped at
+// maxRTO.
+func (w *Window[M]) Init(initRTO, maxRTO int64) {
+	w.slots = make([]pending[M], 8)
 	w.mask = 7
+	w.initRTO, w.maxRTO = initRTO, maxRTO
 }
 
-// Assign consumes and returns the next sequence number.
-func (w *Window[M]) Assign() uint64 {
+// Next consumes and returns the next sequence number.
+func (w *Window[M]) Next() uint64 {
 	w.nextSeq++
 	return w.nextSeq
 }
 
-// Slot returns the live pending record for seq, or nil.
-func (w *Window[M]) Slot(seq uint64) *Pending[M] {
+// Track records m, sent under seq at now, as pending and arms its first
+// retransmit deadline at now plus the current RTO, keyed by armseq.
+func (w *Window[M]) Track(m M, seq uint64, now int64, armseq uint64) {
+	for w.slots[seq&w.mask].inUse {
+		w.grow()
+	}
 	p := &w.slots[seq&w.mask]
-	if p.InUse && p.Seq == seq {
+	*p = pending[M]{msg: m, seq: seq, firstSent: now, rto: w.nextRTO(), tries: 1, inUse: true}
+	w.live++
+	w.arm(p, now, armseq)
+}
+
+// Live returns the number of pending (unacked) messages, for stuck
+// reports.
+func (w *Window[M]) Live() int { return w.live }
+
+// slot returns the live pending record for seq, or nil.
+func (w *Window[M]) slot(seq uint64) *pending[M] {
+	p := &w.slots[seq&w.mask]
+	if p.inUse && p.seq == seq {
 		return p
 	}
 	return nil
-}
-
-// Claim returns a free ring slot for seq, growing the ring past its
-// high-water mark if the in-flight window collides.
-func (w *Window[M]) Claim(seq uint64) *Pending[M] {
-	for w.slots[seq&w.mask].InUse {
-		w.grow()
-	}
-	return &w.slots[seq&w.mask]
 }
 
 // grow doubles the ring until every live record (and by construction
@@ -103,16 +113,16 @@ func (w *Window[M]) grow() {
 	size := len(w.slots)
 	for {
 		size *= 2
-		ns := make([]Pending[M], size)
+		ns := make([]pending[M], size)
 		nm := uint64(size - 1)
 		ok := true
 		for i := range w.slots {
 			p := &w.slots[i]
-			if !p.InUse {
+			if !p.inUse {
 				continue
 			}
-			j := p.Seq & nm
-			if ns[j].InUse {
+			j := p.seq & nm
+			if ns[j].inUse {
 				ok = false
 				break
 			}
@@ -128,61 +138,83 @@ func (w *Window[M]) grow() {
 // Ack retires a pending message, reporting whether seq was live. Only
 // never-retransmitted messages contribute RTT samples (Karn's rule: a
 // retransmitted message's ack is ambiguous about which copy it
-// answers). Armed timers are cancelled lazily: the record is simply
-// freed, and any timer still pointing at it is skipped when it fires.
+// answers). Its deadline is cancelled lazily: the record is simply
+// freed, and Due drops the entry when it reaches the head.
 func (w *Window[M]) Ack(seq uint64, now int64) bool {
-	p := w.Slot(seq)
+	p := w.slot(seq)
 	if p == nil {
 		return false // duplicate ack
 	}
-	if p.Tries == 1 {
-		w.RTT.Observe(float64(now - p.FirstSent))
+	if p.tries == 1 {
+		w.rtt.Observe(float64(now - p.firstSent))
 	}
-	p.InUse = false
-	w.Live--
+	p.inUse = false
+	w.live--
 	return true
 }
 
-// Backoff doubles p's RTO for its next retransmission, capped at maxRTO.
-func (w *Window[M]) Backoff(p *Pending[M], maxRTO int64) {
-	p.Tries++
-	p.RTO *= 2
-	if p.RTO > maxRTO {
-		p.RTO = maxRTO
+// Head returns the timer queue's earliest entry without pruning it: it
+// may belong to an acked message or to a superseded arm. A host arms
+// its timer for this entry, so a timer is never later than the earliest
+// live deadline.
+func (w *Window[M]) Head() (RetxEntry, bool) {
+	if len(w.tq) == 0 {
+		return RetxEntry{}, false
 	}
+	return w.tq[0], true
 }
 
-// NextRTO returns the current retransmission timeout: the estimator's
+// Due drops stale entries — those of acked messages and those a later
+// arm superseded — from the head of the timer queue and returns the
+// earliest live deadline: the next message due for retransmission. The
+// host decides whether its timer covers that deadline; if so, Retry
+// retransmits it.
+func (w *Window[M]) Due() (RetxEntry, bool) {
+	for len(w.tq) > 0 {
+		e := w.tq[0]
+		if p := w.slot(e.Seq); p != nil && p.armseq == e.Armseq {
+			return e, true
+		}
+		w.pop()
+	}
+	return RetxEntry{}, false
+}
+
+// Retry takes the live head Due returned off the queue, doubles that
+// message's RTO (capped at the window's maximum) and re-arms its
+// deadline at now plus the new RTO, keyed by armseq. It returns the
+// message to resend, its try count and the new RTO.
+func (w *Window[M]) Retry(now int64, armseq uint64) (m M, tries int, rto int64) {
+	p := w.slot(w.tq[0].Seq)
+	w.pop()
+	p.tries++
+	p.rto = min(2*p.rto, w.maxRTO)
+	w.arm(p, now, armseq)
+	return p.msg, p.tries, p.rto
+}
+
+// arm queues p's next deadline at now + p.rto under armseq; the entry
+// it supersedes, if any, goes stale.
+func (w *Window[M]) arm(p *pending[M], now int64, armseq uint64) {
+	p.armseq = armseq
+	w.push(RetxEntry{Deadline: now + p.rto, Armseq: armseq, Seq: p.seq})
+}
+
+// nextRTO returns the current retransmission timeout: the estimator's
 // recommendation plus one tick of clock granularity (without it, a
 // jitter-free link converges to RTO == RTT exactly and every ack ties
 // with its own retransmission timer), clamped to [initRTO/4, maxRTO];
 // initRTO before any sample.
-func (w *Window[M]) NextRTO(initRTO, maxRTO int64) int64 {
-	est := int64(w.RTT.RTO())
+func (w *Window[M]) nextRTO() int64 {
+	est := int64(w.rtt.RTO())
 	if est <= 0 {
-		return initRTO
+		return w.initRTO
 	}
-	est++
-	if min := initRTO / 4; est < min {
-		est = min
-	}
-	if est < 1 {
-		est = 1
-	}
-	if est > maxRTO {
-		est = maxRTO
-	}
-	return est
+	return min(max(est+1, w.initRTO/4, 1), w.maxRTO)
 }
 
-// TQLen returns the timer queue's length.
-func (w *Window[M]) TQLen() int { return len(w.tq) }
-
-// TQHead returns the queue's minimum entry; TQLen must be positive.
-func (w *Window[M]) TQHead() RetxEntry { return w.tq[0] }
-
-// TQPush adds one deadline to the per-window timer min-heap.
-func (w *Window[M]) TQPush(e RetxEntry) {
+// push adds one deadline to the timer min-heap.
+func (w *Window[M]) push(e RetxEntry) {
 	w.tq = append(w.tq, e)
 	c := len(w.tq) - 1
 	for c > 0 {
@@ -195,8 +227,8 @@ func (w *Window[M]) TQPush(e RetxEntry) {
 	}
 }
 
-// TQPop removes the minimum deadline.
-func (w *Window[M]) TQPop() {
+// pop removes the minimum deadline.
+func (w *Window[M]) pop() {
 	last := len(w.tq) - 1
 	w.tq[0] = w.tq[last]
 	w.tq = w.tq[:last]
