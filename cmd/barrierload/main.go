@@ -53,6 +53,10 @@ import (
 	"fuzzybarrier/internal/transport"
 )
 
+// drainTimeout bounds the wait, after the last LeaveBatch, for every
+// connection to see its groups drain.
+const drainTimeout = 3 * time.Second
+
 type ratePoint struct {
 	OfferedEpochsPerSec  float64 `json:"offered_eps"` // 0 = closed loop
 	AchievedEpochsPerSec float64 `json:"achieved_eps"`
@@ -244,22 +248,38 @@ func run(transportF, connect string, clients, groups, conns, shards, epochs int,
 
 	// Deregister every client so a clean run drains its groups instead
 	// of leaving the server's watchdog reporting thousands of abandoned
-	// signalers stuck at the next epoch. The short settle lets the
-	// leave batches (and their retransmissions) reach the home shards
-	// before the connections close.
+	// signalers stuck at the next epoch, and wait until every connection
+	// has seen its groups' drain release before closing: by then the
+	// leave batches (and their retransmissions) have reached the homes.
+	var drained sync.WaitGroup
 	for i, c := range cs {
-		wg.Add(1)
-		go func(i int, c *barrierd.Conn) {
-			defer wg.Done()
-			for g := 0; g < groups; g++ {
-				if len(ids[i][g]) > 0 {
-					c.LeaveBatch(uint32(g), ids[i][g])
+		for g := 0; g < groups; g++ {
+			if len(ids[i][g]) > 0 {
+				drained.Add(1)
+				c.WhenReleased(uint32(g), barrierd.DrainEpoch, func(int64) { drained.Done() })
+				c.LeaveBatch(uint32(g), ids[i][g])
+			}
+		}
+	}
+	done := make(chan struct{})
+	go func() { drained.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(drainTimeout):
+		var short []string
+		for g := 0; g < groups; g++ {
+			n := 0 // connections yet to see g drain
+			for i, c := range cs {
+				if len(ids[i][g]) > 0 && c.Released(uint32(g)) < barrierd.DrainEpoch {
+					n++
 				}
 			}
-		}(i, c)
+			if n > 0 {
+				short = append(short, fmt.Sprintf("group %d (%d conns)", g, n))
+			}
+		}
+		return nil, fmt.Errorf("not drained %v after the last LeaveBatch: %s", drainTimeout, strings.Join(short, ", "))
 	}
-	wg.Wait()
-	time.Sleep(200 * time.Millisecond)
 
 	stuckMu.Lock()
 	rep.StuckReports = stuck

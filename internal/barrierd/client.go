@@ -2,7 +2,9 @@ package barrierd
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -68,8 +70,14 @@ type watcher struct {
 // one batch joined, its JoinOK in, each arrival naming the whole batch —
 // signaled is nil and the one value is shared: the paper's "all set"
 // rather than a roll-call, so an in-order full-batch arrive checks the ids
-// and writes one word. The first call that would set members apart gives
-// each its own value, which it keeps until the table empties.
+// and writes one word, and a full-batch leave takes them all at once. The
+// first call that would set members apart gives each its own value, which
+// it keeps until the table empties.
+//
+// The index is built by the first lookup that needs it (a walk that
+// leaves registration order, a partial leave, a join into a non-empty
+// table), so a whole batch joins, arrives and leaves with none and a
+// member costs its id.
 type memberTable struct {
 	mu  sync.Mutex
 	ids []uint64
@@ -80,7 +88,7 @@ type memberTable struct {
 	// member over. nil while every member's value is shared.
 	signaled []int64
 	shared   int64
-	index    map[uint64]int32 // id -> slot
+	index    map[uint64]int32 // id -> slot; nil until a lookup needs it
 }
 
 // waitOnly is a wait-only member's signaled: it never owes an epoch.
@@ -105,47 +113,67 @@ func (t *memberTable) diverge(extra int) {
 	}
 }
 
+// whole reports whether the members agree and ids names every one of them
+// in registration order.
+func (t *memberTable) whole(ids []uint64) bool {
+	return t.signaled == nil && len(ids) > 0 && slices.Equal(ids, t.ids)
+}
+
 // slot finds id, trying hint — the slot after the previous hit — first.
 func (t *memberTable) slot(id uint64, hint int32) (int32, bool) {
 	if int(hint) < len(t.ids) && t.ids[hint] == id {
 		return hint, true
 	}
+	t.indexed(0)
 	i, ok := t.index[id]
 	return i, ok
 }
 
-// remove deletes slot i by moving the last member into it. Members that
-// agree still agree.
-func (t *memberTable) remove(i int32) {
-	last := int32(len(t.ids) - 1)
-	delete(t.index, t.ids[i])
-	if i != last {
-		t.ids[i] = t.ids[last]
-		t.index[t.ids[i]] = i
-		if t.signaled != nil {
-			t.signaled[i] = t.signaled[last]
+// indexed builds the index from ids if there is none, with room for extra
+// more.
+func (t *memberTable) indexed(extra int) {
+	if t.index == nil {
+		t.index = make(map[uint64]int32, len(t.ids)+extra)
+		for i, id := range t.ids {
+			t.index[id] = int32(i)
 		}
 	}
+}
+
+// remove deletes slot i by moving the last member into it, keeping the
+// index if there is one. Members that agree still agree.
+func (t *memberTable) remove(i int32) {
+	last := int32(len(t.ids) - 1)
+	if t.index != nil {
+		delete(t.index, t.ids[i])
+		if i != last {
+			t.index[t.ids[last]] = i
+		}
+	}
+	t.ids[i] = t.ids[last]
 	t.ids = t.ids[:last]
 	if t.signaled != nil {
+		t.signaled[i] = t.signaled[last]
 		t.signaled = t.signaled[:last]
 	}
 }
 
 // join registers the ids that are not members yet, parked under batch,
 // and returns how many that was. A batch into an empty table is one
-// shared value.
+// shared value, and if it repeats no id, a copy of ids and no index.
 func (t *memberTable) join(batch uint32, ids []uint64) int {
-	if t.index == nil {
-		t.index = make(map[uint64]int32, len(ids))
-	}
 	was := len(t.ids)
 	if was == 0 {
-		t.signaled, t.shared = nil, -int64(batch)
+		t.signaled, t.shared, t.index = nil, -int64(batch), nil
+		if distinct(ids) {
+			t.ids = append(t.ids[:0], ids...)
+			return len(ids)
+		}
 	} else {
 		t.diverge(len(ids))
 		t.signaled = slices.Grow(t.signaled, len(ids)) // no-op if diverge just built it
 	}
+	t.indexed(len(ids))
 	t.ids = slices.Grow(t.ids, len(ids))
 	for _, id := range ids {
 		if _, dup := t.index[id]; !dup {
@@ -184,7 +212,7 @@ func (t *memberTable) unpark(batch uint32, owes int64) {
 // compare: all n members are shared epochs behind e, so each epoch from
 // shared to e gains n.
 func (t *memberTable) arrive(e int64, ids []uint64) []uint64 {
-	if t.signaled == nil && len(ids) > 0 && slices.Equal(ids, t.ids) {
+	if t.whole(ids) {
 		if t.shared < 0 || t.shared > e { // parked, wait-only or signaled e
 			return nil
 		}
@@ -215,8 +243,27 @@ func (t *memberTable) arrive(e int64, ids []uint64) []uint64 {
 
 // leave deregisters the confirmed members in ids and returns how many of
 // each kind went and the signals they had banked for epochs past released,
-// highest epoch first. Unknown and unconfirmed ids are passed over.
+// highest epoch first. Unknown and unconfirmed ids are passed over. On a
+// table that agrees, a batch naming every member in registration order
+// takes them all at once: n of the shared mode go, each banked epoch loses
+// n signals, and the table empties.
 func (t *memberTable) leave(released int64, ids []uint64) (gone census, banked []uint64) {
+	if t.whole(ids) {
+		n, s := len(ids), t.shared
+		switch {
+		case s < 0: // parked
+			return gone, nil
+		case s == waitOnly:
+			gone.waiters = int64(n)
+		default:
+			gone.signalers = int64(n)
+			for k := released + 1; k < s; k++ {
+				banked = append(banked, uint64(n))
+			}
+		}
+		t.ids, t.index = t.ids[:0], nil
+		return gone, banked
+	}
 	hint := int32(0)
 	for _, id := range ids {
 		i, ok := t.slot(id, hint)
@@ -255,6 +302,32 @@ func tally(h []uint64, j int64) []uint64 {
 	}
 	h[j]++
 	return h
+}
+
+// distinct reports whether no id repeats in ids. It probes an open-
+// addressing set of positions (slot+1, 0 empty) kept at most half full,
+// about 8 bytes per id and dropped on return; the hash is keyed afresh
+// from hash/maphash on every call, so no choice of ids makes the probing
+// quadratic.
+func distinct(ids []uint64) bool {
+	if len(ids) < 2 {
+		return true
+	}
+	key := maphash.Bytes(maphash.MakeSeed(), nil)
+	set := make([]int32, 2*len(ids))
+	for i, id := range ids {
+		j, _ := bits.Mul64(rdvmix(key, id), uint64(len(set)))
+		for set[j] != 0 {
+			if ids[set[j]-1] == id {
+				return false
+			}
+			if j++; j == uint64(len(set)) {
+				j = 0
+			}
+		}
+		set[j] = int32(i + 1)
+	}
+	return true
 }
 
 // Dial attaches a client connection at addr (>= transport.ConnAddrBase)
@@ -433,7 +506,9 @@ func (c *Conn) ArriveBatch(g uint32, e int64, ids []uint64) {
 
 // LeaveBatch deregisters ids from g, taking back the signals they had
 // banked for epochs not yet released. Unknown and unconfirmed ids are
-// passed over: a member can leave once its join is confirmed.
+// passed over: a member can leave once its join is confirmed. Like an
+// arrival, a batch that names every member in registration order costs
+// one compare of the ids while the members agree.
 func (c *Conn) LeaveBatch(g uint32, ids []uint64) {
 	cg := c.group(g)
 	t := &cg.members
