@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify build vet test race bench bench-compile bench-pairs bench-gate fmt-check check
+.PHONY: verify build vet test race bench bench-once bench-compile bench-pairs bench-gate fmt-check check
 
-verify: build vet race bench-compile check fmt-check
+verify: build vet race bench-once bench-compile check fmt-check
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# Every root benchmark once (-benchtime 1x, a few seconds): `go vet`
+# only compiles them, so this is what makes a broken benchmark fail
+# here rather than in the next `make bench`.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # bench/ is a module of its own (it is what BENCHMARK.json runs), so
 # `./...` above never compiles it. Its tests build every workload

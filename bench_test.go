@@ -146,18 +146,48 @@ func BenchmarkE1Simulated(b *testing.B) {
 // E2 — Section 1: barrier implementations and scaling
 // ---------------------------------------------------------------------
 
+// splitNames are the split barriers baseline.NewSplit builds.
+var splitNames = []string{"fuzzy", "fuzzy-tree", "fuzzy-reduce", "hier"}
+
+// splitAwait is a split barrier used as a point barrier: Await is
+// Arrive then Wait.
+func splitAwait(name string) func(n int) func(id int) {
+	return func(n int) func(id int) {
+		bar, err := baseline.NewSplit(name, n)
+		if err != nil {
+			panic(err)
+		}
+		return func(int) { bar.Await() }
+	}
+}
+
+// e2PointBarriers are BenchmarkE2Barriers' rows in name order: the
+// conventional software barriers and each split barrier as a point
+// barrier. Each entry returns participant id's Await.
+var e2PointBarriers = []struct {
+	name string
+	mk   func(n int) func(id int)
+}{
+	{"central", func(n int) func(int) { return baseline.NewCentral(n).Await }},
+	{"dissemination", func(n int) func(int) { return baseline.NewDissemination(n).Await }},
+	{"fuzzy", splitAwait("fuzzy")},
+	{"fuzzy-reduce", splitAwait("fuzzy-reduce")},
+	{"fuzzy-tree", splitAwait("fuzzy-tree")},
+	{"hier", splitAwait("hier")},
+	{"sense-reversing", func(n int) func(int) { return baseline.NewSenseReversing(n).Await }},
+	{"tournament", func(n int) func(int) { return baseline.NewTournament(n).Await }},
+	{"tree", func(n int) func(int) { return baseline.NewTree(n, 4).Await }},
+}
+
 // BenchmarkE2Barriers measures the runtime baselines (ns/episode) across
 // implementations and participant counts — the log-vs-linear software
-// spectrum the paper cites, plus the fuzzy barrier used as a point
-// barrier.
+// spectrum the paper cites, plus the split barriers used as point
+// barriers.
 func BenchmarkE2Barriers(b *testing.B) {
 	for _, procs := range []int{2, 4, 8} {
-		for _, name := range baseline.Names() {
-			b.Run(fmt.Sprintf("%s/p%d", name, procs), func(b *testing.B) {
-				bar, err := baseline.New(name, procs)
-				if err != nil {
-					b.Fatal(err)
-				}
+		for _, pb := range e2PointBarriers {
+			b.Run(fmt.Sprintf("%s/p%d", pb.name, procs), func(b *testing.B) {
+				await := pb.mk(procs)
 				var wg sync.WaitGroup
 				b.ResetTimer()
 				for p := 0; p < procs; p++ {
@@ -165,7 +195,7 @@ func BenchmarkE2Barriers(b *testing.B) {
 					go func(id int) {
 						defer wg.Done()
 						for i := 0; i < b.N; i++ {
-							bar.Await(id)
+							await(id)
 						}
 					}(p)
 				}
@@ -209,7 +239,7 @@ func splitScalingOversubscribed(workers int) bool {
 func BenchmarkE2SplitScaling(b *testing.B) {
 	for _, workers := range []int{8, 64, 256, 1024, 4096, 8192, 16384} {
 		for _, region := range []int{0, 16} {
-			for _, name := range baseline.SplitNames() {
+			for _, name := range splitNames {
 				b.Run(fmt.Sprintf("%s/p%d/region=%d", name, workers, region), func(b *testing.B) {
 					if splitScalingOversubscribed(workers) {
 						b.Skipf("skipping %d workers at GOMAXPROCS=%d: > 64x oversubscribed, wall-clock numbers would be scheduler noise",

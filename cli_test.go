@@ -32,7 +32,7 @@ func buildTools(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		for _, tool := range []string{"experiments", "fuzzsim", "fuzzcc", "barbench", "clustersim", "barrierd", "barrierload"} {
+		for _, tool := range []string{"experiments", "fuzzsim", "fuzzcc", "clustersim", "barrierd", "barrierload"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(buildDir, tool), "./cmd/"+tool)
 			out, err := cmd.CombinedOutput()
 			if err != nil {
@@ -159,55 +159,6 @@ func TestCLIFuzzccRunAndDag(t *testing.T) {
 	}
 }
 
-func TestCLIBarbench(t *testing.T) {
-	dir := buildTools(t)
-	out, err := runTool(t, dir, "barbench", "-procs", "2", "-episodes", "200", "-impl", "central")
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	if !strings.Contains(out, "per-episode") {
-		t.Errorf("missing timing output:\n%s", out)
-	}
-	// The split-phase tree barrier reports its hot-spot traffic.
-	out, err = runTool(t, dir, "barbench", "-procs", "8", "-episodes", "200", "-impl", "fuzzy-tree", "-region", "5")
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	if !strings.Contains(out, "hotspot-ops/phase") {
-		t.Errorf("missing hotspot metric:\n%s", out)
-	}
-}
-
-func TestCLIBarbenchJSON(t *testing.T) {
-	dir := buildTools(t)
-	out, err := runTool(t, dir, "barbench", "-procs", "2", "-episodes", "200", "-impl", "fuzzy", "-json")
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	// stderr (GOMAXPROCS note) may precede the JSON; decode from '['.
-	i := strings.Index(out, "[")
-	if i < 0 {
-		t.Fatalf("no JSON array in output:\n%s", out)
-	}
-	var recs []struct {
-		Impl    string `json:"impl"`
-		Split   bool   `json:"split"`
-		NsPerEp int64  `json:"ns_per_episode"`
-		Stats   *struct {
-			Syncs int64 `json:"syncs"`
-		} `json:"stats"`
-	}
-	if err := json.Unmarshal([]byte(out[i:]), &recs); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, out)
-	}
-	if len(recs) != 1 || recs[0].Impl != "fuzzy" || !recs[0].Split {
-		t.Fatalf("unexpected records: %+v", recs)
-	}
-	if recs[0].NsPerEp <= 0 || recs[0].Stats == nil || recs[0].Stats.Syncs != 200 {
-		t.Errorf("implausible measurement: %+v", recs[0])
-	}
-}
-
 func TestCLIClustersim(t *testing.T) {
 	dir := buildTools(t)
 	out, err := runTool(t, dir, "clustersim",
@@ -305,6 +256,17 @@ func TestCLIBarrierdSmoke(t *testing.T) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}
 	}
+	// A config the service would not run as given is refused, naming
+	// the flag, rather than silently defaulted.
+	for _, row := range [][]string{
+		{"-shards", "0"},
+		{"-radix", "1"},
+	} {
+		out, err := runTool(t, dir, "barrierd", append(row, "-duration", "1ms")...)
+		if err == nil || !strings.Contains(out, row[0]+" must be") {
+			t.Errorf("barrierd %s: err %v, want a refusal naming %s:\n%s", strings.Join(row, " "), err, row[0], out)
+		}
+	}
 }
 
 func TestCLIBarrierloadInproc(t *testing.T) {
@@ -339,6 +301,14 @@ func TestCLIBarrierloadInproc(t *testing.T) {
 		rep.Points[0].P50Ms <= 0 || rep.Points[0].P99Ms < rep.Points[0].P50Ms {
 		t.Errorf("implausible latency point: %+v", rep.Points)
 	}
+	// A size below 1 is refused, naming the flag; -epochs 0 would
+	// otherwise report an empty run as p50=0.00ms.
+	for _, flag := range []string{"-groups", "-conns", "-epochs"} {
+		out, err := runTool(t, dir, "barrierload", "-clients", "64", flag, "0")
+		if err == nil || !strings.Contains(out, flag+" must be >= 1") {
+			t.Errorf("barrierload %s 0: err %v, want a refusal naming %s:\n%s", flag, err, flag, out)
+		}
+	}
 }
 
 // TestCLIJSONWriteFailureExits: a tool whose JSON report cannot be
@@ -346,7 +316,6 @@ func TestCLIBarrierloadInproc(t *testing.T) {
 func TestCLIJSONWriteFailureExits(t *testing.T) {
 	dir := buildTools(t)
 	for _, row := range [][]string{
-		{"barbench", "-procs", "2", "-episodes", "200", "-impl", "fuzzy", "-json"},
 		{"barrierload", "-clients", "64", "-groups", "1", "-conns", "2", "-epochs", "2", "-json"},
 	} {
 		full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)

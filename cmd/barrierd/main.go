@@ -41,6 +41,14 @@ func main() {
 	watchdog := flag.Duration("watchdog", 2*time.Second, "no-progress threshold (0 = off)")
 	duration := flag.Duration("duration", 0, "exit after this long (0 = run until signalled)")
 	flag.Parse()
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "barrierd: -shards must be >= 1 (got %d)\n", *shards)
+		os.Exit(1)
+	}
+	if *radix < 2 {
+		fmt.Fprintf(os.Stderr, "barrierd: -radix must be >= 2 (got %d)\n", *radix)
+		os.Exit(1)
+	}
 
 	cfg := barrierd.RealtimeConfig()
 	cfg.Shards = *shards
@@ -78,5 +86,5 @@ func main() {
 		stucks += s
 	}
 	fmt.Printf("barrierd: shards=%d arrivals=%d releases=%d stuck-reports=%d\n",
-		*shards, arrivals, releases, stucks)
+		len(svc.Shards), arrivals, releases, stucks)
 }

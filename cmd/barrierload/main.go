@@ -114,8 +114,16 @@ func main() {
 }
 
 func run(transportF, connect string, clients, groups, conns, shards, epochs int, rates string) (*report, error) {
-	if groups < 1 || conns < 1 || clients < groups*conns {
-		return nil, fmt.Errorf("need clients >= groups*conns (got %d < %d)", clients, groups*conns)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"groups", groups}, {"conns", conns}, {"shards", shards}, {"epochs", epochs}} {
+		if f.v < 1 {
+			return nil, fmt.Errorf("-%s must be >= 1 (got %d)", f.name, f.v)
+		}
+	}
+	if clients < groups*conns {
+		return nil, fmt.Errorf("need -clients >= -groups * -conns (got %d < %d)", clients, groups*conns)
 	}
 	// A stuck report names the children that are short; the second step
 	// of the drill-down asks this process's connections which members.

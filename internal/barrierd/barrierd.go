@@ -33,6 +33,7 @@ package barrierd
 import (
 	"fmt"
 
+	"fuzzybarrier/internal/splitmix"
 	"fuzzybarrier/internal/transport"
 )
 
@@ -129,12 +130,10 @@ func (r Ring) top(key uint64) int {
 	return best
 }
 
-// rdvmix is a splitmix64-style scorer for rendezvous hashing.
+// rdvmix is the rendezvous-hashing score: the splitmix64 finalizer over
+// a XOR b·Gamma. Group placement depends on its values.
 func rdvmix(a, b uint64) uint64 {
-	z := a ^ (b * 0x9E3779B97F4A7C15)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return splitmix.Finalize(a ^ (b * splitmix.Gamma))
 }
 
 // parentShard returns the combine-tree parent of shard s for a group

@@ -7,7 +7,11 @@
 // implementations the paper's reference [4] points at).
 //
 // All implementations satisfy Barrier and count their spin iterations and
-// episodes so the experiment harness can report overhead directly.
+// episodes. The root BenchmarkE2Barriers times them beside the split
+// barriers used as point barriers, and the benchmark's rt-spin workload
+// times the sense-reversing barrier as its reference
+// (baseline.episode_ns.sense). NewSplit names the split barriers the
+// rt-* workloads run.
 package baseline
 
 import (
@@ -26,8 +30,7 @@ type Barrier interface {
 	N() int
 	// Name returns a short implementation name for tables.
 	Name() string
-	// Spins returns the total spin iterations across all participants —
-	// the run-time overhead proxy used by experiment E2.
+	// Spins returns the total spin iterations across all participants.
 	Spins() int64
 	// Episodes returns the number of completed barrier episodes.
 	Episodes() int64

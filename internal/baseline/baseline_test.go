@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"fuzzybarrier/internal/core"
 )
 
 // checkBarrier verifies the fundamental barrier property for any
@@ -45,6 +47,44 @@ func checkBarrier(t *testing.T, mk func(n int) Barrier, n, episodes int) {
 	}
 }
 
+// splitNames are the names NewSplit builds.
+var splitNames = []string{"fuzzy", "fuzzy-tree", "fuzzy-reduce", "hier"}
+
+// splitPoint runs a split barrier from NewSplit as a point barrier (an
+// empty barrier region), so the counter detector covers it too.
+type splitPoint struct {
+	name string
+	b    core.SplitBarrier
+}
+
+func newSplitPoint(name string) func(n int) Barrier {
+	return func(n int) Barrier {
+		b, err := NewSplit(name, n)
+		if err != nil {
+			panic(err)
+		}
+		return splitPoint{name, b}
+	}
+}
+
+func (p splitPoint) Await(id int) {
+	checkID(id, p.b.N())
+	p.b.Await()
+}
+
+func (p splitPoint) N() int       { return p.b.N() }
+func (p splitPoint) Name() string { return p.name }
+
+func (p splitPoint) Spins() int64 {
+	_, _, _, _, _, spinIters := p.b.Stats()
+	return spinIters
+}
+
+func (p splitPoint) Episodes() int64 {
+	syncs, _, _, _, _, _ := p.b.Stats()
+	return syncs
+}
+
 // constructors for every implementation under test.
 var constructors = map[string]func(n int) Barrier{
 	"central":         func(n int) Barrier { return NewCentral(n) },
@@ -53,9 +93,15 @@ var constructors = map[string]func(n int) Barrier{
 	"tree-fan2":       func(n int) Barrier { return NewTree(n, 2) },
 	"dissemination":   func(n int) Barrier { return NewDissemination(n) },
 	"tournament":      func(n int) Barrier { return NewTournament(n) },
-	"fuzzy":           func(n int) Barrier { return NewFuzzyPoint(n) },
-	"fuzzy-tree":      func(n int) Barrier { b, _ := New("fuzzy-tree", n); return b },
+	"fuzzy":           newSplitPoint("fuzzy"),
+	"fuzzy-tree":      newSplitPoint("fuzzy-tree"),
+	"fuzzy-reduce":    newSplitPoint("fuzzy-reduce"),
+	"hier":            newSplitPoint("hier"),
 }
+
+// pointNames are the constructors TestBarrierPropertyRandomSizes draws
+// from, in sorted order: all but the tree-fan2 shape.
+var pointNames = []string{"central", "dissemination", "fuzzy", "fuzzy-reduce", "fuzzy-tree", "hier", "sense-reversing", "tournament", "tree"}
 
 func TestAllBarrierImplementations(t *testing.T) {
 	for name, mk := range constructors {
@@ -84,15 +130,11 @@ func itoa(n int) string {
 // TestBarrierPropertyRandomSizes drives random (implementation, size,
 // episodes) combinations through the counter detector.
 func TestBarrierPropertyRandomSizes(t *testing.T) {
-	names := Names()
 	f := func(pick, size, eps uint8) bool {
-		name := names[int(pick)%len(names)]
+		name := pointNames[int(pick)%len(pointNames)]
 		n := int(size%10) + 1
 		episodes := int(eps%20) + 1
-		b, err := New(name, n)
-		if err != nil {
-			return false
-		}
+		b := constructors[name](n)
 		var counter atomic.Int64
 		okFlag := atomic.Bool{}
 		okFlag.Store(true)
@@ -119,24 +161,8 @@ func TestBarrierPropertyRandomSizes(t *testing.T) {
 	}
 }
 
-func TestFactory(t *testing.T) {
-	for _, name := range Names() {
-		b, err := New(name, 4)
-		if err != nil {
-			t.Errorf("New(%q): %v", name, err)
-			continue
-		}
-		if b.Name() != name {
-			t.Errorf("New(%q).Name() = %q", name, b.Name())
-		}
-	}
-	if _, err := New("bogus", 4); err == nil {
-		t.Error("expected error for unknown barrier")
-	}
-}
-
 func TestSplitFactory(t *testing.T) {
-	for _, name := range SplitNames() {
+	for _, name := range splitNames {
 		b, err := NewSplit(name, 4)
 		if err != nil {
 			t.Errorf("NewSplit(%q): %v", name, err)
@@ -144,10 +170,6 @@ func TestSplitFactory(t *testing.T) {
 		}
 		if b.N() != 4 {
 			t.Errorf("NewSplit(%q).N() = %d, want 4", name, b.N())
-		}
-		// Every split name must also be constructible as a point barrier.
-		if _, err := New(name, 4); err != nil {
-			t.Errorf("New(%q): %v", name, err)
 		}
 	}
 	if _, err := NewSplit("central", 4); err == nil {

@@ -1,6 +1,10 @@
 package core
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"fuzzybarrier/internal/splitmix"
+)
 
 // ShardHint returns the caller's routing hash: splitmix64 over a
 // per-goroutine seed (the caller's stack address). Distinct goroutines
@@ -21,17 +25,11 @@ func ShardHint() uint64 {
 	return splitmix64(uint64(uintptr(unsafe.Pointer(&probe))))
 }
 
-// splitmixGamma is splitmix64's state increment (2^64 / golden ratio).
-const splitmixGamma = 0x9e3779b97f4a7c15
-
-// splitmix64 is the splitmix64 finalizer: full-avalanche mixing, so both
-// the low bits (shard selection) and the high bits (leaf selection) of
-// the result are usable independently. Stack bases are allocation-size
-// aligned, so the raw address must be mixed before any reduction or most
-// bits collide.
+// splitmix64 is one splitmix64 step from state z: add the gamma, then
+// the shared finalizer, whose full avalanche makes both the low bits
+// (shard selection) and the high bits (leaf selection) of the result
+// usable independently. Stack bases are allocation-size aligned, so the
+// raw address must be mixed before any reduction or most bits collide.
 func splitmix64(z uint64) uint64 {
-	z += splitmixGamma
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return splitmix.Finalize(z + splitmix.Gamma)
 }

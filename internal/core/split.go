@@ -6,9 +6,9 @@ package core
 // the allreduce ReduceBarrier (whose plain Arrive contributes the
 // reduction identity). They differ in Arrive alone: TryWait, Wait (bar
 // HierBarrier's choice of spin word) and Epoch are the one embedded
-// splitCore's. The experiment harness, the benchmarks and cmd/barbench
-// all drive barriers through this interface so that implementations can
-// be compared apples-to-apples.
+// splitCore's. The experiment harness, the rt-* benchmark workloads
+// (bench/rt.go) and the root benchmarks all drive barriers through this
+// interface so that implementations can be compared apples-to-apples.
 //
 // The protocol is the paper's: Arrive marks entry into the barrier
 // region and never blocks; Wait marks the region's end and blocks only

@@ -55,7 +55,8 @@ func pow4(n int) int64 {
 // BarrierStats is a point-in-time snapshot of a runtime barrier's
 // counters: the observability surface shared by FuzzyBarrier,
 // DynamicBarrier, TreeBarrier, HierBarrier, ReduceBarrier and Phaser,
-// rendered by cmd/barbench. Always-on costs the hot path no lock and no
+// whose wait counters the benchmark's rt-* workloads record (bench/rt.go)
+// and String prints. Always-on costs the hot path no lock and no
 // allocation: each Wait adds to one outcome counter and one histogram
 // bucket (a spinning Wait also to SpinIters), all padded off the line
 // waiters spin on, and Arrive of a fixed-membership barrier writes no

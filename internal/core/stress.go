@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"fuzzybarrier/internal/splitmix"
 )
 
 // Stress is a weak-memory stress harness for the runtime barriers: the
@@ -108,7 +110,7 @@ type stressRNG uint64
 
 func (r *stressRNG) next() uint64 {
 	z := splitmix64(uint64(*r))
-	*r += splitmixGamma
+	*r += splitmix.Gamma
 	return z
 }
 
@@ -477,5 +479,5 @@ func (rep *StressReport) check(dyn *DynamicBarrier, phs *Phaser, stale, reduceBa
 // mix64 is splitmix64 over a seed/stream pair, for decorrelated
 // per-worker schedule streams.
 func mix64(seed, stream uint64) uint64 {
-	return splitmix64(seed + (stream-1)*splitmixGamma)
+	return splitmix64(seed + (stream-1)*splitmix.Gamma)
 }

@@ -1,5 +1,7 @@
 package des
 
+import "fuzzybarrier/internal/splitmix"
+
 // RNG is the xorshift64* generator everything seeded in this repo
 // draws from: internal/cluster (per-node work and link streams),
 // transport.SimNet (the network stream), and internal/workload's drift
@@ -10,15 +12,12 @@ type RNG struct{ state uint64 }
 // splitmix64 step, so per-node, per-endpoint and per-network streams
 // never collide even for adjacent seeds.
 //
-// Two look-alikes are deliberately not folded in. barrierd.rdvmix XORs
-// its inputs where Mix adds — a different function, and shard placement
-// depends on its values. core.splitmix64/mix64 stay in core, which must
-// not import a simulator package.
+// The finalizer is splitmix.Finalize, shared with core's ShardHint and
+// stress streams, barrierd's rendezvous scores and E18. Only the pre-mix
+// is Mix's own: it adds salt·Gamma to the seed (barrierd.rdvmix XORs its
+// inputs instead), and every seeded pin hashes the result.
 func Mix(seed, salt uint64) uint64 {
-	z := seed + salt*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return splitmix.Finalize(seed + salt*splitmix.Gamma)
 }
 
 // NewRNG returns a generator for seed; 0, the one state xorshift cannot

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fuzzybarrier/internal/core"
+	"fuzzybarrier/internal/splitmix"
 	"fuzzybarrier/internal/stats"
 	"fuzzybarrier/internal/trace"
 )
@@ -113,10 +114,8 @@ type e18Cell struct {
 // fixed pseudo-random spread so the per-phase max moves around the
 // fleet.
 func e18Dur(phase, id int) int64 {
-	z := uint64(phase)*1000003 + uint64(id) + 0xE18
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(1000 + (z^(z>>31))%512)
+	z := splitmix.Finalize(uint64(phase)*1000003 + uint64(id) + 0xE18)
+	return int64(1000 + z%512)
 }
 
 // e18Run drives one strategy at one fleet size, serially: the last

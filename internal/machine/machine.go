@@ -34,10 +34,6 @@ type Config struct {
 	// Mem configures the shared-memory system. Mem.Procs is overridden
 	// with Procs.
 	Mem mem.Config
-	// MulLatency and DivLatency are the cycle costs of multiply and
-	// divide (defaults 3 and 8); all other ALU instructions take 1 cycle.
-	MulLatency int64
-	DivLatency int64
 	// PipelineDepth models instruction-completion lag: a processor's
 	// ready line rises PipelineDepth−1 cycles after it issues the first
 	// instruction of a barrier region, because the last non-barrier
@@ -85,12 +81,6 @@ func (c *Config) normalize() {
 	if c.Procs > 64 {
 		c.Procs = 64
 	}
-	if c.MulLatency <= 0 {
-		c.MulLatency = 3
-	}
-	if c.DivLatency <= 0 {
-		c.DivLatency = 8
-	}
 	if c.PipelineDepth <= 0 {
 		c.PipelineDepth = 1
 	}
@@ -105,6 +95,13 @@ func (c *Config) normalize() {
 	}
 	c.Mem.Procs = c.Procs
 }
+
+// mulLatency and divLatency are the cycle costs of multiply and of
+// divide or modulo; every other ALU instruction takes 1 cycle.
+const (
+	mulLatency = 3
+	divLatency = 8
+)
 
 // callStackDepth bounds the per-processor CALL stack.
 const callStackDepth = 64
