@@ -27,9 +27,16 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Every root benchmark once (-benchtime 1x, a few seconds): `go vet`
+# Every root benchmark once (-benchtime 1x, under a second): `go vet`
 # only compiles them, so this is what makes a broken benchmark fail
-# here rather than in the next `make bench`.
+# here rather than in the next `make bench`. The root keeps only the
+# eight families whose numbers no other harness records yet:
+# E2Barriers (point barriers, until bench/ records them beside
+# `sense`), E2SplitScaling (large n and the reduce barrier, until
+# bench/ sweeps size x skew x radix), ReduceAllreduce, DynamicBarrier
+# and SimulatorThroughput (no bench/ workload runs them), and the three
+# Ablation* families (DESIGN.md §5). Every other number lives in
+# bench/, an experiment table or a `make bench-gate` test.
 bench-once:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 

@@ -1,8 +1,12 @@
-// Benchmarks regenerating the paper's evaluation, one benchmark per table
-// or figure (DESIGN.md index E1..E18), plus the ablations DESIGN.md calls
-// out. Simulator benchmarks report deterministic counters (cycles, stall
-// cycles) via b.ReportMetric; goroutine benchmarks report wall time — on
-// a time-shared scheduler treat those as orderings, not absolutes.
+// Root benchmarks for the numbers no other harness records yet: the
+// point barriers and split-barrier scaling of the paper's Section 1
+// (E2), the allreduce and dynamic-membership barriers on goroutines,
+// the simulator's own speed, and the ablations DESIGN.md §5 calls out.
+// Every other number has one home: bench/ (rt-*, sim-*), an experiment
+// table (cmd/experiments) or a BENCH_GATE speed-up test. Simulator
+// benchmarks report deterministic counters (cycles, stall cycles) via
+// b.ReportMetric; goroutine benchmarks report wall time — on a
+// time-shared scheduler treat those as orderings, not absolutes.
 //
 //	go test -bench=. -benchmem
 package fuzzybarrier_test
@@ -16,10 +20,8 @@ import (
 	"time"
 
 	"fuzzybarrier/internal/baseline"
-	"fuzzybarrier/internal/cluster"
 	"fuzzybarrier/internal/compiler"
 	"fuzzybarrier/internal/core"
-	"fuzzybarrier/internal/des"
 	"fuzzybarrier/internal/exp"
 	"fuzzybarrier/internal/isa"
 	"fuzzybarrier/internal/lang"
@@ -69,78 +71,6 @@ func spinWork(units int) uint64 {
 }
 
 var benchSink uint64
-
-// ---------------------------------------------------------------------
-// E1 — Section 8: sync cost vs. barrier-region size
-// ---------------------------------------------------------------------
-
-// BenchmarkE1SyncCostVsRegionSize is the goroutine (Encore-analog) form
-// of the headline experiment: 4 workers, fixed per-iteration body, the
-// barrier region growing from 0% to 50% of the body. ns/op falls as the
-// region grows because blocked waits (context switches — the cost the
-// paper attributes the 10,000 µs to) disappear.
-func BenchmarkE1SyncCostVsRegionSize(b *testing.B) {
-	const workers = 4
-	const body = 64 // spin units per iteration
-	for _, pct := range []int{0, 10, 25, 50} {
-		region := body * pct / 100
-		work := body - region
-		b.Run(fmt.Sprintf("region=%d%%", pct), func(b *testing.B) {
-			bar := core.NewFuzzyBarrier(workers)
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					var acc uint64
-					for i := 0; i < b.N; i++ {
-						acc += spinWork(work + id%2) // slight skew
-						ph := bar.Arrive()
-						acc += spinWork(region)
-						bar.Wait(ph)
-					}
-					benchSink += acc
-				}(w)
-			}
-			wg.Wait()
-			b.StopTimer()
-			_, _, _, _, blocks, _ := bar.Stats()
-			b.ReportMetric(float64(blocks)/float64(b.N), "blocked/op")
-		})
-	}
-}
-
-// BenchmarkE1Simulated is the deterministic form: stall cycles per
-// iteration on the 4-processor simulator with random drift.
-func BenchmarkE1Simulated(b *testing.B) {
-	const procs, iters, body, jitter = 4, 100, 200, 80
-	for _, region := range []int64{0, 40, 100} {
-		b.Run(fmt.Sprintf("region=%d", region), func(b *testing.B) {
-			var stalls, cycles int64
-			for i := 0; i < b.N; i++ {
-				progs := make([]*isa.Program, procs)
-				for p := 0; p < procs; p++ {
-					rng := des.NewRNG(uint64(7919*p + 13))
-					prog, err := workload.SyncLoop{
-						Self: p, Procs: procs,
-						Work:   workload.DriftWork(rng, iters, body-region-jitter/2, jitter),
-						Region: region,
-					}.Program()
-					if err != nil {
-						b.Fatal(err)
-					}
-					progs[p] = prog
-				}
-				res := runSim(b, machine.Config{Mem: simMem(procs, 256)}, progs)
-				stalls += res.TotalStalls()
-				cycles += res.Cycles
-			}
-			b.ReportMetric(float64(stalls)/float64(b.N*iters*procs), "stall-cycles/iter")
-			b.ReportMetric(float64(cycles)/float64(b.N*iters), "cycles/iter")
-		})
-	}
-}
 
 // ---------------------------------------------------------------------
 // E2 — Section 1: barrier implementations and scaling
@@ -286,205 +216,9 @@ func BenchmarkE2SplitScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkE2Simulated reports the deterministic software-vs-hardware
-// cost: cycles per episode for the counter barrier written in simulator
-// instructions vs. the fuzzy-barrier hardware.
-func BenchmarkE2Simulated(b *testing.B) {
-	const episodes = 50
-	for _, procs := range []int{4, 16} {
-		b.Run(fmt.Sprintf("central-sw/p%d", procs), func(b *testing.B) {
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				progs := make([]*isa.Program, procs)
-				for p := 0; p < procs; p++ {
-					prog, err := workload.CentralBarrierLoop{
-						Self: p, Procs: procs, Work: workload.BarrierOnlyWork(episodes),
-					}.Program()
-					if err != nil {
-						b.Fatal(err)
-					}
-					progs[p] = prog
-				}
-				cfg := simMem(procs, 256)
-				cfg.Modules = 1
-				cfg.ModuleBusy = 2
-				res := runSim(b, machine.Config{Mem: cfg}, progs)
-				cycles += res.Cycles
-			}
-			b.ReportMetric(float64(cycles)/float64(b.N*episodes), "cycles/episode")
-		})
-		b.Run(fmt.Sprintf("fuzzy-hw/p%d", procs), func(b *testing.B) {
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				progs := make([]*isa.Program, procs)
-				for p := 0; p < procs; p++ {
-					prog, err := workload.SyncLoop{
-						Self: p, Procs: procs,
-						Work: workload.UniformWork(episodes, 0),
-					}.Program()
-					if err != nil {
-						b.Fatal(err)
-					}
-					progs[p] = prog
-				}
-				res := runSim(b, machine.Config{Mem: simMem(procs, 256)}, progs)
-				cycles += res.Cycles
-			}
-			b.ReportMetric(float64(cycles)/float64(b.N*episodes), "cycles/episode")
-		})
-	}
-}
-
 // ---------------------------------------------------------------------
-// E3 — Figure 4: region construction and reordering
+// E18 — the allreduce on goroutines
 // ---------------------------------------------------------------------
-
-// BenchmarkE3RegionReordering compiles the Poisson solver under each
-// region-construction mode, reporting the resulting non-barrier region
-// size (the Figure 4 quantity) and the compile cost.
-func BenchmarkE3RegionReordering(b *testing.B) {
-	prog := lang.MustParse(exp.PoissonSource)
-	for _, mode := range []compiler.RegionMode{compiler.RegionSpan, compiler.RegionReorder} {
-		b.Run(mode.String(), func(b *testing.B) {
-			var nb int
-			for i := 0; i < b.N; i++ {
-				c, err := compiler.Compile(prog, compiler.Options{Procs: 4, Mode: mode})
-				if err != nil {
-					b.Fatal(err)
-				}
-				nb = c.Tasks[0].Stats.NonBarrier
-			}
-			b.ReportMetric(float64(nb), "non-barrier-TAC")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------
-// E4..E11 — remaining tables: each benchmark regenerates its experiment
-// and reports the headline metric deterministically.
-// ---------------------------------------------------------------------
-
-// benchExperiment runs a full experiment table per iteration; the tables
-// themselves validate their expected shapes internally.
-func benchExperiment(b *testing.B, id string) {
-	e, ok := exp.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	for i := 0; i < b.N; i++ {
-		tbl, err := e.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if tbl.NumRows() == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkE4LoopDistribution regenerates the Figure 5 table.
-func BenchmarkE4LoopDistribution(b *testing.B) { benchExperiment(b, "E4") }
-
-// BenchmarkE5VariableLengthStreams regenerates the Figure 7 table.
-func BenchmarkE5VariableLengthStreams(b *testing.B) { benchExperiment(b, "E5") }
-
-// BenchmarkE6LexicallyForward regenerates the Figures 9-10 table.
-func BenchmarkE6LexicallyForward(b *testing.B) { benchExperiment(b, "E6") }
-
-// BenchmarkE7StaticScheduling regenerates the Figure 11 table.
-func BenchmarkE7StaticScheduling(b *testing.B) { benchExperiment(b, "E7") }
-
-// BenchmarkE8RuntimeScheduling regenerates the Figure 12 table.
-func BenchmarkE8RuntimeScheduling(b *testing.B) { benchExperiment(b, "E8") }
-
-// BenchmarkE9InvalidBranch regenerates the Figure 2 demonstration
-// (validator + deadlock detection).
-func BenchmarkE9InvalidBranch(b *testing.B) { benchExperiment(b, "E9") }
-
-// BenchmarkE10StallProbability regenerates the Section 2 stall-vs-region
-// sweep.
-func BenchmarkE10StallProbability(b *testing.B) { benchExperiment(b, "E10") }
-
-// BenchmarkE11MultipleBarriers regenerates the Section 5 N-1 bound table.
-func BenchmarkE11MultipleBarriers(b *testing.B) { benchExperiment(b, "E11") }
-
-// BenchmarkE12InterruptTolerance regenerates the Section 9 future-work
-// extension table (interrupts in barrier regions).
-func BenchmarkE12InterruptTolerance(b *testing.B) { benchExperiment(b, "E12") }
-
-// BenchmarkE13ProcedureCalls regenerates the Section 9 future-work
-// extension table (procedure calls from barrier regions).
-func BenchmarkE13ProcedureCalls(b *testing.B) { benchExperiment(b, "E13") }
-
-// BenchmarkE14PhaseAttribution regenerates the per-phase stall
-// attribution table (observability extension).
-func BenchmarkE14PhaseAttribution(b *testing.B) { benchExperiment(b, "E14") }
-
-// BenchmarkE15ClusterSync regenerates the message-passing cluster table
-// (sync cost vs. region size over a lossy network).
-func BenchmarkE15ClusterSync(b *testing.B) { benchExperiment(b, "E15") }
-
-// BenchmarkClusterSim measures raw discrete-event throughput of one
-// lossy dissemination-barrier run (the heaviest cluster protocol by
-// message count), reporting deterministic stall ticks per epoch.
-func BenchmarkClusterSim(b *testing.B) {
-	var stall float64
-	for i := 0; i < b.N; i++ {
-		sim, err := cluster.New(cluster.Config{
-			Protocol: "dissemination", Nodes: 8, Epochs: 50,
-			Work: 300, WorkJitter: 100, Region: 120,
-			Net:  cluster.NetConfig{Latency: 20, Jitter: 15, DropRate: 0.05, DupRate: 0.02},
-			Seed: 42,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		stall = res.StallPerEpoch()
-	}
-	b.ReportMetric(stall, "stall-ticks/epoch")
-}
-
-// BenchmarkE16ClusterScaling regenerates the 16..4096-node scaling table.
-func BenchmarkE16ClusterScaling(b *testing.B) { benchExperiment(b, "E16") }
-
-// BenchmarkClusterEngine times the cluster event engine (pooled arena,
-// calendar wheel, 4-ary overflow heap) on one lossy 256-node run. Run
-// with -benchmem: the engine's steady state allocates nothing, so
-// allocs/op shows only per-run pool warm-up.
-func BenchmarkClusterEngine(b *testing.B) {
-	cfg := cluster.Config{
-		Protocol: "dissemination", Nodes: 256, Epochs: 20,
-		Work: 120, WorkJitter: 40, Region: 30,
-		Net:  cluster.NetConfig{Latency: 12, Jitter: 25, DropRate: 0.2, DupRate: 0.08},
-		Seed: 1234,
-	}
-	b.ReportAllocs()
-	var ticks int64
-	for i := 0; i < b.N; i++ {
-		sim, err := cluster.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ticks = res.Ticks
-	}
-	b.ReportMetric(float64(ticks), "sim-ticks")
-}
-
-// BenchmarkE18FleetAggregation regenerates the fleet epoch aggregation
-// table (reduce-barrier allreduce vs central gather).
-func BenchmarkE18FleetAggregation(b *testing.B) { benchExperiment(b, "E18") }
-
-// BenchmarkE20HierScaling regenerates the hierarchical-vs-flat hot-spot
-// table (central vs tree vs hier under spread and clustered routing).
-func BenchmarkE20HierScaling(b *testing.B) { benchExperiment(b, "E20") }
 
 // BenchmarkReduceAllreduce is the goroutine (wall-clock) form of E18's
 // comparison: workers agree on a per-phase max either through the
@@ -660,24 +394,6 @@ func BenchmarkAblationIssueWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkFuzzyBarrierArriveWait measures the raw split-phase fast path:
-// a single goroutine pair ping-ponging through Arrive/Wait.
-func BenchmarkFuzzyBarrierArriveWait(b *testing.B) {
-	bar := core.NewFuzzyBarrier(2)
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < b.N; i++ {
-				bar.Wait(bar.Arrive())
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // BenchmarkDynamicBarrier measures the dynamic-membership barrier
 // (register / arrive-and-leave) against the fixed-membership fast path.
 func BenchmarkDynamicBarrier(b *testing.B) {
@@ -716,55 +432,4 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		instrs += res.Procs[0].Instructions
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim-instrs/s")
-}
-
-// ---------------------------------------------------------------------
-// Fast-forward engine and parallel sweeps (perf additions)
-// ---------------------------------------------------------------------
-
-// BenchmarkMachineFastForward measures the cycle fast-forward engine on
-// a stall-heavy drift workload: "naive" steps every cycle, "fast" jumps
-// idle spans. Both produce bit-identical results (see
-// internal/machine/ff_test.go); the ratio of the two ns/op numbers is
-// the speedup the engine buys.
-func BenchmarkMachineFastForward(b *testing.B) {
-	const procs, iters = 8, 200
-	progs, err := workload.StallHeavyPrograms(procs, iters, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"naive", true}, {"fast", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				res := runSim(b, machine.Config{
-					Mem:                simMem(procs, 256),
-					DisableFastForward: mode.disable,
-				}, progs)
-				cycles = res.Cycles
-			}
-			b.ReportMetric(float64(cycles), "sim-cycles")
-		})
-	}
-}
-
-// BenchmarkSweepParallel measures the sweep worker pool on the full E15
-// cluster sweep (54 independent (protocol, network, region) cells):
-// workers=1 is the pre-pool serial baseline, workers=4 the parallel
-// run. Tables are byte-identical either way (exp.TestParallelDeterminism).
-func BenchmarkSweepParallel(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			exp.SetParallelism(workers)
-			defer exp.SetParallelism(0)
-			for i := 0; i < b.N; i++ {
-				if _, err := exp.E15ClusterSync(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

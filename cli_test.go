@@ -195,6 +195,11 @@ func TestCLIClustersim(t *testing.T) {
 	if err == nil || !strings.Contains(out, "outside [0,1]") {
 		t.Errorf("-drop NaN: err %v, want the fault-rate refusal:\n%s", err, out)
 	}
+	// A straggler outside the cluster would inject nothing; refuse it.
+	out, err = runTool(t, dir, "clustersim", "-nodes", "4", "-epochs", "2", "-straggler", "99", "-straggle", "500")
+	if err == nil || !strings.Contains(out, "straggler 99 outside [0,4)") {
+		t.Errorf("-straggler 99: err %v, want the straggler refusal:\n%s", err, out)
+	}
 }
 
 // TestCLIClustersimShards: -shards alone selects the engine. The sharded

@@ -81,12 +81,15 @@ type Config struct {
 
 	Seed uint64
 
-	// Reliability and liveness knobs; New derives defaults from the
-	// link latency and epoch span when zero.
-	InitRTO       int64 // retransmission timeout before any RTT sample
-	MaxRTO        int64 // exponential-backoff cap
+	// Liveness knobs; New derives defaults from the link latency and
+	// epoch span when zero.
 	WatchdogAfter int64 // no epoch completion for this many ticks => stuck
 	MaxTicks      int64 // hard stop for the whole run
+
+	// Retransmission timeouts, always derived from the link latency by
+	// withDefaults: initRTO before any RTT sample, maxRTO the
+	// exponential-backoff cap.
+	initRTO, maxRTO int64
 
 	LogEvents bool            // record the textual event log (Sim.EventLog)
 	Recorder  *trace.Recorder // optional lane/event recording (nil = off)
@@ -142,6 +145,9 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Shards > 1 && cfg.Recorder != nil {
 		return cfg, fmt.Errorf("cluster: Shards=%d is incompatible with a trace Recorder (use LogEvents)", cfg.Shards)
 	}
+	if cfg.StraggleExtra > 0 && (cfg.Straggler < 0 || cfg.Straggler >= cfg.Nodes) {
+		return cfg, fmt.Errorf("cluster: straggler %d outside [0,%d)", cfg.Straggler, cfg.Nodes)
+	}
 	if cfg.Epochs < 0 {
 		return cfg, fmt.Errorf("cluster: negative epoch count %d", cfg.Epochs)
 	}
@@ -171,36 +177,29 @@ func (cfg Config) withDefaults() (Config, error) {
 		cfg.TreeArity = 2
 	}
 	// The derived liveness budgets multiply user-sized knobs, so very
-	// large Epochs/Work/MaxRTO configs can overflow int64 and turn the
+	// large Epochs/Work/latency configs can overflow int64 and turn the
 	// budget negative — which would declare every run stuck at t=0.
 	// Derive with overflow checks and reject configs whose budget does
 	// not fit, telling the caller to set the knob explicitly.
 	ticks := tickBudget{}
-	if cfg.InitRTO <= 0 {
-		// A shade above the worst-case RTT so a clean network never
-		// retransmits spuriously.
-		cfg.InitRTO = ticks.add(ticks.mul(2, ticks.add(cfg.Net.Latency, cfg.Net.Jitter)), 2)
-	}
-	if cfg.MaxRTO <= 0 {
-		cfg.MaxRTO = ticks.mul(16, cfg.InitRTO)
-	}
-	if cfg.MaxRTO < cfg.InitRTO {
-		cfg.MaxRTO = cfg.InitRTO
-	}
+	// A shade above the worst-case RTT so a clean network never
+	// retransmits spuriously.
+	cfg.initRTO = ticks.add(ticks.mul(2, ticks.add(cfg.Net.Latency, cfg.Net.Jitter)), 2)
+	cfg.maxRTO = ticks.mul(16, cfg.initRTO)
 	span := ticks.add(ticks.add(cfg.Work, cfg.WorkJitter), ticks.add(cfg.Region, ticks.add(cfg.StraggleExtra, 1)))
 	if cfg.WatchdogAfter <= 0 {
-		cfg.WatchdogAfter = ticks.add(ticks.mul(16, span), ticks.mul(64, cfg.MaxRTO))
+		cfg.WatchdogAfter = ticks.add(ticks.mul(16, span), ticks.mul(64, cfg.maxRTO))
 	}
 	if cfg.MaxTicks <= 0 {
 		epochs := int64(cfg.Epochs) + 2
 		cfg.MaxTicks = ticks.add(
 			ticks.mul(ticks.mul(epochs, 4), span),
-			ticks.mul(ticks.mul(epochs, 64), cfg.MaxRTO))
+			ticks.mul(ticks.mul(epochs, 64), cfg.maxRTO))
 	}
 	if ticks.overflowed {
 		return cfg, fmt.Errorf(
-			"cluster: derived tick budget overflows int64 (Epochs=%d Work=%d WorkJitter=%d Region=%d StraggleExtra=%d MaxRTO=%d); set InitRTO/MaxRTO/WatchdogAfter/MaxTicks explicitly",
-			cfg.Epochs, cfg.Work, cfg.WorkJitter, cfg.Region, cfg.StraggleExtra, cfg.MaxRTO)
+			"cluster: derived tick budget overflows int64 (Epochs=%d Work=%d WorkJitter=%d Region=%d StraggleExtra=%d Latency=%d Jitter=%d); set WatchdogAfter/MaxTicks explicitly",
+			cfg.Epochs, cfg.Work, cfg.WorkJitter, cfg.Region, cfg.StraggleExtra, cfg.Net.Latency, cfg.Net.Jitter)
 	}
 	return cfg, nil
 }

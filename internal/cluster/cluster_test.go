@@ -145,7 +145,8 @@ func TestWatchdogReportsStuckNodeEpoch(t *testing.T) {
 	}
 }
 
-// TestZeroEpochs and tiny shapes must not panic or divide by zero.
+// TestDegenerateShapes: zero epochs and tiny shapes must not panic or
+// divide by zero.
 func TestDegenerateShapes(t *testing.T) {
 	for _, proto := range Protocols() {
 		cfg := base(proto, 1)
@@ -157,8 +158,8 @@ func TestDegenerateShapes(t *testing.T) {
 	}
 }
 
-// TestConfigValidation: bad protocols, node counts and fault rates are
-// rejected up front.
+// TestConfigValidation: bad protocols, node counts, fault rates and
+// stragglers are rejected up front.
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Protocol: "quantum", Nodes: 4, Epochs: 1},
@@ -168,6 +169,8 @@ func TestConfigValidation(t *testing.T) {
 		{Protocol: "central", Nodes: 4, Epochs: 1, Net: NetConfig{DupRate: -0.1}},
 		{Protocol: "central", Nodes: 4, Epochs: 1, Net: NetConfig{DropRate: math.NaN()}},
 		{Protocol: "central", Nodes: 4, Epochs: 1, Net: NetConfig{DupRate: math.NaN()}},
+		{Protocol: "central", Nodes: 4, Epochs: 1, Straggler: 4, StraggleExtra: 500},
+		{Protocol: "central", Nodes: 4, Epochs: 1, Straggler: -1, StraggleExtra: 500},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

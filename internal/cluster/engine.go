@@ -58,7 +58,7 @@ type fevent struct {
 // site can ask for, so in ordinary runs the overflow heap stays empty.
 func newQueue(cfg *Config) *des.Queue[fevent] {
 	return des.NewQueue[fevent](max(cfg.Work+cfg.WorkJitter+cfg.StraggleExtra,
-		cfg.Region, cfg.Net.Latency+cfg.Net.Jitter, cfg.MaxRTO))
+		cfg.Region, cfg.Net.Latency+cfg.Net.Jitter, cfg.maxRTO))
 }
 
 // scheduleAt enqueues a typed event at an explicit (at, node, pri) key.

@@ -130,8 +130,6 @@ func TestConfigBudgetOverflow(t *testing.T) {
 	if _, err := huge.withDefaults(); err == nil {
 		t.Fatal("withDefaults accepted a config whose derived tick budget overflows int64")
 	}
-	huge.InitRTO = 30
-	huge.MaxRTO = 480
 	huge.WatchdogAfter = math.MaxInt64 / 2
 	huge.MaxTicks = math.MaxInt64 / 2
 	got, err := huge.withDefaults()
@@ -139,7 +137,6 @@ func TestConfigBudgetOverflow(t *testing.T) {
 		t.Fatalf("withDefaults rejected explicit budgets: %v", err)
 	}
 	for name, v := range map[string]int64{
-		"InitRTO": got.InitRTO, "MaxRTO": got.MaxRTO,
 		"WatchdogAfter": got.WatchdogAfter, "MaxTicks": got.MaxTicks,
 	} {
 		if v <= 0 {

@@ -9,7 +9,7 @@ import (
 
 // outbox is the cluster-side host of the one reliable-send core
 // (transport.Window, which owns sequence numbers, the pending ring, the
-// RTO policy with Karn's rule, backoff capped at MaxRTO, and the
+// RTO policy with Karn's rule, backoff capped at maxRTO, and the
 // stale-deadline prune — one codepath shared with the barrierd
 // transports). What stays here is the timer arming.
 //
@@ -42,7 +42,7 @@ type retxKey struct {
 
 func newOutbox(n *node) *outbox {
 	o := &outbox{n: n}
-	o.w.Init(n.s.cfg.InitRTO, n.s.cfg.MaxRTO)
+	o.w.Init(n.s.cfg.initRTO, n.s.cfg.maxRTO)
 	return o
 }
 

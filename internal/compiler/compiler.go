@@ -118,10 +118,11 @@ type Options struct {
 	Params map[string]int64
 	// Tag is the barrier tag used by the generated code (default 1).
 	Tag core.Tag
-	// Origin is the first shared-memory address used for arrays
-	// (default 64; low words are left for diagnostics).
-	Origin int64
 }
+
+// origin is the first shared-memory address used for arrays; low words
+// are left for diagnostics.
+const origin = 64
 
 func (o *Options) normalize() error {
 	if o.Procs <= 0 {
@@ -132,9 +133,6 @@ func (o *Options) normalize() error {
 	}
 	if o.Tag == core.TagNone {
 		o.Tag = 1
-	}
-	if o.Origin <= 0 {
-		o.Origin = 64
 	}
 	return nil
 }
@@ -175,7 +173,7 @@ func Compile(prog *lang.Program, opt Options) (*Compiled, error) {
 		return nil, fmt.Errorf("compiler: top-level statement must be a sequential for loop")
 	}
 
-	layout := NewLayout(prog.Arrays, opt.Origin)
+	layout := NewLayout(prog.Arrays, origin)
 	an := analyze(prog)
 
 	c := &Compiled{Layout: layout, Marked: an.MarkedSignatures()}

@@ -43,8 +43,8 @@ var e16Net = cluster.NetConfig{
 // fixed region absorbs less of a release latency that lengthens with
 // the coordinator's burst, the tree's depth, or the dissemination
 // round count. All columns are deterministic (seeded, single-threaded
-// per cell); engine wall-clock lives in BenchmarkClusterEngine and
-// BenchmarkE16, per the repro note on time-shared measurements.
+// per cell); engine wall-clock lives in bench/'s sim-cluster workload,
+// per the repro note on time-shared measurements.
 func E16ClusterScaling() (*trace.Table, error) {
 	t := trace.NewTable(
 		fmt.Sprintf("E16: cluster barrier scaling, %d..%d nodes (message passing, lossy network)",
@@ -89,7 +89,7 @@ func E16ClusterScaling() (*trace.Table, error) {
 	}
 	t.AddNote("msgs/epoch: central and tree approach 2 per node (arrival + release), dissemination grows as ceil(log2 n) — the protocols' structural cost")
 	t.AddNote("stall/epoch grows with n for every protocol: a fixed region absorbs less of a release latency that lengthens with coordinator burst, tree depth, or round count")
-	t.AddNote("wall-clock per engine is measured in BenchmarkClusterEngine/BenchmarkE16 (bench_test.go), not here: tables stay deterministic")
+	t.AddNote("wall-clock per engine is measured by bench/'s sim-cluster workload, not here: tables stay deterministic")
 	return t, nil
 }
 

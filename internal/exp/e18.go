@@ -45,8 +45,8 @@ var e18Strategies = []string{"central-gather", "reduce-spread", "reduce-clustere
 // allreduce result against the serial fold each phase. All cells are
 // deterministic serial drives (the last arrival of a phase completes
 // it); goroutine wall-clock for the same comparison lives in
-// BenchmarkE18 and BenchmarkE2SplitScaling (bench_test.go), per the
-// repro note on time-shared measurements.
+// BenchmarkReduceAllreduce and BenchmarkE2SplitScaling (bench_test.go),
+// per the repro note on time-shared measurements.
 func E18FleetAggregation() (*trace.Table, error) {
 	t := trace.NewTable(
 		fmt.Sprintf("E18: fleet epoch aggregation, allreduce vs central gather, %d..%d members",
@@ -98,7 +98,7 @@ func E18FleetAggregation() (*trace.Table, error) {
 	t.AddNote("central-gather: every member's combine lands on one shared word — n+2 ops/phase, Section 1's linear hot spot with data riding on it")
 	t.AddNote("reduce-spread: combining up the radix tree caps the hottest node at 3*radix+2 ops/phase, constant in fleet size; Wait returns the allreduce result with no broadcast round")
 	t.AddNote("reduce-clustered: aiming every arrival at leaf 0 pays n-radix probe undos there per phase — the tree only removes the hot spot if arrivals spread across the leaves")
-	t.AddNote("every cell checks the aggregated max against the serial fold each phase; wall-clock for the same strategies is in BenchmarkE18 (bench_test.go)")
+	t.AddNote("every cell checks the aggregated max against the serial fold each phase; wall-clock for the same strategies is in BenchmarkReduceAllreduce (bench_test.go)")
 	return t, nil
 }
 

@@ -4,10 +4,11 @@
 // reports; EXPERIMENTS.md records the expected shapes next to the paper's
 // numbers.
 //
-// Simulator-based experiments are fully deterministic. Runtime
-// (goroutine) measurements appear only in bench_test.go, because
-// wall-clock numbers on a time-shared scheduler are not table-stable —
-// the repro note for this paper calls out exactly that hazard.
+// Simulator-based experiments are fully deterministic. Wall-clock
+// measurements live outside the tables — in bench/'s workloads, the
+// BENCH_GATE speed-up tests and the root benchmarks — because wall-clock
+// numbers on a time-shared scheduler are not table-stable: the repro
+// note for this paper calls out exactly that hazard.
 package exp
 
 import (

@@ -20,8 +20,7 @@ type SimConfig struct {
 
 	Seed uint64
 
-	LogEvents bool            // record the textual event log (EventLog)
-	Recorder  *trace.Recorder // optional event recording (nil = off)
+	LogEvents bool // record the textual event log (EventLog)
 }
 
 // SimNet is the deterministic virtual-time Network: a single-threaded
@@ -44,8 +43,7 @@ type SimNet struct {
 	eps map[Addr]*simEndpoint
 	rng *des.RNG
 
-	log     []string
-	wantLog bool
+	log []string
 
 	// Fault counters, mirroring cluster.Sim's.
 	Sent, Dropped, Duped, Delivered int64
@@ -66,10 +64,9 @@ func NewSimNet(cfg SimConfig) *SimNet {
 		// capacity of its largest burst, and a wheel wide enough for the
 		// slowest timer (2048 buckets) took sim-svc's heap peak from
 		// 64-76 MB to 104-120 MB.
-		q:       des.NewQueue[simEvent](cfg.Latency + cfg.Jitter),
-		eps:     make(map[Addr]*simEndpoint),
-		rng:     des.NewRNG(des.Mix(cfg.Seed, 0x7A57E9)),
-		wantLog: cfg.LogEvents || cfg.Recorder != nil,
+		q:   des.NewQueue[simEvent](cfg.Latency + cfg.Jitter),
+		eps: make(map[Addr]*simEndpoint),
+		rng: des.NewRNG(des.Mix(cfg.Seed, 0x7A57E9)),
 	}
 }
 
@@ -156,9 +153,6 @@ func (s *SimNet) Run(maxTicks int64, done func() bool) (int64, bool) {
 
 // Event implements EventSink on the simulator's transcript.
 func (s *SimNet) Event(now int64, a Addr, kind trace.EventKind, msg string) {
-	if rec := s.cfg.Recorder; rec != nil {
-		rec.EventKind(now, int(a), kind, msg)
-	}
 	if s.cfg.LogEvents {
 		s.log = append(s.log, fmt.Sprintf("t=%-8d a%-6d %-14s %s", now, a, kind, msg))
 	}
@@ -175,7 +169,7 @@ func (s *SimNet) send(m *Message) {
 	for c := 0; c < copies; c++ {
 		if s.cfg.DropRate > 0 && s.rng.Float() < s.cfg.DropRate {
 			s.Dropped++
-			if s.wantLog {
+			if s.cfg.LogEvents {
 				s.Event(s.Now(), m.From, trace.EvDrop, "drop "+m.String())
 			}
 			continue
@@ -196,7 +190,7 @@ func (s *SimNet) deliver(m Message) {
 		return
 	}
 	s.Delivered++
-	if s.wantLog {
+	if s.cfg.LogEvents {
 		s.Event(s.Now(), m.To, trace.EvRecv, "recv "+m.String())
 	}
 	ep.h(m)
