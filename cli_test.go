@@ -140,6 +140,37 @@ func TestCLIFuzzccPipeline(t *testing.T) {
 	}
 }
 
+// TestCLIRefusesInvalidNumbers: a negative count or an empty -peek range
+// exits 1 with a message naming the flag, rather than running with the
+// default or printing nothing.
+func TestCLIRefusesInvalidNumbers(t *testing.T) {
+	dir := buildTools(t)
+	drift, _ := filepath.Abs(filepath.Join(programsDir, "driftloop.s"))
+	loop, _ := filepath.Abs(filepath.Join(programsDir, "poisson.loop"))
+	for _, row := range []struct {
+		tool, flag string
+		args       []string
+	}{
+		{"fuzzsim", "-procs", []string{"-procs", "-2", drift}},
+		{"fuzzsim", "-mem", []string{"-mem", "-5", drift}},
+		{"fuzzsim", "-max", []string{"-max", "-5", drift}},
+		{"fuzzsim", "-modules", []string{"-modules", "-3", drift}},
+		{"fuzzsim", "-miss", []string{"-miss", "-3", drift}},
+		{"fuzzsim", "-peek", []string{"-peek", "5,2", drift}},
+		{"fuzzcc", "-miss", []string{"-procs", "4", "-run", "-miss", "-3", loop}},
+	} {
+		out, err := runTool(t, dir, row.tool, row.args...)
+		code := -1
+		if ee, ok := err.(*exec.ExitError); ok {
+			code = ee.ExitCode()
+		}
+		if code != 1 || !strings.Contains(out, row.flag) {
+			t.Errorf("%s %s: exit %d (%v), want 1 and a message naming %s:\n%s",
+				row.tool, strings.Join(row.args, " "), code, err, row.flag, out)
+		}
+	}
+}
+
 func TestCLIFuzzccRunAndDag(t *testing.T) {
 	dir := buildTools(t)
 	src, _ := filepath.Abs(filepath.Join(programsDir, "fig9.loop"))

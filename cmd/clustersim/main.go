@@ -79,10 +79,7 @@ func main() {
 	progress := flag.Bool("progress", false, "report seed-replay progress on stderr")
 	logEvents := flag.Bool("log", false, "print the message-level event log")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file")
-	mutexProfile := flag.String("mutexprofile", "", "write a pprof mutex-contention profile to this file")
-	blockProfile := flag.String("blockprofile", "", "write a pprof blocking profile to this file")
+	startProf := prof.Flags()
 	flag.Parse()
 
 	protos := cluster.Protocols()
@@ -103,7 +100,7 @@ func main() {
 		fatal(fmt.Errorf("-shards %d cannot record a chrome trace; drop -shards", *shards))
 	}
 
-	stopProf, err := prof.Start(*cpuProfile, *memProfile, *mutexProfile, *blockProfile)
+	stopProf, err := startProf()
 	if err != nil {
 		fatal(err)
 	}

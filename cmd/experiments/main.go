@@ -34,10 +34,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the E14 drift workload")
 	parallel := flag.Int("parallel", 0, "workers for independent sweep cells; 0 = GOMAXPROCS, 1 = serial (tables are identical either way)")
 	progress := flag.Bool("progress", false, "report sweep-cell completion counts on stderr while experiments run")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file")
-	mutexProfile := flag.String("mutexprofile", "", "write a pprof mutex-contention profile to this file")
-	blockProfile := flag.String("blockprofile", "", "write a pprof blocking profile to this file")
+	startProf := prof.Flags()
 	flag.Parse()
 
 	exp.SetParallelism(*parallel)
@@ -49,7 +46,7 @@ func main() {
 			}
 		})
 	}
-	stopProf, err := prof.Start(*cpuProfile, *memProfile, *mutexProfile, *blockProfile)
+	stopProf, err := startProf()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)

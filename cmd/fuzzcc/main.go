@@ -70,6 +70,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fuzzcc: usage: fuzzcc -procs N [flags] file.loop")
 		os.Exit(2)
 	}
+	if *miss < 0 {
+		fatal(fmt.Errorf("-miss must be >= 0 (got %d)", *miss))
+	}
 	var mode compiler.RegionMode
 	switch *modeName {
 	case "span":

@@ -51,6 +51,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fuzzsim: no program files; see -h")
 		os.Exit(2)
 	}
+	// 0 selects each flag's default; a negative count is refused rather
+	// than silently run as the default.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"procs", int64(*procs)}, {"mem", int64(*memWords)}, {"miss", int64(*miss)}, {"modules", int64(*modules)}, {"max", *maxCycles}} {
+		if f.v < 0 {
+			fatal(fmt.Errorf("-%s must be >= 0 (got %d)", f.name, f.v))
+		}
+	}
+	peekLo, peekHi := int64(0), int64(-1) // no words unless -peek names some
+	if *peek != "" {
+		lo, hi, err := parseRange(*peek)
+		if err != nil {
+			fatal(err)
+		}
+		peekLo, peekHi = lo, hi
+	}
 
 	var progs []*isa.Program
 	for _, path := range flag.Args() {
@@ -150,28 +168,35 @@ func main() {
 		}
 		fmt.Printf("chrome trace: %s (load in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
 	}
-	if *peek != "" {
-		parts := strings.SplitN(*peek, ",", 2)
-		lo, err1 := strconv.ParseInt(parts[0], 0, 64)
-		hi := lo
-		var err2 error
-		if len(parts) == 2 {
-			hi, err2 = strconv.ParseInt(parts[1], 0, 64)
+	for a := peekLo; a <= peekHi; a++ {
+		v, err := m.Mem().Peek(a)
+		if err != nil {
+			fatal(err)
 		}
-		if err1 != nil || err2 != nil {
-			fatal(fmt.Errorf("bad -peek range %q", *peek))
-		}
-		for a := lo; a <= hi; a++ {
-			v, err := m.Mem().Peek(a)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("mem[%d] = %d\n", a, v)
-		}
+		fmt.Printf("mem[%d] = %d\n", a, v)
 	}
 	if res.Deadlocked {
 		os.Exit(1)
 	}
+}
+
+// parseRange parses -peek's "A,B" (or "A" for one word) and refuses an
+// empty range.
+func parseRange(s string) (lo, hi int64, err error) {
+	a, b, two := strings.Cut(s, ",")
+	lo, err1 := strconv.ParseInt(a, 0, 64)
+	hi = lo
+	var err2 error
+	if two {
+		hi, err2 = strconv.ParseInt(b, 0, 64)
+	}
+	if err1 != nil || err2 != nil {
+		return 0, 0, fmt.Errorf("bad -peek range %q", s)
+	}
+	if lo > hi {
+		return 0, 0, fmt.Errorf("-peek range %q is empty: want A <= B", s)
+	}
+	return lo, hi, nil
 }
 
 func fatal(err error) {

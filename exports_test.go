@@ -2,9 +2,7 @@ package fuzzybarrier_test
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -54,20 +52,7 @@ func TestEveryExportIsUsed(t *testing.T) {
 	var exported []export
 	qualified := map[string]bool{}          // "pkg.Name" named from another package or a test
 	members := map[string]map[string]bool{} // member name -> the packages whose code selects it ("" for the rest)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-			return filepath.SkipDir // .git, the benchmark's parent checkouts, fixtures
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	err := walkGo(fset, func(path string, f *ast.File) {
 		// own is the internal package the file belongs to; from is own for
 		// that package's code, and "" for a test or a file outside
 		// internal/, whose uses count for every package.
@@ -115,7 +100,6 @@ func TestEveryExportIsUsed(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ type Config struct {
 	// produces a StuckReport. 0 disables.
 	Watchdog int64
 
-	Reliable transport.ReliableConfig
+	reliable transport.ReliableConfig // set by SimConfig and RealtimeConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -80,7 +80,7 @@ func SimConfig(latency, jitter int64) Config {
 		Shards: 4, Radix: 2,
 		FlushDelay: 1,
 		Watchdog:   200 * (latency + jitter + 1),
-		Reliable:   transport.SimReliable(latency, jitter),
+		reliable:   transport.SimReliable(latency, jitter),
 	}
 }
 
@@ -91,7 +91,7 @@ func RealtimeConfig() Config {
 		Shards: 4, Radix: 2,
 		FlushDelay: ms / 5,
 		Watchdog:   2000 * ms,
-		Reliable:   transport.RealtimeReliable(),
+		reliable:   transport.RealtimeReliable(),
 	}
 }
 

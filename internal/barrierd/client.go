@@ -338,7 +338,7 @@ func Dial(nw transport.Network, addr transport.Addr, cfg Config) (*Conn, error) 
 	}
 	cfg = cfg.withDefaults()
 	c := &Conn{ring: Ring{Shards: cfg.Shards}, groups: make(map[uint32]*connGroup)}
-	r, ep, err := transport.AttachReliable(nw, addr, cfg.Reliable,
+	r, ep, err := transport.AttachReliable(nw, addr, cfg.reliable,
 		func(_ *transport.Reliable, m transport.Message) { c.onMessage(m) }, nil)
 	if err != nil {
 		return nil, err

@@ -22,7 +22,7 @@ func Start(nw transport.Network, cfg Config, onStuck func(StuckReport), sink tra
 	for i := 0; i < cfg.Shards; i++ {
 		sh := newShard(i, cfg, onStuck)
 		r, ep, err := transport.AttachReliable(nw, ShardAddr(i),
-			cfg.Reliable, func(r *transport.Reliable, m transport.Message) { sh.OnMessage(m) }, sink)
+			cfg.reliable, func(r *transport.Reliable, m transport.Message) { sh.OnMessage(m) }, sink)
 		if err != nil {
 			svc.Close()
 			return nil, fmt.Errorf("barrierd: attaching shard %d: %w", i, err)
@@ -58,7 +58,7 @@ func StartUDP(cfg Config, basePort int, onStuck func(StuckReport)) (*Service, *t
 			nw.Close()
 			return nil, nil, nil, fmt.Errorf("barrierd: binding shard %d: %w", i, err)
 		}
-		r = transport.NewReliable(ep, cfg.Reliable, sh.OnMessage, nil)
+		r = transport.NewReliable(ep, cfg.reliable, sh.OnMessage, nil)
 		close(ready)
 		sh.Start(ep, r)
 		svc.Shards = append(svc.Shards, sh)

@@ -13,32 +13,18 @@ const coordinatorID = 0
 // is O(n) messages through one node per epoch — the message-passing
 // analog of the hot spot of Section 1.
 //
-// The coordinator accumulates at most one epoch at a time: a node can
-// send ARRIVE(e) only after releasing e-1, which requires the
-// coordinator to have completed e-1 first. Arrival state is therefore a
-// fixed per-node epoch-stamp array (seenEpoch[i] == e marks node i's
-// distinct arrival for the active epoch e) instead of per-epoch maps —
-// the stamps make duplicate ARRIVEs idempotent without allocating on
-// the receive path.
+// The coordinator's arrival state is a tally with one slot per node.
 type centralProto struct {
-	env ProtoEnv
-	// Coordinator only: seenEpoch[i] is the last epoch node i's arrival
-	// was counted for (-1 initially), count the distinct arrivals for
-	// epoch, and epoch the one accumulating epoch (-1 when none).
-	seenEpoch []int64
-	count     int
-	epoch     int64
+	env   ProtoEnv
+	tally // coordinator only; empty elsewhere
 }
 
 func newCentral(env ProtoEnv) *centralProto {
-	c := &centralProto{env: env, epoch: -1}
+	slots := 0
 	if env.NodeID() == coordinatorID {
-		c.seenEpoch = make([]int64, env.Nodes())
-		for i := range c.seenEpoch {
-			c.seenEpoch[i] = -1
-		}
+		slots = env.Nodes()
 	}
-	return c
+	return &centralProto{env: env, tally: newTally(slots)}
 }
 
 func (c *centralProto) Arrive(e int64) {
@@ -52,23 +38,10 @@ func (c *centralProto) Arrive(e int64) {
 // record notes one distinct arrival at the coordinator and completes
 // the epoch when the count is full.
 func (c *centralProto) record(from int, e int64) {
-	if e < c.env.ReleasedThrough() {
-		return // stale retransmission of an already-completed epoch
-	}
-	if e != c.epoch {
-		c.epoch = e
-		c.count = 0
-	}
-	if c.seenEpoch[from] == e {
-		return // duplicate
-	}
-	c.seenEpoch[from] = e
-	c.count++
-	if c.count < c.env.Nodes() {
+	if c.add(from, e, c.env.ReleasedThrough()) < c.env.Nodes() {
 		return
 	}
-	c.epoch = -1
-	c.count = 0
+	c.done()
 	for i := 0; i < c.env.Nodes(); i++ {
 		if i != coordinatorID {
 			c.env.Send(Message{Kind: MsgRelease, To: i, Epoch: e})
@@ -90,26 +63,9 @@ func (c *centralProto) PendingLine() string {
 	if c.env.NodeID() != coordinatorID {
 		return fmt.Sprintf("awaiting release for epoch %d", c.env.ReleasedThrough())
 	}
-	out := "coordinator"
-	if c.epoch >= 0 {
-		out += fmt.Sprintf(" e=%d:%d/%d", c.epoch, c.count, c.env.Nodes())
-	}
-	return out
+	return "coordinator" + c.pending(c.env.Nodes())
 }
 
 func (c *centralProto) CloneFor(env ProtoEnv) Proto {
-	cp := &centralProto{env: env, count: c.count, epoch: c.epoch}
-	if c.seenEpoch != nil {
-		cp.seenEpoch = append([]int64(nil), c.seenEpoch...)
-	}
-	return cp
-}
-
-func (c *centralProto) AppendState(buf []byte) []byte {
-	buf = appendState64(buf, int64(c.count))
-	buf = appendState64(buf, c.epoch)
-	for _, e := range c.seenEpoch {
-		buf = appendState64(buf, e)
-	}
-	return buf
+	return &centralProto{env: env, tally: c.clone()}
 }

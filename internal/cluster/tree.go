@@ -9,31 +9,22 @@ import "fmt"
 // more than k+1 peers per epoch — the message-passing analog of
 // core.TreeBarrier removing the central hot spot.
 //
-// Like the central coordinator, a tree node accumulates at most one
-// epoch at a time: a child can combine ARRIVE(e) upward only after
-// releasing e-1, which requires this node to have received (and
-// forwarded down) RELEASE(e-1) first. Arrival state is a fixed
-// slot-stamp array (slot 0 = self, slot j = children[j-1];
-// seenEpoch[slot] == e marks that subtree's arrival for e), kept valid
-// after the upward forward so duplicate child ARRIVEs stay idempotent
-// until the release wave passes — no allocation on the receive path.
+// A tree node's arrival state is a tally with one slot per subtree
+// (slot 0 = self, slot j = children[j-1]), kept after the upward forward
+// so duplicate child ARRIVEs stay idempotent until the release wave
+// passes.
 type treeProto struct {
 	env      ProtoEnv
 	parent   int // -1 at the root
 	children []int
 	need     int // self + direct children
-	// seenEpoch[slot] is the last epoch that slot's arrival was counted
-	// for (-1 initially); count the distinct subtree arrivals for epoch
-	// (-1 when none is accumulating).
-	seenEpoch []int64
-	count     int
-	epoch     int64
+	tally
 }
 
 func newTree(env ProtoEnv) *treeProto {
 	k := env.TreeArity()
 	id := env.NodeID()
-	t := &treeProto{env: env, parent: -1, epoch: -1}
+	t := &treeProto{env: env, parent: -1}
 	if id > 0 {
 		t.parent = (id - 1) / k
 	}
@@ -41,10 +32,7 @@ func newTree(env ProtoEnv) *treeProto {
 		t.children = append(t.children, c)
 	}
 	t.need = 1 + len(t.children)
-	t.seenEpoch = make([]int64, t.need)
-	for i := range t.seenEpoch {
-		t.seenEpoch[i] = -1
-	}
+	t.tally = newTally(t.need)
 	return t
 }
 
@@ -68,20 +56,7 @@ func (t *treeProto) Arrive(e int64) { t.record(t.env.NodeID(), e) }
 // is complete: the root starts the release wave, everyone else combines
 // upward.
 func (t *treeProto) record(from int, e int64) {
-	if e < t.env.ReleasedThrough() {
-		return // stale retransmission of an already-completed epoch
-	}
-	if e != t.epoch {
-		t.epoch = e
-		t.count = 0
-	}
-	slot := t.slotOf(from)
-	if t.seenEpoch[slot] == e {
-		return // duplicate
-	}
-	t.seenEpoch[slot] = e
-	t.count++
-	if t.count < t.need {
+	if t.add(t.slotOf(from), e, t.env.ReleasedThrough()) < t.need {
 		return
 	}
 	if t.parent < 0 {
@@ -102,8 +77,7 @@ func (t *treeProto) down(e int64) {
 		t.env.Send(Message{Kind: MsgRelease, To: c, Epoch: e})
 	}
 	if t.epoch == e {
-		t.epoch = -1
-		t.count = 0
+		t.done()
 	}
 	t.env.Release(e)
 }
@@ -118,27 +92,9 @@ func (t *treeProto) Handle(m Message) {
 }
 
 func (t *treeProto) PendingLine() string {
-	out := fmt.Sprintf("tree(parent=%d, children=%d)", t.parent, len(t.children))
-	if t.epoch >= 0 {
-		out += fmt.Sprintf(" e=%d:%d/%d", t.epoch, t.count, t.need)
-	}
-	return out
+	return fmt.Sprintf("tree(parent=%d, children=%d)", t.parent, len(t.children)) + t.pending(t.need)
 }
 
 func (t *treeProto) CloneFor(env ProtoEnv) Proto {
-	cp := &treeProto{
-		env: env, parent: t.parent, children: t.children, need: t.need,
-		count: t.count, epoch: t.epoch,
-	}
-	cp.seenEpoch = append([]int64(nil), t.seenEpoch...)
-	return cp
-}
-
-func (t *treeProto) AppendState(buf []byte) []byte {
-	buf = appendState64(buf, int64(t.count))
-	buf = appendState64(buf, t.epoch)
-	for _, e := range t.seenEpoch {
-		buf = appendState64(buf, e)
-	}
-	return buf
+	return &treeProto{env: env, parent: t.parent, children: t.children, need: t.need, tally: t.clone()}
 }

@@ -185,8 +185,8 @@ func codegen(p *ir.Program, layout *Layout, opt Options, proc int) (*isa.Program
 
 	// Prologue: the single barrier-initialization instruction.
 	b.InNonBarrier()
-	b.BarrierInit(int64(opt.Tag), uint64(core.AllExcept(opt.Procs, proc)))
-	b.Comment("init barrier: tag=%d", opt.Tag)
+	b.BarrierInit(int64(tag), uint64(core.AllExcept(opt.Procs, proc)))
+	b.Comment("init barrier: tag=%d", tag)
 
 	for i, in := range p.Code {
 		if in.Barrier {

@@ -19,7 +19,7 @@ import (
 func codegenHarness(t *testing.T, code []ir.Instr, layout *Layout) *machine.Machine {
 	t.Helper()
 	tac := &ir.Program{Name: "cg", Code: code}
-	prog, err := codegen(tac, layout, Options{Procs: 1, Tag: 1}, 0)
+	prog, err := codegen(tac, layout, Options{Procs: 1}, 0)
 	if err != nil {
 		t.Fatalf("codegen: %v", err)
 	}
@@ -109,12 +109,12 @@ func TestCodegenBarrierBitsCarriedThrough(t *testing.T) {
 		{Op: ir.Nop, Barrier: true},
 	}
 	tac := &ir.Program{Name: "bits", Code: code}
-	prog, err := codegen(tac, nil, Options{Procs: 2, Tag: 3}, 1)
+	prog, err := codegen(tac, nil, Options{Procs: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Prologue BARRIER instruction: non-barrier, tag 3, mask = {0}.
-	if prog.Code[0].Op != isa.BARRIER || prog.Code[0].Imm != 3 {
+	// Prologue BARRIER instruction: non-barrier, the compiler's tag, mask = {0}.
+	if prog.Code[0].Op != isa.BARRIER || prog.Code[0].Imm != int64(tag) {
 		t.Errorf("prologue = %v", prog.Code[0])
 	}
 	if core.Mask(prog.Code[0].Imm2) != core.MaskOf(0) {
@@ -172,7 +172,7 @@ func TestCodegenRegisterPressureOverflow(t *testing.T) {
 		code = append(code, ir.Instr{Op: ir.Add, Dst: ir.Temp(n + i), A: ir.Temp(i - 1), B: ir.Temp(n - i)})
 	}
 	tac := &ir.Program{Name: "pressure", Code: code}
-	if _, err := codegen(tac, nil, Options{Procs: 1, Tag: 1}, 0); err == nil {
+	if _, err := codegen(tac, nil, Options{Procs: 1}, 0); err == nil {
 		t.Skip("register pressure did not overflow (recycling handled it)")
 	}
 }
@@ -185,7 +185,7 @@ func TestCodegenErrors(t *testing.T) {
 	}
 	for name, code := range cases {
 		tac := &ir.Program{Name: name, Code: code}
-		if _, err := codegen(tac, nil, Options{Procs: 1, Tag: 1}, 0); err == nil {
+		if _, err := codegen(tac, nil, Options{Procs: 1}, 0); err == nil {
 			t.Errorf("%s: expected codegen error", name)
 		}
 	}

@@ -15,20 +15,11 @@ import (
 	"fuzzybarrier/internal/lang"
 )
 
-// ArrayInfo places one declared array in simulated shared memory.
+// ArrayInfo places one declared array in simulated shared memory; its
+// Size is the number of words it occupies.
 type ArrayInfo struct {
-	Name string
-	Dims []int64
+	lang.ArrayDecl
 	Base int64
-}
-
-// Size returns the number of words the array occupies.
-func (a ArrayInfo) Size() int64 {
-	n := int64(1)
-	for _, d := range a.Dims {
-		n *= d
-	}
-	return n
 }
 
 // Layout assigns shared-memory addresses to the program's arrays.
@@ -41,7 +32,7 @@ type Layout struct {
 func NewLayout(decls []lang.ArrayDecl, origin int64) *Layout {
 	l := &Layout{Words: origin}
 	for _, d := range decls {
-		info := ArrayInfo{Name: d.Name, Dims: d.Dims, Base: l.Words}
+		info := ArrayInfo{ArrayDecl: d, Base: l.Words}
 		l.Arrays = append(l.Arrays, info)
 		l.Words += info.Size()
 	}
@@ -116,9 +107,10 @@ type Options struct {
 	// Params binds named compile-time constants referenced by the
 	// program (loop bounds etc.).
 	Params map[string]int64
-	// Tag is the barrier tag used by the generated code (default 1).
-	Tag core.Tag
 }
+
+// tag is the barrier tag the generated code loads.
+const tag core.Tag = 1
 
 // origin is the first shared-memory address used for arrays; low words
 // are left for diagnostics.
@@ -130,9 +122,6 @@ func (o *Options) normalize() error {
 	}
 	if o.Procs > 64 {
 		return fmt.Errorf("compiler: Procs must be <= 64, got %d", o.Procs)
-	}
-	if o.Tag == core.TagNone {
-		o.Tag = 1
 	}
 	return nil
 }

@@ -15,11 +15,10 @@ import (
 // needs — the drift the estimate misses is what the barrier region
 // absorbs at run time.
 
-// Default per-operation cycle weights, mirroring machine.Config defaults.
+// Per-operation cycle weights; multiply and divide cost the simulator's
+// isa.MulLatency and isa.DivLatency.
 const (
 	estALU = 1
-	estMul = 3
-	estDiv = 8
 	estMem = 2 // hit-biased average of load/store latency
 	estCtl = 1
 )
@@ -59,9 +58,9 @@ func EstimateTAC(p *ir.Program) CycleEstimate {
 		case ir.Label:
 			continue
 		case ir.Mul:
-			c = estMul
+			c = isa.MulLatency
 		case ir.Div, ir.Mod:
-			c = estDiv
+			c = isa.DivLatency
 		case ir.Load, ir.Store:
 			c = estMem
 		case ir.Goto, ir.IfGoto:
@@ -89,9 +88,9 @@ func estimateMachine(p *isa.Program) CycleEstimate {
 		var c int64
 		switch in.Op {
 		case isa.MUL, isa.MULI:
-			c = estMul
+			c = isa.MulLatency
 		case isa.DIV, isa.DIVI, isa.MOD:
-			c = estDiv
+			c = isa.DivLatency
 		case isa.LD, isa.ST, isa.FAA:
 			c = estMem
 		case isa.WORK:

@@ -131,30 +131,19 @@ func (p *Program) Temps() int {
 
 // Vars returns the distinct scalar variable names referenced, in first-use
 // order.
-func (p *Program) Vars() []string {
-	seen := make(map[string]bool)
-	var out []string
-	scan := func(o Operand) {
-		if o.Kind == KindVar && !seen[o.Name] {
-			seen[o.Name] = true
-			out = append(out, o.Name)
-		}
-	}
-	for _, in := range p.Code {
-		scan(in.Dst)
-		scan(in.A)
-		scan(in.B)
-	}
-	return out
-}
+func (p *Program) Vars() []string { return p.names(KindVar) }
 
 // Bases returns the distinct array base symbols referenced, in first-use
 // order.
-func (p *Program) Bases() []string {
+func (p *Program) Bases() []string { return p.names(KindBase) }
+
+// names returns the distinct names of the operands of kind k, in
+// first-use order.
+func (p *Program) names(k OperandKind) []string {
 	seen := make(map[string]bool)
 	var out []string
 	scan := func(o Operand) {
-		if o.Kind == KindBase && !seen[o.Name] {
+		if o.Kind == k && !seen[o.Name] {
 			seen[o.Name] = true
 			out = append(out, o.Name)
 		}

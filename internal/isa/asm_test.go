@@ -140,20 +140,23 @@ func TestAssembleErrors(t *testing.T) {
 }
 
 // TestAssembleDisassembleAgree: disassembling an assembled program and
-// reading the mnemonics back must describe the same instructions.
+// reading the mnemonics back must describe the same instructions, and
+// both renderings name a branch target by its label.
 func TestAssembleDisassembleAgree(t *testing.T) {
 	p, err := Assemble(sampleAsm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := p.Disassemble()
-	for _, want := range []string{"BARRIER tag=1, mask=0x2", "WORK 10", "ADDI r1, r1, 1", "BLT r1, r1", "HALT"} {
-		// BLT operand rendering: BLT r1, r2, loop -> "BLT r1, r2, loop"
-		_ = want
-	}
-	for _, want := range []string{"BARRIER tag=1, mask=0x2", "WORK 10", "ADDI r1, r1, 1", "HALT", "loop:"} {
+	for _, want := range []string{"BARRIER tag=1, mask=0x2", "WORK 10", "ADDI r1, r1, 1", "BLT r1, r2, loop", "HALT", "loop:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, out)
+		}
+	}
+	text := p.AsmText()
+	for _, want := range []string{"BARRIER tag=1, mask=0x2", "BLT r1, r2, loop", "loop:"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("AsmText missing %q:\n%s", want, text)
 		}
 	}
 }

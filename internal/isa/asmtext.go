@@ -57,7 +57,7 @@ func (p *Program) AsmText() string {
 			fmt.Fprintf(&sb, "%s:\n", lbl)
 		}
 		sb.WriteString("    ")
-		sb.WriteString(renderAsm(in, labels))
+		sb.WriteString(in.render(labels[in.Target]))
 		if in.Comment != "" {
 			sb.WriteString(" ; ")
 			sb.WriteString(strings.ReplaceAll(in.Comment, "\n", " "))
@@ -90,47 +90,4 @@ func sanitizeName(s string) string {
 		return "prog"
 	}
 	return string(out)
-}
-
-// renderAsm renders one instruction in Assemble-compatible syntax.
-func renderAsm(in Instr, labels map[int]string) string {
-	target := func() string {
-		if l, ok := labels[in.Target]; ok {
-			return l
-		}
-		return fmt.Sprintf("L_%d", in.Target)
-	}
-	switch in.Op {
-	case NOP, HALT, BENTER, BEXIT:
-		return in.Op.String()
-	case ADD, SUB, MUL, DIV, MOD, AND, OR, XOR, SHL, SHR, SLT:
-		return fmt.Sprintf("%s r%d, r%d, r%d", in.Op, in.Rd, in.Rs, in.Rt)
-	case LDI:
-		return fmt.Sprintf("LDI r%d, %d", in.Rd, in.Imm)
-	case MOV:
-		return fmt.Sprintf("MOV r%d, r%d", in.Rd, in.Rs)
-	case ADDI, SUBI, MULI, DIVI:
-		return fmt.Sprintf("%s r%d, r%d, %d", in.Op, in.Rd, in.Rs, in.Imm)
-	case LD:
-		return fmt.Sprintf("LD r%d, %d(r%d)", in.Rd, in.Imm, in.Rs)
-	case ST:
-		return fmt.Sprintf("ST r%d, %d(r%d)", in.Rt, in.Imm, in.Rs)
-	case FAA:
-		return fmt.Sprintf("FAA r%d, %d(r%d), r%d", in.Rd, in.Imm, in.Rs, in.Rt)
-	case BR:
-		return "BR " + target()
-	case CALL:
-		return "CALL " + target()
-	case RET:
-		return "RET"
-	case BEQ, BNE, BLT, BLE, BGT, BGE:
-		return fmt.Sprintf("%s r%d, r%d, %s", in.Op, in.Rs, in.Rt, target())
-	case BARRIER:
-		return fmt.Sprintf("BARRIER %d, %d", in.Imm, in.Imm2)
-	case WORK:
-		return fmt.Sprintf("WORK %d", in.Imm)
-	case WORKR:
-		return fmt.Sprintf("WORKR r%d", in.Rs)
-	}
-	return in.Op.String()
 }

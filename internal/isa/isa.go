@@ -22,6 +22,14 @@ type Reg uint8
 // NumRegs is the number of general-purpose registers per processor.
 const NumRegs = 64
 
+// MulLatency and DivLatency are the cycle costs of multiply and of divide
+// or modulo on the simulator; every other ALU instruction takes 1 cycle.
+// The compiler's static cycle estimates use the same weights.
+const (
+	MulLatency = 3
+	DivLatency = 8
+)
+
 // Op is an instruction opcode.
 type Op uint8
 
@@ -145,51 +153,52 @@ type Instr struct {
 	Comment string
 }
 
-// String renders the instruction in assembler syntax (without label).
+// String renders the instruction in assembler syntax (without label),
+// naming a branch target by its unresolved symbol or as @N.
 func (in Instr) String() string {
-	bit := ""
+	s := in.render(in.targetStr())
 	if in.Barrier {
-		bit = " !b"
+		s += " !b"
 	}
-	body := func() string {
-		switch in.Op {
-		case NOP, HALT, BENTER, BEXIT:
-			return in.Op.String()
-		case ADD, SUB, MUL, DIV, MOD, AND, OR, XOR, SHL, SHR, SLT:
-			return fmt.Sprintf("%s r%d, r%d, r%d", in.Op, in.Rd, in.Rs, in.Rt)
-		case LDI:
-			return fmt.Sprintf("LDI r%d, %d", in.Rd, in.Imm)
-		case MOV:
-			return fmt.Sprintf("MOV r%d, r%d", in.Rd, in.Rs)
-		case ADDI, SUBI, MULI, DIVI:
-			return fmt.Sprintf("%s r%d, r%d, %d", in.Op, in.Rd, in.Rs, in.Imm)
-		case LD:
-			return fmt.Sprintf("LD r%d, %d(r%d)", in.Rd, in.Imm, in.Rs)
-		case ST:
-			return fmt.Sprintf("ST r%d, %d(r%d)", in.Rt, in.Imm, in.Rs)
-		case FAA:
-			return fmt.Sprintf("FAA r%d, %d(r%d), r%d", in.Rd, in.Imm, in.Rs, in.Rt)
-		case BR:
-			return fmt.Sprintf("BR %s", in.targetStr())
-		case BEQ, BNE, BLT, BLE, BGT, BGE:
-			return fmt.Sprintf("%s r%d, r%d, %s", in.Op, in.Rs, in.Rt, in.targetStr())
-		case BARRIER:
-			return fmt.Sprintf("BARRIER tag=%d, mask=%#x", in.Imm, in.Imm2)
-		case WORK:
-			return fmt.Sprintf("WORK %d", in.Imm)
-		case WORKR:
-			return fmt.Sprintf("WORKR r%d", in.Rs)
-		case CALL:
-			return fmt.Sprintf("CALL %s", in.targetStr())
-		case RET:
-			return "RET"
-		}
-		return in.Op.String()
-	}()
 	if in.Comment != "" {
-		return body + bit + " ; " + in.Comment
+		s += " ; " + in.Comment
 	}
-	return body + bit
+	return s
+}
+
+// render renders the instruction's operation and operands in syntax
+// Assemble parses, with target as the name of a branch or CALL target.
+// It is the one renderer under String and Program.AsmText.
+func (in Instr) render(target string) string {
+	switch in.Op {
+	case NOP, HALT, BENTER, BEXIT, RET:
+		return in.Op.String()
+	case ADD, SUB, MUL, DIV, MOD, AND, OR, XOR, SHL, SHR, SLT:
+		return fmt.Sprintf("%s r%d, r%d, r%d", in.Op, in.Rd, in.Rs, in.Rt)
+	case LDI:
+		return fmt.Sprintf("LDI r%d, %d", in.Rd, in.Imm)
+	case MOV:
+		return fmt.Sprintf("MOV r%d, r%d", in.Rd, in.Rs)
+	case ADDI, SUBI, MULI, DIVI:
+		return fmt.Sprintf("%s r%d, r%d, %d", in.Op, in.Rd, in.Rs, in.Imm)
+	case LD:
+		return fmt.Sprintf("LD r%d, %d(r%d)", in.Rd, in.Imm, in.Rs)
+	case ST:
+		return fmt.Sprintf("ST r%d, %d(r%d)", in.Rt, in.Imm, in.Rs)
+	case FAA:
+		return fmt.Sprintf("FAA r%d, %d(r%d), r%d", in.Rd, in.Imm, in.Rs, in.Rt)
+	case BR, CALL:
+		return fmt.Sprintf("%s %s", in.Op, target)
+	case BEQ, BNE, BLT, BLE, BGT, BGE:
+		return fmt.Sprintf("%s r%d, r%d, %s", in.Op, in.Rs, in.Rt, target)
+	case BARRIER:
+		return fmt.Sprintf("BARRIER tag=%d, mask=%#x", in.Imm, in.Imm2)
+	case WORK:
+		return fmt.Sprintf("WORK %d", in.Imm)
+	case WORKR:
+		return fmt.Sprintf("WORKR r%d", in.Rs)
+	}
+	return in.Op.String()
 }
 
 func (in Instr) targetStr() string {

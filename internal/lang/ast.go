@@ -122,14 +122,7 @@ func (e BinExpr) String() string {
 	return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R)
 }
 
-func (v LValue) String() string {
-	var sb strings.Builder
-	sb.WriteString(v.Name)
-	for _, idx := range v.Indices {
-		fmt.Fprintf(&sb, "[%s]", idx)
-	}
-	return sb.String()
-}
+func (v LValue) String() string { return IndexExpr(v).String() }
 
 func pad(sb *strings.Builder, indent int) {
 	for i := 0; i < indent; i++ {

@@ -29,7 +29,7 @@ func (m *Machine) execute(p *processor, in isa.Instr, inBarrier bool) {
 		p.regs[in.Rd] = p.regs[in.Rs] - p.regs[in.Rt]
 	case isa.MUL:
 		p.regs[in.Rd] = p.regs[in.Rs] * p.regs[in.Rt]
-		issueLat = mulLatency
+		issueLat = isa.MulLatency
 	case isa.DIV:
 		if p.regs[in.Rt] == 0 {
 			p.fault = fmt.Errorf("machine: divide by zero at pc %d", p.pc)
@@ -37,7 +37,7 @@ func (m *Machine) execute(p *processor, in isa.Instr, inBarrier bool) {
 			return
 		}
 		p.regs[in.Rd] = p.regs[in.Rs] / p.regs[in.Rt]
-		issueLat = divLatency
+		issueLat = isa.DivLatency
 	case isa.MOD:
 		if p.regs[in.Rt] == 0 {
 			p.fault = fmt.Errorf("machine: modulo by zero at pc %d", p.pc)
@@ -45,7 +45,7 @@ func (m *Machine) execute(p *processor, in isa.Instr, inBarrier bool) {
 			return
 		}
 		p.regs[in.Rd] = p.regs[in.Rs] % p.regs[in.Rt]
-		issueLat = divLatency
+		issueLat = isa.DivLatency
 	case isa.AND:
 		p.regs[in.Rd] = p.regs[in.Rs] & p.regs[in.Rt]
 	case isa.OR:
@@ -72,7 +72,7 @@ func (m *Machine) execute(p *processor, in isa.Instr, inBarrier bool) {
 		p.regs[in.Rd] = p.regs[in.Rs] - in.Imm
 	case isa.MULI:
 		p.regs[in.Rd] = p.regs[in.Rs] * in.Imm
-		issueLat = mulLatency
+		issueLat = isa.MulLatency
 	case isa.DIVI:
 		if in.Imm == 0 {
 			p.fault = fmt.Errorf("machine: divide by zero immediate at pc %d", p.pc)
@@ -80,7 +80,7 @@ func (m *Machine) execute(p *processor, in isa.Instr, inBarrier bool) {
 			return
 		}
 		p.regs[in.Rd] = p.regs[in.Rs] / in.Imm
-		issueLat = divLatency
+		issueLat = isa.DivLatency
 	case isa.LD:
 		addr := p.regs[in.Rs] + in.Imm
 		v, done, err := m.mem.Read(p.id, addr, m.cycle)

@@ -96,13 +96,6 @@ func (c *Config) normalize() {
 	c.Mem.Procs = c.Procs
 }
 
-// mulLatency and divLatency are the cycle costs of multiply and of
-// divide or modulo; every other ALU instruction takes 1 cycle.
-const (
-	mulLatency = 3
-	divLatency = 8
-)
-
 // callStackDepth bounds the per-processor CALL stack.
 const callStackDepth = 64
 

@@ -1,14 +1,27 @@
 // Package prof is the shared pprof plumbing for the CLIs: one call wires
-// the standard -cpuprofile/-memprofile pair, so every command profiles
-// the same way and `go tool pprof` works on the output unchanged.
+// the standard -cpuprofile/-memprofile/-mutexprofile/-blockprofile flags,
+// so every command profiles the same way and `go tool pprof` works on the
+// output unchanged.
 package prof
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
+
+// Flags registers -cpuprofile, -memprofile, -mutexprofile and
+// -blockprofile on the default flag set. Call the returned start after
+// flag.Parse: it starts the profiles the flags name, as Start does.
+func Flags() (start func() (stop func() error, err error)) {
+	cpu := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+	mem := flag.String("memprofile", "", "write a pprof heap profile to this file")
+	mutex := flag.String("mutexprofile", "", "write a pprof mutex-contention profile to this file")
+	block := flag.String("blockprofile", "", "write a pprof blocking profile to this file")
+	return func() (func() error, error) { return Start(*cpu, *mem, *mutex, *block) }
+}
 
 // Start begins CPU profiling to cpuPath and arranges end-of-run
 // snapshots: a heap profile at memPath, a mutex-contention profile at

@@ -35,22 +35,7 @@ func (ph *Phases) Enabled() bool { return ph != nil }
 
 // Account attributes one cycle of activity kind k to processor p's
 // current phase. Unknown processors and unknown kinds are dropped.
-func (ph *Phases) Account(p int, k Kind) {
-	if ph == nil || p < 0 || p >= len(ph.cur) {
-		return
-	}
-	ki := k.Index()
-	if ki < 0 {
-		return
-	}
-	idx := ph.cur[p]*numKinds + ki
-	c := ph.counts[p]
-	for len(c) <= idx {
-		c = append(c, 0)
-	}
-	c[idx]++
-	ph.counts[p] = c
-}
+func (ph *Phases) Account(p int, k Kind) { ph.AccountN(p, k, 1) }
 
 // AccountN attributes n cycles of activity kind k to processor p's
 // current phase — the bulk form of Account used by the simulator's

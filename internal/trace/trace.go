@@ -147,40 +147,21 @@ func (r *Recorder) Enabled() bool { return r != nil }
 // Mark records what processor p did during the given cycle. Marks for
 // processors without a lane (in particular, every Mark on a zero-value
 // Recorder) are dropped; events are still recorded.
-func (r *Recorder) Mark(cycle int64, p int, k Kind) {
-	if r == nil || p < 0 || p >= len(r.lanes) {
-		return
-	}
-	lane := r.lanes[p]
-	for int64(len(lane)) <= cycle {
-		lane = append(lane, KindIdle)
-	}
-	lane[cycle] = k
-	r.lanes[p] = lane
-	if cycle > r.maxCycle {
-		r.maxCycle = cycle
-	}
-}
+func (r *Recorder) Mark(cycle int64, p int, k Kind) { r.MarkN(cycle, 1, p, k) }
 
 // MarkN records n consecutive cycles [cycle, cycle+n) of the same
 // activity for processor p — the bulk form of Mark used by the
 // simulator's fast-forward path. It is byte-for-byte equivalent to
-// calling Mark n times with increasing cycle numbers.
+// calling Mark n times with increasing cycle numbers. A lane grows by
+// append, so per-cycle calls cost amortized O(1).
 func (r *Recorder) MarkN(cycle int64, n int64, p int, k Kind) {
 	if r == nil || n <= 0 || p < 0 || p >= len(r.lanes) {
 		return
 	}
 	last := cycle + n - 1
 	lane := r.lanes[p]
-	if need := last + 1; int64(len(lane)) < need {
-		if int64(cap(lane)) < need {
-			grown := make([]Kind, len(lane), need)
-			copy(grown, lane)
-			lane = grown
-		}
-		for int64(len(lane)) < need {
-			lane = append(lane, KindIdle)
-		}
+	for int64(len(lane)) <= last {
+		lane = append(lane, KindIdle)
 	}
 	for c := cycle; c <= last; c++ {
 		lane[c] = k
