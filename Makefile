@@ -77,9 +77,11 @@ bench-gate:
 # verify every cluster protocol at n<=3 under the full adversary
 # (reorder, duplicate, drop) including the mutation negative tests that
 # prove the checker has teeth, then hammer the runtime barriers with
-# randomized schedules under the race detector — TestStress* covers the
-# reduce-barrier fold check and phaser churn, TestRace* the plain-slot
-# ordering baits. The wide n=4 sweep and full-length stress runs live
+# randomized schedules under the race detector — TestStress* (the
+# test-only harness, its barriers looked up in the contract table of
+# internal/core/contract_test.go) covers the reduce-barrier fold check
+# and phaser churn, TestRace* the plain-slot ordering baits over every
+# row of that table. The wide n=4 sweep and full-length stress runs live
 # behind the non-short suite (`make race`). The final line runs a short
 # native-fuzz burst over the transport wire codec (the seed corpus plus
 # 500 mutated inputs) so codec regressions surface pre-merge without a

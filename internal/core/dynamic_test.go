@@ -2,42 +2,10 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 )
-
-func TestDynamicBarrierBasicPhases(t *testing.T) {
-	const workers, phases = 4, 100
-	b := NewDynamicBarrier(workers)
-	var counter atomic.Int64
-	bad := make(chan int64, workers*phases)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for e := int64(0); e < phases; e++ {
-				counter.Add(1)
-				ph := b.Arrive()
-				b.Wait(ph)
-				if got := counter.Load(); got != workers*(e+1) {
-					bad <- got
-				}
-				b.Await()
-			}
-		}()
-	}
-	wg.Wait()
-	close(bad)
-	for v := range bad {
-		t.Fatalf("counter = %d between phases", v)
-	}
-	if b.Epoch() != 2*phases {
-		t.Errorf("epoch = %d, want %d", b.Epoch(), 2*phases)
-	}
-}
 
 func TestDynamicBarrierEarlyLeaversDontBlockOthers(t *testing.T) {
 	// Workers process different iteration counts (a non-divisible
@@ -125,30 +93,23 @@ func TestDynamicBarrierSpawnJoinPattern(t *testing.T) {
 		}
 		b.ArriveAndLeave()
 	}
-	for round := 0; round < 3; round++ {
-		b.Register()
-		wg.Add(1)
-		go child(2 + round)
-		// Parent keeps synchronizing with whatever membership exists.
-		ph := b.Arrive()
-		b.Wait(ph)
-	}
-	// Parent drains its own participation.
-	for i := 0; i < 6; i++ {
-		ph := b.Arrive()
-		b.Wait(ph)
-	}
-	b.ArriveAndLeave()
-	waitDone := make(chan struct{})
-	go func() {
+	runN(t, b.split(), 1, func(int) {
+		for round := 0; round < 3; round++ {
+			b.Register()
+			wg.Add(1)
+			go child(2 + round)
+			// Parent keeps synchronizing with whatever membership exists.
+			ph := b.Arrive()
+			b.Wait(ph)
+		}
+		// Parent drains its own participation, then joins its children.
+		for i := 0; i < 6; i++ {
+			ph := b.Arrive()
+			b.Wait(ph)
+		}
+		b.ArriveAndLeave()
 		wg.Wait()
-		close(waitDone)
-	}()
-	select {
-	case <-waitDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("spawn/join pattern hung")
-	}
+	})
 }
 
 func TestDynamicBarrierPanicsOnMisuse(t *testing.T) {

@@ -2,11 +2,7 @@ package core
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"testing/quick"
-	"time"
 )
 
 func TestHierBarrierShape(t *testing.T) {
@@ -119,189 +115,6 @@ func TestHierBarrierDerivedLayout(t *testing.T) {
 	}
 }
 
-func TestHierBarrierPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for n=0")
-		}
-	}()
-	NewHierBarrier(0)
-}
-
-func TestHierBarrierSingleParticipant(t *testing.T) {
-	b := NewHierBarrier(1)
-	for i := 0; i < 10; i++ {
-		ph := b.Arrive()
-		if !b.TryWait(ph) {
-			t.Fatal("single participant should sync instantly")
-		}
-		b.Wait(ph)
-	}
-	if b.Epoch() != 10 {
-		t.Errorf("epoch = %d, want 10", b.Epoch())
-	}
-}
-
-func TestHierBarrierRegionOverlap(t *testing.T) {
-	// A fast worker must be able to execute region work and finish Wait
-	// as soon as the slow worker arrives — same contract as FuzzyBarrier.
-	b := NewHierBarrierConfig(2, HierConfig{Shards: 2})
-	done := make(chan struct{})
-	go func() {
-		ph := b.Arrive()
-		b.Wait(ph)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("wait returned before partner arrived")
-	case <-time.After(10 * time.Millisecond):
-	}
-	b.Arrive() // partner arrives; never waits
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("wait did not return after partner arrived")
-	}
-}
-
-func TestHierBarrierTryWait(t *testing.T) {
-	b := NewHierBarrier(2)
-	ph := b.Arrive()
-	if b.TryWait(ph) {
-		t.Fatal("TryWait true before partner arrived")
-	}
-	b.Arrive()
-	if !b.TryWait(ph) {
-		t.Fatal("TryWait false after all arrived")
-	}
-	b.Wait(ph) // must be a fast path now
-	_, _, fast, _, blocks, _ := b.Stats()
-	if fast != 1 || blocks != 0 {
-		t.Errorf("fast=%d blocks=%d, want 1/0", fast, blocks)
-	}
-}
-
-// TestHierBarrierOrdersPhases is the FuzzyBarrier memory-ordering test on
-// the hierarchical implementation, with shard counts that leave some
-// shards partial and force the cross-shard tree to do real combining.
-func TestHierBarrierOrdersPhases(t *testing.T) {
-	for _, workers := range []int{2, 3, 5, 8, 13} {
-		workers := workers
-		t.Run(itoa2(workers), func(t *testing.T) {
-			t.Parallel()
-			const phases = 100
-			b := NewHierBarrierConfig(workers, HierConfig{Shards: 3, Radix: 2})
-			published := make([]atomic.Int64, workers)
-			errs := make(chan string, workers*phases)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					for p := int64(0); p < phases; p++ {
-						published[id].Store(p)
-						ph := b.Arrive()
-						b.Wait(ph)
-						for j := range published {
-							if got := published[j].Load(); got < p {
-								errs <- "worker saw stale phase"
-							}
-						}
-						b.Await() // nobody advances until all checked
-					}
-				}(w)
-			}
-			wg.Wait()
-			close(errs)
-			for e := range errs {
-				t.Fatal(e)
-			}
-			if got := b.Epoch(); got != 2*phases {
-				t.Errorf("epoch = %d, want %d", got, 2*phases)
-			}
-		})
-	}
-}
-
-// TestHierBarrierAwaitIsPointBarrier runs the counter detector across
-// participant counts including large, non-shard-aligned ones, under the
-// GOMAXPROCS-derived default layout.
-func TestHierBarrierAwaitIsPointBarrier(t *testing.T) {
-	for _, workers := range []int{1, 2, 5, 16, 33, 257} {
-		workers := workers
-		t.Run(itoa2(workers), func(t *testing.T) {
-			t.Parallel()
-			episodes := 50
-			if workers > 50 {
-				episodes = 10
-			}
-			b := NewHierBarrier(workers)
-			var counter atomic.Int64
-			var wg sync.WaitGroup
-			bad := make(chan int64, workers*episodes)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for e := int64(0); e < int64(episodes); e++ {
-						counter.Add(1)
-						b.Await()
-						if got := counter.Load(); got != int64(workers)*(e+1) {
-							bad <- got
-						}
-						b.Await()
-					}
-				}()
-			}
-			wg.Wait()
-			close(bad)
-			for v := range bad {
-				t.Fatalf("counter = %d between barriers (inconsistent)", v)
-			}
-			if got := b.Epoch(); got != int64(2*episodes) {
-				t.Errorf("epoch = %d, want %d", got, 2*episodes)
-			}
-		})
-	}
-}
-
-// TestHierBarrierEpochNeverSkipsProperty mirrors the tree property test
-// for random sizes, shard counts and radices.
-func TestHierBarrierEpochNeverSkipsProperty(t *testing.T) {
-	f := func(w, e, s, r uint8) bool {
-		workers := int(w%9) + 1
-		episodes := int(e%20) + 1
-		shards := int(s%5) + 1
-		radix := int(r%3) + 2
-		b := NewHierBarrierConfig(workers, HierConfig{Shards: shards, Radix: radix})
-		var wg sync.WaitGroup
-		ok := atomic.Bool{}
-		ok.Store(true)
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				last := int64(-1)
-				for ep := 0; ep < episodes; ep++ {
-					ph := b.Arrive()
-					b.Wait(ph)
-					cur := b.Epoch()
-					if cur <= last {
-						ok.Store(false)
-					}
-					last = cur
-				}
-			}()
-		}
-		wg.Wait()
-		return ok.Load() && b.Epoch() == int64(episodes)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestHierBarrierProbeUndoDeterministic drives every arrival to shard 0
 // leaf 0 via ArriveShardLeaf, so the whole probe cascade runs with a
 // known answer: within a shard the i-th leaf's arrivals probe past every
@@ -329,7 +142,9 @@ func TestHierBarrierProbeUndoDeterministic(t *testing.T) {
 		for id := 0; id < n; id++ {
 			ph = b.ArriveShardLeaf(0, 0)
 		}
-		b.Wait(ph)
+		if !b.TryWait(ph) {
+			t.Fatalf("phase %d incomplete after all %d arrivals", p, n)
+		}
 		if got, want := b.Probes(), (p+1)*perPhase; got != want {
 			t.Errorf("after phase %d: Probes() = %d, want %d", p, got, want)
 		}
@@ -347,72 +162,6 @@ func TestHierBarrierProbeUndoDeterministic(t *testing.T) {
 	}
 }
 
-// TestHierBarrierCollisionInvariant hammers shard 0 leaf 0 from many
-// goroutines — the worst case ShardHint is supposed to avoid — and
-// checks the overshoot-undo invariant concurrently: a node's cumulative
-// count never dips below the target of any completed phase (every undo
-// cancels only its own overshoot), every phase ends with every node at
-// exactly quota·phase (one climber per node per phase), and the
-// colliders really did probe or spill.
-func TestHierBarrierCollisionInvariant(t *testing.T) {
-	const workers, phases, shards, radix = 9, 150, 3, 2
-	b := NewHierBarrierConfig(workers, HierConfig{Shards: shards, Radix: radix})
-	stop := make(chan struct{})
-	var below atomic.Int64
-	var sampler sync.WaitGroup
-	sampler.Add(1)
-	go func() {
-		defer sampler.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			// Load the epoch first: the invariant count >= quota*e holds
-			// for any e that was complete at or before the count read.
-			e := b.Epoch()
-			for i := range b.nodes {
-				if b.nodes[i].count.Load() < b.nodes[i].quota*e {
-					below.Add(1)
-				}
-			}
-			runtime.Gosched()
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := 0; p < phases; p++ {
-				b.Wait(b.ArriveShardLeaf(0, 0)) // everyone collides
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	sampler.Wait()
-
-	if n := below.Load(); n > 0 {
-		t.Errorf("%d samples saw a count below a completed phase's target (undo leaked)", n)
-	}
-	for i := range b.nodes {
-		if got, want := b.nodes[i].count.Load(), b.nodes[i].quota*phases; got != want {
-			t.Errorf("node %d final count = %d, want exactly %d (one climber per node per phase)", i, got, want)
-		}
-	}
-	// Shard 0 holds 3 of the 9 slots per phase; the other 6 arrivals of
-	// every phase must each have probed or spilled at least once.
-	if minProbes := int64(phases * (workers - 3)); b.Probes()+b.Undos() < minProbes {
-		t.Errorf("Probes()+Undos() = %d+%d, want >= %d", b.Probes(), b.Undos(), minProbes)
-	}
-	if b.Epoch() != phases {
-		t.Errorf("epoch = %d, want %d", b.Epoch(), phases)
-	}
-}
-
 // TestHierBarrierArriveDuringReleaseFanout hammers the release edge: a
 // waiter released through its shard's epoch word may re-Arrive while
 // the publisher is still CAS-maxing the remaining shards' words. The
@@ -424,19 +173,15 @@ func TestHierBarrierArriveDuringReleaseFanout(t *testing.T) {
 	const workers, phases = 8, 1500
 	b := NewHierBarrierConfig(workers, HierConfig{Shards: workers, Radix: 2})
 	b.SpinLimit = 1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for p := 0; p < phases; p++ {
-				// One worker per shard: each phase's last climber fans out
-				// while the other seven race straight into the next Arrive.
-				b.Wait(b.ArriveShardLeaf(id, 0))
-			}
-		}(w)
+	if !runN(t, b.split(), workers, func(id int) {
+		for p := 0; p < phases; p++ {
+			// One worker per shard: each phase's last climber fans out
+			// while the other seven race straight into the next Arrive.
+			b.Wait(b.ArriveShardLeaf(id, 0))
+		}
+	}) {
+		return
 	}
-	wg.Wait()
 	if got := b.Epoch(); got != phases {
 		t.Errorf("epoch = %d, want %d", got, phases)
 	}
@@ -458,7 +203,9 @@ func TestHierBarrierSlotFor(t *testing.T) {
 		s, l := b.SlotFor(i)
 		ph = b.ArriveShardLeaf(s, l)
 	}
-	b.Wait(ph)
+	if !b.TryWait(ph) {
+		t.Fatal("phase incomplete after every slot arrived")
+	}
 	if b.Probes() != 0 || b.Undos() != 0 {
 		t.Errorf("probes=%d undos=%d after balanced routing, want 0/0", b.Probes(), b.Undos())
 	}
@@ -493,48 +240,4 @@ func TestHierBarrierArrivePanics(t *testing.T) {
 	expectPanic("slot -1", func() { b.SlotFor(-1) })
 	expectPanic("slot high", func() { b.SlotFor(b.N()) })
 	expectPanic("shard-leaves high", func() { b.ShardLeaves(b.Shards()) })
-}
-
-// TestHierBarrierBeatsCentralOnHotspot is the arrive-side contention
-// claim at 256 participants: the hierarchical barrier's hottest counter
-// word absorbs far fewer operations per phase than the central barrier's
-// single counter (n+1). Like the tree test this is a property of the
-// algorithm, not of the host's core count.
-func TestHierBarrierBeatsCentralOnHotspot(t *testing.T) {
-	const workers = 256
-	const episodes = 20
-	run := func(b SplitBarrier) {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for e := 0; e < episodes; e++ {
-					b.Wait(b.Arrive())
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	central := NewFuzzyBarrier(workers)
-	run(central)
-	cOps, cPhases := central.HotspotOps()
-	if cPhases != episodes {
-		t.Fatalf("central phases = %d, want %d", cPhases, episodes)
-	}
-	cPer := float64(cOps) / float64(cPhases)
-
-	hier := NewHierBarrier(workers)
-	run(hier)
-	hOps, hPhases := hier.HotspotOps()
-	if hPhases != episodes {
-		t.Fatalf("hier phases = %d, want %d", hPhases, episodes)
-	}
-	hPer := float64(hOps) / float64(hPhases)
-	if hPer >= cPer/2 {
-		t.Errorf("hier hotspot = %.1f ops/phase, central = %.1f — hier should be far lower", hPer, cPer)
-	}
-	t.Logf("hotspot ops/phase at n=%d: central=%.1f hier=%.1f (shards=%d probes=%d undos=%d)",
-		workers, cPer, hPer, hier.Shards(), hier.Probes(), hier.Undos())
 }

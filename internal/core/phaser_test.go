@@ -21,17 +21,13 @@ func TestPhaserSignalWaitGroup(t *testing.T) {
 	if p.Members() != workers || p.Signalers() != workers {
 		t.Fatalf("members = %d, signalers = %d, want %d, %d", p.Members(), p.Signalers(), workers, workers)
 	}
-	var wg sync.WaitGroup
-	for _, m := range members {
-		wg.Add(1)
-		go func(m *PhaserMember) {
-			defer wg.Done()
-			for i := 0; i < phases; i++ {
-				m.Wait(m.Arrive())
-			}
-		}(m)
+	if !runN(t, p.split(), workers, func(id int) {
+		for i := 0; i < phases; i++ {
+			members[id].Wait(members[id].Arrive())
+		}
+	}) {
+		return
 	}
-	wg.Wait()
 	if p.Epoch() != phases {
 		t.Errorf("epoch = %d, want %d", p.Epoch(), phases)
 	}

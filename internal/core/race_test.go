@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -14,75 +13,57 @@ import (
 // the last Arrive and a returning Wait surfaces as a reported race on
 // the plain (non-atomic) per-worker slots.
 
-// stressSplit drives workers through phases of: write my slot (plain
-// write), Arrive, barrier-region work, Wait, read every slot (plain
-// read). Without the barrier's ordering this is a textbook data race.
-func stressSplit(t *testing.T, b SplitBarrier, workers, phases int) {
+// stressSplit drives one goroutine per handle through phases of: write
+// my slot (plain write), Arrive, barrier-region work, Wait, read every
+// slot (plain read). Without the barrier's ordering this is a textbook
+// data race. It reports false if the run hung.
+func stressSplit(t *testing.T, hs []stressBarrier, phases int) bool {
 	t.Helper()
-	slots := make([]int, workers) // plain ints: the race detector's bait
+	slots := make([]int, len(hs)) // plain ints: the race detector's bait
 	var stale atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for p := 0; p < phases; p++ {
-				slots[id] = p + 1
-				ph := b.Arrive()
-				// Barrier-region work: occasionally poll TryWait, as a
-				// real region would to schedule more region work.
-				for i := 0; i < id%4; i++ {
-					b.TryWait(ph)
-				}
-				b.Wait(ph)
-				for j := range slots {
-					if slots[j] < p+1 {
-						stale.Add(1)
-					}
-				}
-				b.Await() // close the read window before the next phase
+	if !runEach(t, hs, func(id int, h stressBarrier) {
+		for p := 0; p < phases; p++ {
+			slots[id] = p + 1
+			ph := h.Arrive()
+			// Barrier-region work: occasionally poll TryWait, as a
+			// real region would to schedule more region work.
+			for i := 0; i < id%4; i++ {
+				h.TryWait(ph)
 			}
-		}(w)
+			h.Wait(ph)
+			for j := range slots {
+				if slots[j] < p+1 {
+					stale.Add(1)
+				}
+			}
+			h.Await() // close the read window before the next phase
+		}
+	}) {
+		return false
 	}
-	wg.Wait()
 	if n := stale.Load(); n > 0 {
-		t.Errorf("%d stale slot reads (synchronization leaked)", n)
+		t.Errorf("n=%d: %d stale slot reads (synchronization leaked)", len(hs), n)
 	}
-	if got := b.Epoch(); got != int64(2*phases) {
-		t.Errorf("epoch = %d, want %d", got, 2*phases)
+	if got := hs[0].Epoch(); got != int64(2*phases) {
+		t.Errorf("n=%d: epoch = %d, want %d", len(hs), got, 2*phases)
 	}
+	return true
 }
 
-func TestRaceFuzzyBarrierStress(t *testing.T) {
-	stressSplit(t, NewFuzzyBarrier(8), 8, 300)
-}
-
-func TestRaceTreeBarrierStress(t *testing.T) {
-	stressSplit(t, NewTreeBarrier(8), 8, 300)
-	stressSplit(t, NewTreeBarrierRadix(13, 2), 13, 200)
-}
-
-// TestRaceHierBarrierStress pushes the two-level barrier through the
-// plain-slot bait: the shard subtrees, the cross-shard combining hop and
-// the per-shard release fan-out must together provide the same ordering
-// the central epoch does. The second shape forces partial shards and a
-// multi-level cross tree; the third pins one shard so the hier barrier
-// degenerates to a guarded tree and the fan-out path still runs.
-func TestRaceHierBarrierStress(t *testing.T) {
-	stressSplit(t, NewHierBarrier(8), 8, 300)
-	stressSplit(t, NewHierBarrierConfig(13, HierConfig{Shards: 3, Radix: 2}), 13, 200)
-	stressSplit(t, NewHierBarrierConfig(8, HierConfig{Shards: 1}), 8, 200)
-}
-
-// TestRaceReduceBarrierStress runs the reduce barrier through the same
-// plain-slot bait (Arrive contributes the identity, so the split-phase
-// protocol is exercised unchanged); the combining CAS loop and the
-// root's result publication must provide the same ordering the plain
-// tree does. TestReduceBarrierConcurrent adds the value-carrying path
-// under -race via the verify lane.
-func TestRaceReduceBarrierStress(t *testing.T) {
-	stressSplit(t, NewReduceBarrier(8, OpSum, IdentitySum), 8, 300)
-	stressSplit(t, NewReduceBarrierRadix(13, 2, OpMax, IdentityMax), 13, 200)
+// TestRaceContractStress pushes every contract row through the
+// plain-slot bait at 8 and 13 members: the central counter, the tree
+// and reduce combining (reduce's plain Arrive contributes the identity),
+// hier's shard subtrees, cross-shard hop and per-shard release fan-out
+// (13 members leave shards partial; one shard degenerates to a guarded
+// tree), and the dynamic and phaser hosts must all give the ordering
+// the central epoch does. TestReduceBarrierConcurrent adds the
+// value-carrying path under -race via the verify lane.
+func TestRaceContractStress(t *testing.T) {
+	eachRow(t, func(t *testing.T, r contractRow) {
+		if stressSplit(t, r.build(r, 8), 300) {
+			stressSplit(t, r.build(r, 13), 200)
+		}
+	})
 }
 
 // TestRaceSnapshotDuringRun samples StatsSnapshot and HotspotOps while
@@ -93,8 +74,9 @@ func TestRaceReduceBarrierStress(t *testing.T) {
 // n·Syncs — and exact once the run is over.
 func TestRaceSnapshotDuringRun(t *testing.T) {
 	const n, episodes = 4, 2000
-	for _, row := range sixBarriers(n) {
-		b := row.handles[0]
+	for _, row := range contractRows {
+		hs := row.build(row, n)
+		b := hs[0]
 		stop := make(chan struct{})
 		sampled := make(chan struct{})
 		go func() {
@@ -120,9 +102,12 @@ func TestRaceSnapshotDuringRun(t *testing.T) {
 				}
 			}
 		}()
-		row.run(episodes)
+		ran := runEpisodes(t, hs, episodes)
 		close(stop)
 		<-sampled
+		if !ran {
+			return
+		}
 		if s := b.StatsSnapshot(); s.Syncs != episodes || s.Arrivals != n*episodes {
 			t.Errorf("%s: at quiescence Syncs = %d, Arrivals = %d, want %d, %d", row.name, s.Syncs, s.Arrivals, episodes, n*episodes)
 		}
@@ -146,49 +131,41 @@ func TestRacePhaserChurn(t *testing.T) {
 		perm[i] = p.Register(SignalWait)
 	}
 	var data [fixed + churners]int // plain writes ordered only by the phaser
-	var wg sync.WaitGroup
-	for w := 0; w < fixed; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			m := perm[id]
-			for k := 0; k < phases; k++ {
+	if !runN(t, p.split(), fixed+churners, func(id int) {
+		if id < fixed {
+			for k, m := 0, perm[id]; k < phases; k++ {
 				data[id]++
 				m.Wait(m.Arrive())
 			}
-		}(w)
-	}
-	for c := 0; c < churners; c++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for round := 0; round < 10; round++ {
-				if (id+round)%2 == 0 {
-					m := p.Register(SignalOnly)
-					for k := 0; k < 3+id; k++ {
-						data[fixed+id]++
-						m.Arrive()
-					}
-					m.Deregister()
-				} else {
-					m := p.Register(WaitOnly)
-					for k := 0; k < 3+id; k++ {
-						ph := m.Arrive()
-						if ph.epoch >= phases {
-							// The permanents have signaled their last phase;
-							// only the drain publishes again, and that waits
-							// for this goroutine to exit.
-							break
-						}
-						m.Wait(ph)
-						data[fixed+id]++
-					}
-					m.Deregister()
+			return
+		}
+		for round, c := 0, id-fixed; round < 10; round++ {
+			if (c+round)%2 == 0 {
+				m := p.Register(SignalOnly)
+				for k := 0; k < 3+c; k++ {
+					data[id]++
+					m.Arrive()
 				}
+				m.Deregister()
+			} else {
+				m := p.Register(WaitOnly)
+				for k := 0; k < 3+c; k++ {
+					ph := m.Arrive()
+					if ph.epoch >= phases {
+						// The permanents have signaled their last phase;
+						// only the drain publishes again, and that waits
+						// for this goroutine to exit.
+						break
+					}
+					m.Wait(ph)
+					data[id]++
+				}
+				m.Deregister()
 			}
-		}(c)
+		}
+	}) {
+		return
 	}
-	wg.Wait()
 	for _, m := range perm {
 		m.Deregister() // last signaler out drains
 	}
@@ -231,38 +208,28 @@ func TestRaceDynamicRegisterDuringCompletion(t *testing.T) {
 	b := NewDynamicBarrier(fixed)
 	var slots [fixed]int64
 	var stale atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < fixed; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for p := int64(0); p < phases; p++ {
-				slots[id] = p + 1
-				ph := b.Arrive()
-				b.Wait(ph)
-				for j := 0; j < fixed; j++ {
-					if slots[j] < p+1 {
-						stale.Add(1)
-					}
+	if !churn(t, b, fixed, churners, func(id int) {
+		for p := int64(0); p < phases; p++ {
+			slots[id] = p + 1
+			ph := b.Arrive()
+			b.Wait(ph)
+			for j := 0; j < fixed; j++ {
+				if slots[j] < p+1 {
+					stale.Add(1)
 				}
-				b.Await() // close the read window before the next write
 			}
+			b.Await() // close the read window before the next write
+		}
+	}, func(int) {
+		for round := 0; round < rounds; round++ {
+			b.Register()
+			ph := b.Arrive()
+			b.Wait(ph)
 			b.ArriveAndLeave()
-		}(w)
+		}
+	}) {
+		return
 	}
-	for c := 0; c < churners; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < rounds; round++ {
-				b.Register()
-				ph := b.Arrive()
-				b.Wait(ph)
-				b.ArriveAndLeave()
-			}
-		}()
-	}
-	wg.Wait()
 	if n := stale.Load(); n > 0 {
 		t.Errorf("%d stale slot reads: a phase completed without every member's arrival", n)
 	}
@@ -271,43 +238,55 @@ func TestRaceDynamicRegisterDuringCompletion(t *testing.T) {
 	}
 }
 
+// churn runs fixed members and churners on one dynamic barrier and
+// reports whether they all returned. Member id runs member(id), then
+// keeps phases turning until no churner is left, and leaves: leaving
+// first could drain the barrier while every churner is between rounds,
+// and the next Register would panic. Churner c runs churner(c).
+func churn(t *testing.T, b *DynamicBarrier, fixed, churners int, member, churner func(id int)) bool {
+	t.Helper()
+	var churning atomic.Int64
+	churning.Store(int64(churners))
+	return runN(t, b.split(), fixed+churners, func(id int) {
+		if id >= fixed {
+			defer churning.Add(-1)
+			churner(id - fixed)
+			return
+		}
+		member(id)
+		for churning.Load() > 0 {
+			b.Await()
+		}
+		b.ArriveAndLeave()
+	})
+}
+
 func TestRaceDynamicBarrierChurn(t *testing.T) {
 	const fixed = 4
 	const phases = 300
 	const churners = 6
 	b := NewDynamicBarrier(fixed)
 	var data [fixed + churners]int // plain writes ordered only by the barrier
-	var wg sync.WaitGroup
-
-	for w := 0; w < fixed; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for p := 0; p < phases; p++ {
-				data[id]++
+	if !churn(t, b, fixed, churners, func(id int) {
+		for p := 0; p < phases; p++ {
+			data[id]++
+			ph := b.Arrive()
+			b.Wait(ph)
+		}
+	}, func(id int) {
+		// Join, synchronize for a few phases, leave — repeatedly.
+		for round := 0; round < 10; round++ {
+			b.Register()
+			for p := 0; p < 5+id; p++ {
+				data[fixed+id]++
 				ph := b.Arrive()
 				b.Wait(ph)
 			}
 			b.ArriveAndLeave()
-		}(w)
+		}
+	}) {
+		return
 	}
-	for c := 0; c < churners; c++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			// Join, synchronize for a few phases, leave — repeatedly.
-			for round := 0; round < 10; round++ {
-				b.Register()
-				for p := 0; p < 5+id; p++ {
-					data[fixed+id]++
-					ph := b.Arrive()
-					b.Wait(ph)
-				}
-				b.ArriveAndLeave()
-			}
-		}(c)
-	}
-	wg.Wait()
 	if got := b.Members(); got != 0 {
 		t.Errorf("members after drain = %d, want 0", got)
 	}

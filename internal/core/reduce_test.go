@@ -33,14 +33,14 @@ func TestReduceBarrierSerialFold(t *testing.T) {
 					want = o.op(want, v)
 					tickets[id] = b.ArriveValue(v)
 				}
+				if b.Epoch() != phase+1 {
+					t.Fatalf("%s n=%d: epoch = %d, want %d", o.name, shape.n, b.Epoch(), phase+1)
+				}
 				for id := 0; id < shape.n; id++ {
 					if got := b.WaitValue(tickets[id]); got != want {
 						t.Fatalf("%s n=%d radix=%d phase %d participant %d: WaitValue = %d, want %d",
 							o.name, shape.n, shape.radix, phase, id, got, want)
 					}
-				}
-				if b.Epoch() != phase+1 {
-					t.Fatalf("%s n=%d: epoch = %d, want %d", o.name, shape.n, b.Epoch(), phase+1)
 				}
 			}
 		}
@@ -62,20 +62,16 @@ func TestReduceBarrierConcurrent(t *testing.T) {
 		expect[p] = acc
 	}
 	var bad sync.Map
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int64) {
-			defer wg.Done()
-			for p := int64(0); p < phases; p++ {
-				got := b.WaitValue(b.ArriveValue(contrib(p, id)))
-				if got != expect[p] {
-					bad.Store([2]int64{p, id}, got)
-				}
+	if !runN(t, b.split(), workers, func(w int) {
+		for p, id := int64(0), int64(w); p < phases; p++ {
+			got := b.WaitValue(b.ArriveValue(contrib(p, id)))
+			if got != expect[p] {
+				bad.Store([2]int64{p, id}, got)
 			}
-		}(int64(w))
+		}
+	}) {
+		return
 	}
-	wg.Wait()
 	bad.Range(func(k, v any) bool {
 		pk := k.([2]int64)
 		t.Errorf("phase %d worker %d: WaitValue = %d, want %d", pk[0], pk[1], v, expect[pk[0]])
@@ -129,6 +125,9 @@ func TestReduceBarrierProbesDeterministic(t *testing.T) {
 			v := int64(id) + p
 			want += v
 			tickets = append(tickets, b.ArriveValueLeaf(0, v))
+		}
+		if !b.TryWait(tickets[0]) {
+			t.Fatalf("phase %d incomplete after all %d arrivals", p, n)
 		}
 		if got := b.WaitValue(tickets[0]); got != want {
 			t.Fatalf("phase %d: WaitValue = %d, want %d", p, got, want)

@@ -1,197 +1,6 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-	"testing"
-	"testing/quick"
-	"time"
-)
-
-func TestFuzzyBarrierOrdersPhases(t *testing.T) {
-	const workers = 4
-	const phases = 200
-	b := NewFuzzyBarrier(workers)
-	// Each worker publishes its phase number; after Wait all published
-	// values must equal the current phase.
-	published := make([]atomic.Int64, workers)
-	errs := make(chan string, workers*phases)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for p := int64(0); p < phases; p++ {
-				published[id].Store(p)
-				ph := b.Arrive()
-				b.Wait(ph)
-				for j := range published {
-					if got := published[j].Load(); got < p {
-						errs <- "worker saw stale phase"
-					}
-				}
-				b.Await() // second barrier: nobody advances until all checked
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	if got := b.Epoch(); got != 2*phases {
-		t.Errorf("epoch = %d, want %d", got, 2*phases)
-	}
-}
-
-func TestFuzzyBarrierRegionOverlap(t *testing.T) {
-	// A fast worker must be able to execute region work and even finish
-	// Wait instantly once the slow worker arrives.
-	b := NewFuzzyBarrier(2)
-	done := make(chan struct{})
-	go func() {
-		ph := b.Arrive()
-		b.Wait(ph)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("wait returned before partner arrived")
-	case <-time.After(10 * time.Millisecond):
-	}
-	b.Arrive() // partner arrives; never waits
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("wait did not return after partner arrived")
-	}
-}
-
-func TestTryWait(t *testing.T) {
-	b := NewFuzzyBarrier(2)
-	ph := b.Arrive()
-	if b.TryWait(ph) {
-		t.Fatal("TryWait true before partner arrived")
-	}
-	b.Arrive()
-	if !b.TryWait(ph) {
-		t.Fatal("TryWait false after all arrived")
-	}
-	b.Wait(ph) // must be a fast path now
-	_, _, fast, _, blocks, _ := b.Stats()
-	if fast != 1 || blocks != 0 {
-		t.Errorf("fast=%d blocks=%d, want 1/0", fast, blocks)
-	}
-}
-
-func TestAwaitIsPointBarrier(t *testing.T) {
-	const workers = 8
-	const episodes = 100
-	b := NewFuzzyBarrier(workers)
-	var counter atomic.Int64
-	var wg sync.WaitGroup
-	bad := make(chan int64, workers*episodes)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for e := int64(0); e < episodes; e++ {
-				counter.Add(1)
-				b.Await()
-				// Between the two barriers the counter is stable at
-				// workers*(e+1).
-				if got := counter.Load(); got != workers*(e+1) {
-					bad <- got
-				}
-				b.Await()
-			}
-		}()
-	}
-	wg.Wait()
-	close(bad)
-	for v := range bad {
-		t.Fatalf("counter = %d between barriers (inconsistent)", v)
-	}
-}
-
-func TestSingleParticipant(t *testing.T) {
-	b := NewFuzzyBarrier(1)
-	for i := 0; i < 10; i++ {
-		ph := b.Arrive()
-		if !b.TryWait(ph) {
-			t.Fatal("single participant should sync instantly")
-		}
-		b.Wait(ph)
-	}
-	if b.Epoch() != 10 {
-		t.Errorf("epoch = %d, want 10", b.Epoch())
-	}
-}
-
-func TestNewFuzzyBarrierPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for n=0")
-		}
-	}()
-	NewFuzzyBarrier(0)
-}
-
-func TestBlockedWaitsAreCounted(t *testing.T) {
-	b := NewFuzzyBarrier(2)
-	b.SpinLimit = 1 // force blocking quickly
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		ph := b.Arrive()
-		close(release)
-		b.Wait(ph)
-		close(done)
-	}()
-	<-release
-	time.Sleep(5 * time.Millisecond) // let the waiter exhaust its spin budget
-	b.Arrive()
-	<-done
-	_, _, _, _, blocks, _ := b.Stats()
-	if blocks != 1 {
-		t.Errorf("blocks = %d, want 1", blocks)
-	}
-}
-
-// TestEpochNeverSkipsProperty: for any (workers, episodes) within bounds,
-// every worker observes epochs in strictly increasing order and the final
-// epoch equals the episode count.
-func TestEpochNeverSkipsProperty(t *testing.T) {
-	f := func(w uint8, e uint8) bool {
-		workers := int(w%6) + 1
-		episodes := int(e%30) + 1
-		b := NewFuzzyBarrier(workers)
-		var wg sync.WaitGroup
-		ok := atomic.Bool{}
-		ok.Store(true)
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				last := int64(-1)
-				for ep := 0; ep < episodes; ep++ {
-					ph := b.Arrive()
-					b.Wait(ph)
-					cur := b.Epoch()
-					if cur <= last {
-						ok.Store(false)
-					}
-					last = cur
-				}
-			}()
-		}
-		wg.Wait()
-		return ok.Load() && b.Epoch() == int64(episodes)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
+import "testing"
 
 func TestTaggedBarrier(t *testing.T) {
 	b := NewTaggedFuzzyBarrier(2, 7)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime/debug"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestSplitmix64Vectors pins the mixer to the reference splitmix64
@@ -26,37 +28,65 @@ func TestSplitmix64Vectors(t *testing.T) {
 // exactly the regularity splitmix64 has to break; the bounds are loose
 // (4x fair share) because the test asserts hash quality, not perfect
 // uniformity.
+//
+// Each goroutine records the raw address of a probe in its own frame
+// beside the ShardHint it takes there, after the wait that grows its
+// stack, and the test runs with the garbage collector off, since a
+// collection may shrink (copy) stacks. A stack copied after its probe
+// frees the old stack for a later goroutine to reuse at the same
+// address; under -race, with its larger frames, that once left fewer
+// than half the hints distinct. Distinct hints must equal distinct raw
+// addresses — the mixer loses nothing — and the buckets are filled with
+// the distinct hints only. A failure logs every address beside its hint.
 func TestShardHintDistribution(t *testing.T) {
 	const goroutines = 512
 	const buckets = 16
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	hints := make([]uint64, goroutines)
-	var ready, release sync.WaitGroup
+	raws, hints := make([]uintptr, goroutines), make([]uint64, goroutines)
+	var ready, release, probed, done sync.WaitGroup
 	ready.Add(goroutines)
 	release.Add(1)
+	probed.Add(goroutines)
+	done.Add(1)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			hints[id] = ShardHint()
 			ready.Done()
-			release.Wait() // hold the stack live until every peer has hashed
+			release.Wait() // the stack has grown to what a wait needs
+			var probe byte
+			raws[id], hints[id] = uintptr(unsafe.Pointer(&probe)), ShardHint()
+			probed.Done()
+			done.Wait() // hold the stack live until every peer has hashed
 		}(g)
 	}
 	ready.Wait()
 	release.Done()
+	probed.Wait()
+	done.Done()
 	wg.Wait()
 
+	distinctRaw := make(map[uintptr]bool, goroutines)
 	distinct := make(map[uint64]bool, goroutines)
-	for _, h := range hints {
+	for id, h := range hints {
+		distinctRaw[raws[id]] = true
 		distinct[h] = true
+	}
+	if len(distinct) != len(distinctRaw) {
+		t.Errorf("%d distinct hints from %d distinct probe addresses: the mixer merged inputs", len(distinct), len(distinctRaw))
 	}
 	// Concurrently live goroutines occupy disjoint stacks; near-total
 	// collapse of the hash values would mean the mixer is discarding the
 	// address bits that vary.
 	if len(distinct) < goroutines/2 {
 		t.Errorf("only %d distinct hints from %d goroutines", len(distinct), goroutines)
+	}
+	if t.Failed() {
+		for id := range hints {
+			t.Logf("goroutine %d: probe %#x hint %#x", id, raws[id], hints[id])
+		}
 	}
 
 	for _, sel := range []struct {
@@ -67,17 +97,17 @@ func TestShardHintDistribution(t *testing.T) {
 		{"high-bits-leaf", func(h uint64) int { return int((h >> 32) % buckets) }},
 	} {
 		counts := make([]int, buckets)
-		for _, h := range hints {
+		for h := range distinct {
 			counts[sel.bucket(h)]++
 		}
-		fair := goroutines / buckets
+		fair := len(distinct) / buckets
 		hit := 0
 		for b, c := range counts {
 			if c > 0 {
 				hit++
 			}
 			if c > 4*fair {
-				t.Errorf("%s: bucket %d got %d of %d hints (fair share %d)", sel.name, b, c, goroutines, fair)
+				t.Errorf("%s: bucket %d got %d of %d distinct hints (fair share %d)", sel.name, b, c, len(distinct), fair)
 			}
 		}
 		if hit < buckets/2 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -31,54 +30,16 @@ func TestWaitBucket(t *testing.T) {
 	}
 }
 
-// barrierRow is one runtime barrier as a table row: one stressBarrier
-// handle per worker — the barrier itself n times over where participants
-// are anonymous, one SignalWait member each for Phaser.
-type barrierRow struct {
-	name    string
-	handles []stressBarrier
-}
-
-// sixBarriers builds every runtime barrier for n fixed members.
-func sixBarriers(n int) []barrierRow {
-	rows := []barrierRow{{name: "phaser"}}
-	p := NewPhaser()
-	for i := 0; i < n; i++ {
-		rows[0].handles = append(rows[0].handles, phaserHandle{p.Register(SignalWait)})
-	}
-	for _, r := range []struct {
-		name string
-		b    stressBarrier
-	}{
-		{"fuzzy", NewFuzzyBarrier(n)},
-		{"fuzzy-tree", NewTreeBarrier(n)},
-		{"hier", NewHierBarrier(n)},
-		{"fuzzy-reduce", NewReduceBarrier(n, OpSum, IdentitySum)},
-		{"dynamic", NewDynamicBarrier(n)},
-	} {
-		row := barrierRow{name: r.name}
-		for i := 0; i < n; i++ {
-			row.handles = append(row.handles, r.b)
+// runEpisodes drives every handle through the given number of
+// Arrive+Wait episodes, one goroutine per handle, and reports whether
+// they all returned.
+func runEpisodes(t *testing.T, hs []stressBarrier, episodes int) bool {
+	t.Helper()
+	return runEach(t, hs, func(_ int, h stressBarrier) {
+		for range episodes {
+			h.Wait(h.Arrive())
 		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// run drives every handle through the given number of Arrive+Wait
-// episodes, one goroutine per handle, and returns at quiescence.
-func (r barrierRow) run(episodes int) {
-	var wg sync.WaitGroup
-	for _, h := range r.handles {
-		wg.Add(1)
-		go func(h stressBarrier) {
-			defer wg.Done()
-			for e := 0; e < episodes; e++ {
-				h.Wait(h.Arrive())
-			}
-		}(h)
-	}
-	wg.Wait()
+	})
 }
 
 // TestStatsSnapshotConsistency drives real multi-goroutine barriers and
@@ -90,9 +51,12 @@ func (r barrierRow) run(episodes int) {
 func TestStatsSnapshotConsistency(t *testing.T) {
 	const episodes = 2000
 	for _, workers := range []int64{1, 4} {
-		for _, row := range sixBarriers(int(workers)) {
-			row.run(episodes)
-			impl := row.handles[0]
+		for _, row := range contractRows {
+			hs := row.build(row, int(workers))
+			if !runEpisodes(t, hs, episodes) {
+				return
+			}
+			impl := hs[0]
 			s := impl.StatsSnapshot()
 			if s.Syncs != episodes || s.Syncs != impl.Epoch() {
 				t.Errorf("%s/%d: syncs = %d, epoch = %d, want %d", row.name, workers, s.Syncs, impl.Epoch(), episodes)
@@ -146,39 +110,31 @@ func TestBarrierStatsString(t *testing.T) {
 // Arrive/Wait hot path allocates nothing, so the always-on counters (and
 // the nil-disabled trace hooks upstream) never add GC pressure.
 func TestBarrierHotPathZeroAllocs(t *testing.T) {
-	for _, row := range sixBarriers(1) {
-		b := row.handles[0]
-		if allocs := testing.AllocsPerRun(1000, func() { b.Wait(b.Arrive()) }); allocs != 0 {
-			t.Errorf("%s: %.1f allocs/op on Arrive+Wait, want 0", row.name, allocs)
+	for _, row := range contractRows {
+		b := row.build(row, 1)[0]
+		var allocs, valueAllocs float64
+		if !runN(t, b.split(), 1, func(int) {
+			allocs = testing.AllocsPerRun(1000, func() { b.Wait(b.Arrive()) })
+			// The int64 reduce fast path must stay allocation-free too:
+			// contribute-and-read, not just the identity Arrive.
+			if r, ok := b.(*ReduceBarrier); ok {
+				valueAllocs = testing.AllocsPerRun(1000, func() { r.AwaitValue(7) })
+			}
+		}) {
+			return
 		}
-	}
-	// The int64 reduce fast path must stay allocation-free too:
-	// contribute-and-read, not just the identity Arrive.
-	r := NewReduceBarrier(1, OpMax, IdentityMax)
-	if allocs := testing.AllocsPerRun(1000, func() { r.AwaitValue(7) }); allocs != 0 {
-		t.Errorf("reduce: %.1f allocs/op on ArriveValue+WaitValue, want 0", allocs)
+		if allocs != 0 || valueAllocs != 0 {
+			t.Errorf("%s: %.1f allocs/op on Arrive+Wait, %.1f on ArriveValue+WaitValue, want 0", row.name, allocs, valueAllocs)
+		}
 	}
 }
 
 // BenchmarkBarrierHotPathAllocs is the benchmark form of the guarantee —
 // run with -benchmem; the allocs/op column must read 0.
 func BenchmarkBarrierHotPathAllocs(b *testing.B) {
-	for _, name := range []string{"fuzzy", "fuzzy-tree", "hier", "dynamic"} {
-		b.Run(name, func(b *testing.B) {
-			var bar interface {
-				Arrive() Phase
-				Wait(Phase)
-			}
-			switch name {
-			case "fuzzy":
-				bar = NewFuzzyBarrier(1)
-			case "fuzzy-tree":
-				bar = NewTreeBarrier(1)
-			case "hier":
-				bar = NewHierBarrier(1)
-			case "dynamic":
-				bar = NewDynamicBarrier(1)
-			}
+	for _, row := range contractRows {
+		b.Run(row.name, func(b *testing.B) {
+			bar := row.build(row, 1)[0]
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bar.Wait(bar.Arrive())

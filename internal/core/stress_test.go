@@ -16,7 +16,7 @@ func stressPhases(t *testing.T) int {
 // (SpinLimit 1 forces the block path through the condition variable).
 func TestStressBarriers(t *testing.T) {
 	phases := stressPhases(t)
-	for _, barrier := range []string{"fuzzy", "tree", "hier", "dynamic"} {
+	for _, barrier := range []string{"central", "tree-r4", "hier", "dynamic"} {
 		for _, spin := range []int{0, 1} {
 			rep, err := Stress(StressConfig{
 				Barrier: barrier, Workers: 4, Phases: phases,
@@ -37,18 +37,20 @@ func TestStressBarriers(t *testing.T) {
 // counts that don't fill the last level, and radix 2 vs 4.
 func TestStressTreeShapes(t *testing.T) {
 	phases := stressPhases(t)
-	for _, tc := range []struct{ workers, radix int }{
-		{5, 2}, {7, 4}, {9, 2},
+	for _, tc := range []struct {
+		workers int
+		row     string
+	}{
+		{5, "tree-r2"}, {7, "tree-r4"}, {9, "tree-r2"},
 	} {
 		rep, err := Stress(StressConfig{
-			Barrier: "tree", Workers: tc.workers, Phases: phases,
-			Seed: 0xcafe, TreeRadix: tc.radix,
+			Barrier: tc.row, Workers: tc.workers, Phases: phases, Seed: 0xcafe,
 		})
 		if err != nil {
-			t.Fatalf("workers=%d radix=%d: %v", tc.workers, tc.radix, err)
+			t.Fatalf("workers=%d %s: %v", tc.workers, tc.row, err)
 		}
 		for _, v := range rep.Violations {
-			t.Errorf("workers=%d radix=%d: %s", tc.workers, tc.radix, v)
+			t.Errorf("workers=%d %s: %s", tc.workers, tc.row, v)
 		}
 	}
 }
@@ -160,12 +162,12 @@ func TestStressPhaser(t *testing.T) {
 func TestStressConfigErrors(t *testing.T) {
 	for _, cfg := range []StressConfig{
 		{Barrier: "nope", Workers: 2, Phases: 10},
-		{Barrier: "fuzzy", Workers: 0, Phases: 10},
-		{Barrier: "fuzzy", Workers: 2, Phases: 0},
-		{Barrier: "fuzzy", Workers: 2, Phases: 10, Churners: 1},  // churn needs dynamic or phaser
-		{Barrier: "reduce", Workers: 2, Phases: 10, Churners: 1}, // reduce has fixed membership
-		{Barrier: "dynamic", Workers: 2, Phases: 4, Churners: 1}, // churn needs >= 8 phases
-		{Barrier: "phaser", Workers: 2, Phases: 4, Churners: 1},  // same bound for phaser churn
+		{Barrier: "central", Workers: 0, Phases: 10},
+		{Barrier: "central", Workers: 2, Phases: 0},
+		{Barrier: "central", Workers: 2, Phases: 10, Churners: 1}, // churn needs dynamic or phaser
+		{Barrier: "reduce", Workers: 2, Phases: 10, Churners: 1},  // reduce has fixed membership
+		{Barrier: "dynamic", Workers: 2, Phases: 4, Churners: 1},  // churn needs >= 8 phases
+		{Barrier: "phaser", Workers: 2, Phases: 4, Churners: 1},   // same bound for phaser churn
 		{Barrier: "dynamic", Workers: 2, Phases: 10, Churners: -1},
 	} {
 		if _, err := Stress(cfg); err == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,10 +43,14 @@ import (
 // publication races that need an ill-timed context switch (the class of
 // bug TestRaceDynamicRegisterDuringCompletion pins) actually get their
 // ill-timed context switches.
+//
+// The barrier is a row of the contract table (contract_test.go), looked
+// up by name, and a run whose epoch stands still for contractStuck is
+// reported as a violation instead of hanging the test binary.
 
 // StressConfig configures one stress run.
 type StressConfig struct {
-	Barrier string // "fuzzy", "tree", "hier", "dynamic", "reduce" or "phaser"
+	Barrier string // a contractRows name: "central", "tree-r4", "hier", "dynamic", "reduce", "phaser", …
 	Workers int    // permanent members (>= 1)
 	Phases  int    // synchronization episodes per permanent member
 
@@ -57,10 +62,10 @@ type StressConfig struct {
 	// the block path, 0 keeps DefaultSpinLimit.
 	SpinLimit int
 
-	TreeRadix int // tree/reduce/hier only; 0 = DefaultTreeRadix
+	TreeRadix int // tree/reduce/hier only; 0 keeps the row's radix
 
 	// HierShards pins the hier barrier's shard count; 0 keeps the
-	// GOMAXPROCS-derived default. Hier only.
+	// row's. Hier only.
 	HierShards int
 
 	// Churners adds transient members (dynamic and phaser): each
@@ -125,7 +130,9 @@ func (r *stressRNG) storm() {
 	}
 }
 
-// stressBarrier is the slice of SplitBarrier the harness needs; it is
+// stressBarrier is one participant's handle on a contract-table barrier:
+// the slice of SplitBarrier the harness and the contract properties
+// need, plus the embedded splitCore that holds SpinLimit. It is
 // satisfied by FuzzyBarrier, TreeBarrier, HierBarrier, ReduceBarrier
 // and DynamicBarrier alike, and by a phaserHandle.
 type stressBarrier interface {
@@ -135,6 +142,7 @@ type stressBarrier interface {
 	Await()
 	Epoch() int64
 	StatsSnapshot() BarrierStats
+	split() *splitCore
 }
 
 // phaserHandle adapts one Phaser member to stressBarrier.
@@ -143,6 +151,7 @@ type phaserHandle struct{ *PhaserMember }
 func (h phaserHandle) Await()                      { h.Wait(h.Arrive()) }
 func (h phaserHandle) Epoch() int64                { return h.p.Epoch() }
 func (h phaserHandle) StatsSnapshot() BarrierStats { return h.p.StatsSnapshot() }
+func (h phaserHandle) split() *splitCore           { return &h.p.splitCore }
 
 // Stress runs the harness to completion and returns the report. The
 // error covers config problems only; property violations are collected
@@ -158,59 +167,46 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 		return nil, fmt.Errorf("core: negative churner count %d", cfg.Churners)
 	}
 
-	var b stressBarrier
-	var dyn *DynamicBarrier
-	var red *ReduceBarrier
-	var phs *Phaser
-	var opName string
-	var op ReduceOp
-	var identity int64
-	radix := cfg.TreeRadix
-	if radix == 0 {
-		radix = DefaultTreeRadix
-	}
-	switch cfg.Barrier {
-	case "fuzzy":
-		fb := NewFuzzyBarrier(cfg.Workers)
-		fb.SpinLimit = cfg.SpinLimit
-		b = fb
-	case "tree":
-		tb := NewTreeBarrierRadix(cfg.Workers, radix)
-		tb.SpinLimit = cfg.SpinLimit
-		b = tb
-	case "hier":
-		hb := NewHierBarrierConfig(cfg.Workers, HierConfig{Shards: cfg.HierShards, Radix: radix})
-		hb.SpinLimit = cfg.SpinLimit
-		b = hb
-	case "dynamic":
-		dyn = NewDynamicBarrier(cfg.Workers)
-		dyn.SpinLimit = cfg.SpinLimit
-		b = dyn
-	case "reduce":
-		// The operator is drawn by seed so repeated runs cover the whole
-		// family; every op here is associative and commutative (sum wraps
-		// mod 2^64, which folds identically in any order).
-		ops := []struct {
-			name     string
-			op       ReduceOp
-			identity int64
-		}{
-			{"sum", OpSum, IdentitySum},
-			{"xor", OpXor, IdentityXor},
-			{"min", OpMin, IdentityMin},
-			{"max", OpMax, IdentityMax},
-		}
-		pick := ops[mix64(cfg.Seed, 0x0b)%uint64(len(ops))]
-		opName, op, identity = pick.name, pick.op, pick.identity
-		rb := NewReduceBarrierRadix(cfg.Workers, radix, op, identity)
-		rb.SpinLimit = cfg.SpinLimit
-		red = rb
-		b = rb
-	case "phaser":
-		phs = NewPhaser()
-		phs.SpinLimit = cfg.SpinLimit
-	default:
+	i := slices.IndexFunc(contractRows, func(r contractRow) bool { return r.name == cfg.Barrier })
+	if i < 0 {
 		return nil, fmt.Errorf("core: unknown stress barrier %q", cfg.Barrier)
+	}
+	row := contractRows[i]
+	if cfg.TreeRadix != 0 {
+		row.radix = cfg.TreeRadix
+	}
+	if cfg.HierShards != 0 {
+		row.shards = cfg.HierShards
+	}
+	// The reduce row's operator is drawn by seed so repeated runs cover
+	// the whole family; every op here is associative and commutative
+	// (sum wraps mod 2^64, which folds identically in any order).
+	ops := []struct {
+		name     string
+		op       ReduceOp
+		identity int64
+	}{
+		{"sum", OpSum, IdentitySum},
+		{"xor", OpXor, IdentityXor},
+		{"min", OpMin, IdentityMin},
+		{"max", OpMax, IdentityMax},
+	}
+	pick := ops[mix64(cfg.Seed, 0x0b)%uint64(len(ops))]
+	row.op, row.identity = pick.op, pick.identity
+	// Each permanent member's handle: the barrier itself, or for the
+	// phaser one SignalWait member each.
+	hs := row.build(row, cfg.Workers)
+	b := hs[0]
+	b.split().SpinLimit = cfg.SpinLimit
+	dyn, _ := b.(*DynamicBarrier)
+	red, _ := b.(*ReduceBarrier)
+	var phs *Phaser
+	if h, ok := b.(phaserHandle); ok {
+		phs = h.p
+	}
+	op, identity, opName := pick.op, pick.identity, pick.name
+	if red == nil {
+		opName = ""
 	}
 	if cfg.Churners > 0 && dyn == nil && phs == nil {
 		return nil, fmt.Errorf("core: churners need the dynamic barrier or phaser, got %q", cfg.Barrier)
@@ -246,15 +242,6 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 		}
 	}
 
-	// Each permanent member's handle: the barrier itself, or for the
-	// phaser one SignalWait member each.
-	hs := make([]stressBarrier, cfg.Workers)
-	for w := range hs {
-		hs[w] = b
-		if phs != nil {
-			hs[w] = phaserHandle{phs.Register(SignalWait)}
-		}
-	}
 	// wait drives the randomized wait flavor: a few TryWait polls (as a
 	// barrier region scheduling more work would), storms, then Wait —
 	// WaitValue for the reduce barrier, whose result is returned.
@@ -396,7 +383,10 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 			}
 		}(c)
 	}
-	wg.Wait()
+	if stood, ok := awaitProgress(&wg, b.split()); !ok {
+		rep.violatef("the epoch stood at %d for %v: a phase never completed", stood, contractStuck)
+		return rep, nil
+	}
 
 	if phs != nil {
 		// Permanents leave last; the final Deregister drains the phaser

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"testing"
-	"testing/quick"
-	"time"
-)
+import "testing"
 
 func TestTreeBarrierShape(t *testing.T) {
 	cases := []struct {
@@ -61,249 +54,6 @@ func TestTreeBarrierShape(t *testing.T) {
 	}
 }
 
-func TestTreeBarrierPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for n=0")
-		}
-	}()
-	NewTreeBarrier(0)
-}
-
-func TestTreeBarrierSingleParticipant(t *testing.T) {
-	b := NewTreeBarrier(1)
-	for i := 0; i < 10; i++ {
-		ph := b.Arrive()
-		if !b.TryWait(ph) {
-			t.Fatal("single participant should sync instantly")
-		}
-		b.Wait(ph)
-	}
-	if b.Epoch() != 10 {
-		t.Errorf("epoch = %d, want 10", b.Epoch())
-	}
-}
-
-func TestTreeBarrierRegionOverlap(t *testing.T) {
-	// A fast worker must be able to execute region work and finish Wait
-	// as soon as the slow worker arrives — same contract as FuzzyBarrier.
-	b := NewTreeBarrier(2)
-	done := make(chan struct{})
-	go func() {
-		ph := b.Arrive()
-		b.Wait(ph)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("wait returned before partner arrived")
-	case <-time.After(10 * time.Millisecond):
-	}
-	b.Arrive() // partner arrives; never waits
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("wait did not return after partner arrived")
-	}
-}
-
-func TestTreeBarrierTryWait(t *testing.T) {
-	b := NewTreeBarrier(2)
-	ph := b.Arrive()
-	if b.TryWait(ph) {
-		t.Fatal("TryWait true before partner arrived")
-	}
-	b.Arrive()
-	if !b.TryWait(ph) {
-		t.Fatal("TryWait false after all arrived")
-	}
-	b.Wait(ph) // must be a fast path now
-	_, _, fast, _, blocks, _ := b.Stats()
-	if fast != 1 || blocks != 0 {
-		t.Errorf("fast=%d blocks=%d, want 1/0", fast, blocks)
-	}
-}
-
-// TestTreeBarrierOrdersPhases is the FuzzyBarrier memory-ordering test on
-// the tree implementation, across sizes that exercise partial leaves and
-// multiple levels.
-func TestTreeBarrierOrdersPhases(t *testing.T) {
-	for _, workers := range []int{2, 3, 5, 8, 13} {
-		workers := workers
-		t.Run(itoa2(workers), func(t *testing.T) {
-			t.Parallel()
-			const phases = 100
-			b := NewTreeBarrierRadix(workers, 2)
-			published := make([]atomic.Int64, workers)
-			errs := make(chan string, workers*phases)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					for p := int64(0); p < phases; p++ {
-						published[id].Store(p)
-						ph := b.Arrive()
-						b.Wait(ph)
-						for j := range published {
-							if got := published[j].Load(); got < p {
-								errs <- "worker saw stale phase"
-							}
-						}
-						b.Await() // nobody advances until all checked
-					}
-				}(w)
-			}
-			wg.Wait()
-			close(errs)
-			for e := range errs {
-				t.Fatal(e)
-			}
-			if got := b.Epoch(); got != 2*phases {
-				t.Errorf("epoch = %d, want %d", got, 2*phases)
-			}
-		})
-	}
-}
-
-// TestTreeBarrierAwaitIsPointBarrier runs the counter detector across
-// participant counts including large, non-radix-aligned ones.
-func TestTreeBarrierAwaitIsPointBarrier(t *testing.T) {
-	for _, workers := range []int{1, 2, 5, 16, 33, 257} {
-		workers := workers
-		t.Run(itoa2(workers), func(t *testing.T) {
-			t.Parallel()
-			episodes := 50
-			if workers > 50 {
-				episodes = 10
-			}
-			b := NewTreeBarrier(workers)
-			var counter atomic.Int64
-			var wg sync.WaitGroup
-			bad := make(chan int64, workers*episodes)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for e := int64(0); e < int64(episodes); e++ {
-						counter.Add(1)
-						b.Await()
-						if got := counter.Load(); got != int64(workers)*(e+1) {
-							bad <- got
-						}
-						b.Await()
-					}
-				}()
-			}
-			wg.Wait()
-			close(bad)
-			for v := range bad {
-				t.Fatalf("counter = %d between barriers (inconsistent)", v)
-			}
-			if got := b.Epoch(); got != int64(2*episodes) {
-				t.Errorf("epoch = %d, want %d", got, 2*episodes)
-			}
-		})
-	}
-}
-
-// TestTreeBarrierEpochNeverSkipsProperty mirrors the FuzzyBarrier
-// property test for random sizes and radices.
-func TestTreeBarrierEpochNeverSkipsProperty(t *testing.T) {
-	f := func(w, e, r uint8) bool {
-		workers := int(w%9) + 1
-		episodes := int(e%20) + 1
-		radix := int(r%3) + 2
-		b := NewTreeBarrierRadix(workers, radix)
-		var wg sync.WaitGroup
-		ok := atomic.Bool{}
-		ok.Store(true)
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				last := int64(-1)
-				for ep := 0; ep < episodes; ep++ {
-					ph := b.Arrive()
-					b.Wait(ph)
-					cur := b.Epoch()
-					if cur <= last {
-						ok.Store(false)
-					}
-					last = cur
-				}
-			}()
-		}
-		wg.Wait()
-		return ok.Load() && b.Epoch() == int64(episodes)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestTreeBarrierBeatsCentralOnHotspot is the arrive-side contention
-// claim: at 256 participants the tree's hottest counter word absorbs far
-// fewer operations per phase than the central barrier's single counter
-// (n+1). This is a property of the algorithm, not of the host's core
-// count, so it holds even on a single-CPU runner.
-func TestTreeBarrierBeatsCentralOnHotspot(t *testing.T) {
-	const workers = 256
-	const episodes = 20
-	run := func(b SplitBarrier) {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for e := 0; e < episodes; e++ {
-					b.Wait(b.Arrive())
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	central := NewFuzzyBarrier(workers)
-	run(central)
-	cOps, cPhases := central.HotspotOps()
-	if cPhases != episodes {
-		t.Fatalf("central phases = %d, want %d", cPhases, episodes)
-	}
-	cPer := float64(cOps) / float64(cPhases)
-	if cPer != workers+1 {
-		t.Errorf("central hotspot = %v ops/phase, want %d", cPer, workers+1)
-	}
-
-	tree := NewTreeBarrier(workers)
-	run(tree)
-	tOps, tPhases := tree.HotspotOps()
-	if tPhases != episodes {
-		t.Fatalf("tree phases = %d, want %d", tPhases, episodes)
-	}
-	tPer := float64(tOps) / float64(tPhases)
-	// The expected value is ~radix plus a little probe traffic; anything
-	// under half the central traffic already demonstrates the crossover,
-	// and typical runs land far below that.
-	if tPer >= cPer/2 {
-		t.Errorf("tree hotspot = %.1f ops/phase, central = %.1f — tree should be far lower", tPer, cPer)
-	}
-	t.Logf("hotspot ops/phase at n=%d: central=%.1f tree=%.1f (probes=%d)",
-		workers, cPer, tPer, tree.Probes())
-}
-
-func itoa2(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	s := ""
-	for n > 0 {
-		s = string(rune('0'+n%10)) + s
-		n /= 10
-	}
-	return s
-}
-
 // TestTreeBarrierProbeUndoDeterministic drives every arrival to leaf 0
 // via ArriveLeaf, so the probe path is exercised with a known answer:
 // the i-th arrival of a phase probes past every already-full leaf before
@@ -326,7 +76,9 @@ func TestTreeBarrierProbeUndoDeterministic(t *testing.T) {
 		for id := 0; id < n; id++ {
 			ph = b.ArriveLeaf(0)
 		}
-		b.Wait(ph)
+		if !b.TryWait(ph) {
+			t.Fatalf("phase %d incomplete after all %d arrivals", p, n)
+		}
 		if got, want := b.Probes(), (p+1)*perPhase; got != want {
 			t.Errorf("after phase %d: Probes() = %d, want %d", p, got, want)
 		}
@@ -335,72 +87,6 @@ func TestTreeBarrierProbeUndoDeterministic(t *testing.T) {
 				t.Errorf("after phase %d: node %d count = %d, want exactly %d", p, i, got, want)
 			}
 		}
-	}
-	if b.Epoch() != phases {
-		t.Errorf("epoch = %d, want %d", b.Epoch(), phases)
-	}
-}
-
-// TestTreeBarrierCollisionInvariant hammers one home leaf from many
-// goroutines — the worst case the stack-address hash is supposed to
-// avoid — and checks the overshoot-undo invariant concurrently: a node's
-// cumulative count never dips below the target of any completed phase
-// (every undo cancels only its own overshoot), every phase ends with
-// every node at exactly quota*phase (one climber per node per phase),
-// and the colliders really did probe.
-func TestTreeBarrierCollisionInvariant(t *testing.T) {
-	const workers, phases, radix = 9, 150, 2
-	b := NewTreeBarrierRadix(workers, radix)
-	stop := make(chan struct{})
-	var below atomic.Int64
-	var sampler sync.WaitGroup
-	sampler.Add(1)
-	go func() {
-		defer sampler.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			// Load the epoch first: the invariant count >= quota*e holds
-			// for any e that was complete at or before the count read.
-			e := b.Epoch()
-			for i := range b.nodes {
-				if b.nodes[i].count.Load() < b.nodes[i].quota*e {
-					below.Add(1)
-				}
-			}
-			runtime.Gosched()
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := 0; p < phases; p++ {
-				b.Wait(b.ArriveLeaf(0)) // everyone collides on leaf 0
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	sampler.Wait()
-
-	if n := below.Load(); n > 0 {
-		t.Errorf("%d samples saw a count below a completed phase's target (undo leaked)", n)
-	}
-	for i := range b.nodes {
-		if got, want := b.nodes[i].count.Load(), b.nodes[i].quota*phases; got != want {
-			t.Errorf("node %d final count = %d, want exactly %d (one climber per node per phase)", i, got, want)
-		}
-	}
-	// Leaf 0 holds radix slots per phase; the other workers-radix
-	// arrivals of every phase must have probed at least once.
-	if minProbes := int64(phases * (workers - radix)); b.Probes() < minProbes {
-		t.Errorf("Probes() = %d, want >= %d", b.Probes(), minProbes)
 	}
 	if b.Epoch() != phases {
 		t.Errorf("epoch = %d, want %d", b.Epoch(), phases)

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // drive is a tiny helper: step the network once.
 func drive(n *Network) { n.Step() }
@@ -33,70 +37,88 @@ func TestUnitNonParticipantNeverStalls(t *testing.T) {
 	}
 }
 
-func TestTwoUnitSyncHandshake(t *testing.T) {
+// unitStep is one step of a two-unit script: do is "enter a" (EnterBarrier),
+// "cross a" (TryCross, whose result is checked), "stall a" (NoteStallCycle)
+// or "drive" (one network Step); want is the rendered state after it.
+type unitStep struct{ do, want string }
+
+// runUnitScript runs a script over two units a and b that synchronize with
+// each other on tag 1. After every step it checks both states, both ready
+// lines, both sync counts and a's stall cycles.
+func runUnitScript(t *testing.T, script []unitStep) {
+	t.Helper()
 	n := NewNetwork(2)
 	a, b := n.Unit(0), n.Unit(1)
 	a.SetBarrier(1, MaskOf(1))
 	b.SetBarrier(1, MaskOf(0))
-
-	a.EnterBarrier()
-	drive(n)
-	if a.State() != StateInBarrier {
-		t.Fatalf("a state = %v, want in-barrier (b not ready)", a.State())
-	}
-	if a.TryCross() {
-		t.Fatal("a crossed before b was ready")
-	}
-	if a.State() != StateStalled {
-		t.Fatalf("a state = %v, want stalled", a.State())
-	}
-
-	b.EnterBarrier()
-	drive(n)
-	if a.State() != StateSynced || b.State() != StateSynced {
-		t.Fatalf("after both ready: a=%v b=%v, want synced/synced", a.State(), b.State())
-	}
-	if !a.TryCross() || !b.TryCross() {
-		t.Fatal("both must cross after sync")
-	}
-	if a.Syncs() != 1 || b.Syncs() != 1 {
-		t.Errorf("syncs a=%d b=%d, want 1/1", a.Syncs(), b.Syncs())
+	units := map[string]*Unit{"a": a, "b": b}
+	for i, s := range script {
+		var got string
+		switch act, who, _ := strings.Cut(s.do, " "); act {
+		case "enter":
+			units[who].EnterBarrier()
+		case "cross":
+			got = fmt.Sprintf("crossed=%v ", units[who].TryCross())
+		case "stall":
+			units[who].NoteStallCycle()
+		case "drive":
+			drive(n)
+		}
+		got += fmt.Sprintf("a=%v b=%v ready=%v/%v syncs=%d/%d stalls=%d",
+			a.State(), b.State(), a.Ready(), b.Ready(), a.Syncs(), b.Syncs(), a.StallCycles())
+		if got != s.want {
+			t.Fatalf("step %d (%s):\n got %s\nwant %s", i, s.do, got, s.want)
+		}
 	}
 }
 
+// TestTwoUnitSyncHandshake: a stalls at the end of its region until b
+// becomes ready.
+func TestTwoUnitSyncHandshake(t *testing.T) {
+	runUnitScript(t, []unitStep{
+		{"enter a", "a=in-barrier b=non-barrier ready=true/false syncs=0/0 stalls=0"},
+		{"drive", "a=in-barrier b=non-barrier ready=true/false syncs=0/0 stalls=0"},
+		{"cross a", "crossed=false a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=0"},
+		{"enter b", "a=stalled b=in-barrier ready=true/true syncs=0/0 stalls=0"},
+		{"drive", "a=synced b=synced ready=false/false syncs=1/1 stalls=0"},
+		{"cross a", "crossed=true a=non-barrier b=synced ready=false/false syncs=1/1 stalls=0"},
+		{"cross b", "crossed=true a=non-barrier b=non-barrier ready=false/false syncs=1/1 stalls=0"},
+	})
+}
+
+// TestSyncConsumesReadyLine is the regression behind the simulator's
+// line-drop rule: ready lines drop at synchronization, so a fast unit
+// re-arriving at the next barrier does not match its partner's stale line.
 func TestSyncConsumesReadyLine(t *testing.T) {
-	// The regression behind the simulator's line-drop rule: after sync,
-	// a fast unit re-arriving at the next barrier must not match its
-	// partner's stale line.
-	n := NewNetwork(2)
-	a, b := n.Unit(0), n.Unit(1)
-	a.SetBarrier(1, MaskOf(1))
-	b.SetBarrier(1, MaskOf(0))
-	a.EnterBarrier()
-	b.EnterBarrier()
-	drive(n)
-	if a.Ready() || b.Ready() {
-		t.Fatal("ready lines must drop at synchronization")
-	}
-	// a crosses and re-enters the next barrier while b is still inside
-	// the first region (Synced, not crossed).
-	if !a.TryCross() {
-		t.Fatal("a should cross")
-	}
-	a.EnterBarrier()
-	drive(n)
-	if a.State() == StateSynced {
-		t.Fatal("a synced against b's stale line")
-	}
-	// b crosses, re-enters: now they sync properly.
-	if !b.TryCross() {
-		t.Fatal("b should cross")
-	}
-	b.EnterBarrier()
-	drive(n)
-	if a.State() != StateSynced || b.State() != StateSynced {
-		t.Fatalf("second sync failed: a=%v b=%v", a.State(), b.State())
-	}
+	runUnitScript(t, []unitStep{
+		{"enter a", "a=in-barrier b=non-barrier ready=true/false syncs=0/0 stalls=0"},
+		{"enter b", "a=in-barrier b=in-barrier ready=true/true syncs=0/0 stalls=0"},
+		{"drive", "a=synced b=synced ready=false/false syncs=1/1 stalls=0"},
+		{"cross a", "crossed=true a=non-barrier b=synced ready=false/false syncs=1/1 stalls=0"},
+		{"enter a", "a=in-barrier b=synced ready=true/false syncs=1/1 stalls=0"},
+		{"drive", "a=in-barrier b=synced ready=true/false syncs=1/1 stalls=0"},
+		{"cross b", "crossed=true a=in-barrier b=non-barrier ready=true/false syncs=1/1 stalls=0"},
+		{"enter b", "a=in-barrier b=in-barrier ready=true/true syncs=1/1 stalls=0"},
+		{"drive", "a=synced b=synced ready=false/false syncs=2/2 stalls=0"},
+	})
+}
+
+// TestStalledUnitSyncsLater: a unit stalled for several cycles still syncs
+// once its partner arrives, and then crosses.
+func TestStalledUnitSyncsLater(t *testing.T) {
+	runUnitScript(t, []unitStep{
+		{"enter a", "a=in-barrier b=non-barrier ready=true/false syncs=0/0 stalls=0"},
+		{"cross a", "crossed=false a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=0"},
+		{"stall a", "a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=1"},
+		{"drive", "a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=1"},
+		{"stall a", "a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=2"},
+		{"drive", "a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=2"},
+		{"stall a", "a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=3"},
+		{"drive", "a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=3"},
+		{"enter b", "a=stalled b=in-barrier ready=true/true syncs=0/0 stalls=3"},
+		{"drive", "a=synced b=synced ready=false/false syncs=1/1 stalls=3"},
+		{"cross a", "crossed=true a=non-barrier b=synced ready=false/false syncs=1/1 stalls=3"},
+	})
 }
 
 func TestTagMismatchPreventsSync(t *testing.T) {
@@ -136,33 +158,6 @@ func TestEmptyMaskSyncsImmediately(t *testing.T) {
 	drive(n)
 	if n.Unit(0).State() != StateSynced {
 		t.Fatalf("empty-mask unit state = %v, want synced", n.Unit(0).State())
-	}
-}
-
-func TestStalledUnitSyncsLater(t *testing.T) {
-	n := NewNetwork(2)
-	a, b := n.Unit(0), n.Unit(1)
-	a.SetBarrier(1, MaskOf(1))
-	b.SetBarrier(1, MaskOf(0))
-	a.EnterBarrier()
-	a.TryCross() // stalls
-	for i := 0; i < 3; i++ {
-		a.NoteStallCycle()
-		drive(n)
-	}
-	if a.State() != StateStalled {
-		t.Fatalf("a state = %v, want stalled", a.State())
-	}
-	if a.StallCycles() != 3 {
-		t.Errorf("stall cycles = %d, want 3", a.StallCycles())
-	}
-	b.EnterBarrier()
-	drive(n)
-	if a.State() != StateSynced {
-		t.Fatalf("stalled unit should sync, state = %v", a.State())
-	}
-	if !a.TryCross() {
-		t.Fatal("a should cross after late sync")
 	}
 }
 
