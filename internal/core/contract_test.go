@@ -337,31 +337,46 @@ func TestContractPanicsOnZero(t *testing.T) {
 // whose partner has not arrived sleeps on the condition variable and is
 // counted as exactly one block. The partner arrives only once the block
 // is counted, so a waiter that was descheduled cannot take the fast path
-// instead.
+// instead. An explicit budget pins the policy: however quickly the
+// starved waits resolve, no spin horizon is learned, and every one is
+// still one block.
 func TestContractStarvedWaitIsOneBlock(t *testing.T) {
+	const starved = 8
 	eachRow(t, func(t *testing.T, r contractRow) {
 		hs := r.build(r, 2)
 		hs[0].split().SpinLimit = 1
-		done := make(chan struct{})
-		go func() {
-			hs[0].Wait(hs[0].Arrive())
-			close(done)
-		}()
-		deadline := time.Now().Add(10 * time.Second)
-		for hs[0].StatsSnapshot().Blocks == 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("the starved Wait never blocked")
+		for k := int64(1); k <= starved; k++ {
+			done := make(chan struct{})
+			go func() {
+				hs[0].Wait(hs[0].Arrive())
+				close(done)
+			}()
+			deadline := time.Now().Add(10 * time.Second)
+			for hs[0].StatsSnapshot().Blocks < k {
+				if time.Now().After(deadline) {
+					t.Fatalf("starved Wait %d never blocked", k)
+				}
+				runtime.Gosched()
 			}
-			runtime.Gosched()
+			ph := hs[1].Arrive()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("blocked Wait %d never woke", k)
+			}
+			if k == 1 {
+				if s := hs[0].StatsSnapshot(); s.Blocks != 1 || s.Waits() != 1 {
+					t.Errorf("blocks = %d of %d waits, want 1 of 1", s.Blocks, s.Waits())
+				}
+			}
+			hs[1].Wait(ph) // already published: a fast Wait
 		}
-		hs[1].Arrive()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("the blocked Wait never woke")
+		if s := hs[0].StatsSnapshot(); s.Blocks != starved || s.Waits() != 2*starved {
+			t.Errorf("after %d starved waits at SpinLimit 1: blocks = %d of %d waits, want %d of %d",
+				starved, s.Blocks, s.Waits(), starved, 2*starved)
 		}
-		if s := hs[0].StatsSnapshot(); s.Blocks != 1 || s.Waits() != 1 {
-			t.Errorf("blocks = %d of %d waits, want 1 of 1", s.Blocks, s.Waits())
+		if h := hs[0].split().horizon.Load(); h != 0 {
+			t.Errorf("an explicit SpinLimit learned a spin horizon of %d ns", h)
 		}
 	})
 }

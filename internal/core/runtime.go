@@ -23,9 +23,11 @@ import (
 // counter, so the arrival phase serializes on a single cache line — fine
 // on a handful of processors (the paper's Multimax had four), a hot spot
 // at larger scale; TreeBarrier is the same contract with combining-tree
-// arrivals for large participant counts. The fast path of Wait spins a
-// bounded number of times (SpinLimit) before blocking on a condition
-// variable; blocking is counted in Stats because the Encore measurement
+// arrivals for large participant counts. Wait spins before blocking on
+// a condition variable: DefaultSpinLimit times, then for a horizon
+// learned from the Waits that blocked and capped by the measured cost of
+// a wake-up (an explicit SpinLimit keeps a fixed budget instead).
+// Blocking is counted in Stats because the Encore measurement
 // attributes the cost of conventional barriers to exactly these
 // context-save/restore events (Section 8).
 type FuzzyBarrier struct {
@@ -52,7 +54,8 @@ type runtimeStats struct {
 	waitSpins [NumWaitBuckets]atomic.Int64
 }
 
-// DefaultSpinLimit is the spin budget of Wait before it blocks.
+// DefaultSpinLimit is the spin budget of Wait before its learned
+// extension (see splitCore.wait).
 const DefaultSpinLimit = 128
 
 // Phase is the ticket returned by Arrive and consumed by Wait.

@@ -138,6 +138,13 @@ func (rs *runtimeStats) observeSpin(iters int64) {
 	rs.waitSpins[waitBucket(iters)].Add(1)
 }
 
+// observeSpinWait records a Wait resolved after iters spin iterations.
+func (rs *runtimeStats) observeSpinWait(iters int64) {
+	rs.SpinWaits.Add(1)
+	rs.SpinIters.Add(iters)
+	rs.observeSpin(iters)
+}
+
 // observeExhausted records a Wait that burned its whole spin budget
 // without resolving — the slowest class of waits, which previously went
 // missing from the histogram entirely — in the dedicated overflow

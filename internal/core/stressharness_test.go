@@ -105,9 +105,9 @@ func (r *StressReport) String() string {
 	if r.ReduceOp != "" {
 		name += "/" + r.ReduceOp
 	}
-	return fmt.Sprintf("%s workers=%d phases=%d churners=%d: epoch=%d arrivals=%d waits=%d churn-joins=%d — %s",
-		name, r.Config.Workers, r.Config.Phases, r.Config.Churners,
-		r.Epoch, r.Arrivals, r.Waits, r.ChurnJoins, verdict)
+	return fmt.Sprintf("%s workers=%d phases=%d spin=%d churners=%d: epoch=%d arrivals=%d waits=%d blocks=%d churn-joins=%d — %s",
+		name, r.Config.Workers, r.Config.Phases, r.Config.SpinLimit, r.Config.Churners,
+		r.Epoch, r.Arrivals, r.Waits, r.Stats.Blocks, r.ChurnJoins, verdict)
 }
 
 // stressRNG is a splitmix64 schedule randomizer, one per worker.

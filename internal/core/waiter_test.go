@@ -184,6 +184,94 @@ func testWaitFastAndSpinBuckets(t *testing.T, c *splitCore, word *atomic.Int64) 
 		t.Errorf("SpinIters = %d, want >= 1 for a spin-resolved Wait", s.SpinIters)
 	}
 	checkHistogramReconciles(t, s)
+
+	// Resolved in the extension: the default budget with a horizon far
+	// longer than the test, published a millisecond after the waiter
+	// starts, so it spins well past DefaultSpinLimit. A waiter the
+	// scheduler starts late resolves earlier instead; retry until one
+	// spins into the >256 bucket.
+	c.SpinLimit = 0
+	c.horizon.Store(int64(time.Hour))
+	long := NumSpinBuckets - 1
+	for attempt := 0; ; attempt++ {
+		if attempt == 100 {
+			t.Fatal("no waiter spun past the default budget in 100 attempts")
+		}
+		before := c.snapshot(noArrivals)
+		p := Phase{epoch: before.Syncs}
+		done := make(chan struct{})
+		go func() {
+			c.wait(p, word)
+			close(done)
+		}()
+		time.Sleep(time.Millisecond)
+		c.publish()
+		if word != &c.epoch {
+			word.Store(p.epoch + 1)
+		}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the extension never saw the publish")
+		}
+		s = c.snapshot(noArrivals)
+		checkHistogramReconciles(t, s)
+		if s.SpinIters-before.SpinIters <= pow4(NumSpinBuckets-2) {
+			continue
+		}
+		if s.SpinWaits != before.SpinWaits+1 || s.WaitSpins[long] != before.WaitSpins[long]+1 {
+			t.Errorf("extension: SpinWaits %d -> %d, >256 bucket %d -> %d, want one more of each",
+				before.SpinWaits, s.SpinWaits, before.WaitSpins[long], s.WaitSpins[long])
+		}
+		if s.Blocks+s.LockWaits != 0 {
+			t.Errorf("extension: Blocks = %d, LockWaits = %d, want 0, 0", s.Blocks, s.LockWaits)
+		}
+		return
+	}
+}
+
+// TestSpinHorizonRule pins learn, the spin-horizon rule: the first
+// wake-up seeds the wake cost, a wake-up (the running cost or this
+// sample) under wakeYields yields resets the horizon, a need within one
+// wake-up raises it to cover the need, a longer need halves it, and it
+// never leaves [0, 2·wake].
+func TestSpinHorizonRule(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		h, w, need, lat, yield int64
+		wantH, wantW           int64
+	}{
+		{"first sample seeds the wake cost", 0, 0, 800, 8000, 100, 1000, 8000},
+		{"a short need raises the horizon", 1000, 8000, 2000, 8000, 100, 2500, 8000},
+		{"a shorter need keeps it", 4000, 8000, 1000, 8000, 100, 4000, 8000},
+		{"the wake cost moves by an eighth", 0, 8000, 800, 16000, 100, 1000, 9000},
+		{"a need of one wake-up is covered", 0, 8000, 8000, 8000, 100, 10000, 8000},
+		{"capped at two wake-ups", 20000, 8000, 100, 7200, 100, 15800, 7900},
+		{"a long need halves it", 4000, 8000, 50000, 8000, 100, 2000, 8000},
+		{"a cheap wake-up resets it", 4000, 8000, 1000, 8000, 200, 0, 8000},
+		{"so does one cheap sample", 4000, 8000, 1000, 4000, 100, 0, 7500},
+		{"never negative", 1, 8000, 50000, 8000, 100, 0, 8000},
+		{"zero stays zero", 0, 8000, 50000, 8000, 100, 0, 8000},
+	} {
+		h, w := learn(tc.h, tc.w, tc.need, tc.lat, tc.yield)
+		if h != tc.wantH || w != tc.wantW {
+			t.Errorf("%s: learn(%d, %d, %d, %d, %d) = %d, %d, want %d, %d",
+				tc.name, tc.h, tc.w, tc.need, tc.lat, tc.yield, h, w, tc.wantH, tc.wantW)
+		}
+	}
+
+	// A string of preemption-length needs (a millisecond against an
+	// 8 µs wake-up) takes the horizon from its cap back to 0.
+	h, w := int64(16000), int64(8000)
+	for i := 0; h > 0; i++ {
+		if i == 64 {
+			t.Fatalf("horizon still %d after 64 preemption-length needs", h)
+		}
+		h, w = learn(h, w, int64(time.Millisecond), 8000, 100)
+		if h < 0 || h > 2*w {
+			t.Fatalf("horizon %d left [0, %d]", h, 2*w)
+		}
+	}
 }
 
 func noArrivals() int64 { return 0 }
