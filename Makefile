@@ -80,7 +80,7 @@ bench-gate:
 # randomized schedules under the race detector — TestStress* (the
 # test-only harness, its barriers looked up in the contract table of
 # internal/core/contract_test.go) covers the reduce-barrier fold check
-# and phaser churn, TestRace* the plain-slot ordering baits over every
+# and dynamic-barrier churn, TestRace* the plain-slot ordering baits over every
 # row of that table. The wide n=4 sweep and full-length stress runs live
 # behind the non-short suite (`make race`). The final line runs a short
 # native-fuzz burst over the transport wire codec (the seed corpus plus

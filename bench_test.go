@@ -222,8 +222,8 @@ func BenchmarkE2SplitScaling(b *testing.B) {
 
 // BenchmarkReduceAllreduce is the goroutine (wall-clock) form of E18's
 // comparison: workers agree on a per-phase max either through the
-// combining ReduceBarrier (AwaitValue — the result rides the epoch
-// publication) or through a central CAS word paced by a plain
+// combining ReduceBarrier (ArriveValue then WaitValue — the result rides
+// the epoch publication) or through a central CAS word paced by a plain
 // FuzzyBarrier. ns/op is one full allreduce episode per worker; on a
 // time-shared host read the two as an ordering, not absolutes — the
 // deterministic hotspot numbers are in E18 itself. The central variant
@@ -242,7 +242,7 @@ func BenchmarkReduceAllreduce(b *testing.B) {
 					defer wg.Done()
 					var acc int64
 					for i := 0; i < b.N; i++ {
-						acc ^= bar.AwaitValue(id + int64(i))
+						acc ^= bar.WaitValue(bar.ArriveValue(id + int64(i)))
 					}
 					sink.Add(acc)
 				}(int64(w))
@@ -340,7 +340,7 @@ func BenchmarkAblationPipelineDepth(b *testing.B) {
 				for p := 0; p < procs; p++ {
 					prog, err := workload.SyncLoop{
 						Self: p, Procs: procs,
-						Work:   workload.AlternatingWork(iters, 5, 25, p%2),
+						Work:   alternatingWork(iters, 5, 25, p%2),
 						Region: 10,
 					}.Program()
 					if err != nil {
@@ -432,4 +432,18 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		instrs += res.Procs[0].Instructions
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim-instrs/s")
+}
+
+// alternatingWork returns n iterations alternating low/high, offset by
+// phase — transient drift with equal totals across processors.
+func alternatingWork(n int, low, high int64, phase int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		if (i+phase)%2 == 0 {
+			out[i] = low
+		} else {
+			out[i] = high
+		}
+	}
+	return out
 }

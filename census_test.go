@@ -5,10 +5,16 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"maps"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -341,6 +347,349 @@ func optionFields(f *ast.File, pkg string) (out []string) {
 	}
 	return out
 }
+
+// reachAllowList names functions that TestReachabilityCensus finds
+// reached by no program, and says why each stays. Keys are "pkg.Func" or
+// "pkg.Type.Method", named as in dupAllowList; a "pkg.Type" key covers
+// every method of that type.
+var reachAllowList = map[string]string{
+	"baseline.Central":          pointBarrier,
+	"baseline.Dissemination":    pointBarrier,
+	"baseline.NewCentral":       pointBarrier,
+	"baseline.NewDissemination": pointBarrier,
+	"baseline.NewTournament":    pointBarrier,
+	"baseline.NewTree":          pointBarrier,
+	"baseline.Tournament":       pointBarrier,
+	"baseline.Tree":             pointBarrier,
+	"baseline.ceilLog2":         pointBarrier,
+	"check.MutationDropRelease": seededFault,
+	"check.MutationRetagStale":  seededFault,
+	"isa.NewMarkerBuilder":      "builds BENTER/BEXIT marker programs, which fuzzsim reaches only through the assembler; the root BenchmarkAblationRegionEncoding and the machine's marker tests build with it, and ROADMAP item 12(c) gives that ablation a bench/ row or keeps it",
+}
+
+const (
+	pointBarrier = "one of the era's point barriers of Section 1's comparison, timed today only by the root BenchmarkE2Barriers; ROADMAP item 12(a) records it in bench/ beside sense"
+	seededFault  = "a seeded protocol fault: the model checker's tests switch it on to show the violation is caught"
+)
+
+// TestReachabilityCensus fails on a function of the main module that no
+// program runs. Code under internal/ is reached only through the module's
+// programs — the cmd/ tools, the examples and bench/ — so a function none
+// of them reaches is code that only its own test keeps alive. The census
+// type-checks the non-test files of every package (bench/ is read for its
+// roots, never reported) and walks from the roots: every main and init
+// function, and every package-level var declaration except an interface
+// assertion (var _ I = (*T)(nil)). A reached declaration reaches each
+// function, method and type its syntax uses, a generic instance standing
+// for its origin; a reached type reaches its declaration. A method is
+// also reached through dynamic dispatch when its receiver type is reached
+// and some interface, the module's or the standard library's, has a
+// method of its name. That over-approximates, so the census never flags a
+// live function. It logs one line to quote before → after, and fails on
+// an unreached function missing from reachAllowList and on an entry that
+// no longer matches.
+func TestReachabilityCensus(t *testing.T) {
+	dead, err := unreached(".", "fuzzybarrier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, problems := reachVerdict(dead, reachAllowList)
+	t.Log(line)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// TestReachabilityCensusFixture runs the census on testdata/reach, a
+// program with one dead function beside each way a live one is reached
+// other than by a plain call, and wants exactly the dead one; then it
+// checks the verdict on that finding under four allow-lists.
+func TestReachabilityCensusFixture(t *testing.T) {
+	dead, err := unreached("testdata/reach", "reach")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int{"main.circle.area": 3}; !maps.Equal(dead, want) {
+		t.Fatalf("census of testdata/reach = %v, want %v", dead, want)
+	}
+	for _, c := range []struct {
+		allow    map[string]string
+		problems int
+	}{
+		{nil, 1}, // a finding nobody allowed
+		{map[string]string{"main.circle.area": "why"}, 0},
+		{map[string]string{"main.circle": "why"}, 0},                       // a type key covers its methods
+		{map[string]string{"main.circle": "why", "main.square": "why"}, 1}, // a stale entry
+	} {
+		if _, problems := reachVerdict(dead, c.allow); len(problems) != c.problems {
+			t.Errorf("allow-list %v: problems %q, want %d", c.allow, problems, c.problems)
+		}
+	}
+}
+
+// reachVerdict returns the census line for the unreached functions in
+// dead, and one problem for each that allow does not cover and for each
+// entry of allow that covers none.
+func reachVerdict(dead map[string]int, allow map[string]string) (line string, problems []string) {
+	lines, allowed := 0, 0
+	matched := map[string]bool{} // allow-list keys that cover a finding
+	for _, fn := range sortedKeys(dead) {
+		lines += dead[fn]
+		key := fn
+		if i := strings.LastIndexByte(fn, '.'); allow[key] == "" && strings.Count(fn, ".") == 2 {
+			key = fn[:i] // the method's type
+		}
+		if allow[key] == "" {
+			problems = append(problems, fmt.Sprintf("%s (%d lines) is reached by no program: delete it, move it into a _test.go file if tests of live code use it, or allow-list it with a reason", fn, dead[fn]))
+			continue
+		}
+		matched[key] = true
+		allowed++
+	}
+	for _, key := range sortedKeys(allow) {
+		if !matched[key] {
+			problems = append(problems, fmt.Sprintf("allow-listed %s is reached or gone: drop it from reachAllowList", key))
+		}
+	}
+	return fmt.Sprintf("reachability census: %d functions (%d lines) reached by no program, %d allow-listed", len(dead), lines, allowed), problems
+}
+
+// unreached type-checks the non-test Go files of the module at root, whose
+// import path is module, and returns each function no program reaches,
+// keyed as in reachAllowList, with its length in lines, doc comment
+// included. A module nested under root (bench/) is checked for its roots
+// and never reported; its import path is its directory's under module.
+func unreached(root, module string) (map[string]int, error) {
+	type pkg struct {
+		name    string // the census name: the path under internal/, or from root
+		report  bool
+		files   []*ast.File
+		checked *types.Package
+	}
+	fset := token.NewFileSet()
+	pkgs := map[string]*pkg{} // import path -> package
+	std := map[string]bool{}  // the imports from outside the module
+	var nested []string       // directories holding a go.mod of their own
+	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		rel, _ := filepath.Rel(root, dir)
+		rel = filepath.ToSlash(rel)
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil && dir != root {
+			nested = append(nested, rel)
+		}
+		path := module
+		if rel != "." {
+			path += "/" + rel
+		}
+		files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			p := pkgs[path]
+			if p == nil {
+				p = &pkg{name: strings.TrimPrefix(rel, "internal/"), report: !slices.ContainsFunc(nested, func(n string) bool { return rel == n || strings.HasPrefix(rel, n+"/") })}
+				if rel == "." {
+					p.name = f.Name.Name
+				}
+				pkgs[path] = p
+			}
+			p.files = append(p.files, f)
+			for _, spec := range f.Imports {
+				if q, _ := strconv.Unquote(spec.Path.Value); q != module && !strings.HasPrefix(q, module+"/") {
+					std[q] = true
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// The standard library comes from the export data the go command has
+	// built, found with one go list call; the module is checked from source.
+	exports := map[string]string{}
+	cmd := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, sortedKeys(std)...)...)
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %v", err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "\t")
+		exports[path] = file
+	}
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(exports[path]) })
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	var check func(path string) (*types.Package, error)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if pkgs[path] == nil {
+			return gc.Import(path)
+		}
+		return check(path)
+	})}
+	check = func(path string) (*types.Package, error) {
+		p := pkgs[path]
+		if p.checked == nil {
+			checked, err := conf.Check(path, fset, p.files, info)
+			if err != nil {
+				return nil, err
+			}
+			p.checked = checked
+		}
+		return p.checked, nil
+	}
+
+	// Declarations by the object they declare, and the roots.
+	type fn struct {
+		decl *ast.FuncDecl
+		key  string
+		pkg  *pkg
+	}
+	funcs := map[*types.Func]fn{}
+	typeSpecs := map[*types.TypeName]*ast.TypeSpec{}
+	var queue []ast.Node
+	for _, path := range sortedKeys(pkgs) {
+		if _, err := check(path); err != nil {
+			return nil, err
+		}
+		p := pkgs[path]
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					key := p.name + "." + d.Name.Name
+					if d.Recv != nil {
+						key = p.name + "." + recvName(d.Recv.List[0].Type) + "." + d.Name.Name
+					}
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && f.Name.Name == "main") {
+						queue = append(queue, d)
+					} else if obj, ok := info.Defs[d.Name].(*types.Func); ok {
+						funcs[obj] = fn{d, key, p}
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							if obj, ok := info.Defs[s.Name].(*types.TypeName); ok {
+								typeSpecs[obj] = s
+							}
+						case *ast.ValueSpec:
+							assertion := s.Type != nil && types.IsInterface(info.Types[s.Type].Type) &&
+								!slices.ContainsFunc(s.Names, func(n *ast.Ident) bool { return n.Name != "_" })
+							if d.Tok == token.VAR && !assertion {
+								queue = append(queue, s)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// The method names dynamic dispatch can call: every interface type the
+	// module's code mentions, and every interface declared by a package
+	// it imports, directly or not.
+	dispatch := map[string]bool{"Error": true}
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := range it.NumMethods() {
+				dispatch[it.Method(i).Name()] = true
+			}
+		}
+	}
+	for _, tv := range info.Types {
+		if tv.Type != nil {
+			addIface(tv.Type)
+		}
+	}
+	seen := map[*types.Package]bool{}
+	var scan func(p *types.Package)
+	scan = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, q := range p.Imports() {
+			scan(q)
+		}
+	}
+	for _, p := range pkgs {
+		scan(p.checked)
+	}
+
+	// The walk: a reached function queues its declaration, a reached type
+	// its declaration and its methods that dynamic dispatch can call.
+	reached := map[types.Object]bool{}
+	var reach func(obj types.Object)
+	reach = func(obj types.Object) {
+		if f, ok := obj.(*types.Func); ok {
+			obj = f.Origin()
+		}
+		if reached[obj] {
+			return
+		}
+		reached[obj] = true
+		switch obj := obj.(type) {
+		case *types.Func:
+			if f, ok := funcs[obj]; ok {
+				queue = append(queue, f.decl)
+			}
+		case *types.TypeName:
+			if s := typeSpecs[obj]; s != nil {
+				queue = append(queue, s)
+			}
+			if named, ok := obj.Type().(*types.Named); ok {
+				for i := range named.NumMethods() {
+					if m := named.Method(i); dispatch[m.Name()] {
+						reach(m)
+					}
+				}
+			}
+		}
+	}
+	for len(queue) > 0 {
+		n := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
+				reach(info.Uses[id])
+			}
+			return true
+		})
+	}
+
+	dead := map[string]int{}
+	for obj, f := range funcs {
+		if !reached[obj] && f.pkg.report && f.decl.Name.Name != "_" {
+			start := f.decl.Pos()
+			if f.decl.Doc != nil {
+				start = f.decl.Doc.Pos()
+			}
+			dead[f.key] = fset.Position(f.decl.End()).Line - fset.Position(start).Line + 1
+		}
+	}
+	return dead, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // walkGo parses every .go file under the root and calls visit with its
 // path and syntax: bench/ included, testdata and dot directories (.git,

@@ -158,6 +158,8 @@ func TestCLIRefusesInvalidNumbers(t *testing.T) {
 		{"fuzzsim", "-miss", []string{"-miss", "-3", drift}},
 		{"fuzzsim", "-peek", []string{"-peek", "5,2", drift}},
 		{"fuzzcc", "-miss", []string{"-procs", "4", "-run", "-miss", "-3", loop}},
+		{"experiments", "-parallel", []string{"-parallel", "-2", "-id", "E1"}},
+		{"clustersim", "-parallel", []string{"-parallel", "-2"}},
 	} {
 		out, err := runTool(t, dir, row.tool, row.args...)
 		code := -1

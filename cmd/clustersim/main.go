@@ -89,6 +89,9 @@ func main() {
 	if *seeds < 1 {
 		fatal(fmt.Errorf("-seeds wants a positive count, got %d", *seeds))
 	}
+	if *parallel < 0 {
+		fatal(fmt.Errorf("-parallel wants a worker count >= 0, got %d", *parallel))
+	}
 	if *traceOut != "" && (len(protos) != 1 || *seeds != 1) {
 		fatal(fmt.Errorf("-trace-out wants a single -proto and -seeds 1, got %d protocols x %d seeds", len(protos), *seeds))
 	}

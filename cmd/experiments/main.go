@@ -37,6 +37,10 @@ func main() {
 	startProf := prof.Flags()
 	flag.Parse()
 
+	if *parallel < 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -parallel wants a worker count >= 0, got %d\n", *parallel)
+		os.Exit(1)
+	}
 	exp.SetParallelism(*parallel)
 	if *progress {
 		exp.SetProgress(func(done, total int) {

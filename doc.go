@@ -13,8 +13,8 @@
 //     central-counter FuzzyBarrier, the combining-tree TreeBarrier,
 //     two-level HierBarrier and allreduce ReduceBarrier for large
 //     participant counts (one combining tree under all three), and
-//     DynamicBarrier and Phaser with run-time membership (the runtime
-//     form of Section 5's mask manipulation); the six embed one
+//     DynamicBarrier with run-time membership (the runtime form of
+//     Section 5's mask manipulation); the five embed one
 //     publish/wait/stats core and count arrivals three ways: a central
 //     counter, the combining tree, and the one counting phaser of
 //     internal/phase, which barrierd's home shard holds too — and the

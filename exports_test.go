@@ -35,8 +35,10 @@ const (
 // TestEveryExportIsUsed is the unreferenced-export census: it lists every
 // exported identifier under internal/ — package-level names, methods and
 // struct fields — that no other package, no test, and nothing in cmd/,
-// examples/ or bench/ refers to, and fails on any not in exportAllowList:
-// such a name is dead, or exported for nobody. Some uses are indirect: a
+// examples/ or bench/ refers to, and fails on any not in exportAllowList.
+// It answers "exported for nobody": a test counts as a user here, so a
+// name only tests use passes. Whether any program runs a function is the
+// reachability census's question (TestReachabilityCensus). Some uses are indirect: a
 // type counts as used when a used declaration mentions it (its values
 // reach callers through a constructor), an interface's methods when the
 // interface is, a constant when another of its const block is (an

@@ -372,3 +372,11 @@ func TestPhaserModesAndDrain(t *testing.T) {
 	}()
 	prod.JoinBatch(g, core.PhaserMode(7), []uint64{3}, nil)
 }
+
+// WaitReleased blocks until g's release reaches epoch (real-time
+// transports only).
+func (c *Conn) WaitReleased(g uint32, epoch int64) int64 {
+	ch := make(chan int64, 1)
+	c.WhenReleased(g, epoch, func(rel int64) { ch <- rel })
+	return <-ch
+}

@@ -25,8 +25,7 @@ import (
 // The callback API (JoinBatch's done, WhenReleased) is transport
 // agnostic: callbacks run on the endpoint's dispatch context, so on
 // SimNet a Conn is driven deterministically from inside Run. The
-// blocking helpers (AwaitJoined, WaitReleased) are for the real-time
-// transports only.
+// blocking AwaitJoined is for the real-time transports only.
 type Conn struct {
 	ep   transport.Endpoint
 	r    *transport.Reliable
@@ -82,10 +81,10 @@ type memberTable struct {
 	mu  sync.Mutex
 	ids []uint64
 	// signaled[i] counts the epochs member i has signaled: those below it
-	// are covered. A member joins owing the epoch its JoinOK names (like
-	// core.Phaser registration), a wait-only one owing none; until then
-	// signaled[i] is minus its batch's number and arrive and leave pass the
-	// member over. nil while every member's value is shared.
+	// are covered. A member joins owing the epoch its JoinOK names (the
+	// open epoch phase.Counter.Join returns), a wait-only one owing none;
+	// until then signaled[i] is minus its batch's number and arrive and
+	// leave pass the member over. nil while every member's value is shared.
 	signaled []int64
 	shared   int64
 	index    map[uint64]int32 // id -> slot; nil until a lookup needs it
@@ -456,7 +455,7 @@ func (c *Conn) send(g uint32, m transport.Message) {
 // already a member keeps its registration. done (may be nil) fires on the
 // dispatch context once every outstanding join on this group is
 // confirmed, with the epoch the members participate from. A mode that is
-// none of the three panics, as in core.Phaser.Register.
+// none of the three panics.
 func (c *Conn) JoinBatch(g uint32, mode core.PhaserMode, ids []uint64, done func(epoch int64)) {
 	if mode < core.SignalWait || mode > core.WaitOnly {
 		panic(fmt.Sprintf("barrierd: JoinBatch with invalid phaser mode %d", int(mode)))
@@ -558,14 +557,6 @@ func (c *Conn) WhenReleased(g uint32, epoch int64, fn func(released int64)) {
 	}
 	cg.watchers = append(cg.watchers, watcher{epoch: epoch, fn: fn})
 	c.mu.Unlock()
-}
-
-// WaitReleased blocks until g's release reaches epoch (real-time
-// transports only).
-func (c *Conn) WaitReleased(g uint32, epoch int64) int64 {
-	ch := make(chan int64, 1)
-	c.WhenReleased(g, epoch, func(rel int64) { ch <- rel })
-	return <-ch
 }
 
 // AwaitJoined blocks until every outstanding join on g is confirmed

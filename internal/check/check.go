@@ -156,9 +156,6 @@ type Result struct {
 	Violation *Violation
 }
 
-// Verified reports whether the run proved both properties.
-func (r *Result) Verified() bool { return r.Violation == nil }
-
 // String renders a one-line summary.
 func (r *Result) String() string {
 	verdict := "verified: no-early-release, no-deadlock"

@@ -19,7 +19,7 @@ func TestVerifyProtocols(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", proto, n, err)
 			}
-			if !res.Verified() {
+			if res.Violation != nil {
 				t.Fatalf("%s n=%d: %v", proto, n, res.Violation)
 			}
 			t.Logf("%s", res)
@@ -51,7 +51,7 @@ func TestVerifyProtocolsWide(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s n=%d: %v", cfg.Protocol, cfg.Nodes, err)
 		}
-		if !res.Verified() {
+		if res.Violation != nil {
 			t.Fatalf("%s n=%d: %v", cfg.Protocol, cfg.Nodes, res.Violation)
 		}
 		t.Logf("%s", res)

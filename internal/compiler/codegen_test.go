@@ -57,7 +57,7 @@ func TestCodegenArithmeticAndStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Mem().MustPeek(addr); got != 6 {
+	if got := mustPeek(m.Mem(), addr); got != 6 {
 		t.Errorf("A[3] = %d, want 6", got)
 	}
 }
@@ -75,7 +75,7 @@ func TestCodegenLoadStoreRoundTrip(t *testing.T) {
 	}
 	m := codegenHarness(t, code, layout)
 	a1, _ := layout.Addr("A", 1)
-	if got := m.Mem().MustPeek(a1); got != 42 {
+	if got := mustPeek(m.Mem(), a1); got != 42 {
 		t.Errorf("A[1] = %d, want 42", got)
 	}
 }
@@ -97,7 +97,7 @@ func TestCodegenControlFlow(t *testing.T) {
 	}
 	m := codegenHarness(t, code, layout)
 	a0, _ := layout.Addr("A", 0)
-	if got := m.Mem().MustPeek(a0); got != 15 {
+	if got := mustPeek(m.Mem(), a0); got != 15 {
 		t.Errorf("A[0] = %d, want 15", got)
 	}
 }
@@ -154,7 +154,7 @@ func TestCodegenRegisterRecycling(t *testing.T) {
 	)
 	m := codegenHarness(t, code, layout)
 	a0, _ := layout.Addr("A", 0)
-	if got := m.Mem().MustPeek(a0); got != 200 {
+	if got := mustPeek(m.Mem(), a0); got != 200 {
 		t.Errorf("acc = %d, want 200", got)
 	}
 }
@@ -244,25 +244,9 @@ func TestTaskAsmTextRoundTrips(t *testing.T) {
 
 func TestCycleEstimates(t *testing.T) {
 	prog := lang.MustParse(poissonSrc)
-	span, err := Compile(prog, Options{Procs: 4, Mode: RegionSpan})
-	if err != nil {
-		t.Fatal(err)
-	}
 	reorder, err := Compile(prog, Options{Procs: 4, Mode: RegionReorder})
 	if err != nil {
 		t.Fatal(err)
-	}
-	eSpan := EstimateTAC(span.Tasks[0].TAC)
-	eReorder := EstimateTAC(reorder.Tasks[0].TAC)
-	// Total estimated work is mode-independent (reordering moves, never
-	// adds, instructions).
-	if eSpan.Total() != eReorder.Total() {
-		t.Errorf("totals differ: span=%d reorder=%d", eSpan.Total(), eReorder.Total())
-	}
-	// Reordering raises the barrier share — the compiler's objective.
-	if eReorder.BarrierShare() <= eSpan.BarrierShare() {
-		t.Errorf("barrier share: span=%.2f reorder=%.2f, want reorder larger",
-			eSpan.BarrierShare(), eReorder.BarrierShare())
 	}
 	// Machine-level estimate must roughly track the simulator: a single
 	// processor running one iteration takes about the estimated total.
@@ -272,24 +256,6 @@ func TestCycleEstimates(t *testing.T) {
 	}
 	if me.BarrierShare() <= 0 || me.BarrierShare() >= 1 {
 		t.Errorf("machine barrier share = %.2f, want in (0,1)", me.BarrierShare())
-	}
-}
-
-func TestEstimateWeights(t *testing.T) {
-	p := &ir.Program{Code: []ir.Instr{
-		{Op: ir.Add, Dst: ir.Temp(0), A: ir.Const(1), B: ir.Const(2)},           // 1
-		{Op: ir.Mul, Dst: ir.Temp(1), A: ir.Temp(0), B: ir.Const(2)},            // 3
-		{Op: ir.Div, Dst: ir.Temp(2), A: ir.Temp(1), B: ir.Const(2)},            // 8
-		{Op: ir.Load, Dst: ir.Temp(3), A: ir.Temp(2), Barrier: true},            // 2 (barrier)
-		{Op: ir.Label, Target: "x"},                                             // 0
-		{Op: ir.IfGoto, A: ir.Temp(3), B: ir.Const(0), Rel: ir.EQ, Target: "x"}, // 1
-	}}
-	e := EstimateTAC(p)
-	if e.NonBarrier != 13 || e.Barrier != 2 {
-		t.Errorf("estimate = %+v, want 13/2", e)
-	}
-	if e.Total() != 15 {
-		t.Errorf("total = %d", e.Total())
 	}
 }
 

@@ -171,7 +171,7 @@ func TestFig9ComputesCorrectValues(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := m.Mem().MustPeek(addr); got != ref[j][i] {
+				if got := mustPeek(m.Mem(), addr); got != ref[j][i] {
 					t.Errorf("%v: a[%d][%d] = %d, want %d", mode, j, i, got, ref[j][i])
 				}
 			}
@@ -218,7 +218,7 @@ func TestFig9UnrolledMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := m.Mem().MustPeek(addr); got != ref[j][i] {
+			if got := mustPeek(m.Mem(), addr); got != ref[j][i] {
 				t.Errorf("a[%d][%d] = %d, want %d", j, i, got, ref[j][i])
 			}
 		}
@@ -292,7 +292,7 @@ func TestBlockDistributionCoversAllIterations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Mem().MustPeek(addr); got != 2*(7-j) {
+		if got := mustPeek(m.Mem(), addr); got != 2*(7-j) {
 			t.Errorf("a[%d][10] = %d, want %d", j, got, 2*(7-j))
 		}
 	}
@@ -404,4 +404,14 @@ func TestFig7FuzzyBeatsPointUnderBranchVariance(t *testing.T) {
 	if fuzzy >= point {
 		t.Errorf("fuzzy stalls (%d) should be below point (%d)", fuzzy, point)
 	}
+}
+
+// mustPeek reads simulated memory at addr without timing, panicking on a
+// bad address.
+func mustPeek(s *mem.System, addr int64) int64 {
+	v, err := s.Peek(addr)
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -1,15 +1,12 @@
 package compiler
 
-import (
-	"fuzzybarrier/internal/ir"
-	"fuzzybarrier/internal/isa"
-)
+import "fuzzybarrier/internal/isa"
 
 // Section 1: "estimates of the time taken to execute different parts of a
 // program are first used by the compiler to schedule approximately equal
 // amounts of work on each processor between successive barrier
-// synchronizations." This file provides those estimates, at both the TAC
-// and machine-code levels, using the simulator's default latencies. The
+// synchronizations." This file provides those estimates for generated
+// machine code, using the simulator's default latencies. The
 // estimates are static (straight-line weights; control flow counts each
 // instruction once), which is exactly the fidelity a scheduling heuristic
 // needs — the drift the estimate misses is what the barrier region
@@ -20,7 +17,6 @@ import (
 const (
 	estALU = 1
 	estMem = 2 // hit-biased average of load/store latency
-	estCtl = 1
 )
 
 // CycleEstimate is the static cost split of a task by region kind.
@@ -40,37 +36,6 @@ func (e CycleEstimate) BarrierShare() float64 {
 		return 0
 	}
 	return float64(e.Barrier) / float64(t)
-}
-
-// EstimateTAC computes the static cycle estimate of a TAC program.
-func EstimateTAC(p *ir.Program) CycleEstimate {
-	var e CycleEstimate
-	add := func(barrier bool, c int64) {
-		if barrier {
-			e.Barrier += c
-		} else {
-			e.NonBarrier += c
-		}
-	}
-	for _, in := range p.Code {
-		var c int64
-		switch in.Op {
-		case ir.Label:
-			continue
-		case ir.Mul:
-			c = isa.MulLatency
-		case ir.Div, ir.Mod:
-			c = isa.DivLatency
-		case ir.Load, ir.Store:
-			c = estMem
-		case ir.Goto, ir.IfGoto:
-			c = estCtl
-		default:
-			c = estALU
-		}
-		add(in.Barrier, c)
-	}
-	return e
 }
 
 // estimateMachine computes the static cycle estimate of generated machine

@@ -85,13 +85,6 @@ func (a *Allocator) Release(b *FuzzyBarrier) {
 	a.live--
 }
 
-// Live returns the number of currently allocated barriers.
-func (a *Allocator) Live() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.live
-}
-
 // Peak returns the maximum number of simultaneously live barriers — the
 // quantity Section 5 bounds by N−1.
 func (a *Allocator) Peak() int {
@@ -115,18 +108,8 @@ type Stream struct {
 // the root stream).
 func (s *Stream) Barrier() *FuzzyBarrier { return s.shared }
 
-// SyncWithParent performs a point synchronization with the parent stream
-// on the shared barrier. Parent and child must pair calls:
-// child.SyncWithParent ↔ parent.SyncWithChild(child).
-func (s *Stream) SyncWithParent() error {
-	if s.shared == nil {
-		return errors.New("core: root stream has no parent barrier")
-	}
-	s.shared.Await()
-	return nil
-}
-
-// SyncWithChild is the parent-side counterpart of SyncWithParent.
+// SyncWithChild performs a point synchronization with child on the
+// barrier they share; the child pairs it with child.Barrier().Await().
 func (s *Stream) SyncWithChild(child *Stream) error {
 	if child.parent != s {
 		return fmt.Errorf("core: stream %d is not a child of stream %d", child.ID, s.ID)
@@ -142,13 +125,12 @@ type SpawnTree struct {
 	mu     sync.Mutex
 	alloc  *Allocator
 	nextID int
-	liveN  int
 }
 
 // NewSpawnTree creates a spawn tree for a system of nprocs processors with
 // tagBits-bit tags, and returns the tree together with its root stream.
 func NewSpawnTree(nprocs, tagBits int) (*SpawnTree, *Stream) {
-	t := &SpawnTree{alloc: NewAllocator(nprocs, tagBits), nextID: 1, liveN: 1}
+	t := &SpawnTree{alloc: NewAllocator(nprocs, tagBits), nextID: 1}
 	root := &Stream{ID: 0, tree: t}
 	return t, root
 }
@@ -164,14 +146,13 @@ func (t *SpawnTree) Spawn(parent *Stream) (*Stream, error) {
 	}
 	s := &Stream{ID: t.nextID, parent: parent, shared: b, tree: t}
 	t.nextID++
-	t.liveN++
 	return s, nil
 }
 
 // Merge performs the final synchronization between child and its parent
 // and releases the child's barrier — the stream-merging use of barriers in
 // Figure 6. The child goroutine must concurrently call
-// child.SyncWithParent (or child.Barrier().Await()).
+// child.Barrier().Await().
 func (t *SpawnTree) Merge(child *Stream) error {
 	if child.shared == nil {
 		return errors.New("core: cannot merge the root stream")
@@ -181,18 +162,9 @@ func (t *SpawnTree) Merge(child *Stream) error {
 	defer t.mu.Unlock()
 	t.alloc.Release(child.shared)
 	child.shared = nil
-	t.liveN--
 	return nil
 }
 
 // PeakBarriers returns the maximum number of simultaneously live barriers
 // the tree has used.
 func (t *SpawnTree) PeakBarriers() int { return t.alloc.Peak() }
-
-// LiveStreams returns the number of live (unmerged) streams including the
-// root.
-func (t *SpawnTree) LiveStreams() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.liveN
-}

@@ -18,8 +18,8 @@ import (
 // to a row skips it and says why.
 
 // contractRow is one split barrier of the contract table. Where Go can
-// tell a capability from the handle's method set (SplitBarrier's N and
-// Stats, ArriveProfiler, *ReduceBarrier), the properties ask the handle;
+// tell a capability from the barrier's method set (SplitBarrier's N and
+// Stats, ArriveProfiler, *ReduceBarrier), the properties ask the barrier;
 // the fields below hold what it cannot.
 type contractRow struct {
 	name   string
@@ -30,64 +30,42 @@ type contractRow struct {
 	op       ReduceOp
 	identity int64
 
-	// build returns one handle per participant: the barrier itself n
-	// times over, or one SignalWait member each for the phaser.
-	build func(r contractRow, n int) []stressBarrier
+	// build returns the row's barrier for n participants.
+	build func(r contractRow, n int) stressBarrier
 
 	// leaf0, on the rows with deterministic leaf routing, arrives on
 	// leaf 0 (hier: shard 0's leaf 0) instead of the hashed home.
 	leaf0 func(stressBarrier) Phase
-
-	// members marks the phaser: participants register one at a time, so
-	// there is no size for a constructor to reject.
-	members bool
 }
 
 // contractRows is the table: central; tree at radix 2, 3 and 4; hier at
 // one shard, three shards and the GOMAXPROCS default; reduce through its
-// plain split-phase Arrive; dynamic; and the phaser's SignalWait members.
+// plain split-phase Arrive; and dynamic.
 var contractRows = []contractRow{
-	{name: "central", build: func(_ contractRow, n int) []stressBarrier { return same(n, NewFuzzyBarrier(n)) }},
+	{name: "central", build: func(_ contractRow, n int) stressBarrier { return NewFuzzyBarrier(n) }},
 	{name: "tree-r2", radix: 2, build: buildTree, leaf0: treeLeaf0},
 	{name: "tree-r3", radix: 3, build: buildTree, leaf0: treeLeaf0},
 	{name: "tree-r4", radix: 4, build: buildTree, leaf0: treeLeaf0},
 	{name: "hier-s1", radix: 2, shards: 1, build: buildHier, leaf0: hierLeaf0},
 	{name: "hier-s3", radix: 2, shards: 3, build: buildHier, leaf0: hierLeaf0},
 	{name: "hier", build: buildHier, leaf0: hierLeaf0},
-	{name: "reduce", op: OpSum, identity: IdentitySum, build: func(r contractRow, n int) []stressBarrier {
-		return same(n, NewReduceBarrierRadix(n, r.radix, r.op, r.identity))
+	{name: "reduce", op: OpSum, identity: IdentitySum, build: func(r contractRow, n int) stressBarrier {
+		return NewReduceBarrierRadix(n, r.radix, r.op, r.identity)
 	}},
-	{name: "dynamic", build: func(_ contractRow, n int) []stressBarrier { return same(n, NewDynamicBarrier(n)) }},
-	{name: "phaser", members: true, build: func(_ contractRow, n int) []stressBarrier {
-		p := NewPhaser()
-		hs := make([]stressBarrier, n)
-		for i := range hs {
-			hs[i] = phaserHandle{p.Register(SignalWait)}
-		}
-		return hs
-	}},
+	{name: "dynamic", build: func(_ contractRow, n int) stressBarrier { return NewDynamicBarrier(n) }},
 }
 
-func buildTree(r contractRow, n int) []stressBarrier { return same(n, NewTreeBarrierRadix(n, r.radix)) }
+func buildTree(r contractRow, n int) stressBarrier { return NewTreeBarrierRadix(n, r.radix) }
 
-func buildHier(r contractRow, n int) []stressBarrier {
-	return same(n, NewHierBarrierConfig(n, HierConfig{Shards: r.shards, Radix: r.radix}))
+func buildHier(r contractRow, n int) stressBarrier {
+	return NewHierBarrierConfig(n, HierConfig{Shards: r.shards, Radix: r.radix})
 }
 
 func treeLeaf0(h stressBarrier) Phase { return h.(*TreeBarrier).ArriveLeaf(0) }
 func hierLeaf0(h stressBarrier) Phase { return h.(*HierBarrier).ArriveShardLeaf(0, 0) }
 
-// same hands one barrier to all n participants.
-func same(n int, b stressBarrier) []stressBarrier {
-	var hs []stressBarrier
-	for range n {
-		hs = append(hs, b)
-	}
-	return hs
-}
-
 // split and comb reach the embedded splitCore (the SpinLimit knob) and
-// combTree (the node counters) of whichever barrier a handle holds.
+// combTree (the node counters) of whichever barrier a row builds.
 func (c *splitCore) split() *splitCore { return c }
 func (t *combTree) comb() *combTree    { return t }
 
@@ -168,12 +146,6 @@ func runN(t *testing.T, c *splitCore, n int, body func(id int)) bool {
 	return true
 }
 
-// runEach is runN with one goroutine per handle.
-func runEach(t *testing.T, hs []stressBarrier, body func(id int, h stressBarrier)) bool {
-	t.Helper()
-	return runN(t, hs[0].split(), len(hs), func(id int) { body(id, hs[id]) })
-}
-
 // TestContractOrdersPhases: every participant's write before Arrive is
 // visible after every Wait of the phase, and the epoch counts exactly the
 // phases run. The sizes leave tree leaves and hier shards partial. Stale
@@ -184,19 +156,19 @@ func TestContractOrdersPhases(t *testing.T) {
 	eachRow(t, func(t *testing.T, r contractRow) {
 		for _, n := range []int{2, 3, 4, 5, 8, 13} {
 			if !t.Run(strconv.Itoa(n), func(t *testing.T) {
-				hs := r.build(r, n)
+				b := r.build(r, n)
 				published := make([]atomic.Int64, n)
 				var stale atomic.Int64
-				if !runEach(t, hs, func(id int, h stressBarrier) {
+				if !runN(t, b.split(), n, func(id int) {
 					for p := int64(0); p < phases; p++ {
 						published[id].Store(p)
-						h.Wait(h.Arrive())
+						b.Wait(b.Arrive())
 						for j := range published {
 							if published[j].Load() < p {
 								stale.Add(1)
 							}
 						}
-						h.Await() // nobody advances until all checked
+						b.Await() // nobody advances until all checked
 					}
 				}) {
 					return
@@ -204,7 +176,7 @@ func TestContractOrdersPhases(t *testing.T) {
 				if s := stale.Load(); s > 0 {
 					t.Errorf("%d stale reads: a Wait returned before every participant arrived", s)
 				}
-				if got := hs[0].Epoch(); got != 2*phases {
+				if got := b.Epoch(); got != 2*phases {
 					t.Errorf("epoch = %d, want %d", got, 2*phases)
 				}
 			}) {
@@ -225,16 +197,16 @@ func TestContractAwaitIsPointBarrier(t *testing.T) {
 				if n > 50 {
 					episodes = 10
 				}
-				hs := r.build(r, n)
+				b := r.build(r, n)
 				var counter, bad atomic.Int64
-				if !runEach(t, hs, func(_ int, h stressBarrier) {
+				if !runN(t, b.split(), n, func(_ int) {
 					for e := int64(0); e < episodes; e++ {
 						counter.Add(1)
-						h.Await()
+						b.Await()
 						if counter.Load() != int64(n)*(e+1) {
 							bad.Add(1)
 						}
-						h.Await()
+						b.Await()
 					}
 				}) {
 					return
@@ -242,7 +214,7 @@ func TestContractAwaitIsPointBarrier(t *testing.T) {
 				if b := bad.Load(); b > 0 {
 					t.Errorf("%d reads of the counter between barriers were inconsistent", b)
 				}
-				if got := hs[0].Epoch(); got != 2*episodes {
+				if got := b.Epoch(); got != 2*episodes {
 					t.Errorf("epoch = %d, want %d", got, 2*episodes)
 				}
 			}) {
@@ -257,10 +229,10 @@ func TestContractAwaitIsPointBarrier(t *testing.T) {
 // arrives, although the partner never waits.
 func TestContractRegionOverlap(t *testing.T) {
 	eachRow(t, func(t *testing.T, r contractRow) {
-		hs := r.build(r, 2)
+		b := r.build(r, 2)
 		done := make(chan struct{})
 		go func() {
-			hs[0].Wait(hs[0].Arrive())
+			b.Wait(b.Arrive())
 			close(done)
 		}()
 		select {
@@ -268,7 +240,7 @@ func TestContractRegionOverlap(t *testing.T) {
 			t.Fatal("Wait returned before the partner arrived")
 		case <-time.After(10 * time.Millisecond):
 		}
-		hs[1].Arrive()
+		b.Arrive()
 		select {
 		case <-done:
 		case <-time.After(time.Second):
@@ -281,17 +253,17 @@ func TestContractRegionOverlap(t *testing.T) {
 // arrived and true after, and the Wait that follows is a fast one.
 func TestContractTryWait(t *testing.T) {
 	eachRow(t, func(t *testing.T, r contractRow) {
-		hs := r.build(r, 2)
-		ph := hs[0].Arrive()
-		if hs[0].TryWait(ph) {
+		b := r.build(r, 2)
+		ph := b.Arrive()
+		if b.TryWait(ph) {
 			t.Fatal("TryWait true before the partner arrived")
 		}
-		hs[1].Arrive()
-		if !hs[0].TryWait(ph) {
+		b.Arrive()
+		if !b.TryWait(ph) {
 			t.Fatal("TryWait false after all arrived")
 		}
-		hs[0].Wait(ph)
-		if s := hs[0].StatsSnapshot(); s.FastWaits != 1 || s.Blocks != 0 {
+		b.Wait(ph)
+		if s := b.StatsSnapshot(); s.FastWaits != 1 || s.Blocks != 0 {
 			t.Errorf("fast=%d blocks=%d, want 1/0", s.FastWaits, s.Blocks)
 		}
 	})
@@ -301,7 +273,7 @@ func TestContractTryWait(t *testing.T) {
 // completes its phase, and a barrier that reports its size says 1.
 func TestContractSingleParticipant(t *testing.T) {
 	eachRow(t, func(t *testing.T, r contractRow) {
-		h := r.build(r, 1)[0]
+		h := r.build(r, 1)
 		for range 10 {
 			ph := h.Arrive()
 			if !h.TryWait(ph) {
@@ -321,9 +293,6 @@ func TestContractSingleParticipant(t *testing.T) {
 // TestContractPanicsOnZero: a barrier built for no participants panics.
 func TestContractPanicsOnZero(t *testing.T) {
 	eachRow(t, func(t *testing.T, r contractRow) {
-		if r.members {
-			t.Skip("membership is registered per member: no size to reject")
-		}
 		defer func() {
 			if recover() == nil {
 				t.Error("expected a panic for n=0")
@@ -343,39 +312,39 @@ func TestContractPanicsOnZero(t *testing.T) {
 func TestContractStarvedWaitIsOneBlock(t *testing.T) {
 	const starved = 8
 	eachRow(t, func(t *testing.T, r contractRow) {
-		hs := r.build(r, 2)
-		hs[0].split().SpinLimit = 1
+		b := r.build(r, 2)
+		b.split().SpinLimit = 1
 		for k := int64(1); k <= starved; k++ {
 			done := make(chan struct{})
 			go func() {
-				hs[0].Wait(hs[0].Arrive())
+				b.Wait(b.Arrive())
 				close(done)
 			}()
 			deadline := time.Now().Add(10 * time.Second)
-			for hs[0].StatsSnapshot().Blocks < k {
+			for b.StatsSnapshot().Blocks < k {
 				if time.Now().After(deadline) {
 					t.Fatalf("starved Wait %d never blocked", k)
 				}
 				runtime.Gosched()
 			}
-			ph := hs[1].Arrive()
+			ph := b.Arrive()
 			select {
 			case <-done:
 			case <-time.After(10 * time.Second):
 				t.Fatalf("blocked Wait %d never woke", k)
 			}
 			if k == 1 {
-				if s := hs[0].StatsSnapshot(); s.Blocks != 1 || s.Waits() != 1 {
+				if s := b.StatsSnapshot(); s.Blocks != 1 || s.Waits() != 1 {
 					t.Errorf("blocks = %d of %d waits, want 1 of 1", s.Blocks, s.Waits())
 				}
 			}
-			hs[1].Wait(ph) // already published: a fast Wait
+			b.Wait(ph) // already published: a fast Wait
 		}
-		if s := hs[0].StatsSnapshot(); s.Blocks != starved || s.Waits() != 2*starved {
+		if s := b.StatsSnapshot(); s.Blocks != starved || s.Waits() != 2*starved {
 			t.Errorf("after %d starved waits at SpinLimit 1: blocks = %d of %d waits, want %d of %d",
 				starved, s.Blocks, s.Waits(), starved, 2*starved)
 		}
-		if h := hs[0].split().horizon.Load(); h != 0 {
+		if h := b.split().horizon.Load(); h != 0 {
 			t.Errorf("an explicit SpinLimit learned a spin horizon of %d ns", h)
 		}
 	})
@@ -396,20 +365,20 @@ func TestContractEpochNeverSkips(t *testing.T) {
 				shaped.shards = int(s%5) + 1
 			}
 			n, episodes := int(w%9)+1, int(e%30)+1
-			hs := shaped.build(shaped, n)
+			b := shaped.build(shaped, n)
 			var skipped atomic.Bool
-			ok := runEach(t, hs, func(_ int, h stressBarrier) {
+			ok := runN(t, b.split(), n, func(_ int) {
 				last := int64(-1)
 				for range episodes {
-					h.Wait(h.Arrive())
-					cur := h.Epoch()
+					b.Wait(b.Arrive())
+					cur := b.Epoch()
 					if cur <= last {
 						skipped.Store(true)
 					}
 					last = cur
 				}
 			})
-			return ok && !skipped.Load() && hs[0].Epoch() == int64(episodes)
+			return ok && !skipped.Load() && b.Epoch() == int64(episodes)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 			t.Error(err)
@@ -430,8 +399,8 @@ func TestContractCollisionInvariant(t *testing.T) {
 		if r.leaf0 == nil {
 			t.Skip("no deterministic leaf routing")
 		}
-		hs := r.build(r, n)
-		ct := hs[0].(interface{ comb() *combTree }).comb()
+		b := r.build(r, n)
+		ct := b.(interface{ comb() *combTree }).comb()
 		stop := make(chan struct{})
 		sampled := make(chan struct{})
 		var below atomic.Int64
@@ -445,7 +414,7 @@ func TestContractCollisionInvariant(t *testing.T) {
 				}
 				// Load the epoch first: count >= quota·e holds for any e
 				// complete at or before the count is read.
-				e := hs[0].Epoch()
+				e := b.Epoch()
 				for i := range ct.nodes {
 					if ct.nodes[i].count.Load() < ct.nodes[i].quota*e {
 						below.Add(1)
@@ -454,9 +423,9 @@ func TestContractCollisionInvariant(t *testing.T) {
 				runtime.Gosched()
 			}
 		}()
-		ok := runEach(t, hs, func(_ int, h stressBarrier) {
+		ok := runN(t, b.split(), n, func(_ int) {
 			for range phases {
-				h.Wait(r.leaf0(h))
+				b.Wait(r.leaf0(b))
 			}
 		})
 		close(stop)
@@ -473,13 +442,13 @@ func TestContractCollisionInvariant(t *testing.T) {
 			}
 		}
 		misses := ct.Probes()
-		if u, ok := hs[0].(interface{ Undos() int64 }); ok {
+		if u, ok := b.(interface{ Undos() int64 }); ok {
 			misses += u.Undos()
 		}
 		if want := phases * (n - ct.nodes[0].quota); misses < want {
 			t.Errorf("probes+undos = %d, want >= %d", misses, want)
 		}
-		if got := hs[0].Epoch(); got != phases {
+		if got := b.Epoch(); got != phases {
 			t.Errorf("epoch = %d, want %d", got, phases)
 		}
 	})
@@ -493,12 +462,12 @@ func TestContractCollisionInvariant(t *testing.T) {
 func TestContractHotspotBelowCentral(t *testing.T) {
 	const n, episodes = 256, 20
 	eachRow(t, func(t *testing.T, r contractRow) {
-		hs := r.build(r, n)
-		prof, ok := hs[0].(ArriveProfiler)
+		b := r.build(r, n)
+		prof, ok := b.(ArriveProfiler)
 		if !ok {
 			t.Skip("no ArriveProfiler")
 		}
-		if !runEpisodes(t, hs, episodes) {
+		if !runEpisodes(t, b, n, episodes) {
 			return
 		}
 		ops, phases := prof.HotspotOps()

@@ -67,12 +67,3 @@ func AllExcept(n, self int) Mask {
 
 // Has reports whether processor p is selected by the mask.
 func (m Mask) Has(p int) bool { return m&(1<<uint(p)) != 0 }
-
-// Count returns the number of selected processors.
-func (m Mask) Count() int {
-	n := 0
-	for v := uint64(m); v != 0; v &= v - 1 {
-		n++
-	}
-	return n
-}

@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+
+	"fuzzybarrier/internal/phase"
+)
 
 // DynamicBarrier is a split-phase fuzzy barrier whose membership can
 // change between (and during) phases: streams may Register to join and
@@ -17,11 +22,24 @@ import "fmt"
 // otherwise the remaining members deadlock (exactly like a halted
 // processor whose mask bit is still set in the hardware).
 //
-// It is a Phaser with anonymous SignalWait members, on the same host.
-// Arrive signals the open phase, and an arrival that would make its count
-// reach the members completes it, so an over-arrival cannot happen: only
-// a drained barrier refuses one.
-type DynamicBarrier struct{ host }
+// Its members are anonymous signalers of one phase.Counter (the census,
+// the signals banked per open phase, the drain), and one mutex makes each
+// transition on it, with its epoch read or publish, atomic. An earlier
+// version CAS-packed (count, members) into one word, and the gaps between
+// its multi-word steps released a stream that joined mid-completion early
+// (TestRaceDynamicRegisterDuringCompletion). The splitCore epoch is the
+// counter's open phase until the drain, which publishes one final episode
+// so every ticket releases. Lock order is mu -> splitCore.mu, taken only
+// to publish; Wait never holds mu. Arrive signals the open phase, and an
+// arrival that would make its count reach the members completes it, so an
+// over-arrival cannot happen: only a drained barrier refuses one.
+type DynamicBarrier struct {
+	mu      sync.Mutex
+	c       phase.Counter
+	arrived int64 // applied Arrive and ArriveAndLeave calls: membership varies, so BarrierStats.Arrivals cannot be derived
+
+	splitCore
+}
 
 // NewDynamicBarrier creates a dynamic barrier with the given initial
 // membership (>= 1).
@@ -44,7 +62,16 @@ func NewDynamicBarrier(initial int) *DynamicBarrier {
 func (b *DynamicBarrier) Register() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.join(1, 0, "dynamic barrier")
+	if _, ok := b.c.Join(1, 0); !ok {
+		panic("core: Register on a drained dynamic barrier")
+	}
+}
+
+// Members returns the current number of registered members.
+func (b *DynamicBarrier) Members() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return int(b.c.Signalers())
 }
 
 // Arrive signals readiness for the current phase and returns the ticket
@@ -76,11 +103,38 @@ func (b *DynamicBarrier) ArriveAndLeave() {
 		panic("core: ArriveAndLeave on a drained dynamic barrier")
 	}
 	b.arrived++
-	b.leave(1, 0)
+	if b.c.Leave(1, 0) {
+		b.publish()
+		return
+	}
+	b.advance()
+}
+
+// advance publishes every phase the counter completes; it runs with mu
+// held.
+func (b *DynamicBarrier) advance() {
+	for n := b.c.Advance(); n > 0; n-- {
+		b.publish()
+	}
 }
 
 // Await is the point-barrier convenience: Arrive immediately followed by
 // Wait.
 func (b *DynamicBarrier) Await() {
 	b.Wait(b.Arrive())
+}
+
+// Stats returns the counters (same shape as FuzzyBarrier).
+func (b *DynamicBarrier) Stats() (syncs, arrivals, fastWaits, spinWaits, blocks, spinIters int64) {
+	return b.StatsSnapshot().tuple()
+}
+
+// StatsSnapshot returns the full observability snapshot, including the
+// wait-spin histogram.
+func (b *DynamicBarrier) StatsSnapshot() BarrierStats { return b.snapshot(b.arrivals) }
+
+func (b *DynamicBarrier) arrivals() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.arrived
 }

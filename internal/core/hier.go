@@ -138,14 +138,6 @@ func NewHierBarrierConfig(n int, cfg HierConfig) *HierBarrier {
 // Shards returns the number of arrival shards.
 func (b *HierBarrier) Shards() int { return b.nShards }
 
-// ShardLeaves returns the number of leaf counters owned by shard s.
-func (b *HierBarrier) ShardLeaves(s int) int {
-	if s < 0 || s >= b.nShards {
-		panic(fmt.Sprintf("core: hier barrier shard %d out of range [0,%d)", s, b.nShards))
-	}
-	return b.shards[s].nLeaves
-}
-
 // Stats returns a snapshot of the barrier's counters.
 func (b *HierBarrier) Stats() (syncs, arrivals, fastWaits, spinWaits, blocks, spinIters int64) {
 	return b.StatsSnapshot().tuple()
@@ -215,7 +207,7 @@ func (b *HierBarrier) Arrive() Phase {
 // ArriveShardLeaf is Arrive with a caller-chosen home shard and leaf
 // instead of the per-goroutine hash: identical probe-on-full semantics,
 // deterministic routing for tests and experiment drives. shard must be
-// in [0, Shards()) and leaf in [0, ShardLeaves(shard)).
+// in [0, Shards()) and leaf below the shard's leaf count.
 func (b *HierBarrier) ArriveShardLeaf(shard, leaf int) Phase {
 	if shard < 0 || shard >= b.nShards {
 		panic(fmt.Sprintf("core: hier barrier shard %d out of range [0,%d)", shard, b.nShards))

@@ -81,8 +81,8 @@ func TestHierBarrierShape(t *testing.T) {
 		if got := b.Depth(); got != c.depth {
 			t.Errorf("Hier(%d,s%d,r%d): depth = %d, want %d", c.n, c.shards, c.radix, got, c.depth)
 		}
-		if b.N() != c.n || b.Radix() != c.radix {
-			t.Errorf("Hier(%d,s%d,r%d): N/Radix = %d/%d", c.n, c.shards, c.radix, b.N(), b.Radix())
+		if b.N() != c.n || b.radix != c.radix {
+			t.Errorf("Hier(%d,s%d,r%d): N/Radix = %d/%d", c.n, c.shards, c.radix, b.N(), b.radix)
 		}
 		if len(b.rel) != c.shards {
 			t.Errorf("Hier(%d,s%d,r%d): %d release words, want %d", c.n, c.shards, c.radix, len(b.rel), c.shards)
@@ -103,11 +103,11 @@ func TestHierBarrierDerivedLayout(t *testing.T) {
 	if b.Shards() != want {
 		t.Errorf("shards = %d, want min(GOMAXPROCS=%d, n)", b.Shards(), procs)
 	}
-	if b.Radix() < DefaultTreeRadix {
-		t.Errorf("radix = %d, want >= %d", b.Radix(), DefaultTreeRadix)
+	if b.radix < DefaultTreeRadix {
+		t.Errorf("radix = %d, want >= %d", b.radix, DefaultTreeRadix)
 	}
-	if b.Radix()*b.Radix() < b.Shards() {
-		t.Errorf("radix %d too narrow for %d shards (cross tree deeper than 2 levels)", b.Radix(), b.Shards())
+	if b.radix*b.radix < b.Shards() {
+		t.Errorf("radix %d too narrow for %d shards (cross tree deeper than 2 levels)", b.radix, b.Shards())
 	}
 	// Shards never exceed n, even when the host is wider than the group.
 	if got := NewHierBarrier(2).Shards(); got > 2 {
@@ -236,8 +236,7 @@ func TestHierBarrierArrivePanics(t *testing.T) {
 	expectPanic("shard -1", func() { b.ArriveShardLeaf(-1, 0) })
 	expectPanic("shard high", func() { b.ArriveShardLeaf(b.Shards(), 0) })
 	expectPanic("leaf -1", func() { b.ArriveShardLeaf(0, -1) })
-	expectPanic("leaf high", func() { b.ArriveShardLeaf(0, b.ShardLeaves(0)) })
+	expectPanic("leaf high", func() { b.ArriveShardLeaf(0, b.shards[0].nLeaves) })
 	expectPanic("slot -1", func() { b.SlotFor(-1) })
 	expectPanic("slot high", func() { b.SlotFor(b.N()) })
-	expectPanic("shard-leaves high", func() { b.ShardLeaves(b.Shards()) })
 }

@@ -13,39 +13,40 @@ import (
 // the last Arrive and a returning Wait surfaces as a reported race on
 // the plain (non-atomic) per-worker slots.
 
-// stressSplit drives one goroutine per handle through phases of: write
-// my slot (plain write), Arrive, barrier-region work, Wait, read every
-// slot (plain read). Without the barrier's ordering this is a textbook
-// data race. It reports false if the run hung.
-func stressSplit(t *testing.T, hs []stressBarrier, phases int) bool {
+// stressSplit drives n goroutines on the row's barrier through phases
+// of: write my slot (plain write), Arrive, barrier-region work, Wait,
+// read every slot (plain read). Without the barrier's ordering this is a
+// textbook data race. It reports false if the run hung.
+func stressSplit(t *testing.T, r contractRow, n, phases int) bool {
 	t.Helper()
-	slots := make([]int, len(hs)) // plain ints: the race detector's bait
+	b := r.build(r, n)
+	slots := make([]int, n) // plain ints: the race detector's bait
 	var stale atomic.Int64
-	if !runEach(t, hs, func(id int, h stressBarrier) {
+	if !runN(t, b.split(), n, func(id int) {
 		for p := 0; p < phases; p++ {
 			slots[id] = p + 1
-			ph := h.Arrive()
+			ph := b.Arrive()
 			// Barrier-region work: occasionally poll TryWait, as a
 			// real region would to schedule more region work.
 			for i := 0; i < id%4; i++ {
-				h.TryWait(ph)
+				b.TryWait(ph)
 			}
-			h.Wait(ph)
+			b.Wait(ph)
 			for j := range slots {
 				if slots[j] < p+1 {
 					stale.Add(1)
 				}
 			}
-			h.Await() // close the read window before the next phase
+			b.Await() // close the read window before the next phase
 		}
 	}) {
 		return false
 	}
-	if n := stale.Load(); n > 0 {
-		t.Errorf("n=%d: %d stale slot reads (synchronization leaked)", len(hs), n)
+	if s := stale.Load(); s > 0 {
+		t.Errorf("n=%d: %d stale slot reads (synchronization leaked)", n, s)
 	}
-	if got := hs[0].Epoch(); got != int64(2*phases) {
-		t.Errorf("n=%d: epoch = %d, want %d", len(hs), got, 2*phases)
+	if got := b.Epoch(); got != int64(2*phases) {
+		t.Errorf("n=%d: epoch = %d, want %d", n, got, 2*phases)
 	}
 	return true
 }
@@ -55,13 +56,13 @@ func stressSplit(t *testing.T, hs []stressBarrier, phases int) bool {
 // and reduce combining (reduce's plain Arrive contributes the identity),
 // hier's shard subtrees, cross-shard hop and per-shard release fan-out
 // (13 members leave shards partial; one shard degenerates to a guarded
-// tree), and the dynamic and phaser hosts must all give the ordering
+// tree), and the dynamic barrier's counter must all give the ordering
 // the central epoch does. TestReduceBarrierConcurrent adds the
 // value-carrying path under -race via the verify lane.
 func TestRaceContractStress(t *testing.T) {
 	eachRow(t, func(t *testing.T, r contractRow) {
-		if stressSplit(t, r.build(r, 8), 300) {
-			stressSplit(t, r.build(r, 13), 200)
+		if stressSplit(t, r, 8, 300) {
+			stressSplit(t, r, 13, 200)
 		}
 	})
 }
@@ -75,8 +76,7 @@ func TestRaceContractStress(t *testing.T) {
 func TestRaceSnapshotDuringRun(t *testing.T) {
 	const n, episodes = 4, 2000
 	for _, row := range contractRows {
-		hs := row.build(row, n)
-		b := hs[0]
+		b := row.build(row, n)
 		stop := make(chan struct{})
 		sampled := make(chan struct{})
 		go func() {
@@ -102,7 +102,7 @@ func TestRaceSnapshotDuringRun(t *testing.T) {
 				}
 			}
 		}()
-		ran := runEpisodes(t, hs, episodes)
+		ran := runEpisodes(t, b, n, episodes)
 		close(stop)
 		<-sampled
 		if !ran {
@@ -114,83 +114,11 @@ func TestRaceSnapshotDuringRun(t *testing.T) {
 	}
 }
 
-// TestRacePhaserChurn stresses Phaser registration against live phases:
-// a fixed core of signal+wait members synchronizes for the whole run
-// while churners register in signal-only or wait-only mode, ride a few
-// boundaries, and leave. Under -race this hammers the counter's banked
-// signals, the release loop, and Deregister's retraction of what a
-// producer banked — every transition shares the phaser mutex, and a
-// leaked edge shows up on the plain per-member counters.
-func TestRacePhaserChurn(t *testing.T) {
-	const fixed = 4
-	const phases = 300
-	const churners = 6
-	p := NewPhaser()
-	perm := make([]*PhaserMember, fixed)
-	for i := range perm {
-		perm[i] = p.Register(SignalWait)
-	}
-	var data [fixed + churners]int // plain writes ordered only by the phaser
-	if !runN(t, p.split(), fixed+churners, func(id int) {
-		if id < fixed {
-			for k, m := 0, perm[id]; k < phases; k++ {
-				data[id]++
-				m.Wait(m.Arrive())
-			}
-			return
-		}
-		for round, c := 0, id-fixed; round < 10; round++ {
-			if (c+round)%2 == 0 {
-				m := p.Register(SignalOnly)
-				for k := 0; k < 3+c; k++ {
-					data[id]++
-					m.Arrive()
-				}
-				m.Deregister()
-			} else {
-				m := p.Register(WaitOnly)
-				for k := 0; k < 3+c; k++ {
-					ph := m.Arrive()
-					if ph.epoch >= phases {
-						// The permanents have signaled their last phase;
-						// only the drain publishes again, and that waits
-						// for this goroutine to exit.
-						break
-					}
-					m.Wait(ph)
-					data[id]++
-				}
-				m.Deregister()
-			}
-		}
-	}) {
-		return
-	}
-	for _, m := range perm {
-		m.Deregister() // last signaler out drains
-	}
-	if got := p.Members(); got != 0 {
-		t.Errorf("members after drain = %d, want 0", got)
-	}
-	// The permanents pace the epoch to exactly `phases` (no phase can
-	// complete without all of their signals), and the drain adds one.
-	if got := p.Epoch(); got != phases+1 {
-		t.Errorf("epoch = %d, want %d", got, phases+1)
-	}
-	var total int
-	for _, v := range data {
-		total += v
-	}
-	if total == 0 {
-		t.Error("no work recorded")
-	}
-}
-
 // TestRaceDynamicBarrierChurn stresses DynamicBarrier with membership
 // churn: a fixed core of members synchronizes for the whole run while
 // transient members register, ride along for a few phases, and leave.
 // TestRaceDynamicRegisterDuringCompletion pins the two races fixed by
-// serializing DynamicBarrier's transitions under one mutex (host, phaser.go).
+// serializing DynamicBarrier's transitions under one mutex (dynamic.go).
 // With the earlier CAS-packed state, a stream that Registered and
 // Arrived in the gap between the completing arrival's count reset and
 // its epoch publication got a ticket naming the *previous* phase: its

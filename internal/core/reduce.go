@@ -235,7 +235,3 @@ func (b *ReduceBarrier) WaitValue(p Phase) int64 {
 // Await is the conventional point allreduce: ArriveValue immediately
 // followed by WaitValue.
 func (b *ReduceBarrier) Await() { b.Wait(b.Arrive()) }
-
-// AwaitValue contributes v and blocks until the phase's reduction is
-// complete, returning it.
-func (b *ReduceBarrier) AwaitValue(v int64) int64 { return b.WaitValue(b.ArriveValue(v)) }

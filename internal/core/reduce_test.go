@@ -93,10 +93,10 @@ func TestReduceBarrierMixedArrive(t *testing.T) {
 	if got := b.WaitValue(ph); got != 41 {
 		t.Errorf("WaitValue = %d, want 41", got)
 	}
-	// AwaitValue on a single-participant barrier is a pure round trip.
+	// A single-participant barrier is a pure round trip.
 	one := NewReduceBarrier(1, OpSum, IdentitySum)
-	if got := one.AwaitValue(123); got != 123 {
-		t.Errorf("AwaitValue = %d, want 123", got)
+	if got := one.WaitValue(one.ArriveValue(123)); got != 123 {
+		t.Errorf("WaitValue = %d, want 123", got)
 	}
 }
 
@@ -167,11 +167,11 @@ func TestReduceBarrierShape(t *testing.T) {
 	for _, tc := range []struct{ n, radix int }{{1, 2}, {7, 2}, {16, 4}, {100, 8}} {
 		rb := NewReduceBarrierRadix(tc.n, tc.radix, OpSum, 0)
 		tb := NewTreeBarrierRadix(tc.n, tc.radix)
-		if rb.N() != tb.N() || rb.Radix() != tb.Radix() ||
+		if rb.N() != tb.N() || rb.radix != tb.radix ||
 			rb.Leaves() != tb.Leaves() || rb.Depth() != tb.Depth() {
 			t.Errorf("n=%d radix=%d: reduce shape (n=%d r=%d leaves=%d depth=%d) != tree shape (n=%d r=%d leaves=%d depth=%d)",
-				tc.n, tc.radix, rb.N(), rb.Radix(), rb.Leaves(), rb.Depth(),
-				tb.N(), tb.Radix(), tb.Leaves(), tb.Depth())
+				tc.n, tc.radix, rb.N(), rb.radix, rb.Leaves(), rb.Depth(),
+				tb.N(), tb.radix, tb.Leaves(), tb.Depth())
 		}
 	}
 }

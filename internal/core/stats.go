@@ -54,8 +54,7 @@ func pow4(n int) int64 {
 
 // BarrierStats is a point-in-time snapshot of a runtime barrier's
 // counters: the observability surface shared by FuzzyBarrier,
-// DynamicBarrier, TreeBarrier, HierBarrier, ReduceBarrier and Phaser,
-// whose wait counters the benchmark's rt-* workloads record (bench/rt.go)
+// DynamicBarrier, TreeBarrier, HierBarrier and ReduceBarrier, whose wait counters the benchmark's rt-* workloads record (bench/rt.go)
 // and String prints. Always-on costs the hot path no lock and no
 // allocation: each Wait adds to one outcome counter and one histogram
 // bucket (a spinning Wait also to SpinIters), all padded off the line

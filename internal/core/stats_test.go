@@ -30,14 +30,13 @@ func TestWaitBucket(t *testing.T) {
 	}
 }
 
-// runEpisodes drives every handle through the given number of
-// Arrive+Wait episodes, one goroutine per handle, and reports whether
-// they all returned.
-func runEpisodes(t *testing.T, hs []stressBarrier, episodes int) bool {
+// runEpisodes drives n goroutines on b through the given number of
+// Arrive+Wait episodes each and reports whether they all returned.
+func runEpisodes(t *testing.T, b stressBarrier, n, episodes int) bool {
 	t.Helper()
-	return runEach(t, hs, func(_ int, h stressBarrier) {
+	return runN(t, b.split(), n, func(int) {
 		for range episodes {
-			h.Wait(h.Arrive())
+			b.Wait(b.Arrive())
 		}
 	})
 }
@@ -52,11 +51,10 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 	const episodes = 2000
 	for _, workers := range []int64{1, 4} {
 		for _, row := range contractRows {
-			hs := row.build(row, int(workers))
-			if !runEpisodes(t, hs, episodes) {
+			impl := row.build(row, int(workers))
+			if !runEpisodes(t, impl, int(workers), episodes) {
 				return
 			}
-			impl := hs[0]
 			s := impl.StatsSnapshot()
 			if s.Syncs != episodes || s.Syncs != impl.Epoch() {
 				t.Errorf("%s/%d: syncs = %d, epoch = %d, want %d", row.name, workers, s.Syncs, impl.Epoch(), episodes)
@@ -111,14 +109,14 @@ func TestBarrierStatsString(t *testing.T) {
 // the nil-disabled trace hooks upstream) never add GC pressure.
 func TestBarrierHotPathZeroAllocs(t *testing.T) {
 	for _, row := range contractRows {
-		b := row.build(row, 1)[0]
+		b := row.build(row, 1)
 		var allocs, valueAllocs float64
 		if !runN(t, b.split(), 1, func(int) {
 			allocs = testing.AllocsPerRun(1000, func() { b.Wait(b.Arrive()) })
 			// The int64 reduce fast path must stay allocation-free too:
 			// contribute-and-read, not just the identity Arrive.
 			if r, ok := b.(*ReduceBarrier); ok {
-				valueAllocs = testing.AllocsPerRun(1000, func() { r.AwaitValue(7) })
+				valueAllocs = testing.AllocsPerRun(1000, func() { r.WaitValue(r.ArriveValue(7)) })
 			}
 		}) {
 			return
@@ -134,7 +132,7 @@ func TestBarrierHotPathZeroAllocs(t *testing.T) {
 func BenchmarkBarrierHotPathAllocs(b *testing.B) {
 	for _, row := range contractRows {
 		b.Run(row.name, func(b *testing.B) {
-			bar := row.build(row, 1)[0]
+			bar := row.build(row, 1)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bar.Wait(bar.Arrive())

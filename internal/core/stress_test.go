@@ -82,7 +82,7 @@ func TestStressHierShapes(t *testing.T) {
 
 // TestStressDynamicChurn adds transient members registering and leaving
 // against the permanent members' phases — the schedule class that found
-// the pre-mutex DynamicBarrier races (see host in phaser.go and
+// the pre-mutex DynamicBarrier races (see DynamicBarrier in dynamic.go and
 // TestRaceDynamicRegisterDuringCompletion).
 func TestStressDynamicChurn(t *testing.T) {
 	phases := stressPhases(t)
@@ -133,41 +133,15 @@ func TestStressReduce(t *testing.T) {
 	}
 }
 
-// TestStressPhaser runs the phaser under permanent signal+wait members
-// with signal-only and wait-only churners registering and leaving
-// against live phases.
-func TestStressPhaser(t *testing.T) {
-	phases := stressPhases(t)
-	for _, churners := range []int{0, 4} {
-		for _, spin := range []int{0, 1} {
-			rep, err := Stress(StressConfig{
-				Barrier: "phaser", Workers: 4, Phases: phases,
-				Seed: 0x9a5e, SpinLimit: spin, Churners: churners,
-			})
-			if err != nil {
-				t.Fatalf("churners=%d spin=%d: %v", churners, spin, err)
-			}
-			for _, v := range rep.Violations {
-				t.Errorf("churners=%d spin=%d: %s", churners, spin, v)
-			}
-			if churners > 0 && rep.ChurnJoins == 0 {
-				t.Error("phaser churners never completed a register/leave round")
-			}
-			t.Logf("%s", rep)
-		}
-	}
-}
-
 // TestStressConfigErrors: invalid configs are rejected up front.
 func TestStressConfigErrors(t *testing.T) {
 	for _, cfg := range []StressConfig{
 		{Barrier: "nope", Workers: 2, Phases: 10},
 		{Barrier: "central", Workers: 0, Phases: 10},
 		{Barrier: "central", Workers: 2, Phases: 0},
-		{Barrier: "central", Workers: 2, Phases: 10, Churners: 1}, // churn needs dynamic or phaser
+		{Barrier: "central", Workers: 2, Phases: 10, Churners: 1}, // churn needs dynamic
 		{Barrier: "reduce", Workers: 2, Phases: 10, Churners: 1},  // reduce has fixed membership
 		{Barrier: "dynamic", Workers: 2, Phases: 4, Churners: 1},  // churn needs >= 8 phases
-		{Barrier: "phaser", Workers: 2, Phases: 4, Churners: 1},   // same bound for phaser churn
 		{Barrier: "dynamic", Workers: 2, Phases: 10, Churners: -1},
 	} {
 		if _, err := Stress(cfg); err == nil {

@@ -14,7 +14,7 @@ import (
 // model-checking counterpart internal/check proves the *cluster*
 // protocols over every message interleaving; this harness hammers the
 // shared-memory barriers (FuzzyBarrier, TreeBarrier, HierBarrier,
-// DynamicBarrier, ReduceBarrier, Phaser) under randomized
+// DynamicBarrier, ReduceBarrier) under randomized
 // arrive/wait/register/leave schedules and runtime.Gosched storms, and
 // cross-checks what cannot be enumerated: the Go memory model's
 // happens-before edges and the BarrierStats accounting.
@@ -130,11 +130,11 @@ func (r *stressRNG) storm() {
 	}
 }
 
-// stressBarrier is one participant's handle on a contract-table barrier:
-// the slice of SplitBarrier the harness and the contract properties
-// need, plus the embedded splitCore that holds SpinLimit. It is
+// stressBarrier is a contract-table barrier as the harness and the
+// contract properties see it: the slice of SplitBarrier they need, plus
+// the embedded splitCore that holds SpinLimit. It is
 // satisfied by FuzzyBarrier, TreeBarrier, HierBarrier, ReduceBarrier
-// and DynamicBarrier alike, and by a phaserHandle.
+// and DynamicBarrier alike.
 type stressBarrier interface {
 	Arrive() Phase
 	TryWait(Phase) bool
@@ -144,14 +144,6 @@ type stressBarrier interface {
 	StatsSnapshot() BarrierStats
 	split() *splitCore
 }
-
-// phaserHandle adapts one Phaser member to stressBarrier.
-type phaserHandle struct{ *PhaserMember }
-
-func (h phaserHandle) Await()                      { h.Wait(h.Arrive()) }
-func (h phaserHandle) Epoch() int64                { return h.p.Epoch() }
-func (h phaserHandle) StatsSnapshot() BarrierStats { return h.p.StatsSnapshot() }
-func (h phaserHandle) split() *splitCore           { return &h.p.splitCore }
 
 // Stress runs the harness to completion and returns the report. The
 // error covers config problems only; property violations are collected
@@ -193,23 +185,16 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 	}
 	pick := ops[mix64(cfg.Seed, 0x0b)%uint64(len(ops))]
 	row.op, row.identity = pick.op, pick.identity
-	// Each permanent member's handle: the barrier itself, or for the
-	// phaser one SignalWait member each.
-	hs := row.build(row, cfg.Workers)
-	b := hs[0]
+	b := row.build(row, cfg.Workers)
 	b.split().SpinLimit = cfg.SpinLimit
 	dyn, _ := b.(*DynamicBarrier)
 	red, _ := b.(*ReduceBarrier)
-	var phs *Phaser
-	if h, ok := b.(phaserHandle); ok {
-		phs = h.p
-	}
 	op, identity, opName := pick.op, pick.identity, pick.name
 	if red == nil {
 		opName = ""
 	}
-	if cfg.Churners > 0 && dyn == nil && phs == nil {
-		return nil, fmt.Errorf("core: churners need the dynamic barrier or phaser, got %q", cfg.Barrier)
+	if cfg.Churners > 0 && dyn == nil {
+		return nil, fmt.Errorf("core: churners need the dynamic barrier, got %q", cfg.Barrier)
 	}
 	// Each churner round rides at most 4 phases and runs churnRounds
 	// times; keep the total well under the permanent members' 2*Phases
@@ -245,49 +230,38 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 	// wait drives the randomized wait flavor: a few TryWait polls (as a
 	// barrier region scheduling more work would), storms, then Wait —
 	// WaitValue for the reduce barrier, whose result is returned.
-	wait := func(r *stressRNG, h stressBarrier, ph Phase) int64 {
+	wait := func(r *stressRNG, ph Phase) int64 {
 		for i := uint64(0); i < r.next()&7; i++ {
-			h.TryWait(ph)
+			b.TryWait(ph)
 			r.storm()
 		}
 		var v int64
 		if red != nil {
 			v = red.WaitValue(ph)
 		} else {
-			h.Wait(ph)
+			b.Wait(ph)
 		}
 		waits.Add(1)
 		return v
 	}
-	// Phaser wait-only churners cannot read the plain slots: unlike a
-	// dynamic-barrier churner, a wait-only member does not gate the next
-	// phase, so the permanents' next writes have no happens-before edge to
-	// its reads — a real data race, not just bait. They check the ordering
-	// property through these atomic mirrors instead (value-level teeth
-	// only; the -race teeth for the consumer path live in
-	// TestPhaserPointToPoint, where each slot is written exactly once).
-	mirror := make([]atomic.Int64, cfg.Workers)
-	finalEpoch := int64(2 * cfg.Phases) // the permanents' last phase boundary
-
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
-		go func(id int, h stressBarrier) {
+		go func(id int) {
 			defer wg.Done()
 			r := stressRNG(mix64(cfg.Seed, uint64(id)+1))
 			for p := int64(0); p < int64(cfg.Phases); p++ {
 				r.storm()
 				slots[id] = p + 1 // plain write, ordered only by the barrier
-				mirror[id].Store(p + 1)
 				r.storm()
 				var ph Phase
 				if red != nil {
 					ph = red.ArriveValue(contrib(p, id))
 				} else {
-					ph = h.Arrive()
+					ph = b.Arrive()
 				}
 				arrivals.Add(1)
-				if got := wait(&r, h, ph); red != nil && got != expectFold[p] {
+				if got := wait(&r, ph); red != nil && got != expectFold[p] {
 					reduceBad.Add(1)
 				}
 				// Every permanent member must have written p+1 before any
@@ -299,9 +273,9 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 				}
 				// Close the read window with a second phase so the reads
 				// above are ordered before the next round of writes.
-				ph = h.Arrive()
+				ph = b.Arrive()
 				arrivals.Add(1)
-				if got := wait(&r, h, ph); red != nil && got != identity {
+				if got := wait(&r, ph); red != nil && got != identity {
 					reduceBad.Add(1)
 				}
 			}
@@ -309,21 +283,7 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 				dyn.ArriveAndLeave()
 				arrivals.Add(1)
 			}
-		}(w, hs[w])
-	}
-	// checkSlots checks what a churner reads, through load, once its
-	// ticket for phase e is released: the permanents write before even
-	// phases and read back before odd ones close the window, so at an even
-	// e every slot holds e/2+1 (capped at Phases).
-	checkSlots := func(e int64, load func(j int) int64) {
-		if e%2 != 0 {
-			return
-		}
-		for j := 0; j < cfg.Workers; j++ {
-			if load(j) < min(e/2+1, int64(cfg.Phases)) {
-				stale.Add(1)
-			}
-		}
+		}(w)
 	}
 	for c := 0; c < cfg.Churners; c++ {
 		wg.Add(1)
@@ -333,52 +293,28 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 			for round := 0; round < churnRounds; round++ {
 				r.storm()
 				ride := 1 + r.next()&3
-				switch {
-				case phs == nil:
-					// A dynamic-barrier churner is an ordinary member for a
-					// few phases. It reads the slots only on even tickets: on
-					// odd ones the permanents' next writes race with it. The
-					// ticket is exact because Arrive reads the epoch under
-					// the mutex that counts the arrival.
-					dyn.Register()
-					for p := uint64(0); p < ride; p++ {
-						slots[cfg.Workers+id]++ // plain write on the churner's own slot
-						ph := dyn.Arrive()
-						arrivals.Add(1)
-						wait(&r, b, ph)
-						checkSlots(ph.epoch, func(j int) int64 { return slots[j] })
-					}
-					dyn.ArriveAndLeave()
+				// A churner is an ordinary member for a few phases. It
+				// reads the slots only on even tickets: on odd ones the
+				// permanents' next writes race with it. The ticket is exact
+				// because Arrive reads the epoch under the mutex that
+				// counts the arrival. The permanents write before even
+				// phases and read back before odd ones close the window, so
+				// at an even epoch e every slot holds e/2+1 (capped at
+				// Phases).
+				dyn.Register()
+				for p := uint64(0); p < ride; p++ {
+					slots[cfg.Workers+id]++ // plain write on the churner's own slot
+					ph := dyn.Arrive()
 					arrivals.Add(1)
-				case r.next()&1 == 0:
-					// Signal-only producer: gates phases while registered,
-					// may run ahead of the group, never waits.
-					m := phs.Register(SignalOnly)
-					for p := uint64(0); p < ride; p++ {
-						slots[cfg.Workers+id]++ // plain write on the churner's own slot
-						m.Arrive()
-						arrivals.Add(1)
-						r.storm()
-					}
-					m.Deregister()
-				default:
-					// Wait-only consumer: observes phase boundaries without
-					// gating them, on the mirrors. A ticket at or past the
-					// permanents' final phase would only be released by the
-					// drain publish, which happens after every churner has
-					// exited — waiting on it would deadlock the drain.
-					m := phs.Register(WaitOnly)
-					for p := uint64(0); p < ride; p++ {
-						ph := m.Arrive()
-						arrivals.Add(1)
-						if ph.epoch < finalEpoch {
-							wait(&r, phaserHandle{m}, ph)
-							checkSlots(ph.epoch, func(j int) int64 { return mirror[j].Load() })
+					wait(&r, ph)
+					for j := 0; j < cfg.Workers && ph.epoch%2 == 0; j++ {
+						if slots[j] < min(ph.epoch/2+1, int64(cfg.Phases)) {
+							stale.Add(1)
 						}
-						r.storm()
 					}
-					m.Deregister()
 				}
+				dyn.ArriveAndLeave()
+				arrivals.Add(1)
 				churnJoins.Add(1)
 			}
 		}(c)
@@ -388,19 +324,12 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 		return rep, nil
 	}
 
-	if phs != nil {
-		// Permanents leave last; the final Deregister drains the phaser
-		// and publishes the closing episode.
-		for _, h := range hs {
-			h.(phaserHandle).Deregister()
-		}
-	}
-	rep.Stats = hs[0].StatsSnapshot()
-	rep.Epoch = hs[0].Epoch()
+	rep.Stats = b.StatsSnapshot()
+	rep.Epoch = b.Epoch()
 	rep.ChurnJoins = churnJoins.Load()
 	rep.Arrivals = arrivals.Load()
 	rep.Waits = waits.Load()
-	rep.check(dyn, phs, stale.Load(), reduceBad.Load())
+	rep.check(dyn, stale.Load(), reduceBad.Load())
 	return rep, nil
 }
 
@@ -408,7 +337,7 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 // own accounting and the stats invariants, given the slot reads that saw
 // a pre-arrival value and the reduce results that differed from the
 // serial fold.
-func (rep *StressReport) check(dyn *DynamicBarrier, phs *Phaser, stale, reduceBad int64) {
+func (rep *StressReport) check(dyn *DynamicBarrier, stale, reduceBad int64) {
 	cfg, s := rep.Config, rep.Stats
 	if stale > 0 {
 		rep.violatef("%d stale slot reads: some Wait returned before every member arrived", stale)
@@ -446,16 +375,6 @@ func (rep *StressReport) check(dyn *DynamicBarrier, phs *Phaser, stale, reduceBa
 		}
 		if want := int64(2 * cfg.Phases); rep.Epoch < want {
 			rep.violatef("epoch = %d, want >= %d", rep.Epoch, want)
-		}
-	case phs != nil:
-		if m := phs.Members(); m != 0 {
-			rep.violatef("phaser members after drain = %d, want 0", m)
-		}
-		// The permanents' signals complete exactly 2*Phases phases (the
-		// transient signalers never lag past their deregistration), and
-		// the drain publishes exactly one more.
-		if want := int64(2*cfg.Phases) + 1; rep.Epoch != want {
-			rep.violatef("epoch = %d, want %d", rep.Epoch, want)
 		}
 	default:
 		// Fixed membership: exactly 2 phases per logical phase, every

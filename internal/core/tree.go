@@ -103,9 +103,6 @@ func (t *combTree) grow(n int, claimed bool) (base, nLeaves, root int) {
 // N returns the number of participants.
 func (t *combTree) N() int { return t.n }
 
-// Radix returns the combining fan-in.
-func (t *combTree) Radix() int { return t.radix }
-
 // Leaves returns the number of leaf counters participants arrive on.
 func (t *combTree) Leaves() int { return t.nLeaves }
 

@@ -48,8 +48,8 @@ func TestTreeBarrierShape(t *testing.T) {
 				t.Errorf("Tree(%d,r%d): node %d quota %d, children %d", c.n, c.radix, p, b.nodes[p].quota, got)
 			}
 		}
-		if b.N() != c.n || b.Radix() != c.radix {
-			t.Errorf("Tree(%d,r%d): N/Radix = %d/%d", c.n, c.radix, b.N(), b.Radix())
+		if b.N() != c.n || b.radix != c.radix {
+			t.Errorf("Tree(%d,r%d): N/Radix = %d/%d", c.n, c.radix, b.N(), b.radix)
 		}
 	}
 }

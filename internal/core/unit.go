@@ -45,10 +45,7 @@ type Unit struct {
 	mask  Mask
 	ready bool // the broadcast line: raised while ready-to-synchronize
 
-	// Statistics.
-	syncs       int64 // barrier synchronizations this unit participated in
-	stallCycles int64 // cycles spent in StateStalled
-	regionLens  int64 // barrier-region instructions executed (for averages)
+	syncs int64 // barrier synchronizations this unit participated in
 }
 
 // NewUnit returns a barrier unit for processor id with an empty (non
@@ -56,9 +53,6 @@ type Unit struct {
 func NewUnit(id int) *Unit {
 	return &Unit{id: id, tag: TagNone}
 }
-
-// ID returns the processor number this unit belongs to.
-func (u *Unit) ID() int { return u.id }
 
 // State returns the current state.
 func (u *Unit) State() State { return u.state }
@@ -71,13 +65,6 @@ func (u *Unit) Tag() Tag { return u.tag }
 
 // Syncs returns how many synchronizations this unit has completed.
 func (u *Unit) Syncs() int64 { return u.syncs }
-
-// StallCycles returns the cycles this unit has spent stalled.
-func (u *Unit) StallCycles() int64 { return u.stallCycles }
-
-// BarrierInstrs returns how many barrier-region instructions the owning
-// processor has executed (maintained via NoteBarrierInstr).
-func (u *Unit) BarrierInstrs() int64 { return u.regionLens }
 
 // SetBarrier loads the tag and mask register. This models the BARRIER
 // instruction — the single overhead instruction needed to initialize a
@@ -107,22 +94,6 @@ func (u *Unit) EnterBarrier() {
 	}
 	u.state = StateInBarrier
 	u.ready = true
-}
-
-// NoteBarrierInstr records that one barrier-region instruction was
-// executed (statistics only).
-func (u *Unit) NoteBarrierInstr() { u.regionLens++ }
-
-// NoteStallCycle records one stalled cycle (statistics only).
-func (u *Unit) NoteStallCycle() { u.stallCycles++ }
-
-// NoteStallCycles records n stalled cycles at once — the bulk form used
-// by the simulator's fast-forward path, equivalent to n NoteStallCycle
-// calls.
-func (u *Unit) NoteStallCycles(n int64) {
-	if n > 0 {
-		u.stallCycles += n
-	}
 }
 
 // TryCross asks whether the processor may execute a non-barrier
@@ -161,7 +132,7 @@ func (u *Unit) setSynced() {
 }
 
 // Network connects the barrier units of all processors. Every cycle the
-// simulator calls Step, which evaluates the synchronization condition for
+// simulator calls StepCollect, which evaluates the synchronization condition for
 // each unit from the currently broadcast ready lines and tags. Because the
 // evaluation uses a snapshot of the lines, all participating units observe
 // a synchronization in the same cycle.
@@ -188,22 +159,16 @@ func (n *Network) Size() int { return len(n.units) }
 // Unit returns processor i's barrier unit.
 func (n *Network) Unit(i int) *Unit { return n.units[i] }
 
-// Step evaluates the synchronization condition for every unit:
+// StepCollect evaluates the synchronization condition for every unit:
 //
 //	synced(i) ⇔ ready(i) ∧ ∀j ∈ mask(i): ready(j) ∧ tag(j) == tag(i)
 //
 // and moves units whose condition holds into StateSynced. The condition is
 // evaluated for all units against the same snapshot before any state
-// changes, mirroring simultaneous hardware detection.
-func (n *Network) Step() {
-	n.StepCollect(nil)
-}
-
-// StepCollect is Step with an allocation-free result: the ids of the
-// units that transitioned to StateSynced this step are appended to fired
-// (usually a reused buffer sliced to length zero) and returned. The
-// cycle-level simulator uses this on its hot path instead of
-// snapshotting every unit's state before and after Step.
+// changes, mirroring simultaneous hardware detection. The ids of the
+// units that synchronized are appended to fired (usually a reused buffer
+// sliced to length zero) and returned, so the cycle-level simulator's hot
+// path allocates nothing.
 func (n *Network) StepCollect(fired []int) []int {
 	start := len(fired)
 	for _, u := range n.units {
@@ -226,71 +191,6 @@ func (n *Network) conditionHolds(u *Unit) bool {
 			continue
 		}
 		if !v.ready || v.tag != u.tag {
-			return false
-		}
-	}
-	return true
-}
-
-// Deadlocked reports whether the network is in an unrecoverable state:
-// every unit in a barrier state is stalled and no unit's condition holds.
-// The caller supplies halted, indicating processors that have terminated;
-// a stalled unit waiting on a halted partner can never synchronize.
-func (n *Network) Deadlocked(halted func(p int) bool) bool {
-	anyStalled := false
-	for _, u := range n.units {
-		switch u.state {
-		case StateStalled:
-			anyStalled = true
-		case StateInBarrier, StateSynced:
-			// A unit still executing region code may yet drop its line or
-			// cross; not necessarily stuck.
-			if !halted(u.id) {
-				return false
-			}
-		}
-	}
-	if !anyStalled {
-		return false
-	}
-	for _, u := range n.units {
-		if u.state != StateStalled {
-			continue
-		}
-		// Could this unit ever synchronize? Only if every masked partner
-		// that is required is still able to raise a matching line.
-		possible := true
-		for j := range n.units {
-			if j == u.id || !u.mask.Has(j) {
-				continue
-			}
-			v := n.units[j]
-			if halted(j) && (!v.ready || v.tag != u.tag) {
-				possible = false
-				break
-			}
-		}
-		if possible && !n.conditionHolds(u) {
-			// Partners alive but not ready yet: if every live partner is
-			// itself stalled on a condition that fails, the whole set is
-			// stuck; detecting the general case needs a reachability
-			// argument, so be conservative: report deadlock only when all
-			// non-halted units are stalled and nothing fired this cycle.
-			continue
-		}
-		if !possible {
-			return true
-		}
-	}
-	// All units halted or stalled, and Step produced no progress.
-	for _, u := range n.units {
-		if halted(u.id) {
-			continue
-		}
-		if u.state != StateStalled {
-			return false
-		}
-		if n.conditionHolds(u) {
 			return false
 		}
 	}

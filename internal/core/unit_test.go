@@ -7,13 +7,10 @@ import (
 )
 
 // drive is a tiny helper: step the network once.
-func drive(n *Network) { n.Step() }
+func drive(n *Network) { n.StepCollect(nil) }
 
 func TestUnitInitialState(t *testing.T) {
 	u := NewUnit(3)
-	if u.ID() != 3 {
-		t.Errorf("ID = %d, want 3", u.ID())
-	}
 	if u.State() != StateNonBarrier {
 		t.Errorf("state = %v, want non-barrier", u.State())
 	}
@@ -38,13 +35,13 @@ func TestUnitNonParticipantNeverStalls(t *testing.T) {
 }
 
 // unitStep is one step of a two-unit script: do is "enter a" (EnterBarrier),
-// "cross a" (TryCross, whose result is checked), "stall a" (NoteStallCycle)
-// or "drive" (one network Step); want is the rendered state after it.
+// "cross a" (TryCross, whose result is checked) or "drive" (one network
+// step); want is the rendered state after it.
 type unitStep struct{ do, want string }
 
 // runUnitScript runs a script over two units a and b that synchronize with
 // each other on tag 1. After every step it checks both states, both ready
-// lines, both sync counts and a's stall cycles.
+// lines and both sync counts.
 func runUnitScript(t *testing.T, script []unitStep) {
 	t.Helper()
 	n := NewNetwork(2)
@@ -59,13 +56,11 @@ func runUnitScript(t *testing.T, script []unitStep) {
 			units[who].EnterBarrier()
 		case "cross":
 			got = fmt.Sprintf("crossed=%v ", units[who].TryCross())
-		case "stall":
-			units[who].NoteStallCycle()
 		case "drive":
 			drive(n)
 		}
-		got += fmt.Sprintf("a=%v b=%v ready=%v/%v syncs=%d/%d stalls=%d",
-			a.State(), b.State(), a.Ready(), b.Ready(), a.Syncs(), b.Syncs(), a.StallCycles())
+		got += fmt.Sprintf("a=%v b=%v ready=%v/%v syncs=%d/%d",
+			a.State(), b.State(), a.Ready(), b.Ready(), a.Syncs(), b.Syncs())
 		if got != s.want {
 			t.Fatalf("step %d (%s):\n got %s\nwant %s", i, s.do, got, s.want)
 		}
@@ -76,13 +71,13 @@ func runUnitScript(t *testing.T, script []unitStep) {
 // becomes ready.
 func TestTwoUnitSyncHandshake(t *testing.T) {
 	runUnitScript(t, []unitStep{
-		{"enter a", "a=in-barrier b=non-barrier ready=true/false syncs=0/0 stalls=0"},
-		{"drive", "a=in-barrier b=non-barrier ready=true/false syncs=0/0 stalls=0"},
-		{"cross a", "crossed=false a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=0"},
-		{"enter b", "a=stalled b=in-barrier ready=true/true syncs=0/0 stalls=0"},
-		{"drive", "a=synced b=synced ready=false/false syncs=1/1 stalls=0"},
-		{"cross a", "crossed=true a=non-barrier b=synced ready=false/false syncs=1/1 stalls=0"},
-		{"cross b", "crossed=true a=non-barrier b=non-barrier ready=false/false syncs=1/1 stalls=0"},
+		{"enter a", "a=in-barrier b=non-barrier ready=true/false syncs=0/0"},
+		{"drive", "a=in-barrier b=non-barrier ready=true/false syncs=0/0"},
+		{"cross a", "crossed=false a=stalled b=non-barrier ready=true/false syncs=0/0"},
+		{"enter b", "a=stalled b=in-barrier ready=true/true syncs=0/0"},
+		{"drive", "a=synced b=synced ready=false/false syncs=1/1"},
+		{"cross a", "crossed=true a=non-barrier b=synced ready=false/false syncs=1/1"},
+		{"cross b", "crossed=true a=non-barrier b=non-barrier ready=false/false syncs=1/1"},
 	})
 }
 
@@ -91,15 +86,15 @@ func TestTwoUnitSyncHandshake(t *testing.T) {
 // re-arriving at the next barrier does not match its partner's stale line.
 func TestSyncConsumesReadyLine(t *testing.T) {
 	runUnitScript(t, []unitStep{
-		{"enter a", "a=in-barrier b=non-barrier ready=true/false syncs=0/0 stalls=0"},
-		{"enter b", "a=in-barrier b=in-barrier ready=true/true syncs=0/0 stalls=0"},
-		{"drive", "a=synced b=synced ready=false/false syncs=1/1 stalls=0"},
-		{"cross a", "crossed=true a=non-barrier b=synced ready=false/false syncs=1/1 stalls=0"},
-		{"enter a", "a=in-barrier b=synced ready=true/false syncs=1/1 stalls=0"},
-		{"drive", "a=in-barrier b=synced ready=true/false syncs=1/1 stalls=0"},
-		{"cross b", "crossed=true a=in-barrier b=non-barrier ready=true/false syncs=1/1 stalls=0"},
-		{"enter b", "a=in-barrier b=in-barrier ready=true/true syncs=1/1 stalls=0"},
-		{"drive", "a=synced b=synced ready=false/false syncs=2/2 stalls=0"},
+		{"enter a", "a=in-barrier b=non-barrier ready=true/false syncs=0/0"},
+		{"enter b", "a=in-barrier b=in-barrier ready=true/true syncs=0/0"},
+		{"drive", "a=synced b=synced ready=false/false syncs=1/1"},
+		{"cross a", "crossed=true a=non-barrier b=synced ready=false/false syncs=1/1"},
+		{"enter a", "a=in-barrier b=synced ready=true/false syncs=1/1"},
+		{"drive", "a=in-barrier b=synced ready=true/false syncs=1/1"},
+		{"cross b", "crossed=true a=in-barrier b=non-barrier ready=true/false syncs=1/1"},
+		{"enter b", "a=in-barrier b=in-barrier ready=true/true syncs=1/1"},
+		{"drive", "a=synced b=synced ready=false/false syncs=2/2"},
 	})
 }
 
@@ -107,17 +102,14 @@ func TestSyncConsumesReadyLine(t *testing.T) {
 // once its partner arrives, and then crosses.
 func TestStalledUnitSyncsLater(t *testing.T) {
 	runUnitScript(t, []unitStep{
-		{"enter a", "a=in-barrier b=non-barrier ready=true/false syncs=0/0 stalls=0"},
-		{"cross a", "crossed=false a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=0"},
-		{"stall a", "a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=1"},
-		{"drive", "a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=1"},
-		{"stall a", "a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=2"},
-		{"drive", "a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=2"},
-		{"stall a", "a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=3"},
-		{"drive", "a=stalled b=non-barrier ready=true/false syncs=0/0 stalls=3"},
-		{"enter b", "a=stalled b=in-barrier ready=true/true syncs=0/0 stalls=3"},
-		{"drive", "a=synced b=synced ready=false/false syncs=1/1 stalls=3"},
-		{"cross a", "crossed=true a=non-barrier b=synced ready=false/false syncs=1/1 stalls=3"},
+		{"enter a", "a=in-barrier b=non-barrier ready=true/false syncs=0/0"},
+		{"cross a", "crossed=false a=stalled b=non-barrier ready=true/false syncs=0/0"},
+		{"drive", "a=stalled b=non-barrier ready=true/false syncs=0/0"},
+		{"drive", "a=stalled b=non-barrier ready=true/false syncs=0/0"},
+		{"drive", "a=stalled b=non-barrier ready=true/false syncs=0/0"},
+		{"enter b", "a=stalled b=in-barrier ready=true/true syncs=0/0"},
+		{"drive", "a=synced b=synced ready=false/false syncs=1/1"},
+		{"cross a", "crossed=true a=non-barrier b=synced ready=false/false syncs=1/1"},
 	})
 }
 
@@ -194,24 +186,6 @@ func TestNetworkSimultaneousDiscovery(t *testing.T) {
 	}
 }
 
-func TestDeadlockedDetection(t *testing.T) {
-	n := NewNetwork(2)
-	a, b := n.Unit(0), n.Unit(1)
-	a.SetBarrier(1, MaskOf(1))
-	b.SetBarrier(1, MaskOf(0))
-	halted := func(p int) bool { return p == 1 } // partner halted, never ready
-	a.EnterBarrier()
-	a.TryCross() // stall
-	drive(n)
-	if !n.Deadlocked(halted) {
-		t.Error("stalled unit with halted partner must be deadlocked")
-	}
-	// Live partner: not deadlocked.
-	if n.Deadlocked(func(int) bool { return false }) {
-		t.Error("live partner still running: not a deadlock")
-	}
-}
-
 func TestNetworkSizeBounds(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -240,15 +214,12 @@ func TestMaskHelpers(t *testing.T) {
 	if !m.Has(0) || !m.Has(2) || !m.Has(5) || m.Has(1) {
 		t.Errorf("MaskOf bits wrong: %b", m)
 	}
-	if m.Count() != 3 {
-		t.Errorf("Count = %d, want 3", m.Count())
-	}
 	ae := AllExcept(4, 2)
 	if ae.Has(2) {
 		t.Error("AllExcept includes self")
 	}
-	if ae.Count() != 3 {
-		t.Errorf("AllExcept(4,2).Count = %d, want 3", ae.Count())
+	if ae != MaskOf(0, 1, 3) {
+		t.Errorf("AllExcept(4,2) = %b, want %b", ae, MaskOf(0, 1, 3))
 	}
 }
 
@@ -296,7 +267,6 @@ func TestNetworkRandomScheduleProperty(t *testing.T) {
 					st.phase = 1
 				case 1:
 					if st.steps > 0 {
-						net.Unit(i).NoteBarrierInstr()
 						st.steps--
 					} else {
 						st.phase = 2
@@ -309,7 +279,7 @@ func TestNetworkRandomScheduleProperty(t *testing.T) {
 					}
 				}
 			}
-			net.Step()
+			drive(net)
 			if allDone {
 				break
 			}

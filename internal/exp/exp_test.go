@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"fuzzybarrier/internal/trace"
 )
 
 // TestAllExperimentsRun executes every experiment and sanity-checks the
@@ -19,7 +21,7 @@ func TestAllExperimentsRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s failed: %v", e.ID, err)
 			}
-			if tbl.NumRows() == 0 {
+			if len(tbl.Rows) == 0 {
 				t.Fatalf("%s produced no rows", e.ID)
 			}
 			out := tbl.String()
@@ -42,9 +44,9 @@ func TestByID(t *testing.T) {
 	}
 }
 
-func cell(t *testing.T, tbl interface{ Rows() [][]string }, row, col int) float64 {
+func cell(t *testing.T, tbl *trace.Table, row, col int) float64 {
 	t.Helper()
-	rows := tbl.Rows()
+	rows := tbl.Rows
 	if row >= len(rows) || col >= len(rows[row]) {
 		t.Fatalf("cell (%d,%d) out of range", row, col)
 	}
@@ -64,7 +66,7 @@ func TestE1OverheadDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := cell(t, tbl, 0, 4)
-	last := cell(t, tbl, tbl.NumRows()-1, 4)
+	last := cell(t, tbl, len(tbl.Rows)-1, 4)
 	if first < 1 {
 		t.Fatalf("zero-region overhead %v implausibly low", first)
 	}
@@ -82,7 +84,7 @@ func TestE2ScalingShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rows come in (central, dissem, fuzzy) triples for P = 2,4,8,16.
-	rows := tbl.NumRows()
+	rows := len(tbl.Rows)
 	if rows != 12 {
 		t.Fatalf("rows = %d, want 12", rows)
 	}
@@ -134,7 +136,7 @@ func TestE5FuzzyIfBeatsPoint(t *testing.T) {
 	}
 	// Rows come in (point, fuzzy) pairs per spread; compare the most
 	// unequal spread (last pair).
-	n := tbl.NumRows()
+	n := len(tbl.Rows)
 	point := cell(t, tbl, n-2, 2)
 	fuzzy := cell(t, tbl, n-1, 2)
 	if fuzzy*2 > point {
@@ -182,7 +184,7 @@ func TestE10LargeRegionsNearlyEliminateStalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := cell(t, tbl, 0, 1)
-	last := cell(t, tbl, tbl.NumRows()-1, 1)
+	last := cell(t, tbl, len(tbl.Rows)-1, 1)
 	if first < 5 {
 		t.Fatalf("zero-region stalls/iter = %v, implausibly low", first)
 	}
@@ -260,7 +262,7 @@ func TestE6ReorderToleratesDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := tbl.Rows()
+	rows := tbl.Rows
 	// Rows alternate point/reorder per drift level; skip the drift-free
 	// pair (index 0,1).
 	for i := 2; i+1 < len(rows); i += 2 {
@@ -279,7 +281,7 @@ func TestE11BoundHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, row := range tbl.Rows() {
+	for i, row := range tbl.Rows {
 		if row[4] != "true" {
 			t.Errorf("row %d (%v): bound violated", i, row)
 		}
@@ -320,11 +322,11 @@ func TestE15RegionAbsorbsClusterSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	per := len(e15Regions)
-	if tbl.NumRows()%per != 0 {
-		t.Fatalf("row count %d not a multiple of the region sweep %d", tbl.NumRows(), per)
+	if len(tbl.Rows)%per != 0 {
+		t.Fatalf("row count %d not a multiple of the region sweep %d", len(tbl.Rows), per)
 	}
-	for s := 0; s < tbl.NumRows(); s += per {
-		label := tbl.Rows()[s][0] + "/" + tbl.Rows()[s][1]
+	for s := 0; s < len(tbl.Rows); s += per {
+		label := tbl.Rows[s][0] + "/" + tbl.Rows[s][1]
 		crisp := cell(t, tbl, s, 4)
 		fuzzy := cell(t, tbl, s+per-1, 4)
 		if crisp < float64(e15Latency) {
@@ -346,8 +348,8 @@ func TestE18ReduceDeHotspots(t *testing.T) {
 		t.Fatal(err)
 	}
 	nN := len(e18N)
-	if tbl.NumRows() != len(e18Strategies)*nN {
-		t.Fatalf("rows = %d, want %d", tbl.NumRows(), len(e18Strategies)*nN)
+	if len(tbl.Rows) != len(e18Strategies)*nN {
+		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(e18Strategies)*nN)
 	}
 	// Rows are strategy-major in e18Strategies order; hotspot is column 5.
 	central := func(i int) float64 { return cell(t, tbl, i, 5) }
@@ -386,7 +388,7 @@ func TestE19TablePinned(t *testing.T) {
 		{"200", "195.2", "47.0", "125.6", "59", "216"},
 		{"400", "388.7", "46.5", "130.5", "65", "216"},
 	}
-	if got := tbl.Rows(); !reflect.DeepEqual(got, want) {
+	if got := tbl.Rows; !reflect.DeepEqual(got, want) {
 		t.Errorf("E19 rows moved:\n got %v\nwant %v", got, want)
 	}
 }

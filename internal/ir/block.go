@@ -31,17 +31,6 @@ func (b Block) String() string {
 	return sb.String()
 }
 
-// MarkedCount returns the number of marked instructions.
-func (b Block) MarkedCount() int {
-	n := 0
-	for _, in := range b {
-		if in.Marked {
-			n++
-		}
-	}
-	return n
-}
-
 // Program is a complete TAC instruction sequence with labels.
 type Program struct {
 	Name string
@@ -112,38 +101,13 @@ func (p *Program) Stats() RegionStats {
 	return s
 }
 
-// Temps returns the highest temporary number used plus one (the size of
-// the temp space).
-func (p *Program) Temps() int {
-	max := -1
-	scan := func(o Operand) {
-		if o.Kind == KindTemp && o.ID > max {
-			max = o.ID
-		}
-	}
-	for _, in := range p.Code {
-		scan(in.Dst)
-		scan(in.A)
-		scan(in.B)
-	}
-	return max + 1
-}
-
 // Vars returns the distinct scalar variable names referenced, in first-use
 // order.
-func (p *Program) Vars() []string { return p.names(KindVar) }
-
-// Bases returns the distinct array base symbols referenced, in first-use
-// order.
-func (p *Program) Bases() []string { return p.names(KindBase) }
-
-// names returns the distinct names of the operands of kind k, in
-// first-use order.
-func (p *Program) names(k OperandKind) []string {
+func (p *Program) Vars() []string {
 	seen := make(map[string]bool)
 	var out []string
 	scan := func(o Operand) {
-		if o.Kind == k && !seen[o.Name] {
+		if o.Kind == KindVar && !seen[o.Name] {
 			seen[o.Name] = true
 			out = append(out, o.Name)
 		}

@@ -43,9 +43,6 @@ func Const(v int64) Operand { return Operand{Kind: KindConst, Val: v} }
 // Base returns an array base-address operand.
 func Base(name string) Operand { return Operand{Kind: KindBase, Name: name} }
 
-// IsZero reports whether the operand is unset.
-func (o Operand) IsZero() bool { return o.Kind == KindNone }
-
 // String renders the operand in the paper's notation.
 func (o Operand) String() string {
 	switch o.Kind {

@@ -19,12 +19,6 @@ func TestOperandStrings(t *testing.T) {
 			t.Errorf("%+v.String() = %q, want %q", op, got, want)
 		}
 	}
-	if !(Operand{}).IsZero() {
-		t.Error("zero operand not IsZero")
-	}
-	if Temp(0).IsZero() {
-		t.Error("T0 reported zero")
-	}
 }
 
 func TestInstrStringsPaperStyle(t *testing.T) {
@@ -137,24 +131,9 @@ func TestProgramStatsAndRendering(t *testing.T) {
 			t.Errorf("rendering missing %q:\n%s", want, out)
 		}
 	}
-	if p.Temps() != 10 {
-		t.Errorf("temps = %d, want 10 (T9 is max)", p.Temps())
-	}
 	vars := p.Vars()
 	if len(vars) != 1 || vars[0] != "k" {
 		t.Errorf("vars = %v", vars)
-	}
-}
-
-func TestProgramBases(t *testing.T) {
-	p := &Program{Code: []Instr{
-		{Op: Add, Dst: Temp(0), A: Temp(1), B: Base("P")},
-		{Op: Add, Dst: Temp(2), A: Temp(3), B: Base("Q")},
-		{Op: Add, Dst: Temp(4), A: Temp(5), B: Base("P")},
-	}}
-	bases := p.Bases()
-	if len(bases) != 2 || bases[0] != "P" || bases[1] != "Q" {
-		t.Errorf("bases = %v", bases)
 	}
 }
 
@@ -183,16 +162,5 @@ func TestUsesNeverContainConstants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMarkedCount(t *testing.T) {
-	b := Block{
-		{Op: Load, Dst: Temp(0), A: Temp(1), Marked: true},
-		{Op: Add, Dst: Temp(2), A: Temp(0), B: Const(1)},
-		{Op: Store, Dst: Temp(1), B: Temp(2), Marked: true},
-	}
-	if got := b.MarkedCount(); got != 2 {
-		t.Errorf("marked = %d, want 2", got)
 	}
 }

@@ -32,9 +32,8 @@ func TestAssembleSample(t *testing.T) {
 	if err := p.Validate(false); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
-	addr, ok := p.LabelAddr("loop")
-	if !ok || addr != 3 {
-		t.Fatalf("loop at %d (ok=%v), want 3", addr, ok)
+	if p.Code[5].Target != 3 {
+		t.Fatalf("BLT to loop targets %d, want 3", p.Code[5].Target)
 	}
 	if !p.Code[4].Barrier || p.Code[3].Barrier {
 		t.Errorf("barrier bits wrong: %v %v", p.Code[3], p.Code[4])

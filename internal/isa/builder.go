@@ -212,11 +212,7 @@ func (b *Builder) Build() (*Program, error) {
 			code[i].Target = addr
 		}
 	}
-	labels := make(map[string]int, len(b.labels))
-	for k, v := range b.labels {
-		labels[k] = v
-	}
-	return &Program{Name: b.name, Mode: b.mode, Code: code, labels: labels}, nil
+	return &Program{Name: b.name, Mode: b.mode, Code: code}, nil
 }
 
 // MustBuild is Build that panics on error; intended for statically known

@@ -58,7 +58,6 @@ func FuzzValidate(f *testing.F) {
 		_ = p.Validate(false) // must not panic
 		_ = p.Validate(true)
 		_ = p.Regions()
-		_ = p.StaticStats()
 		if strings.Contains(p.Disassemble(), "\x00") {
 			t.Skip()
 		}

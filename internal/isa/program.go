@@ -32,20 +32,13 @@ func (m Mode) String() string {
 // Program is a fully resolved instruction sequence for one processor
 // stream.
 type Program struct {
-	Name   string
-	Mode   Mode
-	Code   []Instr
-	labels map[string]int
+	Name string
+	Mode Mode
+	Code []Instr
 }
 
 // Len returns the number of instructions.
 func (p *Program) Len() int { return len(p.Code) }
-
-// LabelAddr returns the instruction index of a label.
-func (p *Program) LabelAddr(label string) (int, bool) {
-	addr, ok := p.labels[label]
-	return addr, ok
-}
 
 // Region identifies a maximal contiguous run of barrier (or non-barrier)
 // instructions in a program, in static program order. Branches can make the
@@ -219,33 +212,4 @@ func (p *Program) Disassemble() string {
 		fmt.Fprintf(&b, "%4d    %s\n", i, in.String())
 	}
 	return b.String()
-}
-
-// Stats summarizes the static region structure of a program.
-type Stats struct {
-	Instructions      int
-	BarrierRegions    int
-	NonBarrierRegions int
-	BarrierInstrs     int
-	NonBarrierInstrs  int
-	LargestBarrier    int
-}
-
-// StaticStats computes region statistics for the program.
-func (p *Program) StaticStats() Stats {
-	var s Stats
-	s.Instructions = len(p.Code)
-	for _, r := range p.Regions() {
-		if r.Barrier {
-			s.BarrierRegions++
-			s.BarrierInstrs += r.Len()
-			if r.Len() > s.LargestBarrier {
-				s.LargestBarrier = r.Len()
-			}
-		} else {
-			s.NonBarrierRegions++
-			s.NonBarrierInstrs += r.Len()
-		}
-	}
-	return s
 }

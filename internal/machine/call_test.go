@@ -27,7 +27,7 @@ func TestCallRetBasics(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Mem().MustPeek(90); got != 20 {
+	if got := mustPeek(m.Mem(), 90); got != 20 {
 		t.Errorf("mem[90] = %d, want 20", got)
 	}
 }
@@ -46,7 +46,7 @@ func TestNestedCalls(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Mem().MustPeek(91); got != 102 {
+	if got := mustPeek(m.Mem(), 91); got != 102 {
 		t.Errorf("mem[91] = %d, want 102", got)
 	}
 }

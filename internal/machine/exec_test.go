@@ -49,7 +49,7 @@ func TestALUOpcodes(t *testing.T) {
 			b.Ldi(1, c.a).Ldi(2, c.b).Alu(c.op, 3, 1, 2).
 				Ldi(4, 50).St(4, 0, 3).Halt()
 			m, _ := runOne(t, b)
-			if got := m.Mem().MustPeek(50); got != c.want {
+			if got := mustPeek(m.Mem(), 50); got != c.want {
 				t.Errorf("%d %v %d = %d, want %d", c.a, c.op, c.b, got, c.want)
 			}
 		})
@@ -75,7 +75,7 @@ func TestImmediateOpcodes(t *testing.T) {
 			b.Ldi(1, c.a).AluI(c.op, 3, 1, c.imm).
 				Ldi(4, 50).St(4, 0, 3).Halt()
 			m, _ := runOne(t, b)
-			if got := m.Mem().MustPeek(50); got != c.want {
+			if got := mustPeek(m.Mem(), 50); got != c.want {
 				t.Errorf("got %d, want %d", got, c.want)
 			}
 		})
@@ -104,7 +104,7 @@ func TestBranchOpcodes(t *testing.T) {
 		b.Label("taken").Ldi(3, 1)
 		b.Label("store").Ldi(4, 60).St(4, 0, 3).Halt()
 		m, _ := runOne(t, b)
-		got := m.Mem().MustPeek(60) == 1
+		got := mustPeek(m.Mem(), 60) == 1
 		if got != c.taken {
 			t.Errorf("%v %d,%d taken = %v, want %v", c.op, c.a, c.b, got, c.taken)
 		}
@@ -145,8 +145,8 @@ func TestFAASequence(t *testing.T) {
 			Ldi(6, 102).St(6, 0, 4). // mem[102] = 5
 			Halt()
 	m, _ := runOne(t, b)
-	if m.Mem().MustPeek(100) != 10 || m.Mem().MustPeek(101) != 0 || m.Mem().MustPeek(102) != 5 {
-		t.Errorf("faa results: %d %d %d", m.Mem().MustPeek(100), m.Mem().MustPeek(101), m.Mem().MustPeek(102))
+	if mustPeek(m.Mem(), 100) != 10 || mustPeek(m.Mem(), 101) != 0 || mustPeek(m.Mem(), 102) != 5 {
+		t.Errorf("faa results: %d %d %d", mustPeek(m.Mem(), 100), mustPeek(m.Mem(), 101), mustPeek(m.Mem(), 102))
 	}
 }
 
@@ -215,30 +215,6 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if err := m.Load(0, nil); err == nil {
 		t.Error("nil program accepted")
-	}
-	if err := m.SetReg(0, 200, 1); err == nil {
-		t.Error("bad register accepted")
-	}
-	if err := m.SetReg(9, 1, 1); err == nil {
-		t.Error("bad processor accepted in SetReg")
-	}
-}
-
-func TestSetRegPresetsParameters(t *testing.T) {
-	b := isa.NewBuilder("param")
-	b.Ldi(2, 70).St(2, 0, 1).Halt() // store r1 (preset) to mem[70]
-	m := New(Config{Procs: 1, Mem: simpleMem(1)})
-	if err := m.Load(0, b.MustBuild()); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetReg(0, 1, 1234); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Mem().MustPeek(70); got != 1234 {
-		t.Errorf("mem[70] = %d, want 1234", got)
 	}
 }
 
@@ -351,7 +327,7 @@ func TestInterruptInjection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		return res.Cycles, res.Procs[0].IrqCycles, m.Mem().MustPeek(80)
+		return res.Cycles, res.Procs[0].IrqCycles, mustPeek(m.Mem(), 80)
 	}
 	quiet, quietIrq, v1 := run(0)
 	noisy, noisyIrq, v2 := run(7)

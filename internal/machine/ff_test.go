@@ -37,7 +37,7 @@ func runOnce(t *testing.T, cfg Config, progs []*isa.Program, naive bool) (res *R
 		t.Fatal(err)
 	}
 	var pb bytes.Buffer
-	for p := 0; p < ph.Procs(); p++ {
+	for p := range progs {
 		for phase := 0; phase < ph.NumPhases(); phase++ {
 			fmt.Fprintf(&pb, "P%d/%d: %v\n", p, phase, ph.ProcCounts(p, phase))
 		}
@@ -86,6 +86,16 @@ func ffMem(procs, words int) mem.Config {
 	return mem.Config{
 		Words: words, Procs: procs,
 		HitLatency: 1, MissLatency: 1, Modules: procs, ModuleBusy: 1,
+	}
+}
+
+// defaultMem is a small, fast memory system: single-cycle hits, 8-cycle
+// misses, 64-line caches, one module per processor.
+func defaultMem(procs, words int) mem.Config {
+	return mem.Config{
+		Words: words, Procs: procs,
+		HitLatency: 1, MissLatency: 8, CacheLines: 64, LineWords: 4,
+		Modules: procs, ModuleBusy: 1,
 	}
 }
 
@@ -162,7 +172,7 @@ func TestFastForwardEquivalenceFeatures(t *testing.T) {
 			}
 			progs[p] = prog
 		}
-		cfg := mem.DefaultConfig(procs, 1024)
+		cfg := defaultMem(procs, 1024)
 		cfg.MissEveryN = 7
 		cfg.ModuleBusy = 3
 		cfg.Modules = 2
@@ -227,7 +237,7 @@ func TestFastForwardEquivalenceRandom(t *testing.T) {
 				cfg.InterruptCost = 5 + rng.IntN(30)
 			}
 			if rng.IntN(2) == 1 {
-				cfg.Mem = mem.DefaultConfig(procs, 512)
+				cfg.Mem = defaultMem(procs, 512)
 				cfg.Mem.MissEveryN = int(3 + rng.IntN(10))
 			}
 			progs := driftProgs(t, procs, iters, body, region, jitter, seed)
@@ -242,7 +252,7 @@ func TestFastForwardEquivalenceRandom(t *testing.T) {
 // by checking the skip produces long uniform lanes (the bulk paths ran,
 // not the per-cycle ones).
 func TestFastForwardActuallySkips(t *testing.T) {
-	progs, err := workload.StallHeavyPrograms(4, 20, 1)
+	progs, err := stallHeavyPrograms(4, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +289,7 @@ func TestFastForwardSpeedupGate(t *testing.T) {
 	run := func(naive bool) time.Duration {
 		best := time.Duration(1<<63 - 1)
 		for r := 0; r < reps; r++ {
-			progs, err := workload.StallHeavyPrograms(8, 200, 42)
+			progs, err := stallHeavyPrograms(8, 200, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,4 +317,29 @@ func TestFastForwardSpeedupGate(t *testing.T) {
 		t.Fatalf("fast-forward speedup regressed to %.2fx (naive=%v fast=%v); the gate requires > 1.2x",
 			speedup, naive, fast)
 	}
+}
+
+// stallHeavyPrograms builds the canonical fast-forward benchmark
+// workload: procs drifting synchronizing loops whose iterations are
+// dominated by long WORK spans and barrier stalls — exactly the cycles
+// the simulator's fast-forward engine skips. The per-processor RNGs are
+// derived from seed, so the same seed reproduces the same programs.
+func stallHeavyPrograms(procs, iters int, seed uint64) ([]*isa.Program, error) {
+	const (
+		base   = 400 // long busy spans: many uneventful cycles per issue
+		jitter = 200 // heavy drift: the slow processor stalls everyone else
+	)
+	progs := make([]*isa.Program, procs)
+	for p := 0; p < procs; p++ {
+		rng := des.NewRNG(seed + uint64(p)*0x9E37 + 1)
+		prog, err := workload.SyncLoop{
+			Self: p, Procs: procs,
+			Work: workload.DriftWork(rng, iters, base, jitter),
+		}.Program()
+		if err != nil {
+			return nil, err
+		}
+		progs[p] = prog
+	}
+	return progs, nil
 }

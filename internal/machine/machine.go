@@ -189,19 +189,6 @@ func (m *Machine) Load(p int, prog *isa.Program) error {
 	return nil
 }
 
-// SetReg presets a register before the run — how per-processor parameters
-// (the l, m of the paper's "Processor P_l,m") are passed in.
-func (m *Machine) SetReg(p int, r isa.Reg, v int64) error {
-	if p < 0 || p >= len(m.procs) {
-		return fmt.Errorf("machine: processor %d out of range [0,%d)", p, len(m.procs))
-	}
-	if r >= isa.NumRegs {
-		return fmt.Errorf("machine: register r%d out of range", r)
-	}
-	m.procs[p].regs[r] = v
-	return nil
-}
-
 // ErrDeadlock is wrapped by Run's error when the machine reaches a state
 // from which no processor can ever make progress — e.g. the Figure 2
 // invalid branch, or a barrier whose partner halted.
@@ -391,7 +378,6 @@ func (m *Machine) fastForward() {
 				m.markN(p.id, trace.KindExec, n)
 			}
 		} else {
-			m.net.Unit(p.id).NoteStallCycles(n)
 			p.stats.StallCycles += n
 			m.markN(p.id, trace.KindStall, n)
 		}
@@ -514,14 +500,12 @@ func (m *Machine) step(p *processor) bool {
 				u.EnterBarrier()
 			}
 		}
-		u.NoteBarrierInstr()
 		m.mark(p.id, trace.KindBarrier)
 	} else {
 		if p.enterAt >= 0 {
 			// The region was shorter than the pipeline: the ready line
 			// has not risen yet, so the processor cannot cross — it must
 			// wait for the delayed line and then for synchronization.
-			u.NoteStallCycle()
 			p.stats.StallCycles++
 			m.mark(p.id, trace.KindStall)
 			return false
@@ -529,7 +513,6 @@ func (m *Machine) step(p *processor) bool {
 		if !u.TryCross() {
 			// End of barrier region reached before synchronization:
 			// stall (Section 2's Condition for Stalling).
-			u.NoteStallCycle()
 			p.stats.StallCycles++
 			m.mark(p.id, trace.KindStall)
 			return false
@@ -551,9 +534,6 @@ func (m *Machine) step(p *processor) bool {
 		next := p.code[p.pc]
 		if p.flags[p.pc]&flagBundleable == 0 || m.instrInBarrier(p, p.pc) != inBarrier {
 			break
-		}
-		if inBarrier {
-			m.net.Unit(p.id).NoteBarrierInstr()
 		}
 		m.execute(p, next, inBarrier)
 		m.maybeInterrupt(p)

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"fuzzybarrier/internal/core"
@@ -74,7 +75,7 @@ func TestSingleProcessorArithmetic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if got := m.Mem().MustPeek(11); got != 142 {
+	if got := mustPeek(m.Mem(), 11); got != 142 {
 		t.Errorf("mem[11] = %d, want 142", got)
 	}
 	if res.Procs[0].Instructions != 9 {
@@ -242,7 +243,7 @@ func TestBarrierOrdersMemory(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if got := m.Mem().MustPeek(200); got != 99 {
+	if got := mustPeek(m.Mem(), 200); got != 99 {
 		t.Errorf("reader observed %d, want 99", got)
 	}
 }
@@ -460,7 +461,7 @@ func TestRecorderProducesGantt(t *testing.T) {
 	if len(rec.Events()) == 0 {
 		t.Error("no events recorded")
 	}
-	counts := rec.LaneCounts(0)
+	counts := laneCounts(rec, 0)
 	if counts[trace.KindStall]+counts[trace.KindBarrier]+counts[trace.KindSync] == 0 {
 		t.Errorf("lane 0 recorded no barrier activity: %v", counts)
 	}
@@ -601,7 +602,7 @@ func TestPhaseAttributionMatchesAggregates(t *testing.T) {
 
 // TestPhasesAndRecorderAgree runs the same machine with both sinks and
 // cross-checks them: the per-kind totals of the phase aggregator match
-// the lane counts, modulo the sync/halt overwrite cycles, which the
+// the Gantt lanes' counts, modulo the sync/halt overwrite cycles, which the
 // lanes render but the phase attribution books under the activity the
 // processor actually performed.
 func TestPhasesAndRecorderAgree(t *testing.T) {
@@ -618,7 +619,7 @@ func TestPhasesAndRecorderAgree(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	for p := 0; p < 2; p++ {
-		counts := rec.LaneCounts(p)
+		counts := laneCounts(rec, p)
 		var lane, attributed int64
 		for k, n := range counts {
 			if k == trace.KindIdle {
@@ -637,4 +638,25 @@ func TestPhasesAndRecorderAgree(t *testing.T) {
 			t.Errorf("P%d: lane active cycles = %d, phase-attributed = %d (counts %v)", p, lane, attributed, counts)
 		}
 	}
+}
+
+// mustPeek reads simulated memory at addr without timing, panicking on a
+// bad address.
+func mustPeek(s *mem.System, addr int64) int64 {
+	v, err := s.Peek(addr)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// laneCounts counts the cycles of each activity kind in processor p's lane
+// of rec's Gantt chart, which pads a short lane with idle cycles.
+func laneCounts(rec *trace.Recorder, p int) map[trace.Kind]int64 {
+	lane := strings.Split(rec.Gantt(), "\n")[p+1][len("P0    "):]
+	counts := map[trace.Kind]int64{}
+	for _, c := range []byte(lane) {
+		counts[trace.Kind(c)]++
+	}
+	return counts
 }

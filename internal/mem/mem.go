@@ -51,21 +51,6 @@ type Config struct {
 	MissEveryN int
 }
 
-// DefaultConfig returns a small, fast memory system suitable for tests:
-// single-cycle hits, 8-cycle misses, 64-line caches, Procs modules.
-func DefaultConfig(procs, words int) Config {
-	return Config{
-		Words:       words,
-		Procs:       procs,
-		HitLatency:  1,
-		MissLatency: 8,
-		CacheLines:  64,
-		LineWords:   4,
-		Modules:     procs,
-		ModuleBusy:  1,
-	}
-}
-
 func (c *Config) normalize() {
 	if c.Words <= 0 {
 		c.Words = 1 << 16
@@ -153,20 +138,8 @@ func New(cfg Config) *System {
 	return s
 }
 
-// Config returns the (normalized) configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Stats returns a copy of the accumulated statistics.
 func (s *System) Stats() Stats { return s.stats }
-
-// Poke stores a value without modeling timing — for loading initial data.
-func (s *System) Poke(addr int64, v int64) error {
-	if addr < 0 || addr >= int64(len(s.words)) {
-		return fmt.Errorf("mem: poke address %d out of range [0,%d)", addr, len(s.words))
-	}
-	s.words[addr] = v
-	return nil
-}
 
 // Peek loads a value without modeling timing — for inspecting results.
 func (s *System) Peek(addr int64) (int64, error) {
@@ -174,15 +147,6 @@ func (s *System) Peek(addr int64) (int64, error) {
 		return 0, fmt.Errorf("mem: peek address %d out of range [0,%d)", addr, len(s.words))
 	}
 	return s.words[addr], nil
-}
-
-// MustPeek is Peek that panics on a bad address; for tests.
-func (s *System) MustPeek(addr int64) int64 {
-	v, err := s.Peek(addr)
-	if err != nil {
-		panic(err)
-	}
-	return v
 }
 
 func (s *System) checkAddr(addr int64) error {

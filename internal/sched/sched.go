@@ -1,5 +1,5 @@
 // Package sched implements the loop-iteration scheduling policies of
-// Sections 7.3 and 7.4: static block and cyclic schedules, the rotating
+// Sections 7.3 and 7.4: the static block schedule, the rotating
 // remainder schedule of Figure 11(b) that equalizes work across rounds
 // when the iteration count is not divisible by the processor count, and
 // the run-time self-scheduling family of Figure 12 — one-at-a-time
@@ -15,27 +15,6 @@ import (
 // Assignment lists the iteration indices (0-based) each processor
 // executes.
 type Assignment [][]int
-
-// Counts returns the per-processor iteration counts.
-func (a Assignment) Counts() []int {
-	out := make([]int, len(a))
-	for p, its := range a {
-		out[p] = len(its)
-	}
-	return out
-}
-
-// MaxCount returns the largest per-processor count — the round's critical
-// path when iterations cost equal work.
-func (a Assignment) MaxCount() int {
-	m := 0
-	for _, its := range a {
-		if len(its) > m {
-			m = len(its)
-		}
-	}
-	return m
-}
 
 // Block assigns contiguous blocks with a balanced floor/remainder split:
 // every processor gets ⌊n/procs⌋ iterations and the first n mod procs
@@ -66,22 +45,11 @@ func Block(n, procs int) Assignment {
 	return out
 }
 
-// Cyclic deals iterations round-robin: processor p gets p, p+procs, ...
-func Cyclic(n, procs int) Assignment {
-	if procs <= 0 {
-		return Assignment{}
-	}
-	out := make(Assignment, procs)
-	for i := 0; i < n; i++ {
-		out[i%procs] = append(out[i%procs], i)
-	}
-	return out
-}
-
-// Rotating is the Figure 11(b) schedule: like Cyclic, but the processors
-// "take turns in executing the extra iteration" — the deal order rotates
-// by the round number, so over procs consecutive rounds every processor
-// executes the same total number of iterations even when n % procs != 0.
+// Rotating is the Figure 11(b) schedule: iterations are dealt
+// round-robin, but the processors "take turns in executing the extra
+// iteration" — the deal order rotates by the round number, so over procs
+// consecutive rounds every processor executes the same total number of
+// iterations even when n % procs != 0.
 func Rotating(n, procs, round int) Assignment {
 	if procs <= 0 {
 		return Assignment{}

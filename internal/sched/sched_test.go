@@ -78,9 +78,9 @@ func TestBlockBalanced(t *testing.T) {
 }
 
 // TestDegenerateProcs is the regression test for the divide-by-zero
-// panic: Cyclic(n, 0) crashed with n > 0, and all three generators
-// panicked in make() for negative procs. Each must return an empty
-// Assignment instead.
+// panic: a round-robin deal over 0 processors crashed with n > 0, and
+// every generator panicked in make() for negative procs. Each must return
+// an empty Assignment instead.
 func TestDegenerateProcs(t *testing.T) {
 	for _, procs := range []int{0, -1} {
 		for _, gen := range []struct {
@@ -88,7 +88,6 @@ func TestDegenerateProcs(t *testing.T) {
 			f    func() Assignment
 		}{
 			{"block", func() Assignment { return Block(5, procs) }},
-			{"cyclic", func() Assignment { return Cyclic(5, procs) }},
 			{"rotating", func() Assignment { return Rotating(5, procs, 2) }},
 		} {
 			a := gen.f()
@@ -96,17 +95,6 @@ func TestDegenerateProcs(t *testing.T) {
 				t.Errorf("%s(5, %d) = %v, want empty", gen.name, procs, a)
 			}
 		}
-	}
-}
-
-func TestCyclicAssignment(t *testing.T) {
-	a := Cyclic(7, 3)
-	coversAll(t, a, 7, "cyclic")
-	if got := a.Counts(); got[0] != 3 || got[1] != 2 || got[2] != 2 {
-		t.Errorf("counts = %v, want [3 2 2]", got)
-	}
-	if a[0][1] != 3 {
-		t.Errorf("cyclic stride broken: %v", a[0])
 	}
 }
 
@@ -139,20 +127,20 @@ func TestEdgeCases(t *testing.T) {
 	if a := Block(0, 3); a.MaxCount() != 0 {
 		t.Error("empty block schedule should assign nothing")
 	}
-	if a := Cyclic(3, 5); a.MaxCount() != 1 {
+	if a := Rotating(3, 5, 0); a.MaxCount() != 1 {
 		t.Error("more procs than iterations: max 1 each")
 	}
 	coversAll(t, Block(1, 1), 1, "1x1")
 }
 
-// TestStaticSchedulesProperty: all three static schedules partition the
+// TestStaticSchedulesProperty: both static schedules partition the
 // iteration space for arbitrary (n, procs, round).
 func TestStaticSchedulesProperty(t *testing.T) {
 	f := func(n8, p8, r8 uint8) bool {
 		n := int(n8 % 50)
 		procs := int(p8%8) + 1
 		round := int(r8)
-		for _, a := range []Assignment{Block(n, procs), Cyclic(n, procs), Rotating(n, procs, round)} {
+		for _, a := range []Assignment{Block(n, procs), Rotating(n, procs, round)} {
 			seen := make([]int, n)
 			for _, its := range a {
 				for _, i := range its {
@@ -370,4 +358,25 @@ func TestVersionFor(t *testing.T) {
 			t.Errorf("version %d has no name", v)
 		}
 	}
+}
+
+// Counts returns the per-processor iteration counts.
+func (a Assignment) Counts() []int {
+	out := make([]int, len(a))
+	for p, its := range a {
+		out[p] = len(its)
+	}
+	return out
+}
+
+// MaxCount returns the largest per-processor count — the round's critical
+// path when iterations cost equal work.
+func (a Assignment) MaxCount() int {
+	m := 0
+	for _, its := range a {
+		if len(its) > m {
+			m = len(its)
+		}
+	}
+	return m
 }

@@ -1,13 +1,12 @@
 // Package stats provides small numeric helpers used by the simulator,
-// the experiment harness and the benchmark tables: summary statistics,
-// histograms and series formatting.
+// the experiment harness and the benchmark tables: summary statistics, an
+// RTT estimator and series formatting.
 //
 // The package is intentionally dependency-free (stdlib math/sort only) so
 // every other module in the repository can use it without import cycles.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -29,8 +28,8 @@ type Summary struct {
 // Summarize computes a Summary over xs. An empty sample yields a zero
 // Summary with N == 0.
 //
-// NaN observations are filtered out and counted in Invalid (mirroring
-// Histogram.Invalid) — sorting places NaN unspecified, so a single NaN
+// NaN observations are filtered out and counted in Invalid — sorting
+// places NaN unspecified, so a single NaN
 // would otherwise corrupt Min/Max and every percentile. An all-NaN
 // sample yields a zero Summary with N == 0 and Invalid == len(xs).
 // ±Inf observations are valid and propagate into Min/Max/Sum/Mean
@@ -134,126 +133,12 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// MeanInts is Mean over an integer sample.
-func MeanInts(xs []int64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}
-
-// MaxInts returns the maximum of xs, or 0 for an empty sample.
-func MaxInts(xs []int64) int64 {
-	var m int64
-	for i, x := range xs {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// MinInts returns the minimum of xs, or 0 for an empty sample.
-func MinInts(xs []int64) int64 {
-	var m int64
-	for i, x := range xs {
-		if i == 0 || x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// SumInts returns the sum of xs.
-func SumInts(xs []int64) int64 {
-	var sum int64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
 // Speedup returns base/v, guarding against division by zero.
 func Speedup(base, v float64) float64 {
 	if v == 0 {
 		return math.Inf(1)
 	}
 	return base / v
-}
-
-// Histogram is a fixed-width-bucket histogram over float64 observations.
-type Histogram struct {
-	lo      float64
-	width   float64
-	Counts  []int64
-	Under   int64 // observations below Lo
-	Over    int64 // observations at or above Lo+Width*len(Counts)
-	Invalid int64 // NaN observations, which no bucket can hold
-	Samples int64
-}
-
-// NewHistogram creates a histogram with n buckets of the given width
-// starting at lo. It panics if n <= 0 or width <= 0 — histogram shape is a
-// programming decision, not runtime input.
-func NewHistogram(lo, width float64, n int) *Histogram {
-	if n <= 0 || width <= 0 {
-		panic(fmt.Sprintf("stats: invalid histogram shape n=%d width=%g", n, width))
-	}
-	return &Histogram{lo: lo, width: width, Counts: make([]int64, n)}
-}
-
-// Observe records a single observation. NaN is counted in Invalid, -Inf
-// in Under and +Inf in Over; no input can panic. (Converting a huge or
-// non-finite float to int is platform-defined in Go — on amd64 it
-// produces math.MinInt64, which used to index out of range.)
-func (h *Histogram) Observe(x float64) {
-	h.Samples++
-	if math.IsNaN(x) {
-		h.Invalid++
-		return
-	}
-	if x < h.lo {
-		h.Under++
-		return
-	}
-	// Bucket in float space first: the quotient can exceed int range (or
-	// be NaN when Lo is infinite), so compare before converting.
-	idx := (x - h.lo) / h.width
-	if idx < float64(len(h.Counts)) {
-		h.Counts[int(idx)]++
-		return
-	}
-	h.Over++
-}
-
-// Bucket returns the [lo, hi) bounds of bucket i.
-func (h *Histogram) Bucket(i int) (lo, hi float64) {
-	lo = h.lo + float64(i)*h.width
-	return lo, lo + h.width
-}
-
-// String renders the histogram as a compact text table.
-func (h *Histogram) String() string {
-	out := ""
-	if h.Under > 0 {
-		out += fmt.Sprintf("  <%g: %d\n", h.lo, h.Under)
-	}
-	for i, c := range h.Counts {
-		lo, hi := h.Bucket(i)
-		out += fmt.Sprintf("  [%g,%g): %d\n", lo, hi, c)
-	}
-	if h.Over > 0 {
-		lo, _ := h.Bucket(len(h.Counts))
-		out += fmt.Sprintf("  >=%g: %d\n", lo, h.Over)
-	}
-	if h.Invalid > 0 {
-		out += fmt.Sprintf("  NaN: %d\n", h.Invalid)
-	}
-	return out
 }
 
 // RTTEstimator is the Jacobson/Karels smoothed round-trip-time filter
@@ -284,12 +169,6 @@ func (e *RTTEstimator) Observe(sample float64) {
 	}
 	e.n++
 }
-
-// Samples returns the number of samples observed.
-func (e *RTTEstimator) Samples() int { return e.n }
-
-// SRTT returns the smoothed round-trip time (0 before any sample).
-func (e *RTTEstimator) SRTT() float64 { return e.srtt }
 
 // RTO returns the recommended retransmission timeout, srtt + 4*rttvar,
 // or 0 before any sample (callers fall back to their configured initial

@@ -25,6 +25,9 @@ func TestSummarizeEmpty(t *testing.T) {
 	if s.N != 0 || s.Mean != 0 {
 		t.Errorf("empty summary = %+v", s)
 	}
+	if Mean(nil) != 0 {
+		t.Error("empty Mean should return 0")
+	}
 }
 
 func TestSummarizeAllNaN(t *testing.T) {
@@ -151,22 +154,6 @@ func TestPercentileOutOfRangeP(t *testing.T) {
 	}
 }
 
-func TestIntHelpers(t *testing.T) {
-	xs := []int64{3, -1, 7, 0}
-	if MeanInts(xs) != 2.25 {
-		t.Errorf("mean = %v", MeanInts(xs))
-	}
-	if MaxInts(xs) != 7 || MinInts(xs) != -1 || SumInts(xs) != 9 {
-		t.Errorf("max/min/sum = %d/%d/%d", MaxInts(xs), MinInts(xs), SumInts(xs))
-	}
-	if MeanInts(nil) != 0 || MaxInts(nil) != 0 || MinInts(nil) != 0 {
-		t.Error("empty int helpers should return 0")
-	}
-	if Mean(nil) != 0 {
-		t.Error("empty Mean should return 0")
-	}
-}
-
 func TestSpeedup(t *testing.T) {
 	if Speedup(10, 2) != 5 {
 		t.Error("speedup 10/2")
@@ -174,79 +161,6 @@ func TestSpeedup(t *testing.T) {
 	if !math.IsInf(Speedup(10, 0), 1) {
 		t.Error("speedup by zero should be +Inf")
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 3) // [0,10) [10,20) [20,30)
-	for _, x := range []float64{-5, 0, 9.9, 10, 25, 100} {
-		h.Observe(x)
-	}
-	if h.Under != 1 || h.Over != 1 || h.Samples != 6 {
-		t.Errorf("under/over/samples = %d/%d/%d", h.Under, h.Over, h.Samples)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[2] != 1 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	lo, hi := h.Bucket(1)
-	if lo != 10 || hi != 20 {
-		t.Errorf("bucket 1 = [%v,%v)", lo, hi)
-	}
-	if h.String() == "" {
-		t.Error("histogram renders empty")
-	}
-}
-
-// TestHistogramNonFinite is the regression test for the Observe panic:
-// int((NaN-Lo)/Width) is math.MinInt64 on amd64, which indexed Counts at
-// [-9223372036854775808]. NaN, infinities and huge finite values must
-// all be counted, never panic.
-func TestHistogramNonFinite(t *testing.T) {
-	h := NewHistogram(0, 10, 3)
-	for _, x := range []float64{
-		math.NaN(),
-		math.Inf(1),
-		math.Inf(-1),
-		1e300,  // (x-Lo)/Width overflows int64
-		-1e300, // far below Lo
-		5,      // one normal observation
-	} {
-		h.Observe(x)
-	}
-	if h.Invalid != 1 {
-		t.Errorf("invalid = %d, want 1 (NaN)", h.Invalid)
-	}
-	if h.Under != 2 {
-		t.Errorf("under = %d, want 2 (-Inf, -1e300)", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("over = %d, want 2 (+Inf, 1e300)", h.Over)
-	}
-	if h.Counts[0] != 1 {
-		t.Errorf("counts = %v, want one sample in bucket 0", h.Counts)
-	}
-	if h.Samples != 6 {
-		t.Errorf("samples = %d, want 6", h.Samples)
-	}
-	// The NaN line must render.
-	if s := h.String(); s == "" {
-		t.Error("histogram renders empty")
-	}
-	// Exact top edge goes to Over, one ulp below stays in range.
-	edge := NewHistogram(0, 10, 3)
-	edge.Observe(30)
-	edge.Observe(math.Nextafter(30, 0))
-	if edge.Over != 1 || edge.Counts[2] != 1 {
-		t.Errorf("edge: over=%d counts=%v", edge.Over, edge.Counts)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for bad shape")
-		}
-	}()
-	NewHistogram(0, 0, 5)
 }
 
 func TestSeriesMonotone(t *testing.T) {
@@ -330,36 +244,36 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 // samples (negative, NaN) are ignored per Karn's rule.
 func TestRTTEstimator(t *testing.T) {
 	var e RTTEstimator
-	if e.RTO() != 0 || e.Samples() != 0 {
-		t.Fatalf("zero value: RTO=%v samples=%d, want 0,0", e.RTO(), e.Samples())
+	if e.RTO() != 0 || e.n != 0 {
+		t.Fatalf("zero value: RTO=%v samples=%d, want 0,0", e.RTO(), e.n)
 	}
 	e.Observe(100)
-	if e.SRTT() != 100 {
-		t.Errorf("first sample: srtt=%v, want 100", e.SRTT())
+	if e.srtt != 100 {
+		t.Errorf("first sample: srtt=%v, want 100", e.srtt)
 	}
 	if got := e.RTO(); got != 100+4*50 {
 		t.Errorf("first sample: RTO=%v, want 300", got)
 	}
 	e.Observe(-5)
 	e.Observe(math.NaN())
-	if e.Samples() != 1 {
-		t.Errorf("bad samples counted: %d, want 1", e.Samples())
+	if e.n != 1 {
+		t.Errorf("bad samples counted: %d, want 1", e.n)
 	}
 	// A steady stream of identical samples converges: variance decays,
 	// RTO approaches the sample value.
 	for i := 0; i < 200; i++ {
 		e.Observe(100)
 	}
-	if e.SRTT() != 100 {
-		t.Errorf("steady state srtt=%v, want 100", e.SRTT())
+	if e.srtt != 100 {
+		t.Errorf("steady state srtt=%v, want 100", e.srtt)
 	}
 	if rto := e.RTO(); rto > 110 {
 		t.Errorf("steady state RTO=%v, want near 100", rto)
 	}
 	// A jump upward raises the RTO above the new srtt (variance spike).
 	e.Observe(500)
-	if e.RTO() < e.SRTT() {
-		t.Errorf("RTO %v below srtt %v after variance spike", e.RTO(), e.SRTT())
+	if e.RTO() < e.srtt {
+		t.Errorf("RTO %v below srtt %v after variance spike", e.RTO(), e.srtt)
 	}
 }
 

@@ -28,8 +28,8 @@ func Workers(n int) int {
 	return n
 }
 
-// Run executes fn(i) for every i in [0, n) on up to workers goroutines
-// (Workers-normalized) and returns the results in index order.
+// RunProgress executes fn(i) for every i in [0, n) on up to workers
+// goroutines (Workers-normalized) and returns the results in index order.
 //
 // Error handling is deterministic: if any cells fail, the *lowest-index*
 // failure wins (never "whichever goroutine lost the race"), exactly as a
@@ -38,17 +38,13 @@ func Workers(n int) int {
 // value propagates to the caller after all workers drain. In particular
 // a high-index cell panicking does not outrank a lower-index cell's
 // error: the serial loop would have stopped at the error first.
-func Run[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return RunProgress(workers, n, nil, fn)
-}
-
-// RunProgress is Run with a completion hook: progress (when non-nil) is
-// called after each cell finishes — success or failure — with the
-// number of completed cells and the total. Calls are serialized (never
-// concurrent) and counts are strictly increasing from 1 to n, so a
-// caller can render a progress line without its own locking. The hook
-// observes completion order, which is scheduler-dependent; only the
-// counts are deterministic.
+//
+// progress (when non-nil) is called after each cell finishes — success
+// or failure — with the number of completed cells and the total. Calls
+// are serialized (never concurrent) and counts are strictly increasing
+// from 1 to n, so a caller can render a progress line without its own
+// locking. The hook observes completion order, which is
+// scheduler-dependent; only the counts are deterministic.
 func RunProgress[T any](workers, n int, progress func(done, total int), fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if n <= 0 {

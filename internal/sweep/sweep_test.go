@@ -9,6 +9,11 @@ import (
 	"testing"
 )
 
+// Run is RunProgress without a completion hook.
+func Run[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+	return RunProgress(workers, n, nil, fn)
+}
+
 func TestRunIndexOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		out, err := Run(workers, 20, func(i int) (int, error) { return i * i, nil })

@@ -11,8 +11,7 @@ package trace
 // study in PAPERS.md).
 //
 // Like Recorder, a nil *Phases is permitted everywhere and records
-// nothing, so the hooks are allocation-free when attribution is disabled;
-// gate larger blocks of instrumentation with Enabled.
+// nothing, so the hooks are allocation-free when attribution is disabled.
 type Phases struct {
 	cur    []int     // current phase index per processor
 	counts [][]int64 // per processor: flat [phase*numKinds + kindIndex]
@@ -28,10 +27,6 @@ func NewPhases(procs int) *Phases {
 		counts: make([][]int64, procs),
 	}
 }
-
-// Enabled reports whether attribution is active; a nil *Phases reports
-// false.
-func (ph *Phases) Enabled() bool { return ph != nil }
 
 // Account attributes one cycle of activity kind k to processor p's
 // current phase. Unknown processors and unknown kinds are dropped.
@@ -66,14 +61,6 @@ func (ph *Phases) Advance(p int) {
 		return
 	}
 	ph.cur[p]++
-}
-
-// Procs returns the number of processors tracked.
-func (ph *Phases) Procs() int {
-	if ph == nil {
-		return 0
-	}
-	return len(ph.cur)
 }
 
 // NumPhases returns the number of phases touched by any processor:

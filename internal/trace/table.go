@@ -10,8 +10,8 @@ import (
 // left-aligns everything else.
 type Table struct {
 	Title  string
+	Rows   [][]string // each data row's cells, as AddRow rendered them
 	header []string
-	rows   [][]string
 	notes  []string
 }
 
@@ -33,22 +33,13 @@ func (t *Table) AddRow(cells ...any) {
 			row[i] = fmt.Sprint(c)
 		}
 	}
-	t.rows = append(t.rows, row)
+	t.Rows = append(t.Rows, row)
 }
 
 // AddNote appends a free-form footnote printed under the table.
 func (t *Table) AddNote(format string, args ...any) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))
 }
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
-// Rows exposes the raw cell strings, primarily for tests.
-func (t *Table) Rows() [][]string { return t.rows }
-
-// Header exposes the column headers.
-func (t *Table) Header() []string { return t.header }
 
 func trimFloat(v float64) string {
 	s := fmt.Sprintf("%.3f", v)
@@ -82,7 +73,7 @@ func isNumeric(s string) bool {
 // String renders the table.
 func (t *Table) String() string {
 	cols := len(t.header)
-	for _, r := range t.rows {
+	for _, r := range t.Rows {
 		if len(r) > cols {
 			cols = len(r)
 		}
@@ -96,7 +87,7 @@ func (t *Table) String() string {
 		}
 	}
 	measure(t.header)
-	for _, r := range t.rows {
+	for _, r := range t.Rows {
 		measure(r)
 	}
 
@@ -136,7 +127,7 @@ func (t *Table) String() string {
 	}
 	b.WriteString(strings.Repeat("-", total))
 	b.WriteByte('\n')
-	for _, r := range t.rows {
+	for _, r := range t.Rows {
 		writeRow(r)
 	}
 	for _, n := range t.notes {
@@ -167,7 +158,7 @@ func (t *Table) CSV() string {
 		b.WriteByte('\n')
 	}
 	writeRow(t.header)
-	for _, r := range t.rows {
+	for _, r := range t.Rows {
 		writeRow(r)
 	}
 	return b.String()

@@ -30,7 +30,7 @@ const (
 )
 
 // Kinds lists every activity kind in a stable rendering order, used by
-// the per-kind aggregations (LaneCounts, Phases) and the Chrome exporter.
+// the per-kind aggregation (Phases) and the Chrome exporter.
 var Kinds = []Kind{
 	KindIdle, KindExec, KindBarrier, KindStall, KindMemory, KindHotSpot,
 	KindSync, KindHalted, KindWork, KindSpin, KindOverheadOp, KindInterrupt,
@@ -198,23 +198,6 @@ func (r *Recorder) EventKind(cycle int64, p int, kind EventKind, what string) {
 	r.events = append(r.events, Event{Cycle: cycle, Proc: p, Kind: kind, What: what})
 }
 
-// MaxCycle returns the highest cycle marked so far (0 when nothing has
-// been marked); the rendered chart spans cycles [0, MaxCycle()].
-func (r *Recorder) MaxCycle() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.maxCycle
-}
-
-// Procs returns the number of Gantt lanes.
-func (r *Recorder) Procs() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.lanes)
-}
-
 // Events returns the recorded events ordered by cycle, then processor.
 func (r *Recorder) Events() []Event {
 	if r == nil {
@@ -265,23 +248,4 @@ func (r *Recorder) Gantt() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// LaneCounts returns, for processor p, how many cycles were spent in each
-// activity kind. It returns nil if p has no lane. Lanes shorter than the
-// chart width are padded with KindIdle, exactly as Gantt renders them, so
-// the counts of every lane sum to MaxCycle()+1.
-func (r *Recorder) LaneCounts(p int) map[Kind]int64 {
-	if r == nil || p < 0 || p >= len(r.lanes) {
-		return nil
-	}
-	m := make(map[Kind]int64)
-	lane := r.lanes[p]
-	for _, k := range lane {
-		m[k]++
-	}
-	if pad := r.maxCycle + 1 - int64(len(lane)); pad > 0 {
-		m[KindIdle] += pad
-	}
-	return m
 }

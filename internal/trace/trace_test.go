@@ -30,15 +30,8 @@ func TestRecorderIgnoresOutOfRange(t *testing.T) {
 	r := NewRecorder(1)
 	r.Mark(0, 5, KindExec)  // lane out of range: ignored
 	r.Mark(0, -1, KindExec) // negative: ignored
-	// Only idle padding may appear, never the dropped marks.
-	counts := r.LaneCounts(0)
-	for k, n := range counts {
-		if k != KindIdle {
-			t.Errorf("unexpected mark %v x%d", k, n)
-		}
-	}
-	if r.LaneCounts(9) != nil {
-		t.Error("out-of-range lane should return nil")
+	if len(r.lanes[0]) != 0 {
+		t.Errorf("lane 0 = %q, want the dropped marks absent", r.lanes[0])
 	}
 }
 
@@ -77,32 +70,6 @@ func TestZeroValueRecorderRecordsEvents(t *testing.T) {
 	}
 }
 
-// TestLaneCountsPadding asserts the LaneCounts/Gantt agreement: every
-// lane's counts sum to MaxCycle()+1, because lanes shorter than the
-// chart are padded with idle glyphs in both views.
-func TestLaneCountsPadding(t *testing.T) {
-	r := NewRecorder(3)
-	r.Mark(9, 0, KindExec)  // lane 0 spans the full chart
-	r.Mark(2, 1, KindStall) // lane 1 is short: 7 idle cycles are implicit
-	// lane 2 never marked at all: fully idle
-	for p := 0; p < 3; p++ {
-		counts := r.LaneCounts(p)
-		var sum int64
-		for _, n := range counts {
-			sum += n
-		}
-		if want := r.MaxCycle() + 1; sum != want {
-			t.Errorf("lane %d counts sum = %d, want %d (%v)", p, sum, want, counts)
-		}
-	}
-	if c := r.LaneCounts(1); c[KindIdle] != 9 || c[KindStall] != 1 {
-		t.Errorf("lane 1 counts = %v, want 9 idle + 1 stall", c)
-	}
-	if c := r.LaneCounts(2); c[KindIdle] != 10 {
-		t.Errorf("lane 2 counts = %v, want 10 idle", c)
-	}
-}
-
 func TestEventsSorted(t *testing.T) {
 	r := NewRecorder(2)
 	r.Eventf(5, 1, "later")
@@ -120,18 +87,6 @@ func TestEventsSorted(t *testing.T) {
 	}
 }
 
-func TestLaneCounts(t *testing.T) {
-	r := NewRecorder(1)
-	for c := int64(0); c < 5; c++ {
-		r.Mark(c, 0, KindStall)
-	}
-	r.Mark(5, 0, KindSync)
-	counts := r.LaneCounts(0)
-	if counts[KindStall] != 5 || counts[KindSync] != 1 {
-		t.Errorf("counts = %v", counts)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tbl := NewTable("Demo table", "name", "value", "ratio")
 	tbl.AddRow("alpha", 42, 1.5)
@@ -143,11 +98,11 @@ func TestTableRendering(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}
 	}
-	if tbl.NumRows() != 2 {
-		t.Errorf("rows = %d", tbl.NumRows())
+	if len(tbl.Rows) != 2 {
+		t.Errorf("rows = %d", len(tbl.Rows))
 	}
-	if len(tbl.Header()) != 3 {
-		t.Errorf("header = %v", tbl.Header())
+	if len(tbl.header) != 3 {
+		t.Errorf("header = %v", tbl.header)
 	}
 }
 

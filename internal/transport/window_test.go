@@ -79,13 +79,13 @@ func TestWindowKarnRule(t *testing.T) {
 	w.Due()
 	w.Retry(10, 2)
 	w.Ack(1, 12)
-	if n := w.rtt.Samples(); n != 0 {
-		t.Fatalf("ack of a retransmitted message added %d RTT samples", n)
+	if rto := w.rtt.RTO(); rto != 0 {
+		t.Fatalf("ack of a retransmitted message added an RTT sample: RTO %v, want 0", rto)
 	}
 	w.Track(2, w.Next(), 20, 3)
 	w.Ack(2, 24)
-	if n := w.rtt.Samples(); n != 1 {
-		t.Fatalf("ack of a first transmission added %d RTT samples, want 1", n)
+	if rto := w.rtt.RTO(); rto != 4+4*2 {
+		t.Fatalf("ack of a first transmission: RTO %v, want 12 (one sample of 4 ticks)", rto)
 	}
 }
 

@@ -43,9 +43,6 @@ func (c DisseminationBarrierLoop) Rounds() int {
 	return r
 }
 
-// FlagWords returns the number of shared words the barrier occupies.
-func (c DisseminationBarrierLoop) FlagWords() int { return c.Procs * c.Rounds() }
-
 // Program builds the machine program.
 func (c DisseminationBarrierLoop) Program() (*isa.Program, error) {
 	if c.Procs < 1 || c.Self < 0 || c.Self >= c.Procs {

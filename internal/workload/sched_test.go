@@ -73,7 +73,7 @@ func TestDynamicSchedLoopDrainsAllIterations(t *testing.T) {
 		}
 		// The shared index must have advanced to >= iters (overshoot from
 		// concurrent FAA claims is fine, undershoot is not).
-		if got := m.Mem().MustPeek(12); got < iters {
+		if got := mustPeek(m.Mem(), 12); got < iters {
 			t.Errorf("chunk=%d: index = %d, want >= %d", chunk, got, iters)
 		}
 		if res.Syncs() != 1 {

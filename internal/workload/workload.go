@@ -81,45 +81,6 @@ func DriftWork(rng *des.RNG, n int, base, jitter int64) []int64 {
 	return out
 }
 
-// StallHeavyPrograms builds the canonical fast-forward benchmark
-// workload: procs drifting synchronizing loops whose iterations are
-// dominated by long WORK spans and barrier stalls — exactly the cycles
-// the simulator's fast-forward engine skips. The per-processor RNGs are
-// derived from seed, so the same seed reproduces the same programs.
-func StallHeavyPrograms(procs, iters int, seed uint64) ([]*isa.Program, error) {
-	const (
-		base   = 400 // long busy spans: many uneventful cycles per issue
-		jitter = 200 // heavy drift: the slow processor stalls everyone else
-	)
-	progs := make([]*isa.Program, procs)
-	for p := 0; p < procs; p++ {
-		rng := des.NewRNG(seed + uint64(p)*0x9E37 + 1)
-		prog, err := SyncLoop{
-			Self: p, Procs: procs,
-			Work: DriftWork(rng, iters, base, jitter),
-		}.Program()
-		if err != nil {
-			return nil, err
-		}
-		progs[p] = prog
-	}
-	return progs, nil
-}
-
-// AlternatingWork returns n iterations alternating low/high, offset by
-// phase — transient drift with equal totals across processors.
-func AlternatingWork(n int, low, high int64, phase int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		if (i+phase)%2 == 0 {
-			out[i] = low
-		} else {
-			out[i] = high
-		}
-	}
-	return out
-}
-
 // IfLoop is the Figure 7 workload: each iteration runs S1 (fixed cost),
 // then an if-statement whose branches cost ThenWork and ElseWork; the
 // branch taken varies pseudo-randomly per processor and iteration. With

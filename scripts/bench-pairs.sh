@@ -4,10 +4,13 @@
 #
 #   scripts/bench-pairs.sh <parent-ref> "<workload> [<workload> ...]" [pairs=10]
 #
-# The parent commit is checked out under the ignored .bench_build/ (a
-# `git archive` of the ref, so there is no worktree registration to clean
-# up and a dirty tree does not matter); the change is this checkout as it
-# stands. Each pair takes a fresh seed and runs both sides exactly as the
+# Both sides run from sibling snapshots under the ignored
+# .bench_build/pairs/, so both binaries embed source paths of the same
+# depth and length (the build directory alone moves the rt-* workloads by
+# about 5 %): the parent is a `git archive` of the ref (no worktree
+# registration to clean up), and the change is this checkout as it stands
+# — its tracked files and its untracked files that are not ignored,
+# copied afresh on every call. Each pair takes a fresh seed and runs both sides exactly as the
 # driver does (`bash bench/run.sh -workload W -seed S -seconds 10 -trace
 # 0`), alternating which side goes first, each side appending its records
 # to its own -out file. At the end `bench/run.sh -compare` prints the
@@ -26,6 +29,12 @@ if [ ! -f "$parent/bench/run.sh" ]; then
 	mkdir -p "$parent"
 	git -C "$root" archive "$sha" | tar -x -C "$parent"
 fi
+change="$work/change-$sha"
+rm -rf "$change"
+mkdir -p "$change"
+git -C "$root" ls-files -z --cached --others --exclude-standard |
+	(cd "$root" && while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done) |
+	tar -C "$root" --null -T - -cf - | tar -x -C "$change"
 stamp=$(date +%Y%m%d-%H%M%S)
 base=$(( $(date +%s) % 1000000 ))
 
@@ -44,9 +53,9 @@ for workload in $workloads; do
 	for i in $(seq 1 "$pairs"); do
 		seed=$((base + i))
 		if [ $((i % 2)) -eq 1 ]; then
-			p=$(run "$parent" "$old" "$seed"); c=$(run "$root" "$new" "$seed"); order="parent first"
+			p=$(run "$parent" "$old" "$seed"); c=$(run "$change" "$new" "$seed"); order="parent first"
 		else
-			c=$(run "$root" "$new" "$seed"); p=$(run "$parent" "$old" "$seed"); order="change first"
+			c=$(run "$change" "$new" "$seed"); p=$(run "$parent" "$old" "$seed"); order="change first"
 		fi
 		line="pair $i seed $seed ($order):"
 		for m in $metrics; do
