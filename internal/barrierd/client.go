@@ -37,6 +37,48 @@ type Conn struct {
 	mu      sync.Mutex
 	groups  map[uint32]*connGroup
 	batches uint32 // JoinBatch calls so far; numbers the join tokens
+
+	// sendMu guards sends, the protocol sends waiting for the dispatch
+	// context. send queues one and injects one Do of sendOne, which
+	// sends the oldest: one Do per message, as a closure per message
+	// would be, with nothing to allocate.
+	sendMu  sync.Mutex
+	sends   sendQueue
+	sendOne func() // bound once, in Dial
+}
+
+// queuedSend is one protocol send waiting for the dispatch context.
+type queuedSend struct {
+	to transport.Addr
+	m  transport.Message
+}
+
+// sendQueue is a FIFO of queued sends in a power-of-two ring that grows
+// only past its high-water mark.
+type sendQueue struct {
+	ring []queuedSend
+	head int // the oldest
+	n    int // how many are queued
+}
+
+func (q *sendQueue) push(s queuedSend) {
+	if q.n == len(q.ring) {
+		grown := make([]queuedSend, max(8, 2*len(q.ring)))
+		for i := range q.n {
+			grown[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+		}
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = s
+	q.n++
+}
+
+func (q *sendQueue) pop() queuedSend {
+	s := q.ring[q.head]
+	q.ring[q.head] = queuedSend{} // drop the list's reference
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return s
 }
 
 type connGroup struct {
@@ -88,6 +130,12 @@ type memberTable struct {
 	signaled []int64
 	shared   int64
 	index    map[uint64]int32 // id -> slot; nil until a lookup needs it
+
+	// last is the list arrive returned last. A list handed to Send is
+	// never written again, so while the next list is equal — the same
+	// cohort arriving every epoch — arrive returns last again instead of
+	// allocating. scratch is where a list is counted before that check.
+	last, scratch []uint64
 }
 
 // waitOnly is a wait-only member's signaled: it never owes an epoch.
@@ -211,47 +259,56 @@ func (t *memberTable) unpark(batch uint32, owes int64) {
 // compare: all n members are shared epochs behind e, so each epoch from
 // shared to e gains n.
 func (t *memberTable) arrive(e int64, ids []uint64) []uint64 {
+	added := t.scratch[:0]
 	if t.whole(ids) {
 		if t.shared < 0 || t.shared > e { // parked, wait-only or signaled e
 			return nil
 		}
-		added := make([]uint64, e-t.shared+1)
-		for j := range added {
-			added[j] = uint64(len(ids))
+		for range e - t.shared + 1 {
+			added = append(added, uint64(len(ids)))
 		}
 		t.shared = e + 1
-		return added
-	}
-	t.diverge(0)
-	var added []uint64 // in the walk: members found j epochs behind e
-	hint := int32(0)
-	for _, id := range ids {
-		if i, ok := t.slot(id, hint); ok {
-			hint = i + 1
-			if s := t.signaled[i]; s >= 0 && s <= e {
-				t.signaled[i] = e + 1
-				added = tally(added, e-s)
+	} else {
+		t.diverge(0)
+		hint := int32(0) // in the walk, added[j] counts members found j epochs behind e
+		for _, id := range ids {
+			if i, ok := t.slot(id, hint); ok {
+				hint = i + 1
+				if s := t.signaled[i]; s >= 0 && s <= e {
+					t.signaled[i] = e + 1
+					added = tally(added, e-s)
+				}
 			}
 		}
+		for j := len(added) - 2; j >= 0; j-- {
+			added[j] += added[j+1] // epoch e-j is signaled by all at least j behind
+		}
 	}
-	for j := len(added) - 2; j >= 0; j-- {
-		added[j] += added[j+1] // epoch e-j is signaled by all at least j behind
+	t.scratch = added
+	if len(added) == 0 {
+		return nil
 	}
-	return added
+	if !slices.Equal(added, t.last) {
+		t.last = slices.Clip(append([]uint64(nil), added...))
+	}
+	return t.last
 }
 
-// leave deregisters the confirmed members in ids and returns how many of
-// each kind went and the signals they had banked for epochs past released,
-// highest epoch first. Unknown and unconfirmed ids are passed over. On a
-// table that agrees, a batch naming every member in registration order
+// leave deregisters the confirmed members in ids and returns a leave's
+// list: how many signaling and how many wait-only members went, then the
+// signals they had banked for epochs past released, highest epoch first.
+// It is nil if none went: unknown and unconfirmed ids are passed over. On
+// a table that agrees, a batch naming every member in registration order
 // takes them all at once: n of the shared mode go, each banked epoch loses
 // n signals, and the table empties.
-func (t *memberTable) leave(released int64, ids []uint64) (gone census, banked []uint64) {
+func (t *memberTable) leave(released int64, ids []uint64) []uint64 {
+	var gone census
+	banked := t.scratch[:0] // oldest epoch first
 	if t.whole(ids) {
 		n, s := len(ids), t.shared
 		switch {
 		case s < 0: // parked
-			return gone, nil
+			return nil
 		case s == waitOnly:
 			gone.waiters = int64(n)
 		default:
@@ -261,27 +318,35 @@ func (t *memberTable) leave(released int64, ids []uint64) (gone census, banked [
 			}
 		}
 		t.ids, t.index = t.ids[:0], nil
-		return gone, banked
-	}
-	hint := int32(0)
-	for _, id := range ids {
-		i, ok := t.slot(id, hint)
-		if !ok || t.at(i) < 0 {
-			continue
-		}
-		hint = i + 1 // the next in registration order has not moved
-		if s := t.at(i); s == waitOnly {
-			gone.waiters++
-		} else {
-			gone.signalers++
-			for k := released + 1; k < s; k++ {
-				banked = tally(banked, k-released-1)
+	} else {
+		hint := int32(0)
+		for _, id := range ids {
+			i, ok := t.slot(id, hint)
+			if !ok || t.at(i) < 0 {
+				continue
 			}
+			hint = i + 1 // the next in registration order has not moved
+			if s := t.at(i); s == waitOnly {
+				gone.waiters++
+			} else {
+				gone.signalers++
+				for k := released + 1; k < s; k++ {
+					banked = tally(banked, k-released-1)
+				}
+			}
+			t.remove(i)
 		}
-		t.remove(i)
 	}
-	slices.Reverse(banked) // highest epoch first, as in an arrive
-	return gone, banked
+	t.scratch = banked
+	if gone.signalers+gone.waiters == 0 {
+		return nil
+	}
+	list := make([]uint64, 2+len(banked))
+	list[0], list[1] = uint64(gone.signalers), uint64(gone.waiters)
+	for i, n := range banked {
+		list[len(list)-1-i] = n // highest epoch first, as in an arrive
+	}
+	return list
 }
 
 // outstanding lists the signaling members that have not signaled e.
@@ -337,6 +402,12 @@ func Dial(nw transport.Network, addr transport.Addr, cfg Config) (*Conn, error) 
 	}
 	cfg = cfg.withDefaults()
 	c := &Conn{ring: Ring{Shards: cfg.Shards}, groups: make(map[uint32]*connGroup)}
+	c.sendOne = func() {
+		c.sendMu.Lock()
+		s := c.sends.pop()
+		c.sendMu.Unlock()
+		c.r.Send(s.to, s.m)
+	}
 	r, ep, err := transport.AttachReliable(nw, addr, cfg.reliable,
 		func(_ *transport.Reliable, m transport.Message) { c.onMessage(m) }, nil)
 	if err != nil {
@@ -399,7 +470,10 @@ func (c *Conn) onMessage(m transport.Message) {
 	} else if m.Kind != transport.KindRelease {
 		return
 	}
-	var fire []func()
+	var buf [16]watcher
+	due := buf[:0] // the watchers this release fires
+	var joined []func(epoch int64)
+	var epoch int64
 	c.mu.Lock()
 	cg := c.groups[m.Group]
 	if cg == nil {
@@ -411,20 +485,19 @@ func (c *Conn) onMessage(m transport.Message) {
 		kept := cg.watchers[:0]
 		for _, w := range cg.watchers {
 			if w.epoch <= released {
-				fire = append(fire, func() { w.fn(released) })
+				due = append(due, w)
 			} else {
 				kept = append(kept, w)
 			}
 		}
+		clear(cg.watchers[len(kept):]) // drop the fired callbacks
 		cg.watchers = kept
 	}
 	if joinOK {
 		cg.joinPending--
 		cg.joinEpoch = max(cg.joinEpoch, m.Epoch)
-		if epoch := cg.joinEpoch; cg.joinPending <= 0 {
-			for _, fn := range cg.joinDone {
-				fire = append(fire, func() { fn(epoch) })
-			}
+		if cg.joinPending <= 0 {
+			joined, epoch = cg.joinDone, cg.joinEpoch
 			cg.joinDone = nil
 		}
 	}
@@ -438,17 +511,22 @@ func (c *Conn) onMessage(m transport.Message) {
 		t.unpark(uint32(m.Client), owes)
 		t.mu.Unlock()
 	}
-	for _, fn := range fire {
-		fn()
+	for _, w := range due {
+		w.fn(released)
+	}
+	for _, fn := range joined {
+		fn(epoch)
 	}
 }
 
 // send marshals a protocol send to g's ingress shard onto the dispatch
 // context.
 func (c *Conn) send(g uint32, m transport.Message) {
-	to := ShardAddr(c.ring.Ingress(g, c.ep.Addr()))
 	m.Group = g
-	c.ep.Do(func() { c.r.Send(to, m) })
+	c.sendMu.Lock()
+	c.sends.push(queuedSend{ShardAddr(c.ring.Ingress(g, c.ep.Addr())), m})
+	c.sendMu.Unlock()
+	c.ep.Do(c.sendOne)
 }
 
 // JoinBatch registers ids in g with the given mode; an id that is
@@ -513,15 +591,11 @@ func (c *Conn) LeaveBatch(g uint32, ids []uint64) {
 	t := &cg.members
 	t.mu.Lock()
 	released := cg.released.Load()
-	gone, banked := t.leave(released, ids)
+	list := t.leave(released, ids)
 	t.mu.Unlock()
-	if gone.signalers+gone.waiters == 0 {
-		return
+	if list != nil {
+		c.send(g, transport.Message{Kind: transport.KindLeave, Epoch: released + int64(len(list)-2), List: list})
 	}
-	c.send(g, transport.Message{
-		Kind: transport.KindLeave, Epoch: released + int64(len(banked)),
-		List: append([]uint64{uint64(gone.signalers), uint64(gone.waiters)}, banked...),
-	})
 }
 
 // Outstanding lists the signaling members of g on this connection that

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"fuzzybarrier/internal/core"
 	"fuzzybarrier/internal/des"
@@ -59,7 +60,9 @@ func (r *refTable) arrive(e int64, ids []uint64) (added []uint64) {
 	return added
 }
 
-func (r *refTable) leave(released int64, ids []uint64) (gone census, banked []uint64) {
+func (r *refTable) leave(released int64, ids []uint64) []uint64 {
+	var gone census
+	var banked []uint64
 	for _, id := range ids {
 		i, ok := r.index[id]
 		if !ok || r.signaled[i] < 0 {
@@ -81,8 +84,11 @@ func (r *refTable) leave(released int64, ids []uint64) (gone census, banked []ui
 		}
 		r.ids, r.signaled = r.ids[:last], r.signaled[:last]
 	}
+	if gone.signalers+gone.waiters == 0 {
+		return nil
+	}
 	slices.Reverse(banked)
-	return gone, banked
+	return append([]uint64{uint64(gone.signalers), uint64(gone.waiters)}, banked...)
 }
 
 func (r *refTable) outstanding(e int64) (ids []uint64) {
@@ -229,10 +235,8 @@ func tableProgram(seed uint64, steps int) (st programStats, err error) {
 					st.wholeBanked++
 				}
 			}
-			gone, banked := t.leave(released, ids)
-			wantGone, wantBanked := r.leave(released, ids)
-			if gone != wantGone || !slices.Equal(banked, wantBanked) {
-				return st, fmt.Errorf("step %d, %s: census %+v banked %v, reference %+v %v", step, what, gone, banked, wantGone, wantBanked)
+			if got, want := t.leave(released, ids), r.leave(released, ids); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+				return st, fmt.Errorf("step %d, %s: sent %v, reference %v", step, what, got, want)
 			}
 		}
 		lo := int64(math.MaxInt64) // the slowest confirmed signaler
@@ -310,8 +314,8 @@ func TestMemberTableMatchesPerMemberReference(t *testing.T) {
 // members through a JoinBatch, its JoinOK and three epochs on SimNet, each
 // arrival naming the whole batch in registration order — the SPMD
 // pattern — and checks the table still holds one shared value and no
-// per-member slice, and that such an arrival allocates only the list it
-// sends.
+// per-member slice, and that such an arrival allocates nothing: its list
+// equals the last one sent, which the table hands out again.
 func TestMemberTableStaysSharedForWholeBatches(t *testing.T) {
 	const n, g, epochs = 125_000, uint32(0), 3
 	nw := transport.NewSimNet(transport.SimConfig{Latency: 2})
@@ -352,8 +356,8 @@ func TestMemberTableStaysSharedForWholeBatches(t *testing.T) {
 			t.Fatalf("arrive at %d sent %v, want [%d]", e, got, n)
 		}
 	})
-	if allocs != 1 || tab.signaled != nil {
-		t.Fatalf("a whole-batch arrival made %v allocations (want 1, the list it sends); signaled %d values", allocs, len(tab.signaled))
+	if allocs != 0 || tab.signaled != nil {
+		t.Fatalf("a whole-batch arrival made %v allocations (want 0); signaled %d values", allocs, len(tab.signaled))
 	}
 }
 
@@ -537,6 +541,83 @@ func TestLargestCountMessageFitsOneDatagram(t *testing.T) {
 		}
 		if size := len(m.Encode()); size > maxUDPPayload {
 			t.Errorf("%v with %d counts encodes to %d bytes, over the %d a UDP datagram carries", tc.kind, tc.n, size, maxUDPPayload)
+		}
+	}
+}
+
+// TestSharedConnConcurrentCallers drives one Conn on ChanNet from 4
+// goroutines at once, each owning 2 groups: JoinBatch, then epochs of
+// ArriveBatch and WhenReleased, then LeaveBatch. Their sends meet in the
+// Conn's one send queue and their releases in one onMessage, so under
+// -race this is the check on both handoffs. Every group must reach its
+// last epoch with no release below the awaited epoch, and drain once its
+// members leave.
+func TestSharedConnConcurrentCallers(t *testing.T) {
+	const callers, groupsEach, per, epochs = 4, 2, 16, 30
+	nw := transport.NewChanNet(0)
+	defer nw.Close()
+	cfg := RealtimeConfig()
+	cfg.FlushDelay = int64(50 * time.Microsecond)
+	svc, err := Start(nw, cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	c, err := Dial(nw, transport.ConnAddrBase, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	errs := make(chan error, callers)
+	for w := range callers {
+		go func() {
+			errs <- func() error {
+				ids := make([]uint64, per)
+				for k := range ids {
+					ids[k] = uint64(w*per + k)
+				}
+				groups := []uint32{uint32(w * groupsEach), uint32(w*groupsEach + 1)}
+				for _, g := range groups {
+					c.JoinBatch(g, core.SignalWait, ids, nil)
+				}
+				for _, g := range groups {
+					c.AwaitJoined(g)
+				}
+				for e := range int64(epochs) {
+					for _, g := range groups {
+						c.ArriveBatch(g, e, ids)
+					}
+					for _, g := range groups {
+						if rel := c.WaitReleased(g, e); rel < e {
+							return fmt.Errorf("group %d: released %d, awaited %d", g, rel, e)
+						}
+					}
+				}
+				for _, g := range groups {
+					c.LeaveBatch(g, ids)
+				}
+				for _, g := range groups {
+					if rel := c.WaitReleased(g, DrainEpoch); rel != DrainEpoch {
+						return fmt.Errorf("group %d: released %d after its members left, want the drain", g, rel)
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	for range callers {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("callers timed out")
+		}
+	}
+	for g := range uint32(callers * groupsEach) {
+		if rel := c.Released(g); rel != DrainEpoch {
+			t.Errorf("group %d: released %d, want the drain", g, rel)
 		}
 	}
 }

@@ -32,6 +32,7 @@ type Shard struct {
 	onStuck func(StuckReport)
 
 	groups map[uint32]*groupState
+	sums   transport.Slab // the combines' lists
 
 	// Counters (read via Snapshot from outside the dispatch context).
 	Arrivals int64 // signals applied (home) or accumulated (elsewhere)
@@ -74,12 +75,14 @@ type groupState struct {
 	// flush forwards them (not at the home).
 	signals    map[int64]int64
 	flushArmed bool
+	flushFn    func() // the flush timer's callback, bound once
 
 	// Home-shard state: the phaser over the sums of the kids (its open
 	// epoch is released+1 until it drains) and the watchdog's.
 	ph          phase.Counter
 	lastAdvance int64
 	wdArmed     bool
+	wdFn        func() // the watchdog timer's callback, bound once
 }
 
 // newShard builds shard idx of a cfg.Shards-way coordinator. Wire it to
@@ -120,6 +123,17 @@ func (s *Shard) group(g uint32) *groupState {
 		gs = &groupState{
 			g: g, home: s.ring.Home(g) == s.Idx, released: -1,
 			signals: make(map[int64]int64), lastAdvance: s.ep.Now(),
+		}
+		gs.flushFn = func() {
+			gs.flushArmed = false
+			s.flush(gs)
+		}
+		gs.wdFn = func() {
+			gs.wdArmed = false
+			s.checkStuck(gs)
+			if gs.ph.Signalers()+gs.ph.Waiters() > 0 {
+				s.armWatchdog(gs)
+			}
 		}
 		s.groups[g] = gs
 	}
@@ -332,10 +346,7 @@ func (s *Shard) handleArrive(m transport.Message) {
 		s.checkComplete(gs)
 	} else if !gs.flushArmed && len(gs.signals) > 0 {
 		gs.flushArmed = true
-		s.ep.After(s.cfg.FlushDelay, func() {
-			gs.flushArmed = false
-			s.flush(gs)
-		})
+		s.ep.After(s.cfg.FlushDelay, gs.flushFn)
 	}
 }
 
@@ -353,7 +364,7 @@ func (s *Shard) flush(gs *groupState) {
 	if len(gs.signals) == 0 {
 		return
 	}
-	sums := make([]uint64, hi-lo+1)
+	sums := s.sums.Carve(int(hi - lo + 1))
 	for k, n := range gs.signals {
 		sums[hi-k] = uint64(n)
 	}
@@ -373,7 +384,8 @@ func (s *Shard) checkComplete(gs *groupState) {
 // release records "every epoch <= e of gs is complete" and publishes it
 // to every child: down the tree and out to connections.
 func (s *Shard) release(gs *groupState, e int64) {
-	if e <= gs.released {
+	was := gs.released
+	if e <= was {
 		return
 	}
 	gs.released = e
@@ -382,10 +394,14 @@ func (s *Shard) release(gs *groupState, e int64) {
 	}
 	out := transport.Message{Kind: transport.KindRelease, Group: gs.g, Epoch: e}
 	for _, ch := range gs.kids {
-		for k := range ch.sig {
-			if k <= e {
+		// sig holds open epochs only, (was, was+phase.MaxAhead]: claim
+		// drops the rest. So the released ones go by key, not by a walk.
+		if e-was < phase.MaxAhead {
+			for k := was + 1; k <= e; k++ {
 				delete(ch.sig, k)
 			}
+		} else {
+			clear(ch.sig)
 		}
 		s.r.Send(ch.addr, out)
 	}
@@ -397,13 +413,7 @@ func (s *Shard) armWatchdog(gs *groupState) {
 		return
 	}
 	gs.wdArmed = true
-	s.ep.After(s.cfg.Watchdog, func() {
-		gs.wdArmed = false
-		s.checkStuck(gs)
-		if gs.ph.Signalers()+gs.ph.Waiters() > 0 {
-			s.armWatchdog(gs)
-		}
-	})
+	s.ep.After(s.cfg.Watchdog, gs.wdFn)
 }
 
 // checkStuck emits a StuckReport when the group has signalers but the

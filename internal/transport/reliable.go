@@ -90,6 +90,9 @@ type Reliable struct {
 
 	armSeq uint64 // arm-sequence allocator (per instance: no cross-goroutine state)
 
+	retxFree []*retxTimer // timer records that have fired, for the next arms
+	acks     Slab         // the ack lists
+
 	Stats ReliableStats
 }
 
@@ -103,13 +106,26 @@ type relPeer struct {
 	retxArmed bool
 	retxAt    int64
 
-	// Idempotent receive: seqs <= floor are delivered; ahead holds the
-	// out-of-order seqs beyond it.
+	// Idempotent receive: seqs <= floor are delivered, and of the
+	// out-of-order seqs beyond it, bit j of near marks floor+1+j (j < 64:
+	// the reordering a jittery link makes) and far holds the rest.
 	floor uint64
-	ahead map[uint64]struct{}
+	near  uint64
+	far   map[uint64]struct{}
 
 	ackPend  []uint64
 	ackArmed bool
+	ackFlush func() // the coalescing timer's callback, bound once
+}
+
+// retxTimer is one armed retransmit timer: the peer and deadline its
+// firing covers, and fire, bound to the record once when it is made. A
+// record returns to Reliable.retxFree when its timer fires, never on an
+// ack: a timer has no cancel, so a stale one still fires.
+type retxTimer struct {
+	p    *relPeer
+	at   int64
+	fire func()
 }
 
 // NewReliable wraps ep. Delivered (deduplicated, non-ack) messages go
@@ -153,8 +169,12 @@ func AttachReliable(nw Network, a Addr, cfg ReliableConfig, deliver func(r *Reli
 func (r *Reliable) peer(a Addr) *relPeer {
 	p := r.peers[a]
 	if p == nil {
-		p = &relPeer{addr: a, ahead: make(map[uint64]struct{})}
+		p = &relPeer{addr: a, far: make(map[uint64]struct{})}
 		p.w.Init(r.cfg.InitRTO, r.cfg.MaxRTO)
+		p.ackFlush = func() {
+			p.ackArmed = false
+			r.flushAcks(p)
+		}
 		r.peers[a] = p
 		r.order = append(r.order, a)
 	}
@@ -197,12 +217,23 @@ func (r *Reliable) armRetx(p *relPeer, now int64) {
 	}
 	p.retxArmed = true
 	p.retxAt = e.Deadline
-	r.ep.After(e.Deadline-now, func() { r.fireRetx(p, e.Deadline) })
+	var t *retxTimer
+	if n := len(r.retxFree); n > 0 {
+		t, r.retxFree = r.retxFree[n-1], r.retxFree[:n-1]
+	} else {
+		t = &retxTimer{}
+		t.fire = func() { r.fireRetx(t) }
+	}
+	t.p, t.at = p, e.Deadline
+	r.ep.After(e.Deadline-now, t.fire)
 }
 
-// fireRetx retransmits every deadline that has expired, with backoff,
-// and re-arms coverage.
-func (r *Reliable) fireRetx(p *relPeer, at int64) {
+// fireRetx returns t to the free list, retransmits every deadline of its
+// peer that has expired, with backoff, and re-arms coverage.
+func (r *Reliable) fireRetx(t *retxTimer) {
+	p, at := t.p, t.at
+	t.p = nil
+	r.retxFree = append(r.retxFree, t)
 	if p.retxArmed && p.retxAt == at {
 		p.retxArmed = false
 	}
@@ -225,7 +256,10 @@ func (r *Reliable) fireRetx(p *relPeer, at int64) {
 // call it from one.
 func (r *Reliable) OnMessage(m Message) {
 	if m.Kind == KindAck {
-		p := r.peer(m.From)
+		p := r.peers[m.From]
+		if p == nil {
+			return // this side never sent there: nothing to acknowledge
+		}
 		now := r.ep.Now()
 		for _, seq := range m.List {
 			p.w.Ack(seq, now)
@@ -253,20 +287,28 @@ func (r *Reliable) seen(p *relPeer, seq uint64) bool {
 	if seq <= p.floor {
 		return true
 	}
-	if _, dup := p.ahead[seq]; dup {
+	d := seq - p.floor - 1
+	if d >= 64 {
+		if _, dup := p.far[seq]; dup {
+			return true
+		}
+		p.far[seq] = struct{}{}
+		return false
+	}
+	if p.near&(1<<d) != 0 {
 		return true
 	}
-	if seq == p.floor+1 {
+	p.near |= 1 << d
+	for p.near&1 != 0 { // floor+1 is in: the floor advances
+		p.near >>= 1
 		p.floor++
-		for {
-			if _, ok := p.ahead[p.floor+1]; !ok {
-				break
-			}
-			delete(p.ahead, p.floor+1)
-			p.floor++
+		if len(p.far) == 0 {
+			continue
 		}
-	} else {
-		p.ahead[seq] = struct{}{}
+		if _, ok := p.far[p.floor+64]; ok { // far's next moves into near's top bit
+			delete(p.far, p.floor+64)
+			p.near |= 1 << 63
+		}
 	}
 	return false
 }
@@ -282,10 +324,7 @@ func (r *Reliable) flushOrArmAcks(p *relPeer) {
 		return
 	}
 	p.ackArmed = true
-	r.ep.After(r.cfg.AckDelay, func() {
-		p.ackArmed = false
-		r.flushAcks(p)
-	})
+	r.ep.After(r.cfg.AckDelay, p.ackFlush)
 }
 
 // flushAcks coalesces every pending ack into one KindAck datagram
@@ -297,7 +336,7 @@ func (r *Reliable) flushAcks(p *relPeer) {
 	}
 	r.Stats.AcksSent++
 	r.Stats.AcksCovered += int64(len(p.ackPend))
-	list := make([]uint64, len(p.ackPend))
+	list := r.acks.Carve(len(p.ackPend))
 	copy(list, p.ackPend)
 	p.ackPend = p.ackPend[:0]
 	r.ep.Send(p.addr, Message{Kind: KindAck, List: list})

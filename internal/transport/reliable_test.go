@@ -3,6 +3,8 @@ package transport
 import (
 	"strings"
 	"testing"
+
+	"fuzzybarrier/internal/des"
 )
 
 // relPair wires two Reliable layers over one SimNet and returns them
@@ -239,5 +241,103 @@ func TestReliableUnreliableBypass(t *testing.T) {
 	}
 	if len(*outB) != 1 || (*outB)[0].Epoch != 9 {
 		t.Fatalf("unreliable message not delivered: %v", *outB)
+	}
+}
+
+// TestStrayAcksCreateNoPeer: an ack from an address this side never sent
+// to acknowledges nothing, so it is dropped without creating per-peer
+// state. UDPNet learns any source address, so otherwise stray or spoofed
+// acks would grow the peer table without bound.
+func TestStrayAcksCreateNoPeer(t *testing.T) {
+	net, ra, rb, _, _ := relPair(t, SimConfig{Latency: 1, Seed: 1}, ReliableConfig{InitRTO: 1 << 20, AckDelay: 1 << 20})
+	net.eps[1].Do(func() { ra.Send(2, Message{Kind: KindArrive, Epoch: 1}) })
+	net.Run(10, func() bool { return rb.Stats.Delivered == 1 })
+	peers, unacked := len(ra.order), ra.Unacked()
+	if peers != 1 || unacked != 1 {
+		t.Fatalf("before the stray acks: %d peers, %d unacked; want 1 and 1 (the ack is held back)", peers, unacked)
+	}
+	for i := range 1000 {
+		ra.OnMessage(Message{Kind: KindAck, From: Addr(100 + i), To: 1, List: []uint64{1}})
+	}
+	if len(ra.order) != peers || len(ra.peers) != peers || ra.Unacked() != unacked {
+		t.Fatalf("after 1000 stray acks: %d peers (%d in the map), %d unacked; want %d and %d",
+			len(ra.order), len(ra.peers), ra.Unacked(), peers, unacked)
+	}
+}
+
+// TestReliableSteadyStateAllocatesNothing: two Reliable layers on a
+// lossy, duplicating, jittery SimNet exchange a pre-built payload both
+// ways. Once the windows, the event queue and the receive maps have
+// reached their high-water marks, a burst — sends, acks and their
+// coalescing timers, re-acked duplicates, retransmissions — allocates
+// nothing: timer callbacks are bound once per peer or per pooled record,
+// and ack lists are carved from a slab.
+func TestReliableSteadyStateAllocatesNothing(t *testing.T) {
+	nw := NewSimNet(SimConfig{Latency: 2, Jitter: 5, DropRate: 0.2, DupRate: 0.1, Seed: 9})
+	var ra, rb *Reliable
+	delivered := 0
+	epA, _ := nw.Attach(1, func(m Message) { ra.OnMessage(m) })
+	epB, _ := nw.Attach(2, func(m Message) { rb.OnMessage(m) })
+	count := func(Message) { delivered++ }
+	ra = NewReliable(epA, SimReliable(2, 5), count, nil)
+	rb = NewReliable(epB, SimReliable(2, 5), count, nil)
+	m := Message{Kind: KindArrive, Group: 1, Epoch: 3, List: []uint64{1, 2, 3}}
+	drained := func() bool { return ra.Unacked() == 0 && rb.Unacked() == 0 }
+	burst := func() { // between Runs the driving goroutine is every endpoint's dispatch context
+		for range 8 {
+			ra.Send(2, m)
+			rb.Send(1, m)
+		}
+		if _, ok := nw.Run(nw.Now()+100_000, drained); !ok {
+			t.Fatalf("burst did not drain: %s / %s", ra.PendingLine(), rb.PendingLine())
+		}
+	}
+	for range 400 {
+		burst()
+	}
+	before, dups := ra.Stats.Retransmits+rb.Stats.Retransmits, ra.Stats.DupDropped+rb.Stats.DupDropped
+	if n := testing.AllocsPerRun(200, burst); n != 0 {
+		t.Errorf("a burst of 16 reliable sends allocates %v times", n)
+	}
+	if ra.Stats.Retransmits+rb.Stats.Retransmits == before || ra.Stats.DupDropped+rb.Stats.DupDropped == dups {
+		t.Fatalf("the measured bursts retransmitted %d and re-acked %d duplicates; want both > 0",
+			ra.Stats.Retransmits+rb.Stats.Retransmits-before, ra.Stats.DupDropped+rb.Stats.DupDropped-dups)
+	}
+	if delivered == 0 {
+		t.Fatal("nothing was delivered")
+	}
+}
+
+// TestSeenMatchesSetReference holds the receive window (the floor, the
+// 64-bit near window and the far map) against a plain set of delivered
+// seqs: seeded streams of 1..n with duplicates, reordered over spans
+// from a few seqs to several hundred, so seqs land below, inside and
+// beyond the near window and far entries move into it as the floor
+// passes them. Every arrival must be reported new exactly once.
+func TestSeenMatchesSetReference(t *testing.T) {
+	for seed := range uint64(200) {
+		rng := des.NewRNG(seed)
+		n, span := 300+int(rng.IntN(300)), 1+rng.IntN(400)
+		var stream []uint64
+		for seq := uint64(1); seq <= uint64(n); seq++ {
+			for range 1 + rng.IntN(2) { // some seqs arrive twice
+				stream = append(stream, seq)
+			}
+		}
+		for i := range stream { // reorder each arrival within span of its place
+			j := min(i+int(rng.IntN(span)), len(stream)-1)
+			stream[i], stream[j] = stream[j], stream[i]
+		}
+		p := &relPeer{far: make(map[uint64]struct{})}
+		ref := map[uint64]bool{}
+		for i, seq := range stream {
+			if got := (&Reliable{}).seen(p, seq); got != ref[seq] {
+				t.Fatalf("seed %d, arrival %d (seq %d): seen %v, reference %v", seed, i, seq, got, ref[seq])
+			}
+			ref[seq] = true
+		}
+		if p.floor != uint64(n) || p.near != 0 || len(p.far) != 0 {
+			t.Fatalf("seed %d: after every seq, floor %d near %#x far %d; want %d, 0, 0", seed, p.floor, p.near, len(p.far), n)
+		}
 	}
 }

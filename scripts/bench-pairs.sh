@@ -15,7 +15,9 @@
 # 0`), alternating which side goes first, each side appending its records
 # to its own -out file. At the end `bench/run.sh -compare` prints the
 # medians and verdicts, and one line per end-to-end metric says how many
-# pairs the change won, lost and tied. Several workloads run one after
+# pairs the change won, lost and tied, and the median over the pairs of
+# the change/parent ratio (below 1 is smaller on the change's side, which
+# is better for every metric but ops_per_s). Several workloads run one after
 # the other, each with its own -out files and verdict lines; the exit
 # status is the worst -compare status. bench/ is used as it is.
 set -euo pipefail
@@ -45,11 +47,21 @@ run() { # run <dir> <out-file> <seed> -> the run's last line
 }
 
 metrics="setup_s heap_peak_mb sync_us ops_per_s"
-declare -A won lost tied
+declare -A won lost tied ratios
 worst=0
+
+# median reads numbers, one a line, and prints their median (n/a if none).
+median() {
+	sort -g | awk 'NF { v[++n] = $1 } END {
+		if (n == 0) print "n/a"
+		else if (n % 2) printf "%.3f\n", v[(n + 1) / 2]
+		else printf "%.3f\n", (v[n / 2] + v[n / 2 + 1]) / 2
+	}'
+}
+
 for workload in $workloads; do
 	old="$work/$workload-$stamp-parent-$sha.json" new="$work/$workload-$stamp-change.json"
-	for m in $metrics; do won[$m]=0 lost[$m]=0 tied[$m]=0; done
+	for m in $metrics; do won[$m]=0 lost[$m]=0 tied[$m]=0 ratios[$m]=""; done
 	for i in $(seq 1 "$pairs"); do
 		seed=$((base + i))
 		if [ $((i % 2)) -eq 1 ]; then
@@ -65,13 +77,15 @@ for workload in $workloads; do
 			verdict=$(awk -v p="$pv" -v c="$cv" -v hi="$([ "$m" = ops_per_s ] && echo 1 || echo 0)" \
 				'BEGIN { if (p == c) print "tied"; else if ((c < p) != (hi == 1)) print "won"; else print "lost" }')
 			case $verdict in won) won[$m]=$((won[$m] + 1)) ;; lost) lost[$m]=$((lost[$m] + 1)) ;; *) tied[$m]=$((tied[$m] + 1)) ;; esac
+			ratios[$m]+=$(awk -v p="$pv" -v c="$cv" 'BEGIN { if (p != 0) printf " %.6g", c / p }')
 		done
 		echo "$line"
 	done
 	status=0
 	bash "$root/bench/run.sh" -compare "$old" "$new" || status=$?
 	for m in $metrics; do
-		echo "$workload $m: change won ${won[$m]}, lost ${lost[$m]}, tied ${tied[$m]} of $pairs pairs (parent $sha)"
+		ratio=$(printf '%s\n' ${ratios[$m]} | median)
+		echo "$workload $m: change won ${won[$m]}, lost ${lost[$m]}, tied ${tied[$m]} of $pairs pairs, median change/parent $ratio (parent $sha)"
 	done
 	echo "records: $old $new"
 	[ "$status" -le "$worst" ] || worst=$status
