@@ -30,11 +30,11 @@ bench:
 # Every root benchmark once (-benchtime 1x, under a second): `go vet`
 # only compiles them, so this is what makes a broken benchmark fail
 # here rather than in the next `make bench`. The root keeps only the
-# eight families whose numbers no other harness records yet:
+# seven families whose numbers no other harness records yet:
 # E2Barriers (point barriers, until bench/ records them beside
 # `sense`), E2SplitScaling (large n and the reduce barrier, until
-# bench/ sweeps size x skew x radix), ReduceAllreduce, DynamicBarrier
-# and SimulatorThroughput (no bench/ workload runs them), and the three
+# bench/ sweeps size x skew x radix), ReduceAllreduce and
+# SimulatorThroughput (no bench/ workload runs them), and the three
 # Ablation* families (DESIGN.md §5). Every other number lives in
 # bench/, an experiment table or a `make bench-gate` test.
 bench-once:
@@ -79,10 +79,10 @@ bench-gate:
 # prove the checker has teeth, then hammer the runtime barriers with
 # randomized schedules under the race detector — TestStress* (the
 # test-only harness, its barriers looked up in the contract table of
-# internal/core/contract_test.go) covers the reduce-barrier fold check
-# and dynamic-barrier churn, TestRace* the plain-slot ordering baits over every
-# row of that table. The wide n=4 sweep and full-length stress runs live
-# behind the non-short suite (`make race`). The final line runs a short
+# internal/core/contract_test.go) covers the reduce-barrier fold check,
+# TestRace* the plain-slot ordering baits over every row of that table.
+# The wide n=4 sweep and full-length stress runs live behind the
+# non-short suite (`make race`). The final line runs a short
 # native-fuzz burst over the transport wire codec (the seed corpus plus
 # 500 mutated inputs) so codec regressions surface pre-merge without a
 # long fuzzing session.

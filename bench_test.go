@@ -1,7 +1,7 @@
 // Root benchmarks for the numbers no other harness records yet: the
 // point barriers and split-barrier scaling of the paper's Section 1
-// (E2), the allreduce and dynamic-membership barriers on goroutines,
-// the simulator's own speed, and the ablations DESIGN.md §5 calls out.
+// (E2), the allreduce barrier on goroutines, the simulator's own speed,
+// and the ablations DESIGN.md §5 calls out.
 // Every other number has one home: bench/ (rt-*, sim-*), an experiment
 // table (cmd/experiments) or a BENCH_GATE speed-up test. Simulator
 // benchmarks report deterministic counters (cycles, stall cycles) via
@@ -390,28 +390,6 @@ func BenchmarkAblationIssueWidth(b *testing.B) {
 				cycles += res.Cycles
 			}
 			b.ReportMetric(float64(cycles)/float64(b.N), "cycles")
-		})
-	}
-}
-
-// BenchmarkDynamicBarrier measures the dynamic-membership barrier
-// (register / arrive-and-leave) against the fixed-membership fast path.
-func BenchmarkDynamicBarrier(b *testing.B) {
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("p%d", workers), func(b *testing.B) {
-			bar := core.NewDynamicBarrier(workers)
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < b.N; i++ {
-						bar.Wait(bar.Arrive())
-					}
-				}()
-			}
-			wg.Wait()
 		})
 	}
 }

@@ -350,8 +350,9 @@ func optionFields(f *ast.File, pkg string) (out []string) {
 
 // reachAllowList names functions that TestReachabilityCensus finds
 // reached by no program, and says why each stays. Keys are "pkg.Func" or
-// "pkg.Type.Method", named as in dupAllowList; a "pkg.Type" key covers
-// every method of that type.
+// "pkg.Type.Method", named as in dupAllowList (never an examples/ one:
+// the census does not report examples); a "pkg.Type" key covers every
+// method of that type.
 var reachAllowList = map[string]string{
 	"baseline.Central":          pointBarrier,
 	"baseline.Dissemination":    pointBarrier,
@@ -374,10 +375,12 @@ const (
 
 // TestReachabilityCensus fails on a function of the main module that no
 // program runs. Code under internal/ is reached only through the module's
-// programs — the cmd/ tools, the examples and bench/ — so a function none
-// of them reaches is code that only its own test keeps alive. The census
-// type-checks the non-test files of every package (bench/ is read for its
-// roots, never reported) and walks from the roots: every main and init
+// programs — the cmd/ tools and bench/ — so a function none of them
+// reaches is code that only its own test or an example keeps alive. An
+// example shows how to call the product; it is not a program the product
+// exists for. The census type-checks the non-test files of every package
+// (bench/ is read for its roots, never reported; examples/ is neither a
+// root nor reported) and walks from the roots: every main and init
 // function, and every package-level var declaration except an interface
 // assertion (var _ I = (*T)(nil)). A reached declaration reaches each
 // function, method and type its syntax uses, a generic instance standing
@@ -402,16 +405,18 @@ func TestReachabilityCensus(t *testing.T) {
 
 // TestReachabilityCensusFixture runs the census on testdata/reach, a
 // program with one dead function beside each way a live one is reached
-// other than by a plain call, and wants exactly the dead one; then it
-// checks the verdict on that finding under four allow-lists.
+// other than by a plain call, and a library function only an example
+// calls, and wants exactly those two; then it checks the verdict on the
+// dead method under four allow-lists.
 func TestReachabilityCensusFixture(t *testing.T) {
 	dead, err := unreached("testdata/reach", "reach")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := map[string]int{"main.circle.area": 3}; !maps.Equal(dead, want) {
+	if want := map[string]int{"main.circle.area": 3, "lib.Demo": 2}; !maps.Equal(dead, want) {
 		t.Fatalf("census of testdata/reach = %v, want %v", dead, want)
 	}
+	delete(dead, "lib.Demo")
 	for _, c := range []struct {
 		allow    map[string]string
 		problems int
@@ -459,9 +464,12 @@ func reachVerdict(dead map[string]int, allow map[string]string) (line string, pr
 // keyed as in reachAllowList, with its length in lines, doc comment
 // included. A module nested under root (bench/) is checked for its roots
 // and never reported; its import path is its directory's under module.
+// The packages under examples/ are checked, and neither root the walk
+// nor are reported.
 func unreached(root, module string) (map[string]int, error) {
 	type pkg struct {
 		name    string // the census name: the path under internal/, or from root
+		program bool   // its main, init and package vars are roots
 		report  bool
 		files   []*ast.File
 		checked *types.Package
@@ -497,7 +505,9 @@ func unreached(root, module string) (map[string]int, error) {
 			}
 			p := pkgs[path]
 			if p == nil {
-				p = &pkg{name: strings.TrimPrefix(rel, "internal/"), report: !slices.ContainsFunc(nested, func(n string) bool { return rel == n || strings.HasPrefix(rel, n+"/") })}
+				under := func(d string) bool { return rel == d || strings.HasPrefix(rel, d+"/") }
+				program := !under("examples")
+				p = &pkg{name: strings.TrimPrefix(rel, "internal/"), program: program, report: program && !slices.ContainsFunc(nested, under)}
 				if rel == "." {
 					p.name = f.Name.Name
 				}
@@ -572,7 +582,7 @@ func unreached(root, module string) (map[string]int, error) {
 					if d.Recv != nil {
 						key = p.name + "." + recvName(d.Recv.List[0].Type) + "." + d.Name.Name
 					}
-					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && f.Name.Name == "main") {
+					if p.program && d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && f.Name.Name == "main") {
 						queue = append(queue, d)
 					} else if obj, ok := info.Defs[d.Name].(*types.Func); ok {
 						funcs[obj] = fn{d, key, p}
@@ -587,7 +597,7 @@ func unreached(root, module string) (map[string]int, error) {
 						case *ast.ValueSpec:
 							assertion := s.Type != nil && types.IsInterface(info.Types[s.Type].Type) &&
 								!slices.ContainsFunc(s.Names, func(n *ast.Ident) bool { return n.Name != "_" })
-							if d.Tok == token.VAR && !assertion {
+							if p.program && d.Tok == token.VAR && !assertion {
 								queue = append(queue, s)
 							}
 						}

@@ -12,13 +12,10 @@
 //     runtime split-phase barriers (Arrive/Wait) for goroutines — the
 //     central-counter FuzzyBarrier, the combining-tree TreeBarrier,
 //     two-level HierBarrier and allreduce ReduceBarrier for large
-//     participant counts (one combining tree under all three), and
-//     DynamicBarrier with run-time membership (the runtime form of
-//     Section 5's mask manipulation); the five embed one
-//     publish/wait/stats core and count arrivals three ways: a central
-//     counter, the combining tree, and the one counting phaser of
-//     internal/phase, which barrierd's home shard holds too — and the
-//     Section 5 multi-barrier allocation discipline;
+//     participant counts (one combining tree under all three); the four
+//     embed one publish/wait/stats core and count arrivals two ways, a
+//     central counter and the combining tree — and the Section 5
+//     multi-barrier allocation discipline;
 //   - internal/machine, internal/mem, internal/isa — a deterministic
 //     cycle-level multiprocessor simulator with per-instruction
 //     barrier-region bits;
@@ -29,7 +26,7 @@
 //   - internal/baseline — conventional software barriers (central
 //     counter, sense-reversing, combining tree, dissemination,
 //     tournament);
-//   - internal/sched, internal/workload, internal/exp — schedulers,
+//   - internal/sched, internal/workload, internal/exp — static schedules,
 //     workload generators and the experiment harness regenerating every
 //     table and figure of the paper (cmd/experiments);
 //   - internal/trace, internal/stats — observability: Gantt/event

@@ -18,9 +18,9 @@ import (
 // to a row skips it and says why.
 
 // contractRow is one split barrier of the contract table. Where Go can
-// tell a capability from the barrier's method set (SplitBarrier's N and
-// Stats, ArriveProfiler, *ReduceBarrier), the properties ask the barrier;
-// the fields below hold what it cannot.
+// tell a capability from the barrier's method set (ArriveProfiler,
+// *ReduceBarrier), the properties ask the barrier; the fields below hold
+// what it cannot.
 type contractRow struct {
 	name   string
 	radix  int // tree, hier and reduce fan-in; 0 keeps the constructor's default
@@ -39,8 +39,8 @@ type contractRow struct {
 }
 
 // contractRows is the table: central; tree at radix 2, 3 and 4; hier at
-// one shard, three shards and the GOMAXPROCS default; reduce through its
-// plain split-phase Arrive; and dynamic.
+// one shard, three shards and the GOMAXPROCS default; and reduce through
+// its plain split-phase Arrive.
 var contractRows = []contractRow{
 	{name: "central", build: func(_ contractRow, n int) stressBarrier { return NewFuzzyBarrier(n) }},
 	{name: "tree-r2", radix: 2, build: buildTree, leaf0: treeLeaf0},
@@ -52,7 +52,6 @@ var contractRows = []contractRow{
 	{name: "reduce", op: OpSum, identity: IdentitySum, build: func(r contractRow, n int) stressBarrier {
 		return NewReduceBarrierRadix(n, r.radix, r.op, r.identity)
 	}},
-	{name: "dynamic", build: func(_ contractRow, n int) stressBarrier { return NewDynamicBarrier(n) }},
 }
 
 func buildTree(r contractRow, n int) stressBarrier { return NewTreeBarrierRadix(n, r.radix) }
@@ -270,7 +269,7 @@ func TestContractTryWait(t *testing.T) {
 }
 
 // TestContractSingleParticipant: a lone participant's own Arrive
-// completes its phase, and a barrier that reports its size says 1.
+// completes its phase, and the barrier reports its size as 1.
 func TestContractSingleParticipant(t *testing.T) {
 	eachRow(t, func(t *testing.T, r contractRow) {
 		h := r.build(r, 1)
@@ -284,8 +283,8 @@ func TestContractSingleParticipant(t *testing.T) {
 		if h.Epoch() != 10 {
 			t.Errorf("epoch = %d, want 10", h.Epoch())
 		}
-		if b, ok := h.(SplitBarrier); ok && b.N() != 1 {
-			t.Errorf("N() = %d, want 1", b.N())
+		if h.N() != 1 {
+			t.Errorf("N() = %d, want 1", h.N())
 		}
 	})
 }

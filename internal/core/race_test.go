@@ -56,8 +56,7 @@ func stressSplit(t *testing.T, r contractRow, n, phases int) bool {
 // and reduce combining (reduce's plain Arrive contributes the identity),
 // hier's shard subtrees, cross-shard hop and per-shard release fan-out
 // (13 members leave shards partial; one shard degenerates to a guarded
-// tree), and the dynamic barrier's counter must all give the ordering
-// the central epoch does. TestReduceBarrierConcurrent adds the
+// tree) must all give the ordering the central epoch does. TestReduceBarrierConcurrent adds the
 // value-carrying path under -race via the verify lane.
 func TestRaceContractStress(t *testing.T) {
 	eachRow(t, func(t *testing.T, r contractRow) {
@@ -111,121 +110,5 @@ func TestRaceSnapshotDuringRun(t *testing.T) {
 		if s := b.StatsSnapshot(); s.Syncs != episodes || s.Arrivals != n*episodes {
 			t.Errorf("%s: at quiescence Syncs = %d, Arrivals = %d, want %d, %d", row.name, s.Syncs, s.Arrivals, episodes, n*episodes)
 		}
-	}
-}
-
-// TestRaceDynamicBarrierChurn stresses DynamicBarrier with membership
-// churn: a fixed core of members synchronizes for the whole run while
-// transient members register, ride along for a few phases, and leave.
-// TestRaceDynamicRegisterDuringCompletion pins the two races fixed by
-// serializing DynamicBarrier's transitions under one mutex (dynamic.go).
-// With the earlier CAS-packed state, a stream that Registered and
-// Arrived in the gap between the completing arrival's count reset and
-// its epoch publication got a ticket naming the *previous* phase: its
-// Wait returned immediately, its ArriveAndLeave then double-counted
-// into the phase it had really joined, and that phase completed without
-// a permanent member's arrival — observable here as a stale slot read
-// (and, under -race, as a data race on the slot). The tight
-// register/arrive/wait/leave churn below drives that window thousands
-// of times per run.
-func TestRaceDynamicRegisterDuringCompletion(t *testing.T) {
-	const fixed = 2
-	const phases = 400
-	const churners = 4
-	const rounds = 40
-	b := NewDynamicBarrier(fixed)
-	var slots [fixed]int64
-	var stale atomic.Int64
-	if !churn(t, b, fixed, churners, func(id int) {
-		for p := int64(0); p < phases; p++ {
-			slots[id] = p + 1
-			ph := b.Arrive()
-			b.Wait(ph)
-			for j := 0; j < fixed; j++ {
-				if slots[j] < p+1 {
-					stale.Add(1)
-				}
-			}
-			b.Await() // close the read window before the next write
-		}
-	}, func(int) {
-		for round := 0; round < rounds; round++ {
-			b.Register()
-			ph := b.Arrive()
-			b.Wait(ph)
-			b.ArriveAndLeave()
-		}
-	}) {
-		return
-	}
-	if n := stale.Load(); n > 0 {
-		t.Errorf("%d stale slot reads: a phase completed without every member's arrival", n)
-	}
-	if got := b.Members(); got != 0 {
-		t.Errorf("members after drain = %d, want 0", got)
-	}
-}
-
-// churn runs fixed members and churners on one dynamic barrier and
-// reports whether they all returned. Member id runs member(id), then
-// keeps phases turning until no churner is left, and leaves: leaving
-// first could drain the barrier while every churner is between rounds,
-// and the next Register would panic. Churner c runs churner(c).
-func churn(t *testing.T, b *DynamicBarrier, fixed, churners int, member, churner func(id int)) bool {
-	t.Helper()
-	var churning atomic.Int64
-	churning.Store(int64(churners))
-	return runN(t, b.split(), fixed+churners, func(id int) {
-		if id >= fixed {
-			defer churning.Add(-1)
-			churner(id - fixed)
-			return
-		}
-		member(id)
-		for churning.Load() > 0 {
-			b.Await()
-		}
-		b.ArriveAndLeave()
-	})
-}
-
-func TestRaceDynamicBarrierChurn(t *testing.T) {
-	const fixed = 4
-	const phases = 300
-	const churners = 6
-	b := NewDynamicBarrier(fixed)
-	var data [fixed + churners]int // plain writes ordered only by the barrier
-	if !churn(t, b, fixed, churners, func(id int) {
-		for p := 0; p < phases; p++ {
-			data[id]++
-			ph := b.Arrive()
-			b.Wait(ph)
-		}
-	}, func(id int) {
-		// Join, synchronize for a few phases, leave — repeatedly.
-		for round := 0; round < 10; round++ {
-			b.Register()
-			for p := 0; p < 5+id; p++ {
-				data[fixed+id]++
-				ph := b.Arrive()
-				b.Wait(ph)
-			}
-			b.ArriveAndLeave()
-		}
-	}) {
-		return
-	}
-	if got := b.Members(); got != 0 {
-		t.Errorf("members after drain = %d, want 0", got)
-	}
-	if b.Epoch() < phases {
-		t.Errorf("epoch = %d, want >= %d", b.Epoch(), phases)
-	}
-	var total int
-	for _, v := range data {
-		total += v
-	}
-	if total == 0 {
-		t.Error("no work recorded")
 	}
 }

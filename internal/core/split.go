@@ -15,9 +15,6 @@ package core
 // if some participant has not yet arrived at the same phase. Every
 // participant must call Arrive exactly once per phase and Wait before
 // its next Arrive.
-//
-// DynamicBarrier satisfies everything here except N (its membership
-// changes at run time), which is why it stays outside the interface.
 type SplitBarrier interface {
 	// Arrive signals readiness to synchronize; it never blocks.
 	Arrive() Phase

@@ -54,13 +54,13 @@ func pow4(n int) int64 {
 
 // BarrierStats is a point-in-time snapshot of a runtime barrier's
 // counters: the observability surface shared by FuzzyBarrier,
-// DynamicBarrier, TreeBarrier, HierBarrier and ReduceBarrier, whose wait counters the benchmark's rt-* workloads record (bench/rt.go)
-// and String prints. Always-on costs the hot path no lock and no
-// allocation: each Wait adds to one outcome counter and one histogram
-// bucket (a spinning Wait also to SpinIters), all padded off the line
-// waiters spin on, and Arrive of a fixed-membership barrier writes no
-// statistics word at all — Syncs and Arrivals are derived when a
-// snapshot is taken.
+// TreeBarrier, HierBarrier and ReduceBarrier, whose wait counters the
+// benchmark's rt-* workloads record (bench/rt.go) and String prints.
+// Always-on costs the hot path no lock and no allocation: each Wait adds
+// to one outcome counter and one histogram bucket (a spinning Wait also
+// to SpinIters), all padded off the line waiters spin on, and Arrive
+// writes no statistics word at all — Syncs and Arrivals are derived when
+// a snapshot is taken.
 type BarrierStats struct {
 	Syncs int64 // completed barrier episodes: the epoch
 	// Arrivals is the total number of Arrive calls, derived from the

@@ -16,7 +16,7 @@ func stressPhases(t *testing.T) int {
 // (SpinLimit 1 forces the block path through the condition variable).
 func TestStressBarriers(t *testing.T) {
 	phases := stressPhases(t)
-	for _, barrier := range []string{"central", "tree-r4", "hier", "dynamic"} {
+	for _, barrier := range []string{"central", "tree-r4", "hier"} {
 		for _, spin := range []int{0, 1} {
 			rep, err := Stress(StressConfig{
 				Barrier: barrier, Workers: 4, Phases: phases,
@@ -80,28 +80,6 @@ func TestStressHierShapes(t *testing.T) {
 	}
 }
 
-// TestStressDynamicChurn adds transient members registering and leaving
-// against the permanent members' phases — the schedule class that found
-// the pre-mutex DynamicBarrier races (see DynamicBarrier in dynamic.go and
-// TestRaceDynamicRegisterDuringCompletion).
-func TestStressDynamicChurn(t *testing.T) {
-	phases := stressPhases(t)
-	rep, err := Stress(StressConfig{
-		Barrier: "dynamic", Workers: 4, Phases: phases,
-		Seed: 0xd1ce, Churners: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range rep.Violations {
-		t.Error(v)
-	}
-	if rep.ChurnJoins == 0 {
-		t.Error("churners never completed a join/leave round")
-	}
-	t.Logf("%s", rep)
-}
-
 // TestStressReduce hammers the reduce barrier: every WaitValue result is
 // compared against the serial fold of that phase's contributions. The
 // seeds are chosen so every operator in the harness's {sum, xor, min,
@@ -139,10 +117,6 @@ func TestStressConfigErrors(t *testing.T) {
 		{Barrier: "nope", Workers: 2, Phases: 10},
 		{Barrier: "central", Workers: 0, Phases: 10},
 		{Barrier: "central", Workers: 2, Phases: 0},
-		{Barrier: "central", Workers: 2, Phases: 10, Churners: 1}, // churn needs dynamic
-		{Barrier: "reduce", Workers: 2, Phases: 10, Churners: 1},  // reduce has fixed membership
-		{Barrier: "dynamic", Workers: 2, Phases: 4, Churners: 1},  // churn needs >= 8 phases
-		{Barrier: "dynamic", Workers: 2, Phases: 10, Churners: -1},
 	} {
 		if _, err := Stress(cfg); err == nil {
 			t.Errorf("config %+v: expected an error", cfg)

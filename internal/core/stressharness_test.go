@@ -14,8 +14,8 @@ import (
 // model-checking counterpart internal/check proves the *cluster*
 // protocols over every message interleaving; this harness hammers the
 // shared-memory barriers (FuzzyBarrier, TreeBarrier, HierBarrier,
-// DynamicBarrier, ReduceBarrier) under randomized
-// arrive/wait/register/leave schedules and runtime.Gosched storms, and
+// ReduceBarrier) under randomized arrive/wait schedules and
+// runtime.Gosched storms, and
 // cross-checks what cannot be enumerated: the Go memory model's
 // happens-before edges and the BarrierStats accounting.
 //
@@ -40,9 +40,8 @@ import (
 //
 // The Gosched storms matter: they force goroutine migration and
 // preemption at random points inside the arrive/region/wait window, so
-// publication races that need an ill-timed context switch (the class of
-// bug TestRaceDynamicRegisterDuringCompletion pins) actually get their
-// ill-timed context switches.
+// publication races that need an ill-timed context switch actually get
+// their ill-timed context switches.
 //
 // The barrier is a row of the contract table (contract_test.go), looked
 // up by name, and a run whose epoch stands still for contractStuck is
@@ -50,9 +49,9 @@ import (
 
 // StressConfig configures one stress run.
 type StressConfig struct {
-	Barrier string // a contractRows name: "central", "tree-r4", "hier", "dynamic", "reduce", "phaser", …
-	Workers int    // permanent members (>= 1)
-	Phases  int    // synchronization episodes per permanent member
+	Barrier string // a contractRows name: "central", "tree-r4", "hier", "reduce", …
+	Workers int    // members (>= 1)
+	Phases  int    // synchronization episodes per member
 
 	// Seed makes the per-worker schedule randomization reproducible;
 	// the interleavings themselves remain up to the scheduler.
@@ -67,15 +66,6 @@ type StressConfig struct {
 	// HierShards pins the hier barrier's shard count; 0 keeps the
 	// row's. Hier only.
 	HierShards int
-
-	// Churners adds transient members (dynamic and phaser): each
-	// repeatedly Registers, rides along for a few phases, and leaves,
-	// exercising membership transitions against phase completion.
-	// Dynamic churners are ordinary members; phaser churners register as
-	// signal-only producers or wait-only consumers (chosen per round by
-	// seed). The churn volume is bounded well below Phases so churners
-	// always drain while the permanent members still drive phases.
-	Churners int
 }
 
 // StressReport is the outcome of one stress run.
@@ -84,8 +74,7 @@ type StressReport struct {
 	Stats  BarrierStats
 
 	Epoch      int64  // barrier epoch at the end of the run
-	ChurnJoins int64  // completed register..ride..leave rounds
-	Arrivals   int64  // Arrive/ArriveAndLeave calls the harness issued
+	Arrivals   int64  // Arrive calls the harness issued
 	Waits      int64  // Wait calls the harness issued
 	ReduceOp   string // reduce only: the seed-chosen operator name
 	Violations []string
@@ -105,9 +94,9 @@ func (r *StressReport) String() string {
 	if r.ReduceOp != "" {
 		name += "/" + r.ReduceOp
 	}
-	return fmt.Sprintf("%s workers=%d phases=%d spin=%d churners=%d: epoch=%d arrivals=%d waits=%d blocks=%d churn-joins=%d — %s",
-		name, r.Config.Workers, r.Config.Phases, r.Config.SpinLimit, r.Config.Churners,
-		r.Epoch, r.Arrivals, r.Waits, r.Stats.Blocks, r.ChurnJoins, verdict)
+	return fmt.Sprintf("%s workers=%d phases=%d spin=%d: epoch=%d arrivals=%d waits=%d blocks=%d — %s",
+		name, r.Config.Workers, r.Config.Phases, r.Config.SpinLimit,
+		r.Epoch, r.Arrivals, r.Waits, r.Stats.Blocks, verdict)
 }
 
 // stressRNG is a splitmix64 schedule randomizer, one per worker.
@@ -131,17 +120,10 @@ func (r *stressRNG) storm() {
 }
 
 // stressBarrier is a contract-table barrier as the harness and the
-// contract properties see it: the slice of SplitBarrier they need, plus
-// the embedded splitCore that holds SpinLimit. It is
-// satisfied by FuzzyBarrier, TreeBarrier, HierBarrier, ReduceBarrier
-// and DynamicBarrier alike.
+// contract properties see it: a SplitBarrier, plus the embedded
+// splitCore that holds SpinLimit.
 type stressBarrier interface {
-	Arrive() Phase
-	TryWait(Phase) bool
-	Wait(Phase)
-	Await()
-	Epoch() int64
-	StatsSnapshot() BarrierStats
+	SplitBarrier
 	split() *splitCore
 }
 
@@ -154,9 +136,6 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 	}
 	if cfg.Phases < 1 {
 		return nil, fmt.Errorf("core: stress needs >= 1 phase, got %d", cfg.Phases)
-	}
-	if cfg.Churners < 0 {
-		return nil, fmt.Errorf("core: negative churner count %d", cfg.Churners)
 	}
 
 	i := slices.IndexFunc(contractRows, func(r contractRow) bool { return r.name == cfg.Barrier })
@@ -187,26 +166,15 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 	row.op, row.identity = pick.op, pick.identity
 	b := row.build(row, cfg.Workers)
 	b.split().SpinLimit = cfg.SpinLimit
-	dyn, _ := b.(*DynamicBarrier)
 	red, _ := b.(*ReduceBarrier)
 	op, identity, opName := pick.op, pick.identity, pick.name
 	if red == nil {
 		opName = ""
 	}
-	if cfg.Churners > 0 && dyn == nil {
-		return nil, fmt.Errorf("core: churners need the dynamic barrier, got %q", cfg.Barrier)
-	}
-	// Each churner round rides at most 4 phases and runs churnRounds
-	// times; keep the total well under the permanent members' 2*Phases
-	// phases so churners always drain against a live barrier.
-	churnRounds := cfg.Phases / 8
-	if cfg.Churners > 0 && churnRounds < 1 {
-		return nil, fmt.Errorf("core: churn needs >= 8 phases, got %d", cfg.Phases)
-	}
 
 	rep := &StressReport{Config: cfg, ReduceOp: opName}
-	slots := make([]int64, cfg.Workers+cfg.Churners) // plain slots: the race bait
-	var stale, arrivals, waits, churnJoins, reduceBad atomic.Int64
+	slots := make([]int64, cfg.Workers) // plain slots: the race bait
+	var stale, arrivals, waits, reduceBad atomic.Int64
 
 	// Reduce mode: contributions are a pure function of (seed, phase,
 	// worker), so the serial fold every WaitValue must equal is computed
@@ -264,7 +232,7 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 				if got := wait(&r, ph); red != nil && got != expectFold[p] {
 					reduceBad.Add(1)
 				}
-				// Every permanent member must have written p+1 before any
+				// Every member must have written p+1 before any
 				// Wait for this phase returned.
 				for j := 0; j < cfg.Workers; j++ {
 					if slots[j] < p+1 {
@@ -279,45 +247,7 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 					reduceBad.Add(1)
 				}
 			}
-			if dyn != nil {
-				dyn.ArriveAndLeave()
-				arrivals.Add(1)
-			}
 		}(w)
-	}
-	for c := 0; c < cfg.Churners; c++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			r := stressRNG(mix64(cfg.Seed, uint64(cfg.Workers+id)+0x5bd1))
-			for round := 0; round < churnRounds; round++ {
-				r.storm()
-				ride := 1 + r.next()&3
-				// A churner is an ordinary member for a few phases. It
-				// reads the slots only on even tickets: on odd ones the
-				// permanents' next writes race with it. The ticket is exact
-				// because Arrive reads the epoch under the mutex that
-				// counts the arrival. The permanents write before even
-				// phases and read back before odd ones close the window, so
-				// at an even epoch e every slot holds e/2+1 (capped at
-				// Phases).
-				dyn.Register()
-				for p := uint64(0); p < ride; p++ {
-					slots[cfg.Workers+id]++ // plain write on the churner's own slot
-					ph := dyn.Arrive()
-					arrivals.Add(1)
-					wait(&r, ph)
-					for j := 0; j < cfg.Workers && ph.epoch%2 == 0; j++ {
-						if slots[j] < min(ph.epoch/2+1, int64(cfg.Phases)) {
-							stale.Add(1)
-						}
-					}
-				}
-				dyn.ArriveAndLeave()
-				arrivals.Add(1)
-				churnJoins.Add(1)
-			}
-		}(c)
 	}
 	if stood, ok := awaitProgress(&wg, b.split()); !ok {
 		rep.violatef("the epoch stood at %d for %v: a phase never completed", stood, contractStuck)
@@ -326,10 +256,9 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 
 	rep.Stats = b.StatsSnapshot()
 	rep.Epoch = b.Epoch()
-	rep.ChurnJoins = churnJoins.Load()
 	rep.Arrivals = arrivals.Load()
 	rep.Waits = waits.Load()
-	rep.check(dyn, stale.Load(), reduceBad.Load())
+	rep.check(stale.Load(), reduceBad.Load())
 	return rep, nil
 }
 
@@ -337,7 +266,7 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 // own accounting and the stats invariants, given the slot reads that saw
 // a pre-arrival value and the reduce results that differed from the
 // serial fold.
-func (rep *StressReport) check(dyn *DynamicBarrier, stale, reduceBad int64) {
+func (rep *StressReport) check(stale, reduceBad int64) {
 	cfg, s := rep.Config, rep.Stats
 	if stale > 0 {
 		rep.violatef("%d stale slot reads: some Wait returned before every member arrived", stale)
@@ -368,20 +297,9 @@ func (rep *StressReport) check(dyn *DynamicBarrier, stale, reduceBad int64) {
 		rep.violatef("SpinIters = %d < SpinWaits = %d (each spin-resolved Wait needs >= 1 iteration)",
 			s.SpinIters, s.SpinWaits)
 	}
-	switch {
-	case dyn != nil:
-		if m := dyn.Members(); m != 0 {
-			rep.violatef("members after drain = %d, want 0", m)
-		}
-		if want := int64(2 * cfg.Phases); rep.Epoch < want {
-			rep.violatef("epoch = %d, want >= %d", rep.Epoch, want)
-		}
-	default:
-		// Fixed membership: exactly 2 phases per logical phase, every
-		// worker waits on both.
-		if want := int64(2 * cfg.Phases); rep.Epoch != want {
-			rep.violatef("epoch = %d, want %d", rep.Epoch, want)
-		}
+	// Exactly 2 phases per logical phase, every worker waits on both.
+	if want := int64(2 * cfg.Phases); rep.Epoch != want {
+		rep.violatef("epoch = %d, want %d", rep.Epoch, want)
 	}
 }
 

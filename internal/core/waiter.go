@@ -10,11 +10,11 @@ import (
 // splitCore is the publish/wait half of a split-phase barrier: an
 // atomically readable epoch counter published under a mutex, the
 // spin-then-cond-block slow path of Wait with its learned spin horizon,
-// and the wait-outcome counters. The five barriers count arrivals three
-// ways — FuzzyBarrier's central counter, the combTree under
-// TreeBarrier, HierBarrier and ReduceBarrier, and the phase.Counter
-// under DynamicBarrier; how a completed phase is published, waited on
-// and accounted is identical, so all five embed this one type.
+// and the wait-outcome counters. The four barriers count arrivals two
+// ways — FuzzyBarrier's central counter, and the combTree under
+// TreeBarrier, HierBarrier and ReduceBarrier; how a completed phase is
+// published, waited on and accounted is identical, so all four embed
+// this one type.
 //
 // Blocking is counted in runtimeStats because the Encore measurement
 // attributes the cost of conventional barriers to exactly these

@@ -1,7 +1,7 @@
 // Package phase is the counting state machine of a phaser — the paper's
-// Section 5 mask, edited as streams join and leave — written once for
-// core.DynamicBarrier and barrierd's home shard. It counts
-// signalers, waiters and the signals banked per open epoch; identity, and
+// Section 5 mask, edited as streams join and leave — under barrierd's
+// home shard, its one consumer. It counts signalers, waiters and the
+// signals banked per open epoch; identity, and
 // which mode signals, stay with the host. Hosts guarantee the stated
 // preconditions of Join, Retract and Leave; Signal checks its own, as
 // barrierd feeds it counts off the wire. All keep net[e] <= signalers for

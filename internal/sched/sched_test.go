@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -160,203 +159,6 @@ func TestStaticSchedulesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-// drain pulls all chunks from a Dynamic scheduler (single-threaded) and
-// returns them in order.
-func drain(d Dynamic) [][2]int {
-	var out [][2]int
-	for {
-		s, n, ok := d.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, [2]int{s, n})
-	}
-}
-
-func checkChunksPartition(t *testing.T, chunks [][2]int, n int, label string) {
-	t.Helper()
-	seen := make([]int, n)
-	for _, c := range chunks {
-		for i := c[0]; i < c[0]+c[1]; i++ {
-			if i < 0 || i >= n {
-				t.Fatalf("%s: iteration %d out of range", label, i)
-			}
-			seen[i]++
-		}
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("%s: iteration %d claimed %d times", label, i, c)
-		}
-	}
-}
-
-func TestSelfSched(t *testing.T) {
-	d := NewSelfSched(5)
-	chunks := drain(d)
-	if len(chunks) != 5 {
-		t.Fatalf("chunks = %d, want 5", len(chunks))
-	}
-	checkChunksPartition(t, chunks, 5, "self")
-	d.Reset(3)
-	if got := drain(d); len(got) != 3 {
-		t.Errorf("after reset: %d chunks, want 3", len(got))
-	}
-}
-
-func TestChunked(t *testing.T) {
-	d, err := NewChunked(10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks := drain(d)
-	if len(chunks) != 3 || chunks[2][1] != 2 {
-		t.Fatalf("chunks = %v, want sizes 4,4,2", chunks)
-	}
-	checkChunksPartition(t, chunks, 10, "chunked")
-	if _, err := NewChunked(10, 0); err == nil {
-		t.Error("chunk size 0 accepted")
-	}
-	if d.Name() != "chunk4" {
-		t.Errorf("name = %q", d.Name())
-	}
-}
-
-func TestGSSChunkSizes(t *testing.T) {
-	d, err := NewGSS(100, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks := drain(d)
-	checkChunksPartition(t, chunks, 100, "gss")
-	// First chunk = ceil(100/4) = 25; sizes non-increasing; last = 1.
-	if chunks[0][1] != 25 {
-		t.Errorf("first chunk = %d, want 25", chunks[0][1])
-	}
-	for k := 1; k < len(chunks); k++ {
-		if chunks[k][1] > chunks[k-1][1] {
-			t.Errorf("chunk sizes increased: %v", chunks)
-			break
-		}
-	}
-	if last := chunks[len(chunks)-1][1]; last != 1 {
-		t.Errorf("last chunk = %d, want 1", last)
-	}
-	if _, err := NewGSS(10, 0); err == nil {
-		t.Error("procs 0 accepted")
-	}
-}
-
-// TestDynamicSchedulersConcurrent: under concurrent claiming, every
-// iteration is claimed exactly once.
-func TestDynamicSchedulersConcurrent(t *testing.T) {
-	const n = 500
-	mks := map[string]func() Dynamic{
-		"self":  func() Dynamic { return NewSelfSched(n) },
-		"chunk": func() Dynamic { d, _ := NewChunked(n, 7); return d },
-		"gss":   func() Dynamic { d, _ := NewGSS(n, 4); return d },
-	}
-	for name, mk := range mks {
-		t.Run(name, func(t *testing.T) {
-			d := mk()
-			var mu sync.Mutex
-			seen := make([]int, n)
-			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						s, sz, ok := d.Next()
-						if !ok {
-							return
-						}
-						mu.Lock()
-						for i := s; i < s+sz; i++ {
-							seen[i]++
-						}
-						mu.Unlock()
-					}
-				}()
-			}
-			wg.Wait()
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("iteration %d claimed %d times", i, c)
-				}
-			}
-		})
-	}
-}
-
-// TestDynamicPartitionProperty drives random sizes through all dynamic
-// schedulers.
-func TestDynamicPartitionProperty(t *testing.T) {
-	f := func(n8, c8, p8 uint8) bool {
-		n := int(n8 % 200)
-		chunk := int(c8%9) + 1
-		procs := int(p8%7) + 1
-		ds := []Dynamic{NewSelfSched(n)}
-		if d, err := NewChunked(n, chunk); err == nil {
-			ds = append(ds, d)
-		}
-		if d, err := NewGSS(n, procs); err == nil {
-			ds = append(ds, d)
-		}
-		for _, d := range ds {
-			seen := make([]int, n)
-			for {
-				s, sz, ok := d.Next()
-				if !ok {
-					break
-				}
-				if sz <= 0 {
-					return false
-				}
-				for i := s; i < s+sz; i++ {
-					if i < 0 || i >= n {
-						return false
-					}
-					seen[i]++
-				}
-			}
-			for _, c := range seen {
-				if c != 1 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestVersionFor(t *testing.T) {
-	cases := []struct {
-		idx, size int
-		want      Version
-	}{
-		{0, 1, VersionOnly},
-		{0, 3, VersionFirst},
-		{1, 3, VersionMiddle},
-		{2, 3, VersionLast},
-		{0, 2, VersionFirst},
-		{1, 2, VersionLast},
-	}
-	for _, c := range cases {
-		if got := VersionFor(c.idx, c.size); got != c.want {
-			t.Errorf("VersionFor(%d,%d) = %v, want %v", c.idx, c.size, got, c.want)
-		}
-	}
-	for _, v := range []Version{VersionFirst, VersionLast, VersionMiddle, VersionOnly} {
-		if v.String() == "" {
-			t.Errorf("version %d has no name", v)
-		}
 	}
 }
 

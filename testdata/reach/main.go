@@ -1,8 +1,13 @@
 // Command reach is the reachability census's fixture: each way a function
-// is reached other than by a plain call, and one dead function.
+// is reached other than by a plain call, one dead function, and a library
+// function (lib.Demo) that only an example reaches.
 package main
 
-import "fmt"
+import (
+	"fmt"
+
+	"reach/lib"
+)
 
 type shape interface{ area() int }
 
@@ -45,5 +50,5 @@ func main() {
 	c := &counter{}
 	bump := c.inc
 	bump()
-	fmt.Println(s.area(), s, sum(1, 2), box[int]{3}.get(), c.n)
+	fmt.Println(s.area(), s, sum(1, 2), box[int]{3}.get(), c.n, lib.Area(2))
 }
