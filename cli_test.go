@@ -7,6 +7,7 @@ package fuzzybarrier_test
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,9 +18,18 @@ import (
 
 var (
 	buildOnce sync.Once
-	buildDir  string
+	toolDir   string // the temp dir holding the binaries; TestMain removes it
 	buildErr  error
 )
+
+// TestMain removes the tool directory once every test has run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if toolDir != "" {
+		os.RemoveAll(toolDir)
+	}
+	os.Exit(code)
+}
 
 // buildTools compiles all cmd/ binaries into a shared temp dir.
 func buildTools(t *testing.T) string {
@@ -28,24 +38,22 @@ func buildTools(t *testing.T) string {
 		t.Skip("short mode: skipping CLI builds")
 	}
 	buildOnce.Do(func() {
-		buildDir, buildErr = os.MkdirTemp("", "fuzzybarrier-cli")
+		toolDir, buildErr = os.MkdirTemp("", "fuzzybarrier-cli")
 		if buildErr != nil {
 			return
 		}
 		for _, tool := range []string{"experiments", "fuzzsim", "fuzzcc", "clustersim", "barrierd", "barrierload"} {
-			cmd := exec.Command("go", "build", "-o", filepath.Join(buildDir, tool), "./cmd/"+tool)
-			out, err := cmd.CombinedOutput()
-			if err != nil {
-				buildErr = err
-				buildDir = string(out)
+			cmd := exec.Command("go", "build", "-o", filepath.Join(toolDir, tool), "./cmd/"+tool)
+			if out, err := cmd.CombinedOutput(); err != nil {
+				buildErr = fmt.Errorf("%v\n%s", err, out)
 				return
 			}
 		}
 	})
 	if buildErr != nil {
-		t.Fatalf("building tools: %v\n%s", buildErr, buildDir)
+		t.Fatalf("building tools: %v", buildErr)
 	}
-	return buildDir
+	return toolDir
 }
 
 func runTool(t *testing.T, dir, tool string, args ...string) (string, error) {

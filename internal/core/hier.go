@@ -110,7 +110,7 @@ func NewHierBarrierConfig(n int, cfg HierConfig) *HierBarrier {
 	}
 
 	b := &HierBarrier{combTree: combTree{n: n, radix: radix}, nShards: s}
-	b.init()
+	b.init(n)
 	b.shards = make([]hierShardMeta, s)
 	b.rel = make([]hierRelease, s)
 

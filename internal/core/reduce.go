@@ -95,7 +95,7 @@ func NewReduceBarrierRadix(n, radix int, op ReduceOp, identity int64) *ReduceBar
 		radix = DefaultTreeRadix
 	}
 	b := &ReduceBarrier{combTree: combTree{n: n, radix: radix}, op: op, identity: identity}
-	b.init()
+	b.init(n)
 	b.grow(n, true)
 	for i := range b.nodes {
 		b.nodes[i].acc.Store(identity)

@@ -26,7 +26,10 @@ import (
 // arrivals for large participant counts. Wait spins before blocking on
 // a condition variable: DefaultSpinLimit times, then for a horizon
 // learned from the Waits that blocked and capped by the measured cost of
-// a wake-up (an explicit SpinLimit keeps a fixed budget instead).
+// a wake-up (an explicit SpinLimit keeps a fixed budget instead). A
+// barrier with more participants than GOMAXPROCS at construction does
+// not spin by default: its Wait blocks at once, since a spinning waiter
+// would hold a P that a participant yet to arrive needs.
 // Blocking is counted in Stats because the Encore measurement
 // attributes the cost of conventional barriers to exactly these
 // context-save/restore events (Section 8).
@@ -69,7 +72,7 @@ func NewFuzzyBarrier(n int) *FuzzyBarrier {
 		panic(fmt.Sprintf("core: fuzzy barrier size %d < 1", n))
 	}
 	b := &FuzzyBarrier{n: int64(n)}
-	b.init()
+	b.init(n)
 	return b
 }
 

@@ -215,7 +215,7 @@ func NewTreeBarrierRadix(n, radix int) *TreeBarrier {
 		radix = DefaultTreeRadix
 	}
 	b := &TreeBarrier{combTree: combTree{n: n, radix: radix}}
-	b.init()
+	b.init(n)
 	b.grow(n, true)
 	return b
 }

@@ -31,6 +31,11 @@ type splitCore struct {
 	// DefaultSpinLimit, then the learned horizon. The one policy knob.
 	SpinLimit int
 
+	// oversubscribed records at construction that the barrier has more
+	// participants than GOMAXPROCS: not every one of them can hold a P,
+	// so a default-budget Wait parks at once instead of spinning.
+	oversubscribed bool
+
 	// The wait counters and the horizon (ns of spinning after
 	// DefaultSpinLimit) and wake cost of learn order nothing, but every
 	// Wait writes a counter, and the epoch above is the word waiters
@@ -41,7 +46,12 @@ type splitCore struct {
 	wake    atomic.Int64
 }
 
-func (c *splitCore) init() { c.cond = sync.NewCond(&c.mu) }
+// init prepares the core of a barrier for n participants, reading
+// GOMAXPROCS once: a later change of it is not seen.
+func (c *splitCore) init(n int) {
+	c.cond = sync.NewCond(&c.mu)
+	c.oversubscribed = n > runtime.GOMAXPROCS(0)
+}
 
 // publish completes one phase: the epoch advances under the mutex so a
 // concurrent blocked waiter cannot miss the broadcast, which a publish
@@ -71,7 +81,9 @@ func (c *splitCore) TryWait(p Phase) bool { return c.epoch.Load() > p.epoch }
 
 // Wait blocks until every participant has arrived at phase p. It spins
 // before blocking, longer where wake-ups have proved dear, so that drift
-// between well-balanced participants never pays for a context switch.
+// between well-balanced participants never pays for a context switch;
+// where the participants outnumber GOMAXPROCS it blocks without
+// spinning (see wait).
 func (c *splitCore) Wait(p Phase) { c.wait(p, &c.epoch) }
 
 // spinYieldEvery is the yield cadence of the Wait spin loop: every
@@ -85,7 +97,11 @@ const spinYieldEvery = 16
 
 // wait blocks until the ticket's phase completes: fast path if already
 // complete, then at most SpinLimit spins, then the extension (default
-// budget only), then a condition-variable block.
+// budget only), then a condition-variable block. On an oversubscribed
+// barrier a default-budget Wait skips the spins, the extension and the
+// timed yield and goes straight to the locked recheck: with more
+// participants than Ps, a spinning or yielding waiter holds or hands
+// on the P that a participant which has not arrived needs.
 //
 // The fast path and the spin loops load `word`: the epoch itself for
 // everyone but HierBarrier, which passes its caller's per-shard release
@@ -104,17 +120,21 @@ const spinYieldEvery = 16
 // has elapsed, reading the clock once per yield; the fast path and the
 // first SpinLimit spins read none. A Wait that blocks anyway times one
 // more yield, the horizon it needed and its wake-up, for learn. An
-// explicit SpinLimit keeps the fixed budget: no extension, no learning.
+// explicit SpinLimit keeps the fixed budget, oversubscribed or not: no
+// extension, no learning. A Wait that parks at once learns nothing
+// either, so an oversubscribed barrier's horizon stays 0.
 //
 // Every outcome is recorded in exactly one of FastWaits, SpinWaits,
 // LockWaits or Blocks, and in exactly one wait-spin histogram bucket, so
 // the histogram total reconciles with the outcome counters (the stress
 // harness asserts this). A Wait resolved in the extension is a
-// SpinWait, bucketed by its total iterations. Blocks counts only Waits
-// that really slept on the condition variable: a Wait that exhausts its
-// spin budget but finds the epoch published at the locked recheck never
-// context-switches, so charging it as a block would corrupt the
-// Section 8 measurement — that case is LockWaits.
+// SpinWait, bucketed by its total iterations; one that parks at once is
+// a LockWait or a Block with zero spin iterations, in the exhausted
+// bucket. Blocks counts only Waits that really slept on the condition
+// variable: a Wait that exhausts its spin budget but finds the epoch
+// published at the locked recheck never context-switches, so charging
+// it as a block would corrupt the Section 8 measurement — that case is
+// LockWaits.
 func (c *splitCore) wait(p Phase, word *atomic.Int64) {
 	stats := &c.waits
 	if word.Load() > p.epoch || c.epoch.Load() > p.epoch {
@@ -125,6 +145,9 @@ func (c *splitCore) wait(p Phase, word *atomic.Int64) {
 	spinLimit, learning := c.SpinLimit, c.SpinLimit <= 0
 	if learning {
 		spinLimit = DefaultSpinLimit
+		if c.oversubscribed {
+			spinLimit, learning = 0, false
+		}
 	}
 	for i := 0; i < spinLimit; i++ {
 		if word.Load() > p.epoch {

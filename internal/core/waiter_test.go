@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,12 +15,12 @@ import (
 func eachSpinWord(t *testing.T, test func(t *testing.T, c *splitCore, word *atomic.Int64)) {
 	t.Run("epoch", func(t *testing.T) {
 		var c splitCore
-		c.init()
+		c.init(1)
 		test(t, &c, &c.epoch)
 	})
 	t.Run("local", func(t *testing.T) {
 		var c splitCore
-		c.init()
+		c.init(1)
 		test(t, &c, new(atomic.Int64))
 	})
 }
@@ -290,5 +291,66 @@ func checkHistogramReconciles(t *testing.T, s BarrierStats) {
 	}
 	if got := s.WaitSpins[NumWaitBuckets-1]; got != s.LockWaits+s.Blocks {
 		t.Errorf("exhausted bucket = %d, LockWaits+Blocks = %d", got, s.LockWaits+s.Blocks)
+	}
+}
+
+// TestOversubscribedWaitParksAtOnce: on a barrier with more participants
+// than GOMAXPROCS, a default-budget Wait that misses the fast path
+// neither spins nor yields nor learns a horizon. It resolves at the
+// locked recheck or blocks, with zero spin iterations, in the exhausted
+// bucket. Every row runs just past the Ps and at four per P.
+func TestOversubscribedWaitParksAtOnce(t *testing.T) {
+	const episodes = 200
+	procs := runtime.GOMAXPROCS(0)
+	eachRow(t, func(t *testing.T, r contractRow) {
+		for _, n := range []int{procs + 1, 4 * procs} {
+			t.Run(strconv.Itoa(n), func(t *testing.T) {
+				b := r.build(r, n)
+				if !runN(t, b.split(), n, func(int) {
+					for range episodes {
+						b.Wait(b.Arrive())
+					}
+				}) {
+					return
+				}
+				s := b.StatsSnapshot()
+				if s.SpinIters != 0 || s.SpinWaits != 0 {
+					t.Errorf("SpinIters = %d, SpinWaits = %d, want 0, 0", s.SpinIters, s.SpinWaits)
+				}
+				if h := b.split().horizon.Load(); h != 0 {
+					t.Errorf("learned a spin horizon of %d ns", h)
+				}
+				// A run whose Waits were all fast would test nothing.
+				if slow := s.Waits() - s.FastWaits; slow == 0 || slow != s.LockWaits+s.Blocks {
+					t.Errorf("%d Waits missed the fast path, LockWaits+Blocks = %d, want equal and > 0",
+						slow, s.LockWaits+s.Blocks)
+				}
+				checkHistogramReconciles(t, s)
+			})
+		}
+	})
+}
+
+// TestOversubscribedReadAtConstruction: every constructor records
+// whether its participants outnumber GOMAXPROCS, and n = GOMAXPROCS is
+// not oversubscribed.
+func TestOversubscribedReadAtConstruction(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		name  string
+		build func(n int) *splitCore
+	}{
+		{"NewFuzzyBarrier", func(n int) *splitCore { return NewFuzzyBarrier(n).split() }},
+		{"NewTreeBarrierRadix", func(n int) *splitCore { return NewTreeBarrierRadix(n, 2).split() }},
+		{"NewHierBarrierConfig", func(n int) *splitCore { return NewHierBarrierConfig(n, HierConfig{}).split() }},
+		{"NewReduceBarrierRadix", func(n int) *splitCore {
+			return NewReduceBarrierRadix(n, 2, OpSum, IdentitySum).split()
+		}},
+	} {
+		for _, n := range []int{procs, procs + 1} {
+			if got, want := tc.build(n).oversubscribed, n > procs; got != want {
+				t.Errorf("%s(%d) at GOMAXPROCS %d: oversubscribed = %v, want %v", tc.name, n, procs, got, want)
+			}
+		}
 	}
 }

@@ -44,7 +44,7 @@ func E8RuntimeScheduling() (*trace.Table, error) {
 			}
 			memCfg := simpleMem(procs, 256)
 			memCfg.Modules = 1
-			m, res, err := runPrograms(machine.Config{Mem: memCfg}, progs)
+			_, res, err := runPrograms(machine.Config{Mem: memCfg}, progs)
 			if err != nil {
 				return nil, err
 			}
@@ -54,7 +54,6 @@ func E8RuntimeScheduling() (*trace.Table, error) {
 			}
 			t.AddRow(pol.name, kind, res.Cycles, res.TotalStalls(),
 				res.Mem.Atomics, res.Mem.Accesses)
-			_ = m
 		}
 	}
 	t.AddNote("self-scheduling pays one FAA per iteration; chunking stalls at the final barrier; GSS balances both, and the fuzzy region absorbs the residual finish-time spread")
