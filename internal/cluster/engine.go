@@ -22,10 +22,9 @@ import (
 // executed, so serial and sharded runs replay the identical schedule —
 // byte-identical event logs and Results
 // (TestEngineEquivalence) that match the recorded transcripts
-// (TestTranscriptPins). Retransmit timers additionally rely on the
-// lazy-cancel scheme in outbox.go inserting events at their *original*
-// (deadline, armpri) key rather than a fresh priority; see
-// outbox.ensureArmed.
+// (TestTranscriptPins). Retransmit timers additionally rely on
+// outbox.go queueing each node's one timer at its head's *original*
+// (deadline, armseq) key rather than a fresh priority; see node.rearm.
 //
 // Dispatch is bounded (stepFast): the parallel engine runs each shard's
 // lane one conservative lookahead window at a time. A bounded miss
@@ -41,7 +40,7 @@ const (
 	evWork    evKind = iota // a node's non-barrier work span ends
 	evRegion                // a node's barrier-region span ends
 	evDeliver               // the network delivers msg to msg.To
-	evRetx                  // an outbox retransmit-timer deadline (lazily cancelled)
+	evRetx                  // a node's one retransmit timer: its outbox's live head
 )
 
 // fevent is one pooled typed event; its (at, node, pri) key lives in
@@ -63,10 +62,9 @@ func newQueue(cfg *Config) *des.Queue[fevent] {
 
 // scheduleAt enqueues a typed event at an explicit (at, node, pri) key.
 // Priorities are consumed by the scheduling site (the owner's lseq for
-// local events, the sender's transmission counter for deliveries); the
-// lazy retransmit-timer scheme re-inserts a timer at the original key
-// its arm consumed, which is what keeps the schedule on the pinned
-// transcripts.
+// local events, the sender's transmission counter for deliveries); a
+// retransmit timer is queued at the original key its arm consumed,
+// which is what keeps the schedule on the pinned transcripts.
 func (x *exec) scheduleAt(at int64, node int32, pri uint64, kind evKind, epoch, start int64, msg Message) {
 	ev := x.q.Push(des.Key{At: at, Pri: pri, Node: node})
 	ev.kind, ev.epoch, ev.start, ev.msg = kind, epoch, start, msg
@@ -106,17 +104,17 @@ func (x *exec) stepFast(bound int64) stepResult {
 	x.curAt, x.curPri, x.curNode, x.curSub = k.At, k.Pri, k.Node, 0
 	switch ev.kind {
 	case evWork:
-		n := x.s.nodes[k.Node]
+		n := &x.s.nodes[k.Node]
 		n.markRange(ev.start, x.now, trace.KindWork)
 		n.workDone(ev.epoch)
 	case evRegion:
-		n := x.s.nodes[k.Node]
+		n := &x.s.nodes[k.Node]
 		n.markRange(ev.start, x.now, trace.KindBarrier)
 		n.regionDone(ev.epoch)
 	case evDeliver:
 		x.deliver(ev.msg)
 	case evRetx:
-		x.s.nodes[k.Node].out.fireRetx(k.At, k.Pri)
+		x.s.nodes[k.Node].fireRetx(k.At, k.Pri)
 	default:
 		panic(fmt.Sprintf("cluster: unknown event kind %d", ev.kind))
 	}

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"fuzzybarrier/internal/des"
 )
 
 // equivalenceNets are the network regimes the engine-equivalence matrix
@@ -115,6 +117,113 @@ func TestFastEngineZeroAllocSteadyState(t *testing.T) {
 			t.Fatalf("%s: run completed during measurement; raise Epochs", proto)
 		}
 	}
+}
+
+// TestNoDeadRetransmitTimers: every protocol on a lossy net, serial and
+// on 2 shards, with the lanes stepped by hand (a sharded run window by
+// window, its lanes one after the other). Before each dispatch the
+// lane's queue is taken apart and put back: each node may have at most
+// one evRetx queued, exactly at its outbox's timer key, and a node with
+// an armed timer must have it queued. An evRetx that is dispatched must
+// retransmit, so evRetx dispatches equal Result.Retransmits.
+func TestNoDeadRetransmitTimers(t *testing.T) {
+	for _, proto := range Protocols() {
+		for _, shards := range []int{1, 2} {
+			cfg := Config{
+				Protocol: proto, Nodes: 12, Epochs: 12,
+				Work: 40, WorkJitter: 20, Region: 20,
+				Net:  NetConfig{Latency: 8, Jitter: 12, DropRate: 0.2, DupRate: 0.08},
+				Seed: 5, Shards: shards,
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.ran = true
+			s.start()
+			fired := int64(0)
+			// drain dispatches x's events before bound (a serial lane's
+			// until every node is done, as Run does), checking its timers
+			// before each one.
+			drain := func(x *exec, bound int64) {
+				for s.par != nil || x.doneNodes < cfg.Nodes {
+					k, ev, ok := takeApartTimers(t, s, x)
+					retx := x.retransmits
+					if x.stepFast(bound) != stepOK {
+						return
+					}
+					if ok && ev.kind == evRetx && k.At < bound {
+						fired++
+						if x.retransmits != retx+1 {
+							t.Fatalf("%s/shards=%d: evRetx at t=%d on node %d retransmitted nothing", proto, shards, k.At, k.Node)
+						}
+					}
+				}
+			}
+			if p := s.par; p == nil {
+				drain(s.ex, math.MaxInt64)
+			} else {
+				for p.doneCount() < cfg.Nodes {
+					p.drainInboxes()
+					w, ok := p.minNextAt()
+					if !ok {
+						t.Fatalf("%s/shards=%d: queues drained with nodes unfinished", proto, shards)
+					}
+					for _, x := range p.shards {
+						drain(x, w+p.lookahead)
+					}
+				}
+			}
+			if s.stuck != nil {
+				t.Fatalf("%s/shards=%d: run stuck: %v", proto, shards, s.stuck)
+			}
+			if res := s.result(); fired != res.Retransmits || fired == 0 {
+				t.Errorf("%s/shards=%d: %d evRetx dispatches, %d retransmissions", proto, shards, fired, res.Retransmits)
+			}
+		}
+	}
+}
+
+// takeApartTimers pops every event off lane x's queue, checks its
+// retransmit timers against the nodes' outboxes, queues the events again
+// on a fresh queue and returns the least of them.
+func takeApartTimers(t *testing.T, s *Sim, x *exec) (des.Key, fevent, bool) {
+	t.Helper()
+	type queued struct {
+		k  des.Key
+		ev fevent
+	}
+	var all []queued
+	for {
+		k, ev, ok := x.q.Pop(math.MaxInt64)
+		if !ok {
+			break
+		}
+		all = append(all, queued{k, ev})
+	}
+	x.q = newQueue(&s.cfg)
+	timers := map[int32]int{}
+	for _, e := range all {
+		*x.q.Push(e.k) = e.ev
+		if e.ev.kind != evRetx {
+			continue
+		}
+		timers[e.k.Node]++
+		armed := s.nodes[e.k.Node].out.timer
+		if timers[e.k.Node] > 1 || e.k.At != armed.Deadline || e.k.Pri != armed.Armseq {
+			t.Fatalf("node %d: evRetx #%d queued at t=%d pri=%d, outbox timer at t=%d pri=%d",
+				e.k.Node, timers[e.k.Node], e.k.At, e.k.Pri, armed.Deadline, armed.Armseq)
+		}
+	}
+	for i := range s.nodes {
+		if n := &s.nodes[i]; n.x == x && n.out.timer.Seq != 0 && timers[int32(i)] == 0 {
+			t.Fatalf("node %d: outbox timer armed at t=%d but no evRetx queued", i, n.out.timer.Deadline)
+		}
+	}
+	if len(all) == 0 {
+		return des.Key{}, fevent{}, false
+	}
+	return all[0].k, all[0].ev, true
 }
 
 // TestConfigBudgetOverflow: deriving the default watchdog/tick budgets

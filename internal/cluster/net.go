@@ -21,7 +21,7 @@ import "fuzzybarrier/internal/trace"
 // outbox); drop/dup/delivery counters are bumped here per transmission.
 func (x *exec) netSend(m Message) {
 	cfg := &x.s.cfg.Net
-	from := x.s.nodes[m.From]
+	from := &x.s.nodes[m.From]
 	copies := 1
 	if cfg.DupRate > 0 && from.netRNG.Float() < cfg.DupRate {
 		copies = 2

@@ -24,12 +24,12 @@ type node struct {
 	x  *exec
 	s  *Sim // cfg and the node table (read-only during a run)
 
-	rng    *des.RNG // work-jitter draws
-	netRNG *des.RNG // per-sender link draws (latency jitter, drop, dup)
+	rng    des.RNG // work-jitter draws
+	netRNG des.RNG // per-sender link draws (latency jitter, drop, dup)
 	txSeq  uint64
 	lseq   uint64 // local-event priority counter (work/region/retx)
 
-	out   *outbox
+	out   outbox
 	proto Proto
 
 	epoch           int64 // epoch currently being executed
@@ -50,21 +50,24 @@ type node struct {
 // cannot reach.
 var newProtoHook func(protocol string, env ProtoEnv) Proto
 
-func newNode(x *exec, id int) *node {
+// init builds node id in place, on lane x, with its per-epoch
+// timestamps carved from stamps (2·Epochs long).
+func (n *node) init(x *exec, id int, stamps []int64) {
 	s := x.s
-	n := &node{
+	epochs := s.cfg.Epochs
+	*n = node{
 		id:        id,
 		x:         x,
 		s:         s,
-		rng:       des.NewRNG(des.Mix(s.cfg.Seed, uint64(id)+1)),
-		netRNG:    des.NewRNG(des.Mix(des.Mix(s.cfg.Seed, 0xC0FFEE), uint64(id)+1)),
-		arriveAt:  make([]int64, s.cfg.Epochs),
-		releaseAt: make([]int64, s.cfg.Epochs),
+		rng:       *des.NewRNG(des.Mix(s.cfg.Seed, uint64(id)+1)),
+		netRNG:    *des.NewRNG(des.Mix(des.Mix(s.cfg.Seed, 0xC0FFEE), uint64(id)+1)),
+		arriveAt:  stamps[:epochs:epochs],
+		releaseAt: stamps[epochs:],
 	}
-	n.out = newOutbox(n)
+	n.out.w.Init(s.cfg.initRTO, s.cfg.maxRTO)
 	if newProtoHook != nil {
 		n.proto = newProtoHook(s.cfg.Protocol, n)
-		return n
+		return
 	}
 	p, err := NewProto(s.cfg.Protocol, n)
 	if err != nil {
@@ -72,7 +75,6 @@ func newNode(x *exec, id int) *node {
 		panic(err)
 	}
 	n.proto = p
-	return n
 }
 
 // nextPri consumes the node's next local-event priority.
@@ -89,8 +91,9 @@ func (n *node) NodeID() int            { return n.id }
 func (n *node) Nodes() int             { return n.s.cfg.Nodes }
 func (n *node) TreeArity() int         { return n.s.cfg.TreeArity }
 func (n *node) ReleasedThrough() int64 { return n.releasedThrough }
-func (n *node) Send(m Message)         { n.out.send(m) }
 func (n *node) Release(e int64)        { n.release(e) }
+
+// (Send, the reliable send, is in outbox.go.)
 
 // startEpoch schedules epoch e's non-barrier work, or retires the node
 // when every epoch is done.
@@ -163,7 +166,7 @@ func (n *node) release(e int64) {
 // delivery re-acks and re-applies a no-op.
 func (n *node) handle(m Message) {
 	if m.Kind == MsgAck {
-		n.out.w.Ack(m.Seq, n.x.now)
+		n.ack(m.Seq)
 		return
 	}
 	n.x.netSend(Message{Kind: MsgAck, From: n.id, To: m.From, Epoch: m.Epoch, Seq: m.Seq})

@@ -77,12 +77,17 @@ type inEvent struct {
 
 func newParEngine(s *Sim) *parEngine {
 	ns := s.cfg.Shards
+	// Shards + 1 participants on Shards Ps reads as oversubscribed, which
+	// parks every Wait at once; but the coordinator idles while the
+	// workers run, so an explicit budget keeps the spin before parking.
+	start, end := core.NewHierBarrier(ns+1), core.NewHierBarrier(ns+1)
+	start.SpinLimit, end.SpinLimit = core.DefaultSpinLimit, core.DefaultSpinLimit
 	p := &parEngine{
 		s:         s,
 		shardOf:   make([]int32, s.cfg.Nodes),
 		lookahead: s.cfg.Net.Latency,
-		start:     core.NewHierBarrier(ns + 1),
-		end:       core.NewHierBarrier(ns + 1),
+		start:     start,
+		end:       end,
 	}
 	for i := 0; i < ns; i++ {
 		p.shards = append(p.shards, s.newExec(int32(i)))
@@ -246,8 +251,8 @@ func (p *parEngine) maxLP() int64 {
 // inside a window, and with any such node the run cannot end there.)
 func (p *parEngine) completionPossible() bool {
 	last := int64(p.s.cfg.Epochs) - 1
-	for _, n := range p.s.nodes {
-		if !n.done && n.releasedThrough < last {
+	for i := range p.s.nodes {
+		if n := &p.s.nodes[i]; !n.done && n.releasedThrough < last {
 			return false
 		}
 	}

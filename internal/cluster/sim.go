@@ -90,7 +90,7 @@ type Sim struct {
 	cfg   Config
 	ex    *exec      // serial lane (nil when sharded)
 	par   *parEngine // sharded parallel engine (Config.Shards > 1)
-	nodes []*node
+	nodes []node     // every node's state, one record each
 	log   []string
 	tail  []string // stuck-diagnosis lines, appended after any merge
 
@@ -111,18 +111,19 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s := &Sim{cfg: cfg}
 	s.wantLog = cfg.Recorder != nil || cfg.LogEvents
-	s.nodes = make([]*node, cfg.Nodes)
+	s.nodes = make([]node, cfg.Nodes)
 	if cfg.Shards > 1 {
 		s.par = newParEngine(s)
 	} else {
 		s.ex = s.newExec(0)
 	}
+	stamps := make([]int64, 2*cfg.Epochs*cfg.Nodes)
 	for i := range s.nodes {
 		x := s.ex
 		if s.par != nil {
 			x = s.par.shards[s.par.shardOf[i]]
 		}
-		s.nodes[i] = newNode(x, i)
+		s.nodes[i].init(x, i, stamps[2*cfg.Epochs*i:2*cfg.Epochs*(i+1)])
 	}
 	return s, nil
 }
@@ -260,8 +261,8 @@ func (s *Sim) Run() (*Result, error) {
 // start launches epoch 0 on every node (single-threaded, before any
 // shard worker observes the queues).
 func (s *Sim) start() {
-	for _, n := range s.nodes {
-		n.startEpoch(0)
+	for i := range s.nodes {
+		s.nodes[i].startEpoch(0)
 	}
 }
 
@@ -316,7 +317,8 @@ func (s *Sim) budgetWhy(now, lastProgress int64) string {
 func (s *Sim) diagnoseStuck(now int64, why string) {
 	rep := &StuckReport{At: now, Node: -1, Why: why}
 	minReleased := int64(-1)
-	for _, n := range s.nodes {
+	for i := range s.nodes {
+		n := &s.nodes[i]
 		if !n.done && (rep.Node < 0 || n.releasedThrough < minReleased) {
 			minReleased = n.releasedThrough
 			rep.Node = n.id
@@ -355,7 +357,8 @@ func (s *Sim) result() *Result {
 		res.Dups += x.dups
 		res.Delivered += x.delivered
 	}
-	for _, n := range s.nodes {
+	for i := range s.nodes {
+		n := &s.nodes[i]
 		res.Stall += n.stall
 		res.PerNodeStall = append(res.PerNodeStall, n.stall)
 		res.ArriveAt = append(res.ArriveAt, n.arriveAt)

@@ -110,6 +110,17 @@ func (r *keyedRef) pop(limit int64) (Key, bool) {
 	return k, true
 }
 
+// remove withdraws k, reporting whether it was pending.
+func (r *keyedRef) remove(k Key) bool {
+	for i, p := range r.keys {
+		if p == k {
+			r.keys = append(r.keys[:i], r.keys[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
 // TestQueueMatchesKeyedReference drives the queue with seeded random
 // keyed programs and checks every answer against keyedRef: pop order
 // and payload, Peek, NextAt, Len, and that a bounded Pop never moves
@@ -118,7 +129,45 @@ func (r *keyedRef) pop(limit int64) (Key, bool) {
 // only keys above the last one popped) and are shaped to reach every
 // queue path — the counters at the end prove they did.
 func TestQueueMatchesKeyedReference(t *testing.T) {
-	var sameTick, dirtied, overflowed, jumps, boundStops int
+	requireAll(t, runKeyedPrograms(t, false))
+}
+
+// TestQueueRemoveMatchesKeyedReference is the same programs with
+// Remove mixed in: of a pending key wherever it lives — a clean future
+// bucket, a dirty one, the current bucket past the cursor, the overflow
+// heap — and of a key that is not pending.
+func TestQueueRemoveMatchesKeyedReference(t *testing.T) {
+	requireAll(t, runKeyedPrograms(t, true))
+}
+
+// requireAll fails for every queue path the programs never reached.
+func requireAll(t *testing.T, counts map[string]int) {
+	t.Helper()
+	for name, n := range counts {
+		if n == 0 {
+			t.Errorf("the programs never produced %s", name)
+		}
+	}
+}
+
+// runKeyedPrograms runs the keyed programs, with removes or without,
+// and returns how often each queue path was taken.
+func runKeyedPrograms(t *testing.T, removes bool) map[string]int {
+	counts := map[string]int{}
+	for _, name := range []string{
+		"same-tick inserts behind the cursor", "out-of-order arrivals dirtying a bucket",
+		"overflow-heap pushes", "empty-wheel jumps", "stops at a bound",
+	} {
+		counts[name] = 0
+	}
+	if removes {
+		for _, name := range []string{
+			"removes from a clean future bucket", "removes from a dirty bucket",
+			"removes from the current bucket", "removes from the overflow heap", "removes of an absent key",
+		} {
+			counts[name] = 0
+		}
+	}
 	for seed := uint64(1); seed <= 12; seed++ {
 		rnd := NewRNG(Mix(seed, 0xE9))
 		q := NewQueue[uint64](testSpan - 1) // delays below testSpan stay on the wheel
@@ -144,17 +193,44 @@ func TestQueueMatchesKeyedReference(t *testing.T) {
 				k.Node, k.Pri = last.Node, (last.Pri>>20+1+uint64(rnd.IntN(1<<10)))<<20|uniq
 			}
 			if k.At == q.now && q.cursor > 0 {
-				sameTick++
+				counts["same-tick inserts behind the cursor"]++
 			}
 			if k.At-q.now >= span {
-				overflowed++
+				counts["overflow-heap pushes"]++
 			}
 			wasDirty := q.dirty[k.At&q.mask]
 			*q.Push(k) = uniq
 			if !wasDirty && q.dirty[k.At&q.mask] {
-				dirtied++
+				counts["out-of-order arrivals dirtying a bucket"]++
 			}
 			ref.keys = append(ref.keys, k)
+		}
+
+		remove := func() {
+			var k Key
+			switch {
+			case len(ref.keys) == 0 || rnd.IntN(8) == 0:
+				counts["removes of an absent key"]++
+				k = last // popped already, or nothing popped yet
+				if rnd.IntN(2) == 0 {
+					k = Key{At: q.Now() + rnd.IntN(3*span), Node: int32(rnd.IntN(8)), Pri: uniq + 1} // never pushed
+				}
+			default:
+				k = ref.keys[rnd.IntN(int64(len(ref.keys)))]
+				switch {
+				case k.At-q.now >= span:
+					counts["removes from the overflow heap"]++
+				case k.At == q.now:
+					counts["removes from the current bucket"]++
+				case q.dirty[k.At&q.mask]:
+					counts["removes from a dirty bucket"]++
+				default:
+					counts["removes from a clean future bucket"]++
+				}
+			}
+			if got, want := q.Remove(k), ref.remove(k); got != want || q.Len() != len(ref.keys) {
+				t.Fatalf("seed %d: Remove(%+v) = %v leaving %d, reference %v leaving %d", seed, k, got, q.Len(), want, len(ref.keys))
+			}
 		}
 
 		pop := func() {
@@ -189,7 +265,7 @@ func TestQueueMatchesKeyedReference(t *testing.T) {
 					t.Fatalf("seed %d: Pop(%d) found nothing due and moved Now %d -> %d", seed, limit, nowBefore, q.Now())
 				}
 				if q.Len() > 0 {
-					boundStops++
+					counts["stops at a bound"]++
 				}
 				return
 			}
@@ -197,7 +273,7 @@ func TestQueueMatchesKeyedReference(t *testing.T) {
 				t.Fatalf("seed %d: Pop(%d) of %+v left Now at %d", seed, limit, want, q.Now())
 			}
 			if jump {
-				jumps++
+				counts["empty-wheel jumps"]++
 			}
 			last, popped = want, true
 		}
@@ -205,9 +281,12 @@ func TestQueueMatchesKeyedReference(t *testing.T) {
 		for step := 0; step < 20000; step++ {
 			// Lean towards pushing while small and popping while large,
 			// so the queue both drains to empty and fills several ticks.
-			if n := int64(len(ref.keys)); rnd.IntN(48) >= n {
+			switch n := int64(len(ref.keys)); {
+			case removes && rnd.IntN(5) == 0:
+				remove()
+			case rnd.IntN(48) >= n:
 				push()
-			} else {
+			default:
 				pop()
 			}
 		}
@@ -216,17 +295,7 @@ func TestQueueMatchesKeyedReference(t *testing.T) {
 		}
 		pop() // both sides agree the drained queue has nothing left
 	}
-	for name, n := range map[string]int{
-		"same-tick inserts behind the cursor":     sameTick,
-		"out-of-order arrivals dirtying a bucket": dirtied,
-		"overflow-heap pushes":                    overflowed,
-		"empty-wheel jumps":                       jumps,
-		"stops at a bound":                        boundStops,
-	} {
-		if n == 0 {
-			t.Errorf("the programs never produced %s", name)
-		}
-	}
+	return counts
 }
 
 func TestQueueClearKeepsNow(t *testing.T) {

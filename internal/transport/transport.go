@@ -54,9 +54,10 @@ type Handler func(m Message)
 // or reordered (even ChanNet drops when a receiver's queue overflows —
 // that is its loss model). After schedules fn on this endpoint's
 // dispatch context; there is no cancel, so protocol code re-checks its
-// deadline when fn fires (lazy cancel, as the cluster engines do). Do
-// injects a closure into the dispatch context from any goroutine — it
-// is the only Endpoint method safe to call from outside a callback.
+// deadline when fn fires (lazy cancel; the cluster engines instead
+// withdraw a moved timer from their des.Queue). Do injects a closure
+// into the dispatch context from any goroutine — it is the only
+// Endpoint method safe to call from outside a callback.
 type Endpoint interface {
 	Addr() Addr
 	// Now returns the endpoint's clock in transport units (virtual
