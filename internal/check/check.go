@@ -315,8 +315,8 @@ func (e *env) TreeArity() int { return e.c.cfg.TreeArity }
 func (e *env) ReleasedThrough() int64 { return e.c.cur.nodes[e.id].released }
 
 func (e *env) Send(m cluster.Message) {
-	m.From = e.id
-	if m.To < 0 || m.To >= e.c.cfg.Nodes {
+	m.From = int32(e.id)
+	if m.To < 0 || int(m.To) >= e.c.cfg.Nodes {
 		panic(fmt.Sprintf("send to out-of-range node %d", m.To))
 	}
 	e.c.cur.net = append(e.c.cur.net, flight{m: m, extra: uint8(e.c.cfg.MaxDup)})
@@ -398,7 +398,7 @@ func (c *checker) enabled(s *state, buf []action) []action {
 	for i := range s.nodes {
 		nd := &s.nodes[i]
 		if nd.arrived == nd.released && nd.arrived < int64(c.cfg.Epochs) {
-			buf = append(buf, action{op: opArrive, node: int32(i), m: cluster.Message{Epoch: nd.arrived}})
+			buf = append(buf, action{op: opArrive, node: int32(i), m: cluster.Message{Epoch: int32(nd.arrived)}})
 		}
 	}
 	for j := range s.net {
@@ -493,7 +493,7 @@ func (c *checker) key(s *state, buf []byte) []byte {
 	sort.Slice(net, func(a, b int) bool { return flightLess(net[a], net[b]) })
 	for _, f := range net {
 		buf = append(buf, byte(f.m.Kind), byte(f.m.From), byte(f.m.To), byte(f.m.Round))
-		buf = appendKey64(buf, f.m.Epoch)
+		buf = appendKey64(buf, int64(f.m.Epoch))
 		d := byte(0)
 		if f.delivered {
 			d = 1

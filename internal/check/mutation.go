@@ -63,8 +63,8 @@ func (w *mutProto) Arrive(e int64) { w.inner.Arrive(e) }
 func (w *mutProto) Handle(m cluster.Message) {
 	switch w.mu.kind {
 	case mutRetagStale:
-		if m.Epoch < w.env.ReleasedThrough() {
-			m.Epoch = w.env.ReleasedThrough()
+		if r := w.env.ReleasedThrough(); int64(m.Epoch) < r {
+			m.Epoch = int32(r)
 		}
 	case mutDropRelease:
 		if w.env.NodeID() == w.env.Nodes()-1 &&

@@ -19,12 +19,12 @@ type centralProto struct {
 	tally // coordinator only; empty elsewhere
 }
 
-func newCentral(env ProtoEnv) *centralProto {
+func (c *centralProto) init(env ProtoEnv) {
 	slots := 0
 	if env.NodeID() == coordinatorID {
 		slots = env.Nodes()
 	}
-	return &centralProto{env: env, tally: newTally(slots)}
+	*c = centralProto{env: env, tally: newTally(slots)}
 }
 
 func (c *centralProto) Arrive(e int64) {
@@ -32,7 +32,7 @@ func (c *centralProto) Arrive(e int64) {
 		c.record(coordinatorID, e)
 		return
 	}
-	c.env.Send(Message{Kind: MsgArrive, To: coordinatorID, Epoch: e})
+	c.env.Send(Message{Kind: MsgArrive, To: coordinatorID, Epoch: int32(e)})
 }
 
 // record notes one distinct arrival at the coordinator and completes
@@ -44,7 +44,7 @@ func (c *centralProto) record(from int, e int64) {
 	c.done()
 	for i := 0; i < c.env.Nodes(); i++ {
 		if i != coordinatorID {
-			c.env.Send(Message{Kind: MsgRelease, To: i, Epoch: e})
+			c.env.Send(Message{Kind: MsgRelease, To: int32(i), Epoch: int32(e)})
 		}
 	}
 	c.env.Release(e)
@@ -53,9 +53,9 @@ func (c *centralProto) record(from int, e int64) {
 func (c *centralProto) Handle(m Message) {
 	switch m.Kind {
 	case MsgArrive:
-		c.record(m.From, m.Epoch)
+		c.record(int(m.From), int64(m.Epoch))
 	case MsgRelease:
-		c.env.Release(m.Epoch) // idempotent: stale duplicates are dropped there
+		c.env.Release(int64(m.Epoch)) // idempotent: stale duplicates are dropped there
 	}
 }
 

@@ -151,6 +151,10 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Epochs < 0 {
 		return cfg, fmt.Errorf("cluster: negative epoch count %d", cfg.Epochs)
 	}
+	if cfg.Epochs > math.MaxInt32 {
+		// Message.Epoch is 32 bits wide.
+		return cfg, fmt.Errorf("cluster: Epochs %d exceeds the supported maximum %d", cfg.Epochs, math.MaxInt32)
+	}
 	for _, r := range []float64{cfg.Net.DropRate, cfg.Net.DupRate} {
 		if !(r >= 0 && r <= 1) { // NaN fails both comparisons
 			return cfg, fmt.Errorf("cluster: fault rate %v outside [0,1]", r)

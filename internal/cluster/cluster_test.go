@@ -158,8 +158,9 @@ func TestDegenerateShapes(t *testing.T) {
 	}
 }
 
-// TestConfigValidation: bad protocols, node counts, fault rates and
-// stragglers are rejected up front.
+// TestConfigValidation: bad protocols, node and epoch counts, fault
+// rates and stragglers are rejected up front; an epoch count past
+// Message.Epoch's 32 bits is refused by name.
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Protocol: "quantum", Nodes: 4, Epochs: 1},
@@ -171,10 +172,16 @@ func TestConfigValidation(t *testing.T) {
 		{Protocol: "central", Nodes: 4, Epochs: 1, Net: NetConfig{DupRate: math.NaN()}},
 		{Protocol: "central", Nodes: 4, Epochs: 1, Straggler: 4, StraggleExtra: 500},
 		{Protocol: "central", Nodes: 4, Epochs: 1, Straggler: -1, StraggleExtra: 500},
+		{Protocol: "central", Nodes: 4, Epochs: math.MaxInt32 + 1},
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+		_, err := New(cfg)
+		if err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
+			continue
+		}
+		if cfg.Epochs > math.MaxInt32 && !strings.Contains(err.Error(), "Epochs") {
+			t.Errorf("config %d: error %q does not name Epochs", i, err)
 		}
 	}
 	if _, err := New(base("tree", 4)); err != nil {

@@ -32,14 +32,13 @@ type dissProto struct {
 	curRound int
 }
 
-func newDissemination(env ProtoEnv) *dissProto {
+func (d *dissProto) init(env ProtoEnv) {
 	rounds := 0
 	for span := 1; span < env.Nodes(); span *= 2 {
 		rounds++
 	}
-	d := &dissProto{env: env, rounds: rounds, curEpoch: -1}
+	*d = dissProto{env: env, rounds: rounds, curEpoch: -1}
 	d.gotEpoch[0], d.gotEpoch[1] = -1, -1
-	return d
 }
 
 func (d *dissProto) Arrive(e int64) {
@@ -53,7 +52,7 @@ func (d *dissProto) Arrive(e int64) {
 
 func (d *dissProto) sendRound(e int64, r int) {
 	peer := (d.env.NodeID() + (1 << r)) % d.env.Nodes()
-	d.env.Send(Message{Kind: MsgRound, To: peer, Epoch: e, Round: r})
+	d.env.Send(Message{Kind: MsgRound, To: int32(peer), Epoch: int32(e), Round: uint8(r)})
 }
 
 // advance consumes buffered round receipts: each completed round enters
@@ -83,14 +82,15 @@ func (d *dissProto) Handle(m Message) {
 	if m.Kind != MsgRound {
 		return
 	}
-	if m.Epoch < d.env.ReleasedThrough() {
+	e := int64(m.Epoch)
+	if e < d.env.ReleasedThrough() {
 		return // stale retransmission of an already-completed epoch
 	}
-	slot := m.Epoch & 1
-	if d.gotEpoch[slot] != m.Epoch {
+	slot := e & 1
+	if d.gotEpoch[slot] != e {
 		// The slot held nothing or an already-released epoch of the
-		// same parity (two epochs older); claim it for m.Epoch.
-		d.gotEpoch[slot] = m.Epoch
+		// same parity (two epochs older); claim it for e.
+		d.gotEpoch[slot] = e
 		d.gotMask[slot] = 0
 	}
 	bit := uint64(1) << uint(m.Round)
@@ -98,7 +98,7 @@ func (d *dissProto) Handle(m Message) {
 		return // duplicate
 	}
 	d.gotMask[slot] |= bit
-	d.advance(m.Epoch)
+	d.advance(e)
 }
 
 func (d *dissProto) PendingLine() string {

@@ -45,12 +45,12 @@ const (
 
 // fevent is one pooled typed event; its (at, node, pri) key lives in
 // the queue. The Message payload is inline so deliveries carry no
-// pointer to chase and no allocation to free.
+// pointer to chase and no allocation to free. A work or region event
+// carries nothing else: its node executes one span at a time, so the
+// span's epoch is the node's epoch and its start the node's since.
 type fevent struct {
-	start int64   // evWork/evRegion: span start, for trace-lane painting
-	epoch int64   // evWork/evRegion
-	msg   Message // evDeliver
-	kind  evKind
+	msg  Message // evDeliver
+	kind evKind
 }
 
 // newQueue sizes a lane's queue from the longest delay any scheduling
@@ -65,9 +65,9 @@ func newQueue(cfg *Config) *des.Queue[fevent] {
 // local events, the sender's transmission counter for deliveries); a
 // retransmit timer is queued at the original key its arm consumed,
 // which is what keeps the schedule on the pinned transcripts.
-func (x *exec) scheduleAt(at int64, node int32, pri uint64, kind evKind, epoch, start int64, msg Message) {
+func (x *exec) scheduleAt(at int64, node int32, pri uint64, kind evKind, msg Message) {
 	ev := x.q.Push(des.Key{At: at, Pri: pri, Node: node})
-	ev.kind, ev.epoch, ev.start, ev.msg = kind, epoch, start, msg
+	ev.kind, ev.msg = kind, msg
 }
 
 // stepResult reports what one bounded step did.
@@ -105,12 +105,12 @@ func (x *exec) stepFast(bound int64) stepResult {
 	switch ev.kind {
 	case evWork:
 		n := &x.s.nodes[k.Node]
-		n.markRange(ev.start, x.now, trace.KindWork)
-		n.workDone(ev.epoch)
+		n.markRange(n.since, x.now, trace.KindWork)
+		n.workDone(n.epoch)
 	case evRegion:
 		n := &x.s.nodes[k.Node]
-		n.markRange(ev.start, x.now, trace.KindBarrier)
-		n.regionDone(ev.epoch)
+		n.markRange(n.since, x.now, trace.KindBarrier)
+		n.regionDone(n.epoch)
 	case evDeliver:
 		x.deliver(ev.msg)
 	case evRetx:

@@ -32,13 +32,18 @@ func (k MsgKind) String() string {
 // and early deliveries are classifiable; Seq is unique per sender and
 // stable across retransmissions and network duplicates, so an Ack names
 // exactly one logical send and duplicate deliveries are detectable.
+//
+// The fields are as narrow as their bounds allow, widest first, so a
+// Message is 24 bytes: withDefaults caps Epochs at MaxInt32, and
+// maxNodes caps From and To below MaxInt32 and Round below 23. Every
+// queued delivery and every pending retransmit record carries one.
 type Message struct {
-	Kind  MsgKind
-	From  int
-	To    int
-	Epoch int64
-	Round int    // dissemination round (MsgRound only)
 	Seq   uint64 // per-sender sequence number; for MsgAck, the seq being acked
+	Epoch int32
+	From  int32
+	To    int32
+	Kind  MsgKind
+	Round uint8 // dissemination round (MsgRound only)
 }
 
 // String renders the message for event logs.

@@ -33,7 +33,7 @@ func (x *exec) netSend(m Message) {
 		if cfg.DropRate > 0 && from.netRNG.Float() < cfg.DropRate {
 			x.drops++
 			if x.s.wantLog {
-				x.logf(m.From, trace.EvDrop, "drop %v", m)
+				x.logf(int(m.From), trace.EvDrop, "drop %v", m)
 			}
 			continue
 		}

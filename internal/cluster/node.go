@@ -19,10 +19,14 @@ import (
 // the node mutates — its own fields, its outbox, the lane's engine and
 // counters — is owned by that lane, which is the ownership discipline
 // the parallel engine's lock-free design rests on.
+//
+// The record holds only what the dispatch loop reads per event: the
+// Sim (cfg, the node table) is x.s, the per-epoch timestamps live in
+// the Sim's one stamps slab, and the protocol machine and the outbox's
+// first ring are carved in node order from per-Sim slabs.
 type node struct {
 	id int
 	x  *exec
-	s  *Sim // cfg and the node table (read-only during a run)
 
 	rng    des.RNG // work-jitter draws
 	netRNG des.RNG // per-sender link draws (latency jitter, drop, dup)
@@ -34,13 +38,10 @@ type node struct {
 
 	epoch           int64 // epoch currently being executed
 	releasedThrough int64 // epochs < this have completed locally
+	since           int64 // start of the current work span, region span or blocked Wait
+	stall           int64
 	blocked         bool
-	blockedAt       int64
 	done            bool
-
-	stall     int64
-	arriveAt  []int64 // per-epoch Arrive timestamps
-	releaseAt []int64 // per-epoch release (Wait-satisfiable) timestamps
 }
 
 // newProtoHook, when non-nil, replaces NewProto during node
@@ -50,31 +51,22 @@ type node struct {
 // cannot reach.
 var newProtoHook func(protocol string, env ProtoEnv) Proto
 
-// init builds node id in place, on lane x, with its per-epoch
-// timestamps carved from stamps (2·Epochs long).
-func (n *node) init(x *exec, id int, stamps []int64) {
-	s := x.s
-	epochs := s.cfg.Epochs
+// init builds node id in place, on lane x, with the protocol machine
+// newProto builds for it. The outbox's window is initialized by the
+// caller (Sim's InitWindows carve).
+func (n *node) init(x *exec, id int, newProto func(i int, env ProtoEnv) Proto) {
+	seed := x.s.cfg.Seed
 	*n = node{
-		id:        id,
-		x:         x,
-		s:         s,
-		rng:       *des.NewRNG(des.Mix(s.cfg.Seed, uint64(id)+1)),
-		netRNG:    *des.NewRNG(des.Mix(des.Mix(s.cfg.Seed, 0xC0FFEE), uint64(id)+1)),
-		arriveAt:  stamps[:epochs:epochs],
-		releaseAt: stamps[epochs:],
+		id:     id,
+		x:      x,
+		rng:    *des.NewRNG(des.Mix(seed, uint64(id)+1)),
+		netRNG: *des.NewRNG(des.Mix(des.Mix(seed, 0xC0FFEE), uint64(id)+1)),
 	}
-	n.out.w.Init(s.cfg.initRTO, s.cfg.maxRTO)
 	if newProtoHook != nil {
-		n.proto = newProtoHook(s.cfg.Protocol, n)
+		n.proto = newProtoHook(x.s.cfg.Protocol, n)
 		return
 	}
-	p, err := NewProto(s.cfg.Protocol, n)
-	if err != nil {
-		// withDefaults validated the name; reaching here is a bug.
-		panic(err)
-	}
-	n.proto = p
+	n.proto = newProto(id, n)
 }
 
 // nextPri consumes the node's next local-event priority.
@@ -88,8 +80,8 @@ func (n *node) nextPri() uint64 {
 // internal/check run the same machines under its adversarial scheduler.
 
 func (n *node) NodeID() int            { return n.id }
-func (n *node) Nodes() int             { return n.s.cfg.Nodes }
-func (n *node) TreeArity() int         { return n.s.cfg.TreeArity }
+func (n *node) Nodes() int             { return n.x.s.cfg.Nodes }
+func (n *node) TreeArity() int         { return n.x.s.cfg.TreeArity }
 func (n *node) ReleasedThrough() int64 { return n.releasedThrough }
 func (n *node) Release(e int64)        { n.release(e) }
 
@@ -98,28 +90,30 @@ func (n *node) Release(e int64)        { n.release(e) }
 // startEpoch schedules epoch e's non-barrier work, or retires the node
 // when every epoch is done.
 func (n *node) startEpoch(e int64) {
-	if e >= int64(n.s.cfg.Epochs) {
+	cfg := &n.x.s.cfg
+	if e >= int64(cfg.Epochs) {
 		n.done = true
 		n.x.doneNodes++
 		return
 	}
 	n.epoch = e
-	w := n.s.cfg.Work
-	if n.s.cfg.WorkJitter > 0 {
-		w += n.rng.IntN(n.s.cfg.WorkJitter + 1)
+	w := cfg.Work
+	if cfg.WorkJitter > 0 {
+		w += n.rng.IntN(cfg.WorkJitter + 1)
 	}
-	if n.s.cfg.StraggleExtra > 0 && n.id == n.s.cfg.Straggler {
-		w += n.s.cfg.StraggleExtra
+	if cfg.StraggleExtra > 0 && n.id == cfg.Straggler {
+		w += cfg.StraggleExtra
 	}
-	n.x.schedWork(n, e, w)
+	n.x.schedSpan(n, evWork, w)
 }
 
 // workDone is the node's Arrive(e): record the timestamp, let the
 // protocol start synchronizing, and begin the barrier region.
 func (n *node) workDone(e int64) {
-	n.arriveAt[e] = n.x.now
+	arriveAt, _ := n.x.s.stampsOf(n.id)
+	arriveAt[e] = n.x.now
 	n.proto.Arrive(e)
-	n.x.schedRegion(n, e, n.s.cfg.Region)
+	n.x.schedSpan(n, evRegion, n.x.s.cfg.Region)
 }
 
 // regionDone is the node's Wait(e): free if the release already
@@ -130,7 +124,7 @@ func (n *node) regionDone(e int64) {
 		return
 	}
 	n.blocked = true
-	n.blockedAt = n.x.now
+	n.since = n.x.now
 }
 
 // release marks epoch e complete at this node; the protocols call it
@@ -145,17 +139,18 @@ func (n *node) release(e int64) {
 	if e > n.releasedThrough {
 		panic(fmt.Sprintf("cluster: node %d released epoch %d before %d", n.id, e, n.releasedThrough))
 	}
-	n.releaseAt[e] = n.x.now
+	_, releaseAt := n.x.s.stampsOf(n.id)
+	releaseAt[e] = n.x.now
 	n.releasedThrough = e + 1
 	n.x.lastProgress = n.x.now
-	if rec := n.s.cfg.Recorder; rec != nil {
+	if rec := n.x.s.cfg.Recorder; rec != nil {
 		rec.Mark(n.x.now, n.id, trace.KindSync)
 		rec.Eventf(n.x.now, n.id, "epoch %d complete", e)
 	}
 	if n.blocked {
 		n.blocked = false
-		n.stall += n.x.now - n.blockedAt
-		n.markRange(n.blockedAt, n.x.now, trace.KindStall)
+		n.stall += n.x.now - n.since
+		n.markRange(n.since, n.x.now, trace.KindStall)
 		n.startEpoch(e + 1)
 	}
 }
@@ -169,14 +164,14 @@ func (n *node) handle(m Message) {
 		n.ack(m.Seq)
 		return
 	}
-	n.x.netSend(Message{Kind: MsgAck, From: n.id, To: m.From, Epoch: m.Epoch, Seq: m.Seq})
+	n.x.netSend(Message{Kind: MsgAck, From: int32(n.id), To: m.From, Epoch: m.Epoch, Seq: m.Seq})
 	n.proto.Handle(m)
 }
 
 // markRange paints [from, to) on the node's trace lane; a nil recorder
 // makes this free.
 func (n *node) markRange(from, to int64, k trace.Kind) {
-	rec := n.s.cfg.Recorder
+	rec := n.x.s.cfg.Recorder
 	if rec == nil {
 		return
 	}
@@ -192,7 +187,7 @@ func (n *node) stateLine() string {
 		return "done"
 	case n.blocked:
 		return fmt.Sprintf("blocked in Wait(epoch %d) since t=%d; unacked=%d; %s",
-			n.epoch, n.blockedAt, n.out.w.Live(), n.proto.PendingLine())
+			n.epoch, n.since, n.out.w.Live(), n.proto.PendingLine())
 	default:
 		return fmt.Sprintf("executing epoch %d (released through %d); unacked=%d; %s",
 			n.epoch, n.releasedThrough, n.out.w.Live(), n.proto.PendingLine())

@@ -33,7 +33,7 @@ type outbox struct {
 func (n *node) Send(m Message) {
 	o, x := &n.out, n.x
 	m.Seq = o.w.Next()
-	m.From = n.id
+	m.From = int32(n.id)
 	o.w.Track(m, m.Seq, x.now, n.nextPri())
 	x.sends++
 	if x.s.wantLog {
@@ -62,7 +62,7 @@ func (n *node) rearm() {
 	}
 	o.timer = head
 	if head.Seq != 0 {
-		n.x.scheduleAt(head.Deadline, int32(n.id), head.Armseq, evRetx, 0, 0, Message{})
+		n.x.scheduleAt(head.Deadline, int32(n.id), head.Armseq, evRetx, Message{})
 	}
 }
 

@@ -178,7 +178,7 @@ func (p *parEngine) drainInboxes() {
 		x := p.shards[to]
 		for from, cell := range row {
 			for _, ie := range cell {
-				x.scheduleAt(ie.at, int32(ie.msg.To), ie.pri, evDeliver, 0, 0, ie.msg)
+				x.scheduleAt(ie.at, ie.msg.To, ie.pri, evDeliver, ie.msg)
 			}
 			row[from] = cell[:0]
 		}

@@ -60,15 +60,42 @@ type Proto interface {
 // The name must be one of Protocols(); the Sim validates it in
 // withDefaults, and the checker validates it in its own config.
 func NewProto(protocol string, env ProtoEnv) (Proto, error) {
+	build, err := newProtos(protocol, 1)
+	if err != nil {
+		return nil, err
+	}
+	return build(0, env), nil
+}
+
+// newProtos allocates n of the named protocol's machines in one slice
+// and returns the function that builds machine i over env in place. A
+// Sim carves its nodes' machines this way, in node order, so the
+// dispatch loop finds neighbouring nodes' machines in neighbouring
+// memory.
+func newProtos(protocol string, n int) (func(i int, env ProtoEnv) Proto, error) {
 	switch protocol {
 	case "central":
-		return newCentral(env), nil
+		return carve[centralProto](n), nil
 	case "tree":
-		return newTree(env), nil
+		return carve[treeProto](n), nil
 	case "dissemination":
-		return newDissemination(env), nil
+		return carve[dissProto](n), nil
 	}
 	return nil, fmt.Errorf("cluster: unregistered protocol %q", protocol)
+}
+
+// carve is newProtos for one machine type P.
+func carve[P any, PP interface {
+	*P
+	Proto
+	init(env ProtoEnv)
+}](n int) func(i int, env ProtoEnv) Proto {
+	slab := make([]P, n)
+	return func(i int, env ProtoEnv) Proto {
+		p := PP(&slab[i])
+		p.init(env)
+		return p
+	}
 }
 
 // appendState64 appends one int64 state word in a fixed-width canonical

@@ -7,6 +7,7 @@ import (
 
 	"fuzzybarrier/internal/des"
 	"fuzzybarrier/internal/trace"
+	"fuzzybarrier/internal/transport"
 )
 
 // Event ordering. Every event carries a canonical key
@@ -43,7 +44,7 @@ const localPriBit = uint64(1) << 63
 const deliverPriBits = 40
 
 // deliverPri builds the priority of one network transmission copy.
-func deliverPri(from int, txSeq uint64) uint64 {
+func deliverPri(from int32, txSeq uint64) uint64 {
 	return (uint64(from)+1)<<deliverPriBits | txSeq
 }
 
@@ -94,6 +95,10 @@ type Sim struct {
 	log   []string
 	tail  []string // stuck-diagnosis lines, appended after any merge
 
+	// stamps holds every node's per-epoch timestamps, 2·Epochs per
+	// node in node order: see stampsOf.
+	stamps []int64
+
 	// wantLog gates every hot-path logf call site so the variadic
 	// argument slice is never even built when neither sink is active —
 	// the zero-alloc steady state depends on this.
@@ -112,20 +117,35 @@ func New(cfg Config) (*Sim, error) {
 	s := &Sim{cfg: cfg}
 	s.wantLog = cfg.Recorder != nil || cfg.LogEvents
 	s.nodes = make([]node, cfg.Nodes)
+	s.stamps = make([]int64, 2*cfg.Epochs*cfg.Nodes)
 	if cfg.Shards > 1 {
 		s.par = newParEngine(s)
 	} else {
 		s.ex = s.newExec(0)
 	}
-	stamps := make([]int64, 2*cfg.Epochs*cfg.Nodes)
+	newProto, err := newProtos(cfg.Protocol, cfg.Nodes)
+	if err != nil {
+		return nil, err
+	}
 	for i := range s.nodes {
 		x := s.ex
 		if s.par != nil {
 			x = s.par.shards[s.par.shardOf[i]]
 		}
-		s.nodes[i].init(x, i, stamps[2*cfg.Epochs*i:2*cfg.Epochs*(i+1)])
+		s.nodes[i].init(x, i, newProto)
 	}
+	transport.InitWindows(cfg.Nodes, cfg.initRTO, cfg.maxRTO, func(i int) *transport.Window[Message] {
+		return &s.nodes[i].out.w
+	})
 	return s, nil
+}
+
+// stampsOf returns node id's per-epoch Arrive timestamps and its
+// per-epoch release (Wait-satisfiable) timestamps.
+func (s *Sim) stampsOf(id int) (arriveAt, releaseAt []int64) {
+	e := s.cfg.Epochs
+	st := s.stamps[2*e*id : 2*e*(id+1)]
+	return st[:e:e], st[e:]
 }
 
 // newExec builds one execution lane with its own event queue.
@@ -133,22 +153,16 @@ func (s *Sim) newExec(shard int32) *exec {
 	return &exec{s: s, shard: shard, q: newQueue(&s.cfg)}
 }
 
-// schedWork schedules the end of node n's non-barrier work span for
-// epoch e, consuming one of n's local priorities.
-func (x *exec) schedWork(n *node, e, delay int64) {
+// schedSpan starts node n's next span of its current epoch now — its
+// non-barrier work (evWork) or its barrier region (evRegion) — and
+// schedules the span's end delay ticks later, consuming one of n's
+// local priorities.
+func (x *exec) schedSpan(n *node, kind evKind, delay int64) {
 	if delay < 0 {
 		delay = 0
 	}
-	x.scheduleAt(x.now+delay, int32(n.id), n.nextPri(), evWork, e, x.now, Message{})
-}
-
-// schedRegion schedules the end of node n's barrier-region span for
-// epoch e.
-func (x *exec) schedRegion(n *node, e, delay int64) {
-	if delay < 0 {
-		delay = 0
-	}
-	x.scheduleAt(x.now+delay, int32(n.id), n.nextPri(), evRegion, e, x.now, Message{})
+	n.since = x.now
+	x.scheduleAt(x.now+delay, int32(n.id), n.nextPri(), kind, Message{})
 }
 
 // schedDeliver schedules one network delivery of m at the
@@ -164,14 +178,14 @@ func (x *exec) schedDeliver(m Message, at int64, pri uint64) {
 			return
 		}
 	}
-	x.scheduleAt(at, int32(m.To), pri, evDeliver, 0, 0, m)
+	x.scheduleAt(at, m.To, pri, evDeliver, m)
 }
 
 // deliver hands one transmission to its destination node.
 func (x *exec) deliver(m Message) {
 	x.delivered++
 	if x.s.wantLog {
-		x.logf(m.To, trace.EvRecv, "recv %v", m)
+		x.logf(int(m.To), trace.EvRecv, "recv %v", m)
 	}
 	x.s.nodes[m.To].handle(m)
 }
@@ -361,8 +375,9 @@ func (s *Sim) result() *Result {
 		n := &s.nodes[i]
 		res.Stall += n.stall
 		res.PerNodeStall = append(res.PerNodeStall, n.stall)
-		res.ArriveAt = append(res.ArriveAt, n.arriveAt)
-		res.ReleaseAt = append(res.ReleaseAt, n.releaseAt)
+		arriveAt, releaseAt := s.stampsOf(i)
+		res.ArriveAt = append(res.ArriveAt, arriveAt)
+		res.ReleaseAt = append(res.ReleaseAt, releaseAt)
 	}
 	return res
 }

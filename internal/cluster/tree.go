@@ -21,10 +21,10 @@ type treeProto struct {
 	tally
 }
 
-func newTree(env ProtoEnv) *treeProto {
+func (t *treeProto) init(env ProtoEnv) {
 	k := env.TreeArity()
 	id := env.NodeID()
-	t := &treeProto{env: env, parent: -1}
+	*t = treeProto{env: env, parent: -1}
 	if id > 0 {
 		t.parent = (id - 1) / k
 	}
@@ -33,7 +33,6 @@ func newTree(env ProtoEnv) *treeProto {
 	}
 	t.need = 1 + len(t.children)
 	t.tally = newTally(t.need)
-	return t
 }
 
 // slotOf maps an arrival's sender to its stamp slot (the fan-in is
@@ -63,7 +62,7 @@ func (t *treeProto) record(from int, e int64) {
 		t.down(e)
 		return
 	}
-	t.env.Send(Message{Kind: MsgArrive, To: t.parent, Epoch: e})
+	t.env.Send(Message{Kind: MsgArrive, To: int32(t.parent), Epoch: int32(e)})
 }
 
 // down releases epoch e locally and forwards the release wave to the
@@ -74,7 +73,7 @@ func (t *treeProto) down(e int64) {
 		return // duplicate release
 	}
 	for _, c := range t.children {
-		t.env.Send(Message{Kind: MsgRelease, To: c, Epoch: e})
+		t.env.Send(Message{Kind: MsgRelease, To: int32(c), Epoch: int32(e)})
 	}
 	if t.epoch == e {
 		t.done()
@@ -85,9 +84,9 @@ func (t *treeProto) down(e int64) {
 func (t *treeProto) Handle(m Message) {
 	switch m.Kind {
 	case MsgArrive:
-		t.record(m.From, m.Epoch)
+		t.record(int(m.From), int64(m.Epoch))
 	case MsgRelease:
-		t.down(m.Epoch)
+		t.down(int64(m.Epoch))
 	}
 }
 

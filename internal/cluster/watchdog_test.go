@@ -28,7 +28,7 @@ type chatterProto struct{ env ProtoEnv }
 
 func (c *chatterProto) Arrive(e int64) {
 	if c.env.NodeID() == 0 && c.env.Nodes() > 1 {
-		c.env.Send(Message{Kind: MsgRound, To: 1, Epoch: e})
+		c.env.Send(Message{Kind: MsgRound, To: 1, Epoch: int32(e)})
 	}
 }
 
@@ -36,7 +36,7 @@ func (c *chatterProto) Handle(m Message) {
 	if m.Kind != MsgRound {
 		return
 	}
-	peer := 0
+	peer := int32(0)
 	if c.env.NodeID() == 0 {
 		peer = 1
 	}

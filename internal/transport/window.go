@@ -8,21 +8,26 @@ import "fuzzybarrier/internal/stats"
 // the pending ring, the Jacobson/Karels RTO policy with Karn's rule,
 // exponential backoff, and the lazy-cancel retransmission deadline
 // queue with its stale-entry prune. The hosts keep only their timer
-// arming — the cluster engines arm exact-key heap events, the
-// real-time transports one covering Endpoint.After — and each supplies
-// the arm sequence numbers, so a deadline's key is the host's own.
+// arming — a cluster node keeps one des.Queue event at its window's
+// live head (Due) and moves it with des.Queue.Remove when the head
+// changes, the real-time transports one covering Endpoint.After — and
+// each supplies the arm sequence numbers, so a deadline's key is the
+// host's own.
 
-// pending is one unacked reliable send. seq duplicates the sequence
-// number out of the message payload so the ring is message-type
-// agnostic.
+// pending is one ring slot: an unacked reliable send, or a free slot
+// when tries is 0 (every tracked send has been tried at least once).
+// seq duplicates the sequence number out of the message payload so the
+// ring is message-type agnostic; reading it from the message through a
+// method constraint instead goes through the generic dictionary on
+// every lookup. With a 24-byte message the record is 64 bytes, one
+// cache line.
 type pending[M any] struct {
 	msg       M
 	seq       uint64
 	firstSent int64
 	rto       int64
 	armseq    uint64 // sequence consumed when the live deadline was armed
-	tries     int
-	inUse     bool
+	tries     int32  // transmissions so far; 0 marks a free slot
 }
 
 // RetxEntry is one armed deadline in a window's timer queue, ordered
@@ -51,8 +56,13 @@ func retxLess(a, b RetxEntry) bool {
 //
 // Pending records live in a power-of-two ring indexed by sequence
 // number (seq & mask), recycled in place — no map, no per-send
-// allocation. The ring grows only while the in-flight window exceeds
-// its previous high-water mark. Deadlines live in a min-heap that is
+// allocation. A slot whose tries is 0 is free, and an ack frees its
+// slot by zeroing tries; a live slot matches a seq only if its own seq
+// is that seq, so an ack for a seq whose slot a later send has reused
+// finds nothing. The ring grows only while the in-flight window exceeds
+// its previous high-water mark; the first ring may be carved from a
+// slab shared with other windows (InitWindows), and growth always moves
+// to a ring of the window's own. Deadlines live in a min-heap that is
 // never searched: an ack or a re-arm leaves the old entry behind, and
 // Due drops it once it reaches the head.
 type Window[M any] struct {
@@ -67,12 +77,31 @@ type Window[M any] struct {
 	tq []RetxEntry // min-heap on (Deadline, Armseq); lazily pruned
 }
 
+// ringSlots is the size of a window's first ring.
+const ringSlots = 8
+
 // Init prepares a zero-value Window with the initial 8-slot ring and
 // its RTO bounds: initRTO before any RTT sample, backoff capped at
 // maxRTO.
 func (w *Window[M]) Init(initRTO, maxRTO int64) {
-	w.slots = make([]pending[M], 8)
-	w.mask = 7
+	w.init(make([]pending[M], ringSlots), initRTO, maxRTO)
+}
+
+// InitWindows prepares n zero-value Windows, window(i) for i in [0, n),
+// as Init would, but carves their first rings from one slab in index
+// order: one allocation instead of n, and neighbouring windows' rings
+// in neighbouring memory.
+func InitWindows[M any](n int, initRTO, maxRTO int64, window func(i int) *Window[M]) {
+	slab := make([]pending[M], n*ringSlots)
+	for i := range n {
+		window(i).init(slab[i*ringSlots:(i+1)*ringSlots:(i+1)*ringSlots], initRTO, maxRTO)
+	}
+}
+
+// init prepares w with ring as its first ring.
+func (w *Window[M]) init(ring []pending[M], initRTO, maxRTO int64) {
+	w.slots = ring
+	w.mask = uint64(len(ring) - 1)
 	w.initRTO, w.maxRTO = initRTO, maxRTO
 }
 
@@ -85,11 +114,11 @@ func (w *Window[M]) Next() uint64 {
 // Track records m, sent under seq at now, as pending and arms its first
 // retransmit deadline at now plus the current RTO, keyed by armseq.
 func (w *Window[M]) Track(m M, seq uint64, now int64, armseq uint64) {
-	for w.slots[seq&w.mask].inUse {
+	for w.slots[seq&w.mask].tries != 0 {
 		w.grow()
 	}
 	p := &w.slots[seq&w.mask]
-	*p = pending[M]{msg: m, seq: seq, firstSent: now, rto: w.nextRTO(), tries: 1, inUse: true}
+	*p = pending[M]{msg: m, seq: seq, firstSent: now, rto: w.nextRTO(), tries: 1}
 	w.live++
 	w.arm(p, now, armseq)
 }
@@ -101,7 +130,7 @@ func (w *Window[M]) Live() int { return w.live }
 // slot returns the live pending record for seq, or nil.
 func (w *Window[M]) slot(seq uint64) *pending[M] {
 	p := &w.slots[seq&w.mask]
-	if p.inUse && p.seq == seq {
+	if p.tries != 0 && p.seq == seq {
 		return p
 	}
 	return nil
@@ -118,11 +147,11 @@ func (w *Window[M]) grow() {
 		ok := true
 		for i := range w.slots {
 			p := &w.slots[i]
-			if !p.inUse {
+			if p.tries == 0 {
 				continue
 			}
 			j := p.seq & nm
-			if ns[j].inUse {
+			if ns[j].tries != 0 {
 				ok = false
 				break
 			}
@@ -148,7 +177,7 @@ func (w *Window[M]) Ack(seq uint64, now int64) bool {
 	if p.tries == 1 {
 		w.rtt.Observe(float64(now - p.firstSent))
 	}
-	p.inUse = false
+	p.tries = 0
 	w.live--
 	return true
 }
@@ -190,7 +219,7 @@ func (w *Window[M]) Retry(now int64, armseq uint64) (m M, tries int, rto int64) 
 	p.tries++
 	p.rto = min(2*p.rto, w.maxRTO)
 	w.arm(p, now, armseq)
-	return p.msg, p.tries, p.rto
+	return p.msg, int(p.tries), p.rto
 }
 
 // arm queues p's next deadline at now + p.rto under armseq; the entry

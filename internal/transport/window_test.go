@@ -1,6 +1,10 @@
 package transport
 
-import "testing"
+import (
+	"slices"
+	"testing"
+	"unsafe"
+)
 
 // newTestWindow returns a Window of ints with RTO bounds [initRTO, maxRTO].
 func newTestWindow(initRTO, maxRTO int64) *Window[int] {
@@ -127,4 +131,125 @@ func TestWindowOutOfOrderAcksAcrossGrowth(t *testing.T) {
 	if e, ok := w.Due(); ok {
 		t.Fatalf("Due = %+v with every message acked", e)
 	}
+}
+
+// TestWindowRecordLayout: the pending record of a 24-byte message (the
+// size of cluster.Message) is one 64-byte cache line; it was 96 bytes
+// with a separate in-use flag and an int try count. Together with the
+// cluster's smaller Message, fevent and node (TestHotRecordLayout in
+// internal/cluster) this is what took sim-cluster's sync_us down; a
+// field added here has to argue with those numbers.
+func TestWindowRecordLayout(t *testing.T) {
+	type msg24 struct{ a, b, c uint64 }
+	if got := unsafe.Sizeof(pending[msg24]{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(pending[24-byte message]) = %d bytes, want 64", got)
+	}
+}
+
+// TestWindowCarvedRingsGrowApart: two windows whose first rings are
+// carved side by side from one slab grow past 8 and then 16 in-flight
+// sends each, interleaved, with acks out of order. Neither ever holds
+// the other's records, every live send stays findable, every acked one
+// is gone, and an ack for a seq whose slot seq + len(ring) has reused
+// returns false and leaves the new record live.
+func TestWindowCarvedRingsGrowApart(t *testing.T) {
+	var ws [2]Window[int]
+	InitWindows(2, 10, 80, func(i int) *Window[int] { return &ws[i] })
+	stride := unsafe.Sizeof(ws[0].slots[0])
+	if cap(ws[0].slots) != 8 || uintptr(unsafe.Pointer(&ws[1].slots[0]))-uintptr(unsafe.Pointer(&ws[0].slots[0])) != 8*stride {
+		t.Fatal("InitWindows did not carve the two 8-slot rings side by side")
+	}
+	// A message is 2·seq + its window's index, so its owner is msg % 2.
+	live := [2]map[uint64]int{{}, {}}
+	acked := [2][]uint64{}
+	now := int64(0)
+	check := func(when string) {
+		t.Helper()
+		for i := range ws {
+			w := &ws[i]
+			for j, p := range w.slots {
+				if p.tries != 0 && p.msg%2 != i {
+					t.Fatalf("%s: window %d slot %d holds window %d's message %d", when, i, j, p.msg%2, p.msg)
+				}
+			}
+			if w.Live() != len(live[i]) {
+				t.Fatalf("%s: window %d Live = %d, want %d", when, i, w.Live(), len(live[i]))
+			}
+			for seq, m := range live[i] {
+				if p := w.slot(seq); p == nil || p.msg != m {
+					t.Fatalf("%s: window %d lost live seq %d", when, i, seq)
+				}
+			}
+			for _, seq := range acked[i] {
+				if w.slot(seq) != nil {
+					t.Fatalf("%s: window %d still finds acked seq %d", when, i, seq)
+				}
+			}
+		}
+	}
+	send := func(i int) uint64 {
+		now++
+		seq := ws[i].Next()
+		ws[i].Track(int(2*seq)+i, seq, now, seq)
+		live[i][seq] = int(2*seq) + i
+		return seq
+	}
+	ack := func(i int, seq uint64) {
+		now++
+		if !ws[i].Ack(seq, now) {
+			t.Fatalf("window %d: ack of live seq %d reported duplicate", i, seq)
+		}
+		delete(live[i], seq)
+		acked[i] = append(acked[i], seq)
+	}
+	for step, target := 0, 12; target <= 20; target += 8 { // past 8, then past 16 in flight
+		for len(live[0]) < target || len(live[1]) < target {
+			for i := range ws {
+				send(i)
+				check("send")
+				if step%3 == 2 { // an out-of-order ack: never the oldest, never the newest
+					seqs := sortedSeqs(live[i])
+					ack(i, seqs[1+step%(len(seqs)-2)])
+					check("ack")
+				}
+			}
+			step++
+		}
+	}
+	for i := range ws {
+		if len(ws[i].slots) < 32 {
+			t.Fatalf("window %d ring has %d slots with over 16 in flight", i, len(ws[i].slots))
+		}
+		for _, seq := range sortedSeqs(live[i]) {
+			ack(i, seq)
+		}
+	}
+	check("drain")
+
+	// Slot reuse: with at most one send in flight the ring cannot grow,
+	// so seq + len(ring) lands in seq's slot.
+	w := &ws[0]
+	old := send(0)
+	ack(0, old)
+	for seq := send(0); seq < old+uint64(len(w.slots)); seq = send(0) {
+		ack(0, seq)
+	}
+	reused := old + uint64(len(w.slots))
+	if w.slot(old) != nil || w.slots[old&w.mask].seq != reused {
+		t.Fatalf("seq %d's slot not reused by seq %d", old, reused)
+	}
+	if w.Ack(old, now) {
+		t.Fatalf("ack of seq %d, whose slot seq %d reused, reported live", old, reused)
+	}
+	check("stale ack")
+}
+
+// sortedSeqs returns the keys of live in ascending order.
+func sortedSeqs(live map[uint64]int) []uint64 {
+	seqs := make([]uint64, 0, len(live))
+	for seq := range live {
+		seqs = append(seqs, seq)
+	}
+	slices.Sort(seqs)
+	return seqs
 }

@@ -5,14 +5,10 @@
 #   scripts/bench-pairs.sh <parent-ref> "<workload> [<workload> ...]" [pairs=10]
 #
 # Both sides run from sibling snapshots under the ignored
-# .bench_build/pairs/, so both binaries embed source paths of the same
-# depth and length (the build directory alone moves the rt-* workloads by
-# about 5 %): the parent is a `git archive` of the ref (no worktree
-# registration to clean up), and the change is this checkout as it stands
-# — its tracked files and its untracked files that are not ignored,
-# copied afresh on every call. Each pair takes a fresh seed and runs both sides exactly as the
-# driver does (`bash bench/run.sh -workload W -seed S -seconds 10 -trace
-# 0`), alternating which side goes first, each side appending its records
+# .bench_build/pairs/ (snapshot.sh), so both binaries embed source paths
+# of the same depth and length. Each pair takes a fresh seed and runs
+# both sides as BENCHMARK.json's command (`bash bench/run.sh -workload W
+# -seed S -seconds 10 -trace 0`), alternating which side goes first, each side appending its records
 # to its own -out file. At the end `bench/run.sh -compare` prints the
 # medians and verdicts, and one line per end-to-end metric says how many
 # pairs the change won, lost and tied, and the median over the pairs of
@@ -24,19 +20,9 @@ set -euo pipefail
 [ $# -ge 2 ] || { echo "usage: $0 <parent-ref> \"<workload> ...\" [pairs=10]" >&2; exit 2; }
 ref=$1 workloads=$2 pairs=${3:-10}
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
-sha=$(git -C "$root" rev-parse --short=12 "$ref^{commit}")
 work="$root/.bench_build/pairs"
-parent="$work/parent-$sha"
-if [ ! -f "$parent/bench/run.sh" ]; then
-	mkdir -p "$parent"
-	git -C "$root" archive "$sha" | tar -x -C "$parent"
-fi
-change="$work/change-$sha"
-rm -rf "$change"
-mkdir -p "$change"
-git -C "$root" ls-files -z --cached --others --exclude-standard |
-	(cd "$root" && while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done) |
-	tar -C "$root" --null -T - -cf - | tar -x -C "$change"
+. "$root/scripts/snapshot.sh"
+snapshot_sides "$root" "$ref" "$work"
 stamp=$(date +%Y%m%d-%H%M%S)
 base=$(( $(date +%s) % 1000000 ))
 
