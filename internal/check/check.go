@@ -44,13 +44,15 @@
 //
 // # Search
 //
-// States are canonically encoded (per-node protocol state + epoch
-// horizons + the sorted in-flight multiset) and deduplicated in a
-// visited set; the search is a work-stack DFS with state and depth
-// budgets. Each discovered state remembers its discovery edge, so a
-// violation yields a full trace; the trace is then re-derived with a
-// breadth-first pass bounded by the DFS result, so the printed
-// counterexample is minimal.
+// Explore is the one search, generic over a Model: a visited set of
+// canonical state keys, a work-stack DFS under state and depth budgets,
+// deadlock detection, and one discovery edge per state, so a violation
+// yields a full trace; the trace is then re-derived with a breadth-first
+// pass bounded by the DFS result, so the printed counterexample is
+// minimal. It has two clients. Run's protoModel encodes a state as
+// per-node protocol state + epoch horizons + the sorted in-flight
+// multiset. internal/barrierd's tests walk phase.Counter against the
+// id-level reference under every order its home can apply counts in.
 package check
 
 import (
@@ -129,14 +131,14 @@ func (cfg Config) withDefaults() (Config, error) {
 // counterexample trace from the initial state.
 type Violation struct {
 	Property string   // "early-release", "release-order", "deadlock" or "panic"
-	detail   string   // what went wrong at the final transition
+	Detail   string   // what went wrong at the final transition
 	Trace    []string // one action per line, in execution order
 }
 
 // String renders the violation with its trace, one action per line.
 func (v *Violation) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %s\n", v.Property, v.detail)
+	fmt.Fprintf(&b, "%s: %s\n", v.Property, v.Detail)
 	fmt.Fprintf(&b, "counterexample (%d steps):\n", len(v.Trace))
 	for i, step := range v.Trace {
 		fmt.Fprintf(&b, "  %2d. %s\n", i+1, step)
@@ -176,8 +178,32 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := newChecker(cfg)
-	res, err := c.search(searchDFS)
+	res, err := Explore(newProtoModel(cfg), cfg.MaxStates, cfg.MaxDepth)
+	if res != nil {
+		res.Config = cfg
+	}
+	return res, err
+}
+
+// Model is a transition system for Explore: states S, actions A.
+type Model[S, A any] interface {
+	Initial() (S, error)
+	Done(s S) bool            // final: not expanded, not a deadlock
+	Enabled(s S, buf []A) []A // appends every action enabled in s
+	// Apply executes a on a copy of s: the successor, or the property
+	// the transition broke. A panic in Apply is a "panic" violation.
+	Apply(s S, a A) (S, *Violation)
+	Key(s S, buf []byte) []byte // appends s's canonical encoding
+	Stuck(s S) string           // why a non-final s enables nothing
+	Describe(a A) string        // one counterexample line
+}
+
+// Explore searches every state of m reachable within maxStates states
+// and maxDepth steps, and returns the counts with the first violation, or
+// a deadlock, under a minimal trace. Config is left zero: it is Run's.
+// The error is non-nil only for a failed Initial or an exhausted budget.
+func Explore[S, A any](m Model[S, A], maxStates, maxDepth int) (*Result, error) {
+	res, err := explore(m, maxStates, maxDepth, false)
 	if err != nil || res.Violation == nil {
 		return res, err
 	}
@@ -185,11 +211,114 @@ func Run(cfg Config) (*Result, error) {
 	// breadth-first (shortest discovery order) to print a minimal
 	// counterexample. The BFS pass shares the budgets; if it blows
 	// them, keep the DFS trace.
-	short, serr := newChecker(cfg).search(searchBFS)
+	short, serr := explore(m, maxStates, maxDepth, true)
 	if serr == nil && short.Violation != nil && len(short.Violation.Trace) < len(res.Violation.Trace) {
 		res.Violation = short.Violation
 	}
 	return res, nil
+}
+
+type discEntry[A any] struct {
+	parent int32
+	act    A
+}
+
+type workItem[S any] struct {
+	st    S
+	id    int32
+	depth int
+}
+
+// explore runs one pass, depth-first (work stack, low memory) or
+// breadth-first (FIFO, shortest discovery paths), to exhaustion, a
+// violation, or a blown budget.
+func explore[S, A any](m Model[S, A], maxStates, maxDepth int, bfs bool) (*Result, error) {
+	res := &Result{}
+	init, err := m.Initial()
+	if err != nil {
+		return nil, err
+	}
+	visited := map[string]int32{string(m.Key(init, nil)): 0}
+	disc := []discEntry[A]{{parent: -1}}
+	work := []workItem[S]{{st: init, id: 0, depth: 0}}
+	res.States = 1
+	// trace reconstructs the action path from the initial state to state
+	// id by walking discovery edges.
+	trace := func(id int32, last ...A) []string {
+		acts := last
+		for ; id > 0; id = disc[id].parent {
+			acts = append(acts, disc[id].act)
+		}
+		out := make([]string, len(acts))
+		for i := range acts {
+			out[len(acts)-1-i] = m.Describe(acts[i])
+		}
+		return out
+	}
+
+	var actbuf []A
+	var keybuf []byte
+	for len(work) > 0 {
+		var it workItem[S]
+		if bfs {
+			it = work[0]
+			work = work[1:]
+		} else {
+			it = work[len(work)-1]
+			work = work[:len(work)-1]
+		}
+		if it.depth > res.Depth {
+			res.Depth = it.depth
+		}
+		if m.Done(it.st) {
+			continue
+		}
+		actbuf = m.Enabled(it.st, actbuf[:0])
+		if len(actbuf) == 0 {
+			res.Violation = &Violation{
+				Property: "deadlock",
+				Detail:   "no enabled transition; " + m.Stuck(it.st),
+				Trace:    trace(it.id),
+			}
+			return res, nil
+		}
+		if it.depth+1 > maxDepth {
+			return res, fmt.Errorf("check: depth budget %d exhausted (%d states so far)", maxDepth, res.States)
+		}
+		for _, a := range actbuf {
+			res.Transitions++
+			ns, viol := apply(m, it.st, a)
+			if viol != nil {
+				viol.Trace = trace(it.id, a)
+				res.Violation = viol
+				return res, nil
+			}
+			keybuf = m.Key(ns, keybuf[:0])
+			if _, seen := visited[string(keybuf)]; seen {
+				continue
+			}
+			if res.States >= maxStates {
+				return res, fmt.Errorf("check: state budget %d exhausted", maxStates)
+			}
+			id := int32(len(disc))
+			visited[string(keybuf)] = id
+			disc = append(disc, discEntry[A]{parent: it.id, act: a})
+			res.States++
+			work = append(work, workItem[S]{st: ns, id: id, depth: it.depth + 1})
+		}
+	}
+	return res, nil
+}
+
+// apply is m.Apply with a panic turned into a violation, so a mutated
+// model is refuted rather than crashing the search.
+func apply[S, A any](m Model[S, A], s S, a A) (ns S, viol *Violation) {
+	defer func() {
+		if r := recover(); r != nil {
+			viol = &Violation{Property: "panic", Detail: fmt.Sprint(r)}
+		}
+	}()
+	return m.Apply(s, a)
 }
 
 // action ops.
@@ -208,7 +337,8 @@ type action struct {
 	m    cluster.Message // opDeliver/opDup/opDrop: which message
 }
 
-func (a action) String() string {
+// Describe renders a as one counterexample line.
+func (c *protoModel) Describe(a action) string {
 	switch a.op {
 	case opArrive:
 		return fmt.Sprintf("node %d: Arrive(e=%d)", a.node, a.m.Epoch)
@@ -260,26 +390,9 @@ type state struct {
 	net   []flight
 }
 
-type discEntry struct {
-	parent int32
-	act    action
-}
-
-type workItem struct {
-	st    *state
-	id    int32
-	depth int
-}
-
-// Search strategies: DFS (work stack, low memory, used for the
-// exhaustive pass) and BFS (FIFO, shortest discovery paths, used to
-// minimize counterexamples).
-const (
-	searchDFS = iota
-	searchBFS
-)
-
-type checker struct {
+// protoModel is Run's Model: the cluster.Proto machines of cfg's
+// protocol, one per node, over the adversarial network.
+type protoModel struct {
 	cfg  Config
 	envs []*env
 
@@ -288,13 +401,10 @@ type checker struct {
 	// machines never need rebinding.
 	cur  *state
 	fail *Violation // set by env.Release on a property breach
-
-	visited map[string]int32
-	disc    []discEntry
 }
 
-func newChecker(cfg Config) *checker {
-	c := &checker{cfg: cfg, visited: make(map[string]int32)}
+func newProtoModel(cfg Config) *protoModel {
+	c := &protoModel{cfg: cfg}
 	c.envs = make([]*env, cfg.Nodes)
 	for i := range c.envs {
 		c.envs[i] = &env{c: c, id: i}
@@ -302,9 +412,9 @@ func newChecker(cfg Config) *checker {
 	return c
 }
 
-// env adapts the checker to cluster.ProtoEnv for one node id.
+// env adapts the model to cluster.ProtoEnv for one node id.
 type env struct {
-	c  *checker
+	c  *protoModel
 	id int
 }
 
@@ -332,7 +442,7 @@ func (e *env) Release(epoch int64) {
 	if epoch > nd.released {
 		e.c.fail = &Violation{
 			Property: "release-order",
-			detail: fmt.Sprintf("node %d released epoch %d before completing epoch %d",
+			Detail: fmt.Sprintf("node %d released epoch %d before completing epoch %d",
 				e.id, epoch, nd.released),
 		}
 		return
@@ -341,7 +451,7 @@ func (e *env) Release(epoch int64) {
 		if e.c.cur.nodes[j].arrived <= epoch {
 			e.c.fail = &Violation{
 				Property: "early-release",
-				detail: fmt.Sprintf("node %d released epoch %d but node %d has not arrived (arrived through %d of %d nodes required)",
+				Detail: fmt.Sprintf("node %d released epoch %d but node %d has not arrived (arrived through %d of %d nodes required)",
 					e.id, epoch, j, e.c.cur.nodes[j].arrived, e.c.cfg.Nodes),
 			}
 			return
@@ -350,9 +460,9 @@ func (e *env) Release(epoch int64) {
 	nd.released = epoch + 1
 }
 
-// initial builds the model's start state: every node at epoch 0, empty
+// Initial builds the model's start state: every node at epoch 0, empty
 // network.
-func (c *checker) initial() (*state, error) {
+func (c *protoModel) Initial() (*state, error) {
 	st := &state{nodes: make([]nodeState, c.cfg.Nodes)}
 	for i := range st.nodes {
 		p, err := cluster.NewProto(c.cfg.Protocol, c.envs[i])
@@ -369,7 +479,7 @@ func (c *checker) initial() (*state, error) {
 
 // clone deep-copies a state; protocol machines are forked through
 // CloneFor so the copy shares nothing with the original.
-func (c *checker) clone(s *state) *state {
+func (c *protoModel) clone(s *state) *state {
 	ns := &state{
 		nodes: make([]nodeState, len(s.nodes)),
 		net:   append([]flight(nil), s.net...),
@@ -381,10 +491,10 @@ func (c *checker) clone(s *state) *state {
 	return ns
 }
 
-// allDone reports quiescence: every node completed every epoch. Any
+// Done reports quiescence: every node completed every epoch. Any
 // messages still in flight are provably stale (their epoch is below
 // every node's horizon), so final states are not expanded further.
-func (c *checker) allDone(s *state) bool {
+func (c *protoModel) Done(s *state) bool {
 	for i := range s.nodes {
 		if s.nodes[i].released < int64(c.cfg.Epochs) {
 			return false
@@ -393,8 +503,8 @@ func (c *checker) allDone(s *state) bool {
 	return true
 }
 
-// enabled appends every transition enabled in s.
-func (c *checker) enabled(s *state, buf []action) []action {
+// Enabled appends every transition enabled in s.
+func (c *protoModel) Enabled(s *state, buf []action) []action {
 	for i := range s.nodes {
 		nd := &s.nodes[i]
 		if nd.arrived == nd.released && nd.arrived < int64(c.cfg.Epochs) {
@@ -435,20 +545,13 @@ func findFlight(s *state, a action) int {
 	return -1
 }
 
-// apply executes action a on a fresh copy of s, returning the successor
-// and any property violation the transition triggered. Panics inside
-// the protocol machines (possible under mutations) are converted into
-// violations rather than crashing the search.
-func (c *checker) apply(s *state, a action) (ns *state, viol *Violation) {
-	ns = c.clone(s)
+// Apply executes action a on a fresh copy of s, returning the successor
+// and any property violation the transition triggered.
+func (c *protoModel) Apply(s *state, a action) (*state, *Violation) {
+	ns := c.clone(s)
 	c.cur = ns
 	c.fail = nil
-	defer func() {
-		if r := recover(); r != nil {
-			viol = &Violation{Property: "panic", detail: fmt.Sprint(r)}
-		}
-		c.cur = nil
-	}()
+	defer func() { c.cur = nil }()
 	switch a.op {
 	case opArrive:
 		nd := &ns.nodes[a.node]
@@ -458,7 +561,7 @@ func (c *checker) apply(s *state, a action) (ns *state, viol *Violation) {
 	case opDeliver, opDup, opDrop:
 		j := findFlight(ns, a)
 		if j < 0 {
-			panic(fmt.Sprintf("check: no in-flight entry for %s", a))
+			panic("check: no in-flight entry for " + c.Describe(a))
 		}
 		f := &ns.net[j]
 		if a.op == opDeliver {
@@ -480,9 +583,9 @@ func (c *checker) apply(s *state, a action) (ns *state, viol *Violation) {
 	return ns, nil
 }
 
-// key canonically encodes s. In-flight entries are order-normalized so
+// Key canonically encodes s. In-flight entries are order-normalized so
 // states differing only in send order hash identically.
-func (c *checker) key(s *state, buf []byte) []byte {
+func (c *protoModel) Key(s *state, buf []byte) []byte {
 	for i := range s.nodes {
 		nd := &s.nodes[i]
 		buf = appendKey64(buf, nd.arrived)
@@ -532,98 +635,12 @@ func flightLess(a, b flight) bool {
 	return a.extra < b.extra
 }
 
-// trace reconstructs the action path from the initial state to state
-// id by walking discovery edges.
-func (c *checker) trace(id int32, last *action) []string {
-	var acts []action
-	if last != nil {
-		acts = append(acts, *last)
-	}
-	for id > 0 {
-		e := c.disc[id]
-		acts = append(acts, e.act)
-		id = e.parent
-	}
-	out := make([]string, len(acts))
-	for i := range acts {
-		out[len(acts)-1-i] = acts[i].String()
-	}
-	return out
-}
-
-// search runs the exploration to exhaustion, a violation, or a blown
-// budget.
-func (c *checker) search(strategy int) (*Result, error) {
-	res := &Result{Config: c.cfg}
-	init, err := c.initial()
-	if err != nil {
-		return nil, err
-	}
-	c.visited[string(c.key(init, nil))] = 0
-	c.disc = append(c.disc, discEntry{parent: -1})
-	work := []workItem{{st: init, id: 0, depth: 0}}
-	res.States = 1
-
-	var actbuf []action
-	var keybuf []byte
-	for len(work) > 0 {
-		var it workItem
-		if strategy == searchDFS {
-			it = work[len(work)-1]
-			work = work[:len(work)-1]
-		} else {
-			it = work[0]
-			work = work[1:]
-		}
-		if it.depth > res.Depth {
-			res.Depth = it.depth
-		}
-		if c.allDone(it.st) {
-			continue // final: leftover in-flight messages are stale no-ops
-		}
-		actbuf = c.enabled(it.st, actbuf[:0])
-		if len(actbuf) == 0 {
-			c.cur = it.st // PendingLine reads through the env, which indirects via cur
-			detail := fmt.Sprintf("no enabled transition; node states: %s", describeNodes(it.st))
-			c.cur = nil
-			res.Violation = &Violation{
-				Property: "deadlock",
-				detail:   detail,
-				Trace:    c.trace(it.id, nil),
-			}
-			return res, nil
-		}
-		if it.depth+1 > c.cfg.MaxDepth {
-			return res, fmt.Errorf("check: depth budget %d exhausted (%d states so far)", c.cfg.MaxDepth, res.States)
-		}
-		for _, a := range actbuf {
-			res.Transitions++
-			ns, viol := c.apply(it.st, a)
-			if viol != nil {
-				viol.Trace = c.trace(it.id, &a)
-				res.Violation = viol
-				return res, nil
-			}
-			keybuf = c.key(ns, keybuf[:0])
-			if _, seen := c.visited[string(keybuf)]; seen {
-				continue
-			}
-			if res.States >= c.cfg.MaxStates {
-				return res, fmt.Errorf("check: state budget %d exhausted", c.cfg.MaxStates)
-			}
-			id := int32(len(c.disc))
-			c.visited[string(keybuf)] = id
-			c.disc = append(c.disc, discEntry{parent: it.id, act: a})
-			res.States++
-			work = append(work, workItem{st: ns, id: id, depth: it.depth + 1})
-		}
-	}
-	return res, nil
-}
-
-// describeNodes renders each node's position for deadlock reports.
-func describeNodes(s *state) string {
+// Stuck describes each node's position for deadlock reports.
+func (c *protoModel) Stuck(s *state) string {
+	c.cur = s // PendingLine reads through the env, which indirects via cur
+	defer func() { c.cur = nil }()
 	var b strings.Builder
+	b.WriteString("node states: ")
 	for i := range s.nodes {
 		if i > 0 {
 			b.WriteString("; ")
