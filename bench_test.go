@@ -91,28 +91,23 @@ func splitAwait(name string) func(n int) func(id int) {
 	}
 }
 
-// e2PointBarriers are BenchmarkE2Barriers' rows in name order: the
-// conventional software barriers and each split barrier as a point
-// barrier. Each entry returns participant id's Await.
+// e2PointBarriers are BenchmarkE2Barriers' rows in name order: each split
+// barrier as a point barrier, and the sense-reversing barrier. Each entry
+// returns participant id's Await.
 var e2PointBarriers = []struct {
 	name string
 	mk   func(n int) func(id int)
 }{
-	{"central", func(n int) func(int) { return baseline.NewCentral(n).Await }},
-	{"dissemination", func(n int) func(int) { return baseline.NewDissemination(n).Await }},
 	{"fuzzy", splitAwait("fuzzy")},
 	{"fuzzy-reduce", splitAwait("fuzzy-reduce")},
 	{"fuzzy-tree", splitAwait("fuzzy-tree")},
 	{"hier", splitAwait("hier")},
 	{"sense-reversing", func(n int) func(int) { return baseline.NewSenseReversing(n).Await }},
-	{"tournament", func(n int) func(int) { return baseline.NewTournament(n).Await }},
-	{"tree", func(n int) func(int) { return baseline.NewTree(n, 4).Await }},
 }
 
-// BenchmarkE2Barriers measures the runtime baselines (ns/episode) across
-// implementations and participant counts — the log-vs-linear software
-// spectrum the paper cites, plus the split barriers used as point
-// barriers.
+// BenchmarkE2Barriers measures the split barriers used as point barriers
+// and the sense-reversing barrier (ns/episode) across participant
+// counts.
 func BenchmarkE2Barriers(b *testing.B) {
 	for _, procs := range []int{2, 4, 8} {
 		for _, pb := range e2PointBarriers {

@@ -354,24 +354,12 @@ func optionFields(f *ast.File, pkg string) (out []string) {
 // the census does not report examples); a "pkg.Type" key covers every
 // method of that type.
 var reachAllowList = map[string]string{
-	"baseline.Central":          pointBarrier,
-	"baseline.Dissemination":    pointBarrier,
-	"baseline.NewCentral":       pointBarrier,
-	"baseline.NewDissemination": pointBarrier,
-	"baseline.NewTournament":    pointBarrier,
-	"baseline.NewTree":          pointBarrier,
-	"baseline.Tournament":       pointBarrier,
-	"baseline.Tree":             pointBarrier,
-	"baseline.ceilLog2":         pointBarrier,
 	"check.MutationDropRelease": seededFault,
 	"check.MutationRetagStale":  seededFault,
 	"isa.NewMarkerBuilder":      "builds BENTER/BEXIT marker programs, which fuzzsim reaches only through the assembler; the root BenchmarkAblationRegionEncoding and the machine's marker tests build with it, and ROADMAP item 12(c) gives that ablation a bench/ row or keeps it",
 }
 
-const (
-	pointBarrier = "one of the era's point barriers of Section 1's comparison, timed today only by the root BenchmarkE2Barriers; ROADMAP item 12(a) records it in bench/ beside sense"
-	seededFault  = "a seeded protocol fault: the model checker's tests switch it on to show the violation is caught"
-)
+const seededFault = "a seeded protocol fault: the model checker's tests switch it on to show the violation is caught"
 
 // TestReachabilityCensus fails on a function of the main module that no
 // program runs. Code under internal/ is reached only through the module's

@@ -23,9 +23,9 @@
 //     Section 4 parallelizing compiler: dependence analysis, marked
 //     instructions, region construction, three-phase DAG reordering,
 //     loop distribution and unrolling;
-//   - internal/baseline — conventional software barriers (central
-//     counter, sense-reversing, combining tree, dissemination,
-//     tournament);
+//   - internal/baseline — the sense-reversing barrier, the conventional
+//     barrier the split barriers are timed against, and the split-barrier
+//     factory;
 //   - internal/sched, internal/workload, internal/exp — static schedules,
 //     workload generators and the experiment harness regenerating every
 //     table and figure of the paper (cmd/experiments);

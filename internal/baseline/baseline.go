@@ -1,17 +1,12 @@
-// Package baseline implements the conventional software barriers the
-// paper compares against: the centralized counter barrier (the "one or
-// more shared variables" implementation of Section 1, whose overhead grows
-// linearly with the processor count and which causes hot-spot accesses),
-// the sense-reversing barrier, the software combining-tree barrier and the
-// dissemination and tournament barriers (the logarithmic-cost
-// implementations the paper's reference [4] points at).
-//
-// All implementations satisfy Barrier and count their spin iterations and
-// episodes. The root BenchmarkE2Barriers times them beside the split
-// barriers used as point barriers, and the benchmark's rt-spin workload
-// times the sense-reversing barrier as its reference
-// (baseline.episode_ns.sense). NewSplit names the split barriers the
-// rt-* workloads run.
+// Package baseline holds the conventional barrier the split barriers are
+// timed against on goroutines — the sense-reversing barrier, Section 1's
+// point barrier, whose shared counter and flag are both hot spots — and
+// NewSplit, which names the split barriers the rt-* workloads run. The
+// root BenchmarkE2Barriers times it beside the split barriers used as
+// point barriers, and the benchmark's rt-spin workload times it as its
+// reference (baseline.episode_ns.sense). The central and dissemination
+// software barriers of Section 1 are compared with the hardware barrier
+// on the simulated machine, in experiment E2.
 package baseline
 
 import (
@@ -63,62 +58,6 @@ func checkID(id, n int) {
 		panic(fmt.Sprintf("baseline: participant id %d out of range [0,%d)", id, n))
 	}
 }
-
-// ceilLog2 returns ⌈log2 n⌉ with ceilLog2(1) == 0.
-func ceilLog2(n int) int {
-	r := 0
-	for v := 1; v < n; v <<= 1 {
-		r++
-	}
-	return r
-}
-
-// Central is the centralized counter barrier: one shared arrival counter
-// and one shared release word. Every participant performs an atomic
-// fetch-and-add on the counter and then spins on the release word — both
-// shared locations become hot spots, and the arrival phase serializes, so
-// the cost grows linearly with n (Section 1).
-type Central struct {
-	n        int64
-	_        pad
-	count    atomic.Int64
-	_        pad
-	release  atomic.Int64 // completed-episode counter
-	_        pad
-	spins    atomic.Int64
-	episodes atomic.Int64
-}
-
-// NewCentral creates a centralized counter barrier for n participants.
-func NewCentral(n int) *Central {
-	checkN(n)
-	return &Central{n: int64(n)}
-}
-
-// Await implements Barrier.
-func (b *Central) Await(id int) {
-	checkID(id, int(b.n))
-	target := b.release.Load() + 1
-	if b.count.Add(1) == b.n {
-		b.count.Store(0)
-		b.episodes.Add(1)
-		b.release.Add(1)
-		return
-	}
-	b.spins.Add(spinWait(func() bool { return b.release.Load() >= target }))
-}
-
-// N implements Barrier.
-func (b *Central) N() int { return int(b.n) }
-
-// Name implements Barrier.
-func (b *Central) Name() string { return "central" }
-
-// Spins implements Barrier.
-func (b *Central) Spins() int64 { return b.spins.Load() }
-
-// Episodes implements Barrier.
-func (b *Central) Episodes() int64 { return b.episodes.Load() }
 
 // SenseReversing is the classic sense-reversing barrier: a shared counter
 // plus a shared sense flag; each participant keeps a private sense that

@@ -87,12 +87,7 @@ func (p splitPoint) Episodes() int64 {
 
 // constructors for every implementation under test.
 var constructors = map[string]func(n int) Barrier{
-	"central":         func(n int) Barrier { return NewCentral(n) },
 	"sense-reversing": func(n int) Barrier { return NewSenseReversing(n) },
-	"tree":            func(n int) Barrier { return NewTree(n, 4) },
-	"tree-fan2":       func(n int) Barrier { return NewTree(n, 2) },
-	"dissemination":   func(n int) Barrier { return NewDissemination(n) },
-	"tournament":      func(n int) Barrier { return NewTournament(n) },
 	"fuzzy":           newSplitPoint("fuzzy"),
 	"fuzzy-tree":      newSplitPoint("fuzzy-tree"),
 	"fuzzy-reduce":    newSplitPoint("fuzzy-reduce"),
@@ -100,8 +95,8 @@ var constructors = map[string]func(n int) Barrier{
 }
 
 // pointNames are the constructors TestBarrierPropertyRandomSizes draws
-// from, in sorted order: all but the tree-fan2 shape.
-var pointNames = []string{"central", "dissemination", "fuzzy", "fuzzy-reduce", "fuzzy-tree", "hier", "sense-reversing", "tournament", "tree"}
+// from, in sorted order.
+var pointNames = []string{"fuzzy", "fuzzy-reduce", "fuzzy-tree", "hier", "sense-reversing"}
 
 func TestAllBarrierImplementations(t *testing.T) {
 	for name, mk := range constructors {
@@ -177,40 +172,6 @@ func TestSplitFactory(t *testing.T) {
 	}
 }
 
-func TestTreeDepth(t *testing.T) {
-	cases := []struct {
-		n, fanIn, depth int
-	}{
-		{4, 4, 1},
-		{16, 4, 2},
-		{17, 4, 3},
-		{64, 4, 3},
-		{8, 2, 3},
-	}
-	for _, c := range cases {
-		b := NewTree(c.n, c.fanIn)
-		if got := b.Depth(); got != c.depth {
-			t.Errorf("Tree(%d,fan %d).Depth = %d, want %d", c.n, c.fanIn, got, c.depth)
-		}
-	}
-}
-
-func TestDisseminationRounds(t *testing.T) {
-	for n, want := range map[int]int{1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 16: 4} {
-		if got := NewDissemination(n).Rounds(); got != want {
-			t.Errorf("Dissemination(%d).Rounds = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func TestTournamentRounds(t *testing.T) {
-	for n, want := range map[int]int{2: 1, 3: 2, 4: 2, 8: 3, 16: 4} {
-		if got := NewTournament(n).Rounds(); got != want {
-			t.Errorf("Tournament(%d).Rounds = %d, want %d", n, got, want)
-		}
-	}
-}
-
 func TestPanicsOnBadArguments(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -220,14 +181,13 @@ func TestPanicsOnBadArguments(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("central n=0", func() { NewCentral(0) })
-	mustPanic("await id out of range", func() { NewCentral(2).Await(2) })
-	mustPanic("dissemination n=0", func() { NewDissemination(0) })
+	mustPanic("sense-reversing n=0", func() { NewSenseReversing(0) })
+	mustPanic("await id out of range", func() { NewSenseReversing(2).Await(2) })
 }
 
 func TestSpinsAccumulate(t *testing.T) {
 	// With a deliberately unbalanced arrival pattern, waiters must spin.
-	b := NewCentral(2)
+	b := NewSenseReversing(2)
 	done := make(chan struct{})
 	go func() {
 		b.Await(0)

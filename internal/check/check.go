@@ -238,7 +238,7 @@ func explore[S, A any](m Model[S, A], maxStates, maxDepth int, bfs bool) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	visited := map[string]int32{string(m.Key(init, nil)): 0}
+	visited := map[string]bool{string(m.Key(init, nil)): true}
 	disc := []discEntry[A]{{parent: -1}}
 	work := []workItem[S]{{st: init, id: 0, depth: 0}}
 	res.States = 1
@@ -294,14 +294,14 @@ func explore[S, A any](m Model[S, A], maxStates, maxDepth int, bfs bool) (*Resul
 				return res, nil
 			}
 			keybuf = m.Key(ns, keybuf[:0])
-			if _, seen := visited[string(keybuf)]; seen {
+			if visited[string(keybuf)] {
 				continue
 			}
 			if res.States >= maxStates {
 				return res, fmt.Errorf("check: state budget %d exhausted", maxStates)
 			}
 			id := int32(len(disc))
-			visited[string(keybuf)] = id
+			visited[string(keybuf)] = true
 			disc = append(disc, discEntry[A]{parent: it.id, act: a})
 			res.States++
 			work = append(work, workItem[S]{st: ns, id: id, depth: it.depth + 1})

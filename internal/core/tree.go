@@ -13,7 +13,7 @@ import (
 // Section 1 charges software barriers with; departure stays a single
 // read-shared epoch broadcast. Among the logarithmic barriers this is
 // the one that cleanly supports the fuzzy arrive/depart split — the
-// dissemination and tournament baselines interleave their signal rounds
+// dissemination and tournament barriers interleave their signal rounds
 // with waiting, so they cannot return from Arrive without blocking.
 //
 // Participants are anonymous (Arrive takes no id, exactly like

@@ -80,6 +80,6 @@ func E2BarrierScaling() (*trace.Table, error) {
 		t.AddRow(procCounts[i/len(impls)], impls[i%len(impls)], c.cycles, c.instrs, c.mem, c.hotspot)
 	}
 	t.AddNote("central-sw grows linearly with P (hot-spot serialization); dissem-sw grows ~logarithmically; fuzzy-hw stays constant with zero memory traffic")
-	t.AddNote("runtime (goroutine) forms of all five baselines are in bench_test.go BenchmarkE2Barriers")
+	t.AddNote("on goroutines, bench_test.go BenchmarkE2Barriers times the split barriers as point barriers beside the sense-reversing barrier")
 	return t, nil
 }
