@@ -130,7 +130,7 @@ func (cfg Config) withDefaults() (Config, error) {
 // Violation describes one property failure, with a minimal
 // counterexample trace from the initial state.
 type Violation struct {
-	Property string   // "early-release", "release-order", "deadlock" or "panic"
+	Property string   // "deadlock", "panic", or the model's: Run's are "early-release" and "release-order"
 	Detail   string   // what went wrong at the final transition
 	Trace    []string // one action per line, in execution order
 }
@@ -153,7 +153,7 @@ type Result struct {
 	Transitions int64 // transitions applied
 	Depth       int   // deepest path explored
 
-	// Violation is nil when both properties hold over the whole
+	// Violation is nil when every property holds over the whole
 	// reachable state space.
 	Violation *Violation
 }
