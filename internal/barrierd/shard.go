@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -53,14 +54,61 @@ func (c *census) add(mode uint8, n int64) {
 }
 
 // child is what a shard knows about one downstream sender of a group, a
-// connection or a child shard: the members registered below it, and per
-// open epoch its net signals — added by arrivals, taken back by the leaves
-// of members that had banked them. A leave may overtake its own arrival,
-// so a net can be negative for a while; it never exceeds signalers.
+// connection or a child shard: the members registered below it, and in a
+// ring its net signals per open epoch — added by arrivals, taken back by
+// the leaves of members that had banked them. A leave may overtake its
+// own arrival, so a net can be negative for a while; it never exceeds
+// signalers.
 type child struct {
 	addr transport.Addr
 	census
-	sig map[int64]int64
+	sig epochCounts
+}
+
+// epochCounts is a count per epoch in a power-of-two ring: epoch k sits
+// in slot k&(len-1) while floor <= k < floor+len, and every epoch outside
+// that window reads 0. Raising the floor zeroes the slots it passes, so a
+// slot that comes back into the window starts from 0. The ring grows only
+// when an epoch beyond it is added; claim keeps those within
+// phase.MaxAhead of the floor.
+type epochCounts struct {
+	n     []int64
+	floor int64
+}
+
+// at returns epoch k's count.
+func (c *epochCounts) at(k int64) int64 {
+	if k < c.floor || k-c.floor >= int64(len(c.n)) {
+		return 0
+	}
+	return c.n[k&int64(len(c.n)-1)]
+}
+
+// add adds d to epoch k, which is at or above the floor.
+func (c *epochCounts) add(k, d int64) {
+	if span := k - c.floor; span >= int64(len(c.n)) {
+		grown := make([]int64, max(4, 1<<bits.Len64(uint64(span))))
+		for j := c.floor; j < c.floor+int64(len(c.n)); j++ {
+			grown[j&int64(len(grown)-1)] = c.n[j&int64(len(c.n)-1)]
+		}
+		c.n = grown
+	}
+	c.n[k&int64(len(c.n)-1)] += d
+}
+
+// drop makes every epoch through e read 0.
+func (c *epochCounts) drop(e int64) {
+	if e < c.floor {
+		return
+	}
+	if e-c.floor >= int64(len(c.n)) {
+		clear(c.n)
+	} else {
+		for k := c.floor; k <= e; k++ {
+			c.n[k&int64(len(c.n)-1)] = 0
+		}
+	}
+	c.floor = max(e+1, e) // saturates at math.MaxInt64
 }
 
 // groupState is one group's state at one shard.
@@ -71,9 +119,9 @@ type groupState struct {
 	kids     []*child // by address: child shards, then connections
 	released int64    // highest release seen/sent; epochs <= released are complete
 
-	// signals sums the children's signals per open epoch until the next
-	// flush forwards them (not at the home).
-	signals    map[int64]int64
+	// signals sums the children's signals per open epoch, in a ring like
+	// theirs, until the next flush forwards them (not at the home).
+	signals    epochCounts
 	flushArmed bool
 	flushFn    func() // the flush timer's callback, bound once
 
@@ -122,7 +170,7 @@ func (s *Shard) group(g uint32) *groupState {
 	if gs == nil {
 		gs = &groupState{
 			g: g, home: s.ring.Home(g) == s.Idx, released: -1,
-			signals: make(map[int64]int64), lastAdvance: s.ep.Now(),
+			lastAdvance: s.ep.Now(),
 		}
 		gs.flushFn = func() {
 			gs.flushArmed = false
@@ -145,7 +193,7 @@ func (s *Shard) group(g uint32) *groupState {
 func (gs *groupState) child(addr transport.Addr, add bool) *child {
 	i, found := slices.BinarySearchFunc(gs.kids, addr, func(ch *child, a transport.Addr) int { return cmp.Compare(ch.addr, a) })
 	if !found && add {
-		gs.kids = slices.Insert(gs.kids, i, &child{addr: addr, sig: make(map[int64]int64)})
+		gs.kids = slices.Insert(gs.kids, i, &child{addr: addr, sig: epochCounts{floor: gs.released + 1}})
 	} else if !found {
 		return nil
 	}
@@ -283,7 +331,8 @@ func (s *Shard) handleLeave(m transport.Message) {
 			return
 		}
 	}
-	for k, net := range ch.sig { // what stays signaled needs a signaler that stays
+	for k := ch.sig.floor; k < ch.sig.floor+int64(len(ch.sig.n)); k++ { // what stays signaled needs a signaler that stays
+		net := ch.sig.at(k)
 		if i := m.Epoch - k; i >= 0 && i < int64(len(retract)) {
 			net -= int64(retract[i])
 		}
@@ -296,7 +345,7 @@ func (s *Shard) handleLeave(m transport.Message) {
 	ch.waiters -= gone.waiters
 	for i, n := range retract {
 		if k := m.Epoch - int64(i); n > 0 {
-			ch.sig[k] -= int64(n)
+			ch.sig.add(k, -int64(n))
 			if gs.home {
 				gs.ph.Retract(k, int64(n))
 			}
@@ -326,49 +375,51 @@ func (s *Shard) handleArrive(m transport.Message) {
 	for i, n := range signaled {
 		// Room is what the net may still grow by, not signalers: after an
 		// overtaking leave one combine can carry both incarnations' signals.
-		if room := ch.signalers - ch.sig[m.Epoch-int64(i)]; n > uint64(room) {
+		if room := ch.signalers - ch.sig.at(m.Epoch-int64(i)); n > uint64(room) {
 			s.Rejected++
 			return
 		}
 	}
+	added := false
 	for i, n := range signaled {
 		if k := m.Epoch - int64(i); n > 0 {
-			ch.sig[k] += int64(n)
+			ch.sig.add(k, int64(n))
 			if gs.home {
 				gs.ph.Signal(k, int64(n)) // within bounds: the child's are stricter
 			} else {
-				gs.signals[k] += int64(n)
+				gs.signals.add(k, int64(n))
 			}
 			s.Arrivals += int64(n)
+			added = true
 		}
 	}
 	if gs.home {
 		s.checkComplete(gs)
-	} else if !gs.flushArmed && len(gs.signals) > 0 {
+	} else if !gs.flushArmed && added { // a flush empties signals, and a release only drops
 		gs.flushArmed = true
 		s.ep.After(s.cfg.FlushDelay, gs.flushFn)
 	}
 }
 
 // flush forwards the accumulated signals as one combine: the sums of the
-// still-open epochs, highest first.
+// still-open epochs, highest first. Those released while they waited are
+// gone already: release drops them.
 func (s *Shard) flush(gs *groupState) {
-	lo, hi := int64(math.MaxInt64), gs.released
-	for k := range gs.signals {
-		if k <= gs.released {
-			delete(gs.signals, k) // released while it waited
-			continue
+	acc := &gs.signals
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for k := acc.floor; k < acc.floor+int64(len(acc.n)); k++ {
+		if acc.at(k) != 0 {
+			lo, hi = min(lo, k), k
 		}
-		lo, hi = min(lo, k), max(hi, k)
 	}
-	if len(gs.signals) == 0 {
+	if lo > hi {
 		return
 	}
 	sums := s.sums.Carve(int(hi - lo + 1))
-	for k, n := range gs.signals {
-		sums[hi-k] = uint64(n)
+	for k := lo; k <= hi; k++ {
+		sums[hi-k] = uint64(acc.at(k))
 	}
-	clear(gs.signals)
+	clear(acc.n)
 	s.r.Send(s.parent(gs), transport.Message{Kind: transport.KindCombine, Group: gs.g, Epoch: hi, List: sums})
 }
 
@@ -392,17 +443,10 @@ func (s *Shard) release(gs *groupState, e int64) {
 	if gs.home {
 		s.Releases++
 	}
+	gs.signals.drop(e)
 	out := transport.Message{Kind: transport.KindRelease, Group: gs.g, Epoch: e}
 	for _, ch := range gs.kids {
-		// sig holds open epochs only, (was, was+phase.MaxAhead]: claim
-		// drops the rest. So the released ones go by key, not by a walk.
-		if e-was < phase.MaxAhead {
-			for k := was + 1; k <= e; k++ {
-				delete(ch.sig, k)
-			}
-		} else {
-			clear(ch.sig)
-		}
+		ch.sig.drop(e)
 		s.r.Send(ch.addr, out)
 	}
 }
@@ -430,7 +474,7 @@ func (s *Shard) checkStuck(gs *groupState) {
 	}
 	var short []string
 	for _, ch := range gs.kids {
-		if n := ch.signalers - ch.sig[e]; n > 0 && len(short) < 4 {
+		if n := ch.signalers - ch.sig.at(e); n > 0 && len(short) < 4 {
 			who := fmt.Sprintf("shard %d", int(ch.addr-ShardAddr(0)))
 			if ch.addr >= transport.ConnAddrBase {
 				who = fmt.Sprintf("conn %d", ch.addr)
