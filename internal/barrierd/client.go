@@ -35,7 +35,7 @@ type Conn struct {
 	// bookkeeping. onMessage takes it for every release of every group,
 	// so no batch walk runs under it: a group's members have their own.
 	mu      sync.Mutex
-	groups  map[uint32]*connGroup
+	groups  transport.Table[uint32, connGroup]
 	batches uint32 // JoinBatch calls so far; numbers the join tokens
 
 	// sendMu guards sends, the protocol sends waiting for the dispatch
@@ -419,7 +419,7 @@ func Dial(nw transport.Network, addr transport.Addr, cfg Config) (*Conn, error) 
 		return nil, fmt.Errorf("barrierd: connection address %d collides with shard space", addr)
 	}
 	cfg = cfg.withDefaults()
-	c := &Conn{ring: Ring{Shards: cfg.Shards}, groups: make(map[uint32]*connGroup)}
+	c := &Conn{ring: Ring{Shards: cfg.Shards}}
 	c.sendOne = func() {
 		c.sendMu.Lock()
 		s := c.sends.pop()
@@ -470,11 +470,11 @@ func (c *Conn) TransportStatsSync() transport.ReliableStats {
 func (c *Conn) group(g uint32) *connGroup {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cg := c.groups[g]
+	cg := c.groups.Get(g)
 	if cg == nil {
 		cg = &connGroup{}
 		cg.released.Store(-1)
-		c.groups[g] = cg
+		c.groups.Put(g, cg)
 	}
 	return cg
 }
@@ -493,7 +493,7 @@ func (c *Conn) onMessage(m transport.Message) {
 	var joined []func(epoch int64)
 	var epoch int64
 	c.mu.Lock()
-	cg := c.groups[m.Group]
+	cg := c.groups.Get(m.Group)
 	if cg == nil {
 		c.mu.Unlock()
 		return

@@ -16,12 +16,12 @@ func shardState(svc *Service) string {
 	out := ""
 	for _, sh := range svc.Shards {
 		groups := map[uint32]string{}
-		for g, gs := range sh.groups {
+		for _, gs := range sh.groups.All() {
 			s := fmt.Sprintf("released=%d %+v signals=%v", gs.released, gs.ph, gs.signals)
 			for _, ch := range gs.kids {
 				s += fmt.Sprintf(" [%d %+v %v]", ch.addr, ch.census, ch.sig)
 			}
-			groups[g] = s
+			groups[gs.g] = s
 		}
 		out += fmt.Sprintf("shard %d: %v\n", sh.Idx, groups)
 	}
@@ -76,7 +76,7 @@ func TestHostileCountsAreDropped(t *testing.T) {
 	o.join(b, g, core.SignalWait, []uint64{1}, func(int64) { joined++ })
 	nw.Run(1000, func() bool { return joined == 2 })
 	o.arrive(a, g, 0, 1)
-	atHome := svc.Shards[home].groups[g]
+	atHome := svc.Shards[home].groups.Get(g)
 	if _, ok := nw.Run(2000, func() bool { return atHome.ph.Net(0) == 1 }); !ok {
 		t.Fatal("set-up: a's signal did not reach the home shard")
 	}

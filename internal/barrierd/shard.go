@@ -32,7 +32,7 @@ type Shard struct {
 	r       *transport.Reliable
 	onStuck func(StuckReport)
 
-	groups map[uint32]*groupState
+	groups transport.Table[uint32, groupState]
 	sums   transport.Slab // the combines' lists
 
 	// Counters (read via Snapshot from outside the dispatch context).
@@ -139,7 +139,7 @@ func newShard(idx int, cfg Config, onStuck func(StuckReport)) *Shard {
 	cfg = cfg.withDefaults()
 	return &Shard{
 		Idx: idx, cfg: cfg, ring: Ring{Shards: cfg.Shards},
-		onStuck: onStuck, groups: make(map[uint32]*groupState),
+		onStuck: onStuck,
 	}
 }
 
@@ -166,7 +166,7 @@ func (s *Shard) Snapshot() (arrivals, releases, stucks int64) {
 
 // group returns g's state, creating it: only a join does.
 func (s *Shard) group(g uint32) *groupState {
-	gs := s.groups[g]
+	gs := s.groups.Get(g)
 	if gs == nil {
 		gs = &groupState{
 			g: g, home: s.ring.Home(g) == s.Idx, released: -1,
@@ -183,7 +183,7 @@ func (s *Shard) group(g uint32) *groupState {
 				s.armWatchdog(gs)
 			}
 		}
-		s.groups[g] = gs
+		s.groups.Put(g, gs)
 	}
 	return gs
 }
@@ -206,7 +206,7 @@ func (gs *groupState) child(addr transport.Addr, add bool) *child {
 // list, list[i] counting epoch m.Epoch-i, that is past the release; the
 // rest is stale.
 func (s *Shard) claim(m transport.Message, list []uint64) (*groupState, *child, []uint64) {
-	gs := s.groups[m.Group]
+	gs := s.groups.Get(m.Group)
 	if gs == nil || len(list) > phase.MaxAhead || m.Epoch > gs.released+phase.MaxAhead {
 		return nil, nil, nil
 	}
@@ -254,7 +254,7 @@ func (s *Shard) OnMessage(m transport.Message) {
 	case transport.KindArrive, transport.KindCombine:
 		s.handleArrive(m)
 	case transport.KindRelease:
-		if gs := s.groups[m.Group]; gs != nil && !gs.home {
+		if gs := s.groups.Get(m.Group); gs != nil && !gs.home {
 			s.release(gs, m.Epoch)
 		}
 	}
@@ -267,7 +267,7 @@ func (s *Shard) OnMessage(m transport.Message) {
 // (the only shard whose counter can drain) refuses the join.
 func (s *Shard) handleJoin(m transport.Message) {
 	hop, ok := s.downHop(m.Group, transport.Addr(m.Client>>32))
-	if gs := s.groups[m.Group]; !ok || hop != m.From || len(m.List) != 1 || m.List[0] > math.MaxInt32 ||
+	if gs := s.groups.Get(m.Group); !ok || hop != m.From || len(m.List) != 1 || m.List[0] > math.MaxInt32 ||
 		m.Mode > uint8(core.WaitOnly) || gs != nil && gs.ph.Drained() {
 		s.Rejected++
 		return
@@ -292,7 +292,7 @@ func (s *Shard) handleJoin(m transport.Message) {
 
 // handleJoinOK passes a confirmation one hop further down.
 func (s *Shard) handleJoinOK(m transport.Message) {
-	gs := s.groups[m.Group]
+	gs := s.groups.Get(m.Group)
 	hop, ok := s.downHop(m.Group, transport.Addr(m.Client>>32))
 	if gs == nil || gs.home || !ok || gs.child(hop, false) == nil {
 		return

@@ -85,8 +85,7 @@ type Reliable struct {
 	deliver Handler
 	sink    EventSink
 
-	peers map[Addr]*relPeer
-	order []Addr // peer creation order, for deterministic reports
+	peers Table[Addr, relPeer] // in creation order too, for deterministic reports
 
 	armSeq uint64 // arm-sequence allocator (per instance: no cross-goroutine state)
 
@@ -134,7 +133,6 @@ type retxTimer struct {
 func NewReliable(ep Endpoint, cfg ReliableConfig, deliver Handler, sink EventSink) *Reliable {
 	return &Reliable{
 		ep: ep, cfg: cfg.withDefaults(), deliver: deliver, sink: sink,
-		peers: make(map[Addr]*relPeer),
 	}
 }
 
@@ -167,7 +165,7 @@ func AttachReliable(nw Network, a Addr, cfg ReliableConfig, deliver func(r *Reli
 }
 
 func (r *Reliable) peer(a Addr) *relPeer {
-	p := r.peers[a]
+	p := r.peers.Get(a)
 	if p == nil {
 		p = &relPeer{addr: a, far: make(map[uint64]struct{})}
 		p.w.Init(r.cfg.InitRTO, r.cfg.MaxRTO)
@@ -175,8 +173,7 @@ func (r *Reliable) peer(a Addr) *relPeer {
 			p.ackArmed = false
 			r.flushAcks(p)
 		}
-		r.peers[a] = p
-		r.order = append(r.order, a)
+		r.peers.Put(a, p)
 	}
 	return p
 }
@@ -256,7 +253,7 @@ func (r *Reliable) fireRetx(t *retxTimer) {
 // call it from one.
 func (r *Reliable) OnMessage(m Message) {
 	if m.Kind == KindAck {
-		p := r.peers[m.From]
+		p := r.peers.Get(m.From)
 		if p == nil {
 			return // this side never sent there: nothing to acknowledge
 		}
@@ -346,8 +343,8 @@ func (r *Reliable) flushAcks(p *relPeer) {
 // reliable messages across peers.
 func (r *Reliable) Unacked() int {
 	total := 0
-	for _, a := range r.order {
-		total += r.peers[a].w.Live()
+	for _, p := range r.peers.All() {
+		total += p.w.Live()
 	}
 	return total
 }
@@ -356,9 +353,9 @@ func (r *Reliable) Unacked() int {
 // creation order (deterministic on SimNet).
 func (r *Reliable) PendingLine() string {
 	s := fmt.Sprintf("unacked=%d", r.Unacked())
-	for _, a := range r.order {
-		if live := r.peers[a].w.Live(); live > 0 {
-			s += fmt.Sprintf(" peer%d=%d", a, live)
+	for _, p := range r.peers.All() {
+		if live := p.w.Live(); live > 0 {
+			s += fmt.Sprintf(" peer%d=%d", p.addr, live)
 		}
 	}
 	return s

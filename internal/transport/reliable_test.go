@@ -37,7 +37,7 @@ func TestReliableLossyDeliversExactlyOnce(t *testing.T) {
 		cfg := SimConfig{Latency: 3, Jitter: 9, DropRate: 0.3, DupRate: 0.2, Seed: seed}
 		net, ra, _, _, outB := relPair(t, cfg, SimReliable(3, 9))
 		const n = 200
-		ep := net.eps[1]
+		ep := net.eps.Get(1)
 		ep.Do(func() {
 			for i := 0; i < n; i++ {
 				ra.Send(2, Message{Kind: KindArrive, Group: 1, Epoch: int64(i)})
@@ -77,7 +77,7 @@ func TestReliableLossyDeliversExactlyOnce(t *testing.T) {
 func TestReliableDupsReackedNotRedelivered(t *testing.T) {
 	cfg := SimConfig{Latency: 2, Jitter: 0, DupRate: 1.0, Seed: 7} // every transmission duplicated
 	net, ra, rb, _, outB := relPair(t, cfg, SimReliable(2, 0))
-	net.eps[1].Do(func() { ra.Send(2, Message{Kind: KindJoin, Client: 5}) })
+	net.eps.Get(1).Do(func() { ra.Send(2, Message{Kind: KindJoin, Client: 5}) })
 	net.Run(10_000, func() bool { return ra.Stats.Sends == 1 && ra.Unacked() == 0 })
 	if len(*outB) != 1 {
 		t.Fatalf("delivered %d copies, want 1", len(*outB))
@@ -99,7 +99,7 @@ func TestReliableRTTAdaptsRTO(t *testing.T) {
 	cfg := SimConfig{Latency: 5, Jitter: 0, Seed: 1}
 	rcfg := ReliableConfig{InitRTO: 100_000, MaxRTO: 200_000, AckDelay: 1}
 	net, ra, _, _, _ := relPair(t, cfg, rcfg)
-	ep := net.eps[1]
+	ep := net.eps.Get(1)
 	for i := 0; i < 50; i++ {
 		want := int64(i + 1)
 		ep.Do(func() { ra.Send(2, Message{Kind: KindArrive}) })
@@ -129,7 +129,7 @@ func TestReliableRTTAdaptsRTO(t *testing.T) {
 func TestReliableKarnRule(t *testing.T) {
 	cfg := SimConfig{Latency: 2, Jitter: 0, DropRate: 0.9, Seed: 3}
 	net, ra, _, _, outB := relPair(t, cfg, SimReliable(2, 0))
-	net.eps[1].Do(func() {
+	net.eps.Get(1).Do(func() {
 		for i := 0; i < 30; i++ {
 			ra.Send(2, Message{Kind: KindArrive, Epoch: int64(i)})
 		}
@@ -158,7 +158,7 @@ func TestReliableAckCoalescing(t *testing.T) {
 	rcfg := ReliableConfig{InitRTO: 1000, MaxRTO: 4000, AckDelay: 50}
 	net, ra, rb, _, _ := relPair(t, cfg, rcfg)
 	const n = 100
-	net.eps[1].Do(func() {
+	net.eps.Get(1).Do(func() {
 		for i := 0; i < n; i++ {
 			ra.Send(2, Message{Kind: KindArrive, Epoch: int64(i)})
 		}
@@ -178,7 +178,7 @@ func TestReliableAckCoalescing(t *testing.T) {
 	const batches = 4
 	rcfg2 := ReliableConfig{InitRTO: 1000, MaxRTO: 4000, AckDelay: 1 << 20}
 	net2, ra2, rb2, _, _ := relPair(t, cfg, rcfg2)
-	net2.eps[1].Do(func() {
+	net2.eps.Get(1).Do(func() {
 		for i := 0; i < batches*ackBatch; i++ {
 			ra2.Send(2, Message{Kind: KindArrive, Epoch: int64(i)})
 		}
@@ -231,8 +231,8 @@ func TestReliableSimByteIdenticalLog(t *testing.T) {
 func TestReliableUnreliableBypass(t *testing.T) {
 	cfg := SimConfig{Latency: 1, Seed: 1}
 	net, ra, _, _, outB := relPair(t, cfg, SimReliable(1, 0))
-	net.eps[1].Do(func() {
-		ep := net.eps[1]
+	net.eps.Get(1).Do(func() {
+		ep := net.eps.Get(1)
 		ep.Send(2, Message{Kind: KindRelease, Epoch: 9}) // raw, Seq 0
 	})
 	net.Run(1000, nil)
@@ -250,18 +250,18 @@ func TestReliableUnreliableBypass(t *testing.T) {
 // acks would grow the peer table without bound.
 func TestStrayAcksCreateNoPeer(t *testing.T) {
 	net, ra, rb, _, _ := relPair(t, SimConfig{Latency: 1, Seed: 1}, ReliableConfig{InitRTO: 1 << 20, AckDelay: 1 << 20})
-	net.eps[1].Do(func() { ra.Send(2, Message{Kind: KindArrive, Epoch: 1}) })
+	net.eps.Get(1).Do(func() { ra.Send(2, Message{Kind: KindArrive, Epoch: 1}) })
 	net.Run(10, func() bool { return rb.Stats.Delivered == 1 })
-	peers, unacked := len(ra.order), ra.Unacked()
+	peers, unacked := len(ra.peers.All()), ra.Unacked()
 	if peers != 1 || unacked != 1 {
 		t.Fatalf("before the stray acks: %d peers, %d unacked; want 1 and 1 (the ack is held back)", peers, unacked)
 	}
 	for i := range 1000 {
 		ra.OnMessage(Message{Kind: KindAck, From: Addr(100 + i), To: 1, List: []uint64{1}})
 	}
-	if len(ra.order) != peers || len(ra.peers) != peers || ra.Unacked() != unacked {
-		t.Fatalf("after 1000 stray acks: %d peers (%d in the map), %d unacked; want %d and %d",
-			len(ra.order), len(ra.peers), ra.Unacked(), peers, unacked)
+	if len(ra.peers.All()) != peers || ra.Unacked() != unacked {
+		t.Fatalf("after 1000 stray acks: %d peers, %d unacked; want %d and %d",
+			len(ra.peers.All()), ra.Unacked(), peers, unacked)
 	}
 }
 

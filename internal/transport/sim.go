@@ -40,7 +40,7 @@ type SimNet struct {
 	cfg SimConfig
 	q   *des.Queue[simEvent]
 	seq uint64 // events scheduled so far: the in-tick key
-	eps map[Addr]*simEndpoint
+	eps Table[Addr, simEndpoint]
 	rng *des.RNG
 
 	log []string
@@ -65,7 +65,6 @@ func NewSimNet(cfg SimConfig) *SimNet {
 		// slowest timer (2048 buckets) took sim-svc's heap peak from
 		// 64-76 MB to 104-120 MB.
 		q:   des.NewQueue[simEvent](cfg.Latency + cfg.Jitter),
-		eps: make(map[Addr]*simEndpoint),
 		rng: des.NewRNG(des.Mix(cfg.Seed, 0x7A57E9)),
 	}
 }
@@ -82,17 +81,17 @@ type simEvent struct {
 
 // Attach registers an endpoint.
 func (s *SimNet) Attach(a Addr, h Handler) (Endpoint, error) {
-	if _, dup := s.eps[a]; dup {
+	if s.eps.Get(a) != nil {
 		return nil, fmt.Errorf("transport: sim address %d already attached", a)
 	}
 	ep := &simEndpoint{net: s, addr: a, h: h}
-	s.eps[a] = ep
+	s.eps.Put(a, ep)
 	return ep, nil
 }
 
 // Close discards all endpoints and pending events.
 func (s *SimNet) Close() error {
-	s.eps = make(map[Addr]*simEndpoint)
+	s.eps = Table[Addr, simEndpoint]{}
 	s.q.Clear()
 	return nil
 }
@@ -185,8 +184,8 @@ func (s *SimNet) send(m *Message) {
 // deliver hands one transmission to its destination (silently dropped
 // when the address is unattached or closed, like a real datagram).
 func (s *SimNet) deliver(m Message) {
-	ep, ok := s.eps[m.To]
-	if !ok || ep.closed {
+	ep := s.eps.Get(m.To)
+	if ep == nil || ep.closed {
 		return
 	}
 	s.Delivered++
