@@ -34,9 +34,16 @@ type Conn struct {
 	// mu guards groups, batches and each group's release and join
 	// bookkeeping. onMessage takes it for every release of every group,
 	// so no batch walk runs under it: a group's members have their own.
+	// A lookup of a group that exists with an id below
+	// transport.DenseBound does not take it: it reads dense.
 	mu      sync.Mutex
 	groups  transport.Table[uint32, connGroup]
 	batches uint32 // JoinBatch calls so far; numbers the join tokens
+
+	// dense is the groups with ids below transport.DenseBound, by id:
+	// a copy made under mu each time one is created, so it is read with
+	// one atomic load and never written once published.
+	dense atomic.Pointer[[]*connGroup]
 
 	// sendMu guards sends, the protocol sends waiting for the dispatch
 	// context. send queues one and injects one Do of sendOne, which
@@ -468,6 +475,9 @@ func (c *Conn) TransportStatsSync() transport.ReliableStats {
 
 // group returns g's state, creating it on first use.
 func (c *Conn) group(g uint32) *connGroup {
+	if d := c.dense.Load(); d != nil && g < uint32(len(*d)) && (*d)[g] != nil {
+		return (*d)[g]
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cg := c.groups.Get(g)
@@ -475,6 +485,16 @@ func (c *Conn) group(g uint32) *connGroup {
 		cg = &connGroup{}
 		cg.released.Store(-1)
 		c.groups.Put(g, cg)
+		if g < transport.DenseBound {
+			var old []*connGroup
+			if d := c.dense.Load(); d != nil {
+				old = *d
+			}
+			d := make([]*connGroup, max(len(old), int(g)+1))
+			copy(d, old)
+			d[g] = cg
+			c.dense.Store(&d)
+		}
 	}
 	return cg
 }
