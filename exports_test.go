@@ -15,7 +15,6 @@ import (
 // exported anyway. Keys are "pkg.Name" or "pkg.Type.Member".
 var exportAllowList = map[string]string{
 	"barrierd.Shard.Releases":                    shardCounter,
-	"barrierd.Shard.Stucks":                      shardCounter,
 	"barrierd.StuckReport.Shard":                 "the report is what onStuck callers receive; String prints this field with the rest",
 	"exp.E9InvalidBranch":                        experiment,
 	"exp.E14PhaseAttribution":                    experiment,

@@ -18,6 +18,18 @@ import (
 // returns the net (for transcript inspection) and fails the test if the
 // workload doesn't complete within the tick budget.
 func simScenario(t *testing.T, simCfg transport.SimConfig, shards, conns, groups, clientsPer int, epochs int64) *transport.SimNet {
+	gids := make([]uint32, groups)
+	for g := range gids {
+		gids[g] = uint32(g)
+	}
+	nw, _, _ := simScenarioAt(t, simCfg, shards, transport.ConnAddrBase, conns, gids, clientsPer, epochs)
+	return nw
+}
+
+// simScenarioAt is simScenario with the connections at base, base+1, …
+// and the groups named by gids; it also returns the service and the
+// connections, to read once the run is over.
+func simScenarioAt(t *testing.T, simCfg transport.SimConfig, shards int, base transport.Addr, conns int, gids []uint32, clientsPer int, epochs int64) (*transport.SimNet, *Service, []*Conn) {
 	t.Helper()
 	nw := transport.NewSimNet(simCfg)
 	cfg := SimConfig(simCfg.Latency, simCfg.Jitter)
@@ -30,7 +42,7 @@ func simScenario(t *testing.T, simCfg transport.SimConfig, shards, conns, groups
 
 	var cs []*Conn
 	for i := 0; i < conns; i++ {
-		c, err := Dial(nw, transport.ConnAddrBase+transport.Addr(i), cfg)
+		c, err := Dial(nw, base+transport.Addr(i), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,8 +58,7 @@ func simScenario(t *testing.T, simCfg transport.SimConfig, shards, conns, groups
 		return out
 	}
 	for i, c := range cs {
-		for g := 0; g < groups; g++ {
-			g := uint32(g)
+		for _, g := range gids {
 			c, i := c, i
 			var step func(rel int64)
 			step = func(rel int64) {
@@ -66,8 +77,8 @@ func simScenario(t *testing.T, simCfg transport.SimConfig, shards, conns, groups
 	}
 	done := func() bool {
 		for _, c := range cs {
-			for g := 0; g < groups; g++ {
-				if c.Released(uint32(g)) < epochs-1 {
+			for _, g := range gids {
+				if c.Released(g) < epochs-1 {
 					return false
 				}
 			}
@@ -76,13 +87,13 @@ func simScenario(t *testing.T, simCfg transport.SimConfig, shards, conns, groups
 	}
 	if _, ok := nw.Run(100_000_000, done); !ok {
 		for _, c := range cs {
-			for g := 0; g < groups; g++ {
-				t.Logf("conn %d group %d released=%d", c.Addr(), g, c.Released(uint32(g)))
+			for _, g := range gids {
+				t.Logf("conn %d group %d released=%d", c.Addr(), g, c.Released(g))
 			}
 		}
 		t.Fatal("sim workload did not complete")
 	}
-	return nw
+	return nw, svc, cs
 }
 
 func TestSimCompletesEpochsLossyLinks(t *testing.T) {

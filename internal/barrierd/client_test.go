@@ -586,9 +586,21 @@ func TestLargestCountMessageFitsOneDatagram(t *testing.T) {
 // Conn's one send queue and their releases in one onMessage, so under
 // -race this is the check on both handoffs. Every group must reach its
 // last epoch with no release below the awaited epoch, and drain once its
-// members leave.
+// members leave. In the second row 2 more goroutines create 256 groups
+// each meanwhile, dense and sparse ids in turn, and call Released,
+// ArriveBatch and WhenReleased on them, so the lock-free lookup of the
+// callers' groups runs beside every publish of a new dense table.
 func TestSharedConnConcurrentCallers(t *testing.T) {
-	const callers, groupsEach, per, epochs = 4, 2, 16, 30
+	for _, row := range []struct {
+		name     string
+		creators int
+	}{{"callers", 0}, {"callers beside group creation", 2}} {
+		t.Run(row.name, func(t *testing.T) { sharedConnCallers(t, row.creators) })
+	}
+}
+
+func sharedConnCallers(t *testing.T, creators int) {
+	const callers, groupsEach, per, epochs, created = 4, 2, 16, 30, 256
 	nw := transport.NewChanNet(0)
 	defer nw.Close()
 	cfg := RealtimeConfig()
@@ -603,7 +615,31 @@ func TestSharedConnConcurrentCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	errs := make(chan error, callers)
+	errs := make(chan error, callers+creators)
+	// createdID is creator w's i-th group: dense and sparse ids in turn,
+	// none of them a caller's.
+	createdID := func(w, i int) uint32 {
+		g := uint32(1000 + w*created + i)
+		if i%2 == 1 {
+			g += transport.DenseBound
+		}
+		return g
+	}
+	for w := range creators {
+		go func() {
+			errs <- func() error {
+				for i := range created {
+					g := createdID(w, i)
+					if rel := c.Released(g); rel != -1 {
+						return fmt.Errorf("new group %d: released %d", g, rel)
+					}
+					c.ArriveBatch(g, 0, []uint64{1}) // no members: passed over
+					c.WhenReleased(g, 0, func(rel int64) { errs <- fmt.Errorf("new group %d: released %d", g, rel) })
+				}
+				return nil
+			}()
+		}()
+	}
 	for w := range callers {
 		go func() {
 			errs <- func() error {
@@ -640,7 +676,7 @@ func TestSharedConnConcurrentCallers(t *testing.T) {
 			}()
 		}()
 	}
-	for range callers {
+	for range callers + creators {
 		select {
 		case err := <-errs:
 			if err != nil {
@@ -653,6 +689,18 @@ func TestSharedConnConcurrentCallers(t *testing.T) {
 	for g := range uint32(callers * groupsEach) {
 		if rel := c.Released(g); rel != DrainEpoch {
 			t.Errorf("group %d: released %d, want the drain", g, rel)
+		}
+	}
+	dense := *c.dense.Load()
+	for w := range creators {
+		for i := range created {
+			g := createdID(w, i)
+			if rel := c.Released(g); rel != -1 {
+				t.Errorf("new group %d: released %d", g, rel)
+			}
+			if g < transport.DenseBound && dense[g] == nil {
+				t.Errorf("new group %d is missing from the published dense groups", g)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package barrierd
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"fuzzybarrier/internal/core"
@@ -114,6 +115,10 @@ func TestHostileCountsAreDropped(t *testing.T) {
 		{"join for somebody else's connection", home, msg{Kind: transport.KindJoin, From: stranger, Client: uint64(connA)<<32 | 9, List: []uint64{1}}, true},
 		{"join of more members than a table holds", home, msg{Kind: transport.KindJoin, From: connA, Client: uint64(connA)<<32 | 9, List: []uint64{1 << 40}}, true},
 		{"join with a mode that is none of the three", home, msg{Kind: transport.KindJoin, From: connA, Mode: 7, Client: uint64(connA)<<32 | 9, List: []uint64{1}}, true},
+		{"join for the last group id from somebody else's connection", home, msg{Kind: transport.KindJoin, From: stranger, Group: math.MaxUint32, Client: uint64(connA)<<32 | 9, List: []uint64{1}}, true},
+		{"arrive for a group just past the dense bound nobody joined", home, msg{Kind: transport.KindArrive, From: connA, Group: transport.DenseBound, Epoch: 0, List: []uint64{1}}, true},
+		{"arrive from a connection past the dense span", home, msg{Kind: transport.KindArrive, From: transport.ConnAddrBase + transport.DenseBound, Epoch: 0, List: []uint64{1}}, true},
+		{"combine from the last address there is", kid, msg{Kind: transport.KindCombine, From: math.MaxUint32, Epoch: 0, List: []uint64{1}}, true},
 	} {
 		sh := svc.Shards[tc.at]
 		before, sent, rejected := shardState(svc), nw.Sent, sh.Rejected
@@ -133,5 +138,47 @@ func TestHostileCountsAreDropped(t *testing.T) {
 	o.arrive(b, g, 0, 1)
 	if _, ok := nw.Run(nw.Now()+2000, func() bool { o.justified(); return a.Released(g) == 0 && b.Released(g) == 0 }); !ok {
 		t.Fatalf("epoch 0 did not release once b arrived: a sees %d, b sees %d", a.Released(g), b.Released(g))
+	}
+}
+
+// denseLens returns the lengths of a transport.Table's two dense slices,
+// read through reflection since the fields are the transport's own.
+func denseLens(table reflect.Value) (lo, hi int) {
+	return table.FieldByName("lo").Len(), table.FieldByName("hi").Len()
+}
+
+// TestSparseIDsAreServed runs the service over lossy links with every
+// connection past the dense span of transport.Table and every group id
+// past its dense bound, the last there is among them: every epoch
+// releases, no watchdog reports a group stuck, and no dense slice of any
+// table — the net's endpoints, each shard's peers and groups, each
+// connection's peers and groups — grows toward a sparse id.
+func TestSparseIDsAreServed(t *testing.T) {
+	gids := []uint32{transport.DenseBound, transport.DenseBound + 1, math.MaxUint32}
+	nw, svc, conns := simScenarioAt(t, transport.SimConfig{Latency: 2, Jitter: 5, DropRate: 0.15, DupRate: 0.05, Seed: 5},
+		4, transport.ConnAddrBase+transport.DenseBound, 3, gids, 4, 12)
+	if nw.Dropped == 0 {
+		t.Fatal("fault model idle — loss path not exercised")
+	}
+	check := func(what string, table reflect.Value, maxLo int) {
+		if lo, hi := denseLens(table); lo > maxLo || hi != 0 {
+			t.Errorf("%s: dense slices %d and %d long, want at most %d and 0", what, lo, hi, maxLo)
+		}
+	}
+	shards := len(svc.Shards) + 1 // shard addresses are 1..len(svc.Shards)
+	check("net endpoints", reflect.ValueOf(nw).Elem().FieldByName("eps"), shards)
+	for _, sh := range svc.Shards {
+		if sh.Stucks != 0 {
+			t.Errorf("shard %d reported %d stuck groups", sh.Idx, sh.Stucks)
+		}
+		check(fmt.Sprintf("shard %d groups", sh.Idx), reflect.ValueOf(&sh.groups).Elem(), 0)
+		check(fmt.Sprintf("shard %d peers", sh.Idx), reflect.ValueOf(sh.r).Elem().FieldByName("peers"), shards)
+	}
+	for _, c := range conns {
+		check(fmt.Sprintf("conn %d groups", c.Addr()), reflect.ValueOf(&c.groups).Elem(), 0)
+		check(fmt.Sprintf("conn %d peers", c.Addr()), reflect.ValueOf(c.r).Elem().FieldByName("peers"), shards)
+		if d := c.dense.Load(); d != nil {
+			t.Errorf("conn %d published %d dense groups", c.Addr(), len(*d))
+		}
 	}
 }

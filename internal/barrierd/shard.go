@@ -19,7 +19,9 @@ import (
 // no-progress watchdog; for other groups it is a combine-tree node:
 // signals accumulate briefly and go up as one sum, joins and leaves
 // forward along the same path, and releases retrace it downward. No shard
-// ever sees a client id.
+// ever sees a client id. Per-epoch counts sit in rings (epochCounts) and
+// groups in a transport.Table, so a message hashes nothing unless it
+// names a sparse group id.
 //
 // All state is confined to the shard's endpoint dispatch context — no
 // locks; on SimNet every shard is fully deterministic.

@@ -73,7 +73,10 @@ type ReliableStats struct {
 // re-delivered) with per-connection ack coalescing. Of the send side,
 // Reliable keeps only its timer arming: one Endpoint.After per peer,
 // covering the window's earliest deadline, which retransmits every
-// deadline due when it fires.
+// deadline due when it fires. Peers live in a Table, so the lookup each
+// message makes indexes a slice for the addresses barrierd hands out and
+// hashes only a stray one; the table's creation order is the order of
+// the reports.
 //
 // All methods must be called on the endpoint's dispatch context (the
 // Handler, After callbacks, or Do closures); the transports serialize

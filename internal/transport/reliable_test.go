@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -247,22 +248,41 @@ func TestReliableUnreliableBypass(t *testing.T) {
 // TestStrayAcksCreateNoPeer: an ack from an address this side never sent
 // to acknowledges nothing, so it is dropped without creating per-peer
 // state. UDPNet learns any source address, so otherwise stray or spoofed
-// acks would grow the peer table without bound.
+// acks would grow the peer table without bound. Stray acks come from the
+// dense spans of the table and from past them; then datagrams from past
+// the connection span are served as any others, through the table's map,
+// and grow no dense slice.
 func TestStrayAcksCreateNoPeer(t *testing.T) {
-	net, ra, rb, _, _ := relPair(t, SimConfig{Latency: 1, Seed: 1}, ReliableConfig{InitRTO: 1 << 20, AckDelay: 1 << 20})
+	net, ra, rb, outA, _ := relPair(t, SimConfig{Latency: 1, Seed: 1}, ReliableConfig{InitRTO: 1 << 20, AckDelay: 1 << 20})
 	net.eps.Get(1).Do(func() { ra.Send(2, Message{Kind: KindArrive, Epoch: 1}) })
 	net.Run(10, func() bool { return rb.Stats.Delivered == 1 })
 	peers, unacked := len(ra.peers.All()), ra.Unacked()
 	if peers != 1 || unacked != 1 {
 		t.Fatalf("before the stray acks: %d peers, %d unacked; want 1 and 1 (the ack is held back)", peers, unacked)
 	}
+	dense := func(when string) {
+		if lo, hi := len(ra.peers.lo), len(ra.peers.hi); lo > 3 || hi != 0 {
+			t.Fatalf("%s: dense peer slices %d and %d long; only peer 2 is dense", when, lo, hi)
+		}
+	}
 	for i := range 1000 {
-		ra.OnMessage(Message{Kind: KindAck, From: Addr(100 + i), To: 1, List: []uint64{1}})
+		for _, from := range []Addr{Addr(100 + i), ConnAddrBase + Addr(i), ConnAddrBase + DenseBound + Addr(i), math.MaxUint32 - Addr(i)} {
+			ra.OnMessage(Message{Kind: KindAck, From: from, To: 1, List: []uint64{1}})
+		}
 	}
 	if len(ra.peers.All()) != peers || ra.Unacked() != unacked {
-		t.Fatalf("after 1000 stray acks: %d peers, %d unacked; want %d and %d",
+		t.Fatalf("after 4000 stray acks: %d peers, %d unacked; want %d and %d",
 			len(ra.peers.All()), ra.Unacked(), peers, unacked)
 	}
+	dense("after the stray acks")
+	for _, from := range []Addr{ConnAddrBase + DenseBound, math.MaxUint32, ConnAddrBase + DenseBound} {
+		ra.OnMessage(Message{Kind: KindArrive, From: from, To: 1, Seq: 1, Epoch: int64(from)})
+	}
+	if len(*outA) != 2 || ra.Stats.DupDropped != 1 || len(ra.peers.All()) != peers+2 {
+		t.Fatalf("datagrams from 2 sparse addresses, one twice: %d delivered, %d duplicates dropped, %d peers; want 2, 1 and %d",
+			len(*outA), ra.Stats.DupDropped, len(ra.peers.All()), peers+2)
+	}
+	dense("after the sparse datagrams")
 }
 
 // TestReliableSteadyStateAllocatesNothing: two Reliable layers on a
