@@ -40,9 +40,12 @@ type Conn struct {
 	groups  transport.Table[uint32, connGroup]
 	batches uint32 // JoinBatch calls so far; numbers the join tokens
 
-	// dense is the groups with ids below transport.DenseBound, by id:
-	// a copy made under mu each time one is created, so it is read with
-	// one atomic load and never written once published.
+	// dense is the groups with ids below transport.DenseBound, by id,
+	// for lookups without mu: one atomic load. Only group creation
+	// writes it, under mu, and never an element a published slice
+	// shows: a group past the length goes into spare capacity, grown as
+	// append grows it, before the longer slice is published, and one
+	// that fills a hole below the length gets a copy.
 	dense atomic.Pointer[[]*connGroup]
 
 	// sendMu guards sends, the protocol sends waiting for the dispatch
@@ -486,12 +489,15 @@ func (c *Conn) group(g uint32) *connGroup {
 		cg.released.Store(-1)
 		c.groups.Put(g, cg)
 		if g < transport.DenseBound {
-			var old []*connGroup
-			if d := c.dense.Load(); d != nil {
-				old = *d
+			var d []*connGroup
+			if p := c.dense.Load(); p != nil {
+				d = *p
 			}
-			d := make([]*connGroup, max(len(old), int(g)+1))
-			copy(d, old)
+			if int(g) < len(d) {
+				d = slices.Clone(d)
+			} else {
+				d = slices.Grow(d, int(g)+1-len(d))[:g+1]
+			}
 			d[g] = cg
 			c.dense.Store(&d)
 		}
