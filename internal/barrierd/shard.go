@@ -437,8 +437,7 @@ func (s *Shard) checkComplete(gs *groupState) {
 // release records "every epoch <= e of gs is complete" and publishes it
 // to every child: down the tree and out to connections.
 func (s *Shard) release(gs *groupState, e int64) {
-	was := gs.released
-	if e <= was {
+	if e <= gs.released {
 		return
 	}
 	gs.released = e
